@@ -1,81 +1,23 @@
-"""Hot pattern-evaluation kernels: numba njit with a pure-numpy fallback.
+"""Dense pattern kernels, the reference for the factored cut engine.
 
-Set UAVISAC_NUMBA=0 in the environment to force the numpy path.  Both paths
-produce the same values to floating-point roundoff; within one backend the
-results are bit-reproducible run to run.
+The synthesizer evaluates cuts through per-axis steering factors (see
+`beampattern._PatternEvaluator`); these kernels build the full
+(n_dirs, n_elements) steering matrix instead, and the tests compare the two.
 """
-
-import os
 
 import numpy as np
 
-_FLAG = os.environ.get("UAVISAC_NUMBA", "1").strip().lower()
-_WANT_NUMBA = _FLAG not in ("0", "false", "no", "off")
 
-
-def steering_matrix_numpy(dirs, offsets, wavenumber):
+def steering_matrix(dirs, offsets, wavenumber):
     """Steering phasors exp(j k dirs . offsets), shape (n_dirs, n_elements)."""
     return np.exp(1j * wavenumber * (dirs @ offsets.T))
 
 
-def cut_power_numpy(emat, weights):
+def cut_power(emat, weights):
     """Radiated power |a(dir)^H w|^2 for every row of the steering matrix."""
     return np.abs(emat @ np.conjugate(weights)) ** 2
 
 
-NUMBA_ENABLED = False
-if _WANT_NUMBA:
-    try:
-        from numba import njit, prange
-
-        @njit(parallel=True, cache=True)
-        def _steering_matrix_jit(dirs, offsets, wavenumber):  # pragma: no cover
-            n, m = dirs.shape[0], offsets.shape[0]
-            out = np.empty((n, m), dtype=np.complex128)
-            for i in prange(n):
-                for j in range(m):
-                    ph = wavenumber * (
-                        dirs[i, 0] * offsets[j, 0]
-                        + dirs[i, 1] * offsets[j, 1]
-                        + dirs[i, 2] * offsets[j, 2]
-                    )
-                    out[i, j] = complex(np.cos(ph), np.sin(ph))
-            return out
-
-        @njit(parallel=True, cache=True)
-        def _cut_power_jit(emat, wconj):  # pragma: no cover
-            n, m = emat.shape
-            out = np.empty(n, dtype=np.float64)
-            for i in prange(n):
-                acc = 0.0 + 0.0j
-                for j in range(m):
-                    acc += emat[i, j] * wconj[j]
-                out[i] = acc.real * acc.real + acc.imag * acc.imag
-            return out
-
-        def steering_matrix_numba(dirs, offsets, wavenumber):
-            return _steering_matrix_jit(
-                np.ascontiguousarray(dirs, dtype=np.float64),
-                np.ascontiguousarray(offsets, dtype=np.float64),
-                float(wavenumber),
-            )
-
-        def cut_power_numba(emat, weights):
-            wconj = np.conjugate(np.ascontiguousarray(weights, dtype=np.complex128))
-            return _cut_power_jit(np.ascontiguousarray(emat), wconj)
-
-        NUMBA_ENABLED = True
-    except ImportError:
-        NUMBA_ENABLED = False
-
-if NUMBA_ENABLED:
-    steering_matrix = steering_matrix_numba
-    cut_power = cut_power_numba
-else:
-    steering_matrix = steering_matrix_numpy
-    cut_power = cut_power_numpy
-
-
 def backend() -> str:
-    """Name of the selected kernel backend."""
-    return "numba" if NUMBA_ENABLED else "numpy"
+    """Name of the kernel backend; numpy is the only one."""
+    return "numpy"

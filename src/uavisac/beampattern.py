@@ -16,15 +16,14 @@ weights.  Everything here is pure given its inputs; results are immutable.
 from __future__ import annotations
 
 import csv
+import functools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
-from . import _kernels
 from .geometry import (
     ArrayConfig,
     DirectionAngles,
@@ -33,6 +32,7 @@ from .geometry import (
     centered_grid_offsets,
     direction_angles,
     direction_unit,
+    grid_axis_offsets,
     rotation_matrix,
 )
 from .units import from_db, to_db
@@ -216,21 +216,18 @@ def _cut_arc(angles, units_arr, point_index: int, circular: bool):
     keep &= np.abs(delta) <= math.pi / 2 + 1e-12
     if keep.all():
         return angles, np.arange(n)
+    dropped = np.flatnonzero(~keep)
     if not circular:
-        lo = point_index
-        while lo > 0 and keep[lo - 1]:
-            lo -= 1
-        hi = point_index
-        while hi < n - 1 and keep[hi + 1]:
-            hi += 1
+        before = dropped[dropped < point_index]
+        after = dropped[dropped > point_index]
+        lo = int(before[-1]) + 1 if before.size else 0
+        hi = int(after[0]) - 1 if after.size else n - 1
         idx = np.arange(lo, hi + 1)
         return angles[idx], idx
-    lo = point_index
-    while keep[(lo - 1) % n] and (point_index - lo) < n - 1:
-        lo -= 1
-    hi = point_index
-    while keep[(hi + 1) % n] and (hi - lo) < n - 1:
-        hi += 1
+    # walk outwards around the circle to the first dropped sample on each side;
+    # the pointing sample is always kept, so the arc never closes on itself
+    lo = point_index - int(((point_index - dropped - 1) % n).min())
+    hi = point_index + int(((dropped - point_index - 1) % n).min())
     idx = np.arange(lo, hi + 1) % n
     arc_angles = angles[idx].copy()
     wrapped = np.nonzero(np.diff(arc_angles) < 0)[0]
@@ -240,7 +237,15 @@ def _cut_arc(angles, units_arr, point_index: int, circular: bool):
 
 
 class _PatternEvaluator:
-    """Caches posed steering matrices for both principal cuts of one request."""
+    """Caches per-axis steering factors for both principal cuts of one request.
+
+    The panel is a square grid in the array's XZ plane, so the steering
+    vector toward array-frame direction u is the Kronecker product
+    exp(j k u_x x) (x) exp(j k u_z z) of one factor per grid axis, and
+    a^H w = e_x^H W conj(e_z) with W the weights reshaped to (rows, columns).
+    A cut of n directions thus costs two (n, side) factor matrices instead of
+    one dense (n, side**2) steering matrix.
+    """
 
     def __init__(
         self,
@@ -253,6 +258,8 @@ class _PatternEvaluator:
         self.pointing = pointing
         rot = rotation_matrix(pose.angles)
         self.offsets = centered_grid_offsets(config)
+        x_rows, z_cols = grid_axis_offsets(config)
+        k = config.wavenumber
         self.cuts: dict[str, tuple] = {}
         for plane in ("azimuth", "elevation"):
             angles, units = _cut_grid(plane, pointing, step_deg)
@@ -264,16 +271,20 @@ class _PatternEvaluator:
                 point_index = int(np.argmin(np.abs(angles - pointing.theta)))
             arc_angles, idx = _cut_arc(angles, units_arr, point_index, plane == "azimuth")
             units_arc = units_arr[idx]
-            emat = _kernels.steering_matrix(units_arc, self.offsets, config.wavenumber)
+            # conjugated factors, ready for the a^H w contraction
+            ex_conj = np.exp(-1j * k * np.outer(units_arc[:, 0], x_rows))
+            ez_conj = np.exp(-1j * k * np.outer(units_arc[:, 2], z_cols))
             gains = _element_gain_units(units_arc)
-            self.cuts[plane] = (arc_angles, emat, gains)
+            self.cuts[plane] = (arc_angles, ex_conj, ez_conj, gains)
         unit_point = rot.T @ direction_unit(pointing)
-        self.point_steering = np.exp(1j * config.wavenumber * (self.offsets @ unit_point))
+        self.point_steering = np.exp(1j * k * (self.offsets @ unit_point))
         self.point_element_gain = ((1.0 + unit_point[1]) / 2.0) ** 2
 
     def cut_gains_db(self, plane: str, weights: NDArray[np.complex128]):
-        angles, emat, ge = self.cuts[plane]
-        power = _kernels.cut_power(emat, weights) * ge
+        angles, ex_conj, ez_conj, ge = self.cuts[plane]
+        side = ex_conj.shape[1]
+        af = ((ex_conj @ weights.reshape(side, side)) * ez_conj).sum(axis=1)
+        power = np.abs(af) ** 2 * ge
         peak = power.max()
         if peak <= 0.0:
             return angles, np.full(power.shape, -400.0)
@@ -309,17 +320,16 @@ def pattern_cut(
 
 def _sll_from_gains(gains_db: NDArray[np.float64]) -> float:
     gains = np.asarray(gains_db, dtype=np.float64)
-    n = gains.size
     peak = int(np.argmax(gains))
     # a boundary minimum must sit well below the peak; shallower dips are
     # main-lobe ripple (element-pattern lift near the cut edge), not nulls
-    thresh = gains[peak] - MAIN_LOBE_MIN_DEPTH_DB
-    left = peak
-    while left > 0 and not (gains[left - 1] > gains[left] and gains[left] <= thresh):
-        left -= 1
-    right = peak
-    while right < n - 1 and not (gains[right + 1] > gains[right] and gains[right] <= thresh):
-        right += 1
+    below = gains <= gains[peak] - MAIN_LOBE_MIN_DEPTH_DB
+    # nearest i <= peak with gains[i - 1] > gains[i], and nearest i >= peak
+    # with gains[i + 1] > gains[i], among samples below the threshold
+    left_hits = np.flatnonzero((gains[:peak] > gains[1 : peak + 1]) & below[1 : peak + 1])
+    right_hits = np.flatnonzero((gains[peak + 1 :] > gains[peak:-1]) & below[peak:-1])
+    left = int(left_hits[-1]) + 1 if left_hits.size else 0
+    right = peak + int(right_hits[0]) if right_hits.size else gains.size - 1
     outside = np.concatenate([gains[:left], gains[right + 1 :]])
     if outside.size == 0:
         return math.inf
@@ -349,17 +359,39 @@ def eirp(
 
 
 def chebyshev_taper(n: int, sll_db: float) -> NDArray[np.float64]:
-    """Dolph-Chebyshev amplitude taper, max-normalized, equiripple at -sll_db."""
+    """Dolph-Chebyshev amplitude taper, max-normalized, equiripple at -sll_db.
+
+    The returned array is shared between calls and read-only.
+    """
     if n < 2:
         raise ValueError("taper needs at least two elements")
     if sll_db <= 0.0:
         raise ValueError("sidelobe level must be positive dB")
-    from scipy.signal.windows import chebwin
+    return _dolph_chebyshev(int(n), float(sll_db))
 
-    with warnings.catch_warnings():
-        # chebwin warns below 45 dB attenuation; low setpoints are intended here
-        warnings.simplefilter("ignore")
-        return np.asarray(chebwin(n, at=float(sll_db)), dtype=np.float64)
+
+@functools.lru_cache(maxsize=4096)
+def _dolph_chebyshev(n: int, sll_db: float) -> NDArray[np.float64]:
+    # Samples of the array factor T_{n-1}(x0 cos(pi k / n)) on n equispaced
+    # points, turned into element weights by a DFT (Dolph, Proc. IRE, 1946).
+    order = n - 1.0
+    x0 = np.cosh(1.0 / order * np.arccosh(10.0 ** (sll_db / 20.0)))
+    x = x0 * np.cos(np.pi * np.arange(n) / n)
+    p = np.zeros(n)
+    hi, lo = x > 1, x < -1
+    mid = ~(hi | lo)
+    p[hi] = np.cosh(order * np.arccosh(x[hi]))
+    p[lo] = (2 * (n % 2) - 1) * np.cosh(order * np.arccosh(-x[lo]))
+    p[mid] = np.cos(order * np.arccos(x[mid]))
+    if n % 2:
+        w = np.real(np.fft.fft(p))[: (n + 1) // 2]
+        w = np.concatenate((w[1:][::-1], w))
+    else:
+        w = np.real(np.fft.fft(p * np.exp(1j * np.pi / n * np.arange(n))))[1 : n // 2 + 1]
+        w = np.concatenate((w[::-1], w))
+    w = w / np.max(w)
+    w.setflags(write=False)
+    return w
 
 
 def _null_basis(
@@ -671,40 +703,3 @@ def export_cut_csv(cut: PatternCut, path) -> None:
         writer.writerow(["angle_deg", "gain_db"])
         for angle, gain in zip(cut.angles_rad, cut.gains_db):
             writer.writerow([repr(math.degrees(float(angle))), repr(float(gain))])
-
-
-def export_grid_csv(
-    weights,
-    config: ArrayConfig,
-    pose: Pose,
-    path,
-    az_step_deg: float = 1.0,
-    el_step_deg: float = 1.0,
-) -> None:
-    """Write the 2-D pattern as `az_deg,el_deg,gain_db` rows (peak at 0 dB)."""
-    entries = _weight_entries(weights)
-    az = np.arange(-180.0, 180.0, az_step_deg)
-    el = np.arange(0.0, 180.0 + el_step_deg / 2, el_step_deg)
-    rot = rotation_matrix(pose.angles)
-    offsets = centered_grid_offsets(config)
-    az_rad, el_rad = np.radians(az), np.radians(el)
-    sin_el = np.sin(el_rad)[:, None]
-    units = np.stack(
-        [
-            sin_el * np.cos(az_rad)[None, :],
-            sin_el * np.sin(az_rad)[None, :],
-            np.broadcast_to(np.cos(el_rad)[:, None], (el.size, az.size)).copy(),
-        ],
-        axis=-1,
-    ).reshape(-1, 3)
-    units_arr = units @ rot
-    emat = _kernels.steering_matrix(units_arr, offsets, config.wavenumber)
-    power = _kernels.cut_power(emat, entries) * _element_gain_units(units_arr)
-    peak = max(float(power.max()), _DB_FLOOR)
-    gains_db = 10.0 * np.log10(np.maximum(power / peak, _DB_FLOOR)).reshape(el.size, az.size)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["az_deg", "el_deg", "gain_db"])
-        for i, e in enumerate(el):
-            for j, a in enumerate(az):
-                writer.writerow([repr(float(a)), repr(float(e)), repr(float(gains_db[i, j]))])

@@ -144,6 +144,18 @@ def centered_grid_offsets(config: ArrayConfig) -> NDArray[np.float64]:
     return grid - grid.mean(axis=0)
 
 
+def grid_axis_offsets(config: ArrayConfig) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Centroid-referenced row x coordinates and column z coordinates, (side,) each.
+
+    Element m = r * side + c sits at (x[r], 0, z[c]) in the centered grid, so
+    a weight vector reshaped to (side, side) is indexed [row, column] and the
+    steering vector toward any direction is the Kronecker product of one
+    factor per axis.
+    """
+    grid = centered_grid_offsets(config).reshape(config.side, config.side, 3)
+    return grid[:, 0, 0].copy(), grid[0, :, 2].copy()
+
+
 def rotated_offsets(config: ArrayConfig, angles: RotationAngles) -> NDArray[np.float64]:
     """Centroid-referenced element offsets after rotation, (M, 3)."""
     return centered_grid_offsets(config) @ rotation_matrix(angles).T
@@ -208,14 +220,3 @@ def steering_vector(
     direction = direction_angles(uav_pos, dest)
     tau = inter_element_delays(config, angles, direction)
     return np.exp(2j * math.pi * config.carrier_hz * tau)
-
-
-def toa(config: ArrayConfig, uav_pos, angles: RotationAngles, dest, element: int) -> float:
-    """Time of arrival from one element to the destination, seconds.
-
-    Bulk propagation from the array center plus the element's relative delay.
-    """
-    direction = direction_angles(uav_pos, dest)
-    tau = inter_element_delays(config, angles, direction)
-    dist = float(np.linalg.norm(as_vec3(dest) - as_vec3(uav_pos)))
-    return float(tau[element]) + dist / SPEED_OF_LIGHT

@@ -401,17 +401,3 @@ def test_pattern_cut_export_csv(tmp_path):
     first = lines[1].split(",")
     assert float(first[0]) == pytest.approx(math.degrees(cut.angles_rad[0]))
 
-
-def test_grid_export_csv(tmp_path):
-    from uavisac.beampattern import export_grid_csv
-
-    config = ArrayConfig(num_elements=16, carrier_hz=3e11)
-    w = matched_weights(config, BROADSIDE)
-    path = tmp_path / "grid.csv"
-    export_grid_csv(w, config, zero_pose(), path, az_step_deg=10.0, el_step_deg=10.0)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "az_deg,el_deg,gain_db"
-    rows = [line.split(",") for line in lines[1:]]
-    assert len(rows) == 36 * 19
-    gains = np.array([float(r[2]) for r in rows])
-    assert gains.max() == pytest.approx(0.0, abs=1e-9)

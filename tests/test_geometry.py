@@ -14,10 +14,8 @@ from uavisac.geometry import (
     direction_angles,
     direction_unit,
     element_positions,
-    inter_element_delays,
     rotation_matrix,
     steering_vector,
-    toa,
 )
 
 
@@ -131,36 +129,6 @@ def test_steering_vector_broadside_is_coherent():
     dest = np.array([0.0, -500.0, 100.0])  # unit vector from dest to array is +y
     a = steering_vector(config, pos, RotationAngles(0.0, 0.0, 0.0), dest)
     assert np.allclose(a, 1.0 + 0.0j, atol=1e-12)
-
-
-def test_toa_bulk_delay():
-    config = ArrayConfig(num_elements=4, carrier_hz=SPEED_OF_LIGHT / 1e-3)
-    pos = np.array([0.0, 0.0, 100.0])
-    dest = np.array([0.0, -300.0, 100.0])  # broadside, so tau_m = 0
-    t = toa(config, pos, RotationAngles(0.0, 0.0, 0.0), dest, element=0)
-    assert abs(t - 300.0 / SPEED_OF_LIGHT) < 1e-18
-    assert abs(t - 1.0007e-6) < 1e-9
-
-
-def test_toa_common_term_cancels():
-    config = ArrayConfig(num_elements=9, carrier_hz=3e11)
-    pos = np.array([10.0, 20.0, 100.0])
-    dest = np.array([400.0, 300.0, 2.0])
-    angles = RotationAngles(0.3, -0.1, 0.2)
-    direction = direction_angles(pos, dest)
-    tau = inter_element_delays(config, angles, direction)
-    t0 = toa(config, pos, angles, dest, element=0)
-    t5 = toa(config, pos, angles, dest, element=5)
-    # the bulk term cancels exactly up to rounding of the microsecond sums
-    assert abs((t5 - t0) - (tau[5] - tau[0])) < 1e-20
-
-
-def test_toa_broadside_all_equal():
-    config = ArrayConfig(num_elements=4, carrier_hz=SPEED_OF_LIGHT / 1e-3)
-    pos = np.array([0.0, 0.0, 100.0])
-    dest = np.array([0.0, -300.0, 100.0])
-    values = [toa(config, pos, RotationAngles(0.0, 0.0, 0.0), dest, element=m) for m in range(4)]
-    assert np.allclose(values, values[0], atol=1e-24)
 
 
 def test_angular_separation():
