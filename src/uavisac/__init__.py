@@ -16,7 +16,6 @@ from .beampattern import (
     beampattern_error,
     beampattern_gain,
     chebyshev_taper,
-    element_gain,
     eirp,
     extract_sll,
     pattern_cut,
@@ -29,6 +28,7 @@ from .geometry import (
     Pose,
     RotationAngles,
     direction_angles,
+    element_gain,
     element_positions,
     rotation_matrix,
     steering_vector,

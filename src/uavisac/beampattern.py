@@ -29,11 +29,12 @@ from .geometry import (
     DirectionAngles,
     Pose,
     angular_separation,
-    centered_grid_offsets,
-    direction_angles,
-    direction_unit,
+    array_frame_unit,
+    element_gain,
     grid_axis_offsets,
     rotation_matrix,
+    steering,
+    steering_vector,
 )
 from .units import from_db, to_db
 
@@ -133,17 +134,6 @@ class PatternCut:
     gains_db: NDArray[np.float64]
 
 
-def element_gain(direction: DirectionAngles) -> float:
-    """Cardioid element power pattern about the unrotated broadside (+y)."""
-    cos_off = math.sin(direction.phi) * math.sin(direction.theta)
-    return ((1.0 + cos_off) / 2.0) ** 2
-
-
-def _element_gain_units(units_in_array_frame: NDArray[np.float64]) -> NDArray[np.float64]:
-    # cos of the off-broadside angle is the y component of the array-frame unit
-    return ((1.0 + units_in_array_frame[:, 1]) / 2.0) ** 2
-
-
 def _weight_entries(weights) -> NDArray[np.complex128]:
     entries = getattr(weights, "entries", weights)
     return np.asarray(entries, dtype=np.complex128)
@@ -161,12 +151,8 @@ def array_gain(
     w = _weight_entries(weights)
     if w.shape[0] != config.num_elements:
         raise ValueError("weight length does not match the array size")
-    rot = rotation_matrix(angles)
-    unit_arr = rot.T @ direction_unit(direction)
-    phases = config.wavenumber * (centered_grid_offsets(config) @ unit_arr)
-    a = np.exp(1j * phases)
-    ge = ((1.0 + unit_arr[1]) / 2.0) ** 2
-    return float(abs(np.vdot(a, w)) ** 2 * ge)
+    unit = array_frame_unit(angles, direction)
+    return float(abs(np.vdot(steering(config, unit), w)) ** 2 * element_gain(unit))
 
 
 def _cut_grid(plane: str, pointing: DirectionAngles, step_deg: float):
@@ -257,7 +243,6 @@ class _PatternEvaluator:
         self.config = config
         self.pointing = pointing
         rot = rotation_matrix(pose.angles)
-        self.offsets = centered_grid_offsets(config)
         x_rows, z_cols = grid_axis_offsets(config)
         k = config.wavenumber
         self.cuts: dict[str, tuple] = {}
@@ -274,11 +259,10 @@ class _PatternEvaluator:
             # conjugated factors, ready for the a^H w contraction
             ex_conj = np.exp(-1j * k * np.outer(units_arc[:, 0], x_rows))
             ez_conj = np.exp(-1j * k * np.outer(units_arc[:, 2], z_cols))
-            gains = _element_gain_units(units_arc)
-            self.cuts[plane] = (arc_angles, ex_conj, ez_conj, gains)
-        unit_point = rot.T @ direction_unit(pointing)
-        self.point_steering = np.exp(1j * k * (self.offsets @ unit_point))
-        self.point_element_gain = ((1.0 + unit_point[1]) / 2.0) ** 2
+            self.cuts[plane] = (arc_angles, ex_conj, ez_conj, element_gain(units_arc))
+        unit_point = array_frame_unit(pose.angles, pointing)
+        self.point_steering = steering(config, unit_point)
+        self.point_element_gain = element_gain(unit_point)
 
     def cut_gains_db(self, plane: str, weights: NDArray[np.complex128]):
         angles, ex_conj, ez_conj, ge = self.cuts[plane]
@@ -397,13 +381,8 @@ def _dolph_chebyshev(n: int, sll_db: float) -> NDArray[np.float64]:
 def _null_basis(
     config: ArrayConfig, pose: Pose, nulls: Sequence[DirectionAngles]
 ) -> NDArray[np.complex128]:
-    rot_t = rotation_matrix(pose.angles).T
-    offsets = centered_grid_offsets(config)
-    cols = [
-        np.exp(1j * config.wavenumber * (offsets @ (rot_t @ direction_unit(null))))
-        for null in nulls
-    ]
-    return np.column_stack(cols)
+    units = np.stack([array_frame_unit(pose.angles, null) for null in nulls])
+    return steering(config, units).T
 
 
 def _project_out(
@@ -428,6 +407,23 @@ def _project_out(
     return out
 
 
+def null_conflicts(null: DirectionAngles, pointing: DirectionAngles) -> bool:
+    """True when a null lies within NULL_CONFLICT_DEG of the pointing direction."""
+    return math.degrees(angular_separation(null, pointing)) < NULL_CONFLICT_DEG
+
+
+def check_nulls(
+    config: ArrayConfig,
+    nulls: Sequence[DirectionAngles],
+    pointing: DirectionAngles | None = None,
+) -> None:
+    """Reject more nulls than the array can place, or one on the pointing."""
+    if len(nulls) >= config.num_elements:
+        raise ValueError("cannot null as many directions as array elements")
+    if pointing is not None and any(null_conflicts(null, pointing) for null in nulls):
+        raise NullConflictError("null direction conflicts with the pointing direction")
+
+
 def apply_nulls(
     weights: BeamWeights,
     config: ArrayConfig,
@@ -444,14 +440,7 @@ def apply_nulls(
     nulls = tuple(nulls)
     if not nulls:
         return weights
-    if len(nulls) >= config.num_elements:
-        raise ValueError("cannot null as many directions as array elements")
-    if pointing is not None:
-        for null in nulls:
-            if math.degrees(angular_separation(null, pointing)) < NULL_CONFLICT_DEG:
-                raise NullConflictError(
-                    "null direction conflicts with the pointing direction"
-                )
+    check_nulls(config, nulls, pointing)
     basis = _null_basis(config, pose, nulls)
     projected = _project_out(_weight_entries(weights), basis)
     scale = max(1.0, float(np.max(np.abs(projected))))
@@ -490,14 +479,7 @@ def _sll_cost_term(measured_db: float, requested_db: float) -> float:
 class _Synthesizer:
     def __init__(self, request: SynthesisRequest, config: ArrayConfig, pose: Pose):
         self.request = request
-        self.config = config
-        if len(request.nulls) >= config.num_elements:
-            raise ValueError("too many nulls for the array size")
-        for null in request.nulls:
-            if math.degrees(angular_separation(null, request.pointing)) < NULL_CONFLICT_DEG:
-                raise NullConflictError(
-                    "null direction conflicts with the pointing direction"
-                )
+        check_nulls(config, request.nulls, request.pointing)
         self.evaluator = _PatternEvaluator(config, pose, request.pointing)
         self.null_basis = (
             _null_basis(config, pose, request.nulls)
@@ -505,24 +487,22 @@ class _Synthesizer:
             else np.zeros((config.num_elements, 0), dtype=np.complex128)
         )
         self.eirp_target_mw = from_db(request.eirp_target_dbm)
-        side = config.side
-        self.side = side
-        mi = np.arange(config.num_elements)
-        self.row_index = mi // side  # x axis
-        self.col_index = mi % side  # z axis
+        self.side = config.side
         self.counter = 0
         self.best: _Candidate | None = None
         self.best_any: _Candidate | None = None
         self._seen: set[tuple[int, int, float, float]] = set()
 
     def _build_entries(self, rows: int, cols: int, s_az: float, s_el: float):
-        active = (self.row_index < rows) & (self.col_index < cols)
+        # weights reshape to (rows, columns) of the grid; see grid_axis_offsets
+        active = np.zeros((self.side, self.side), dtype=bool)
+        active[:rows, :cols] = True
         tx = chebyshev_taper(rows, s_az) if rows > 1 else np.ones(1)
         tz = chebyshev_taper(cols, s_el) if cols > 1 else np.ones(1)
-        amp = np.zeros(self.config.num_elements)
-        amp[active] = tx[self.row_index[active]] * tz[self.col_index[active]]
-        w = amp.astype(np.complex128) * self.evaluator.point_steering
-        w = _project_out(w, self.null_basis, active)
+        amp = np.zeros((self.side, self.side))
+        amp[:rows, :cols] = np.outer(tx, tz)
+        w = amp.ravel().astype(np.complex128) * self.evaluator.point_steering
+        w = _project_out(w, self.null_basis, active.ravel())
         scale = max(1.0, float(np.max(np.abs(w))))
         return w / scale
 
@@ -668,10 +648,7 @@ def beampattern_gain(
     Sum of the two rank-one beam contributions |a^H w|^2 with amplitude-scaled
     weight vectors; invariant under per-beam global phase rotation.
     """
-    direction = direction_angles(pose.position, target)
-    rot_t = rotation_matrix(pose.angles).T
-    unit = rot_t @ direction_unit(direction)
-    a = np.exp(1j * config.wavenumber * (centered_grid_offsets(config) @ unit))
+    a = steering_vector(config, pose.position, pose.angles, target)
     total = 0.0
     for beam in (matrix.sensing, matrix.comm):
         total += abs(np.vdot(a, beam.vector)) ** 2

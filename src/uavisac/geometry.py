@@ -3,9 +3,11 @@
 Positions are plain length-3 float arrays in meters.  Direction angles use the
 polar convention theta = acos((z_from - z_to) / distance) with azimuth
 phi = atan2(y_from - y_to, x_from - x_to), so the unit vector of a direction
-points from the destination back toward the array center.  Steering phases are
-positive, exp(+j 2 pi f tau_m); the radiated amplitude toward a direction is
-the conjugated inner product a(dir)^H w, and phase-matched weights are w = a.
+points from the destination back toward the array center.  A direction's unit
+u is taken into the array frame as R^T u, and the steering vector toward it is
+a_m = exp(+j k p_m . R^T u) over the centroid-referenced element offsets p_m
+(k = 2 pi / wavelength); the radiated amplitude toward a direction is the
+conjugated inner product a(dir)^H w, and phase-matched weights are w = a.
 
 All functions here are pure and safe to call concurrently.
 """
@@ -156,11 +158,6 @@ def grid_axis_offsets(config: ArrayConfig) -> tuple[NDArray[np.float64], NDArray
     return grid[:, 0, 0].copy(), grid[0, :, 2].copy()
 
 
-def rotated_offsets(config: ArrayConfig, angles: RotationAngles) -> NDArray[np.float64]:
-    """Centroid-referenced element offsets after rotation, (M, 3)."""
-    return centered_grid_offsets(config) @ rotation_matrix(angles).T
-
-
 def element_positions(
     config: ArrayConfig, center, angles: RotationAngles
 ) -> NDArray[np.float64]:
@@ -205,18 +202,31 @@ def angular_separation(a: DirectionAngles, b: DirectionAngles) -> float:
     return math.acos(min(1.0, max(-1.0, dot)))
 
 
-def inter_element_delays(
-    config: ArrayConfig, angles: RotationAngles, direction: DirectionAngles
-) -> NDArray[np.float64]:
-    """Per-element delay tau_m relative to the array center, seconds."""
-    offs = rotated_offsets(config, angles)
-    return offs @ direction_unit(direction) / SPEED_OF_LIGHT
+def array_frame_unit(angles: RotationAngles, direction: DirectionAngles) -> NDArray[np.float64]:
+    """Unit vector of a direction in the rotated array frame, R^T u."""
+    return rotation_matrix(angles).T @ direction_unit(direction)
+
+
+def steering(config: ArrayConfig, unit) -> NDArray[np.complex128]:
+    """Steering phasors exp(j k p_m . unit) toward array-frame unit vectors.
+
+    A (3,) unit gives an (M,) vector; an (n, 3) stack gives (n, M) rows.
+    """
+    phases = centered_grid_offsets(config) @ np.transpose(unit)
+    return np.exp(1j * config.wavenumber * phases).T
+
+
+def element_gain(unit) -> NDArray[np.float64]:
+    """Cardioid element power pattern about the unrotated broadside (+y).
+
+    Takes array-frame unit vectors, (3,) or (n, 3); the cosine of the
+    off-broadside angle is their y component.
+    """
+    return ((1.0 + unit[..., 1]) / 2.0) ** 2
 
 
 def steering_vector(
     config: ArrayConfig, uav_pos, angles: RotationAngles, dest
 ) -> NDArray[np.complex128]:
-    """Unit-modulus steering vector exp(+j 2 pi f_c tau_m) toward dest."""
-    direction = direction_angles(uav_pos, dest)
-    tau = inter_element_delays(config, angles, direction)
-    return np.exp(2j * math.pi * config.carrier_hz * tau)
+    """Unit-modulus steering vector toward dest."""
+    return steering(config, array_frame_unit(angles, direction_angles(uav_pos, dest)))

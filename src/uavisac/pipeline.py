@@ -31,7 +31,7 @@ from .beampattern import (
     beampattern_gain,
     chebyshev_taper,
     eirp,
-    element_gain,
+    null_conflicts,
     synthesize,
 )
 from .channel import EXPECTED, RADAR_LOS, achievable_rate, channel_vector, sinr
@@ -39,11 +39,10 @@ from .geometry import (
     DirectionAngles,
     Pose,
     RotationAngles,
-    angular_separation,
-    centered_grid_offsets,
+    array_frame_unit,
     direction_angles,
-    direction_unit,
-    rotation_matrix,
+    element_gain,
+    steering_vector,
 )
 from .neuralnet import Network, NetworkConfig, TrainConfig, TrainReport, forward, train
 from .scenario import (
@@ -230,6 +229,11 @@ def _beam_from_vector(vec: NDArray[np.complex128]) -> BeamWeights:
     return BeamWeights(entries=vec / scale, power_per_element_mw=scale**2)
 
 
+def _element_gain_toward(point: TrajectoryPoint, dest) -> float:
+    unit = array_frame_unit(point.orientation, direction_angles(point.position, dest))
+    return element_gain(unit)
+
+
 def array_frame_direction(point: TrajectoryPoint, dest) -> DirectionAngles:
     """Direction angles of a destination expressed in the rotated array frame.
 
@@ -237,8 +241,7 @@ def array_frame_direction(point: TrajectoryPoint, dest) -> DirectionAngles:
     aperture, so network features carry array-frame angles; the platform
     rotation is absorbed here instead of being an unseen latent variable.
     """
-    direction = direction_angles(point.position, dest)
-    unit = rotation_matrix(point.orientation).T @ direction_unit(direction)
+    unit = array_frame_unit(point.orientation, direction_angles(point.position, dest))
     theta = math.acos(min(1.0, max(-1.0, unit[2])))
     return DirectionAngles(theta=theta, phi=math.atan2(unit[1], unit[0]))
 
@@ -303,7 +306,7 @@ def sensing_eirp_target_dbm(scenario: Scenario, point: TrajectoryPoint) -> float
     tz = chebyshev_taper(side, scenario.sll_min_el_db)
     sum_amp = float(tx.sum() * tz.sum())
     sum_sq = float((tx**2).sum() * (tz**2).sum())
-    ge = element_gain(array_frame_direction(point, scenario.target_m))
+    ge = _element_gain_toward(point, scenario.target_m)
     eirp_mw = 0.5 * scenario.p_max_mw * sum_amp**2 * ge / sum_sq
     return min(scenario.eirp_max_dbm, to_db(eirp_mw))
 
@@ -390,9 +393,7 @@ def synthesize_point(
     except NullConflictError:
         if not lenient:
             raise
-        kept = tuple(
-            n for n in nulls if math.degrees(angular_separation(n, gbs_dir)) >= 1.0
-        )
+        kept = tuple(n for n in nulls if not null_conflicts(n, gbs_dir))
         logger.warning("dropping null conflicting with pointing at slot %d", point.slot)
         comm_res = synthesize(
             _synthesis_request(scenario, gbs_dir, comm_eirp, kept), config, pose
@@ -439,8 +440,8 @@ def generate_dataset(
         for point in traj.points:
             k = _associate_for_policy(scenario, point, policy)
             if (
-                element_gain(array_frame_direction(point, scenario.target_m)) < MIN_ELEMENT_GAIN
-                or element_gain(array_frame_direction(point, scenario.gbs_m[k])) < MIN_ELEMENT_GAIN
+                _element_gain_toward(point, scenario.target_m) < MIN_ELEMENT_GAIN
+                or _element_gain_toward(point, scenario.gbs_m[k]) < MIN_ELEMENT_GAIN
             ):
                 skipped += 1
                 logger.warning(
@@ -520,14 +521,6 @@ def read_dataset_jsonl(path) -> tuple[list[Sample], Scenario, dict]:
     return samples, scenario, meta
 
 
-def _target_steering_phases(scenario: Scenario, sample: Sample) -> NDArray[np.complex128]:
-    config = scenario.array
-    direction = direction_angles(sample.position, scenario.target_m)
-    rot_t = rotation_matrix(sample.orientation).T
-    unit = rot_t @ direction_unit(direction)
-    return np.exp(1j * config.wavenumber * (centered_grid_offsets(config) @ unit))
-
-
 def train_models(samples: Sequence[Sample], scenario: Scenario,
                  config: TrainConfig) -> ModelBundle:
     """Train the beamformer and association networks on one dataset.
@@ -556,7 +549,12 @@ def train_models(samples: Sequence[Sample], scenario: Scenario,
     train_rows = np.sort(np.concatenate([2 * train_points, 2 * train_points + 1]))
     val_rows = np.sort(np.concatenate([2 * val_points, 2 * val_points + 1]))
 
-    steering = {int(i): _target_steering_phases(scenario, samples[i]) for i in val_points}
+    steering = {
+        int(i): steering_vector(
+            scenario.array, samples[i].position, samples[i].orientation, scenario.target_m
+        )
+        for i in val_points
+    }
     b_star = {}
     for i in val_points:
         a = steering[int(i)]

@@ -33,11 +33,11 @@ from .geometry import (
     GeometryError,
     Pose,
     RotationAngles,
+    array_frame_unit,
     as_vec3,
     direction_angles,
-    direction_unit,
-    rotation_matrix,
-    steering_vector,
+    element_gain,
+    steering,
 )
 from .units import from_db, to_db
 
@@ -307,13 +307,10 @@ def _wrap_angle(angle: float) -> float:
 def _matched_weights(scenario: Scenario, point: TrajectoryPoint, dest, eirp_dbm: float) -> BeamWeights:
     """Phase-matched full-aperture beam whose EIRP toward dest is eirp_dbm."""
     config = scenario.array
-    entries = steering_vector(config, point.position, point.orientation, dest)
-    direction = direction_angles(point.position, dest)
-    rot_t = rotation_matrix(point.orientation).T
-    ge = ((1.0 + (rot_t @ direction_unit(direction))[1]) / 2.0) ** 2
-    gain = config.num_elements**2 * ge
+    unit = array_frame_unit(point.orientation, direction_angles(point.position, dest))
+    gain = config.num_elements**2 * element_gain(unit)
     ppe = from_db(eirp_dbm) / gain if gain > 0.0 else 1e-12
-    return BeamWeights(entries=entries, power_per_element_mw=ppe)
+    return BeamWeights(entries=steering(config, unit), power_per_element_mw=ppe)
 
 
 def associate(
@@ -376,9 +373,7 @@ def min_required_eirp_dbm(
     """
     gbs = scenario.gbs_m[gbs_index]
     gain = pathloss(scenario.channel, EXPECTED, point.position, gbs)
-    direction = direction_angles(point.position, gbs)
-    rot_t = rotation_matrix(point.orientation).T
-    ge = ((1.0 + (rot_t @ direction_unit(direction))[1]) / 2.0) ** 2
+    ge = element_gain(array_frame_unit(point.orientation, direction_angles(point.position, gbs)))
     required_mw = (
         scenario.gamma_sinr_linear
         * (scenario.channel.noise_mw + interference_mw)

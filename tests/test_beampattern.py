@@ -12,8 +12,8 @@ from uavisac.beampattern import (
     array_gain,
     beampattern_error,
     beampattern_gain,
+    check_nulls,
     chebyshev_taper,
-    element_gain,
     eirp,
     extract_sll,
     pattern_cut,
@@ -28,6 +28,7 @@ from uavisac.geometry import (
     centered_grid_offsets,
     direction_angles,
     direction_unit,
+    element_gain,
     rotation_matrix,
     steering_vector,
 )
@@ -47,9 +48,10 @@ def matched_weights(config, pointing, ppe=1.0):
 
 
 def test_element_gain_cardioid_values():
-    assert element_gain(BROADSIDE) == pytest.approx(1.0)
-    assert element_gain(DirectionAngles(theta=math.pi / 2, phi=-math.pi / 2)) == pytest.approx(0.0)
-    assert element_gain(DirectionAngles(theta=0.0, phi=0.0)) == pytest.approx(0.25)
+    assert element_gain(direction_unit(BROADSIDE)) == pytest.approx(1.0)
+    back = DirectionAngles(theta=math.pi / 2, phi=-math.pi / 2)
+    assert element_gain(direction_unit(back)) == pytest.approx(0.0)
+    assert element_gain(direction_unit(DirectionAngles(theta=0.0, phi=0.0))) == pytest.approx(0.25)
 
 
 def test_array_gain_matched_is_m_squared():
@@ -253,6 +255,23 @@ def test_apply_nulls_conflict_detection():
     near = DirectionAngles(theta=BROADSIDE.theta, phi=BROADSIDE.phi + math.radians(0.5))
     with pytest.raises(NullConflictError):
         apply_nulls(w, config, zero_pose(), (near,), BROADSIDE)
+
+
+def test_check_nulls_shares_one_conflict_threshold():
+    config = ArrayConfig(num_elements=16, carrier_hz=3e11)
+    beside = DirectionAngles(theta=BROADSIDE.theta, phi=BROADSIDE.phi + math.radians(1.01))
+    check_nulls(config, (beside,), BROADSIDE)
+    near = DirectionAngles(theta=BROADSIDE.theta, phi=BROADSIDE.phi + math.radians(0.99))
+    with pytest.raises(NullConflictError):
+        check_nulls(config, (beside, near), BROADSIDE)
+    request = SynthesisRequest(
+        pointing=BROADSIDE, sll_min_az_db=15.0, sll_min_el_db=15.0,
+        eirp_target_dbm=20.0, nulls=(near,),
+    )
+    with pytest.raises(NullConflictError):
+        synthesize(request, config, zero_pose())
+    with pytest.raises(ValueError):
+        check_nulls(config, (beside,) * 16)
 
 
 def test_synthesize_immediate_accept_with_loose_threshold():

@@ -11,12 +11,26 @@ from uavisac.geometry import (
     GeometryError,
     RotationAngles,
     angular_separation,
+    array_frame_unit,
+    centered_grid_offsets,
     direction_angles,
     direction_unit,
+    element_gain,
     element_positions,
     rotation_matrix,
+    steering,
     steering_vector,
 )
+from uavisac.pipeline import array_frame_direction
+from uavisac.scenario import TrajectoryPoint
+
+
+def random_poses(rng, count):
+    """(position, angles, destination) triples with the array above the destination."""
+    for _ in range(count):
+        pos = rng.uniform(0, 1000, 3) + [0, 0, 100]
+        dest = rng.uniform(0, 1000, 3)
+        yield pos, RotationAngles(*rng.uniform(-math.pi, math.pi, 3)), dest
 
 
 def test_rotation_matrix_identity():
@@ -135,3 +149,37 @@ def test_angular_separation():
     a = DirectionAngles(theta=math.pi / 2, phi=0.0)
     b = DirectionAngles(theta=math.pi / 2, phi=math.pi / 2)
     assert abs(angular_separation(a, b) - math.pi / 2) < 1e-12
+
+
+@pytest.mark.parametrize("num_elements", [4, 16, 100])
+def test_steering_vector_matches_delay_oracle(num_elements):
+    # per-element delays tau_m = (R p_m) . u / c of the rotated offsets
+    config = ArrayConfig(num_elements=num_elements, carrier_hz=3e11)
+    rng = np.random.default_rng(num_elements)
+    for pos, angles, dest in random_poses(rng, 50):
+        rotated = centered_grid_offsets(config) @ rotation_matrix(angles).T
+        tau = rotated @ direction_unit(direction_angles(pos, dest)) / SPEED_OF_LIGHT
+        expected = np.exp(2j * math.pi * config.carrier_hz * tau)
+        a = steering_vector(config, pos, angles, dest)
+        assert np.max(np.abs(a - expected)) <= 1e-12
+
+
+def test_steering_rows_of_a_stack_equal_single_calls():
+    config = ArrayConfig(num_elements=100, carrier_hz=3e11)
+    rng = np.random.default_rng(2)
+    for n in (1, 2, 7):
+        units = rng.normal(size=(n, 3))
+        units /= np.linalg.norm(units, axis=1, keepdims=True)
+        stacked = steering(config, units)
+        assert stacked.shape == (n, config.num_elements)
+        for row, unit in zip(stacked, units):
+            assert np.array_equal(row, steering(config, unit))
+
+
+def test_element_gain_of_array_frame_unit_matches_angle_form():
+    rng = np.random.default_rng(9)
+    for pos, angles, dest in random_poses(rng, 500):
+        unit = array_frame_unit(angles, direction_angles(pos, dest))
+        frame = array_frame_direction(TrajectoryPoint(0, pos, angles), dest)
+        cos_off = math.sin(frame.phi) * math.sin(frame.theta)
+        assert abs(element_gain(unit) - ((1.0 + cos_off) / 2.0) ** 2) <= 1e-15
