@@ -3,10 +3,18 @@
 The synthesizer builds Chebyshev-tapered, phase-steered weights for a g-by-v
 active block of the planar array, projects nulls out of the weight vector,
 solves the per-element power from the EIRP target in closed form, and scores
-each candidate by the relative sidelobe-level and EIRP mismatch.  Candidates
-are swept deterministically: taper setpoints first at the full aperture, then
-per-plane refinement, reducing the active block only when the full aperture
-cannot meet the sidelobe minima.
+each candidate by the relative sidelobe-level and EIRP mismatch.
+
+One incumbent: candidates rank by (infeasible, cost), so the answer is the
+cheapest candidate meeting both sidelobe minima, else the cheapest of all; a
+later candidate replaces it only on a strictly lower rank, never on a tie.
+One stopping rule: no candidate is scored once the incumbent is feasible
+with cost under the threshold, or once counter_max distinct candidates have
+been scored.  The sweep is deterministic: five taper setpoints at the full
+aperture, then a per-plane coordinate search around the incumbent.  When
+nothing there is feasible, it walks the shrunk active blocks and refines the
+first that yields a feasible candidate; when none does, the sweep ends
+without refining and leaves the rest of the budget unused.
 
 Pattern cuts, SLL extraction and EIRP evaluation share one code path, so the
 achieved values reported by a synthesis result can be re-derived from its
@@ -381,7 +389,8 @@ def _dolph_chebyshev(n: int, sll_db: float) -> NDArray[np.float64]:
 def _null_basis(
     config: ArrayConfig, pose: Pose, nulls: Sequence[DirectionAngles]
 ) -> NDArray[np.complex128]:
-    units = np.stack([array_frame_unit(pose.angles, null) for null in nulls])
+    """(M, n) steering columns toward the nulls; (M, 0) when there are none."""
+    units = np.reshape([array_frame_unit(pose.angles, null) for null in nulls], (-1, 3))
     return steering(config, units).T
 
 
@@ -464,6 +473,11 @@ class _Candidate:
     cost: float
     feasible: bool
 
+    @property
+    def rank(self) -> tuple[bool, float]:
+        """Feasible candidates first, then the cheapest."""
+        return (not self.feasible, self.cost)
+
 
 def _sll_cost_term(measured_db: float, requested_db: float) -> float:
     """Relative sidelobe deficit against the requested minimum.
@@ -481,16 +495,10 @@ class _Synthesizer:
         self.request = request
         check_nulls(config, request.nulls, request.pointing)
         self.evaluator = _PatternEvaluator(config, pose, request.pointing)
-        self.null_basis = (
-            _null_basis(config, pose, request.nulls)
-            if request.nulls
-            else np.zeros((config.num_elements, 0), dtype=np.complex128)
-        )
+        self.null_basis = _null_basis(config, pose, request.nulls)
         self.eirp_target_mw = from_db(request.eirp_target_dbm)
         self.side = config.side
-        self.counter = 0
         self.best: _Candidate | None = None
-        self.best_any: _Candidate | None = None
         self._seen: set[tuple[int, int, float, float]] = set()
 
     def _build_entries(self, rows: int, cols: int, s_az: float, s_el: float):
@@ -506,17 +514,29 @@ class _Synthesizer:
         scale = max(1.0, float(np.max(np.abs(w))))
         return w / scale
 
-    def _evaluate(self, rows: int, cols: int, s_az: float, s_el: float) -> _Candidate | None:
+    def _feasible(self) -> bool:
+        return self.best is not None and self.best.feasible
+
+    def _converged(self) -> bool:
+        return self._feasible() and self.best.cost < self.request.threshold
+
+    def _evaluate(self, rows: int, cols: int, s_az: float, s_el: float) -> bool:
+        """Score one candidate; True when it becomes the incumbent.
+
+        The only stopping rule: nothing is scored once the incumbent has
+        converged or counter_max distinct candidates have been scored.
+        """
+        s_az = max(MIN_TAPER_SLL_DB, s_az)
+        s_el = max(MIN_TAPER_SLL_DB, s_el)
         key = (rows, cols, round(s_az, 6), round(s_el, 6))
-        if key in self._seen:
-            return None
+        if key in self._seen or self._converged() or len(self._seen) >= self.request.counter_max:
+            return False
         self._seen.add(key)
-        self.counter += 1
         req = self.request
         entries = self._build_entries(rows, cols, s_az, s_el)
         gain_point = self.evaluator.gain_at_pointing(entries)
         if gain_point <= 0.0:
-            return None
+            return False
         ppe = self.eirp_target_mw / gain_point
         eirp_dbm = to_db(ppe * gain_point)
         _, az_db = self.evaluator.cut_gains_db("azimuth", entries)
@@ -542,79 +562,48 @@ class _Synthesizer:
             cost=z1 + z2,
             feasible=(sll_az >= req.sll_min_az_db and sll_el >= req.sll_min_el_db),
         )
-        if cand.feasible and (self.best is None or cand.cost < self.best.cost):
+        # strictly lower rank only: an exact tie keeps the earlier candidate
+        if self.best is None or cand.rank < self.best.rank:
             self.best = cand
-        if self.best_any is None or cand.cost < self.best_any.cost:
-            self.best_any = cand
-        return cand
-
-    def _converged(self) -> bool:
-        return self.best is not None and self.best.cost < self.request.threshold
-
-    def _budget_left(self) -> bool:
-        return self.counter < self.request.counter_max
-
-    @staticmethod
-    def _better(cand: _Candidate, incumbent: _Candidate) -> bool:
-        if cand.feasible != incumbent.feasible:
-            return cand.feasible
-        return cand.cost < incumbent.cost
+            return True
+        return False
 
     def _coarse_sweep(self, rows: int, cols: int) -> None:
+        req = self.request
         for offset in (0.0, 5.0, 10.0, 15.0, 20.0):
-            if self._converged() or not self._budget_left():
-                return
-            self._evaluate(
-                rows,
-                cols,
-                max(MIN_TAPER_SLL_DB, self.request.sll_min_az_db + offset),
-                max(MIN_TAPER_SLL_DB, self.request.sll_min_el_db + offset),
-            )
+            self._evaluate(rows, cols, req.sll_min_az_db + offset, req.sll_min_el_db + offset)
 
-    def _refine(self, rows: int, cols: int) -> None:
-        incumbent = self.best if self.best is not None else self.best_any
-        if incumbent is None or incumbent.rows != rows or incumbent.cols != cols:
+    def _refine(self) -> None:
+        """Coordinate search around the incumbent's tapers on its own block."""
+        if self.best is None:
             return
-        s_az, s_el = incumbent.s_az, incumbent.s_el
         for step in (2.0, 1.0, 0.5, 0.25):
             improved = True
-            while improved and self._budget_left() and not self._converged():
+            while improved:
                 improved = False
                 for d_az, d_el in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
-                    if not self._budget_left() or self._converged():
-                        break
-                    cand = self._evaluate(
-                        rows,
-                        cols,
-                        max(MIN_TAPER_SLL_DB, s_az + d_az),
-                        max(MIN_TAPER_SLL_DB, s_el + d_el),
+                    best = self.best
+                    improved |= self._evaluate(
+                        best.rows, best.cols, best.s_az + d_az, best.s_el + d_el
                     )
-                    if cand is not None and self._better(cand, incumbent):
-                        incumbent = cand
-                        s_az, s_el = cand.s_az, cand.s_el
-                        improved = True
 
     def run(self) -> SynthesisResult:
         side = self.side
         self._coarse_sweep(side, side)
-        if not self._converged():
-            self._refine(side, side)
-        if self.best is None:
+        self._refine()
+        if not self._feasible():
             # the full aperture cannot meet the minima; shrink the active block
-            block_sizes = [
+            for rows, cols in [
                 (g, v)
                 for g in (side, side - 1, side - 2)
                 for v in (side, side - 1, side - 2)
                 if (g, v) != (side, side) and g >= 1 and v >= 1
-            ]
-            for rows, cols in block_sizes:
-                if self._converged() or not self._budget_left():
-                    break
+            ]:
                 self._coarse_sweep(rows, cols)
-                if self.best is not None:
-                    self._refine(rows, cols)
+                if self._feasible():
+                    self._refine()
                     break
-        chosen = self.best if self.best is not None else self.best_any
+        chosen = self.best
         if chosen is None:
             raise RuntimeError("synthesis produced no candidates")
         return SynthesisResult(
@@ -624,7 +613,7 @@ class _Synthesizer:
             achieved_eirp_dbm=chosen.eirp_dbm,
             active_rows=chosen.rows,
             active_cols=chosen.cols,
-            iterations=self.counter,
+            iterations=len(self._seen),
             cost=chosen.cost,
             converged=self._converged(),
         )

@@ -47,7 +47,7 @@ from .geometry import (
 from .neuralnet import Network, NetworkConfig, TrainConfig, TrainReport, forward, train
 from .scenario import (
     POLICY_NN,
-    AssociationLabel,
+    POLICY_OPTIMAL,
     Scenario,
     Trajectory,
     TrajectoryPoint,
@@ -68,7 +68,7 @@ POLICY_ALIASES = {
     "closest": "closest",
     "angle": "min_target_angle",
     "sinr": "max_sinr",
-    "optimal": "optimal",
+    "optimal": POLICY_OPTIMAL,
     "nn": POLICY_NN,
 }
 
@@ -311,8 +311,13 @@ def sensing_eirp_target_dbm(scenario: Scenario, point: TrajectoryPoint) -> float
     return min(scenario.eirp_max_dbm, to_db(eirp_mw))
 
 
-def _sensing_interference_mw(scenario: Scenario, point: TrajectoryPoint,
-                             sensing: BeamWeights) -> float:
+def _comm_eirp_dbm(scenario: Scenario, point: TrajectoryPoint, gbs_index: int,
+                   sensing: BeamWeights) -> tuple[float, float]:
+    """Sensing interference (mW) and the comm EIRP it calls for (dBm, capped).
+
+    The comm beam gets the minimum EIRP that meets the SINR threshold at the
+    serving station given the interference of the sensing beam.
+    """
     h_sense = channel_vector(
         scenario.channel,
         scenario.array,
@@ -321,7 +326,9 @@ def _sensing_interference_mw(scenario: Scenario, point: TrajectoryPoint,
         scenario.target_m,
         RADAR_LOS,
     )
-    return float(abs(np.vdot(h_sense.entries, sensing.vector)) ** 2)
+    interference = float(abs(np.vdot(h_sense.entries, sensing.vector)) ** 2)
+    required = min_required_eirp_dbm(scenario, point, gbs_index, interference)
+    return interference, min(required, scenario.eirp_max_dbm)
 
 
 def _enforce_power_budget(matrix: BeamformingMatrix, p_max_mw: float) -> BeamformingMatrix:
@@ -350,7 +357,6 @@ class PointSynthesis:
     comm_eirp_dbm: float
     sensing_eirp_dbm: float
     interference_mw: float
-    label: AssociationLabel
 
     @property
     def converged(self) -> bool:
@@ -376,11 +382,7 @@ def synthesize_point(
     target_dir = direction_angles(point.position, scenario.target_m)
     prelim_dbm = sensing_eirp_target_dbm(scenario, point)
     sensing_res = synthesize(_synthesis_request(scenario, target_dir, prelim_dbm, ()), config, pose)
-    interference = _sensing_interference_mw(scenario, point, sensing_res.weights)
-    comm_eirp = min(
-        min_required_eirp_dbm(scenario, point, gbs_index, interference),
-        scenario.eirp_max_dbm,
-    )
+    interference, comm_eirp = _comm_eirp_dbm(scenario, point, gbs_index, sensing_res.weights)
     gbs_dir = direction_angles(point.position, scenario.gbs_m[gbs_index])
     null_indices = nearest_other_gbs(scenario, point, gbs_index, count=2)
     nulls = tuple(
@@ -399,7 +401,6 @@ def synthesize_point(
             _synthesis_request(scenario, gbs_dir, comm_eirp, kept), config, pose
         )
         nulls = kept
-    label = label_optimal_association(scenario, point, interference)
     matrix = _enforce_power_budget(
         BeamformingMatrix(sensing=sensing_res.weights, comm=comm_res.weights),
         scenario.p_max_mw,
@@ -413,15 +414,7 @@ def synthesize_point(
         comm_eirp_dbm=comm_eirp,
         sensing_eirp_dbm=prelim_dbm,
         interference_mw=interference,
-        label=label,
     )
-
-
-def _associate_for_policy(scenario: Scenario, point: TrajectoryPoint, policy: str,
-                          predictor=None) -> int:
-    if policy == "optimal":
-        return label_optimal_association(scenario, point, 0.0).gbs_index
-    return associate(scenario, point, policy, predictor)
 
 
 def generate_dataset(
@@ -429,21 +422,23 @@ def generate_dataset(
 ) -> list[Sample]:
     """Optimizer-labeled dataset over seeded trajectories.
 
-    Points where either beam synthesis fails to converge are skipped and
-    logged; an entirely empty dataset raises.
+    A point is skipped, with one WARNING each, when a beam lies outside the
+    serviceable field of view, a null conflicts with the comm pointing, or
+    either beam synthesis fails to converge; the closing INFO line counts the
+    skips by reason.  An entirely empty dataset raises.
     """
     policy = POLICY_ALIASES.get(policy, policy)
     trajectories = generate_trajectories(scenario, num_trajectories, seed)
     samples: list[Sample] = []
-    skipped = 0
+    skipped = {"field of view": 0, "null conflict": 0, "not converged": 0}
     for traj in trajectories:
         for point in traj.points:
-            k = _associate_for_policy(scenario, point, policy)
+            k = associate(scenario, point, policy)
             if (
                 _element_gain_toward(point, scenario.target_m) < MIN_ELEMENT_GAIN
                 or _element_gain_toward(point, scenario.gbs_m[k]) < MIN_ELEMENT_GAIN
             ):
-                skipped += 1
+                skipped["field of view"] += 1
                 logger.warning(
                     "trajectory %d slot %d: beam outside the serviceable field of view, skipping",
                     traj.id,
@@ -453,13 +448,13 @@ def generate_dataset(
             try:
                 ps = synthesize_point(scenario, point, k)
             except NullConflictError:
-                skipped += 1
+                skipped["null conflict"] += 1
                 logger.warning(
                     "trajectory %d slot %d: null conflict, skipping", traj.id, point.slot
                 )
                 continue
             if not ps.converged:
-                skipped += 1
+                skipped["not converged"] += 1
                 logger.warning(
                     "trajectory %d slot %d: optimizer did not converge, skipping",
                     traj.id,
@@ -471,7 +466,7 @@ def generate_dataset(
             null_dirs = [
                 array_frame_direction(point, scenario.gbs_m[i])
                 for i in nearest_other_gbs(scenario, point, k, count=2)
-            ][: len(ps.nulls)]
+            ]
             samples.append(
                 Sample(
                     trajectory_id=traj.id,
@@ -483,13 +478,19 @@ def generate_dataset(
                     sensing_features=sensing_feature_vector(target_dir, ps.sensing_eirp_dbm),
                     comm_weights=encode_complex(ps.matrix.comm.vector),
                     sensing_weights=encode_complex(ps.matrix.sensing.vector),
-                    optimal_gbs=ps.label.gbs_index,
+                    optimal_gbs=label_optimal_association(
+                        scenario, point, ps.interference_mw
+                    ).gbs_index,
                 )
             )
     if not samples:
         raise RuntimeError("dataset is empty: no trajectory point converged")
-    if skipped:
-        logger.info("dataset generation skipped %d non-converged points", skipped)
+    if any(skipped.values()):
+        logger.info(
+            "dataset generation skipped %d points (%s)",
+            sum(skipped.values()),
+            ", ".join(f"{reason}: {n}" for reason, n in skipped.items()),
+        )
     return samples
 
 
@@ -649,11 +650,7 @@ def predict_matrix(
     )
     sensing = _beam_from_vector(decode_complex(forward(bundle.beamformer, sens_feat)))
     sensing = _cap_beam(sensing, scenario, pose, target_dir)
-    interference = _sensing_interference_mw(scenario, point, sensing)
-    comm_eirp = min(
-        min_required_eirp_dbm(scenario, point, gbs_index, interference),
-        scenario.eirp_max_dbm,
-    )
+    _, comm_eirp = _comm_eirp_dbm(scenario, point, gbs_index, sensing)
     null_indices = nearest_other_gbs(scenario, point, gbs_index, count=2)
     null_dirs = [array_frame_direction(point, scenario.gbs_m[i]) for i in null_indices]
     comm_feat = comm_feature_vector(
@@ -702,7 +699,7 @@ def evaluate_trajectory(
         predictor = lambda point: predict_association(bundle, scenario, point)
     records = []
     for point in trajectory.points:
-        k = _associate_for_policy(scenario, point, policy, predictor)
+        k = associate(scenario, point, policy, predictor)
         if weight_source == OPTIMIZER_SOURCE:
             ps = synthesize_point(scenario, point, k, lenient=True)
             matrix = ps.matrix

@@ -49,6 +49,7 @@ TURN_LIMIT_RAD = math.radians(10.0)
 POLICY_CLOSEST = "closest"
 POLICY_MIN_TARGET_ANGLE = "min_target_angle"
 POLICY_MAX_SINR = "max_sinr"
+POLICY_OPTIMAL = "optimal"
 POLICY_NN = "nn_model"
 
 # default ground-station layout; positions are not published, so they live in
@@ -323,8 +324,9 @@ def associate(
 
     closest: smallest 3D distance.  min_target_angle: azimuth closest to the
     target azimuth.  max_sinr: highest SINR probing each station with a
-    matched beam at the EIRP cap against the matched sensing beam.  Ties go
-    to the lowest index.
+    matched beam at the EIRP cap against the matched sensing beam.  optimal:
+    the label_optimal_association station without sensing interference.
+    Ties go to the lowest index.
     """
     if policy == POLICY_NN:
         if predictor is None:
@@ -356,6 +358,8 @@ def associate(
             if value > best_sinr:
                 best_idx, best_sinr = idx, value
         return best_idx
+    if policy == POLICY_OPTIMAL:
+        return label_optimal_association(scenario, point).gbs_index
     raise ValueError(f"unknown association policy {policy!r}")
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -420,3 +421,103 @@ def test_pattern_cut_export_csv(tmp_path):
     first = lines[1].split(",")
     assert float(first[0]) == pytest.approx(math.degrees(cut.angles_rad[0]))
 
+
+def _request_toward(pointing, nulls=(), eirp_target_dbm=25.0, **kwargs):
+    return SynthesisRequest(
+        pointing=pointing, sll_min_az_db=20.0, sll_min_el_db=20.0,
+        eirp_target_dbm=eirp_target_dbm, nulls=nulls, **kwargs,
+    )
+
+
+@pytest.mark.parametrize("counter_max", [1, 3, 7])
+def test_synthesize_stops_at_exactly_counter_max_candidates(counter_max):
+    # a zero threshold cannot be met, so only the budget ends the search
+    config = ArrayConfig(num_elements=36, carrier_hz=3e11)
+    request = _request_toward(
+        DirectionAngles(theta=math.radians(70.0), phi=math.radians(60.0)),
+        threshold=0.0,
+        counter_max=counter_max,
+    )
+    result = synthesize(request, config, zero_pose())
+    assert result.iterations == counter_max
+    assert not result.converged
+
+
+# One comm or sensing request from each search path that a one-trajectory
+# dataset (Scenario(), seed 11, closest policy) takes, with the candidate
+# count, active block and convergence its synthesis had when recorded.
+SEARCH_PATHS = {
+    "coarse_only": (
+        (1.2252648586388948, -2.435835059087975), 29.960628661711766,
+        ((1.3671350830910276, 0.9058400839026928), (1.4463399023519499, -1.187731444850974)),
+        (492.7904398192589, 573.4204114513934), 0.9698800270456083,
+        (4, (10, 10), True),
+    ),
+    "refined": (
+        (1.1634010332997602, 0.8909362661001594), 25.961339211125715,
+        ((1.383377891436864, -2.334068845014573), (1.4592904063800154, 2.938419516073563)),
+        (342.77087725585574, 376.60265687575225), 0.9135366895876672,
+        (14, (10, 10), True),
+    ),
+    "unconverged_with_budget_left": (
+        (1.2824859638124502, -2.39328746265983), 32.216750049466526,
+        ((1.3388938973597644, 0.9003762679655122), (1.450433667023007, 2.7286469880923336)),
+        (457.8388052264129, 525.1688868627103), 0.9746424257674389,
+        (68, (10, 10), False),
+    ),
+    "shrunk_block": (
+        (1.2980681531659526, -2.3888985424213955), 32.14531637317406,
+        ((1.3276376037230084, 0.9041725867787941), (1.4514179929355753, 2.751779837330161)),
+        (444.2762959967062, 510.4785947447217), 0.8504795829874953,
+        (62, (10, 8), False),
+    ),
+}
+
+
+def _search_path_case(path, **kwargs):
+    """Request and pose of one SEARCH_PATHS entry; kwargs override the request."""
+    pointing, eirp_dbm, nulls, xy, alpha, _ = SEARCH_PATHS[path]
+    request = _request_toward(
+        DirectionAngles(*pointing),
+        tuple(DirectionAngles(*null) for null in nulls),
+        eirp_target_dbm=eirp_dbm,
+        **kwargs,
+    )
+    pose = Pose(position=np.array([*xy, 100.0]), angles=RotationAngles(alpha, 0.0, 0.0))
+    return request, pose
+
+
+@pytest.mark.parametrize("path", sorted(SEARCH_PATHS))
+def test_synthesize_search_paths_are_pinned(path):
+    config = ArrayConfig(num_elements=100, carrier_hz=3e11)
+    request, pose = _search_path_case(path)
+    result = synthesize(request, config, pose)
+    assert result.iterations < request.counter_max
+    assert (
+        result.iterations, (result.active_rows, result.active_cols), result.converged
+    ) == SEARCH_PATHS[path][-1]
+
+
+def test_synthesize_ranks_feasible_first_and_keeps_ties():
+    # with k1 = k2 = 0 every candidate costs exactly 0, so only feasibility
+    # ranks them and every other comparison is an exact tie
+    config = ArrayConfig(num_elements=100, carrier_hz=3e11)
+    sensing = _request_toward(
+        DirectionAngles(1.3848261534007067, -2.289626326416521), k1=0.0, k2=0.0
+    )
+    pose = Pose(position=np.array([0.0, 0.0, 100.0]),
+                angles=RotationAngles(1.026499252372705, 0.0, 0.0))
+    # the 20 dB taper falls short, the 25 dB one is feasible and displaces it
+    result = synthesize(sensing, config, pose)
+    assert (result.iterations, result.converged) == (2, True)
+    assert min(result.achieved_sll_az_db, result.achieved_sll_el_db) >= 20.0
+
+    comm, pose = _search_path_case("refined", k1=0.0, k2=0.0, threshold=1.0)
+    first = synthesize(dataclasses.replace(comm, counter_max=1), config, pose)
+    result = synthesize(comm, config, pose)
+    # nothing is feasible and no tie moves the incumbent: five setpoints, four
+    # refinement steps of four probes around the first candidate, then five
+    # setpoints on each of the eight shrunk blocks
+    assert (result.iterations, result.converged) == (5 + 4 * 4 + 8 * 5, False)
+    assert (result.active_rows, result.active_cols) == (10, 10)
+    assert np.array_equal(result.weights.entries, first.weights.entries)

@@ -9,6 +9,7 @@ from uavisac.scenario import (
     POLICY_CLOSEST,
     POLICY_MAX_SINR,
     POLICY_MIN_TARGET_ANGLE,
+    POLICY_OPTIMAL,
     Scenario,
     TrajectoryPoint,
     associate,
@@ -213,3 +214,17 @@ def test_label_optimal_never_exceeds_cap_when_feasible_exists():
         if any(r <= scn.eirp_max_dbm for r in required):
             assert label.feasible
             assert label.min_eirp_dbm <= scn.eirp_max_dbm + 1e-9
+
+
+def test_associate_optimal_is_the_label_station():
+    scn = small_scenario()
+    rng = np.random.default_rng(23)
+    picked = set()
+    for _ in range(25):
+        point = level_point(
+            rng.uniform(60, 540), rng.uniform(60, 540), yaw=rng.uniform(-math.pi, math.pi)
+        )
+        k = associate(scn, point, POLICY_OPTIMAL)
+        assert k == label_optimal_association(scn, point).gbs_index
+        picked.add(k)
+    assert len(picked) > 1
