@@ -16,9 +16,15 @@ nothing there is feasible, it walks the shrunk active blocks and refines the
 first that yields a feasible candidate; when none does, the sweep ends
 without refining and leaves the rest of the budget unused.
 
-Pattern cuts, SLL extraction and EIRP evaluation share one code path, so the
-achieved values reported by a synthesis result can be re-derived from its
-weights.  Everything here is pure given its inputs; results are immutable.
+Every candidate is a tapered, phase-steered outer product vx vz^T on its
+active block, minus one outer product per projected null, so its weights
+reshaped to (rows, columns) are W = X Z^T with 1 + n_nulls columns.  Cuts
+contract that factored form against per-axis steering factors, which a phase
+recurrence builds along the evenly spaced grid axes; `pattern_cut` contracts
+any weight vector through the same path as X = W, Z = I.  Pattern cuts, SLL
+extraction and EIRP evaluation thus share one code path, so the achieved
+values reported by a synthesis result can be re-derived from its weights.
+Everything here is pure given its inputs; results are immutable.
 """
 
 from __future__ import annotations
@@ -230,15 +236,39 @@ def _cut_arc(angles, units_arr, point_index: int, circular: bool):
     return arc_angles, idx
 
 
+def _axis_factors(config: ArrayConfig, units):
+    """Per-axis steering factors of array-frame units (n, 3): (side, n) each.
+
+    Row r of the first is exp(j k x_r u_x), row c of the second
+    exp(j k z_c u_z), over the grid offsets of grid_axis_offsets.  Those
+    offsets are evenly spaced, so every row is the previous one times the step
+    phasor exp(j k d u): two complex exponentials per axis, whatever the side
+    length.
+    """
+    factors = []
+    for offsets, u in zip(grid_axis_offsets(config), (units[:, 0], units[:, 2])):
+        f = np.empty((offsets.size, u.size), dtype=np.complex128)
+        f[0] = np.exp(1j * config.wavenumber * offsets[0] * u)
+        step = np.exp(1j * config.wavenumber * config.spacing_m * u)
+        for r in range(1, offsets.size):
+            np.multiply(f[r - 1], step, out=f[r])
+        factors.append(f)
+    return factors
+
+
 class _PatternEvaluator:
     """Caches per-axis steering factors for both principal cuts of one request.
 
     The panel is a square grid in the array's XZ plane, so the steering
     vector toward array-frame direction u is the Kronecker product
-    exp(j k u_x x) (x) exp(j k u_z z) of one factor per grid axis, and
-    a^H w = e_x^H W conj(e_z) with W the weights reshaped to (rows, columns).
-    A cut of n directions thus costs two (n, side) factor matrices instead of
-    one dense (n, side**2) steering matrix.
+    exp(j k u_x x) (x) exp(j k u_z z) of one factor per grid axis.  Weights
+    come in factored form W = X Z^T, W being the weights reshaped to (rows,
+    columns), and a^H w = sum_j (e_x^H X_j)(e_z^H Z_j).  `pattern_cut` passes
+    X = W and Z = I; the synthesizer passes its Chebyshev candidate and one
+    column per null, 1 + n_nulls columns in all.  A cut of n directions thus
+    costs two (side, n) factor matrices, built by a phase recurrence along
+    the evenly spaced axis (see _axis_factors), and 2 n side (1 + n_nulls)
+    products per candidate instead of a dense (n, side**2) steering matrix.
     """
 
     def __init__(
@@ -251,8 +281,6 @@ class _PatternEvaluator:
         self.config = config
         self.pointing = pointing
         rot = rotation_matrix(pose.angles)
-        x_rows, z_cols = grid_axis_offsets(config)
-        k = config.wavenumber
         self.cuts: dict[str, tuple] = {}
         for plane in ("azimuth", "elevation"):
             angles, units = _cut_grid(plane, pointing, step_deg)
@@ -265,17 +293,18 @@ class _PatternEvaluator:
             arc_angles, idx = _cut_arc(angles, units_arr, point_index, plane == "azimuth")
             units_arc = units_arr[idx]
             # conjugated factors, ready for the a^H w contraction
-            ex_conj = np.exp(-1j * k * np.outer(units_arc[:, 0], x_rows))
-            ez_conj = np.exp(-1j * k * np.outer(units_arc[:, 2], z_cols))
+            ex_conj, ez_conj = _axis_factors(config, units_arc)
+            np.conjugate(ex_conj, out=ex_conj)
+            np.conjugate(ez_conj, out=ez_conj)
             self.cuts[plane] = (arc_angles, ex_conj, ez_conj, element_gain(units_arc))
         unit_point = array_frame_unit(pose.angles, pointing)
         self.point_steering = steering(config, unit_point)
         self.point_element_gain = element_gain(unit_point)
 
-    def cut_gains_db(self, plane: str, weights: NDArray[np.complex128]):
+    def cut_gains_db(self, plane: str, x: NDArray[np.complex128], z: NDArray[np.complex128]):
+        """Cut angles and gains (dB below the cut's peak) of the weights x z^T."""
         angles, ex_conj, ez_conj, ge = self.cuts[plane]
-        side = ex_conj.shape[1]
-        af = ((ex_conj @ weights.reshape(side, side)) * ez_conj).sum(axis=1)
+        af = ((x.T @ ex_conj) * (z.T @ ez_conj)).sum(axis=0)
         power = np.abs(af) ** 2 * ge
         peak = power.max()
         if peak <= 0.0:
@@ -306,7 +335,9 @@ def pattern_cut(
     if step_deg > 0.1:
         raise ValueError("cut grid step must be at most 0.1 degrees")
     ev = _PatternEvaluator(config, pose, pointing, step_deg)
-    angles, gains_db = ev.cut_gains_db(plane, _weight_entries(weights))
+    side = config.side
+    w = _weight_entries(weights).reshape(side, side)
+    angles, gains_db = ev.cut_gains_db(plane, w, np.eye(side))
     return PatternCut(plane=plane, angles_rad=angles, gains_db=gains_db)
 
 
@@ -398,22 +429,26 @@ def _project_out(
     w: NDArray[np.complex128],
     basis: NDArray[np.complex128],
     active: NDArray[np.bool_] | None = None,
-) -> NDArray[np.complex128]:
+    return_coefficients: bool = False,
+):
     """Least-squares projection of w onto the orthogonal complement of basis.
 
     With an active-element mask the projection runs inside the active
-    subspace, so switched-off elements stay at zero.
+    subspace, so switched-off elements stay at zero.  With
+    return_coefficients the result is (projected w, c), c being the
+    least-squares coefficients of the removed component on the basis columns.
     """
     if basis.shape[1] == 0:
-        return w
-    if active is None:
+        out, coeff = w, np.zeros(0, dtype=np.complex128)
+    elif active is None:
         coeff = np.linalg.lstsq(basis, w, rcond=None)[0]
-        return w - basis @ coeff
-    out = w.copy()
-    sub = basis[active]
-    coeff = np.linalg.lstsq(sub, w[active], rcond=None)[0]
-    out[active] = w[active] - sub @ coeff
-    return out
+        out = w - basis @ coeff
+    else:
+        out = w.copy()
+        sub = basis[active]
+        coeff = np.linalg.lstsq(sub, w[active], rcond=None)[0]
+        out[active] = w[active] - sub @ coeff
+    return (out, coeff) if return_coefficients else out
 
 
 def null_conflicts(null: DirectionAngles, pointing: DirectionAngles) -> bool:
@@ -496,23 +531,39 @@ class _Synthesizer:
         check_nulls(config, request.nulls, request.pointing)
         self.evaluator = _PatternEvaluator(config, pose, request.pointing)
         self.null_basis = _null_basis(config, pose, request.nulls)
+        # column 0 steers to the pointing, column 1 + n to null n
+        units = [array_frame_unit(pose.angles, d) for d in (request.pointing, *request.nulls)]
+        self.axis_x, self.axis_z = _axis_factors(config, np.array(units))
         self.eirp_target_mw = from_db(request.eirp_target_dbm)
         self.side = config.side
         self.best: _Candidate | None = None
         self._seen: set[tuple[int, int, float, float]] = set()
 
     def _build_entries(self, rows: int, cols: int, s_az: float, s_el: float):
-        # weights reshape to (rows, columns) of the grid; see grid_axis_offsets
-        active = np.zeros((self.side, self.side), dtype=bool)
-        active[:rows, :cols] = True
+        """Candidate weights on a rows-by-cols block: (entries, X, Z) with W = X Z^T.
+
+        The tapered, phase-steered candidate is the outer product vx vz^T of
+        one factor per grid axis.  Projecting the nulls out inside the block
+        subtracts sum_n c_n bx_n bz_n^T, so X = [vx, -c_n bx_n] and
+        Z = [vz, bz_n], both zero off the block; see grid_axis_offsets.
+        """
         tx = chebyshev_taper(rows, s_az) if rows > 1 else np.ones(1)
         tz = chebyshev_taper(cols, s_el) if cols > 1 else np.ones(1)
-        amp = np.zeros((self.side, self.side))
-        amp[:rows, :cols] = np.outer(tx, tz)
-        w = amp.ravel().astype(np.complex128) * self.evaluator.point_steering
-        w = _project_out(w, self.null_basis, active.ravel())
+        x = np.zeros_like(self.axis_x)
+        z = np.zeros_like(self.axis_z)
+        x[:rows] = self.axis_x[:rows]
+        z[:cols] = self.axis_z[:cols]
+        x[:rows, 0] *= tx
+        z[:cols, 0] *= tz
+        active = np.zeros((self.side, self.side), dtype=bool)
+        active[:rows, :cols] = True
+        w, coeff = _project_out(
+            np.outer(x[:, 0], z[:, 0]).ravel(), self.null_basis, active.ravel(),
+            return_coefficients=True,
+        )
+        x[:, 1:] *= -coeff
         scale = max(1.0, float(np.max(np.abs(w))))
-        return w / scale
+        return w / scale, x / scale, z
 
     def _feasible(self) -> bool:
         return self.best is not None and self.best.feasible
@@ -533,14 +584,14 @@ class _Synthesizer:
             return False
         self._seen.add(key)
         req = self.request
-        entries = self._build_entries(rows, cols, s_az, s_el)
+        entries, x, z = self._build_entries(rows, cols, s_az, s_el)
         gain_point = self.evaluator.gain_at_pointing(entries)
         if gain_point <= 0.0:
             return False
         ppe = self.eirp_target_mw / gain_point
         eirp_dbm = to_db(ppe * gain_point)
-        _, az_db = self.evaluator.cut_gains_db("azimuth", entries)
-        _, el_db = self.evaluator.cut_gains_db("elevation", entries)
+        _, az_db = self.evaluator.cut_gains_db("azimuth", x, z)
+        _, el_db = self.evaluator.cut_gains_db("elevation", x, z)
         sll_az = _sll_from_gains(az_db)
         sll_el = _sll_from_gains(el_db)
         z1 = req.k1 * (

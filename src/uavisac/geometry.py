@@ -14,6 +14,7 @@ All functions here are pure and safe to call concurrently.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -95,7 +96,7 @@ def as_vec3(value) -> NDArray[np.float64]:
     v = np.asarray(value, dtype=np.float64)
     if v.shape != (3,):
         raise GeometryError(f"expected a length-3 vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise GeometryError("vector components must be finite")
     return v
 
@@ -135,15 +136,19 @@ def element_grid_offsets(config: ArrayConfig) -> NDArray[np.float64]:
     return out
 
 
+@functools.lru_cache(maxsize=64)
 def centered_grid_offsets(config: ArrayConfig) -> NDArray[np.float64]:
     """Unrotated element offsets relative to the aperture centroid, (M, 3).
 
     The array is centered on the platform position, so propagation delays are
     referenced to the aperture centroid; the grid itself stays on the indexed
-    half-wavelength layout.
+    half-wavelength layout.  The returned array is shared between calls with
+    the same configuration and read-only.
     """
     grid = element_grid_offsets(config)
-    return grid - grid.mean(axis=0)
+    offsets = grid - grid.mean(axis=0)
+    offsets.setflags(write=False)
+    return offsets
 
 
 def grid_axis_offsets(config: ArrayConfig) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
@@ -152,10 +157,10 @@ def grid_axis_offsets(config: ArrayConfig) -> tuple[NDArray[np.float64], NDArray
     Element m = r * side + c sits at (x[r], 0, z[c]) in the centered grid, so
     a weight vector reshaped to (side, side) is indexed [row, column] and the
     steering vector toward any direction is the Kronecker product of one
-    factor per axis.
+    factor per axis.  Both are read-only views of centered_grid_offsets.
     """
     grid = centered_grid_offsets(config).reshape(config.side, config.side, 3)
-    return grid[:, 0, 0].copy(), grid[0, :, 2].copy()
+    return grid[:, 0, 0], grid[0, :, 2]
 
 
 def element_positions(
@@ -175,7 +180,7 @@ def direction_angles(from_pos, to_pos) -> DirectionAngles:
     f = as_vec3(from_pos)
     t = as_vec3(to_pos)
     delta = f - t
-    dist = float(np.linalg.norm(delta))
+    dist = math.sqrt(delta.dot(delta))  # np.linalg.norm's own formula
     if dist == 0.0:
         raise GeometryError("coincident points have no direction")
     cos_theta = min(1.0, max(-1.0, delta[2] / dist))

@@ -241,7 +241,13 @@ def array_frame_direction(point: TrajectoryPoint, dest) -> DirectionAngles:
     aperture, so network features carry array-frame angles; the platform
     rotation is absorbed here instead of being an unseen latent variable.
     """
-    unit = array_frame_unit(point.orientation, direction_angles(point.position, dest))
+    return _frame_angles(
+        array_frame_unit(point.orientation, direction_angles(point.position, dest))
+    )
+
+
+def _frame_angles(unit) -> DirectionAngles:
+    """Direction angles of an array-frame unit vector."""
     theta = math.acos(min(1.0, max(-1.0, unit[2])))
     return DirectionAngles(theta=theta, phi=math.atan2(unit[1], unit[0]))
 
@@ -301,12 +307,16 @@ def sensing_eirp_target_dbm(scenario: Scenario, point: TrajectoryPoint) -> float
     EIRP follows from the nominal full-aperture taper sums and the element
     gain toward the target, clamped to the scenario EIRP cap.
     """
+    return _sensing_eirp_dbm(scenario, _element_gain_toward(point, scenario.target_m))
+
+
+def _sensing_eirp_dbm(scenario: Scenario, ge: float) -> float:
+    """sensing_eirp_target_dbm for an element gain ge toward the target."""
     side = scenario.array.side
     tx = chebyshev_taper(side, scenario.sll_min_az_db)
     tz = chebyshev_taper(side, scenario.sll_min_el_db)
     sum_amp = float(tx.sum() * tz.sum())
     sum_sq = float((tx**2).sum() * (tz**2).sum())
-    ge = _element_gain_toward(point, scenario.target_m)
     eirp_mw = 0.5 * scenario.p_max_mw * sum_amp**2 * ge / sum_sq
     return min(scenario.eirp_max_dbm, to_db(eirp_mw))
 
@@ -641,23 +651,24 @@ def predict_matrix(
     Returns the matrix and the commanded EIRP (dBm).  Predicted beams are
     rescaled if they exceed the EIRP cap or the power budget.
     """
+    # each destination's direction and array-frame unit, computed once
     pose = point.pose
     target_dir = direction_angles(point.position, scenario.target_m)
-    gbs_dir = direction_angles(point.position, scenario.gbs_m[gbs_index])
-    prelim_dbm = sensing_eirp_target_dbm(scenario, point)
-    sens_feat = sensing_feature_vector(
-        array_frame_direction(point, scenario.target_m), prelim_dbm
-    )
+    target_unit = array_frame_unit(pose.angles, target_dir)
+    prelim_dbm = _sensing_eirp_dbm(scenario, element_gain(target_unit))
+    sens_feat = sensing_feature_vector(_frame_angles(target_unit), prelim_dbm)
     sensing = _beam_from_vector(decode_complex(forward(bundle.beamformer, sens_feat)))
     sensing = _cap_beam(sensing, scenario, pose, target_dir)
     _, comm_eirp = _comm_eirp_dbm(scenario, point, gbs_index, sensing)
     null_indices = nearest_other_gbs(scenario, point, gbs_index, count=2)
-    null_dirs = [array_frame_direction(point, scenario.gbs_m[i]) for i in null_indices]
-    comm_feat = comm_feature_vector(
-        array_frame_direction(point, scenario.gbs_m[gbs_index]), null_dirs, comm_eirp
-    )
+    # the serving station first, then the null stations
+    gbs_dirs = [
+        direction_angles(point.position, scenario.gbs_m[i]) for i in (gbs_index, *null_indices)
+    ]
+    frames = [_frame_angles(array_frame_unit(pose.angles, d)) for d in gbs_dirs]
+    comm_feat = comm_feature_vector(frames[0], frames[1:], comm_eirp)
     comm = _beam_from_vector(decode_complex(forward(bundle.beamformer, comm_feat)))
-    comm = _cap_beam(comm, scenario, pose, gbs_dir)
+    comm = _cap_beam(comm, scenario, pose, gbs_dirs[0])
     return (
         _enforce_power_budget(
             BeamformingMatrix(sensing=sensing, comm=comm), scenario.p_max_mw

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -496,6 +497,70 @@ def test_synthesize_search_paths_are_pinned(path):
     assert (
         result.iterations, (result.active_rows, result.active_cols), result.converged
     ) == SEARCH_PATHS[path][-1]
+
+
+# (iterations, active_rows, active_cols, converged) of all 220 synthesize calls
+# of generate_dataset(Scenario(), 1, "closest", 11), in call order, recorded
+# before the factored candidate cuts: 1802 candidates, 204 calls converged and
+# 3 ending on a shrunk block.  Exactly tied candidates are ordered by roundoff
+# (the incumbent moves only on a strictly lower rank), so a change in the cut
+# arithmetic can flip a tie; such a flip must be traced and the pin re-recorded.
+DATASET_SEARCH_PATHS_SHA256 = "d7690ed9d136e051a8c656a9ac4d93b2ebb76ae1e04036e4df3c1531cce95712"
+
+
+def test_dataset_search_paths_are_pinned(monkeypatch):
+    from uavisac import pipeline
+    from uavisac.scenario import Scenario
+
+    paths = []
+
+    def recording(request, config, pose):
+        result = synthesize(request, config, pose)
+        paths.append(
+            (result.iterations, result.active_rows, result.active_cols, result.converged)
+        )
+        return result
+
+    monkeypatch.setattr(pipeline, "synthesize", recording)
+    pipeline.generate_dataset(Scenario(), 1, "closest", 11)
+    summary = (
+        len(paths),
+        sum(p[0] for p in paths),
+        sum(p[3] for p in paths),
+        sum((p[1], p[2]) != (10, 10) for p in paths),
+    )
+    assert summary == (220, 1802, 204, 3)
+    assert hashlib.sha256(repr(paths).encode()).hexdigest() == DATASET_SEARCH_PATHS_SHA256
+
+
+def _rederivation_cases():
+    """Seeded requests with 0-2 nulls plus every SEARCH_PATHS request."""
+    from tests.helpers import random_null_scene
+
+    rng = np.random.default_rng(2024)
+    cases = []
+    for i in range(12):
+        pose, pointing, nulls = random_null_scene(rng)
+        cases.append((_request_toward(pointing, nulls[: i % 3]), pose))
+    cases += [_search_path_case(path) for path in sorted(SEARCH_PATHS)]
+    return cases
+
+
+def test_achieved_values_rederive_from_the_weights():
+    config = ArrayConfig(num_elements=100, carrier_hz=3e11)
+    blocks = set()
+    for request, pose in _rederivation_cases():
+        result = synthesize(request, config, pose)
+        blocks.add((result.active_rows, result.active_cols))
+        cut_az = pattern_cut(result.weights, config, pose, "azimuth", request.pointing)
+        cut_el = pattern_cut(result.weights, config, pose, "elevation", request.pointing)
+        assert extract_sll(cut_az) == pytest.approx(result.achieved_sll_az_db, abs=1e-9)
+        assert extract_sll(cut_el) == pytest.approx(result.achieved_sll_el_db, abs=1e-9)
+        assert eirp(result.weights, config, pose, request.pointing) == pytest.approx(
+            result.achieved_eirp_dbm, abs=1e-9
+        )
+    # the set covers a result on a shrunk active block
+    assert blocks - {(10, 10)}
 
 
 def test_synthesize_ranks_feasible_first_and_keeps_ties():

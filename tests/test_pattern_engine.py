@@ -1,9 +1,10 @@
 """Oracles for the factored cut engine and the vectorized cut helpers.
 
-The synthesizer's cut patterns come from per-axis steering factors; here they
-are checked against the dense steering matrix of `_kernels`.  The loop
-versions of `_sll_from_gains` and `_cut_arc` are kept below as references for
-the vectorized ones.
+The synthesizer's cut patterns come from per-axis steering factors, built by a
+phase recurrence, contracted with weights in factored form W = X Z^T; here
+they are checked against the dense steering matrix of `_kernels` and against
+one complex exponential per element.  The loop versions of `_sll_from_gains`
+and `_cut_arc` are kept below as references for the vectorized ones.
 """
 
 import math
@@ -15,12 +16,16 @@ from hypothesis import strategies as st
 from uavisac import _kernels
 from uavisac.beampattern import (
     MAIN_LOBE_MIN_DEPTH_DB,
+    SynthesisRequest,
+    _axis_factors,
     _cut_arc,
     _cut_grid,
     _null_basis,
     _project_out,
     _sll_from_gains,
+    _Synthesizer,
     chebyshev_taper,
+    null_conflicts,
     pattern_cut,
 )
 from uavisac.geometry import (
@@ -180,6 +185,64 @@ def test_factored_cut_matches_dense_kernel(scene, plane):
     # so the cut's own peak is no fair scale.
     bound = np.abs(w).sum() ** 2 * ge.max()
     assert np.max(np.abs(factored - dense)) <= 1e-12 * bound
+
+
+@st.composite
+def candidate_scenes(draw):
+    """Synthesis request, pose and one candidate's block and tapers."""
+    m = draw(st.sampled_from([4, 16, 64, 100]))
+    config = ArrayConfig(num_elements=m, carrier_hz=3e11)
+    pose = Pose(
+        position=np.array([0.0, 0.0, 100.0]),
+        angles=RotationAngles(draw(angle), draw(angle), draw(angle)),
+    )
+    pointing = DirectionAngles(draw(polar), draw(angle))
+    nulls = tuple(
+        DirectionAngles(draw(polar), draw(angle)) for _ in range(draw(st.integers(0, 2)))
+    )
+    assume(not any(null_conflicts(null, pointing) for null in nulls))
+    rows = draw(st.integers(1, config.side))
+    cols = draw(st.integers(1, config.side))
+    assume(rows * cols > len(nulls))
+    request = SynthesisRequest(
+        pointing=pointing, sll_min_az_db=20.0, sll_min_el_db=20.0,
+        eirp_target_dbm=25.0, nulls=nulls,
+    )
+    tapers = (draw(st.floats(5.0, 40.0)), draw(st.floats(5.0, 40.0)))
+    return config, pose, request, (rows, cols, *tapers)
+
+
+@SETTINGS
+@given(scene=candidate_scenes())
+def test_factored_candidate_cut_matches_dense_kernel(scene):
+    config, pose, request, candidate = scene
+    synth = _Synthesizer(request, config, pose)
+    entries, x, z = synth._build_entries(*candidate)
+    assume(np.max(np.abs(entries)) > 1e-6)
+    for plane in ("azimuth", "elevation"):
+        angles, gains_db = synth.evaluator.cut_gains_db(plane, x, z)
+        dense, ge = _dense_cut_power(entries, config, pose, plane, request.pointing, angles)
+        factored = 10.0 ** (gains_db / 10.0) * dense.max()
+        bound = np.abs(entries).sum() ** 2 * ge.max()  # see the factored-cut test above
+        assert np.max(np.abs(factored - dense)) <= 1e-12 * bound
+
+
+@SETTINGS
+@given(
+    m=st.sampled_from([4, 16, 64, 100]),
+    units=st.lists(st.tuples(polar, angle), min_size=1, max_size=20).map(
+        lambda dirs: np.array([direction_unit(DirectionAngles(*d)) for d in dirs])
+    ),
+)
+def test_axis_factor_recurrence_matches_direct_exponentials(m, units):
+    config = ArrayConfig(num_elements=m, carrier_hz=3e11)
+    # the axis extremes carry the largest phases, k x_r u_x with |u_x| = 1
+    units = np.vstack([units, np.eye(3), -np.eye(3)])
+    x_rows, z_cols = grid_axis_offsets(config)
+    jk = 1j * config.wavenumber
+    ex, ez = _axis_factors(config, units)
+    assert np.max(np.abs(ex - np.exp(jk * np.outer(x_rows, units[:, 0])))) <= 1e-12
+    assert np.max(np.abs(ez - np.exp(jk * np.outer(z_cols, units[:, 2])))) <= 1e-12
 
 
 @settings(SETTINGS, max_examples=300)
