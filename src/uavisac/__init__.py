@@ -45,6 +45,7 @@ from .pipeline import (
     train_models,
 )
 from .scenario import (
+    PointGeometry,
     Scenario,
     Trajectory,
     TrajectoryPoint,
@@ -52,6 +53,7 @@ from .scenario import (
     generate_trajectories,
     label_optimal_association,
     orientation_from_motion,
+    point_geometry,
 )
 
 __version__ = "0.1.0"

@@ -428,27 +428,21 @@ def _null_basis(
 def _project_out(
     w: NDArray[np.complex128],
     basis: NDArray[np.complex128],
-    active: NDArray[np.bool_] | None = None,
-    return_coefficients: bool = False,
-):
+    active: NDArray[np.bool_],
+) -> tuple[NDArray[np.complex128], NDArray[np.complex128]]:
     """Least-squares projection of w onto the orthogonal complement of basis.
 
-    With an active-element mask the projection runs inside the active
-    subspace, so switched-off elements stay at zero.  With
-    return_coefficients the result is (projected w, c), c being the
+    The projection runs inside the subspace of the active-element mask, so
+    switched-off elements stay at zero.  Returns (projected w, c), c being the
     least-squares coefficients of the removed component on the basis columns.
     """
     if basis.shape[1] == 0:
-        out, coeff = w, np.zeros(0, dtype=np.complex128)
-    elif active is None:
-        coeff = np.linalg.lstsq(basis, w, rcond=None)[0]
-        out = w - basis @ coeff
-    else:
-        out = w.copy()
-        sub = basis[active]
-        coeff = np.linalg.lstsq(sub, w[active], rcond=None)[0]
-        out[active] = w[active] - sub @ coeff
-    return (out, coeff) if return_coefficients else out
+        return w, np.zeros(0, dtype=np.complex128)
+    out = w.copy()
+    sub = basis[active]
+    coeff = np.linalg.lstsq(sub, w[active], rcond=None)[0]
+    out[active] = w[active] - sub @ coeff
+    return out, coeff
 
 
 def null_conflicts(null: DirectionAngles, pointing: DirectionAngles) -> bool:
@@ -486,7 +480,7 @@ def apply_nulls(
         return weights
     check_nulls(config, nulls, pointing)
     basis = _null_basis(config, pose, nulls)
-    projected = _project_out(_weight_entries(weights), basis)
+    projected, _ = _project_out(_weight_entries(weights), basis, np.ones(config.num_elements, bool))
     scale = max(1.0, float(np.max(np.abs(projected))))
     return BeamWeights(
         entries=projected / scale,
@@ -557,10 +551,7 @@ class _Synthesizer:
         z[:cols, 0] *= tz
         active = np.zeros((self.side, self.side), dtype=bool)
         active[:rows, :cols] = True
-        w, coeff = _project_out(
-            np.outer(x[:, 0], z[:, 0]).ravel(), self.null_basis, active.ravel(),
-            return_coefficients=True,
-        )
+        w, coeff = _project_out(np.outer(x[:, 0], z[:, 0]).ravel(), self.null_basis, active.ravel())
         x[:, 1:] *= -coeff
         scale = max(1.0, float(np.max(np.abs(w))))
         return w / scale, x / scale, z

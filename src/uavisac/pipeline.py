@@ -7,6 +7,10 @@ Training fits the beamforming-weight network on pooled comm/sensing rows and
 the association network on the optimal labels, splitting at the trajectory
 point level so each point's beam pair stays on one side of the split.  All
 stages are deterministic under a fixed master seed.
+
+Every per-point stage reads its directions, array-frame units and angles, and
+element gains from one scenario.PointGeometry record built once per point,
+the only place they are derived outside the channel and pattern formulas.
 """
 
 from __future__ import annotations
@@ -35,19 +39,12 @@ from .beampattern import (
     synthesize,
 )
 from .channel import EXPECTED, RADAR_LOS, achievable_rate, channel_vector, sinr
-from .geometry import (
-    DirectionAngles,
-    Pose,
-    RotationAngles,
-    array_frame_unit,
-    direction_angles,
-    element_gain,
-    steering_vector,
-)
+from .geometry import DirectionAngles, Pose, RotationAngles, steering
 from .neuralnet import Network, NetworkConfig, TrainConfig, TrainReport, forward, train
 from .scenario import (
     POLICY_NN,
     POLICY_OPTIMAL,
+    PointGeometry,
     Scenario,
     Trajectory,
     TrajectoryPoint,
@@ -55,7 +52,7 @@ from .scenario import (
     generate_trajectories,
     label_optimal_association,
     min_required_eirp_dbm,
-    nearest_other_gbs,
+    point_geometry,
 )
 from .units import from_db, to_db
 
@@ -229,27 +226,14 @@ def _beam_from_vector(vec: NDArray[np.complex128]) -> BeamWeights:
     return BeamWeights(entries=vec / scale, power_per_element_mw=scale**2)
 
 
-def _element_gain_toward(point: TrajectoryPoint, dest) -> float:
-    unit = array_frame_unit(point.orientation, direction_angles(point.position, dest))
-    return element_gain(unit)
+# The comm beam nulls this many of the nearest other stations, and its
+# feature vector has one (phi, theta) slot per null.
+NULL_STATIONS = 2
 
 
-def array_frame_direction(point: TrajectoryPoint, dest) -> DirectionAngles:
-    """Direction angles of a destination expressed in the rotated array frame.
-
-    The synthesized weights depend on the beam direction relative to the
-    aperture, so network features carry array-frame angles; the platform
-    rotation is absorbed here instead of being an unseen latent variable.
-    """
-    return _frame_angles(
-        array_frame_unit(point.orientation, direction_angles(point.position, dest))
-    )
-
-
-def _frame_angles(unit) -> DirectionAngles:
-    """Direction angles of an array-frame unit vector."""
-    theta = math.acos(min(1.0, max(-1.0, unit[2])))
-    return DirectionAngles(theta=theta, phi=math.atan2(unit[1], unit[0]))
+def nearest_other_gbs(geo: PointGeometry, exclude: int) -> tuple[int, ...]:
+    """Indices of the NULL_STATIONS nearest stations other than the serving one."""
+    return tuple(i for i in geo.gbs_by_distance if i != exclude)[:NULL_STATIONS]
 
 
 def comm_feature_vector(gbs_dir: DirectionAngles, nulls: Sequence[DirectionAngles],
@@ -257,7 +241,7 @@ def comm_feature_vector(gbs_dir: DirectionAngles, nulls: Sequence[DirectionAngle
     """(phi_gbs, theta_gbs, phi_n1, theta_n1, phi_n2, theta_n2, eirp_dbm)."""
     out = np.zeros(7)
     out[0], out[1] = gbs_dir.phi, gbs_dir.theta
-    for i, null in enumerate(nulls[:2]):
+    for i, null in enumerate(nulls):
         out[2 + 2 * i] = null.phi
         out[3 + 2 * i] = null.theta
     out[6] = eirp_dbm
@@ -271,15 +255,14 @@ def sensing_feature_vector(target_dir: DirectionAngles, eirp_dbm: float) -> NDAr
     return out
 
 
-def association_features(scenario: Scenario, point: TrajectoryPoint) -> NDArray[np.float64]:
+def association_features(scenario: Scenario, geo: PointGeometry) -> NDArray[np.float64]:
     """Normalized planar position plus target direction angles."""
-    target_dir = direction_angles(point.position, scenario.target_m)
     return np.array(
         [
-            point.position[0] / scenario.area_m[0],
-            point.position[1] / scenario.area_m[1],
-            target_dir.phi / math.pi,
-            target_dir.theta / math.pi,
+            geo.point.position[0] / scenario.area_m[0],
+            geo.point.position[1] / scenario.area_m[1],
+            geo.target_dir.phi / math.pi,
+            geo.target_dir.theta / math.pi,
         ]
     )
 
@@ -299,7 +282,7 @@ def _synthesis_request(scenario: Scenario, pointing: DirectionAngles, eirp_dbm: 
     )
 
 
-def sensing_eirp_target_dbm(scenario: Scenario, point: TrajectoryPoint) -> float:
+def sensing_eirp_target_dbm(scenario: Scenario, geo: PointGeometry) -> float:
     """EIRP target for the sensing beam: half the power budget, EIRP-capped.
 
     The sensing beam spends the available transmit power on the target, so
@@ -307,21 +290,16 @@ def sensing_eirp_target_dbm(scenario: Scenario, point: TrajectoryPoint) -> float
     EIRP follows from the nominal full-aperture taper sums and the element
     gain toward the target, clamped to the scenario EIRP cap.
     """
-    return _sensing_eirp_dbm(scenario, _element_gain_toward(point, scenario.target_m))
-
-
-def _sensing_eirp_dbm(scenario: Scenario, ge: float) -> float:
-    """sensing_eirp_target_dbm for an element gain ge toward the target."""
     side = scenario.array.side
     tx = chebyshev_taper(side, scenario.sll_min_az_db)
     tz = chebyshev_taper(side, scenario.sll_min_el_db)
     sum_amp = float(tx.sum() * tz.sum())
     sum_sq = float((tx**2).sum() * (tz**2).sum())
-    eirp_mw = 0.5 * scenario.p_max_mw * sum_amp**2 * ge / sum_sq
+    eirp_mw = 0.5 * scenario.p_max_mw * sum_amp**2 * geo.target_gain / sum_sq
     return min(scenario.eirp_max_dbm, to_db(eirp_mw))
 
 
-def _comm_eirp_dbm(scenario: Scenario, point: TrajectoryPoint, gbs_index: int,
+def _comm_eirp_dbm(scenario: Scenario, geo: PointGeometry, gbs_index: int,
                    sensing: BeamWeights) -> tuple[float, float]:
     """Sensing interference (mW) and the comm EIRP it calls for (dBm, capped).
 
@@ -331,13 +309,13 @@ def _comm_eirp_dbm(scenario: Scenario, point: TrajectoryPoint, gbs_index: int,
     h_sense = channel_vector(
         scenario.channel,
         scenario.array,
-        point.position,
-        point.orientation,
+        geo.point.position,
+        geo.point.orientation,
         scenario.target_m,
         RADAR_LOS,
     )
     interference = float(abs(np.vdot(h_sense.entries, sensing.vector)) ** 2)
-    required = min_required_eirp_dbm(scenario, point, gbs_index, interference)
+    required = min_required_eirp_dbm(scenario, geo, gbs_index, interference)
     return interference, min(required, scenario.eirp_max_dbm)
 
 
@@ -363,7 +341,7 @@ class PointSynthesis:
     sensing: SynthesisResult
     comm: SynthesisResult
     matrix: BeamformingMatrix
-    nulls: tuple[DirectionAngles, ...]
+    null_gbs: tuple[int, ...]
     comm_eirp_dbm: float
     sensing_eirp_dbm: float
     interference_mw: float
@@ -375,7 +353,7 @@ class PointSynthesis:
 
 def synthesize_point(
     scenario: Scenario,
-    point: TrajectoryPoint,
+    geo: PointGeometry,
     gbs_index: int,
     lenient: bool = False,
 ) -> PointSynthesis:
@@ -387,17 +365,16 @@ def synthesize_point(
     at the scenario maximum.  With lenient=True a null conflicting with the
     pointing direction is dropped instead of raised.
     """
-    pose = point.pose
+    pose = geo.point.pose
     config = scenario.array
-    target_dir = direction_angles(point.position, scenario.target_m)
-    prelim_dbm = sensing_eirp_target_dbm(scenario, point)
-    sensing_res = synthesize(_synthesis_request(scenario, target_dir, prelim_dbm, ()), config, pose)
-    interference, comm_eirp = _comm_eirp_dbm(scenario, point, gbs_index, sensing_res.weights)
-    gbs_dir = direction_angles(point.position, scenario.gbs_m[gbs_index])
-    null_indices = nearest_other_gbs(scenario, point, gbs_index, count=2)
-    nulls = tuple(
-        direction_angles(point.position, scenario.gbs_m[i]) for i in null_indices
+    prelim_dbm = sensing_eirp_target_dbm(scenario, geo)
+    sensing_res = synthesize(
+        _synthesis_request(scenario, geo.target_dir, prelim_dbm, ()), config, pose
     )
+    interference, comm_eirp = _comm_eirp_dbm(scenario, geo, gbs_index, sensing_res.weights)
+    gbs_dir = geo.gbs_dir[gbs_index]
+    null_gbs = nearest_other_gbs(geo, gbs_index)
+    nulls = [geo.gbs_dir[i] for i in null_gbs]
     try:
         comm_res = synthesize(
             _synthesis_request(scenario, gbs_dir, comm_eirp, nulls), config, pose
@@ -405,12 +382,12 @@ def synthesize_point(
     except NullConflictError:
         if not lenient:
             raise
-        kept = tuple(n for n in nulls if not null_conflicts(n, gbs_dir))
-        logger.warning("dropping null conflicting with pointing at slot %d", point.slot)
+        null_gbs = tuple(i for i in null_gbs if not null_conflicts(geo.gbs_dir[i], gbs_dir))
+        nulls = [geo.gbs_dir[i] for i in null_gbs]
+        logger.warning("dropping null conflicting with pointing at slot %d", geo.point.slot)
         comm_res = synthesize(
-            _synthesis_request(scenario, gbs_dir, comm_eirp, kept), config, pose
+            _synthesis_request(scenario, gbs_dir, comm_eirp, nulls), config, pose
         )
-        nulls = kept
     matrix = _enforce_power_budget(
         BeamformingMatrix(sensing=sensing_res.weights, comm=comm_res.weights),
         scenario.p_max_mw,
@@ -420,7 +397,7 @@ def synthesize_point(
         sensing=sensing_res,
         comm=comm_res,
         matrix=matrix,
-        nulls=nulls,
+        null_gbs=null_gbs,
         comm_eirp_dbm=comm_eirp,
         sensing_eirp_dbm=prelim_dbm,
         interference_mw=interference,
@@ -443,11 +420,9 @@ def generate_dataset(
     skipped = {"field of view": 0, "null conflict": 0, "not converged": 0}
     for traj in trajectories:
         for point in traj.points:
-            k = associate(scenario, point, policy)
-            if (
-                _element_gain_toward(point, scenario.target_m) < MIN_ELEMENT_GAIN
-                or _element_gain_toward(point, scenario.gbs_m[k]) < MIN_ELEMENT_GAIN
-            ):
+            geo = point_geometry(scenario, point)
+            k = associate(scenario, geo, policy)
+            if geo.target_gain < MIN_ELEMENT_GAIN or geo.gbs_gain[k] < MIN_ELEMENT_GAIN:
                 skipped["field of view"] += 1
                 logger.warning(
                     "trajectory %d slot %d: beam outside the serviceable field of view, skipping",
@@ -456,7 +431,7 @@ def generate_dataset(
                 )
                 continue
             try:
-                ps = synthesize_point(scenario, point, k)
+                ps = synthesize_point(scenario, geo, k)
             except NullConflictError:
                 skipped["null conflict"] += 1
                 logger.warning(
@@ -471,12 +446,7 @@ def generate_dataset(
                     point.slot,
                 )
                 continue
-            gbs_dir = array_frame_direction(point, scenario.gbs_m[k])
-            target_dir = array_frame_direction(point, scenario.target_m)
-            null_dirs = [
-                array_frame_direction(point, scenario.gbs_m[i])
-                for i in nearest_other_gbs(scenario, point, k, count=2)
-            ]
+            null_frames = [geo.gbs_frame[i] for i in ps.null_gbs]
             samples.append(
                 Sample(
                     trajectory_id=traj.id,
@@ -484,12 +454,14 @@ def generate_dataset(
                     position=point.position,
                     orientation=point.orientation,
                     gbs_index=k,
-                    comm_features=comm_feature_vector(gbs_dir, null_dirs, ps.comm_eirp_dbm),
-                    sensing_features=sensing_feature_vector(target_dir, ps.sensing_eirp_dbm),
+                    comm_features=comm_feature_vector(
+                        geo.gbs_frame[k], null_frames, ps.comm_eirp_dbm
+                    ),
+                    sensing_features=sensing_feature_vector(geo.target_frame, ps.sensing_eirp_dbm),
                     comm_weights=encode_complex(ps.matrix.comm.vector),
                     sensing_weights=encode_complex(ps.matrix.sensing.vector),
                     optimal_gbs=label_optimal_association(
-                        scenario, point, ps.interference_mw
+                        scenario, geo, ps.interference_mw
                     ).gbs_index,
                 )
             )
@@ -560,15 +532,11 @@ def train_models(samples: Sequence[Sample], scenario: Scenario,
     train_rows = np.sort(np.concatenate([2 * train_points, 2 * train_points + 1]))
     val_rows = np.sort(np.concatenate([2 * val_points, 2 * val_points + 1]))
 
-    steering = {
-        int(i): steering_vector(
-            scenario.array, samples[i].position, samples[i].orientation, scenario.target_m
-        )
-        for i in val_points
-    }
+    geos = [point_geometry(scenario, _sample_point(s)) for s in samples]
+    target_steering = {int(i): steering(scenario.array, geos[i].target_unit) for i in val_points}
     b_star = {}
     for i in val_points:
-        a = steering[int(i)]
+        a = target_steering[int(i)]
         wc = decode_complex(samples[i].comm_weights)
         ws = decode_complex(samples[i].sensing_weights)
         b_star[int(i)] = abs(np.vdot(a, ws)) ** 2 + abs(np.vdot(a, wc)) ** 2
@@ -580,7 +548,7 @@ def train_models(samples: Sequence[Sample], scenario: Scenario,
         errors = []
         for i in val_points:
             i = int(i)
-            a = steering[i]
+            a = target_steering[i]
             wc = decode_complex(preds[row_of[2 * i]])
             ws = decode_complex(preds[row_of[2 * i + 1]])
             b = abs(np.vdot(a, ws)) ** 2 + abs(np.vdot(a, wc)) ** 2
@@ -603,7 +571,7 @@ def train_models(samples: Sequence[Sample], scenario: Scenario,
 
     k = scenario.num_gbs
     denom = float(max(k - 1, 1))
-    xa = np.stack([association_features(scenario, _sample_point(s)) for s in samples])
+    xa = np.stack([association_features(scenario, geo) for geo in geos])
     ya = np.array([[s.optimal_gbs / denom] for s in samples])
     assoc_config = NetworkConfig(layer_sizes=(4, 64, 32, 1), hidden_activation="relu",
                                  seed=config.seed + 1)
@@ -633,8 +601,11 @@ def _sample_point(sample: Sample) -> TrajectoryPoint:
 def predict_association(bundle: ModelBundle, scenario: Scenario,
                         point: TrajectoryPoint) -> int:
     """Forward pass, de-normalize and clamp to a valid station index."""
-    features = association_features(scenario, point)
-    raw = float(forward(bundle.association, features)[0])
+    return _predicted_gbs(bundle, scenario, point_geometry(scenario, point))
+
+
+def _predicted_gbs(bundle: ModelBundle, scenario: Scenario, geo: PointGeometry) -> int:
+    raw = float(forward(bundle.association, association_features(scenario, geo))[0])
     k = scenario.num_gbs
     index = int(round(raw * max(k - 1, 1)))
     return min(max(index, 0), k - 1)
@@ -643,7 +614,7 @@ def predict_association(bundle: ModelBundle, scenario: Scenario,
 def predict_matrix(
     bundle: ModelBundle,
     scenario: Scenario,
-    point: TrajectoryPoint,
+    geo: PointGeometry,
     gbs_index: int,
 ) -> tuple[BeamformingMatrix, float]:
     """Beamforming matrix from the weight network for one point.
@@ -651,24 +622,16 @@ def predict_matrix(
     Returns the matrix and the commanded EIRP (dBm).  Predicted beams are
     rescaled if they exceed the EIRP cap or the power budget.
     """
-    # each destination's direction and array-frame unit, computed once
-    pose = point.pose
-    target_dir = direction_angles(point.position, scenario.target_m)
-    target_unit = array_frame_unit(pose.angles, target_dir)
-    prelim_dbm = _sensing_eirp_dbm(scenario, element_gain(target_unit))
-    sens_feat = sensing_feature_vector(_frame_angles(target_unit), prelim_dbm)
+    pose = geo.point.pose
+    prelim_dbm = sensing_eirp_target_dbm(scenario, geo)
+    sens_feat = sensing_feature_vector(geo.target_frame, prelim_dbm)
     sensing = _beam_from_vector(decode_complex(forward(bundle.beamformer, sens_feat)))
-    sensing = _cap_beam(sensing, scenario, pose, target_dir)
-    _, comm_eirp = _comm_eirp_dbm(scenario, point, gbs_index, sensing)
-    null_indices = nearest_other_gbs(scenario, point, gbs_index, count=2)
-    # the serving station first, then the null stations
-    gbs_dirs = [
-        direction_angles(point.position, scenario.gbs_m[i]) for i in (gbs_index, *null_indices)
-    ]
-    frames = [_frame_angles(array_frame_unit(pose.angles, d)) for d in gbs_dirs]
-    comm_feat = comm_feature_vector(frames[0], frames[1:], comm_eirp)
+    sensing = _cap_beam(sensing, scenario, pose, geo.target_dir)
+    _, comm_eirp = _comm_eirp_dbm(scenario, geo, gbs_index, sensing)
+    null_frames = [geo.gbs_frame[i] for i in nearest_other_gbs(geo, gbs_index)]
+    comm_feat = comm_feature_vector(geo.gbs_frame[gbs_index], null_frames, comm_eirp)
     comm = _beam_from_vector(decode_complex(forward(bundle.beamformer, comm_feat)))
-    comm = _cap_beam(comm, scenario, pose, gbs_dirs[0])
+    comm = _cap_beam(comm, scenario, pose, geo.gbs_dir[gbs_index])
     return (
         _enforce_power_budget(
             BeamformingMatrix(sensing=sensing, comm=comm), scenario.p_max_mw
@@ -707,16 +670,17 @@ def evaluate_trajectory(
         raise ValueError("a trained bundle is required for NN evaluation")
     predictor = None
     if policy == POLICY_NN:
-        predictor = lambda point: predict_association(bundle, scenario, point)
+        predictor = lambda geo: _predicted_gbs(bundle, scenario, geo)
     records = []
     for point in trajectory.points:
-        k = associate(scenario, point, policy, predictor)
+        geo = point_geometry(scenario, point)
+        k = associate(scenario, geo, policy, predictor)
         if weight_source == OPTIMIZER_SOURCE:
-            ps = synthesize_point(scenario, point, k, lenient=True)
+            ps = synthesize_point(scenario, geo, k, lenient=True)
             matrix = ps.matrix
             required_dbm = ps.comm_eirp_dbm
         else:
-            matrix, required_dbm = predict_matrix(bundle, scenario, point, k)
+            matrix, required_dbm = predict_matrix(bundle, scenario, geo, k)
         if matrices_out is not None:
             matrices_out.append(matrix)
         h_comm = channel_vector(

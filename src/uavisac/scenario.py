@@ -6,6 +6,11 @@ suffixed unit names.  Trajectories are forward-cone random walks between the
 fixed endpoints: every step has the full slot displacement, headings are drawn
 inside a cone toward the goal, and the final slot snaps exactly onto the end
 point, so the speed bound and endpoint constraints hold by construction.
+
+Apart from the channel and beam-pattern formulas, which take positions,
+point_geometry is the only place a per-point direction, array-frame unit or
+element gain is derived; association and every per-point pipeline stage read
+its PointGeometry record.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -30,6 +35,7 @@ from .channel import (
 )
 from .geometry import (
     ArrayConfig,
+    DirectionAngles,
     GeometryError,
     Pose,
     RotationAngles,
@@ -305,20 +311,72 @@ def _wrap_angle(angle: float) -> float:
     return math.atan2(math.sin(angle), math.cos(angle))
 
 
-def _matched_weights(scenario: Scenario, point: TrajectoryPoint, dest, eirp_dbm: float) -> BeamWeights:
-    """Phase-matched full-aperture beam whose EIRP toward dest is eirp_dbm."""
+@dataclass(frozen=True)
+class PointGeometry:
+    """One trajectory point's distance, global direction, array-frame unit and
+    angles, and element gain toward the target and each station (by index).
+
+    Network features carry the array-frame angles: the synthesized weights
+    depend on the beam direction relative to the aperture.  gbs_by_distance
+    lists the stations nearest first, ties by lowest index.
+    """
+
+    point: TrajectoryPoint
+    target_distance_m: float
+    target_dir: DirectionAngles
+    target_unit: NDArray[np.float64]
+    target_frame: DirectionAngles
+    target_gain: float
+    gbs_distance_m: NDArray[np.float64]
+    gbs_dir: tuple[DirectionAngles, ...]
+    gbs_unit: tuple[NDArray[np.float64], ...]
+    gbs_frame: tuple[DirectionAngles, ...]
+    gbs_gain: tuple[float, ...]
+    gbs_by_distance: tuple[int, ...]
+
+
+def _frame_angles(unit) -> DirectionAngles:
+    """Direction angles of an array-frame unit vector."""
+    theta = math.acos(min(1.0, max(-1.0, unit[2])))
+    return DirectionAngles(theta=theta, phi=math.atan2(unit[1], unit[0]))
+
+
+def point_geometry(scenario: Scenario, point: TrajectoryPoint) -> PointGeometry:
+    """The PointGeometry of one trajectory point, one primitive call per field."""
+    dirs = [direction_angles(point.position, dest) for dest in (scenario.target_m, *scenario.gbs_m)]
+    units = [array_frame_unit(point.orientation, d) for d in dirs]
+    frames = [_frame_angles(u) for u in units]
+    gains = [element_gain(u) for u in units]
+    gbs_distance = np.linalg.norm(scenario.gbs_m - point.position, axis=1)
+    return PointGeometry(
+        point=point,
+        target_distance_m=float(np.linalg.norm(point.position - scenario.target_m)),
+        target_dir=dirs[0],
+        target_unit=units[0],
+        target_frame=frames[0],
+        target_gain=gains[0],
+        gbs_distance_m=gbs_distance,
+        gbs_dir=tuple(dirs[1:]),
+        gbs_unit=tuple(units[1:]),
+        gbs_frame=tuple(frames[1:]),
+        gbs_gain=tuple(gains[1:]),
+        gbs_by_distance=tuple(int(i) for i in np.argsort(gbs_distance, kind="stable")),
+    )
+
+
+def _matched_weights(scenario: Scenario, unit, ge: float) -> BeamWeights:
+    """Phase-matched full-aperture beam at the EIRP cap toward unit, element gain ge."""
     config = scenario.array
-    unit = array_frame_unit(point.orientation, direction_angles(point.position, dest))
-    gain = config.num_elements**2 * element_gain(unit)
-    ppe = from_db(eirp_dbm) / gain if gain > 0.0 else 1e-12
+    gain = config.num_elements**2 * ge
+    ppe = scenario.eirp_max_mw / gain if gain > 0.0 else 1e-12
     return BeamWeights(entries=steering(config, unit), power_per_element_mw=ppe)
 
 
 def associate(
     scenario: Scenario,
-    point: TrajectoryPoint,
+    geo: PointGeometry,
     policy: str,
-    predictor: Callable[[TrajectoryPoint], int] | None = None,
+    predictor: Callable[[PointGeometry], int] | None = None,
 ) -> int:
     """Pick the serving ground station for one trajectory point.
 
@@ -331,41 +389,35 @@ def associate(
     if policy == POLICY_NN:
         if predictor is None:
             raise ValueError("nn_model association needs a predictor")
-        return int(predictor(point))
-    pos = point.position
+        return int(predictor(geo))
     if policy == POLICY_CLOSEST:
-        dists = np.linalg.norm(scenario.gbs_m - pos, axis=1)
-        return int(np.argmin(dists))
+        return geo.gbs_by_distance[0]
     if policy == POLICY_MIN_TARGET_ANGLE:
-        phi_target = direction_angles(pos, scenario.target_m).phi
-        gaps = [
-            abs(_wrap_angle(direction_angles(pos, gbs).phi - phi_target))
-            for gbs in scenario.gbs_m
-        ]
+        phi_target = geo.target_dir.phi
+        gaps = [abs(_wrap_angle(d.phi - phi_target)) for d in geo.gbs_dir]
         return int(np.argmin(gaps))
     if policy == POLICY_MAX_SINR:
-        w_sense = _matched_weights(scenario, point, scenario.target_m, scenario.eirp_max_dbm)
+        pos, angles = geo.point.position, geo.point.orientation
+        w_sense = _matched_weights(scenario, geo.target_unit, geo.target_gain)
         h_sense = channel_vector(
-            scenario.channel, scenario.array, pos, point.orientation, scenario.target_m, RADAR_LOS
+            scenario.channel, scenario.array, pos, angles, scenario.target_m, RADAR_LOS
         )
         best_idx, best_sinr = 0, -math.inf
         for idx, gbs in enumerate(scenario.gbs_m):
-            w_comm = _matched_weights(scenario, point, gbs, scenario.eirp_max_dbm)
-            h_comm = channel_vector(
-                scenario.channel, scenario.array, pos, point.orientation, gbs, EXPECTED
-            )
+            w_comm = _matched_weights(scenario, geo.gbs_unit[idx], geo.gbs_gain[idx])
+            h_comm = channel_vector(scenario.channel, scenario.array, pos, angles, gbs, EXPECTED)
             value = sinr(h_comm, h_sense, w_comm, w_sense, scenario.channel.noise_mw)
             if value > best_sinr:
                 best_idx, best_sinr = idx, value
         return best_idx
     if policy == POLICY_OPTIMAL:
-        return label_optimal_association(scenario, point).gbs_index
+        return label_optimal_association(scenario, geo).gbs_index
     raise ValueError(f"unknown association policy {policy!r}")
 
 
 def min_required_eirp_dbm(
     scenario: Scenario,
-    point: TrajectoryPoint,
+    geo: PointGeometry,
     gbs_index: int,
     interference_mw: float = 0.0,
 ) -> float:
@@ -375,13 +427,11 @@ def min_required_eirp_dbm(
     radiated EIRP and the received power, leaving
     EIRP_min = gamma * (noise + interference) * g_e / PL.
     """
-    gbs = scenario.gbs_m[gbs_index]
-    gain = pathloss(scenario.channel, EXPECTED, point.position, gbs)
-    ge = element_gain(array_frame_unit(point.orientation, direction_angles(point.position, gbs)))
+    gain = pathloss(scenario.channel, EXPECTED, geo.point.position, scenario.gbs_m[gbs_index])
     required_mw = (
         scenario.gamma_sinr_linear
         * (scenario.channel.noise_mw + interference_mw)
-        * ge
+        * geo.gbs_gain[gbs_index]
         / gain
     )
     return to_db(required_mw)
@@ -395,7 +445,7 @@ class AssociationLabel(NamedTuple):
 
 def label_optimal_association(
     scenario: Scenario,
-    point: TrajectoryPoint,
+    geo: PointGeometry,
     interference_mw: float = 0.0,
 ) -> AssociationLabel:
     """Best station in rate with the smallest required EIRP as tie-break.
@@ -406,12 +456,11 @@ def label_optimal_association(
     no station is feasible the highest-SINR station at the cap is returned,
     flagged infeasible.
     """
-    noise = scenario.channel.noise_mw
     gamma = scenario.gamma_sinr_linear
     best: tuple | None = None
     best_label: AssociationLabel | None = None
     for idx in range(scenario.num_gbs):
-        required_dbm = min_required_eirp_dbm(scenario, point, idx, interference_mw)
+        required_dbm = min_required_eirp_dbm(scenario, geo, idx, interference_mw)
         feasible = required_dbm <= scenario.eirp_max_dbm
         if feasible:
             value = gamma
@@ -427,10 +476,3 @@ def label_optimal_association(
             best_label = AssociationLabel(gbs_index=idx, min_eirp_dbm=eirp_dbm, feasible=feasible)
     assert best_label is not None
     return best_label
-
-
-def nearest_other_gbs(scenario: Scenario, point: TrajectoryPoint, exclude: int, count: int = 2) -> list[int]:
-    """Indices of the nearest stations other than the serving one."""
-    dists = np.linalg.norm(scenario.gbs_m - point.position, axis=1)
-    order = [int(i) for i in np.argsort(dists, kind="stable") if i != exclude]
-    return order[:count]

@@ -21,8 +21,7 @@ from uavisac.geometry import (
     steering,
     steering_vector,
 )
-from uavisac.pipeline import array_frame_direction
-from uavisac.scenario import TrajectoryPoint
+from uavisac.scenario import Scenario, TrajectoryPoint, point_geometry
 
 
 def random_poses(rng, count):
@@ -180,6 +179,7 @@ def test_element_gain_of_array_frame_unit_matches_angle_form():
     rng = np.random.default_rng(9)
     for pos, angles, dest in random_poses(rng, 500):
         unit = array_frame_unit(angles, direction_angles(pos, dest))
-        frame = array_frame_direction(TrajectoryPoint(0, pos, angles), dest)
+        geo = point_geometry(Scenario(target_m=dest), TrajectoryPoint(0, pos, angles))
+        frame = geo.target_frame
         cos_off = math.sin(frame.phi) * math.sin(frame.theta)
         assert abs(element_gain(unit) - ((1.0 + cos_off) / 2.0) ** 2) <= 1e-15

@@ -157,7 +157,7 @@ def weight_scenes(draw):
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         w = np.where(active, rng.normal(size=m) + 1j * rng.normal(size=m), 0.0)
     if nulls:
-        w = _project_out(w, _null_basis(config, pose, nulls), active)
+        w, _ = _project_out(w, _null_basis(config, pose, nulls), active)
     assume(np.max(np.abs(w)) > 1e-6)
     return config, pose, pointing, w
 

@@ -1,10 +1,13 @@
+import dataclasses
+import hashlib
 import json
+import logging
 import math
 
 import numpy as np
 import pytest
 
-from uavisac.beampattern import array_gain
+from uavisac.beampattern import NullConflictError, array_gain
 from uavisac.channel import EXPECTED, RADAR_LOS, channel_vector, sinr
 from uavisac.geometry import DirectionAngles, RotationAngles
 from uavisac.neuralnet import TrainConfig
@@ -27,7 +30,7 @@ from uavisac.pipeline import (
     write_records_csv,
     write_stats_csv,
 )
-from uavisac.scenario import Scenario, TrajectoryPoint, generate_trajectories
+from uavisac.scenario import Scenario, TrajectoryPoint, generate_trajectories, point_geometry
 
 
 @pytest.fixture(scope="module")
@@ -125,10 +128,22 @@ def test_emitted_matrices_respect_power_and_eirp_limits(small_scenario, small_da
                 assert 10 * math.log10(gain) <= small_scenario.eirp_max_dbm + 1e-6
 
 
+def test_dataset_geometry_outputs_are_pinned(small_dataset):
+    # slot, station and the features that come from geometry alone; the comm
+    # EIRP feature and the weights depend on the synthesized beams
+    digest = hashlib.sha256()
+    for sample in small_dataset:
+        digest.update(np.array([sample.slot, sample.gbs_index], dtype=np.int64).tobytes())
+        digest.update(sample.sensing_features.tobytes())
+        digest.update(sample.comm_features[:6].tobytes())
+    assert len(small_dataset) == 77
+    assert digest.hexdigest() == "30a5d7f920eb9ca5054f310e4debc7e5e451e3c8801283eea269142b2f5d0a9d"
+
+
 def test_synthesize_point_delivers_threshold_sinr(small_scenario):
     trajs = generate_trajectories(small_scenario, 1, seed=3)
     point = trajs[0].points[len(trajs[0]) // 2]
-    ps = synthesize_point(small_scenario, point, 0, lenient=True)
+    ps = synthesize_point(small_scenario, point_geometry(small_scenario, point), 0, lenient=True)
     if ps.comm_eirp_dbm < small_scenario.eirp_max_dbm - 1e-6:
         h_comm = channel_vector(
             small_scenario.channel, small_scenario.array, point.position,
@@ -143,6 +158,22 @@ def test_synthesize_point_delivers_threshold_sinr(small_scenario):
             small_scenario.channel.noise_mw,
         )
         assert 10 * math.log10(value) == pytest.approx(small_scenario.gamma_sinr_db, abs=1e-6)
+
+
+def test_synthesize_point_lenient_drops_only_the_conflicting_null(small_scenario, caplog):
+    # station 1 sits 1.4 m from the serving station 0, inside the null-conflict cone
+    gbs = np.array([[150.0, 120.0, 2.0], [151.0, 121.0, 2.0], [250.0, 480.0, 2.0]])
+    scn = dataclasses.replace(small_scenario, gbs_m=gbs)
+    point = TrajectoryPoint(
+        slot=4, position=np.array([200.0, 250.0, 100.0]), orientation=RotationAngles(0.5, 0, 0)
+    )
+    geo = point_geometry(scn, point)
+    with pytest.raises(NullConflictError):
+        synthesize_point(scn, geo, 0)
+    with caplog.at_level(logging.WARNING, logger="uavisac.pipeline"):
+        ps = synthesize_point(scn, geo, 0, lenient=True)
+    assert ps.null_gbs == (2,)
+    assert "dropping null conflicting with pointing at slot 4" in caplog.text
 
 
 def test_train_models_split_and_reports(small_scenario, small_dataset, small_bundle):

@@ -4,7 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from uavisac.geometry import GeometryError
+from uavisac.geometry import (
+    DirectionAngles,
+    GeometryError,
+    array_frame_unit,
+    direction_angles,
+    element_gain,
+)
 from uavisac.scenario import (
     POLICY_CLOSEST,
     POLICY_MAX_SINR,
@@ -17,6 +23,7 @@ from uavisac.scenario import (
     label_optimal_association,
     min_required_eirp_dbm,
     orientation_from_motion,
+    point_geometry,
 )
 from uavisac.geometry import RotationAngles
 
@@ -125,8 +132,8 @@ def test_orientation_from_motion():
 
 def test_associate_closest():
     scn = small_scenario(gbs_m=np.array([[100.0, 0.0, 2.0], [500.0, 500.0, 2.0]]))
-    point = level_point(0.0, 0.0)
-    assert associate(scn, point, POLICY_CLOSEST) == 0
+    geo = point_geometry(scn, level_point(0.0, 0.0))
+    assert associate(scn, geo, POLICY_CLOSEST) == 0
 
 
 def test_associate_closest_scale_invariant():
@@ -141,8 +148,9 @@ def test_associate_closest_scale_invariant():
         uav_altitude_m=1000.0,
     )
     for x, y in ((10.0, 20.0), (300.0, 200.0), (120.0, 400.0)):
-        a = associate(scn, level_point(x, y), POLICY_CLOSEST)
-        b = associate(big, level_point(10 * x, 10 * y, altitude=1000.0), POLICY_CLOSEST)
+        a = associate(scn, point_geometry(scn, level_point(x, y)), POLICY_CLOSEST)
+        far = level_point(10 * x, 10 * y, altitude=1000.0)
+        b = associate(big, point_geometry(big, far), POLICY_CLOSEST)
         assert a == b
 
 
@@ -152,8 +160,8 @@ def test_associate_min_target_angle():
         gbs_m=np.array([[500.0, 300.0, 2.0], [300.0, 500.0, 2.0]]),
         target_m=np.array([550.0, 300.0, 0.0]),
     )
-    point = level_point(300.0, 300.0)
-    assert associate(scn, point, POLICY_MIN_TARGET_ANGLE) == 0
+    geo = point_geometry(scn, level_point(300.0, 300.0))
+    assert associate(scn, geo, POLICY_MIN_TARGET_ANGLE) == 0
 
 
 def test_associate_tie_break_lowest_index():
@@ -161,24 +169,24 @@ def test_associate_tie_break_lowest_index():
         gbs_m=np.array([[200.0, 100.0, 2.0], [400.0, 100.0, 2.0]]),
         target_m=np.array([300.0, 500.0, 0.0]),
     )
-    point = level_point(300.0, 100.0)  # equidistant, symmetric channels
-    assert associate(scn, point, POLICY_CLOSEST) == 0
-    assert associate(scn, point, POLICY_MAX_SINR) == 0
+    geo = point_geometry(scn, level_point(300.0, 100.0))  # equidistant, symmetric channels
+    assert associate(scn, geo, POLICY_CLOSEST) == 0
+    assert associate(scn, geo, POLICY_MAX_SINR) == 0
 
 
 def test_associate_max_sinr_prefers_better_station():
     scn = small_scenario(gbs_m=np.array([[260.0, 240.0, 2.0], [560.0, 560.0, 2.0]]))
-    point = level_point(250.0, 250.0, yaw=0.3)
-    assert associate(scn, point, POLICY_MAX_SINR) == 0
+    geo = point_geometry(scn, level_point(250.0, 250.0, yaw=0.3))
+    assert associate(scn, geo, POLICY_MAX_SINR) == 0
 
 
 def test_label_optimal_single_station():
     scn = small_scenario(gbs_m=np.array([[250.0, 280.0, 2.0]]))
-    point = level_point(240.0, 260.0)
-    label = label_optimal_association(scn, point)
+    geo = point_geometry(scn, level_point(240.0, 260.0))
+    label = label_optimal_association(scn, geo)
     assert label.gbs_index == 0
     assert label.feasible
-    assert label.min_eirp_dbm == pytest.approx(min_required_eirp_dbm(scn, point, 0, 0.0))
+    assert label.min_eirp_dbm == pytest.approx(min_required_eirp_dbm(scn, geo, 0, 0.0))
 
 
 def test_label_optimal_prefers_unblocked_station():
@@ -186,18 +194,18 @@ def test_label_optimal_prefers_unblocked_station():
     scn = small_scenario(
         gbs_m=np.array([[260.0, 240.0, 2.0], [550.0, 550.0, 2.0]]),
     )
-    point = level_point(250.0, 250.0)
-    label = label_optimal_association(scn, point)
+    geo = point_geometry(scn, level_point(250.0, 250.0))
+    label = label_optimal_association(scn, geo)
     # oracle: smaller required EIRP wins when both are feasible
-    required = [min_required_eirp_dbm(scn, point, k, 0.0) for k in range(2)]
+    required = [min_required_eirp_dbm(scn, geo, k, 0.0) for k in range(2)]
     assert label.gbs_index == int(np.argmin(required))
 
 
 def test_label_optimal_vacuous_threshold_reduces_to_best_station():
     scn = small_scenario(gamma_sinr_db=-1000.0)
-    point = level_point(120.0, 300.0, yaw=1.0)
-    label = label_optimal_association(scn, point)
-    required = [min_required_eirp_dbm(scn, point, k, 0.0) for k in range(scn.num_gbs)]
+    geo = point_geometry(scn, level_point(120.0, 300.0, yaw=1.0))
+    label = label_optimal_association(scn, geo)
+    required = [min_required_eirp_dbm(scn, geo, k, 0.0) for k in range(scn.num_gbs)]
     assert label.feasible
     assert label.gbs_index == int(np.argmin(required))
 
@@ -206,11 +214,11 @@ def test_label_optimal_never_exceeds_cap_when_feasible_exists():
     scn = small_scenario()
     rng = np.random.default_rng(17)
     for _ in range(25):
-        point = level_point(
+        geo = point_geometry(scn, level_point(
             rng.uniform(60, 540), rng.uniform(60, 540), yaw=rng.uniform(-math.pi, math.pi)
-        )
-        label = label_optimal_association(scn, point)
-        required = [min_required_eirp_dbm(scn, point, k, 0.0) for k in range(scn.num_gbs)]
+        ))
+        label = label_optimal_association(scn, geo)
+        required = [min_required_eirp_dbm(scn, geo, k, 0.0) for k in range(scn.num_gbs)]
         if any(r <= scn.eirp_max_dbm for r in required):
             assert label.feasible
             assert label.min_eirp_dbm <= scn.eirp_max_dbm + 1e-9
@@ -221,10 +229,71 @@ def test_associate_optimal_is_the_label_station():
     rng = np.random.default_rng(23)
     picked = set()
     for _ in range(25):
-        point = level_point(
+        geo = point_geometry(scn, level_point(
             rng.uniform(60, 540), rng.uniform(60, 540), yaw=rng.uniform(-math.pi, math.pi)
-        )
-        k = associate(scn, point, POLICY_OPTIMAL)
-        assert k == label_optimal_association(scn, point).gbs_index
+        ))
+        k = associate(scn, geo, POLICY_OPTIMAL)
+        assert k == label_optimal_association(scn, geo).gbs_index
         picked.add(k)
     assert len(picked) > 1
+
+
+def test_point_geometry_fields_equal_the_per_call_derivations():
+    # the equidistant pair of test_associate_tie_break_lowest_index first
+    tie = small_scenario(
+        gbs_m=np.array([[200.0, 100.0, 2.0], [400.0, 100.0, 2.0]]),
+        target_m=np.array([300.0, 500.0, 0.0]),
+    )
+    cases = [(tie, level_point(300.0, 100.0))]
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        gbs = np.column_stack([rng.uniform(0, 600, (4, 2)), np.full(4, 2.0)])
+        scn = small_scenario(gbs_m=gbs, target_m=np.append(rng.uniform(0, 600, 2), 0.0))
+        point = TrajectoryPoint(
+            slot=0,
+            position=np.append(rng.uniform(0, 600, 2), 100.0),
+            orientation=RotationAngles(*rng.uniform(-math.pi, math.pi, 3)),
+        )
+        cases.append((scn, point))
+    for scn, point in cases:
+        geo = point_geometry(scn, point)
+        assert geo.point is point
+        assert geo.target_distance_m == np.linalg.norm(point.position - scn.target_m)
+        distances = np.linalg.norm(scn.gbs_m - point.position, axis=1)
+        assert np.array_equal(geo.gbs_distance_m, distances)
+        assert geo.gbs_by_distance == tuple(np.argsort(distances, kind="stable"))
+        fields = [
+            (scn.target_m, geo.target_dir, geo.target_unit, geo.target_frame, geo.target_gain)
+        ]
+        fields += zip(scn.gbs_m, geo.gbs_dir, geo.gbs_unit, geo.gbs_frame, geo.gbs_gain)
+        for dest, direction, unit, frame, gain in fields:
+            old_dir = direction_angles(point.position, dest)
+            old_unit = array_frame_unit(point.orientation, old_dir)
+            assert direction == old_dir
+            assert np.array_equal(unit, old_unit)
+            assert frame == DirectionAngles(
+                theta=math.acos(min(1.0, max(-1.0, old_unit[2]))),
+                phi=math.atan2(old_unit[1], old_unit[0]),
+            )
+            assert gain == element_gain(old_unit)
+    tie_geo = point_geometry(*cases[0])
+    assert tie_geo.gbs_distance_m[0] == tie_geo.gbs_distance_m[1]
+    assert tie_geo.gbs_by_distance == (0, 1)
+
+
+# Per-slot stations of the default scenario's seed-77 trajectory (111 slots),
+# one digit per slot.
+ASSOCIATION_PINS = {
+    POLICY_CLOSEST: "0" * 67 + "2" * 44,
+    POLICY_MIN_TARGET_ANGLE: "4" * 36 + "2" * 14 + "1" * 7 + "0" * 54,
+    POLICY_MAX_SINR: "0" * 61 + "33330033333333333322222232333322233333333333333222",
+    POLICY_OPTIMAL: "0" * 61 + "33330033333333333322222232333322233333333333333222",
+}
+
+
+def test_association_per_slot_is_pinned():
+    scn = Scenario()
+    traj = generate_trajectories(scn, 1, seed=77)[0]
+    geos = [point_geometry(scn, point) for point in traj.points]
+    for policy, expected in ASSOCIATION_PINS.items():
+        assert "".join(str(associate(scn, geo, policy)) for geo in geos) == expected
