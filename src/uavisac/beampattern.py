@@ -19,9 +19,12 @@ without refining and leaves the rest of the budget unused.
 Every candidate is a tapered, phase-steered outer product vx vz^T on its
 active block, minus one outer product per projected null, so its weights
 reshaped to (rows, columns) are W = X Z^T with 1 + n_nulls columns.  Cuts
-contract that factored form against per-axis steering factors, which a phase
-recurrence builds along the evenly spaced grid axes; `pattern_cut` contracts
-any weight vector through the same path as X = W, Z = I.  Pattern cuts, SLL
+contract that factored form against per-axis steering factors; `pattern_cut`
+contracts any weight vector through the same path as X = W, Z = I.  A cut is
+built arc first: from cached grid trig, only a window around the pointing
+sample gets array-frame units and the arc tests, and each axis factor takes
+one complex exponential, the half-step phasor, which a recurrence symmetric
+about the aperture centre expands to every grid row.  Pattern cuts, SLL
 extraction and EIRP evaluation thus share one code path, so the achieved
 values reported by a synthesis result can be re-derived from its weights.
 Everything here is pure given its inputs; results are immutable.
@@ -169,95 +172,121 @@ def array_gain(
     return float(abs(np.vdot(steering(config, unit), w)) ** 2 * element_gain(unit))
 
 
-def _cut_grid(plane: str, pointing: DirectionAngles, step_deg: float):
-    """Angle samples and global-frame unit vectors for one principal cut."""
+@functools.lru_cache(maxsize=16)
+def _cut_grid(plane: str, step_deg: float):
+    """Cut parameter samples of one principal cut with their cosines and sines.
+
+    The azimuth cut sweeps phi over [-pi, pi), the elevation cut theta over
+    [0, pi].  The (angles, cos, sin) arrays are shared between calls and
+    read-only.
+    """
     step = math.radians(step_deg)
     if plane == "azimuth":
         angles = np.arange(-math.pi, math.pi, step)
-        theta = pointing.theta
-        units = np.column_stack(
-            [
-                np.cos(angles) * math.sin(theta),
-                np.sin(angles) * math.sin(theta),
-                np.full_like(angles, math.cos(theta)),
-            ]
-        )
     elif plane == "elevation":
         angles = np.arange(0.0, math.pi + step / 2, step)
-        phi = pointing.phi
-        units = np.column_stack(
-            [
-                math.cos(phi) * np.sin(angles),
-                math.sin(phi) * np.sin(angles),
-                np.cos(angles),
-            ]
-        )
     else:
         raise ValueError(f"unknown cut plane {plane!r}")
-    return angles, units
+    grid = (angles, np.cos(angles), np.sin(angles))
+    for a in grid:
+        a.setflags(write=False)
+    return grid
 
 
-def _cut_arc(angles, units_arr, point_index: int, circular: bool):
-    """Contiguous run of cut samples belonging to the beam.
+def _cut_arc(plane: str, pointing: DirectionAngles, rot, step_deg: float):
+    """Angles and array-frame units of the cut samples belonging to the beam.
 
     Keeps samples within 90 degrees of the pointing along the cut parameter
     and inside the beam's own half-space: a planar aperture radiates an exact
     mirror image through its own plane, which a ground plane suppresses in
     hardware, so the mirror hemisphere never enters the sidelobe accounting.
-    Returns (angles, row indices) with strictly increasing angles (azimuth
-    arcs crossing the wrap point are unwrapped past pi).
+    The kept samples form the contiguous run around the pointing sample, so
+    units and both tests are computed only on an index window two samples
+    wider than 90 degrees on each side, whose edge samples always fail the
+    angle test (the azimuth grid may end with a sample that duplicates -pi to
+    roundoff, which shifts a window across the seam by at most one sample).
+    `rot` is the array's rotation matrix, so row i of the units is R^T u_i.
+    Returns (angles, units) with strictly increasing angles (azimuth arcs
+    crossing the wrap point are unwrapped past pi).
     """
+    angles, cos, sin = _cut_grid(plane, step_deg)
     n = angles.size
-    side = 1.0 if units_arr[point_index, 1] >= 0.0 else -1.0
-    keep = side * units_arr[:, 1] >= -1e-12
-    delta = angles - angles[point_index]
+    reach = math.ceil(math.pi / 2 / math.radians(step_deg)) + 2
+    circular = plane == "azimuth"
+    if circular:
+        point_angle = math.atan2(math.sin(pointing.phi), math.cos(pointing.phi))
+        point_index = int(np.argmin(np.abs(angles - point_angle)))
+        window = np.arange(point_index - reach, point_index + reach + 1) % n
+        sin_t = math.sin(pointing.theta)
+        units = np.column_stack(
+            [
+                cos[window] * sin_t,
+                sin[window] * sin_t,
+                np.full(window.size, math.cos(pointing.theta)),
+            ]
+        )
+        centre = reach
+    else:
+        point_index = int(np.argmin(np.abs(angles - pointing.theta)))
+        window = slice(max(0, point_index - reach), min(n, point_index + reach + 1))
+        units = np.column_stack(
+            [
+                math.cos(pointing.phi) * sin[window],
+                math.sin(pointing.phi) * sin[window],
+                cos[window],
+            ]
+        )
+        centre = point_index - window.start
+    window_angles = angles[window]
+    delta = window_angles - angles[point_index]
     if circular:
         delta = np.arctan2(np.sin(delta), np.cos(delta))
-    keep &= np.abs(delta) <= math.pi / 2 + 1e-12
-    if keep.all():
-        return angles, np.arange(n)
+    units = units @ rot
+    side = 1.0 if units[centre, 1] >= 0.0 else -1.0
+    keep = (side * units[:, 1] >= -1e-12) & (np.abs(delta) <= math.pi / 2 + 1e-12)
     dropped = np.flatnonzero(~keep)
-    if not circular:
-        before = dropped[dropped < point_index]
-        after = dropped[dropped > point_index]
-        lo = int(before[-1]) + 1 if before.size else 0
-        hi = int(after[0]) - 1 if after.size else n - 1
-        idx = np.arange(lo, hi + 1)
-        return angles[idx], idx
-    # walk outwards around the circle to the first dropped sample on each side;
-    # the pointing sample is always kept, so the arc never closes on itself
-    lo = point_index - int(((point_index - dropped - 1) % n).min())
-    hi = point_index + int(((dropped - point_index - 1) % n).min())
-    idx = np.arange(lo, hi + 1) % n
-    arc_angles = angles[idx].copy()
-    wrapped = np.nonzero(np.diff(arc_angles) < 0)[0]
-    if wrapped.size:
-        arc_angles[wrapped[0] + 1 :] += 2.0 * math.pi
-    return arc_angles, idx
+    before = dropped[dropped < centre]
+    after = dropped[dropped > centre]
+    lo = int(before[-1]) + 1 if before.size else 0
+    hi = int(after[0]) if after.size else keep.size
+    arc_angles = window_angles[lo:hi].copy()
+    if circular:
+        wrapped = np.nonzero(np.diff(arc_angles) < 0)[0]
+        if wrapped.size:
+            arc_angles[wrapped[0] + 1 :] += 2.0 * math.pi
+    return arc_angles, units[lo:hi]
 
 
-def _axis_factors(config: ArrayConfig, units):
+def _axis_factors(config: ArrayConfig, units, conjugate: bool = False):
     """Per-axis steering factors of array-frame units (n, 3): (side, n) each.
 
     Row r of the first is exp(j k x_r u_x), row c of the second
-    exp(j k z_c u_z), over the grid offsets of grid_axis_offsets.  Those
-    offsets are evenly spaced, so every row is the previous one times the step
-    phasor exp(j k d u): two complex exponentials per axis, whatever the side
-    length.
+    exp(j k z_c u_z), over the grid offsets of grid_axis_offsets; with
+    `conjugate` the phases are negated.  Those offsets are evenly spaced and
+    symmetric about the aperture centre, so one complex exponential per axis,
+    the half-step phasor h = exp(j k d u / 2), builds every row: the first
+    row at or above the centre is h for an even side and exactly 1 for an
+    odd one, each row further up is the one below it times the step phasor
+    h^2, and each row below the centre is the exact conjugate of its mirror.
     """
+    side = config.side
+    mid = side // 2
+    phase = (-0.5j if conjugate else 0.5j) * config.wavenumber * config.spacing_m
     factors = []
-    for offsets, u in zip(grid_axis_offsets(config), (units[:, 0], units[:, 2])):
-        f = np.empty((offsets.size, u.size), dtype=np.complex128)
-        f[0] = np.exp(1j * config.wavenumber * offsets[0] * u)
-        step = np.exp(1j * config.wavenumber * config.spacing_m * u)
-        for r in range(1, offsets.size):
+    for u in (units[:, 0], units[:, 2]):
+        f = np.empty((side, u.size), dtype=np.complex128)
+        half = np.exp(phase * u)
+        f[mid] = 1.0 if side % 2 else half
+        step = half * half
+        for r in range(mid + 1, side):
             np.multiply(f[r - 1], step, out=f[r])
+        np.conjugate(f[: (side - 1) // 2 : -1], out=f[:mid])
         factors.append(f)
     return factors
 
 
 class _PatternEvaluator:
-    """Caches per-axis steering factors for both principal cuts of one request.
+    """Caches conjugated per-axis steering factors for both principal cuts.
 
     The panel is a square grid in the array's XZ plane, so the steering
     vector toward array-frame direction u is the Kronecker product
@@ -265,10 +294,13 @@ class _PatternEvaluator:
     come in factored form W = X Z^T, W being the weights reshaped to (rows,
     columns), and a^H w = sum_j (e_x^H X_j)(e_z^H Z_j).  `pattern_cut` passes
     X = W and Z = I; the synthesizer passes its Chebyshev candidate and one
-    column per null, 1 + n_nulls columns in all.  A cut of n directions thus
-    costs two (side, n) factor matrices, built by a phase recurrence along
-    the evenly spaced axis (see _axis_factors), and 2 n side (1 + n_nulls)
-    products per candidate instead of a dense (n, side**2) steering matrix.
+    column per null, 1 + n_nulls columns in all.  Each cut's samples come
+    arc first: the grid trig is cached, and units are computed only on a
+    window around the pointing sample (see _cut_arc).  A cut of n arc
+    samples thus costs two (side, n) factor matrices, built with one complex
+    exponential per axis by a symmetric recurrence (see _axis_factors), and
+    2 n side (1 + n_nulls) products per candidate instead of a dense
+    (n, side**2) steering matrix.
     """
 
     def __init__(
@@ -278,28 +310,13 @@ class _PatternEvaluator:
         pointing: DirectionAngles,
         step_deg: float = GRID_STEP_DEG,
     ):
-        self.config = config
-        self.pointing = pointing
         rot = rotation_matrix(pose.angles)
         self.cuts: dict[str, tuple] = {}
         for plane in ("azimuth", "elevation"):
-            angles, units = _cut_grid(plane, pointing, step_deg)
-            units_arr = units @ rot  # row i is R^T u_i
-            if plane == "azimuth":
-                point_angle = math.atan2(math.sin(pointing.phi), math.cos(pointing.phi))
-                point_index = int(np.argmin(np.abs(angles - point_angle)))
-            else:
-                point_index = int(np.argmin(np.abs(angles - pointing.theta)))
-            arc_angles, idx = _cut_arc(angles, units_arr, point_index, plane == "azimuth")
-            units_arc = units_arr[idx]
+            angles, units = _cut_arc(plane, pointing, rot, step_deg)
             # conjugated factors, ready for the a^H w contraction
-            ex_conj, ez_conj = _axis_factors(config, units_arc)
-            np.conjugate(ex_conj, out=ex_conj)
-            np.conjugate(ez_conj, out=ez_conj)
-            self.cuts[plane] = (arc_angles, ex_conj, ez_conj, element_gain(units_arc))
-        unit_point = array_frame_unit(pose.angles, pointing)
-        self.point_steering = steering(config, unit_point)
-        self.point_element_gain = element_gain(unit_point)
+            ex_conj, ez_conj = _axis_factors(config, units, conjugate=True)
+            self.cuts[plane] = (angles, ex_conj, ez_conj, element_gain(units))
 
     def cut_gains_db(self, plane: str, x: NDArray[np.complex128], z: NDArray[np.complex128]):
         """Cut angles and gains (dB below the cut's peak) of the weights x z^T."""
@@ -311,10 +328,6 @@ class _PatternEvaluator:
             return angles, np.full(power.shape, -400.0)
         norm = np.maximum(power / peak, _DB_FLOOR)
         return angles, 10.0 * np.log10(norm)
-
-    def gain_at_pointing(self, weights: NDArray[np.complex128]) -> float:
-        af = abs(np.vdot(self.point_steering, weights)) ** 2
-        return float(af * self.point_element_gain)
 
 
 def pattern_cut(
@@ -417,12 +430,9 @@ def _dolph_chebyshev(n: int, sll_db: float) -> NDArray[np.float64]:
     return w
 
 
-def _null_basis(
-    config: ArrayConfig, pose: Pose, nulls: Sequence[DirectionAngles]
-) -> NDArray[np.complex128]:
-    """(M, n) steering columns toward the nulls; (M, 0) when there are none."""
-    units = np.reshape([array_frame_unit(pose.angles, null) for null in nulls], (-1, 3))
-    return steering(config, units).T
+def _frame_units(pose: Pose, directions: Sequence[DirectionAngles]) -> NDArray[np.float64]:
+    """Array-frame units of the directions, (n, 3); (0, 3) when there are none."""
+    return np.reshape([array_frame_unit(pose.angles, d) for d in directions], (-1, 3))
 
 
 def _project_out(
@@ -479,7 +489,7 @@ def apply_nulls(
     if not nulls:
         return weights
     check_nulls(config, nulls, pointing)
-    basis = _null_basis(config, pose, nulls)
+    basis = steering(config, _frame_units(pose, nulls)).T
     projected, _ = _project_out(_weight_entries(weights), basis, np.ones(config.num_elements, bool))
     scale = max(1.0, float(np.max(np.abs(projected))))
     return BeamWeights(
@@ -524,10 +534,12 @@ class _Synthesizer:
         self.request = request
         check_nulls(config, request.nulls, request.pointing)
         self.evaluator = _PatternEvaluator(config, pose, request.pointing)
-        self.null_basis = _null_basis(config, pose, request.nulls)
-        # column 0 steers to the pointing, column 1 + n to null n
-        units = [array_frame_unit(pose.angles, d) for d in (request.pointing, *request.nulls)]
-        self.axis_x, self.axis_z = _axis_factors(config, np.array(units))
+        # row 0 is the pointing, row 1 + n null n; so are the axis-factor columns
+        units = _frame_units(pose, (request.pointing, *request.nulls))
+        self.point_steering = steering(config, units[0])
+        self.point_element_gain = element_gain(units[0])
+        self.null_basis = steering(config, units[1:]).T  # (M, n_nulls) columns
+        self.axis_x, self.axis_z = _axis_factors(config, units)
         self.eirp_target_mw = from_db(request.eirp_target_dbm)
         self.side = config.side
         self.best: _Candidate | None = None
@@ -576,7 +588,8 @@ class _Synthesizer:
         self._seen.add(key)
         req = self.request
         entries, x, z = self._build_entries(rows, cols, s_az, s_el)
-        gain_point = self.evaluator.gain_at_pointing(entries)
+        af_point = abs(np.vdot(self.point_steering, entries)) ** 2
+        gain_point = float(af_point * self.point_element_gain)
         if gain_point <= 0.0:
             return False
         ppe = self.eirp_target_mw / gain_point

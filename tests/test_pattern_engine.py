@@ -3,13 +3,17 @@
 The synthesizer's cut patterns come from per-axis steering factors, built by a
 phase recurrence, contracted with weights in factored form W = X Z^T; here
 they are checked against the dense steering matrix of `_kernels` and against
-one complex exponential per element.  The loop versions of `_sll_from_gains`
-and `_cut_arc` are kept below as references for the vectorized ones.
+one complex exponential per element.  The loop version of `_sll_from_gains`
+is kept below as the reference for the vectorized one.  The windowed arc
+build `_cut_arc` is checked for exact equality against the full-circle chain
+it replaced, kept here: the whole cut grid, its array-frame units, and the
+vectorized arc selection, itself checked against a loop walk.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -19,8 +23,7 @@ from uavisac.beampattern import (
     SynthesisRequest,
     _axis_factors,
     _cut_arc,
-    _cut_grid,
-    _null_basis,
+    _frame_units,
     _project_out,
     _sll_from_gains,
     _Synthesizer,
@@ -35,8 +38,10 @@ from uavisac.geometry import (
     RotationAngles,
     centered_grid_offsets,
     direction_unit,
+    element_gain,
     grid_axis_offsets,
     rotation_matrix,
+    steering,
 )
 
 # derandomized and without an example database, so every run draws the same cases
@@ -67,6 +72,76 @@ def _sll_reference(gains_db):
     if outside.size == 0:
         return math.inf
     return float(gains[peak] - outside.max())
+
+
+def _full_circle_grid(plane, pointing, step_deg):
+    """Angle samples and global-frame unit vectors of the whole cut."""
+    step = math.radians(step_deg)
+    if plane == "azimuth":
+        angles = np.arange(-math.pi, math.pi, step)
+        theta = pointing.theta
+        units = np.column_stack(
+            [
+                np.cos(angles) * math.sin(theta),
+                np.sin(angles) * math.sin(theta),
+                np.full_like(angles, math.cos(theta)),
+            ]
+        )
+    else:
+        angles = np.arange(0.0, math.pi + step / 2, step)
+        phi = pointing.phi
+        units = np.column_stack(
+            [
+                math.cos(phi) * np.sin(angles),
+                math.sin(phi) * np.sin(angles),
+                np.cos(angles),
+            ]
+        )
+    return angles, units
+
+
+def _full_circle_select(angles, units_arr, point_index, circular):
+    """Vectorized arc selection over the whole cut: (angles, row indices)."""
+    n = angles.size
+    side = 1.0 if units_arr[point_index, 1] >= 0.0 else -1.0
+    keep = side * units_arr[:, 1] >= -1e-12
+    delta = angles - angles[point_index]
+    if circular:
+        delta = np.arctan2(np.sin(delta), np.cos(delta))
+    keep &= np.abs(delta) <= math.pi / 2 + 1e-12
+    if keep.all():
+        return angles, np.arange(n)
+    dropped = np.flatnonzero(~keep)
+    if not circular:
+        before = dropped[dropped < point_index]
+        after = dropped[dropped > point_index]
+        lo = int(before[-1]) + 1 if before.size else 0
+        hi = int(after[0]) - 1 if after.size else n - 1
+        idx = np.arange(lo, hi + 1)
+        return angles[idx], idx
+    # walk outwards around the circle to the first dropped sample on each side;
+    # the pointing sample is always kept, so the arc never closes on itself
+    lo = point_index - int(((point_index - dropped - 1) % n).min())
+    hi = point_index + int(((dropped - point_index - 1) % n).min())
+    idx = np.arange(lo, hi + 1) % n
+    arc_angles = angles[idx].copy()
+    wrapped = np.nonzero(np.diff(arc_angles) < 0)[0]
+    if wrapped.size:
+        arc_angles[wrapped[0] + 1 :] += 2.0 * math.pi
+    return arc_angles, idx
+
+
+def _full_circle_arc(plane, pointing, rot, step_deg):
+    """The arc build before windowing: every sample's units, then the arc."""
+    angles, units = _full_circle_grid(plane, pointing, step_deg)
+    units_arr = units @ rot  # row i is R^T u_i
+    if plane == "azimuth":
+        point_angle = math.atan2(math.sin(pointing.phi), math.cos(pointing.phi))
+        point_index = int(np.argmin(np.abs(angles - point_angle)))
+    else:
+        point_index = int(np.argmin(np.abs(angles - pointing.theta)))
+    arc_angles, idx = _full_circle_select(angles, units_arr, point_index, plane == "azimuth")
+    return arc_angles, units_arr[idx]
 
 
 def _cut_arc_reference(angles, units_arr, point_index, circular):
@@ -157,7 +232,7 @@ def weight_scenes(draw):
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         w = np.where(active, rng.normal(size=m) + 1j * rng.normal(size=m), 0.0)
     if nulls:
-        w, _ = _project_out(w, _null_basis(config, pose, nulls), active)
+        w, _ = _project_out(w, steering(config, _frame_units(pose, nulls)).T, active)
     assume(np.max(np.abs(w)) > 1e-6)
     return config, pose, pointing, w
 
@@ -229,20 +304,27 @@ def test_factored_candidate_cut_matches_dense_kernel(scene):
 
 @SETTINGS
 @given(
-    m=st.sampled_from([4, 16, 64, 100]),
+    m=st.sampled_from([1, 4, 9, 16, 25, 64, 81, 100]),
     units=st.lists(st.tuples(polar, angle), min_size=1, max_size=20).map(
         lambda dirs: np.array([direction_unit(DirectionAngles(*d)) for d in dirs])
     ),
 )
 def test_axis_factor_recurrence_matches_direct_exponentials(m, units):
     config = ArrayConfig(num_elements=m, carrier_hz=3e11)
+    side = config.side
     # the axis extremes carry the largest phases, k x_r u_x with |u_x| = 1
     units = np.vstack([units, np.eye(3), -np.eye(3)])
     x_rows, z_cols = grid_axis_offsets(config)
-    jk = 1j * config.wavenumber
-    ex, ez = _axis_factors(config, units)
-    assert np.max(np.abs(ex - np.exp(jk * np.outer(x_rows, units[:, 0])))) <= 1e-12
-    assert np.max(np.abs(ez - np.exp(jk * np.outer(z_cols, units[:, 2])))) <= 1e-12
+    for conjugate, sign in ((False, 1.0), (True, -1.0)):
+        jk = sign * 1j * config.wavenumber
+        ex, ez = _axis_factors(config, units, conjugate=conjugate)
+        assert np.max(np.abs(ex - np.exp(jk * np.outer(x_rows, units[:, 0])))) <= 1e-12
+        assert np.max(np.abs(ez - np.exp(jk * np.outer(z_cols, units[:, 2])))) <= 1e-12
+        for f in (ex, ez):
+            # offsets are symmetric about the centre: mirror rows are exact conjugates
+            assert np.all(f[: side // 2] == np.conj(f[::-1][: side // 2]))
+            if side % 2:
+                assert np.all(f[side // 2] == 1.0)
 
 
 @settings(SETTINGS, max_examples=300)
@@ -277,7 +359,7 @@ def test_sll_matches_loop_reference_on_synthesis_cuts():
 
 
 def _assert_same_arc(angles, units_arr, point_index, circular):
-    got_angles, got_idx = _cut_arc(angles, units_arr, point_index, circular)
+    got_angles, got_idx = _full_circle_select(angles, units_arr, point_index, circular)
     ref_angles, ref_idx = _cut_arc_reference(angles, units_arr, point_index, circular)
     assert np.array_equal(got_idx, ref_idx)
     assert np.array_equal(got_angles, ref_angles)
@@ -319,6 +401,75 @@ def test_cut_arc_matches_loop_reference_on_cut_grids():
         rot = rotation_matrix(RotationAngles(*rng.uniform(-math.pi, math.pi, 3)))
         pointing = DirectionAngles(rng.uniform(0.0, math.pi), rng.uniform(-math.pi, math.pi))
         for plane in ("azimuth", "elevation"):
-            angles, units = _cut_grid(plane, pointing, 0.5)
+            angles, units = _full_circle_grid(plane, pointing, 0.5)
             point_index = int(rng.integers(angles.size))
             _assert_same_arc(angles, units @ rot, point_index, plane == "azimuth")
+
+
+# 0.03 and 0.09 degrees leave a last azimuth sample 4e-13 below pi, a duplicate
+# of -pi to roundoff, which shifts an arc crossing the seam by one sample
+CUT_STEPS_DEG = [0.01, 0.03, 0.05, 0.07, 0.09, 0.1]
+IDENTITY = (0.0, 0.0, 0.0)
+
+
+def _assert_arc_matches_full_circle(pose_angles, pointing, step_deg):
+    rot = rotation_matrix(RotationAngles(*pose_angles))
+    pointing = DirectionAngles(*pointing)
+    for plane in ("azimuth", "elevation"):
+        want_angles, want_units = _full_circle_arc(plane, pointing, rot, step_deg)
+        got_angles, got_units = _cut_arc(plane, pointing, rot, step_deg)
+        assert np.array_equal(got_angles, want_angles)
+        assert np.array_equal(got_units, want_units)
+        assert np.array_equal(element_gain(got_units), element_gain(want_units))
+
+
+@SETTINGS
+@given(
+    pose_angles=st.tuples(angle, angle, angle),
+    pointing=st.tuples(polar, angle),
+    step_deg=st.sampled_from(CUT_STEPS_DEG),
+)
+# pointings at the phi = +-pi seam, on both duplicate-sample grids
+@example(pose_angles=(0.3, -0.2, 0.1), pointing=(1.2, math.pi), step_deg=0.03)
+@example(pose_angles=(0.3, -0.2, 0.1), pointing=(1.2, -math.pi), step_deg=0.09)
+@example(pose_angles=(-2.0, 0.4, 1.1), pointing=(2.0, math.nextafter(math.pi, 0.0)), step_deg=0.03)
+@example(pose_angles=(-2.0, 0.4, 1.1), pointing=(0.7, -math.pi + 1e-4), step_deg=0.09)
+@example(pose_angles=(1.0, 1.0, 1.0), pointing=(1.0, math.pi), step_deg=0.05)
+# theta at the poles and on the horizon
+@example(pose_angles=(0.5, 0.5, 0.5), pointing=(0.0, 0.3), step_deg=0.05)
+@example(pose_angles=(0.5, 0.5, 0.5), pointing=(math.pi / 2, 0.3), step_deg=0.07)
+@example(pose_angles=(0.5, 0.5, 0.5), pointing=(math.pi, 0.3), step_deg=0.1)
+# pointing samples on the aperture plane (u_y = 0 exactly at theta = 0 and pi)
+@example(pose_angles=IDENTITY, pointing=(0.0, math.pi / 2), step_deg=0.01)
+@example(pose_angles=IDENTITY, pointing=(math.pi, -math.pi / 2), step_deg=0.03)
+@example(pose_angles=IDENTITY, pointing=(math.pi / 2, 0.0), step_deg=0.09)
+@example(pose_angles=IDENTITY, pointing=(math.pi / 2, math.pi), step_deg=0.1)
+def test_cut_arc_matches_full_circle_reference(pose_angles, pointing, step_deg):
+    _assert_arc_matches_full_circle(pose_angles, pointing, step_deg)
+
+
+@pytest.mark.parametrize("step_deg", CUT_STEPS_DEG)
+def test_cut_arc_matches_full_circle_reference_at_a_single_gap(step_deg):
+    """The half-space test drops a single sample 20 samples from the pointing.
+
+    The arc must then start just past that gap, well inside the window, and
+    the window itself wraps round the seam.  Yaw turns the aperture normal
+    about z, so a yaw is chosen that puts the azimuth cut's lowest array-frame
+    u_y on a grid sample, and theta one that makes that lowest value -1e-9:
+    the sample fails the half-space test by far more than its tolerance,
+    while its neighbours pass.
+    """
+    angles = np.arange(-math.pi, math.pi, math.radians(step_deg))
+    gap, point = 5, 25  # the gap sample is 20 samples from the pointing
+    normal = rotation_matrix(RotationAngles(0.0, 0.4, 0.3))[:, 1]
+    alpha = angles[gap] + math.pi - math.atan2(normal[1], normal[0])
+    rho = math.hypot(normal[0], normal[1])
+    theta = math.acos(-1e-9) - math.atan2(rho, normal[2])
+    pose_angles = (math.remainder(alpha, 2 * math.pi), 0.4, 0.3)
+    rot = rotation_matrix(RotationAngles(*pose_angles))
+    _, units = _full_circle_grid("azimuth", DirectionAngles(theta, 0.0), step_deg)
+    dropped = np.flatnonzero((units @ rot)[:, 1] < -1e-12)
+    assert dropped.tolist() == [gap]
+    _assert_arc_matches_full_circle(pose_angles, (theta, angles[point]), step_deg)
+    got_angles, _ = _cut_arc("azimuth", DirectionAngles(theta, angles[point]), rot, step_deg)
+    assert got_angles[0] == angles[gap + 1]
