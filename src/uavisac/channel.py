@@ -18,9 +18,8 @@ from .geometry import (
     SPEED_OF_LIGHT,
     ArrayConfig,
     GeometryError,
-    RotationAngles,
     as_vec3,
-    steering_vector,
+    steering,
 )
 
 COMM_LOS = "comm_los"
@@ -91,10 +90,6 @@ def nlos_probability(params: ChannelParams, uav_pos, dest) -> float:
     return min(1.0, max(0.0, raw))
 
 
-def los_probability(params: ChannelParams, uav_pos, dest) -> float:
-    return 1.0 - nlos_probability(params, uav_pos, dest)
-
-
 def pathloss(params: ChannelParams, mode: str, uav_pos, dest) -> float:
     """Linear channel power gain between the UAV and a destination.
 
@@ -109,36 +104,34 @@ def pathloss(params: ChannelParams, mode: str, uav_pos, dest) -> float:
         raise GeometryError("zero distance between UAV and destination")
     lam = params.wavelength_m
     k_abs = params.absorption_per_m
-    if mode == COMM_LOS:
-        return lam**2 / ((4.0 * math.pi * d) ** 2 * math.exp(2.0 * k_abs * d))
-    if mode == COMM_NLOS:
-        return pathloss(params, COMM_LOS, uav_pos, dest) * params.nlos_attenuation**2
     if mode == RADAR_LOS:
         return (
             lam**2
             * params.radar_cross_section_m2
             / ((4.0 * math.pi) ** 3 * d**4 * math.exp(4.0 * k_abs * d))
         )
+    gain_los = lam**2 / ((4.0 * math.pi * d) ** 2 * math.exp(2.0 * k_abs * d))
+    if mode == COMM_LOS:
+        return gain_los
+    if mode == COMM_NLOS:
+        return gain_los * params.nlos_attenuation**2
     if mode == EXPECTED:
-        p_nlos = nlos_probability(params, uav_pos, dest)
-        gain_los = pathloss(params, COMM_LOS, uav_pos, dest)
+        p_nlos = nlos_probability(params, u, t)
         return (1.0 - p_nlos) * gain_los + p_nlos * gain_los * params.nlos_attenuation**2
     raise ValueError(f"unknown pathloss mode {mode!r}")
 
 
 def channel_vector(
-    params: ChannelParams,
-    config: ArrayConfig,
-    uav_pos,
-    angles: RotationAngles,
-    dest,
-    mode: str,
+    params: ChannelParams, config: ArrayConfig, uav_pos, dest, mode: str, *, unit
 ) -> ChannelVector:
-    """Channel vector sqrt(PL) exp(j 2 pi f d / c) a(uav, dest)."""
+    """Channel vector sqrt(PL) exp(j 2 pi f d / c) a(unit) toward dest.
+
+    unit is dest's direction in the array frame, as PointGeometry holds it.
+    """
     gain = pathloss(params, mode, uav_pos, dest)
     d = float(np.linalg.norm(as_vec3(dest) - as_vec3(uav_pos)))
     phase = np.exp(2j * math.pi * params.carrier_hz * d / SPEED_OF_LIGHT)
-    a = steering_vector(config, uav_pos, angles, dest)
+    a = steering(config, unit)
     return ChannelVector(entries=math.sqrt(gain) * phase * a, pathloss_linear=gain)
 
 

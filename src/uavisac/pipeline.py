@@ -8,9 +8,10 @@ the association network on the optimal labels, splitting at the trajectory
 point level so each point's beam pair stays on one side of the split.  All
 stages are deterministic under a fixed master seed.
 
-Every per-point stage reads its directions, array-frame units and angles, and
-element gains from one scenario.PointGeometry record built once per point,
-the only place they are derived outside the channel and pattern formulas.
+Every per-point stage reads its directions, array-frame units and angles,
+element gains and radar channel toward the target from one
+scenario.PointGeometry record built once per point, the only place they are
+derived.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .beampattern import (
     null_conflicts,
     synthesize,
 )
-from .channel import EXPECTED, RADAR_LOS, achievable_rate, channel_vector, sinr
+from .channel import EXPECTED, achievable_rate, channel_vector, sinr
 from .geometry import DirectionAngles, Pose, RotationAngles, steering
 from .neuralnet import Network, NetworkConfig, TrainConfig, TrainReport, forward, train
 from .scenario import (
@@ -306,15 +307,7 @@ def _comm_eirp_dbm(scenario: Scenario, geo: PointGeometry, gbs_index: int,
     The comm beam gets the minimum EIRP that meets the SINR threshold at the
     serving station given the interference of the sensing beam.
     """
-    h_sense = channel_vector(
-        scenario.channel,
-        scenario.array,
-        geo.point.position,
-        geo.point.orientation,
-        scenario.target_m,
-        RADAR_LOS,
-    )
-    interference = float(abs(np.vdot(h_sense.entries, sensing.vector)) ** 2)
+    interference = float(abs(np.vdot(geo.target_channel.entries, sensing.vector)) ** 2)
     required = min_required_eirp_dbm(scenario, geo, gbs_index, interference)
     return interference, min(required, scenario.eirp_max_dbm)
 
@@ -684,14 +677,12 @@ def evaluate_trajectory(
         if matrices_out is not None:
             matrices_out.append(matrix)
         h_comm = channel_vector(
-            scenario.channel, scenario.array, point.position, point.orientation,
-            scenario.gbs_m[k], EXPECTED,
+            scenario.channel, scenario.array, point.position, scenario.gbs_m[k], EXPECTED,
+            unit=geo.gbs_unit[k],
         )
-        h_sense = channel_vector(
-            scenario.channel, scenario.array, point.position, point.orientation,
-            scenario.target_m, RADAR_LOS,
+        value = sinr(
+            h_comm, geo.target_channel, matrix.comm, matrix.sensing, scenario.channel.noise_mw
         )
-        value = sinr(h_comm, h_sense, matrix.comm, matrix.sensing, scenario.channel.noise_mw)
         rate = achievable_rate(value, scenario.channel.bandwidth_hz)
         bgain = beampattern_gain(matrix, scenario.array, point.pose, scenario.target_m)
         records.append(

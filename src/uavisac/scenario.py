@@ -7,10 +7,9 @@ fixed endpoints: every step has the full slot displacement, headings are drawn
 inside a cone toward the goal, and the final slot snaps exactly onto the end
 point, so the speed bound and endpoint constraints hold by construction.
 
-Apart from the channel and beam-pattern formulas, which take positions,
-point_geometry is the only place a per-point direction, array-frame unit or
-element gain is derived; association and every per-point pipeline stage read
-its PointGeometry record.
+point_geometry is the only place a per-point direction, array-frame unit,
+element gain or radar channel toward the target is derived; association and
+every per-point pipeline stage read its PointGeometry record.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ from .channel import (
     EXPECTED,
     RADAR_LOS,
     ChannelParams,
+    ChannelVector,
     channel_vector,
     pathloss,
     sinr,
@@ -314,7 +314,8 @@ def _wrap_angle(angle: float) -> float:
 @dataclass(frozen=True)
 class PointGeometry:
     """One trajectory point's distance, global direction, array-frame unit and
-    angles, and element gain toward the target and each station (by index).
+    angles, and element gain toward the target and each station (by index),
+    plus the radar channel toward the target.
 
     Network features carry the array-frame angles: the synthesized weights
     depend on the beam direction relative to the aperture.  gbs_by_distance
@@ -327,6 +328,7 @@ class PointGeometry:
     target_unit: NDArray[np.float64]
     target_frame: DirectionAngles
     target_gain: float
+    target_channel: ChannelVector
     gbs_distance_m: NDArray[np.float64]
     gbs_dir: tuple[DirectionAngles, ...]
     gbs_unit: tuple[NDArray[np.float64], ...]
@@ -355,6 +357,10 @@ def point_geometry(scenario: Scenario, point: TrajectoryPoint) -> PointGeometry:
         target_unit=units[0],
         target_frame=frames[0],
         target_gain=gains[0],
+        target_channel=channel_vector(
+            scenario.channel, scenario.array, point.position, scenario.target_m, RADAR_LOS,
+            unit=units[0],
+        ),
         gbs_distance_m=gbs_distance,
         gbs_dir=tuple(dirs[1:]),
         gbs_unit=tuple(units[1:]),
@@ -397,16 +403,15 @@ def associate(
         gaps = [abs(_wrap_angle(d.phi - phi_target)) for d in geo.gbs_dir]
         return int(np.argmin(gaps))
     if policy == POLICY_MAX_SINR:
-        pos, angles = geo.point.position, geo.point.orientation
         w_sense = _matched_weights(scenario, geo.target_unit, geo.target_gain)
-        h_sense = channel_vector(
-            scenario.channel, scenario.array, pos, angles, scenario.target_m, RADAR_LOS
-        )
         best_idx, best_sinr = 0, -math.inf
         for idx, gbs in enumerate(scenario.gbs_m):
             w_comm = _matched_weights(scenario, geo.gbs_unit[idx], geo.gbs_gain[idx])
-            h_comm = channel_vector(scenario.channel, scenario.array, pos, angles, gbs, EXPECTED)
-            value = sinr(h_comm, h_sense, w_comm, w_sense, scenario.channel.noise_mw)
+            h_comm = channel_vector(
+                scenario.channel, scenario.array, geo.point.position, gbs, EXPECTED,
+                unit=geo.gbs_unit[idx],
+            )
+            value = sinr(h_comm, geo.target_channel, w_comm, w_sense, scenario.channel.noise_mw)
             if value > best_sinr:
                 best_idx, best_sinr = idx, value
         return best_idx

@@ -11,15 +11,25 @@ from uavisac.channel import (
     ChannelParams,
     achievable_rate,
     channel_vector,
-    los_probability,
     nlos_probability,
     pathloss,
     sinr,
 )
-from uavisac.geometry import SPEED_OF_LIGHT, ArrayConfig, GeometryError, RotationAngles
+from uavisac.geometry import (
+    SPEED_OF_LIGHT,
+    ArrayConfig,
+    GeometryError,
+    RotationAngles,
+    array_frame_unit,
+    direction_angles,
+)
 
 UAV = np.array([0.0, 0.0, 100.0])
 ZERO = RotationAngles(0.0, 0.0, 0.0)
+
+
+def frame_unit(uav, angles, dest):
+    return array_frame_unit(angles, direction_angles(uav, dest))
 
 
 def params_1mm(**kwargs):
@@ -51,12 +61,6 @@ def test_nlos_probability_frozen_oracle_values():
     }
     for dh, value in expected.items():
         assert nlos_probability(p, UAV, [dh, 0.0, 2.0]) == pytest.approx(value, rel=1e-12)
-
-
-def test_probability_complement():
-    p = params_1mm()
-    dest = [300.0, 50.0, 2.0]
-    assert nlos_probability(p, UAV, dest) + los_probability(p, UAV, dest) == pytest.approx(1.0)
 
 
 def test_nlos_probability_requires_height_gap():
@@ -108,7 +112,7 @@ def test_channel_vector_norm_invariant():
     rng = np.random.default_rng(4)
     for _ in range(20):
         dest = np.array([rng.uniform(50, 800), rng.uniform(-400, 400), 2.0])
-        h = channel_vector(p, config, UAV, ZERO, dest, EXPECTED)
+        h = channel_vector(p, config, UAV, dest, EXPECTED, unit=frame_unit(UAV, ZERO, dest))
         norm_sq = float(np.sum(np.abs(h.entries) ** 2))
         assert norm_sq == pytest.approx(config.num_elements * h.pathloss_linear, rel=1e-12)
 
@@ -119,7 +123,8 @@ def test_channel_vector_single_element_zero_phase():
     config = ArrayConfig(num_elements=1, carrier_hz=p.carrier_hz)
     d = 1000.0 * config.wavelength_m
     uav = np.array([0.0, 0.0, d])
-    h = channel_vector(p, config, uav, ZERO, np.zeros(3), COMM_LOS)
+    origin = np.zeros(3)
+    h = channel_vector(p, config, uav, origin, COMM_LOS, unit=frame_unit(uav, ZERO, origin))
     expected_gain = pathloss(p, COMM_LOS, uav, np.zeros(3))
     assert h.entries.shape == (1,)
     assert h.entries[0] == pytest.approx(math.sqrt(expected_gain), rel=1e-9)
@@ -130,10 +135,21 @@ def test_channel_vector_single_element_zero_phase():
 def test_channel_vector_inverse_square():
     p = params_1mm()
     config = ArrayConfig(num_elements=4, carrier_hz=p.carrier_hz)
-    h1 = channel_vector(p, config, UAV, ZERO, [0.0, 0.0, 0.0], COMM_LOS)
-    h2 = channel_vector(p, config, [0.0, 0.0, 200.0], ZERO, [0.0, 0.0, 0.0], COMM_LOS)
+    origin, high = [0.0, 0.0, 0.0], [0.0, 0.0, 200.0]
+    h1 = channel_vector(p, config, UAV, origin, COMM_LOS, unit=frame_unit(UAV, ZERO, origin))
+    h2 = channel_vector(p, config, high, origin, COMM_LOS, unit=frame_unit(high, ZERO, origin))
     ratio = np.sum(np.abs(h1.entries) ** 2) / np.sum(np.abs(h2.entries) ** 2)
     assert ratio == pytest.approx(4.0, rel=1e-12)
+
+
+def test_channel_vector_rejects_an_orientation_in_place_of_the_unit():
+    p = params_1mm()
+    config = ArrayConfig(num_elements=4, carrier_hz=p.carrier_hz)
+    dest = [100.0, 0.0, 2.0]
+    with pytest.raises(TypeError):
+        channel_vector(p, config, UAV, ZERO, dest, COMM_LOS)
+    with pytest.raises(TypeError):
+        channel_vector(p, config, UAV, dest, COMM_LOS, frame_unit(UAV, ZERO, dest))
 
 
 def _unit_channel(m=1):
@@ -157,8 +173,10 @@ def test_sinr_matched_weights_against_dot_product_oracle():
         dest = np.array([rng.uniform(100, 600), rng.uniform(-300, 300), 2.0])
         target = np.array([rng.uniform(100, 600), rng.uniform(-300, 300), 0.0])
         angles = RotationAngles(rng.uniform(-math.pi, math.pi), 0.0, 0.0)
-        h_c = channel_vector(p, config, UAV, angles, dest, COMM_LOS)
-        h_s = channel_vector(p, config, UAV, angles, target, RADAR_LOS)
+        h_c = channel_vector(p, config, UAV, dest, COMM_LOS, unit=frame_unit(UAV, angles, dest))
+        h_s = channel_vector(
+            p, config, UAV, target, RADAR_LOS, unit=frame_unit(UAV, angles, target)
+        )
         w_c = rng.normal(size=25) + 1j * rng.normal(size=25)
         w_s = rng.normal(size=25) + 1j * rng.normal(size=25)
         noise = 1e-11

@@ -4,12 +4,15 @@ import math
 import numpy as np
 import pytest
 
+from uavisac.channel import RADAR_LOS, pathloss
 from uavisac.geometry import (
+    SPEED_OF_LIGHT,
     DirectionAngles,
     GeometryError,
     array_frame_unit,
     direction_angles,
     element_gain,
+    steering_vector,
 )
 from uavisac.scenario import (
     POLICY_CLOSEST,
@@ -276,6 +279,12 @@ def test_point_geometry_fields_equal_the_per_call_derivations():
                 phi=math.atan2(old_unit[1], old_unit[0]),
             )
             assert gain == element_gain(old_unit)
+        radar_gain = pathloss(scn.channel, RADAR_LOS, point.position, scn.target_m)
+        d = float(np.linalg.norm(scn.target_m - point.position))
+        phase = np.exp(2j * math.pi * scn.channel.carrier_hz * d / SPEED_OF_LIGHT)
+        a = steering_vector(scn.array, point.position, point.orientation, scn.target_m)
+        assert geo.target_channel.pathloss_linear == radar_gain
+        assert np.array_equal(geo.target_channel.entries, math.sqrt(radar_gain) * phase * a)
     tie_geo = point_geometry(*cases[0])
     assert tie_geo.gbs_distance_m[0] == tie_geo.gbs_distance_m[1]
     assert tie_geo.gbs_by_distance == (0, 1)
