@@ -29,7 +29,6 @@ from .geometry import (
     RotationAngles,
     direction_angles,
     element_gain,
-    element_positions,
     rotation_matrix,
     steering_vector,
 )

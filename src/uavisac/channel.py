@@ -27,8 +27,6 @@ RADAR_LOS = "radar_los"
 COMM_NLOS = "comm_nlos"
 EXPECTED = "expected"
 
-PATHLOSS_MODES = (COMM_LOS, RADAR_LOS, COMM_NLOS, EXPECTED)
-
 
 @dataclass
 class ChannelParams:

@@ -163,13 +163,6 @@ def grid_axis_offsets(config: ArrayConfig) -> tuple[NDArray[np.float64], NDArray
     return grid[:, 0, 0], grid[0, :, 2]
 
 
-def element_positions(
-    config: ArrayConfig, center, angles: RotationAngles
-) -> NDArray[np.float64]:
-    """Absolute element positions center + R(angles) p_m^(0), shape (M, 3)."""
-    return as_vec3(center) + element_grid_offsets(config) @ rotation_matrix(angles).T
-
-
 def direction_angles(from_pos, to_pos) -> DirectionAngles:
     """Direction angle pair from one position toward another.
 

@@ -525,8 +525,16 @@ def train_models(samples: Sequence[Sample], scenario: Scenario,
     train_rows = np.sort(np.concatenate([2 * train_points, 2 * train_points + 1]))
     val_rows = np.sort(np.concatenate([2 * val_points, 2 * val_points + 1]))
 
-    geos = [point_geometry(scenario, _sample_point(s)) for s in samples]
-    target_steering = {int(i): steering(scenario.array, geos[i].target_unit) for i in val_points}
+    # only the association features and the validation target steering
+    # outlive each point's geometry record
+    xa = np.zeros((n, 4))
+    target_steering = {}
+    val_set = set(val_points.tolist())
+    for i, sample in enumerate(samples):
+        geo = point_geometry(scenario, _sample_point(sample))
+        xa[i] = association_features(scenario, geo)
+        if i in val_set:
+            target_steering[i] = steering(scenario.array, geo.target_unit)
     b_star = {}
     for i in val_points:
         a = target_steering[int(i)]
@@ -564,7 +572,6 @@ def train_models(samples: Sequence[Sample], scenario: Scenario,
 
     k = scenario.num_gbs
     denom = float(max(k - 1, 1))
-    xa = np.stack([association_features(scenario, geo) for geo in geos])
     ya = np.array([[s.optimal_gbs / denom] for s in samples])
     assoc_config = NetworkConfig(layer_sizes=(4, 64, 32, 1), hidden_activation="relu",
                                  seed=config.seed + 1)

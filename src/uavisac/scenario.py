@@ -10,6 +10,10 @@ point, so the speed bound and endpoint constraints hold by construction.
 point_geometry is the only place a per-point direction, array-frame unit,
 element gain or radar channel toward the target is derived; association and
 every per-point pipeline stage read its PointGeometry record.
+
+Max-SINR association and the optimal association label are one rule: the
+station with the smallest required EIRP, lowest index on ties (see
+associate).
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 from numpy.typing import NDArray
 
-from .beampattern import BeamWeights
 from .channel import (
     EXPECTED,
     RADAR_LOS,
@@ -31,7 +34,6 @@ from .channel import (
     ChannelVector,
     channel_vector,
     pathloss,
-    sinr,
 )
 from .geometry import (
     ArrayConfig,
@@ -43,7 +45,6 @@ from .geometry import (
     as_vec3,
     direction_angles,
     element_gain,
-    steering,
 )
 from .units import from_db, to_db
 
@@ -118,10 +119,6 @@ class Scenario:
     @property
     def gamma_sinr_linear(self) -> float:
         return from_db(self.gamma_sinr_db)
-
-    @property
-    def eirp_max_mw(self) -> float:
-        return from_db(self.eirp_max_dbm)
 
     def to_json_dict(self) -> dict:
         ch = self.channel
@@ -370,14 +367,6 @@ def point_geometry(scenario: Scenario, point: TrajectoryPoint) -> PointGeometry:
     )
 
 
-def _matched_weights(scenario: Scenario, unit, ge: float) -> BeamWeights:
-    """Phase-matched full-aperture beam at the EIRP cap toward unit, element gain ge."""
-    config = scenario.array
-    gain = config.num_elements**2 * ge
-    ppe = scenario.eirp_max_mw / gain if gain > 0.0 else 1e-12
-    return BeamWeights(entries=steering(config, unit), power_per_element_mw=ppe)
-
-
 def associate(
     scenario: Scenario,
     geo: PointGeometry,
@@ -387,10 +376,18 @@ def associate(
     """Pick the serving ground station for one trajectory point.
 
     closest: smallest 3D distance.  min_target_angle: azimuth closest to the
-    target azimuth.  max_sinr: highest SINR probing each station with a
-    matched beam at the EIRP cap against the matched sensing beam.  optimal:
-    the label_optimal_association station without sensing interference.
-    Ties go to the lowest index.
+    target azimuth.  max_sinr and optimal: the label_optimal_association
+    station without sensing interference.  Ties go to the lowest index.
+
+    max_sinr is the same rule as optimal.  Probe station k with a matched
+    full-aperture beam at the EIRP cap: with element gain g_k > 0 toward k it
+    delivers |h_k^H w_k|^2 = PL_k * EIRP_cap / g_k, while the matched sensing
+    beam's interference |h_s^H w_s|^2 is the same for every station.  So the
+    highest probe SINR is the smallest gamma * (N + I) * g_k / PL_k, the
+    min_required_eirp_dbm argmin, for any interference I.  The rules part
+    only at g_k == 0 exactly (a station straight behind the aperture): no
+    matched beam reaches the cap there, while the closed form gives -inf dBm
+    and picks that station.
     """
     if policy == POLICY_NN:
         if predictor is None:
@@ -402,20 +399,7 @@ def associate(
         phi_target = geo.target_dir.phi
         gaps = [abs(_wrap_angle(d.phi - phi_target)) for d in geo.gbs_dir]
         return int(np.argmin(gaps))
-    if policy == POLICY_MAX_SINR:
-        w_sense = _matched_weights(scenario, geo.target_unit, geo.target_gain)
-        best_idx, best_sinr = 0, -math.inf
-        for idx, gbs in enumerate(scenario.gbs_m):
-            w_comm = _matched_weights(scenario, geo.gbs_unit[idx], geo.gbs_gain[idx])
-            h_comm = channel_vector(
-                scenario.channel, scenario.array, geo.point.position, gbs, EXPECTED,
-                unit=geo.gbs_unit[idx],
-            )
-            value = sinr(h_comm, geo.target_channel, w_comm, w_sense, scenario.channel.noise_mw)
-            if value > best_sinr:
-                best_idx, best_sinr = idx, value
-        return best_idx
-    if policy == POLICY_OPTIMAL:
+    if policy in (POLICY_MAX_SINR, POLICY_OPTIMAL):
         return label_optimal_association(scenario, geo).gbs_index
     raise ValueError(f"unknown association policy {policy!r}")
 
@@ -453,31 +437,23 @@ def label_optimal_association(
     geo: PointGeometry,
     interference_mw: float = 0.0,
 ) -> AssociationLabel:
-    """Best station in rate with the smallest required EIRP as tie-break.
+    """The station with the smallest required EIRP, lowest index on ties.
 
-    Every station feasible under the EIRP cap achieves the SINR threshold
-    exactly at its minimum EIRP, so feasible candidates tie in rate and the
-    tie-break selects the smallest requirement, then the lowest index.  When
-    no station is feasible the highest-SINR station at the cap is returned,
-    flagged infeasible.
+    Every station feasible under the EIRP cap reaches the SINR threshold
+    exactly at its minimum EIRP, so feasible stations tie in rate and the
+    smallest requirement wins.  An infeasible station transmits at the cap
+    and its SINR falls as its requirement rises, so when no station is
+    feasible the smallest requirement is still the highest-rate station; it
+    is returned at the cap, flagged infeasible.
     """
-    gamma = scenario.gamma_sinr_linear
-    best: tuple | None = None
-    best_label: AssociationLabel | None = None
-    for idx in range(scenario.num_gbs):
-        required_dbm = min_required_eirp_dbm(scenario, geo, idx, interference_mw)
-        feasible = required_dbm <= scenario.eirp_max_dbm
-        if feasible:
-            value = gamma
-            eirp_dbm = required_dbm
-        else:
-            # SINR actually reached when transmitting at the cap
-            value = gamma * from_db(scenario.eirp_max_dbm - required_dbm)
-            eirp_dbm = scenario.eirp_max_dbm
-        rate = scenario.channel.bandwidth_hz * math.log2(1.0 + value)
-        key = (not feasible, -rate, eirp_dbm, idx)
-        if best is None or key < best:
-            best = key
-            best_label = AssociationLabel(gbs_index=idx, min_eirp_dbm=eirp_dbm, feasible=feasible)
-    assert best_label is not None
-    return best_label
+    required = [
+        min_required_eirp_dbm(scenario, geo, idx, interference_mw)
+        for idx in range(scenario.num_gbs)
+    ]
+    k = int(np.argmin(required))
+    feasible = required[k] <= scenario.eirp_max_dbm
+    return AssociationLabel(
+        gbs_index=k,
+        min_eirp_dbm=required[k] if feasible else scenario.eirp_max_dbm,
+        feasible=feasible,
+    )

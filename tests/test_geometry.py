@@ -16,7 +16,6 @@ from uavisac.geometry import (
     direction_angles,
     direction_unit,
     element_gain,
-    element_positions,
     rotation_matrix,
     steering,
     steering_vector,
@@ -52,9 +51,10 @@ def test_rotation_matrix_orthonormal_properties():
 
 
 def test_element_positions_m4_layout():
-    # wavelength 1 mm so the half-wavelength grid step is 0.5 mm
+    # wavelength 1 mm so the half-wavelength grid step is 0.5 mm; the indexed
+    # layout (0.5..1.0 mm on x and z) is referenced to its centroid
     config = ArrayConfig(num_elements=4, carrier_hz=SPEED_OF_LIGHT / 1e-3)
-    pos = element_positions(config, np.zeros(3), RotationAngles(0.0, 0.0, 0.0))
+    pos = centered_grid_offsets(config)
     expected = np.array(
         [
             [0.5e-3, 0.0, 0.5e-3],
@@ -63,29 +63,10 @@ def test_element_positions_m4_layout():
             [1.0e-3, 0.0, 1.0e-3],
         ]
     )
-    assert np.allclose(pos, expected, atol=1e-18)
+    assert np.allclose(pos, expected - expected.mean(axis=0), atol=1e-18)
 
 
-def test_element_positions_translation():
-    config = ArrayConfig(num_elements=4, carrier_hz=SPEED_OF_LIGHT / 1e-3)
-    base = element_positions(config, np.zeros(3), RotationAngles(0.0, 0.0, 0.0))
-    moved = element_positions(config, np.array([10.0, 0.0, 0.0]), RotationAngles(0.0, 0.0, 0.0))
-    assert np.allclose(moved - base, [10.0, 0.0, 0.0])
-
-
-def test_element_positions_rotation_is_isometry():
-    config = ArrayConfig(num_elements=9, carrier_hz=3e11)
-    rng = np.random.default_rng(3)
-    ref = element_positions(config, np.zeros(3), RotationAngles(0.0, 0.0, 0.0))
-    dist_ref = np.linalg.norm(ref[:, None, :] - ref[None, :, :], axis=-1)
-    for _ in range(20):
-        angles = RotationAngles(*rng.uniform(-math.pi, math.pi, 3))
-        rot = element_positions(config, np.zeros(3), angles)
-        dist = np.linalg.norm(rot[:, None, :] - rot[None, :, :], axis=-1)
-        assert np.max(np.abs(dist - dist_ref)) < 1e-12
-
-
-def test_element_positions_rejects_non_square():
+def test_array_config_rejects_non_square():
     with pytest.raises(ConfigError):
         ArrayConfig(num_elements=5, carrier_hz=3e11)
 

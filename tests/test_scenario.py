@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from uavisac.channel import RADAR_LOS, pathloss
+from uavisac.beampattern import BeamWeights
+from uavisac.channel import EXPECTED, RADAR_LOS, channel_vector, pathloss, sinr
 from uavisac.geometry import (
     SPEED_OF_LIGHT,
     DirectionAngles,
@@ -12,6 +13,7 @@ from uavisac.geometry import (
     array_frame_unit,
     direction_angles,
     element_gain,
+    steering,
     steering_vector,
 )
 from uavisac.scenario import (
@@ -29,6 +31,7 @@ from uavisac.scenario import (
     point_geometry,
 )
 from uavisac.geometry import RotationAngles
+from uavisac.units import from_db
 
 
 def small_scenario(**kwargs):
@@ -239,6 +242,100 @@ def test_associate_optimal_is_the_label_station():
         assert k == label_optimal_association(scn, geo).gbs_index
         picked.add(k)
     assert len(picked) > 1
+
+
+def matched_probe_station(scn, geo):
+    """Max-SINR by probing: each station gets a phase-matched full-aperture
+    beam at the EIRP cap, against the matched sensing beam at the cap; the
+    highest SINR wins, lowest index on ties."""
+
+    def matched(unit, ge):
+        gain = scn.num_elements**2 * ge
+        ppe = from_db(scn.eirp_max_dbm) / gain if gain > 0.0 else 1e-12
+        return BeamWeights(entries=steering(scn.array, unit), power_per_element_mw=ppe)
+
+    w_sense = matched(geo.target_unit, geo.target_gain)
+    best_idx, best_sinr = 0, -math.inf
+    for idx, gbs in enumerate(scn.gbs_m):
+        h_comm = channel_vector(
+            scn.channel, scn.array, geo.point.position, gbs, EXPECTED, unit=geo.gbs_unit[idx]
+        )
+        w_comm = matched(geo.gbs_unit[idx], geo.gbs_gain[idx])
+        value = sinr(h_comm, geo.target_channel, w_comm, w_sense, scn.channel.noise_mw)
+        if value > best_sinr:
+            best_idx, best_sinr = idx, value
+    return best_idx
+
+
+def rate_ranked_label(scn, geo, interference_mw):
+    """Optimal label by rate: feasible first, then highest rate, then the
+    smallest (capped) EIRP, then the lowest index."""
+    gamma = scn.gamma_sinr_linear
+    best = None
+    for idx in range(scn.num_gbs):
+        required_dbm = min_required_eirp_dbm(scn, geo, idx, interference_mw)
+        feasible = required_dbm <= scn.eirp_max_dbm
+        if feasible:
+            value, eirp_dbm = gamma, required_dbm
+        else:
+            # SINR actually reached when transmitting at the cap
+            value = gamma * from_db(scn.eirp_max_dbm - required_dbm)
+            eirp_dbm = scn.eirp_max_dbm
+        rate = scn.channel.bandwidth_hz * math.log2(1.0 + value)
+        key = (not feasible, -rate, eirp_dbm, idx)
+        if best is None or key < best[0]:
+            best = (key, (idx, eirp_dbm, feasible))
+    return best[1]
+
+
+def oracle_cases():
+    """The seed-77 default trajectory, the equidistant tie, and 300 random
+    5-station small scenarios with random pose and EIRP cap."""
+    scn = Scenario()
+    cases = [(scn, p) for p in generate_trajectories(scn, 1, seed=77)[0].points]
+    tie = small_scenario(
+        gbs_m=np.array([[200.0, 100.0, 2.0], [400.0, 100.0, 2.0]]),
+        target_m=np.array([300.0, 500.0, 0.0]),
+    )
+    cases.append((tie, level_point(300.0, 100.0)))
+    rng = np.random.default_rng(41)
+    for _ in range(300):
+        gbs = np.column_stack([rng.uniform(0, 600, (5, 2)), np.full(5, 2.0)])
+        scn = small_scenario(
+            gbs_m=gbs,
+            target_m=np.append(rng.uniform(0, 600, 2), 0.0),
+            eirp_max_dbm=float(rng.choice([37.0, 10.0, -20.0])),
+        )
+        point = TrajectoryPoint(
+            slot=0,
+            position=np.append(rng.uniform(0, 600, 2), 100.0),
+            orientation=RotationAngles(*rng.uniform(-math.pi, math.pi, 3)),
+        )
+        cases.append((scn, point))
+    return cases
+
+
+def test_associate_max_sinr_equals_the_matched_probe():
+    picked = set()
+    for scn, point in oracle_cases():
+        geo = point_geometry(scn, point)
+        k = associate(scn, geo, POLICY_MAX_SINR)
+        assert k == matched_probe_station(scn, geo)
+        picked.add(k)
+    assert picked == set(range(5))
+
+
+def test_label_optimal_equals_the_rate_ranking():
+    rng = np.random.default_rng(43)
+    regimes = {"feasible": 0, "all infeasible": 0}
+    for scn, point in oracle_cases():
+        geo = point_geometry(scn, point)
+        # no interference, then noise-scale to far-above-noise interference
+        for interference in (0.0, scn.channel.noise_mw * 10.0 ** rng.uniform(-2.0, 4.0)):
+            label = label_optimal_association(scn, geo, interference)
+            assert tuple(label) == rate_ranked_label(scn, geo, interference)
+            regimes["feasible" if label.feasible else "all infeasible"] += 1
+    assert all(count > 100 for count in regimes.values()), regimes
 
 
 def test_point_geometry_fields_equal_the_per_call_derivations():
