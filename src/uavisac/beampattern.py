@@ -28,13 +28,22 @@ about the aperture centre expands to every grid row.  Pattern cuts, SLL
 extraction and EIRP evaluation thus share one code path, so the achieved
 values reported by a synthesis result can be re-derived from its weights.
 Everything here is pure given its inputs; results are immutable.
+
+Factor memory: outside any scope, each pattern evaluator allocates its four
+(side, n_arc) factor matrices, and every cut its products, afresh.  Inside
+`reuse_factor_buffers()` the evaluator takes flat buffers for both from the
+calling thread's pool and gives them back when it is collected, so a loop of
+syntheses stops faulting fresh pages in on every build and every candidate.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import math
+import threading
+import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -193,6 +202,11 @@ def _cut_grid(plane: str, step_deg: float):
     return grid
 
 
+def _arc_reach(step_deg: float) -> int:
+    """Samples on each side of the pointing in the index window holding an arc."""
+    return math.ceil(math.pi / 2 / math.radians(step_deg)) + 2
+
+
 def _cut_arc(plane: str, pointing: DirectionAngles, rot, step_deg: float):
     """Angles and array-frame units of the cut samples belonging to the beam.
 
@@ -211,7 +225,7 @@ def _cut_arc(plane: str, pointing: DirectionAngles, rot, step_deg: float):
     """
     angles, cos, sin = _cut_grid(plane, step_deg)
     n = angles.size
-    reach = math.ceil(math.pi / 2 / math.radians(step_deg)) + 2
+    reach = _arc_reach(step_deg)
     circular = plane == "azimuth"
     if circular:
         point_angle = math.atan2(math.sin(pointing.phi), math.cos(pointing.phi))
@@ -238,12 +252,22 @@ def _cut_arc(plane: str, pointing: DirectionAngles, rot, step_deg: float):
         )
         centre = point_index - window.start
     window_angles = angles[window]
-    delta = window_angles - angles[point_index]
-    if circular:
-        delta = np.arctan2(np.sin(delta), np.cos(delta))
     units = units @ rot
     side = 1.0 if units[centre, 1] >= 0.0 else -1.0
-    keep = (side * units[:, 1] >= -1e-12) & (np.abs(delta) <= math.pi / 2 + 1e-12)
+    keep = side * units[:, 1] >= -1e-12
+    if circular:
+        # Round the circle consecutive samples are one step apart, except
+        # across the seam, where the gap is at most one step (next to nothing
+        # on the 0.03 and 0.09 degree grids, whose last sample duplicates -pi
+        # to roundoff).  A sample at index offset o thus lies at most |o|
+        # steps from the pointing, so offsets up to ceil(90 deg / step) - 1
+        # = reach - 3 are under 90 degrees by more than the test's roundoff
+        # and pass it.  Only the three outermost samples per side are tested.
+        edges = [0, 1, 2, -3, -2, -1]
+        delta = window_angles[edges] - angles[point_index]
+        keep[edges] &= np.abs(np.arctan2(np.sin(delta), np.cos(delta))) <= math.pi / 2 + 1e-12
+    else:
+        keep &= np.abs(window_angles - angles[point_index]) <= math.pi / 2 + 1e-12
     dropped = np.flatnonzero(~keep)
     before = dropped[dropped < centre]
     after = dropped[dropped > centre]
@@ -257,7 +281,7 @@ def _cut_arc(plane: str, pointing: DirectionAngles, rot, step_deg: float):
     return arc_angles, units[lo:hi]
 
 
-def _axis_factors(config: ArrayConfig, units, conjugate: bool = False):
+def _axis_factors(config: ArrayConfig, units, conjugate: bool = False, out=None):
     """Per-axis steering factors of array-frame units (n, 3): (side, n) each.
 
     Row r of the first is exp(j k x_r u_x), row c of the second
@@ -268,21 +292,73 @@ def _axis_factors(config: ArrayConfig, units, conjugate: bool = False):
     row at or above the centre is h for an even side and exactly 1 for an
     odd one, each row further up is the one below it times the step phasor
     h^2, and each row below the centre is the exact conjugate of its mirror.
+    `out`, when given, is a pair of complex (side, n) arrays written in place
+    and returned; otherwise both are allocated.
     """
     side = config.side
     mid = side // 2
     phase = (-0.5j if conjugate else 0.5j) * config.wavenumber * config.spacing_m
-    factors = []
-    for u in (units[:, 0], units[:, 2]):
-        f = np.empty((side, u.size), dtype=np.complex128)
+    if out is None:
+        out = [np.empty((side, units.shape[0]), dtype=np.complex128) for _ in range(2)]
+    for u, f in zip((units[:, 0], units[:, 2]), out):
         half = np.exp(phase * u)
         f[mid] = 1.0 if side % 2 else half
         step = half * half
         for r in range(mid + 1, side):
             np.multiply(f[r - 1], step, out=f[r])
         np.conjugate(f[: (side - 1) // 2 : -1], out=f[:mid])
-        factors.append(f)
-    return factors
+    return out
+
+
+class _BufferPool:
+    """Free flat complex buffers, listed by length, for one reuse scope."""
+
+    def __init__(self):
+        self.free: dict[int, list[NDArray[np.complex128]]] | None = {}
+
+    def take(self, size: int, count: int) -> list[NDArray[np.complex128]]:
+        free = self.free.setdefault(size, [])
+        return [free.pop() if free else np.empty(size, dtype=np.complex128) for _ in range(count)]
+
+    def give(self, buffers) -> None:
+        # a closed pool drops what comes back, so nothing outlives its scope;
+        # read once, since the finalizer may run on a thread that closes it
+        free = self.free
+        if free is not None:
+            for buffer in buffers:
+                free[buffer.size].append(buffer)
+
+    def close(self) -> None:
+        self.free = None
+
+
+_scope = threading.local()
+
+
+@contextlib.contextmanager
+def reuse_factor_buffers():
+    """Let the pattern evaluators built inside reuse one another's factor memory.
+
+    Within the scope, each `_PatternEvaluator` takes its factor and product
+    buffers from a pool private to the calling thread and returns them when
+    it dies, so two live evaluators never share memory.  Nested scopes share
+    the outermost pool, which is dropped when that scope exits; other
+    threads see no pool.
+    """
+    if getattr(_scope, "pool", None) is not None:
+        yield
+        return
+    pool = _scope.pool = _BufferPool()
+    try:
+        yield
+    finally:
+        _scope.pool = None
+        pool.close()
+
+
+def _view(buffer: NDArray[np.complex128], rows: int, cols: int) -> NDArray[np.complex128]:
+    """The leading rows * cols entries of a flat buffer as a C-ordered matrix."""
+    return buffer[: rows * cols].reshape(rows, cols)
 
 
 class _PatternEvaluator:
@@ -301,6 +377,18 @@ class _PatternEvaluator:
     exponential per axis by a symmetric recurrence (see _axis_factors), and
     2 n side (1 + n_nulls) products per candidate instead of a dense
     (n, side**2) steering matrix.
+
+    `columns` bounds the columns of the X and Z that cuts contract.
+
+    Outside `reuse_factor_buffers()` the four factor matrices, and the two
+    (columns, n) products of every cut, are allocated afresh.  Inside it,
+    the evaluator takes them from the thread's pool as flat buffers sized
+    for the longest arc the grid step allows, window = 2 reach + 1 samples:
+    four of side * window entries for the factors and two of columns *
+    window for the products, which every cut of this evaluator reuses.  An
+    (r, n) array is the contiguous view buffer[: r * n].reshape(r, n), the
+    layout a fresh array has, and a finalizer returns the buffers when the
+    evaluator is collected.
     """
 
     def __init__(
@@ -309,19 +397,36 @@ class _PatternEvaluator:
         pose: Pose,
         pointing: DirectionAngles,
         step_deg: float = GRID_STEP_DEG,
+        *,
+        columns: int,
     ):
         rot = rotation_matrix(pose.angles)
+        side = config.side
+        factors = self.products = None
+        pool = getattr(_scope, "pool", None)
+        if pool is not None:
+            window = 2 * _arc_reach(step_deg) + 1
+            factors = pool.take(side * window, 4)
+            self.products = pool.take(columns * window, 2)
+            weakref.finalize(self, pool.give, factors + self.products)
         self.cuts: dict[str, tuple] = {}
-        for plane in ("azimuth", "elevation"):
+        for i, plane in enumerate(("azimuth", "elevation")):
             angles, units = _cut_arc(plane, pointing, rot, step_deg)
+            out = None
+            if factors is not None:
+                out = [_view(b, side, units.shape[0]) for b in factors[2 * i : 2 * i + 2]]
             # conjugated factors, ready for the a^H w contraction
-            ex_conj, ez_conj = _axis_factors(config, units, conjugate=True)
+            ex_conj, ez_conj = _axis_factors(config, units, conjugate=True, out=out)
             self.cuts[plane] = (angles, ex_conj, ez_conj, element_gain(units))
 
     def cut_gains_db(self, plane: str, x: NDArray[np.complex128], z: NDArray[np.complex128]):
         """Cut angles and gains (dB below the cut's peak) of the weights x z^T."""
         angles, ex_conj, ez_conj, ge = self.cuts[plane]
-        af = ((x.T @ ex_conj) * (z.T @ ez_conj)).sum(axis=0)
+        px = pz = None
+        if self.products is not None:
+            px, pz = (_view(b, x.shape[1], ex_conj.shape[1]) for b in self.products)
+        px = np.matmul(x.T, ex_conj, out=px)
+        af = np.multiply(px, np.matmul(z.T, ez_conj, out=pz), out=px).sum(axis=0)
         power = np.abs(af) ** 2 * ge
         peak = power.max()
         if peak <= 0.0:
@@ -347,8 +452,8 @@ def pattern_cut(
     """
     if step_deg > 0.1:
         raise ValueError("cut grid step must be at most 0.1 degrees")
-    ev = _PatternEvaluator(config, pose, pointing, step_deg)
     side = config.side
+    ev = _PatternEvaluator(config, pose, pointing, step_deg, columns=side)
     w = _weight_entries(weights).reshape(side, side)
     angles, gains_db = ev.cut_gains_db(plane, w, np.eye(side))
     return PatternCut(plane=plane, angles_rad=angles, gains_db=gains_db)
@@ -533,7 +638,9 @@ class _Synthesizer:
     def __init__(self, request: SynthesisRequest, config: ArrayConfig, pose: Pose):
         self.request = request
         check_nulls(config, request.nulls, request.pointing)
-        self.evaluator = _PatternEvaluator(config, pose, request.pointing)
+        self.evaluator = _PatternEvaluator(
+            config, pose, request.pointing, columns=1 + len(request.nulls)
+        )
         # row 0 is the pointing, row 1 + n null n; so are the axis-factor columns
         units = _frame_units(pose, (request.pointing, *request.nulls))
         self.point_steering = steering(config, units[0])

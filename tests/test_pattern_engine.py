@@ -7,29 +7,35 @@ one complex exponential per element.  The loop version of `_sll_from_gains`
 is kept below as the reference for the vectorized one.  The windowed arc
 build `_cut_arc` is checked for exact equality against the full-circle chain
 it replaced, kept here: the whole cut grid, its array-frame units, and the
-vectorized arc selection, itself checked against a loop walk.
+vectorized arc selection, itself checked against a loop walk.  Evaluators
+built inside `reuse_factor_buffers()` are checked bit for bit against fresh
+ones built outside it, and for the pool's ownership rules.
 """
 
 import math
+import threading
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from uavisac import _kernels
+from uavisac import _kernels, beampattern
 from uavisac.beampattern import (
     MAIN_LOBE_MIN_DEPTH_DB,
     SynthesisRequest,
     _axis_factors,
     _cut_arc,
     _frame_units,
+    _PatternEvaluator,
     _project_out,
     _sll_from_gains,
     _Synthesizer,
     chebyshev_taper,
     null_conflicts,
     pattern_cut,
+    reuse_factor_buffers,
 )
 from uavisac.geometry import (
     ArrayConfig,
@@ -473,3 +479,105 @@ def test_cut_arc_matches_full_circle_reference_at_a_single_gap(step_deg):
     _assert_arc_matches_full_circle(pose_angles, (theta, angles[point]), step_deg)
     got_angles, _ = _cut_arc("azimuth", DirectionAngles(theta, angles[point]), rot, step_deg)
     assert got_angles[0] == angles[gap + 1]
+
+
+POOL_STEPS_DEG = [0.03, 0.05, 0.09]
+
+
+def _buffers(ev):
+    """The memory behind the evaluator's cut factors and, in a scope, its products."""
+    factors = [f for plane in ("azimuth", "elevation") for f in ev.cuts[plane][1:3]]
+    return [f if f.base is None else f.base for f in factors] + (ev.products or [])
+
+
+def _build(seed, num_elements=100, step_deg=0.05):
+    rng = np.random.default_rng(seed)
+    config = ArrayConfig(num_elements=num_elements, carrier_hz=3e11)
+    pose = Pose(np.zeros(3), RotationAngles(*rng.uniform(-math.pi, math.pi, 3)))
+    pointing = DirectionAngles(rng.uniform(0.0, math.pi), rng.uniform(-math.pi, math.pi))
+    return _PatternEvaluator(config, pose, pointing, step_deg, columns=3)
+
+
+def _cut_arrays(seed, num_elements, step_deg):
+    """Copies of an evaluator's cached cuts and of two cuts of random weights."""
+    ev = _build(seed, num_elements, step_deg)
+    rng = np.random.default_rng(seed + 1)
+    x, z = rng.normal(size=(2, ev.cuts["azimuth"][1].shape[0], 3)) * (1.0 + 1.0j)
+    arrays = []
+    for plane in ("azimuth", "elevation"):
+        arrays += ev.cuts[plane]
+        # fewer columns than the evaluator allows, then all three
+        for k in (2, 3):
+            arrays += ev.cut_gains_db(plane, x[:, :k], z[:, :k])
+    return [np.copy(a) for a in arrays]
+
+
+def test_pooled_cuts_match_fresh_evaluator():
+    cases = [
+        (seed, num_elements, step_deg)
+        for seed in range(12)
+        for num_elements in (16, 100)
+        for step_deg in POOL_STEPS_DEG
+    ]
+    with reuse_factor_buffers():
+        # each build but the first of its size lands in memory an earlier one wrote
+        pooled = [_cut_arrays(*case) for case in cases]
+    for case, got in zip(cases, pooled):
+        for g, want in zip(got, _cut_arrays(*case), strict=True):
+            assert g.shape == want.shape
+            assert np.array_equal(g, want)
+
+
+def test_live_pooled_evaluators_never_share_memory():
+    with reuse_factor_buffers():
+        first, second = _build(1), _build(2)
+        for f in _buffers(first):
+            for g in _buffers(second):
+                assert not np.shares_memory(f, g)
+
+
+def test_pooled_evaluator_reuses_a_dropped_one():
+    with reuse_factor_buffers():
+        first = _build(1)
+        held = _buffers(first)  # the memory outlives the evaluator, its claim on it does not
+        del first
+        second = _build(2)
+        assert all(any(np.shares_memory(f, g) for g in held) for f in _buffers(second))
+
+
+def test_nested_scopes_share_one_pool_and_release_it():
+    with reuse_factor_buffers():
+        pool = beampattern._scope.pool
+        with reuse_factor_buffers():
+            assert beampattern._scope.pool is pool
+            first = _build(1)
+            buffers = [weakref.ref(f) for f in _buffers(first)]
+            del first
+            second = _build(2)
+            assert all(any(f is ref() for ref in buffers) for f in _buffers(second))
+        assert beampattern._scope.pool is pool
+        late = _build(3)  # still alive when the scope exits
+        buffers += [weakref.ref(f) for f in _buffers(late)]
+    assert beampattern._scope.pool is None
+    assert all(ref() is not None for ref in buffers)
+    del second, late
+    assert all(ref() is None for ref in buffers)
+
+
+def test_worker_thread_sees_no_pool():
+    seen = []
+
+    def work():
+        seen.append(getattr(beampattern._scope, "pool", None))
+        first = _build(1)
+        held = _buffers(first)
+        del first
+        second = _build(2)
+        seen.append(any(np.shares_memory(f, g) for f in _buffers(second) for g in held))
+
+    with reuse_factor_buffers():
+        worker = threading.Thread(target=work)
+        worker.start()
+        worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert seen == [None, False]
