@@ -13,7 +13,6 @@ from .beampattern import (
     SynthesisResult,
     apply_nulls,
     array_gain,
-    beampattern_error,
     beampattern_gain,
     chebyshev_taper,
     eirp,

@@ -29,16 +29,15 @@ extraction and EIRP evaluation thus share one code path, so the achieved
 values reported by a synthesis result can be re-derived from its weights.
 Everything here is pure given its inputs; results are immutable.
 
-Factor memory: outside any scope, each pattern evaluator allocates its four
-(side, n_arc) factor matrices, and every cut its products, afresh.  Inside
-`reuse_factor_buffers()` the evaluator takes flat buffers for both from the
-calling thread's pool and gives them back when it is collected, so a loop of
+Factor memory: each pattern evaluator takes flat buffers for its four
+(side, n_arc) factor matrices and its cut products from a pool private to the
+calling thread, and gives them back when it is collected, so a loop of
 syntheses stops faulting fresh pages in on every build and every candidate.
+Two live evaluators never share memory, and threads never share buffers.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import functools
 import math
@@ -281,23 +280,23 @@ def _cut_arc(plane: str, pointing: DirectionAngles, rot, step_deg: float):
     return arc_angles, units[lo:hi]
 
 
-def _axis_factors(config: ArrayConfig, units, conjugate: bool = False, out=None):
-    """Per-axis steering factors of array-frame units (n, 3): (side, n) each.
+def _axis_factors(config: ArrayConfig, units, out=None):
+    """Conjugated per-axis steering factors of array-frame units (n, 3): (side, n) each.
 
-    Row r of the first is exp(j k x_r u_x), row c of the second
-    exp(j k z_c u_z), over the grid offsets of grid_axis_offsets; with
-    `conjugate` the phases are negated.  Those offsets are evenly spaced and
-    symmetric about the aperture centre, so one complex exponential per axis,
-    the half-step phasor h = exp(j k d u / 2), builds every row: the first
-    row at or above the centre is h for an even side and exactly 1 for an
-    odd one, each row further up is the one below it times the step phasor
-    h^2, and each row below the centre is the exact conjugate of its mirror.
-    `out`, when given, is a pair of complex (side, n) arrays written in place
-    and returned; otherwise both are allocated.
+    Row r of the first is exp(-j k x_r u_x), row c of the second
+    exp(-j k z_c u_z), over the grid offsets of grid_axis_offsets: the
+    conjugates that the a^H w contraction takes.  Those offsets are evenly
+    spaced and symmetric about the aperture centre, so one complex
+    exponential per axis, the half-step phasor h = exp(-j k d u / 2), builds
+    every row: the first row at or above the centre is h for an even side and
+    exactly 1 for an odd one, each row further up is the one below it times
+    the step phasor h^2, and each row below the centre is the exact conjugate
+    of its mirror.  `out`, when given, is a pair of complex (side, n) arrays
+    written in place and returned; otherwise both are allocated.
     """
     side = config.side
     mid = side // 2
-    phase = (-0.5j if conjugate else 0.5j) * config.wavenumber * config.spacing_m
+    phase = -0.5j * config.wavenumber * config.spacing_m
     if out is None:
         out = [np.empty((side, units.shape[0]), dtype=np.complex128) for _ in range(2)]
     for u, f in zip((units[:, 0], units[:, 2]), out):
@@ -311,49 +310,30 @@ def _axis_factors(config: ArrayConfig, units, conjugate: bool = False, out=None)
 
 
 class _BufferPool:
-    """Free flat complex buffers, listed by length, for one reuse scope."""
+    """Free flat complex buffers, listed by length, of one thread's evaluators."""
 
     def __init__(self):
-        self.free: dict[int, list[NDArray[np.complex128]]] | None = {}
+        self.free: dict[int, list[NDArray[np.complex128]]] = {}
 
     def take(self, size: int, count: int) -> list[NDArray[np.complex128]]:
         free = self.free.setdefault(size, [])
         return [free.pop() if free else np.empty(size, dtype=np.complex128) for _ in range(count)]
 
     def give(self, buffers) -> None:
-        # a closed pool drops what comes back, so nothing outlives its scope;
-        # read once, since the finalizer may run on a thread that closes it
-        free = self.free
-        if free is not None:
-            for buffer in buffers:
-                free[buffer.size].append(buffer)
-
-    def close(self) -> None:
-        self.free = None
+        # the finalizer may run on another thread; only the owning thread
+        # pops, and list append and pop are atomic, so no lock is needed
+        for buffer in buffers:
+            self.free[buffer.size].append(buffer)
 
 
-_scope = threading.local()
+class _ThreadPool(threading.local):
+    """The calling thread's buffer pool, created on the thread's first use."""
+
+    def __init__(self):
+        self.pool = _BufferPool()
 
 
-@contextlib.contextmanager
-def reuse_factor_buffers():
-    """Let the pattern evaluators built inside reuse one another's factor memory.
-
-    Within the scope, each `_PatternEvaluator` takes its factor and product
-    buffers from a pool private to the calling thread and returns them when
-    it dies, so two live evaluators never share memory.  Nested scopes share
-    the outermost pool, which is dropped when that scope exits; other
-    threads see no pool.
-    """
-    if getattr(_scope, "pool", None) is not None:
-        yield
-        return
-    pool = _scope.pool = _BufferPool()
-    try:
-        yield
-    finally:
-        _scope.pool = None
-        pool.close()
+_thread = _ThreadPool()
 
 
 def _view(buffer: NDArray[np.complex128], rows: int, cols: int) -> NDArray[np.complex128]:
@@ -380,15 +360,15 @@ class _PatternEvaluator:
 
     `columns` bounds the columns of the X and Z that cuts contract.
 
-    Outside `reuse_factor_buffers()` the four factor matrices, and the two
-    (columns, n) products of every cut, are allocated afresh.  Inside it,
-    the evaluator takes them from the thread's pool as flat buffers sized
-    for the longest arc the grid step allows, window = 2 reach + 1 samples:
-    four of side * window entries for the factors and two of columns *
-    window for the products, which every cut of this evaluator reuses.  An
-    (r, n) array is the contiguous view buffer[: r * n].reshape(r, n), the
-    layout a fresh array has, and a finalizer returns the buffers when the
-    evaluator is collected.
+    The four factor matrices, and the two (columns, n) products that every
+    cut of this evaluator reuses, live in flat buffers taken from the calling
+    thread's pool, sized for the longest arc the grid step allows, window =
+    2 reach + 1 samples: four of side * window entries for the factors and
+    two of columns * window for the products.  An (r, n) array is the
+    contiguous view buffer[: r * n].reshape(r, n), the layout a fresh array
+    has.  A finalizer returns the buffers to that pool when the evaluator is
+    collected, so two live evaluators never share memory, and evaluators
+    built on different threads never share buffers.
     """
 
     def __init__(
@@ -402,30 +382,23 @@ class _PatternEvaluator:
     ):
         rot = rotation_matrix(pose.angles)
         side = config.side
-        factors = self.products = None
-        pool = getattr(_scope, "pool", None)
-        if pool is not None:
-            window = 2 * _arc_reach(step_deg) + 1
-            factors = pool.take(side * window, 4)
-            self.products = pool.take(columns * window, 2)
-            weakref.finalize(self, pool.give, factors + self.products)
+        pool = _thread.pool
+        window = 2 * _arc_reach(step_deg) + 1
+        factors = pool.take(side * window, 4)
+        self.products = pool.take(columns * window, 2)
+        weakref.finalize(self, pool.give, factors + self.products)
         self.cuts: dict[str, tuple] = {}
         for i, plane in enumerate(("azimuth", "elevation")):
             angles, units = _cut_arc(plane, pointing, rot, step_deg)
-            out = None
-            if factors is not None:
-                out = [_view(b, side, units.shape[0]) for b in factors[2 * i : 2 * i + 2]]
-            # conjugated factors, ready for the a^H w contraction
-            ex_conj, ez_conj = _axis_factors(config, units, conjugate=True, out=out)
+            out = [_view(b, side, units.shape[0]) for b in factors[2 * i : 2 * i + 2]]
+            ex_conj, ez_conj = _axis_factors(config, units, out=out)
             self.cuts[plane] = (angles, ex_conj, ez_conj, element_gain(units))
 
     def cut_gains_db(self, plane: str, x: NDArray[np.complex128], z: NDArray[np.complex128]):
         """Cut angles and gains (dB below the cut's peak) of the weights x z^T."""
         angles, ex_conj, ez_conj, ge = self.cuts[plane]
-        px = pz = None
-        if self.products is not None:
-            px, pz = (_view(b, x.shape[1], ex_conj.shape[1]) for b in self.products)
-        px = np.matmul(x.T, ex_conj, out=px)
+        px, pz = (_view(b, x.shape[1], ex_conj.shape[1]) for b in self.products)
+        np.matmul(x.T, ex_conj, out=px)
         af = np.multiply(px, np.matmul(z.T, ez_conj, out=pz), out=px).sum(axis=0)
         power = np.abs(af) ** 2 * ge
         peak = power.max()
@@ -646,7 +619,7 @@ class _Synthesizer:
         self.point_steering = steering(config, units[0])
         self.point_element_gain = element_gain(units[0])
         self.null_basis = steering(config, units[1:]).T  # (M, n_nulls) columns
-        self.axis_x, self.axis_z = _axis_factors(config, units)
+        self.axis_x, self.axis_z = np.conj(_axis_factors(config, units))
         self.eirp_target_mw = from_db(request.eirp_target_dbm)
         self.side = config.side
         self.best: _Candidate | None = None
@@ -804,24 +777,6 @@ def beampattern_gain(
     for beam in (matrix.sensing, matrix.comm):
         total += abs(np.vdot(a, beam.vector)) ** 2
     return float(total)
-
-
-def beampattern_error(
-    poses: Sequence[Pose],
-    predicted: Sequence[BeamformingMatrix],
-    reference: Sequence[BeamformingMatrix],
-    config: ArrayConfig,
-    target,
-) -> float:
-    """Squared beampattern-gain mismatch accumulated along a trajectory."""
-    if len(predicted) != len(reference) or len(predicted) != len(poses):
-        raise ValueError("pose, predicted and reference lengths must match")
-    total = 0.0
-    for pose, pred, ref in zip(poses, predicted, reference):
-        b_ref = beampattern_gain(ref, config, pose, target)
-        b_pred = beampattern_gain(pred, config, pose, target)
-        total += (b_ref - b_pred) ** 2
-    return total
 
 
 def export_cut_csv(cut: PatternCut, path) -> None:

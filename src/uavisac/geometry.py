@@ -118,34 +118,21 @@ def rotation_matrix(angles: RotationAngles) -> NDArray[np.float64]:
     )
 
 
-def element_grid_offsets(config: ArrayConfig) -> NDArray[np.float64]:
-    """Unrotated element offsets p_m^(0), shape (M, 3).
-
-    Element m sits at (m_x * d, 0, m_z * d) with integer indices
-    m_x = 1 + floor(m / sqrt(M)) and m_z = 1 + (m mod sqrt(M)); the
-    half-wavelength spacing d is applied once.
-    """
-    side = config.side
-    m = np.arange(config.num_elements)
-    mx = 1 + m // side
-    mz = 1 + m % side
-    d = config.spacing_m
-    out = np.zeros((config.num_elements, 3))
-    out[:, 0] = mx * d
-    out[:, 2] = mz * d
-    return out
-
-
 @functools.lru_cache(maxsize=64)
 def centered_grid_offsets(config: ArrayConfig) -> NDArray[np.float64]:
     """Unrotated element offsets relative to the aperture centroid, (M, 3).
 
     The array is centered on the platform position, so propagation delays are
     referenced to the aperture centroid; the grid itself stays on the indexed
-    half-wavelength layout.  The returned array is shared between calls with
-    the same configuration and read-only.
+    half-wavelength layout, element m at (m_x d, 0, m_z d) with integer
+    indices m_x = 1 + floor(m / sqrt(M)) and m_z = 1 + (m mod sqrt(M)).  The
+    returned array is shared between calls with the same configuration and
+    read-only.
     """
-    grid = element_grid_offsets(config)
+    m = np.arange(config.num_elements)
+    grid = np.zeros((config.num_elements, 3))
+    grid[:, 0] = (1 + m // config.side) * config.spacing_m
+    grid[:, 2] = (1 + m % config.side) * config.spacing_m
     offsets = grid - grid.mean(axis=0)
     offsets.setflags(write=False)
     return offsets

@@ -37,7 +37,6 @@ from .beampattern import (
     chebyshev_taper,
     eirp,
     null_conflicts,
-    reuse_factor_buffers,
     synthesize,
 )
 from .channel import EXPECTED, achievable_rate, channel_vector, sinr
@@ -412,57 +411,56 @@ def generate_dataset(
     trajectories = generate_trajectories(scenario, num_trajectories, seed)
     samples: list[Sample] = []
     skipped = {"field of view": 0, "null conflict": 0, "not converged": 0}
-    with reuse_factor_buffers():
-        for traj in trajectories:
-            for point in traj.points:
-                geo = point_geometry(scenario, point)
-                k = associate(scenario, geo, policy)
-                if geo.target_gain < MIN_ELEMENT_GAIN or geo.gbs_gain[k] < MIN_ELEMENT_GAIN:
-                    skipped["field of view"] += 1
-                    logger.warning(
-                        "trajectory %d slot %d: beam outside the serviceable field of view,"
-                        " skipping",
-                        traj.id,
-                        point.slot,
-                    )
-                    continue
-                try:
-                    ps = synthesize_point(scenario, geo, k)
-                except NullConflictError:
-                    skipped["null conflict"] += 1
-                    logger.warning(
-                        "trajectory %d slot %d: null conflict, skipping", traj.id, point.slot
-                    )
-                    continue
-                if not ps.converged:
-                    skipped["not converged"] += 1
-                    logger.warning(
-                        "trajectory %d slot %d: optimizer did not converge, skipping",
-                        traj.id,
-                        point.slot,
-                    )
-                    continue
-                null_frames = [geo.gbs_frame[i] for i in ps.null_gbs]
-                samples.append(
-                    Sample(
-                        trajectory_id=traj.id,
-                        slot=point.slot,
-                        position=point.position,
-                        orientation=point.orientation,
-                        gbs_index=k,
-                        comm_features=comm_feature_vector(
-                            geo.gbs_frame[k], null_frames, ps.comm_eirp_dbm
-                        ),
-                        sensing_features=sensing_feature_vector(
-                            geo.target_frame, ps.sensing_eirp_dbm
-                        ),
-                        comm_weights=encode_complex(ps.matrix.comm.vector),
-                        sensing_weights=encode_complex(ps.matrix.sensing.vector),
-                        optimal_gbs=label_optimal_association(
-                            scenario, geo, ps.interference_mw
-                        ).gbs_index,
-                    )
+    for traj in trajectories:
+        for point in traj.points:
+            geo = point_geometry(scenario, point)
+            k = associate(scenario, geo, policy)
+            if geo.target_gain < MIN_ELEMENT_GAIN or geo.gbs_gain[k] < MIN_ELEMENT_GAIN:
+                skipped["field of view"] += 1
+                logger.warning(
+                    "trajectory %d slot %d: beam outside the serviceable field of view,"
+                    " skipping",
+                    traj.id,
+                    point.slot,
                 )
+                continue
+            try:
+                ps = synthesize_point(scenario, geo, k)
+            except NullConflictError:
+                skipped["null conflict"] += 1
+                logger.warning(
+                    "trajectory %d slot %d: null conflict, skipping", traj.id, point.slot
+                )
+                continue
+            if not ps.converged:
+                skipped["not converged"] += 1
+                logger.warning(
+                    "trajectory %d slot %d: optimizer did not converge, skipping",
+                    traj.id,
+                    point.slot,
+                )
+                continue
+            null_frames = [geo.gbs_frame[i] for i in ps.null_gbs]
+            samples.append(
+                Sample(
+                    trajectory_id=traj.id,
+                    slot=point.slot,
+                    position=point.position,
+                    orientation=point.orientation,
+                    gbs_index=k,
+                    comm_features=comm_feature_vector(
+                        geo.gbs_frame[k], null_frames, ps.comm_eirp_dbm
+                    ),
+                    sensing_features=sensing_feature_vector(
+                        geo.target_frame, ps.sensing_eirp_dbm
+                    ),
+                    comm_weights=encode_complex(ps.matrix.comm.vector),
+                    sensing_weights=encode_complex(ps.matrix.sensing.vector),
+                    optimal_gbs=label_optimal_association(
+                        scenario, geo, ps.interference_mw
+                    ).gbs_index,
+                )
+            )
     if not samples:
         raise RuntimeError("dataset is empty: no trajectory point converged")
     if any(skipped.values()):
@@ -677,38 +675,37 @@ def evaluate_trajectory(
     if policy == POLICY_NN:
         predictor = lambda geo: _predicted_gbs(bundle, scenario, geo)
     records = []
-    with reuse_factor_buffers():
-        for point in trajectory.points:
-            geo = point_geometry(scenario, point)
-            k = associate(scenario, geo, policy, predictor)
-            if weight_source == OPTIMIZER_SOURCE:
-                ps = synthesize_point(scenario, geo, k, lenient=True)
-                matrix = ps.matrix
-                required_dbm = ps.comm_eirp_dbm
-            else:
-                matrix, required_dbm = predict_matrix(bundle, scenario, geo, k)
-            if matrices_out is not None:
-                matrices_out.append(matrix)
-            h_comm = channel_vector(
-                scenario.channel, scenario.array, point.position, scenario.gbs_m[k], EXPECTED,
-                unit=geo.gbs_unit[k],
+    for point in trajectory.points:
+        geo = point_geometry(scenario, point)
+        k = associate(scenario, geo, policy, predictor)
+        if weight_source == OPTIMIZER_SOURCE:
+            ps = synthesize_point(scenario, geo, k, lenient=True)
+            matrix = ps.matrix
+            required_dbm = ps.comm_eirp_dbm
+        else:
+            matrix, required_dbm = predict_matrix(bundle, scenario, geo, k)
+        if matrices_out is not None:
+            matrices_out.append(matrix)
+        h_comm = channel_vector(
+            scenario.channel, scenario.array, point.position, scenario.gbs_m[k], EXPECTED,
+            unit=geo.gbs_unit[k],
+        )
+        value = sinr(
+            h_comm, geo.target_channel, matrix.comm, matrix.sensing, scenario.channel.noise_mw
+        )
+        rate = achievable_rate(value, scenario.channel.bandwidth_hz)
+        bgain = beampattern_gain(matrix, scenario.array, point.pose, scenario.target_m)
+        records.append(
+            EvalRecord(
+                slot=point.slot,
+                policy=policy,
+                gbs_index=k,
+                eirp_dbm=required_dbm,
+                sinr_db=to_db(value),
+                rate_bps=rate,
+                beampattern_gain=bgain,
             )
-            value = sinr(
-                h_comm, geo.target_channel, matrix.comm, matrix.sensing, scenario.channel.noise_mw
-            )
-            rate = achievable_rate(value, scenario.channel.bandwidth_hz)
-            bgain = beampattern_gain(matrix, scenario.array, point.pose, scenario.target_m)
-            records.append(
-                EvalRecord(
-                    slot=point.slot,
-                    policy=policy,
-                    gbs_index=k,
-                    eirp_dbm=required_dbm,
-                    sinr_db=to_db(value),
-                    rate_bps=rate,
-                    beampattern_gain=bgain,
-                )
-            )
+        )
     return records
 
 

@@ -12,7 +12,6 @@ from uavisac.beampattern import (
     SynthesisRequest,
     apply_nulls,
     array_gain,
-    beampattern_error,
     beampattern_gain,
     check_nulls,
     chebyshev_taper,
@@ -371,42 +370,6 @@ def test_beampattern_gain_phase_invariance():
     b1 = beampattern_gain(base, config, pose, target)
     b2 = beampattern_gain(rotated, config, pose, target)
     assert b1 == pytest.approx(b2, rel=1e-12)
-
-
-def test_beampattern_error_cases():
-    config = ArrayConfig(num_elements=9, carrier_hz=3e11)
-    target = np.array([100.0, 200.0, 0.0])
-    poses = [
-        Pose(position=np.array([0.0, 0.0, 100.0]), angles=ZERO),
-        Pose(position=np.array([50.0, 10.0, 100.0]), angles=RotationAngles(0.5, 0.0, 0.0)),
-    ]
-    rng = np.random.default_rng(6)
-    matrices = []
-    for _ in poses:
-        w = rng.normal(size=9) + 1j * rng.normal(size=9)
-        w /= np.max(np.abs(w))
-        matrices.append(
-            BeamformingMatrix(
-                sensing=BeamWeights(entries=w, power_per_element_mw=1.0),
-                comm=BeamWeights(entries=np.roll(w, 1), power_per_element_mw=0.5),
-            )
-        )
-    assert beampattern_error(poses, matrices, matrices, config, target) == 0.0
-
-    other = [matrices[1], matrices[0]]
-    # direct arithmetic oracle for the two-slot case
-    expected = sum(
-        (
-            beampattern_gain(ref, config, pose, target)
-            - beampattern_gain(pred, config, pose, target)
-        )
-        ** 2
-        for pose, pred, ref in zip(poses, other, matrices)
-    )
-    assert beampattern_error(poses, other, matrices, config, target) == pytest.approx(expected)
-
-    with pytest.raises(ValueError):
-        beampattern_error(poses, matrices[:1], matrices, config, target)
 
 
 def test_pattern_cut_export_csv(tmp_path):

@@ -8,13 +8,12 @@ is kept below as the reference for the vectorized one.  The windowed arc
 build `_cut_arc` is checked for exact equality against the full-circle chain
 it replaced, kept here: the whole cut grid, its array-frame units, and the
 vectorized arc selection, itself checked against a loop walk.  Evaluators
-built inside `reuse_factor_buffers()` are checked bit for bit against fresh
-ones built outside it, and for the pool's ownership rules.
+built on reused, NaN-poisoned pool buffers are checked bit for bit against
+ones built from a fresh pool, and the per-thread pool for its ownership rules.
 """
 
 import math
 import threading
-import weakref
 
 import numpy as np
 import pytest
@@ -35,7 +34,6 @@ from uavisac.beampattern import (
     chebyshev_taper,
     null_conflicts,
     pattern_cut,
-    reuse_factor_buffers,
 )
 from uavisac.geometry import (
     ArrayConfig,
@@ -321,16 +319,15 @@ def test_axis_factor_recurrence_matches_direct_exponentials(m, units):
     # the axis extremes carry the largest phases, k x_r u_x with |u_x| = 1
     units = np.vstack([units, np.eye(3), -np.eye(3)])
     x_rows, z_cols = grid_axis_offsets(config)
-    for conjugate, sign in ((False, 1.0), (True, -1.0)):
-        jk = sign * 1j * config.wavenumber
-        ex, ez = _axis_factors(config, units, conjugate=conjugate)
-        assert np.max(np.abs(ex - np.exp(jk * np.outer(x_rows, units[:, 0])))) <= 1e-12
-        assert np.max(np.abs(ez - np.exp(jk * np.outer(z_cols, units[:, 2])))) <= 1e-12
-        for f in (ex, ez):
-            # offsets are symmetric about the centre: mirror rows are exact conjugates
-            assert np.all(f[: side // 2] == np.conj(f[::-1][: side // 2]))
-            if side % 2:
-                assert np.all(f[side // 2] == 1.0)
+    jk = 1j * config.wavenumber
+    ex, ez = _axis_factors(config, units)
+    assert np.max(np.abs(ex - np.exp(-jk * np.outer(x_rows, units[:, 0])))) <= 1e-12
+    assert np.max(np.abs(ez - np.exp(-jk * np.outer(z_cols, units[:, 2])))) <= 1e-12
+    for f in (ex, ez):
+        # offsets are symmetric about the centre: mirror rows are exact conjugates
+        assert np.all(f[: side // 2] == np.conj(f[::-1][: side // 2]))
+        if side % 2:
+            assert np.all(f[side // 2] == 1.0)
 
 
 @settings(SETTINGS, max_examples=300)
@@ -484,10 +481,18 @@ def test_cut_arc_matches_full_circle_reference_at_a_single_gap(step_deg):
 POOL_STEPS_DEG = [0.03, 0.05, 0.09]
 
 
+@pytest.fixture
+def pool(monkeypatch):
+    """A fresh pool for the calling thread, so no other test's buffers are in it."""
+    fresh = beampattern._BufferPool()
+    monkeypatch.setattr(beampattern._thread, "pool", fresh)
+    return fresh
+
+
 def _buffers(ev):
-    """The memory behind the evaluator's cut factors and, in a scope, its products."""
-    factors = [f for plane in ("azimuth", "elevation") for f in ev.cuts[plane][1:3]]
-    return [f if f.base is None else f.base for f in factors] + (ev.products or [])
+    """The pool buffers behind the evaluator's cut factors and its products."""
+    factors = [f.base for plane in ("azimuth", "elevation") for f in ev.cuts[plane][1:3]]
+    return factors + ev.products
 
 
 def _build(seed, num_elements=100, step_deg=0.05):
@@ -498,9 +503,8 @@ def _build(seed, num_elements=100, step_deg=0.05):
     return _PatternEvaluator(config, pose, pointing, step_deg, columns=3)
 
 
-def _cut_arrays(seed, num_elements, step_deg):
+def _cut_arrays(ev, seed):
     """Copies of an evaluator's cached cuts and of two cuts of random weights."""
-    ev = _build(seed, num_elements, step_deg)
     rng = np.random.default_rng(seed + 1)
     x, z = rng.normal(size=(2, ev.cuts["azimuth"][1].shape[0], 3)) * (1.0 + 1.0j)
     arrays = []
@@ -512,72 +516,64 @@ def _cut_arrays(seed, num_elements, step_deg):
     return [np.copy(a) for a in arrays]
 
 
-def test_pooled_cuts_match_fresh_evaluator():
+def test_pooled_cuts_match_fresh_evaluator(pool, monkeypatch):
     cases = [
         (seed, num_elements, step_deg)
         for seed in range(12)
         for num_elements in (16, 100)
         for step_deg in POOL_STEPS_DEG
     ]
-    with reuse_factor_buffers():
-        # each build but the first of its size lands in memory an earlier one wrote
-        pooled = [_cut_arrays(*case) for case in cases]
-    for case, got in zip(cases, pooled):
-        for g, want in zip(got, _cut_arrays(*case), strict=True):
+    for case in cases:  # leaves one dropped evaluator's buffers per size in the pool
+        _build(*case)
+    reused = []
+    for case in cases:
+        free = [b for buffers in pool.free.values() for b in buffers]
+        for b in free:
+            b.fill(np.nan)
+        ev = _build(*case)
+        # every buffer is poisoned memory, so a value read before it is written shows
+        assert all(any(b is f for f in free) for b in _buffers(ev))
+        reused.append(_cut_arrays(ev, case[0]))
+        del ev
+    for case, got in zip(cases, reused):
+        monkeypatch.setattr(beampattern._thread, "pool", beampattern._BufferPool())
+        for g, want in zip(got, _cut_arrays(_build(*case), case[0]), strict=True):
             assert g.shape == want.shape
             assert np.array_equal(g, want)
 
 
-def test_live_pooled_evaluators_never_share_memory():
-    with reuse_factor_buffers():
-        first, second = _build(1), _build(2)
-        for f in _buffers(first):
-            for g in _buffers(second):
-                assert not np.shares_memory(f, g)
+def test_live_pooled_evaluators_never_share_memory(pool):
+    dropped = [_build(3), _build(4)]
+    del dropped  # the free lists now hold two evaluators' buffers of each size
+    live = [_build(1), _build(2)]
+    buffers = [b for ev in live for b in _buffers(ev)]
+    for i, f in enumerate(buffers):
+        for g in buffers[i + 1 :]:
+            assert not np.shares_memory(f, g)
 
 
-def test_pooled_evaluator_reuses_a_dropped_one():
-    with reuse_factor_buffers():
-        first = _build(1)
-        held = _buffers(first)  # the memory outlives the evaluator, its claim on it does not
-        del first
-        second = _build(2)
-        assert all(any(np.shares_memory(f, g) for g in held) for f in _buffers(second))
+def test_pooled_evaluator_reuses_a_dropped_one(pool):
+    first = _build(1)
+    held = _buffers(first)  # the memory outlives the evaluator, its claim on it does not
+    del first
+    second = _build(2)
+    assert all(any(f is g for g in held) for f in _buffers(second))
 
 
-def test_nested_scopes_share_one_pool_and_release_it():
-    with reuse_factor_buffers():
-        pool = beampattern._scope.pool
-        with reuse_factor_buffers():
-            assert beampattern._scope.pool is pool
-            first = _build(1)
-            buffers = [weakref.ref(f) for f in _buffers(first)]
-            del first
-            second = _build(2)
-            assert all(any(f is ref() for ref in buffers) for f in _buffers(second))
-        assert beampattern._scope.pool is pool
-        late = _build(3)  # still alive when the scope exits
-        buffers += [weakref.ref(f) for f in _buffers(late)]
-    assert beampattern._scope.pool is None
-    assert all(ref() is not None for ref in buffers)
-    del second, late
-    assert all(ref() is None for ref in buffers)
-
-
-def test_worker_thread_sees_no_pool():
+def test_worker_thread_never_receives_buffers_the_main_thread_dropped(pool):
+    first = _build(1)
+    held = _buffers(first)
+    del first  # its buffers wait on this thread's free lists
     seen = []
 
     def work():
-        seen.append(getattr(beampattern._scope, "pool", None))
-        first = _build(1)
-        held = _buffers(first)
-        del first
-        second = _build(2)
-        seen.append(any(np.shares_memory(f, g) for f in _buffers(second) for g in held))
+        ev = _build(2)
+        seen.append(beampattern._thread.pool is pool)
+        seen.append(any(np.shares_memory(f, g) for f in _buffers(ev) for g in held))
 
-    with reuse_factor_buffers():
-        worker = threading.Thread(target=work)
-        worker.start()
-        worker.join(timeout=60)
+    worker = threading.Thread(target=work)
+    worker.start()
+    worker.join(timeout=60)
     assert not worker.is_alive()
-    assert seen == [None, False]
+    assert seen == [False, False]
+    assert all(any(b is g for b in pool.free[g.size]) for g in held)
