@@ -17,23 +17,29 @@ first that yields a feasible candidate; when none does, the sweep ends
 without refining and leaves the rest of the budget unused.
 
 Every candidate is a tapered, phase-steered outer product vx vz^T on its
-active block, minus one outer product per projected null, so its weights
-reshaped to (rows, columns) are W = X Z^T with 1 + n_nulls columns.  Cuts
-contract that factored form against per-axis steering factors; `pattern_cut`
-contracts any weight vector through the same path as X = W, Z = I.  A cut is
-built arc first: from cached grid trig, only a window around the pointing
-sample gets array-frame units and the arc tests, and each axis factor takes
-one complex exponential, the half-step phasor, which a recurrence symmetric
-about the aperture centre expands to every grid row.  Pattern cuts, SLL
-extraction and EIRP evaluation thus share one code path, so the achieved
-values reported by a synthesis result can be re-derived from its weights.
-Everything here is pure given its inputs; results are immutable.
+active block, minus one outer product per projected null, and the null
+coefficients are a fixed linear map of vx vz^T for the whole block.  So each
+active block gets one scoring record, built on its first candidate: the
+factored null solve, and each null column's pointing and per-cut responses.
+A candidate then costs one 1-column product per axis per cut, of which the
+coordinate search, moving one taper at a time, recomputes only one; no
+weight vector is built while scoring, only for the returned candidate.
+`pattern_cut` contracts a whole weight matrix against the same per-axis
+steering factors.  A cut is built arc first: from cached grid trig, only a
+window around the pointing sample gets array-frame units and the arc tests,
+and each axis factor takes one complex exponential, the half-step phasor,
+which a recurrence symmetric about the aperture centre expands to every grid
+row.  Candidate scoring and `pattern_cut` share those factors, the dB
+normalisation and the SLL extraction, so the achieved values reported by a
+synthesis result re-derive from its weights to roundoff.  Everything here is
+pure given its inputs; results are immutable.
 
 Factor memory: each pattern evaluator takes flat buffers for its four
-(side, n_arc) factor matrices and its cut products from a pool private to the
-calling thread, and gives them back when it is collected, so a loop of
-syntheses stops faulting fresh pages in on every build and every candidate.
-Two live evaluators never share memory, and threads never share buffers.
+(side, n_arc) factor matrices from a pool private to the calling thread, and
+gives them back when it is collected, so a loop of syntheses stops faulting
+fresh pages in on every build.  Two live evaluators never share memory, and
+threads never share buffers.  A synthesis keeps one block record alive at a
+time, and each record holds one cached response per cut and axis.
 """
 
 from __future__ import annotations
@@ -346,29 +352,24 @@ class _PatternEvaluator:
 
     The panel is a square grid in the array's XZ plane, so the steering
     vector toward array-frame direction u is the Kronecker product
-    exp(j k u_x x) (x) exp(j k u_z z) of one factor per grid axis.  Weights
-    come in factored form W = X Z^T, W being the weights reshaped to (rows,
-    columns), and a^H w = sum_j (e_x^H X_j)(e_z^H Z_j).  `pattern_cut` passes
-    X = W and Z = I; the synthesizer passes its Chebyshev candidate and one
-    column per null, 1 + n_nulls columns in all.  Each cut's samples come
-    arc first: the grid trig is cached, and units are computed only on a
-    window around the pointing sample (see _cut_arc).  A cut of n arc
-    samples thus costs two (side, n) factor matrices, built with one complex
-    exponential per axis by a symmetric recurrence (see _axis_factors), and
-    2 n side (1 + n_nulls) products per candidate instead of a dense
-    (n, side**2) steering matrix.
+    exp(j k u_x x) (x) exp(j k u_z z) of one factor per grid axis, and
+    a^H w = e_x^H W e_z* with W the weights reshaped to (rows, columns).
+    Each cut's samples come arc first: the grid trig is cached, and units
+    are computed only on a window around the pointing sample (see _cut_arc).
+    A cut of n arc samples thus costs two (side, n) factor matrices, built
+    with one complex exponential per axis by a symmetric recurrence (see
+    _axis_factors), instead of a dense (n, side**2) steering matrix.
+    `cut_gains_db` contracts a whole weight matrix, as `pattern_cut` needs;
+    the synthesizer contracts its candidates against the same factors one
+    axis at a time (see _Block).
 
-    `columns` bounds the columns of the X and Z that cuts contract.
-
-    The four factor matrices, and the two (columns, n) products that every
-    cut of this evaluator reuses, live in flat buffers taken from the calling
+    The four factor matrices live in flat buffers taken from the calling
     thread's pool, sized for the longest arc the grid step allows, window =
-    2 reach + 1 samples: four of side * window entries for the factors and
-    two of columns * window for the products.  An (r, n) array is the
-    contiguous view buffer[: r * n].reshape(r, n), the layout a fresh array
-    has.  A finalizer returns the buffers to that pool when the evaluator is
-    collected, so two live evaluators never share memory, and evaluators
-    built on different threads never share buffers.
+    2 reach + 1 samples, so side * window entries each.  An (r, n) factor is
+    the contiguous view buffer[: r * n].reshape(r, n), the layout a fresh
+    array has.  A finalizer returns the buffers to that pool when the
+    evaluator is collected, so two live evaluators never share memory, and
+    evaluators built on different threads never share buffers.
     """
 
     def __init__(
@@ -377,16 +378,13 @@ class _PatternEvaluator:
         pose: Pose,
         pointing: DirectionAngles,
         step_deg: float = GRID_STEP_DEG,
-        *,
-        columns: int,
     ):
         rot = rotation_matrix(pose.angles)
         side = config.side
         pool = _thread.pool
-        window = 2 * _arc_reach(step_deg) + 1
-        factors = pool.take(side * window, 4)
-        self.products = pool.take(columns * window, 2)
-        weakref.finalize(self, pool.give, factors + self.products)
+        self.window = 2 * _arc_reach(step_deg) + 1
+        factors = pool.take(side * self.window, 4)
+        weakref.finalize(self, pool.give, factors)
         self.cuts: dict[str, tuple] = {}
         for i, plane in enumerate(("azimuth", "elevation")):
             angles, units = _cut_arc(plane, pointing, rot, step_deg)
@@ -394,18 +392,19 @@ class _PatternEvaluator:
             ex_conj, ez_conj = _axis_factors(config, units, out=out)
             self.cuts[plane] = (angles, ex_conj, ez_conj, element_gain(units))
 
-    def cut_gains_db(self, plane: str, x: NDArray[np.complex128], z: NDArray[np.complex128]):
-        """Cut angles and gains (dB below the cut's peak) of the weights x z^T."""
+    def cut_gains_db(self, plane: str, weights: NDArray[np.complex128]):
+        """Cut angles and gains (dB below the cut's peak) of (side, side) weights."""
         angles, ex_conj, ez_conj, ge = self.cuts[plane]
-        px, pz = (_view(b, x.shape[1], ex_conj.shape[1]) for b in self.products)
-        np.matmul(x.T, ex_conj, out=px)
-        af = np.multiply(px, np.matmul(z.T, ez_conj, out=pz), out=px).sum(axis=0)
-        power = np.abs(af) ** 2 * ge
-        peak = power.max()
-        if peak <= 0.0:
-            return angles, np.full(power.shape, -400.0)
-        norm = np.maximum(power / peak, _DB_FLOOR)
-        return angles, 10.0 * np.log10(norm)
+        af = (np.matmul(weights.T, ex_conj) * ez_conj).sum(axis=0)
+        return angles, _gains_db(np.abs(af) ** 2 * ge)
+
+
+def _gains_db(power: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Cut power in dB below its peak, floored at _DB_FLOOR; -400 dB for a null cut."""
+    peak = power.max()
+    if peak <= 0.0:
+        return np.full(power.shape, -400.0)
+    return 10.0 * np.log10(np.maximum(power / peak, _DB_FLOOR))
 
 
 def pattern_cut(
@@ -425,10 +424,9 @@ def pattern_cut(
     """
     if step_deg > 0.1:
         raise ValueError("cut grid step must be at most 0.1 degrees")
-    side = config.side
-    ev = _PatternEvaluator(config, pose, pointing, step_deg, columns=side)
-    w = _weight_entries(weights).reshape(side, side)
-    angles, gains_db = ev.cut_gains_db(plane, w, np.eye(side))
+    ev = _PatternEvaluator(config, pose, pointing, step_deg)
+    w = _weight_entries(weights).reshape(config.side, config.side)
+    angles, gains_db = ev.cut_gains_db(plane, w)
     return PatternCut(plane=plane, angles_rad=angles, gains_db=gains_db)
 
 
@@ -578,11 +576,8 @@ def apply_nulls(
 
 @dataclass
 class _Candidate:
-    entries: NDArray[np.complex128]
-    ppe_mw: float
     sll_az_db: float
     sll_el_db: float
-    eirp_dbm: float
     rows: int
     cols: int
     s_az: float
@@ -607,13 +602,97 @@ def _sll_cost_term(measured_db: float, requested_db: float) -> float:
     return max(0.0, (requested_db - measured_db) / requested_db)
 
 
+def _taper(n: int, sll_db: float) -> NDArray[np.float64]:
+    """Chebyshev taper of one block axis; a single element is untapered."""
+    return chebyshev_taper(n, sll_db) if n > 1 else np.ones(1)
+
+
+class _Block:
+    """Factored scoring record of one rows-by-cols active block.
+
+    A candidate on the block has the unprojected weights vx vz^T, vx and vz
+    being the pointing's axis factors times the two tapers.  Projecting the
+    nulls out subtracts sum_n c_n bx_n bz_n^T, with bx_n, bz_n the axis factors
+    of null n and c the least-squares coefficients of _project_out, c =
+    P vec(vx vz^T) for P the pseudo-inverse of the null basis restricted to the
+    block (Steyskal's minimum-norm perturbation; only the arithmetic is
+    reordered).  P is fixed for the block, and so are each null column's
+    pointing response a_p^H (bx_n (x) bz_n) and, per cut, its response Q_n =
+    (bx_n^T Ex*)(bz_n^T Ez*), so a candidate's cut array factor is
+    (vx^T Ex*)(vz^T Ez*) - c^T Q: one 1-column product per axis per cut.  The
+    coordinate search moves one taper at a time, so each (cut, axis) keeps
+    the response to its last taper and reuses it while that taper stays.
+    The pointing array factor is sum(tx) sum(tz) - c . (null pointing
+    responses), since the steering factors have unit modulus.
+    """
+
+    def __init__(self, synth: "_Synthesizer", rows: int, cols: int):
+        self.rows, self.cols = rows, cols
+        ax, az = synth.axis_x[:rows], synth.axis_z[:cols]
+        self.point_x, self.point_z = ax[:, 0], az[:, 0]
+        bx, bz = ax[:, 1:], az[:, 1:]
+        active = np.zeros((synth.side, synth.side), dtype=bool)
+        active[:rows, :cols] = True
+        self.solve = np.linalg.pinv(synth.null_basis[active.ravel()])
+        self.null_point = (self.point_x.conj() @ bx) * (self.point_z.conj() @ bz)
+        # both cuts' null responses, and a work buffer for their z factors,
+        # live in buffers from the thread's pool, as the evaluator's factors do
+        n = bx.shape[1]
+        pool = _thread.pool
+        *responses, z_part = buffers = pool.take(n * synth.evaluator.window, 3)
+        weakref.finalize(self, pool.give, buffers)
+        self.cuts: dict[str, tuple] = {}
+        for q, (plane, (_, ex_conj, ez_conj, ge)) in zip(responses, synth.evaluator.cuts.items()):
+            ex_conj, ez_conj = ex_conj[:rows], ez_conj[:cols]
+            q = np.matmul(bx.T, ex_conj, out=_view(q, n, ex_conj.shape[1]))
+            q *= np.matmul(bz.T, ez_conj, out=_view(z_part, n, ez_conj.shape[1]))
+            self.cuts[plane] = (ex_conj, ez_conj, ge, q)
+        self._responses: dict[tuple[str, int], tuple[float, NDArray[np.complex128]]] = {}
+
+    def _response(self, plane: str, axis: int, sll_db: float, v, factors):
+        """v^T factors, reused while the (cut, axis) taper stays at sll_db."""
+        cached = self._responses.get((plane, axis))
+        if cached is not None and cached[0] == sll_db:
+            return cached[1]
+        response = v @ factors
+        self._responses[plane, axis] = (sll_db, response)
+        return response
+
+    def score(self, s_az: float, s_el: float):
+        """Pointing array factor and (azimuth, elevation) cut gains in dB of one candidate.
+
+        Both are those of the projected weights before _Synthesizer._weights
+        normalises them, a scale that the cut gains and the EIRP do not see.
+        """
+        tx, tz = _taper(self.rows, s_az), _taper(self.cols, s_el)
+        vx, vz = self.point_x * tx, self.point_z * tz
+        coeff = self.solve @ np.outer(vx, vz).ravel()
+        af_point = tx.sum() * tz.sum() - coeff @ self.null_point
+        gains = []
+        for plane, (ex_conj, ez_conj, ge, q) in self.cuts.items():
+            af = self._response(plane, 0, s_az, vx, ex_conj) * self._response(
+                plane, 1, s_el, vz, ez_conj
+            )
+            af -= coeff @ q
+            gains.append(_gains_db(np.abs(af) ** 2 * ge))
+        return af_point, gains
+
+
 class _Synthesizer:
+    """Search state of one synthesis run.
+
+    Candidates are scored through the record of their active block (see
+    _Block), built on the block's first candidate; one record is live at a
+    time, since the search finishes with a block before it moves to the
+    next.  Scoring builds no weight vector: only the returned candidate's
+    weights, their max(1, max|w|) normalisation and its per-element power
+    are computed, by _build_entries and _project_out.
+    """
+
     def __init__(self, request: SynthesisRequest, config: ArrayConfig, pose: Pose):
         self.request = request
         check_nulls(config, request.nulls, request.pointing)
-        self.evaluator = _PatternEvaluator(
-            config, pose, request.pointing, columns=1 + len(request.nulls)
-        )
+        self.evaluator = _PatternEvaluator(config, pose, request.pointing)
         # row 0 is the pointing, row 1 + n null n; so are the axis-factor columns
         units = _frame_units(pose, (request.pointing, *request.nulls))
         self.point_steering = steering(config, units[0])
@@ -623,30 +702,32 @@ class _Synthesizer:
         self.eirp_target_mw = from_db(request.eirp_target_dbm)
         self.side = config.side
         self.best: _Candidate | None = None
+        self._block: _Block | None = None
         self._seen: set[tuple[int, int, float, float]] = set()
 
     def _build_entries(self, rows: int, cols: int, s_az: float, s_el: float):
-        """Candidate weights on a rows-by-cols block: (entries, X, Z) with W = X Z^T.
+        """Projected candidate weights on a rows-by-cols block, zero off it.
 
         The tapered, phase-steered candidate is the outer product vx vz^T of
-        one factor per grid axis.  Projecting the nulls out inside the block
-        subtracts sum_n c_n bx_n bz_n^T, so X = [vx, -c_n bx_n] and
-        Z = [vz, bz_n], both zero off the block; see grid_axis_offsets.
+        one factor per grid axis (see grid_axis_offsets); the nulls are
+        projected out inside the block.
         """
-        tx = chebyshev_taper(rows, s_az) if rows > 1 else np.ones(1)
-        tz = chebyshev_taper(cols, s_el) if cols > 1 else np.ones(1)
-        x = np.zeros_like(self.axis_x)
-        z = np.zeros_like(self.axis_z)
-        x[:rows] = self.axis_x[:rows]
-        z[:cols] = self.axis_z[:cols]
-        x[:rows, 0] *= tx
-        z[:cols, 0] *= tz
+        vx = np.zeros(self.side, dtype=np.complex128)
+        vz = np.zeros(self.side, dtype=np.complex128)
+        vx[:rows] = self.axis_x[:rows, 0] * _taper(rows, s_az)
+        vz[:cols] = self.axis_z[:cols, 0] * _taper(cols, s_el)
         active = np.zeros((self.side, self.side), dtype=bool)
         active[:rows, :cols] = True
-        w, coeff = _project_out(np.outer(x[:, 0], z[:, 0]).ravel(), self.null_basis, active.ravel())
-        x[:, 1:] *= -coeff
-        scale = max(1.0, float(np.max(np.abs(w))))
-        return w / scale, x / scale, z
+        return _project_out(np.outer(vx, vz).ravel(), self.null_basis, active.ravel())[0]
+
+    def _weights(self, cand: _Candidate) -> tuple[BeamWeights, float]:
+        """Normalised weights of a candidate sized to the EIRP target, and its EIRP (dBm)."""
+        w = self._build_entries(cand.rows, cand.cols, cand.s_az, cand.s_el)
+        entries = w / max(1.0, float(np.max(np.abs(w))))
+        af_point = abs(np.vdot(self.point_steering, entries)) ** 2
+        gain_point = float(af_point * self.point_element_gain)
+        ppe = self.eirp_target_mw / gain_point
+        return BeamWeights(entries=entries, power_per_element_mw=ppe), to_db(ppe * gain_point)
 
     def _feasible(self) -> bool:
         return self.best is not None and self.best.feasible
@@ -667,15 +748,14 @@ class _Synthesizer:
             return False
         self._seen.add(key)
         req = self.request
-        entries, x, z = self._build_entries(rows, cols, s_az, s_el)
-        af_point = abs(np.vdot(self.point_steering, entries)) ** 2
-        gain_point = float(af_point * self.point_element_gain)
+        if self._block is None or (self._block.rows, self._block.cols) != (rows, cols):
+            self._block = _Block(self, rows, cols)
+        af_point, (az_db, el_db) = self._block.score(s_az, s_el)
+        gain_point = float(abs(af_point) ** 2 * self.point_element_gain)
         if gain_point <= 0.0:
             return False
         ppe = self.eirp_target_mw / gain_point
         eirp_dbm = to_db(ppe * gain_point)
-        _, az_db = self.evaluator.cut_gains_db("azimuth", x, z)
-        _, el_db = self.evaluator.cut_gains_db("elevation", x, z)
         sll_az = _sll_from_gains(az_db)
         sll_el = _sll_from_gains(el_db)
         z1 = req.k1 * (
@@ -685,11 +765,8 @@ class _Synthesizer:
         denom = max(abs(req.eirp_target_dbm), 1.0)
         z2 = req.k2 * abs(eirp_dbm - req.eirp_target_dbm) / denom
         cand = _Candidate(
-            entries=entries,
-            ppe_mw=ppe,
             sll_az_db=sll_az,
             sll_el_db=sll_el,
-            eirp_dbm=eirp_dbm,
             rows=rows,
             cols=cols,
             s_az=s_az,
@@ -714,7 +791,7 @@ class _Synthesizer:
             return
         for step in (2.0, 1.0, 0.5, 0.25):
             improved = True
-            while improved:
+            while improved and not self._converged():
                 improved = False
                 for d_az, d_el in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
                     best = self.best
@@ -741,11 +818,12 @@ class _Synthesizer:
         chosen = self.best
         if chosen is None:
             raise RuntimeError("synthesis produced no candidates")
+        weights, eirp_dbm = self._weights(chosen)
         return SynthesisResult(
-            weights=BeamWeights(entries=chosen.entries, power_per_element_mw=chosen.ppe_mw),
+            weights=weights,
             achieved_sll_az_db=chosen.sll_az_db,
             achieved_sll_el_db=chosen.sll_el_db,
-            achieved_eirp_dbm=chosen.eirp_dbm,
+            achieved_eirp_dbm=eirp_dbm,
             active_rows=chosen.rows,
             active_cols=chosen.cols,
             iterations=len(self._seen),

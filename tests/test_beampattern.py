@@ -462,16 +462,23 @@ def test_synthesize_search_paths_are_pinned(path):
     ) == SEARCH_PATHS[path][-1]
 
 
-# (iterations, active_rows, active_cols, converged) of all 220 synthesize calls
-# of generate_dataset(Scenario(), 1, "closest", 11), in call order, recorded
-# before the factored candidate cuts: 1802 candidates, 204 calls converged and
-# 3 ending on a shrunk block.  Exactly tied candidates are ordered by roundoff
-# (the incumbent moves only on a strictly lower rank), so a change in the cut
+# Per dataset seed: the (iterations, active_rows, active_cols, converged) of
+# all 220 synthesize calls of generate_dataset(Scenario(), 1, "closest", seed),
+# in call order, as (calls, candidates, converged calls, calls ending on a
+# shrunk block) and the SHA-256 of their repr.  Seed 11 was recorded before
+# the factored candidate cuts, seeds 23 and 1011 before the per-block
+# candidate scoring.  Exactly tied candidates are ordered by roundoff (the
+# incumbent moves only on a strictly lower rank), so a change in the scoring
 # arithmetic can flip a tie; such a flip must be traced and the pin re-recorded.
-DATASET_SEARCH_PATHS_SHA256 = "d7690ed9d136e051a8c656a9ac4d93b2ebb76ae1e04036e4df3c1531cce95712"
+DATASET_SEARCH_PATHS = {
+    11: ((220, 1802, 204, 3), "d7690ed9d136e051a8c656a9ac4d93b2ebb76ae1e04036e4df3c1531cce95712"),
+    23: ((220, 1282, 210, 4), "68bf5846daf98e0d7949b4d827bbf297f77cad002964220a94a8b9e04aea4f31"),
+    1011: ((220, 1768, 203, 3), "b3efee1abd276c7ab6ea0855675cd24539908ed1aae95eb8117bff97f8aa2fe9"),
+}
 
 
-def test_dataset_search_paths_are_pinned(monkeypatch):
+@pytest.mark.parametrize("seed", sorted(DATASET_SEARCH_PATHS))
+def test_dataset_search_paths_are_pinned(monkeypatch, seed):
     from uavisac import pipeline
     from uavisac.scenario import Scenario
 
@@ -485,15 +492,16 @@ def test_dataset_search_paths_are_pinned(monkeypatch):
         return result
 
     monkeypatch.setattr(pipeline, "synthesize", recording)
-    pipeline.generate_dataset(Scenario(), 1, "closest", 11)
+    pipeline.generate_dataset(Scenario(), 1, "closest", seed)
     summary = (
         len(paths),
         sum(p[0] for p in paths),
         sum(p[3] for p in paths),
         sum((p[1], p[2]) != (10, 10) for p in paths),
     )
-    assert summary == (220, 1802, 204, 3)
-    assert hashlib.sha256(repr(paths).encode()).hexdigest() == DATASET_SEARCH_PATHS_SHA256
+    assert (summary, hashlib.sha256(repr(paths).encode()).hexdigest()) == (
+        DATASET_SEARCH_PATHS[seed]
+    )
 
 
 def _rederivation_cases():

@@ -1,9 +1,13 @@
 """Oracles for the factored cut engine and the vectorized cut helpers.
 
-The synthesizer's cut patterns come from per-axis steering factors, built by a
-phase recurrence, contracted with weights in factored form W = X Z^T; here
-they are checked against the dense steering matrix of `_kernels` and against
-one complex exponential per element.  The loop version of `_sll_from_gains`
+Cut patterns come from per-axis steering factors, built by a phase
+recurrence: `pattern_cut` contracts a whole weight matrix against them, and
+the synthesizer scores each candidate through its active block's factored
+record (null solve, null responses, one product per axis per cut).  Here they
+are checked against the dense steering matrix of `_kernels`, against
+`_project_out`'s weights and their pointing response, and against one complex
+exponential per element; a block's cached axis responses are checked bit for
+bit against a fresh block's.  The loop version of `_sll_from_gains`
 is kept below as the reference for the vectorized one.  The windowed arc
 build `_cut_arc` is checked for exact equality against the full-circle chain
 it replaced, kept here: the whole cut grid, its array-frame units, and the
@@ -25,6 +29,7 @@ from uavisac.beampattern import (
     MAIN_LOBE_MIN_DEPTH_DB,
     SynthesisRequest,
     _axis_factors,
+    _Block,
     _cut_arc,
     _frame_units,
     _PatternEvaluator,
@@ -291,19 +296,59 @@ def candidate_scenes(draw):
     return config, pose, request, (rows, cols, *tapers)
 
 
+def _block_candidate(scene):
+    """Synthesizer, its fresh record of the candidate's block, and the candidate's weights."""
+    config, pose, request, (rows, cols, s_az, s_el) = scene
+    synth = _Synthesizer(request, config, pose)
+    w = synth._build_entries(rows, cols, s_az, s_el)
+    assume(np.max(np.abs(w)) > 1e-6)
+    return synth, _Block(synth, rows, cols), w
+
+
 @SETTINGS
 @given(scene=candidate_scenes())
 def test_factored_candidate_cut_matches_dense_kernel(scene):
-    config, pose, request, candidate = scene
-    synth = _Synthesizer(request, config, pose)
-    entries, x, z = synth._build_entries(*candidate)
-    assume(np.max(np.abs(entries)) > 1e-6)
-    for plane in ("azimuth", "elevation"):
-        angles, gains_db = synth.evaluator.cut_gains_db(plane, x, z)
-        dense, ge = _dense_cut_power(entries, config, pose, plane, request.pointing, angles)
+    config, pose, request, (_, _, s_az, s_el) = scene
+    synth, block, w = _block_candidate(scene)
+    _, gains = block.score(s_az, s_el)
+    for plane, gains_db in zip(("azimuth", "elevation"), gains):
+        angles = synth.evaluator.cuts[plane][0]
+        dense, ge = _dense_cut_power(w, config, pose, plane, request.pointing, angles)
         factored = 10.0 ** (gains_db / 10.0) * dense.max()
-        bound = np.abs(entries).sum() ** 2 * ge.max()  # see the factored-cut test above
+        bound = np.abs(w).sum() ** 2 * ge.max()  # see the factored-cut test above
         assert np.max(np.abs(factored - dense)) <= 1e-12 * bound
+
+
+@SETTINGS
+@given(scene=candidate_scenes())
+def test_factored_pointing_response_matches_projected_weights(scene):
+    *_, (_, _, s_az, s_el) = scene
+    synth, block, w = _block_candidate(scene)
+    af_point, _ = block.score(s_az, s_el)
+    want = np.vdot(synth.point_steering, w)
+    assert abs(af_point - want) <= 1e-12 * abs(want)
+
+
+@settings(SETTINGS, max_examples=40)
+@given(scene=candidate_scenes(), steps=st.lists(
+    st.tuples(st.booleans(), st.floats(5.0, 40.0)), min_size=1, max_size=6
+))
+def test_cached_axis_responses_match_a_fresh_block(scene, steps):
+    """A block scoring a coordinate walk matches a fresh block per candidate, bit for bit.
+
+    Each step moves one taper, as the refinement does, so the other axis's
+    responses come from the block's cache.
+    """
+    *_, (_, _, s_az, s_el) = scene
+    synth, block, _ = _block_candidate(scene)
+    block.score(s_az, s_el)
+    for move_az, value in steps:
+        s_az, s_el = (value, s_el) if move_az else (s_az, value)
+        af_point, gains = block.score(s_az, s_el)
+        fresh_point, fresh_gains = _Block(synth, block.rows, block.cols).score(s_az, s_el)
+        assert af_point == fresh_point
+        for got, want in zip(gains, fresh_gains, strict=True):
+            assert np.array_equal(got, want)
 
 
 @SETTINGS
@@ -490,9 +535,8 @@ def pool(monkeypatch):
 
 
 def _buffers(ev):
-    """The pool buffers behind the evaluator's cut factors and its products."""
-    factors = [f.base for plane in ("azimuth", "elevation") for f in ev.cuts[plane][1:3]]
-    return factors + ev.products
+    """The pool buffers behind the evaluator's cut factors."""
+    return [f.base for plane in ("azimuth", "elevation") for f in ev.cuts[plane][1:3]]
 
 
 def _build(seed, num_elements=100, step_deg=0.05):
@@ -500,19 +544,18 @@ def _build(seed, num_elements=100, step_deg=0.05):
     config = ArrayConfig(num_elements=num_elements, carrier_hz=3e11)
     pose = Pose(np.zeros(3), RotationAngles(*rng.uniform(-math.pi, math.pi, 3)))
     pointing = DirectionAngles(rng.uniform(0.0, math.pi), rng.uniform(-math.pi, math.pi))
-    return _PatternEvaluator(config, pose, pointing, step_deg, columns=3)
+    return _PatternEvaluator(config, pose, pointing, step_deg)
 
 
 def _cut_arrays(ev, seed):
-    """Copies of an evaluator's cached cuts and of two cuts of random weights."""
+    """Copies of an evaluator's cached cuts and of the cuts of random weights."""
     rng = np.random.default_rng(seed + 1)
-    x, z = rng.normal(size=(2, ev.cuts["azimuth"][1].shape[0], 3)) * (1.0 + 1.0j)
+    side = ev.cuts["azimuth"][1].shape[0]
+    w = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
     arrays = []
     for plane in ("azimuth", "elevation"):
         arrays += ev.cuts[plane]
-        # fewer columns than the evaluator allows, then all three
-        for k in (2, 3):
-            arrays += ev.cut_gains_db(plane, x[:, :k], z[:, :k])
+        arrays += ev.cut_gains_db(plane, w)
     return [np.copy(a) for a in arrays]
 
 
@@ -539,6 +582,36 @@ def test_pooled_cuts_match_fresh_evaluator(pool, monkeypatch):
         monkeypatch.setattr(beampattern._thread, "pool", beampattern._BufferPool())
         for g, want in zip(got, _cut_arrays(_build(*case), case[0]), strict=True):
             assert g.shape == want.shape
+            assert np.array_equal(g, want)
+
+
+def _block_scores(seed, nulls):
+    """Cut gains of two candidates on a shrunk block of a seeded comm request."""
+    from tests.helpers import random_null_scene
+
+    pose, pointing, null_dirs = random_null_scene(np.random.default_rng(seed))
+    request = SynthesisRequest(
+        pointing=pointing, sll_min_az_db=20.0, sll_min_el_db=20.0,
+        eirp_target_dbm=25.0, nulls=null_dirs[:nulls],
+    )
+    synth = _Synthesizer(request, ArrayConfig(num_elements=100, carrier_hz=3e11), pose)
+    block = _Block(synth, 9, 8)
+    return [np.copy(g) for tapers in ((20.0, 25.0), (22.0, 25.0)) for g in block.score(*tapers)[1]]
+
+
+def test_pooled_block_matches_fresh_pool(pool, monkeypatch):
+    cases = [(seed, nulls) for seed in range(3) for nulls in (0, 1, 2)]
+    for case in cases:  # leaves each size's dropped buffers in the pool
+        _block_scores(*case)
+    reused = []
+    for case in cases:
+        for buffers in pool.free.values():
+            for b in buffers:
+                b.fill(np.nan)
+        reused.append(_block_scores(*case))
+    for case, got in zip(cases, reused):
+        monkeypatch.setattr(beampattern._thread, "pool", beampattern._BufferPool())
+        for g, want in zip(got, _block_scores(*case), strict=True):
             assert np.array_equal(g, want)
 
 
