@@ -5,9 +5,11 @@ active block of the planar array, projects nulls out of the weight vector,
 solves the per-element power from the EIRP target in closed form, and scores
 each candidate by the relative sidelobe-level and EIRP mismatch.
 
-One incumbent: candidates rank by (infeasible, cost), so the answer is the
-cheapest candidate meeting both sidelobe minima, else the cheapest of all; a
-later candidate replaces it only on a strictly lower rank, never on a tie.
+One incumbent: feasible candidates rank first, then the cheapest, so the
+answer is the cheapest candidate meeting both sidelobe minima, else the
+cheapest of all.  A later candidate replaces it when it is feasible and the
+incumbent is not, or when it costs less by more than TIE_TOLERANCE; a tie, or
+a margin that reordered arithmetic could flip, keeps the earlier candidate.
 One stopping rule: no candidate is scored once the incumbent is feasible
 with cost under the threshold, or once counter_max distinct candidates have
 been scored.  The sweep is deterministic: five taper setpoints at the full
@@ -20,26 +22,33 @@ Every candidate is a tapered, phase-steered outer product vx vz^T on its
 active block, minus one outer product per projected null, and the null
 coefficients are a fixed linear map of vx vz^T for the whole block.  So each
 active block gets one scoring record, built on its first candidate: the
-factored null solve, and each null column's pointing and per-cut responses.
-A candidate then costs one 1-column product per axis per cut, of which the
+factored null solve (skipped when there are no nulls), each null column's
+pointing response, and its response over both cuts at once.  A candidate
+then costs one 1-column product per axis, covering both cuts, of which the
 coordinate search, moving one taper at a time, recomputes only one; no
-weight vector is built while scoring, only for the returned candidate.
+weight vector is built while scoring, only for the returned candidate.  Each
+cut's SLL is found on linear power, with one logarithm per cut.  The
+elevation cut is scored first, and the azimuth cut only when the candidate
+can still displace the incumbent.
+
 `pattern_cut` contracts a whole weight matrix against the same per-axis
 steering factors.  A cut is built arc first: from cached grid trig, only a
 window around the pointing sample gets array-frame units and the arc tests,
 and each axis factor takes one complex exponential, the half-step phasor,
 which a recurrence symmetric about the aperture centre expands to every grid
-row.  Candidate scoring and `pattern_cut` share those factors, the dB
-normalisation and the SLL extraction, so the achieved values reported by a
-synthesis result re-derive from its weights to roundoff.  Everything here is
-pure given its inputs; results are immutable.
+row.  The z factors carry the element amplitude sqrt(g_e), so |a^H w|^2 is
+the cut power as it stands.  Candidate scoring and `pattern_cut` share those
+factors and the main-lobe rules (see _sidelobe_peak), so the achieved values
+reported by a synthesis result re-derive from its weights to roundoff.
+Everything here is pure given its inputs; results are immutable.
 
-Factor memory: each pattern evaluator takes flat buffers for its four
-(side, n_arc) factor matrices from a pool private to the calling thread, and
-gives them back when it is collected, so a loop of syntheses stops faulting
-fresh pages in on every build.  Two live evaluators never share memory, and
-threads never share buffers.  A synthesis keeps one block record alive at a
-time, and each record holds one cached response per cut and axis.
+Factor memory: each pattern evaluator takes flat buffers for its two
+(side, n_az + n_el) factor matrices from a pool private to the calling
+thread, and gives them back when it is collected, so a loop of syntheses
+stops faulting fresh pages in on every build.  Two live evaluators never
+share memory, and threads never share buffers.  A synthesis keeps one block
+record alive at a time; its null responses take pool buffers too, and it
+holds one cached response per axis.
 """
 
 from __future__ import annotations
@@ -73,7 +82,13 @@ GRID_STEP_DEG = 0.05
 NULL_CONFLICT_DEG = 1.0
 MIN_TAPER_SLL_DB = 5.0
 MAIN_LOBE_MIN_DEPTH_DB = 6.0
+# a candidate displaces an incumbent of its own feasibility only when it is
+# cheaper by more than this: far above the roundoff of reordered scoring
+# arithmetic (1.8e-16 seen), far below any stopping threshold
+TIE_TOLERANCE = 1e-12
+_PLANES = ("azimuth", "elevation")
 _DB_FLOOR = 1e-40
+_MAIN_LOBE_RATIO = 10.0 ** (-MAIN_LOBE_MIN_DEPTH_DB / 10.0)
 
 
 class NullConflictError(ValueError):
@@ -286,7 +301,7 @@ def _cut_arc(plane: str, pointing: DirectionAngles, rot, step_deg: float):
     return arc_angles, units[lo:hi]
 
 
-def _axis_factors(config: ArrayConfig, units, out=None):
+def _axis_factors(config: ArrayConfig, units, out=None, z_amplitude=1.0):
     """Conjugated per-axis steering factors of array-frame units (n, 3): (side, n) each.
 
     Row r of the first is exp(-j k x_r u_x), row c of the second
@@ -297,17 +312,20 @@ def _axis_factors(config: ArrayConfig, units, out=None):
     every row: the first row at or above the centre is h for an even side and
     exactly 1 for an odd one, each row further up is the one below it times
     the step phasor h^2, and each row below the centre is the exact conjugate
-    of its mirror.  `out`, when given, is a pair of complex (side, n) arrays
-    written in place and returned; otherwise both are allocated.
+    of its mirror.  `z_amplitude`, a real scale per unit, multiplies every
+    row of the second factor; it enters through the first row at or above the
+    centre, which the recurrence and the conjugate mirror carry to the rest.
+    `out`, when given, is a pair of complex (side, n) arrays written in place
+    and returned; otherwise both are allocated.
     """
     side = config.side
     mid = side // 2
     phase = -0.5j * config.wavenumber * config.spacing_m
     if out is None:
         out = [np.empty((side, units.shape[0]), dtype=np.complex128) for _ in range(2)]
-    for u, f in zip((units[:, 0], units[:, 2]), out):
+    for u, f, amplitude in zip((units[:, 0], units[:, 2]), out, (1.0, z_amplitude)):
         half = np.exp(phase * u)
-        f[mid] = 1.0 if side % 2 else half
+        f[mid] = (1.0 if side % 2 else half) * amplitude
         step = half * half
         for r in range(mid + 1, side):
             np.multiply(f[r - 1], step, out=f[r])
@@ -356,20 +374,23 @@ class _PatternEvaluator:
     a^H w = e_x^H W e_z* with W the weights reshaped to (rows, columns).
     Each cut's samples come arc first: the grid trig is cached, and units
     are computed only on a window around the pointing sample (see _cut_arc).
-    A cut of n arc samples thus costs two (side, n) factor matrices, built
-    with one complex exponential per axis by a symmetric recurrence (see
-    _axis_factors), instead of a dense (n, side**2) steering matrix.
-    `cut_gains_db` contracts a whole weight matrix, as `pattern_cut` needs;
-    the synthesizer contracts its candidates against the same factors one
-    axis at a time (see _Block).
+    Both arcs sit side by side, azimuth then elevation, in one (side, n_az +
+    n_el) factor matrix per grid axis, built with one complex exponential per
+    axis by a symmetric recurrence (see _axis_factors), instead of a dense
+    (n, side**2) steering matrix.  The z factors carry each sample's element
+    amplitude sqrt(g_e), so |e_x^H W e_z*|^2 is the cut power with no gain
+    multiply.  `cuts` holds each cut's angles and its slice of the factor
+    columns.  `cut_gains_db` contracts a whole weight matrix, as
+    `pattern_cut` needs; the synthesizer contracts its candidates against the
+    fused factors one axis at a time, both cuts in one product (see _Block).
 
-    The four factor matrices live in flat buffers taken from the calling
-    thread's pool, sized for the longest arc the grid step allows, window =
-    2 reach + 1 samples, so side * window entries each.  An (r, n) factor is
-    the contiguous view buffer[: r * n].reshape(r, n), the layout a fresh
-    array has.  A finalizer returns the buffers to that pool when the
-    evaluator is collected, so two live evaluators never share memory, and
-    evaluators built on different threads never share buffers.
+    The two factor matrices live in flat buffers taken from the calling
+    thread's pool, sized for the two longest arcs the grid step allows,
+    window = 2 reach + 1 samples each, so 2 side * window entries each.  An
+    (r, n) factor is the contiguous view buffer[: r * n].reshape(r, n), the
+    layout a fresh array has.  A finalizer returns the buffers to that pool
+    when the evaluator is collected, so two live evaluators never share
+    memory, and evaluators built on different threads never share buffers.
     """
 
     def __init__(
@@ -383,20 +404,27 @@ class _PatternEvaluator:
         side = config.side
         pool = _thread.pool
         self.window = 2 * _arc_reach(step_deg) + 1
-        factors = pool.take(side * self.window, 4)
+        factors = pool.take(2 * side * self.window, 2)
         weakref.finalize(self, pool.give, factors)
-        self.cuts: dict[str, tuple] = {}
-        for i, plane in enumerate(("azimuth", "elevation")):
-            angles, units = _cut_arc(plane, pointing, rot, step_deg)
-            out = [_view(b, side, units.shape[0]) for b in factors[2 * i : 2 * i + 2]]
-            ex_conj, ez_conj = _axis_factors(config, units, out=out)
-            self.cuts[plane] = (angles, ex_conj, ez_conj, element_gain(units))
+        arcs = {plane: _cut_arc(plane, pointing, rot, step_deg) for plane in _PLANES}
+        units = np.concatenate([units for _, units in arcs.values()])
+        self.ex, self.ez = _axis_factors(
+            config,
+            units,
+            out=[_view(b, side, units.shape[0]) for b in factors],
+            z_amplitude=np.sqrt(element_gain(units)),
+        )
+        self.cuts: dict[str, tuple[NDArray[np.float64], slice]] = {}
+        start = 0
+        for plane, (angles, _) in arcs.items():
+            self.cuts[plane] = (angles, slice(start, start + angles.size))
+            start += angles.size
 
     def cut_gains_db(self, plane: str, weights: NDArray[np.complex128]):
         """Cut angles and gains (dB below the cut's peak) of (side, side) weights."""
-        angles, ex_conj, ez_conj, ge = self.cuts[plane]
-        af = (np.matmul(weights.T, ex_conj) * ez_conj).sum(axis=0)
-        return angles, _gains_db(np.abs(af) ** 2 * ge)
+        angles, span = self.cuts[plane]
+        af = (np.matmul(weights.T, self.ex[:, span]) * self.ez[:, span]).sum(axis=0)
+        return angles, _gains_db(np.square(af.real) + np.square(af.imag))
 
 
 def _gains_db(power: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -430,22 +458,64 @@ def pattern_cut(
     return PatternCut(plane=plane, angles_rad=angles, gains_db=gains_db)
 
 
+def _first_true(flags: NDArray[np.bool_]) -> int | None:
+    """Index of the first True flag; None when there is none."""
+    if flags.size:
+        i = int(flags.argmax())
+        if flags[i]:
+            return i
+    return None
+
+
+def _sidelobe_peak(values: NDArray[np.float64], peak: int, threshold: float):
+    """Largest sample outside the main lobe around values[peak]; None when there is none.
+
+    The one statement of the main-lobe rules, for gains in dB and for linear
+    power alike: the lobe spans from the peak to the first boundary minimum
+    on each side, the nearest i <= peak with values[i - 1] > values[i] and
+    the nearest i >= peak with values[i + 1] > values[i], among samples at or
+    below threshold.  A boundary minimum must sit well below the peak;
+    shallower dips are main-lobe ripple (element-pattern lift near the cut
+    edge), not nulls.
+    """
+    below = values <= threshold
+    # entry j of left_hits tests i = j + 1, entry j of right_hits i = peak + j
+    left_hits = (values[:peak] > values[1 : peak + 1]) & below[1 : peak + 1]
+    right_hits = (values[peak + 1 :] > values[peak:-1]) & below[peak:-1]
+    last = _first_true(left_hits[::-1])
+    first = _first_true(right_hits)
+    left = 0 if last is None else peak - last
+    right = values.size if first is None else peak + first + 1
+    if left == 0 and right == values.size:
+        return None
+    return max(values[:left].max(initial=-math.inf), values[right:].max(initial=-math.inf))
+
+
 def _sll_from_gains(gains_db: NDArray[np.float64]) -> float:
     gains = np.asarray(gains_db, dtype=np.float64)
     peak = int(np.argmax(gains))
-    # a boundary minimum must sit well below the peak; shallower dips are
-    # main-lobe ripple (element-pattern lift near the cut edge), not nulls
-    below = gains <= gains[peak] - MAIN_LOBE_MIN_DEPTH_DB
-    # nearest i <= peak with gains[i - 1] > gains[i], and nearest i >= peak
-    # with gains[i + 1] > gains[i], among samples below the threshold
-    left_hits = np.flatnonzero((gains[:peak] > gains[1 : peak + 1]) & below[1 : peak + 1])
-    right_hits = np.flatnonzero((gains[peak + 1 :] > gains[peak:-1]) & below[peak:-1])
-    left = int(left_hits[-1]) + 1 if left_hits.size else 0
-    right = peak + int(right_hits[0]) if right_hits.size else gains.size - 1
-    outside = np.concatenate([gains[:left], gains[right + 1 :]])
-    if outside.size == 0:
+    sidelobe = _sidelobe_peak(gains, peak, gains[peak] - MAIN_LOBE_MIN_DEPTH_DB)
+    return math.inf if sidelobe is None else float(gains[peak] - sidelobe)
+
+
+def _sll_from_power(power: NDArray[np.float64]) -> float:
+    """Sidelobe level in dB of a linear cut power, as _sll_from_gains gives on its dB form.
+
+    The main-lobe rules run on power: the boundary threshold is the peak
+    times 10^(-MAIN_LOBE_MIN_DEPTH_DB / 10), and power is floored in place at
+    _DB_FLOOR times the peak, as the dB form floors its ratios.  Only the
+    sidelobe-to-peak ratio goes through a logarithm.  Both forms find the same
+    lobe except where a sample sits within roundoff of the threshold or the
+    floor, which is why the incumbent rule tolerates cost differences below
+    TIE_TOLERANCE.
+    """
+    peak = int(np.argmax(power))
+    top = float(power[peak])
+    np.maximum(power, top * _DB_FLOOR, out=power)
+    sidelobe = _sidelobe_peak(power, peak, top * _MAIN_LOBE_RATIO)
+    if sidelobe is None:
         return math.inf
-    return float(gains[peak] - outside.max())
+    return -10.0 * math.log10(max(sidelobe / top, _DB_FLOOR))
 
 
 def extract_sll(cut: PatternCut) -> float:
@@ -585,10 +655,13 @@ class _Candidate:
     cost: float
     feasible: bool
 
-    @property
-    def rank(self) -> tuple[bool, float]:
-        """Feasible candidates first, then the cheapest."""
-        return (not self.feasible, self.cost)
+    def displaces(self, incumbent: "_Candidate | None") -> bool:
+        """Feasible beats infeasible; otherwise only costing less by over TIE_TOLERANCE wins."""
+        if incumbent is None:
+            return True
+        if self.feasible != incumbent.feasible:
+            return self.feasible
+        return self.cost < incumbent.cost - TIE_TOLERANCE
 
 
 def _sll_cost_term(measured_db: float, requested_db: float) -> float:
@@ -617,65 +690,78 @@ class _Block:
     P vec(vx vz^T) for P the pseudo-inverse of the null basis restricted to the
     block (Steyskal's minimum-norm perturbation; only the arithmetic is
     reordered).  P is fixed for the block, and so are each null column's
-    pointing response a_p^H (bx_n (x) bz_n) and, per cut, its response Q_n =
-    (bx_n^T Ex*)(bz_n^T Ez*), so a candidate's cut array factor is
-    (vx^T Ex*)(vz^T Ez*) - c^T Q: one 1-column product per axis per cut.  The
-    coordinate search moves one taper at a time, so each (cut, axis) keeps
-    the response to its last taper and reuses it while that taper stays.
-    The pointing array factor is sum(tx) sum(tz) - c . (null pointing
-    responses), since the steering factors have unit modulus.
+    pointing response a_p^H (bx_n (x) bz_n) and its response over both cuts,
+    Q_n = (bx_n^T Ex*)(bz_n^T Ez*), with Ex*, Ez* the evaluator's fused factors,
+    whose z factors carry sqrt(g_e).  So a candidate's cut power is |af|^2 for
+    af = (vx^T Ex*)(vz^T Ez*) - c^T Q, one 1-column product per axis for both
+    cuts.  The coordinate search moves one taper at a time, so each axis
+    keeps the response to its last taper and reuses it while that taper
+    stays.  The pointing array factor is sum(tx) sum(tz) - c . (null pointing
+    responses), since the steering factors have unit modulus.  A block
+    without nulls (every sensing beam) has no P and no Q: its cut array
+    factor is the product of the two axis responses alone.
     """
 
     def __init__(self, synth: "_Synthesizer", rows: int, cols: int):
+        evaluator = synth.evaluator
         self.rows, self.cols = rows, cols
+        self.cuts = evaluator.cuts
+        self.ex, self.ez = evaluator.ex[:rows], evaluator.ez[:cols]
         ax, az = synth.axis_x[:rows], synth.axis_z[:cols]
         self.point_x, self.point_z = ax[:, 0], az[:, 0]
-        bx, bz = ax[:, 1:], az[:, 1:]
-        active = np.zeros((synth.side, synth.side), dtype=bool)
-        active[:rows, :cols] = True
-        self.solve = np.linalg.pinv(synth.null_basis[active.ravel()])
-        self.null_point = (self.point_x.conj() @ bx) * (self.point_z.conj() @ bz)
-        # both cuts' null responses, and a work buffer for their z factors,
-        # live in buffers from the thread's pool, as the evaluator's factors do
-        n = bx.shape[1]
-        pool = _thread.pool
-        *responses, z_part = buffers = pool.take(n * synth.evaluator.window, 3)
-        weakref.finalize(self, pool.give, buffers)
-        self.cuts: dict[str, tuple] = {}
-        for q, (plane, (_, ex_conj, ez_conj, ge)) in zip(responses, synth.evaluator.cuts.items()):
-            ex_conj, ez_conj = ex_conj[:rows], ez_conj[:cols]
-            q = np.matmul(bx.T, ex_conj, out=_view(q, n, ex_conj.shape[1]))
-            q *= np.matmul(bz.T, ez_conj, out=_view(z_part, n, ez_conj.shape[1]))
-            self.cuts[plane] = (ex_conj, ez_conj, ge, q)
-        self._responses: dict[tuple[str, int], tuple[float, NDArray[np.complex128]]] = {}
+        self.null_response = None
+        n = ax.shape[1] - 1
+        if n:
+            bx, bz = ax[:, 1:], az[:, 1:]
+            active = np.zeros((synth.side, synth.side), dtype=bool)
+            active[:rows, :cols] = True
+            self.solve = np.linalg.pinv(synth.null_basis[active.ravel()])
+            self.null_point = (self.point_x.conj() @ bx) * (self.point_z.conj() @ bz)
+            # the null responses live in a buffer from the thread's pool, as
+            # the evaluator's factors do; their z factors come one null at a
+            # time, so no second (n, width) buffer is held
+            pool = _thread.pool
+            buffers = pool.take(n * 2 * evaluator.window, 1)
+            weakref.finalize(self, pool.give, buffers)
+            width = self.ex.shape[1]
+            self.null_response = np.matmul(bx.T, self.ex, out=_view(buffers[0], n, width))
+            for row, z in zip(self.null_response, bz.T):
+                row *= z @ self.ez
+        self._responses: list[tuple[float, NDArray[np.complex128]] | None] = [None, None]
 
-    def _response(self, plane: str, axis: int, sll_db: float, v, factors):
-        """v^T factors, reused while the (cut, axis) taper stays at sll_db."""
-        cached = self._responses.get((plane, axis))
+    def _response(self, axis: int, sll_db: float, v, factors):
+        """v^T factors over both cuts, reused while the axis taper stays at sll_db."""
+        cached = self._responses[axis]
         if cached is not None and cached[0] == sll_db:
             return cached[1]
         response = v @ factors
-        self._responses[plane, axis] = (sll_db, response)
+        self._responses[axis] = (sll_db, response)
         return response
 
     def score(self, s_az: float, s_el: float):
-        """Pointing array factor and (azimuth, elevation) cut gains in dB of one candidate.
+        """Pointing array factor of one candidate, and the terms its cuts are built from.
 
-        Both are those of the projected weights before _Synthesizer._weights
-        normalises them, a scale that the cut gains and the EIRP do not see.
+        The array factor is that of the projected weights before
+        _Synthesizer._weights normalises them, a scale that the cut power
+        ratios and the EIRP do not see.  The terms go to `cut_power`.
         """
         tx, tz = _taper(self.rows, s_az), _taper(self.cols, s_el)
         vx, vz = self.point_x * tx, self.point_z * tz
+        responses = self._response(0, s_az, vx, self.ex), self._response(1, s_el, vz, self.ez)
+        af_point = tx.sum() * tz.sum()
+        if self.null_response is None:
+            return af_point, (responses, None)
         coeff = self.solve @ np.outer(vx, vz).ravel()
-        af_point = tx.sum() * tz.sum() - coeff @ self.null_point
-        gains = []
-        for plane, (ex_conj, ez_conj, ge, q) in self.cuts.items():
-            af = self._response(plane, 0, s_az, vx, ex_conj) * self._response(
-                plane, 1, s_el, vz, ez_conj
-            )
-            af -= coeff @ q
-            gains.append(_gains_db(np.abs(af) ** 2 * ge))
-        return af_point, gains
+        return af_point - coeff @ self.null_point, (responses, coeff)
+
+    def cut_power(self, terms, plane: str) -> NDArray[np.float64]:
+        """Linear power of one cut of the candidate that `score` returned the terms of."""
+        (rx, rz), coeff = terms
+        span = self.cuts[plane][1]
+        af = rx[span] * rz[span]
+        if coeff is not None:
+            af -= coeff @ self.null_response[:, span]
+        return np.square(af.real) + np.square(af.imag)
 
 
 class _Synthesizer:
@@ -684,9 +770,14 @@ class _Synthesizer:
     Candidates are scored through the record of their active block (see
     _Block), built on the block's first candidate; one record is live at a
     time, since the search finishes with a block before it moves to the
-    next.  Scoring builds no weight vector: only the returned candidate's
-    weights, their max(1, max|w|) normalisation and its per-element power
-    are computed, by _build_entries and _project_out.
+    next.  A cut's power is |af|^2, since the evaluator's z factors carry
+    sqrt(g_e), and its SLL is found on that linear power (see
+    _sll_from_power).  The elevation cut is scored first, and the azimuth
+    cut only when the candidate can still displace the incumbent (see
+    _cannot_win); the incumbent moves as _Candidate.displaces says.  Scoring
+    builds no weight vector: only the returned candidate's weights, their
+    max(1, max|w|) normalisation and its per-element power are computed, by
+    _build_entries and _project_out.
     """
 
     def __init__(self, request: SynthesisRequest, config: ArrayConfig, pose: Pose):
@@ -735,11 +826,31 @@ class _Synthesizer:
     def _converged(self) -> bool:
         return self._feasible() and self.best.cost < self.request.threshold
 
+    def _cannot_win(self, cost_floor: float) -> bool:
+        """True when an infeasible candidate costing at least cost_floor cannot win.
+
+        It cannot when the incumbent is feasible, or when cost_floor is not
+        below the incumbent's cost by more than TIE_TOLERANCE.  cost_floor is
+        k1 times one cut's deficit plus the EIRP term; the full cost adds k1
+        times the other, non-negative deficit, and float addition and scaling
+        by k1 >= 0 are monotone, so the full cost is no lower.  With k1 < 0 it
+        is no bound, and nothing is ruled out.
+        """
+        best = self.best
+        return (
+            best is not None
+            and self.request.k1 >= 0.0
+            and (best.feasible or cost_floor >= best.cost - TIE_TOLERANCE)
+        )
+
     def _evaluate(self, rows: int, cols: int, s_az: float, s_el: float) -> bool:
         """Score one candidate; True when it becomes the incumbent.
 
         The only stopping rule: nothing is scored once the incumbent has
-        converged or counter_max distinct candidates have been scored.
+        converged or counter_max distinct candidates have been scored.  The
+        elevation cut is scored first; when its SLL falls short and the
+        candidate then cannot win, the azimuth cut is never built, and the
+        candidate still counts as scored.
         """
         s_az = max(MIN_TAPER_SLL_DB, s_az)
         s_el = max(MIN_TAPER_SLL_DB, s_el)
@@ -750,20 +861,20 @@ class _Synthesizer:
         req = self.request
         if self._block is None or (self._block.rows, self._block.cols) != (rows, cols):
             self._block = _Block(self, rows, cols)
-        af_point, (az_db, el_db) = self._block.score(s_az, s_el)
+        af_point, terms = self._block.score(s_az, s_el)
         gain_point = float(abs(af_point) ** 2 * self.point_element_gain)
         if gain_point <= 0.0:
             return False
         ppe = self.eirp_target_mw / gain_point
         eirp_dbm = to_db(ppe * gain_point)
-        sll_az = _sll_from_gains(az_db)
-        sll_el = _sll_from_gains(el_db)
-        z1 = req.k1 * (
-            _sll_cost_term(sll_az, req.sll_min_az_db)
-            + _sll_cost_term(sll_el, req.sll_min_el_db)
-        )
         denom = max(abs(req.eirp_target_dbm), 1.0)
         z2 = req.k2 * abs(eirp_dbm - req.eirp_target_dbm) / denom
+        sll_el = _sll_from_power(self._block.cut_power(terms, "elevation"))
+        deficit_el = _sll_cost_term(sll_el, req.sll_min_el_db)
+        if sll_el < req.sll_min_el_db and self._cannot_win(req.k1 * deficit_el + z2):
+            return False
+        sll_az = _sll_from_power(self._block.cut_power(terms, "azimuth"))
+        z1 = req.k1 * (_sll_cost_term(sll_az, req.sll_min_az_db) + deficit_el)
         cand = _Candidate(
             sll_az_db=sll_az,
             sll_el_db=sll_el,
@@ -774,8 +885,7 @@ class _Synthesizer:
             cost=z1 + z2,
             feasible=(sll_az >= req.sll_min_az_db and sll_el >= req.sll_min_el_db),
         )
-        # strictly lower rank only: an exact tie keeps the earlier candidate
-        if self.best is None or cand.rank < self.best.rank:
+        if cand.displaces(self.best):
             self.best = cand
             return True
         return False

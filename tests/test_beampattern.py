@@ -557,3 +557,68 @@ def test_synthesize_ranks_feasible_first_and_keeps_ties():
     assert (result.iterations, result.converged) == (5 + 4 * 4 + 8 * 5, False)
     assert (result.active_rows, result.active_cols) == (10, 10)
     assert np.array_equal(result.weights.entries, first.weights.entries)
+
+
+# each _rederivation_cases request as dataset labelling sets it, with a zero
+# threshold (the search goes on past a feasible incumbent), with all costs
+# tied at zero, and with a negative SLL weight, under which the elevation
+# deficit bounds nothing
+REQUEST_VARIANTS = [{}, {"threshold": 0.0}, {"k1": 0.0, "k2": 0.0}, {"k1": -1.0}]
+
+
+def _outcome(result):
+    return (
+        result.iterations, result.active_rows, result.active_cols, result.converged,
+        result.weights.entries.tobytes(), result.weights.power_per_element_mw,
+        result.achieved_sll_az_db, result.achieved_sll_el_db, result.achieved_eirp_dbm,
+        result.cost,
+    )
+
+
+def test_skipping_the_azimuth_cut_keeps_every_search_path(monkeypatch):
+    """Synthesis matches a reference that scores both cuts of every candidate.
+
+    The reference turns the skip rule off, so every candidate whose elevation
+    SLL falls short also gets its azimuth cut and its full cost compared.
+    """
+    from uavisac import beampattern
+
+    config = ArrayConfig(num_elements=100, carrier_hz=3e11)
+    cases = [
+        (dataclasses.replace(request, **variant), pose)
+        for request, pose in _rederivation_cases()
+        for variant in REQUEST_VARIANTS
+    ]
+    skipped = []
+    cannot_win = beampattern._Synthesizer._cannot_win
+
+    def counting(self, cost_floor):
+        skipped.append(cannot_win(self, cost_floor))
+        return skipped[-1]
+
+    monkeypatch.setattr(beampattern._Synthesizer, "_cannot_win", counting)
+    lazy = [_outcome(synthesize(request, config, pose)) for request, pose in cases]
+    monkeypatch.setattr(beampattern._Synthesizer, "_cannot_win", lambda self, cost_floor: False)
+    for (request, pose), got in zip(cases, lazy, strict=True):
+        assert got == _outcome(synthesize(request, config, pose))
+    assert sum(skipped) > 100  # the skip is exercised
+
+
+def test_incumbent_moves_only_beyond_the_tie_tolerance():
+    from uavisac.beampattern import TIE_TOLERANCE, _Synthesizer
+
+    config = ArrayConfig(num_elements=100, carrier_hz=3e11)
+    # a zero threshold keeps a feasible incumbent from ending the search
+    request, pose = _search_path_case("refined", threshold=0.0)
+    synth = _Synthesizer(request, config, pose)
+    synth.run()
+    winner = synth.best
+    assert winner.feasible
+    probe = (winner.rows, winner.cols, winner.s_az, winner.s_el)
+    for margin, moves in ((0.5, False), (2.0, True)):
+        # the same candidate, scored afresh against an incumbent that costs
+        # `margin` tolerances more
+        synth = _Synthesizer(request, config, pose)
+        synth.best = dataclasses.replace(winner, cost=winner.cost + margin * TIE_TOLERANCE)
+        assert synth._evaluate(*probe) is moves
+        assert synth.best.cost == (winner.cost if moves else winner.cost + margin * TIE_TOLERANCE)

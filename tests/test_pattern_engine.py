@@ -1,14 +1,16 @@
 """Oracles for the factored cut engine and the vectorized cut helpers.
 
 Cut patterns come from per-axis steering factors, built by a phase
-recurrence: `pattern_cut` contracts a whole weight matrix against them, and
-the synthesizer scores each candidate through its active block's factored
-record (null solve, null responses, one product per axis per cut).  Here they
-are checked against the dense steering matrix of `_kernels`, against
-`_project_out`'s weights and their pointing response, and against one complex
-exponential per element; a block's cached axis responses are checked bit for
-bit against a fresh block's.  The loop version of `_sll_from_gains`
-is kept below as the reference for the vectorized one.  The windowed arc
+recurrence, both cuts side by side: `pattern_cut` contracts a whole weight
+matrix against them, and the synthesizer scores each candidate through its
+active block's factored record (null solve, null responses, one product per
+axis for both cuts).  Here they are checked against the dense steering
+matrix of `_kernels`, against `_project_out`'s weights and their pointing
+response, and against one complex exponential per element; a block's cached
+axis responses are checked bit for bit against a fresh block's.  The loop
+version of `_sll_from_gains` is kept below as the reference for the
+vectorized one, and the dB path is the reference for the SLL the synthesizer
+finds on linear power.  The windowed arc
 build `_cut_arc` is checked for exact equality against the full-circle chain
 it replaced, kept here: the whole cut grid, its array-frame units, and the
 vectorized arc selection, itself checked against a loop walk.  Evaluators
@@ -32,9 +34,12 @@ from uavisac.beampattern import (
     _Block,
     _cut_arc,
     _frame_units,
+    _gains_db,
     _PatternEvaluator,
+    _PLANES,
     _project_out,
     _sll_from_gains,
+    _sll_from_power,
     _Synthesizer,
     chebyshev_taper,
     null_conflicts,
@@ -310,11 +315,11 @@ def _block_candidate(scene):
 def test_factored_candidate_cut_matches_dense_kernel(scene):
     config, pose, request, (_, _, s_az, s_el) = scene
     synth, block, w = _block_candidate(scene)
-    _, gains = block.score(s_az, s_el)
-    for plane, gains_db in zip(("azimuth", "elevation"), gains):
+    _, terms = block.score(s_az, s_el)
+    for plane in _PLANES:
         angles = synth.evaluator.cuts[plane][0]
         dense, ge = _dense_cut_power(w, config, pose, plane, request.pointing, angles)
-        factored = 10.0 ** (gains_db / 10.0) * dense.max()
+        factored = block.cut_power(terms, plane)
         bound = np.abs(w).sum() ** 2 * ge.max()  # see the factored-cut test above
         assert np.max(np.abs(factored - dense)) <= 1e-12 * bound
 
@@ -344,11 +349,13 @@ def test_cached_axis_responses_match_a_fresh_block(scene, steps):
     block.score(s_az, s_el)
     for move_az, value in steps:
         s_az, s_el = (value, s_el) if move_az else (s_az, value)
-        af_point, gains = block.score(s_az, s_el)
-        fresh_point, fresh_gains = _Block(synth, block.rows, block.cols).score(s_az, s_el)
+        af_point, terms = block.score(s_az, s_el)
+        fresh = _Block(synth, block.rows, block.cols)
+        fresh_point, fresh_terms = fresh.score(s_az, s_el)
         assert af_point == fresh_point
-        for got, want in zip(gains, fresh_gains, strict=True):
-            assert np.array_equal(got, want)
+        for plane in _PLANES:
+            want = fresh.cut_power(fresh_terms, plane)
+            assert np.array_equal(block.cut_power(terms, plane), want)
 
 
 @SETTINGS
@@ -404,6 +411,59 @@ def test_sll_matches_loop_reference_on_synthesis_cuts():
         for plane in ("azimuth", "elevation"):
             gains = pattern_cut(w, config, pose, plane, pointing).gains_db
             assert _sll_from_gains(gains) == _sll_reference(gains)
+
+
+def _assert_linear_sll_matches_db(power):
+    """SLL of a linear cut power against the dB path's, to 1e-12 dB; infinities exactly."""
+    want = _sll_from_gains(_gains_db(power))
+    got = _sll_from_power(power.copy())
+    if math.isinf(want) or math.isinf(got):
+        assert got == want
+    else:
+        assert abs(got - want) <= 1e-12
+    return got
+
+
+@settings(SETTINGS, max_examples=300)
+@given(
+    # flat runs, repeated peaks, zeros, and levels beyond the 400 dB floor are
+    # drawn; a sample within roundoff of the 6 dB threshold is not, since the
+    # two forms round that compare differently
+    power=st.lists(
+        st.one_of(
+            st.floats(0.0, 1e3),
+            st.sampled_from([0.0, 0.25, 1.0, 4.0]),
+            st.floats(-450.0, 10.0).map(lambda db: 10.0 ** (db / 10.0)),
+        ),
+        min_size=1,
+        max_size=300,
+    ).map(lambda values: np.asarray(values, dtype=np.float64))
+)
+@example(power=np.zeros(40))  # a null cut
+@example(power=np.array([0.1, 0.5, 1.0, 0.5, 0.1]))  # a single lobe
+@example(power=np.array([0.05, 0.01, 1.0, 0.01, 0.05]))  # one sidelobe each side
+@example(power=np.array([1e-50, 1e-60, 1.0, 1e-60]))  # a dip below the floor
+def test_linear_sll_matches_db_sll(power):
+    _assert_linear_sll_matches_db(power)
+
+
+def test_linear_sll_matches_db_sll_on_synthesis_cuts():
+    from tests.helpers import random_null_scene
+
+    rng = np.random.default_rng(5)
+    config = ArrayConfig(num_elements=100, carrier_hz=3e11)
+    finite = 0
+    for i in range(100):
+        pose, pointing, nulls = random_null_scene(rng)
+        request = SynthesisRequest(
+            pointing=pointing, sll_min_az_db=20.0, sll_min_el_db=20.0,
+            eirp_target_dbm=25.0, nulls=nulls[: i % 3],
+        )
+        block = _Block(_Synthesizer(request, config, pose), *map(int, rng.integers(8, 11, 2)))
+        _, terms = block.score(*rng.uniform(5.0, 40.0, 2))
+        for plane in _PLANES:
+            finite += math.isfinite(_assert_linear_sll_matches_db(block.cut_power(terms, plane)))
+    assert finite == 200
 
 
 def _assert_same_arc(angles, units_arr, point_index, circular):
@@ -535,8 +595,8 @@ def pool(monkeypatch):
 
 
 def _buffers(ev):
-    """The pool buffers behind the evaluator's cut factors."""
-    return [f.base for plane in ("azimuth", "elevation") for f in ev.cuts[plane][1:3]]
+    """The pool buffers behind the evaluator's fused cut factors, one per grid axis."""
+    return [ev.ex.base, ev.ez.base]
 
 
 def _build(seed, num_elements=100, step_deg=0.05):
@@ -548,13 +608,12 @@ def _build(seed, num_elements=100, step_deg=0.05):
 
 
 def _cut_arrays(ev, seed):
-    """Copies of an evaluator's cached cuts and of the cuts of random weights."""
+    """Copies of an evaluator's fused factors, cut angles, and cuts of random weights."""
     rng = np.random.default_rng(seed + 1)
-    side = ev.cuts["azimuth"][1].shape[0]
+    side = ev.ex.shape[0]
     w = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
-    arrays = []
-    for plane in ("azimuth", "elevation"):
-        arrays += ev.cuts[plane]
+    arrays = [ev.ex, ev.ez]
+    for plane in _PLANES:
         arrays += ev.cut_gains_db(plane, w)
     return [np.copy(a) for a in arrays]
 
@@ -586,7 +645,7 @@ def test_pooled_cuts_match_fresh_evaluator(pool, monkeypatch):
 
 
 def _block_scores(seed, nulls):
-    """Cut gains of two candidates on a shrunk block of a seeded comm request."""
+    """Cut powers of two candidates on a shrunk block of a seeded comm request."""
     from tests.helpers import random_null_scene
 
     pose, pointing, null_dirs = random_null_scene(np.random.default_rng(seed))
@@ -596,7 +655,8 @@ def _block_scores(seed, nulls):
     )
     synth = _Synthesizer(request, ArrayConfig(num_elements=100, carrier_hz=3e11), pose)
     block = _Block(synth, 9, 8)
-    return [np.copy(g) for tapers in ((20.0, 25.0), (22.0, 25.0)) for g in block.score(*tapers)[1]]
+    scored = [block.score(*tapers)[1] for tapers in ((20.0, 25.0), (22.0, 25.0))]
+    return [block.cut_power(terms, plane) for terms in scored for plane in _PLANES]
 
 
 def test_pooled_block_matches_fresh_pool(pool, monkeypatch):
