@@ -135,7 +135,6 @@ def _report_csv_path(bundle_path: str) -> str:
 
 
 def _run_train(args) -> int:
-    samples, scenario, _ = read_dataset_jsonl(args.data)
     config = TrainConfig(
         epochs=args.epochs,
         batch_size=args.batch,
@@ -143,6 +142,7 @@ def _run_train(args) -> int:
         train_fraction=args.split,
         seed=args.seed,
     )
+    samples, scenario, _ = read_dataset_jsonl(args.data)
     bundle = train_models(samples, scenario, config)
     bundle.save(args.out)
     report_path = _report_csv_path(args.out)

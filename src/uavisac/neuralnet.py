@@ -45,6 +45,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.epochs < 1:
+            raise ValueError("epochs must be at least 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if not 0.0 < self.train_fraction < 1.0:

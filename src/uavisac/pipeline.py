@@ -50,6 +50,7 @@ from .scenario import (
     Trajectory,
     TrajectoryPoint,
     associate,
+    check_format_version,
     generate_trajectories,
     label_optimal_association,
     min_required_eirp_dbm,
@@ -165,6 +166,7 @@ class ModelBundle:
     def load(cls, path) -> "ModelBundle":
         with open(path) as fh:
             data = json.load(fh)
+        check_format_version(data, BUNDLE_FORMAT_VERSION, "bundle")
         reports = data["reports"]
         bf_report = TrainReport(
             train_loss=reports["beamformer"]["train_loss"],
@@ -495,6 +497,7 @@ def read_dataset_jsonl(path) -> tuple[list[Sample], Scenario, dict]:
         if "meta" not in first:
             raise ValueError("dataset file lacks the metadata header line")
         meta = first["meta"]
+        check_format_version(meta, DATASET_FORMAT_VERSION, "dataset")
         scenario = Scenario.from_json_dict(meta["scenario"])
         samples = [Sample.from_json_dict(json.loads(line)) for line in fh if line.strip()]
     return samples, scenario, meta
@@ -665,12 +668,21 @@ def evaluate_trajectory(
 
     The recorded EIRP is the minimum required by the chosen station (capped);
     SINR, rate, and beampattern gain come from the actually emitted matrix.
+    A bundle must have been trained for the scenario's array size and
+    station count.
     """
     policy = POLICY_ALIASES.get(policy, policy)
     if weight_source not in (OPTIMIZER_SOURCE, NN_SOURCE):
         raise ValueError(f"unknown weight source {weight_source!r}")
     if (weight_source == NN_SOURCE or policy == POLICY_NN) and bundle is None:
         raise ValueError("a trained bundle is required for NN evaluation")
+    if bundle is not None and (bundle.num_elements, bundle.num_gbs) != (
+        scenario.num_elements, scenario.num_gbs
+    ):
+        raise ValueError(
+            f"bundle trained for {bundle.num_elements} elements and {bundle.num_gbs} "
+            f"stations, scenario has {scenario.num_elements} and {scenario.num_gbs}"
+        )
     predictor = None
     if policy == POLICY_NN:
         predictor = lambda geo: _predicted_gbs(bundle, scenario, geo)

@@ -64,6 +64,13 @@ POLICY_NN = "nn_model"
 _DEFAULT_GBS_XY = ((200.0, 200.0), (1200.0, 200.0), (700.0, 750.0), (200.0, 1300.0), (1200.0, 1300.0))
 
 
+def check_format_version(data: dict, expected: int, what: str) -> None:
+    """Reject a loaded record written in any format version but `expected`."""
+    version = data.get("format_version")
+    if version != expected:
+        raise ValueError(f"{what} format_version {version!r} is not supported (expected {expected})")
+
+
 class InfeasibleTrajectoryError(RuntimeError):
     """Endpoints cannot be connected within the step budget."""
 
@@ -156,6 +163,7 @@ class Scenario:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Scenario":
+        check_format_version(data, SCENARIO_FORMAT_VERSION, "scenario")
         channel = ChannelParams(
             kappa1=data["kappa1"],
             kappa2=data["kappa2"],

@@ -1,10 +1,13 @@
 import dataclasses
 import hashlib
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from uavisac import beampattern, geometry
 from uavisac.beampattern import (
     BeamformingMatrix,
     BeamWeights,
@@ -532,6 +535,60 @@ def test_achieved_values_rederive_from_the_weights():
         )
     # the set covers a result on a shrunk active block
     assert blocks - {(10, 10)}
+
+
+def _synthesis_outputs(cases):
+    """Per case, every field synthesize returns and both cuts of its weights, in comparable form."""
+    config = ArrayConfig(num_elements=100, carrier_hz=3e11)
+    outputs = []
+    for request, pose in cases:
+        result = synthesize(request, config, pose)
+        cuts = [
+            pattern_cut(result.weights, config, pose, plane, request.pointing)
+            for plane in ("azimuth", "elevation")
+        ]
+        outputs.append(
+            (
+                dataclasses.replace(result, weights=None),
+                result.weights.entries.tobytes(),
+                result.weights.power_per_element_mw,
+                *(a.tobytes() for cut in cuts for a in (cut.angles_rad, cut.gains_db)),
+            )
+        )
+    return outputs
+
+
+def test_concurrent_syntheses_match_serial_ones():
+    """Two threads synthesizing and cutting at once give the serial results bit for bit.
+
+    Calls share only the cached cut grids, tapers and grid offsets, which the
+    threads refill together from empty caches.  One thread walks the cases
+    forward and the other backward, so different requests overlap, and a
+    short switch interval interleaves them finely.
+    """
+    cases = _rederivation_cases()
+    want = _synthesis_outputs(cases)
+    got = [None, None]
+
+    def work(i):
+        got[i] = _synthesis_outputs(cases if i == 0 else cases[::-1])
+
+    for cached in (beampattern._cut_grid, beampattern._dolph_chebyshev,
+                   geometry.centered_grid_offsets):
+        cached.cache_clear()
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got[0] == want
+    assert got[1] == want[::-1]
 
 
 def test_synthesize_ranks_feasible_first_and_keeps_ties():

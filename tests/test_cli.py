@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from uavisac.cli import main
+from uavisac.pipeline import write_dataset_jsonl
 from uavisac.scenario import Scenario
 
 
@@ -96,6 +97,45 @@ def test_missing_scenario_file_fails_cleanly(tmp_path, capsys):
     assert code == 1
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload["error"] == "FileNotFoundError"
+
+
+def test_unsupported_format_version_fails_cleanly(tmp_path, tiny_scenario_path, capsys):
+    data = Scenario.load(tiny_scenario_path).to_json_dict()
+    data["format_version"] = 2
+    path = tmp_path / "future.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "d.jsonl"
+    code = main(
+        [
+            "dataset", "generate",
+            "--scenario", str(path),
+            "--trajectories", "1",
+            "--policy", "closest",
+            "--seed", "1",
+            "--out", str(out),
+        ]
+    )
+    assert code == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "ValueError"
+    assert "format_version 2" in payload["message"]
+    assert not out.exists()
+
+
+def test_train_rejects_zero_epochs(tmp_path, tiny_scenario_path, capsys):
+    data = tmp_path / "data.jsonl"
+    write_dataset_jsonl(data, [], Scenario.load(tiny_scenario_path), "closest", 1)
+    bundle = tmp_path / "bundle.json"
+    code = main(
+        [
+            "train", "--data", str(data), "--epochs", "0",
+            "--seed", "1", "--out", str(bundle),
+        ]
+    )
+    assert code == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload == {"error": "ValueError", "message": "epochs must be at least 1"}
+    assert not bundle.exists()
 
 
 def test_full_cli_flow_and_seed_determinism(tmp_path, tiny_scenario_path):

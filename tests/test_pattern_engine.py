@@ -7,26 +7,25 @@ active block's factored record (null solve, null responses, one product per
 axis for both cuts).  Here they are checked against the dense steering
 matrix of `_kernels`, against `_project_out`'s weights and their pointing
 response, and against one complex exponential per element; a block's cached
-axis responses are checked bit for bit against a fresh block's.  The loop
-version of `_sll_from_gains` is kept below as the reference for the
-vectorized one, and the dB path is the reference for the SLL the synthesizer
-finds on linear power.  The windowed arc
-build `_cut_arc` is checked for exact equality against the full-circle chain
-it replaced, kept here: the whole cut grid, its array-frame units, and the
-vectorized arc selection, itself checked against a loop walk.  Evaluators
-built on reused, NaN-poisoned pool buffers are checked bit for bit against
-ones built from a fresh pool, and the per-thread pool for its ownership rules.
+axis responses are checked bit for bit against a fresh block's.  The factors
+are built in uninitialised memory, so the entry-by-entry check against
+direct exponentials also shows any entry read before it is written.  The
+loop version of `_sll_from_gains` is kept below as the reference for the
+vectorized one, and the dB path is the reference for the SLL the
+synthesizer finds on linear power.  The windowed arc build `_cut_arc` is
+checked for exact equality against the full-circle chain it replaced, kept
+here: the whole cut grid, its array-frame units, and the vectorized arc
+selection, itself checked against a loop walk.
 """
 
 import math
-import threading
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from uavisac import _kernels, beampattern
+from uavisac import _kernels
 from uavisac.beampattern import (
     MAIN_LOBE_MIN_DEPTH_DB,
     SynthesisRequest,
@@ -35,7 +34,6 @@ from uavisac.beampattern import (
     _cut_arc,
     _frame_units,
     _gains_db,
-    _PatternEvaluator,
     _PLANES,
     _project_out,
     _sll_from_gains,
@@ -373,6 +371,8 @@ def test_axis_factor_recurrence_matches_direct_exponentials(m, units):
     x_rows, z_cols = grid_axis_offsets(config)
     jk = 1j * config.wavenumber
     ex, ez = _axis_factors(config, units)
+    # one allocation holds both, as the module's Factor memory note requires
+    assert ex.base is ez.base
     assert np.max(np.abs(ex - np.exp(-jk * np.outer(x_rows, units[:, 0])))) <= 1e-12
     assert np.max(np.abs(ez - np.exp(-jk * np.outer(z_cols, units[:, 2])))) <= 1e-12
     for f in (ex, ez):
@@ -581,132 +581,3 @@ def test_cut_arc_matches_full_circle_reference_at_a_single_gap(step_deg):
     _assert_arc_matches_full_circle(pose_angles, (theta, angles[point]), step_deg)
     got_angles, _ = _cut_arc("azimuth", DirectionAngles(theta, angles[point]), rot, step_deg)
     assert got_angles[0] == angles[gap + 1]
-
-
-POOL_STEPS_DEG = [0.03, 0.05, 0.09]
-
-
-@pytest.fixture
-def pool(monkeypatch):
-    """A fresh pool for the calling thread, so no other test's buffers are in it."""
-    fresh = beampattern._BufferPool()
-    monkeypatch.setattr(beampattern._thread, "pool", fresh)
-    return fresh
-
-
-def _buffers(ev):
-    """The pool buffers behind the evaluator's fused cut factors, one per grid axis."""
-    return [ev.ex.base, ev.ez.base]
-
-
-def _build(seed, num_elements=100, step_deg=0.05):
-    rng = np.random.default_rng(seed)
-    config = ArrayConfig(num_elements=num_elements, carrier_hz=3e11)
-    pose = Pose(np.zeros(3), RotationAngles(*rng.uniform(-math.pi, math.pi, 3)))
-    pointing = DirectionAngles(rng.uniform(0.0, math.pi), rng.uniform(-math.pi, math.pi))
-    return _PatternEvaluator(config, pose, pointing, step_deg)
-
-
-def _cut_arrays(ev, seed):
-    """Copies of an evaluator's fused factors, cut angles, and cuts of random weights."""
-    rng = np.random.default_rng(seed + 1)
-    side = ev.ex.shape[0]
-    w = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
-    arrays = [ev.ex, ev.ez]
-    for plane in _PLANES:
-        arrays += ev.cut_gains_db(plane, w)
-    return [np.copy(a) for a in arrays]
-
-
-def test_pooled_cuts_match_fresh_evaluator(pool, monkeypatch):
-    cases = [
-        (seed, num_elements, step_deg)
-        for seed in range(12)
-        for num_elements in (16, 100)
-        for step_deg in POOL_STEPS_DEG
-    ]
-    for case in cases:  # leaves one dropped evaluator's buffers per size in the pool
-        _build(*case)
-    reused = []
-    for case in cases:
-        free = [b for buffers in pool.free.values() for b in buffers]
-        for b in free:
-            b.fill(np.nan)
-        ev = _build(*case)
-        # every buffer is poisoned memory, so a value read before it is written shows
-        assert all(any(b is f for f in free) for b in _buffers(ev))
-        reused.append(_cut_arrays(ev, case[0]))
-        del ev
-    for case, got in zip(cases, reused):
-        monkeypatch.setattr(beampattern._thread, "pool", beampattern._BufferPool())
-        for g, want in zip(got, _cut_arrays(_build(*case), case[0]), strict=True):
-            assert g.shape == want.shape
-            assert np.array_equal(g, want)
-
-
-def _block_scores(seed, nulls):
-    """Cut powers of two candidates on a shrunk block of a seeded comm request."""
-    from tests.helpers import random_null_scene
-
-    pose, pointing, null_dirs = random_null_scene(np.random.default_rng(seed))
-    request = SynthesisRequest(
-        pointing=pointing, sll_min_az_db=20.0, sll_min_el_db=20.0,
-        eirp_target_dbm=25.0, nulls=null_dirs[:nulls],
-    )
-    synth = _Synthesizer(request, ArrayConfig(num_elements=100, carrier_hz=3e11), pose)
-    block = _Block(synth, 9, 8)
-    scored = [block.score(*tapers)[1] for tapers in ((20.0, 25.0), (22.0, 25.0))]
-    return [block.cut_power(terms, plane) for terms in scored for plane in _PLANES]
-
-
-def test_pooled_block_matches_fresh_pool(pool, monkeypatch):
-    cases = [(seed, nulls) for seed in range(3) for nulls in (0, 1, 2)]
-    for case in cases:  # leaves each size's dropped buffers in the pool
-        _block_scores(*case)
-    reused = []
-    for case in cases:
-        for buffers in pool.free.values():
-            for b in buffers:
-                b.fill(np.nan)
-        reused.append(_block_scores(*case))
-    for case, got in zip(cases, reused):
-        monkeypatch.setattr(beampattern._thread, "pool", beampattern._BufferPool())
-        for g, want in zip(got, _block_scores(*case), strict=True):
-            assert np.array_equal(g, want)
-
-
-def test_live_pooled_evaluators_never_share_memory(pool):
-    dropped = [_build(3), _build(4)]
-    del dropped  # the free lists now hold two evaluators' buffers of each size
-    live = [_build(1), _build(2)]
-    buffers = [b for ev in live for b in _buffers(ev)]
-    for i, f in enumerate(buffers):
-        for g in buffers[i + 1 :]:
-            assert not np.shares_memory(f, g)
-
-
-def test_pooled_evaluator_reuses_a_dropped_one(pool):
-    first = _build(1)
-    held = _buffers(first)  # the memory outlives the evaluator, its claim on it does not
-    del first
-    second = _build(2)
-    assert all(any(f is g for g in held) for f in _buffers(second))
-
-
-def test_worker_thread_never_receives_buffers_the_main_thread_dropped(pool):
-    first = _build(1)
-    held = _buffers(first)
-    del first  # its buffers wait on this thread's free lists
-    seen = []
-
-    def work():
-        ev = _build(2)
-        seen.append(beampattern._thread.pool is pool)
-        seen.append(any(np.shares_memory(f, g) for f in _buffers(ev) for g in held))
-
-    worker = threading.Thread(target=work)
-    worker.start()
-    worker.join(timeout=60)
-    assert not worker.is_alive()
-    assert seen == [False, False]
-    assert all(any(b is g for b in pool.free[g.size]) for g in held)

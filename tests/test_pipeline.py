@@ -116,6 +116,17 @@ def test_dataset_jsonl_roundtrip(small_scenario, small_dataset, tmp_path):
     assert np.allclose(samples[0].comm_weights, small_dataset[0].comm_weights)
 
 
+def test_dataset_read_rejects_other_format_versions(small_scenario, small_dataset, tmp_path):
+    path = tmp_path / "data.jsonl"
+    write_dataset_jsonl(path, small_dataset[:1], small_scenario, "closest", 21)
+    header, *rows = path.read_text().splitlines()
+    meta = json.loads(header)
+    meta["meta"]["format_version"] = 2
+    path.write_text("\n".join([json.dumps(meta), *rows]) + "\n")
+    with pytest.raises(ValueError, match="dataset format_version 2"):
+        read_dataset_jsonl(path)
+
+
 def test_emitted_matrices_respect_power_and_eirp_limits(small_scenario, small_dataset):
     pmax = small_scenario.p_max_mw
     for sample in small_dataset:
@@ -216,6 +227,16 @@ def test_bundle_roundtrip(tmp_path, small_scenario, small_bundle):
     data = json.loads(path.read_text())
     assert data["format_version"] == 1
     assert "val_beampattern_error" in data["reports"]["beamformer"]
+
+
+def test_bundle_load_rejects_other_format_versions(tmp_path, small_bundle):
+    path = tmp_path / "bundle.json"
+    small_bundle.save(path)
+    data = json.loads(path.read_text())
+    data["format_version"] = 2
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="bundle format_version 2"):
+        ModelBundle.load(path)
 
 
 def test_predict_association_recovers_exact_index(small_scenario, small_bundle):
@@ -364,6 +385,18 @@ def test_evaluate_requires_bundle_for_nn(small_scenario):
         evaluate_trajectory(small_scenario, traj, "nn", "optimizer", bundle=None)
     with pytest.raises(ValueError):
         evaluate_trajectory(small_scenario, traj, "closest", "nn", bundle=None)
+
+
+def test_evaluate_rejects_a_bundle_trained_for_another_scenario(small_scenario, small_bundle):
+    # with one station the association head's output would silently rescale
+    # onto index 0; with another array size the weight head's output is the
+    # wrong length
+    traj = generate_trajectories(small_scenario, 1, seed=5)[0]
+    single = dataclasses.replace(small_scenario, gbs_m=small_scenario.gbs_m[:1])
+    larger = dataclasses.replace(small_scenario, num_elements=100)
+    for scenario, policy, source in ((single, "nn", "nn"), (larger, "closest", "optimizer")):
+        with pytest.raises(ValueError, match="bundle trained for 64 elements and 3 stations"):
+            evaluate_trajectory(scenario, traj, policy, source, bundle=small_bundle)
 
 
 def test_eirp_stats_properties():

@@ -87,6 +87,16 @@ def test_scenario_json_roundtrip(tmp_path):
     assert np.allclose(loaded.gbs_m, scn.gbs_m)
 
 
+@pytest.mark.parametrize("version", [0, 2, "1", None])
+def test_scenario_load_rejects_other_format_versions(version):
+    data = small_scenario().to_json_dict()
+    data["format_version"] = version
+    if version is None:
+        del data["format_version"]
+    with pytest.raises(ValueError, match="scenario format_version"):
+        Scenario.from_json_dict(data)
+
+
 def test_scenario_validation():
     with pytest.raises(ValueError):
         small_scenario(uav_altitude_m=1.0)
