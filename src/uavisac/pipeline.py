@@ -35,12 +35,11 @@ from .beampattern import (
     SynthesisResult,
     beampattern_gain,
     chebyshev_taper,
-    eirp,
     null_conflicts,
     synthesize,
 )
 from .channel import EXPECTED, achievable_rate, channel_vector, sinr
-from .geometry import DirectionAngles, Pose, RotationAngles, steering
+from .geometry import DirectionAngles, RotationAngles, steering
 from .neuralnet import Network, NetworkConfig, TrainConfig, TrainReport, forward, train
 from .scenario import (
     POLICY_NN,
@@ -628,16 +627,15 @@ def predict_matrix(
     Returns the matrix and the commanded EIRP (dBm).  Predicted beams are
     rescaled if they exceed the EIRP cap or the power budget.
     """
-    pose = geo.point.pose
     prelim_dbm = sensing_eirp_target_dbm(scenario, geo)
     sens_feat = sensing_feature_vector(geo.target_frame, prelim_dbm)
     sensing = _beam_from_vector(decode_complex(forward(bundle.beamformer, sens_feat)))
-    sensing = _cap_beam(sensing, scenario, pose, geo.target_dir)
+    sensing = _cap_beam(sensing, scenario, geo.target_unit, geo.target_gain)
     _, comm_eirp = _comm_eirp_dbm(scenario, geo, gbs_index, sensing)
     null_frames = [geo.gbs_frame[i] for i in nearest_other_gbs(geo, gbs_index)]
     comm_feat = comm_feature_vector(geo.gbs_frame[gbs_index], null_frames, comm_eirp)
     comm = _beam_from_vector(decode_complex(forward(bundle.beamformer, comm_feat)))
-    comm = _cap_beam(comm, scenario, pose, geo.gbs_dir[gbs_index])
+    comm = _cap_beam(comm, scenario, geo.gbs_unit[gbs_index], geo.gbs_gain[gbs_index])
     return (
         _enforce_power_budget(
             BeamformingMatrix(sensing=sensing, comm=comm), scenario.p_max_mw
@@ -646,9 +644,15 @@ def predict_matrix(
     )
 
 
-def _cap_beam(beam: BeamWeights, scenario: Scenario, pose: Pose,
-              pointing: DirectionAngles) -> BeamWeights:
-    achieved = eirp(beam, scenario.array, pose, pointing)
+def _cap_beam(beam: BeamWeights, scenario: Scenario, unit: NDArray[np.float64],
+              gain: float) -> BeamWeights:
+    """Scale the beam's power down to the EIRP cap toward one destination.
+
+    `unit` and `gain` are the destination's array-frame unit and element gain
+    from the point's PointGeometry record; the EIRP is `eirp`'s arithmetic.
+    """
+    power_gain = float(abs(np.vdot(steering(scenario.array, unit), beam.entries)) ** 2 * gain)
+    achieved = to_db(beam.power_per_element_mw * power_gain)
     if achieved <= scenario.eirp_max_dbm or math.isinf(achieved):
         return beam
     factor = from_db(scenario.eirp_max_dbm - achieved)
