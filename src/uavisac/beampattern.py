@@ -19,15 +19,17 @@ first that yields a feasible candidate; when none does, the sweep ends
 without refining and leaves the rest of the budget unused.
 
 Every candidate is a tapered, phase-steered outer product vx vz^T on its
-active block, minus one outer product per projected null, and the null
-coefficients are a fixed linear map of vx vz^T for the whole block.  So each
-active block gets one scoring record, built on its first candidate: the
-factored null solve (skipped when there are no nulls), each null column's
-pointing response, and its response over both cuts at once.  A candidate
-then costs one 1-column product per axis, covering both cuts, of which the
-coordinate search, moving one taper at a time, recomputes only one; no
-weight vector is built while scoring, only for the returned candidate.  Each
-cut's SLL is found on linear power, with one logarithm per cut.  The
+active block, minus one outer product bx_n bz_n^T of axis factors per
+projected null, and the null coefficients are a fixed linear map of vx vz^T
+for the whole block.  So each active block gets one scoring record, built on
+its first candidate: the factored null solve (skipped when there are no
+nulls), each null column's pointing response, and its response over both
+cuts at once.  A candidate then costs one 1-column product per axis,
+covering both cuts, of which the coordinate search, moving one taper at a
+time, recomputes only one.  No weight vector is built while scoring: the
+incumbent keeps its null coefficients and pointing array factor, and the
+returned weights are built from them, exactly the candidate that was scored.
+Each cut's SLL is found on linear power, with one logarithm per cut.  The
 elevation cut is scored first, and the azimuth cut only when the candidate
 can still displace the incumbent.
 
@@ -535,23 +537,15 @@ def _frame_units(pose: Pose, directions: Sequence[DirectionAngles]) -> NDArray[n
 
 
 def _project_out(
-    w: NDArray[np.complex128],
-    basis: NDArray[np.complex128],
-    active: NDArray[np.bool_],
-) -> tuple[NDArray[np.complex128], NDArray[np.complex128]]:
-    """Least-squares projection of w onto the orthogonal complement of basis.
+    w: NDArray[np.complex128], basis: NDArray[np.complex128]
+) -> NDArray[np.complex128]:
+    """Least-squares projection of w onto the orthogonal complement of basis's columns.
 
-    The projection runs inside the subspace of the active-element mask, so
-    switched-off elements stay at zero.  Returns (projected w, c), c being the
-    least-squares coefficients of the removed component on the basis columns.
+    The weights change by the least-norm perturbation that zeroes every
+    column's response (Steyskal's null steering).  Only `apply_nulls` uses
+    it; the synthesizer solves its nulls in factored form (see _Block).
     """
-    if basis.shape[1] == 0:
-        return w, np.zeros(0, dtype=np.complex128)
-    out = w.copy()
-    sub = basis[active]
-    coeff = np.linalg.lstsq(sub, w[active], rcond=None)[0]
-    out[active] = w[active] - sub @ coeff
-    return out, coeff
+    return w - basis @ np.linalg.lstsq(basis, w, rcond=None)[0]
 
 
 def null_conflicts(null: DirectionAngles, pointing: DirectionAngles) -> bool:
@@ -589,7 +583,7 @@ def apply_nulls(
         return weights
     check_nulls(config, nulls, pointing)
     basis = steering(config, _frame_units(pose, nulls)).T
-    projected, _ = _project_out(_weight_entries(weights), basis, np.ones(config.num_elements, bool))
+    projected = _project_out(_weight_entries(weights), basis)
     scale = max(1.0, float(np.max(np.abs(projected))))
     return BeamWeights(
         entries=projected / scale,
@@ -607,6 +601,9 @@ class _Candidate:
     s_el: float
     cost: float
     feasible: bool
+    # the candidate's score, from which _Synthesizer._weights builds its weights
+    af_point: complex
+    coeff: NDArray[np.complex128] | None
 
     def displaces(self, incumbent: "_Candidate | None") -> bool:
         """Feasible beats infeasible; otherwise only costing less by over TIE_TOLERANCE wins."""
@@ -639,11 +636,12 @@ class _Block:
     A candidate on the block has the unprojected weights vx vz^T, vx and vz
     being the pointing's axis factors times the two tapers.  Projecting the
     nulls out subtracts sum_n c_n bx_n bz_n^T, with bx_n, bz_n the axis factors
-    of null n and c the least-squares coefficients of _project_out, c =
-    P vec(vx vz^T) for P the pseudo-inverse of the null basis restricted to the
-    block (Steyskal's minimum-norm perturbation; only the arithmetic is
-    reordered).  P is fixed for the block, and so are each null column's
-    pointing response a_p^H (bx_n (x) bz_n) and its response over both cuts,
+    of null n and c = P vec(vx vz^T) the least-squares coefficients
+    (Steyskal's minimum-norm perturbation), P being the SVD pseudo-inverse of
+    the block's null basis, column n vec(bx_n bz_n^T).  The Gram form
+    (bx_m^H bx_n)(bz_m^H bz_n) would square the condition number and merge
+    two nulls 1e-9 rad apart.  P is fixed for the block, and so are each null
+    column's pointing response a_p^H (bx_n (x) bz_n) and its response over both cuts,
     Q_n = (bx_n^T Ex*)(bz_n^T Ez*), with Ex*, Ez* the evaluator's fused factors,
     whose z factors carry sqrt(g_e).  So a candidate's cut power is |af|^2 for
     af = (vx^T Ex*)(vz^T Ez*) - c^T Q, one 1-column product per axis for both
@@ -666,9 +664,8 @@ class _Block:
         n = ax.shape[1] - 1
         if n:
             bx, bz = ax[:, 1:], az[:, 1:]
-            active = np.zeros((synth.side, synth.side), dtype=bool)
-            active[:rows, :cols] = True
-            self.solve = np.linalg.pinv(synth.null_basis[active.ravel()])
+            # column n is vec(bx_n bz_n^T), flattened row-major as the weights are
+            self.solve = np.linalg.pinv((bx[:, None, :] * bz[None, :, :]).reshape(rows * cols, n))
             self.null_point = (self.point_x.conj() @ bx) * (self.point_z.conj() @ bz)
             # the z factors multiply in one null at a time, in place, so no
             # second (n, width) array is held
@@ -723,9 +720,10 @@ class _Synthesizer:
     _sll_from_power).  The elevation cut is scored first, and the azimuth
     cut only when the candidate can still displace the incumbent (see
     _cannot_win); the incumbent moves as _Candidate.displaces says.  Scoring
-    builds no weight vector: only the returned candidate's weights, their
-    max(1, max|w|) normalisation and its per-element power are computed, by
-    _build_entries and _project_out.
+    builds no weight vector: the candidate keeps the null coefficients and
+    pointing array factor of its score, and `_weights` builds the returned
+    candidate's weights, their max(1, max|w|) normalisation and its
+    per-element power from them, with no second null solve.
     """
 
     def __init__(self, request: SynthesisRequest, config: ArrayConfig, pose: Pose):
@@ -734,9 +732,7 @@ class _Synthesizer:
         self.evaluator = _PatternEvaluator(config, pose, request.pointing)
         # row 0 is the pointing, row 1 + n null n; so are the axis-factor columns
         units = _frame_units(pose, (request.pointing, *request.nulls))
-        self.point_steering = steering(config, units[0])
         self.point_element_gain = element_gain(units[0])
-        self.null_basis = steering(config, units[1:]).T  # (M, n_nulls) columns
         self.axis_x, self.axis_z = np.conj(_axis_factors(config, units))
         self.eirp_target_mw = from_db(request.eirp_target_dbm)
         self.side = config.side
@@ -744,27 +740,22 @@ class _Synthesizer:
         self._block: _Block | None = None
         self._seen: set[tuple[int, int, float, float]] = set()
 
-    def _build_entries(self, rows: int, cols: int, s_az: float, s_el: float):
-        """Projected candidate weights on a rows-by-cols block, zero off it.
-
-        The tapered, phase-steered candidate is the outer product vx vz^T of
-        one factor per grid axis (see grid_axis_offsets); the nulls are
-        projected out inside the block.
-        """
-        vx = np.zeros(self.side, dtype=np.complex128)
-        vz = np.zeros(self.side, dtype=np.complex128)
-        vx[:rows] = self.axis_x[:rows, 0] * _taper(rows, s_az)
-        vz[:cols] = self.axis_z[:cols, 0] * _taper(cols, s_el)
-        active = np.zeros((self.side, self.side), dtype=bool)
-        active[:rows, :cols] = True
-        return _project_out(np.outer(vx, vz).ravel(), self.null_basis, active.ravel())[0]
-
     def _weights(self, cand: _Candidate) -> tuple[BeamWeights, float]:
-        """Normalised weights of a candidate sized to the EIRP target, and its EIRP (dBm)."""
-        w = self._build_entries(cand.rows, cand.cols, cand.s_az, cand.s_el)
-        entries = w / max(1.0, float(np.max(np.abs(w))))
-        af_point = abs(np.vdot(self.point_steering, entries)) ** 2
-        gain_point = float(af_point * self.point_element_gain)
+        """Normalised weights of the scored candidate sized to the EIRP target, and its EIRP (dBm).
+
+        vx vz^T - sum_n c_n bx_n bz_n^T on the block, zero off it, with the c
+        and the pointing array factor of the candidate's score (see _Block).
+        """
+        rows, cols = cand.rows, cand.cols
+        ax, az = self.axis_x[:rows], self.axis_z[:cols]
+        w = np.zeros((self.side, self.side), dtype=np.complex128)
+        block = w[:rows, :cols]
+        np.outer(ax[:, 0] * _taper(rows, cand.s_az), az[:, 0] * _taper(cols, cand.s_el), out=block)
+        if cand.coeff is not None:
+            block -= (ax[:, 1:] * cand.coeff) @ az[:, 1:].T
+        scale = max(1.0, float(np.max(np.abs(w))))
+        entries = w.ravel() / scale
+        gain_point = float(abs(cand.af_point / scale) ** 2 * self.point_element_gain)
         ppe = self.eirp_target_mw / gain_point
         return BeamWeights(entries=entries, power_per_element_mw=ppe), to_db(ppe * gain_point)
 
@@ -832,6 +823,8 @@ class _Synthesizer:
             s_el=s_el,
             cost=z1 + z2,
             feasible=(sll_az >= req.sll_min_az_db and sll_el >= req.sll_min_el_db),
+            af_point=af_point,
+            coeff=terms[1],
         )
         if cand.displaces(self.best):
             self.best = cand

@@ -4,7 +4,15 @@ import math
 
 import numpy as np
 
-from uavisac.geometry import DirectionAngles, Pose, RotationAngles, rotation_matrix
+from uavisac.beampattern import chebyshev_taper
+from uavisac.geometry import (
+    DirectionAngles,
+    Pose,
+    RotationAngles,
+    array_frame_unit,
+    rotation_matrix,
+    steering,
+)
 from uavisac.neuralnet import forward, gradients, mse_loss
 
 
@@ -41,6 +49,41 @@ def random_null_scene(rng, min_sep_deg=10.0):
 
     pose = Pose(position=np.array([0.0, 0.0, 100.0]), angles=yaw)
     return pose, to_global(point_uw), tuple(to_global(n) for n in nulls_uw)
+
+
+def dense_null_projection(w, config, pose, nulls, active):
+    """Dense reference null solve: least squares on the full steering vectors.
+
+    w is projected onto the orthogonal complement of the nulls' (M,) steering
+    vectors inside the subspace of the active-element mask, so switched-off
+    elements keep their values (zero for every candidate).
+    """
+    out = np.array(w, dtype=np.complex128)
+    if not nulls:
+        return out
+    units = np.array([array_frame_unit(pose.angles, d) for d in nulls])
+    sub = steering(config, units).T[active]
+    coeff = np.linalg.lstsq(sub, out[active], rcond=None)[0]
+    out[active] = out[active] - sub @ coeff
+    return out
+
+
+def dense_candidate_weights(config, pose, request, rows, cols, s_az, s_el):
+    """A synthesis candidate's weights before normalisation, built densely.
+
+    The pointing's full steering vector times the outer product of the two
+    Chebyshev tapers on the rows-by-cols block, zero off it, with the nulls
+    projected out by dense_null_projection.
+    """
+    side = config.side
+    active = np.zeros((side, side), dtype=bool)
+    active[:rows, :cols] = True
+    tx = chebyshev_taper(rows, s_az) if rows > 1 else np.ones(1)
+    tz = chebyshev_taper(cols, s_el) if cols > 1 else np.ones(1)
+    amp = np.zeros((side, side))
+    amp[:rows, :cols] = np.outer(tx, tz)
+    w = amp.ravel() * steering(config, array_frame_unit(pose.angles, request.pointing))
+    return dense_null_projection(w, config, pose, request.nulls, active.ravel())
 
 
 def relative_gradient_error(net, x, y, rng, samples_per_tensor=40, step=1e-5):

@@ -5,8 +5,9 @@ recurrence, both cuts side by side: `pattern_cut` contracts a whole weight
 matrix against them, and the synthesizer scores each candidate through its
 active block's factored record (null solve, null responses, one product per
 axis for both cuts).  Here they are checked against the dense steering
-matrix of `_kernels`, against `_project_out`'s weights and their pointing
-response, and against one complex exponential per element; a block's cached
+matrix of `_kernels`, against the dense least-squares null solve of
+`tests.helpers` (the weights a candidate would have, built from full steering
+vectors) and their pointing response, and against one complex exponential per element; a block's cached
 axis responses are checked bit for bit against a fresh block's.  The factors
 are built in uninitialised memory, so the entry-by-entry check against
 direct exponentials also shows any entry read before it is written.  The
@@ -35,11 +36,11 @@ from uavisac.beampattern import (
     _frame_units,
     _gains_db,
     _PLANES,
-    _project_out,
     _sll_from_gains,
     _sll_from_power,
     _Synthesizer,
     chebyshev_taper,
+    eirp,
     null_conflicts,
     pattern_cut,
 )
@@ -244,7 +245,9 @@ def weight_scenes(draw):
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         w = np.where(active, rng.normal(size=m) + 1j * rng.normal(size=m), 0.0)
     if nulls:
-        w, _ = _project_out(w, steering(config, _frame_units(pose, nulls)).T, active)
+        from tests.helpers import dense_null_projection
+
+        w = dense_null_projection(w, config, pose, nulls, active)
     assume(np.max(np.abs(w)) > 1e-6)
     return config, pose, pointing, w
 
@@ -300,10 +303,12 @@ def candidate_scenes(draw):
 
 
 def _block_candidate(scene):
-    """Synthesizer, its fresh record of the candidate's block, and the candidate's weights."""
+    """Synthesizer, its fresh record of the candidate's block, and the candidate's dense weights."""
+    from tests.helpers import dense_candidate_weights
+
     config, pose, request, (rows, cols, s_az, s_el) = scene
     synth = _Synthesizer(request, config, pose)
-    w = synth._build_entries(rows, cols, s_az, s_el)
+    w = dense_candidate_weights(config, pose, request, rows, cols, s_az, s_el)
     assume(np.max(np.abs(w)) > 1e-6)
     return synth, _Block(synth, rows, cols), w
 
@@ -325,11 +330,30 @@ def test_factored_candidate_cut_matches_dense_kernel(scene):
 @SETTINGS
 @given(scene=candidate_scenes())
 def test_factored_pointing_response_matches_projected_weights(scene):
-    *_, (_, _, s_az, s_el) = scene
-    synth, block, w = _block_candidate(scene)
+    config, pose, request, (_, _, s_az, s_el) = scene
+    _, block, w = _block_candidate(scene)
     af_point, _ = block.score(s_az, s_el)
-    want = np.vdot(synth.point_steering, w)
+    want = np.vdot(steering(config, _frame_units(pose, [request.pointing])[0]), w)
     assert abs(af_point - want) <= 1e-12 * abs(want)
+
+
+@SETTINGS
+@given(scene=candidate_scenes())
+def test_returned_weights_are_the_scored_candidate(scene):
+    """The weights built for a scored candidate are its dense weights, normalised.
+
+    They come from the null coefficients and pointing array factor that
+    scoring solved, so they must match the dense least-squares solve, and
+    their EIRP toward the pointing must re-derive.  The unprojected weights
+    peak at 1 (max-normalised tapers), which sets the scale of the roundoff.
+    """
+    config, pose, request, (rows, cols, s_az, s_el) = scene
+    synth, _, w = _block_candidate(scene)
+    assert synth._evaluate(rows, cols, s_az, s_el)
+    weights, eirp_dbm = synth._weights(synth.best)
+    scale = max(1.0, float(np.max(np.abs(w))))
+    assert np.max(np.abs(weights.entries * scale - w)) <= 1e-12
+    assert eirp(weights, config, pose, request.pointing) == pytest.approx(eirp_dbm, abs=1e-9)
 
 
 @settings(SETTINGS, max_examples=40)

@@ -375,7 +375,7 @@ def test_evaluation_csv_is_pinned(tmp_path, small_scenario, small_bundle):
     path = tmp_path / "records.csv"
     write_records_csv(path, records)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "7b71742afb6d898b3b668b67e67861ff30e8cedebb149a3e49c95488f3a171b5"
+        "486ea01b5c588efaff4eb3eab0c4facb468ac6f9ca5778996936d73c62370d7d"
     )
 
 
