@@ -216,7 +216,7 @@ def encode_complex(vec: NDArray[np.complex128]) -> NDArray[np.float64]:
 
 def decode_complex(arr: NDArray[np.float64]) -> NDArray[np.complex128]:
     arr = np.asarray(arr, dtype=np.float64)
-    return arr[0::2] + 1j * arr[1::2]
+    return arr[..., 0::2] + 1j * arr[..., 1::2]
 
 
 def _beam_from_vector(vec: NDArray[np.complex128]) -> BeamWeights:
@@ -530,37 +530,27 @@ def train_models(samples: Sequence[Sample], scenario: Scenario,
     train_rows = np.sort(np.concatenate([2 * train_points, 2 * train_points + 1]))
     val_rows = np.sort(np.concatenate([2 * val_points, 2 * val_points + 1]))
 
-    # only the association features and the validation target steering
+    # only the association features and the validation target units
     # outlive each point's geometry record
     xa = np.zeros((n, 4))
-    target_steering = {}
-    val_set = set(val_points.tolist())
+    target_units = np.zeros((n, 3))
     for i, sample in enumerate(samples):
         geo = point_geometry(scenario, _sample_point(sample))
         xa[i] = association_features(scenario, geo)
-        if i in val_set:
-            target_steering[i] = steering(scenario.array, geo.target_unit)
-    b_star = {}
-    for i in val_points:
-        a = target_steering[int(i)]
-        wc = decode_complex(samples[i].comm_weights)
-        ws = decode_complex(samples[i].sensing_weights)
-        b_star[int(i)] = abs(np.vdot(a, ws)) ** 2 + abs(np.vdot(a, wc)) ** 2
-    b_star_sq_mean = float(np.mean([v**2 for v in b_star.values()])) if b_star else 1.0
+        target_units[i] = geo.target_unit
+    # conjugated target steering of the validation points, (n_val, M, 1)
+    target = np.conj(steering(scenario.array, target_units[val_points]))[:, :, None]
+
+    def target_gains(val_weights) -> NDArray[np.float64]:
+        """Target gain of each validation point from its encoded rows, in val_rows order."""
+        w = decode_complex(np.reshape(val_weights, (val_points.size, 2, 2 * m)))
+        return np.sum(np.abs(np.matmul(w, target)[..., 0]) ** 2, axis=1)
+
+    b_star = target_gains(y_rows[val_rows])
+    b_star_sq_mean = float(np.mean(b_star**2)) if b_star.size else 1.0
 
     def beampattern_metric(net: Network, xv, yv, val_idx) -> float:
-        preds = forward(net, xv)
-        row_of = {int(r): j for j, r in enumerate(val_idx)}
-        errors = []
-        for i in val_points:
-            i = int(i)
-            a = target_steering[i]
-            wc = decode_complex(preds[row_of[2 * i]])
-            ws = decode_complex(preds[row_of[2 * i + 1]])
-            b = abs(np.vdot(a, ws)) ** 2 + abs(np.vdot(a, wc)) ** 2
-            errors.append((b_star[i] - b) ** 2)
-        if not errors:
-            return float("nan")
+        errors = (b_star - target_gains(forward(net, xv))) ** 2
         return float(np.mean(errors) / max(b_star_sq_mean, 1e-300))
 
     bf_config = NetworkConfig(layer_sizes=(7, 50, 2 * m), hidden_activation="relu",
@@ -646,11 +636,7 @@ def predict_matrix(
 
 def _cap_beam(beam: BeamWeights, scenario: Scenario, unit: NDArray[np.float64],
               gain: float) -> BeamWeights:
-    """Scale the beam's power down to the EIRP cap toward one destination.
-
-    `unit` and `gain` are the destination's array-frame unit and element gain
-    from the point's PointGeometry record; the EIRP is `eirp`'s arithmetic.
-    """
+    """Scale the beam down to the EIRP cap toward a PointGeometry unit of element gain `gain`."""
     power_gain = float(abs(np.vdot(steering(scenario.array, unit), beam.entries)) ** 2 * gain)
     achieved = to_db(beam.power_per_element_mw * power_gain)
     if achieved <= scenario.eirp_max_dbm or math.isinf(achieved):
