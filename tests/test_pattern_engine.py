@@ -6,11 +6,12 @@ matrix against them, and the synthesizer scores each candidate through its
 active block's factored record (null solve, null responses, one product per
 axis for both cuts).  Here they are checked against the dense steering
 matrix of `_kernels`, against the dense least-squares null solve of
-`tests.helpers` (the weights a candidate would have, built from full steering
-vectors) and their pointing response, and against one complex exponential per element; a block's cached
-axis responses are checked bit for bit against a fresh block's.  The factors
-are built in uninitialised memory, so the entry-by-entry check against
-direct exponentials also shows any entry read before it is written.  The
+`tests.helpers` (a candidate's weights built from full steering vectors) and
+their pointing response, and against one complex exponential per element; a
+block's cached axis responses are checked bit for bit against a fresh
+block's.  The factors are built in uninitialised memory, so the
+entry-by-entry check against direct exponentials also shows any entry read
+before it is written.  The
 loop version of `_sll_from_gains` is kept below as the reference for the
 vectorized one, and the dB path is the reference for the SLL the
 synthesizer finds on linear power.  The windowed arc build `_cut_arc` is
