@@ -335,11 +335,7 @@ def test_factored_pointing_response_matches_projected_weights(scene):
     _, block, w = _block_candidate(scene)
     af_point, _ = block.score(s_az, s_el)
     want = np.vdot(steering(config, _frame_units(pose, [request.pointing])[0]), w)
-    # Relative to the coherent-sum bound sum |w_m|, the scale of the roundoff
-    # of either side: the two solve the nulls on differently rounded steering
-    # vectors, and a response that the nulls cancel to 7e-4 of that bound
-    # leaves 2.2e-15 between them (3e-12 of the response itself).
-    assert abs(af_point - want) <= 1e-12 * np.abs(w).sum()
+    assert abs(af_point - want) <= 1e-12 * abs(want)
 
 
 @SETTINGS

@@ -375,7 +375,7 @@ def test_evaluation_csv_is_pinned(tmp_path, small_scenario, small_bundle):
     path = tmp_path / "records.csv"
     write_records_csv(path, records)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "486ea01b5c588efaff4eb3eab0c4facb468ac6f9ca5778996936d73c62370d7d"
+        "bd3f931c2e92b850551c1be5b11251dc4c2ed70dbbef32b10dd0cc3106ab2138"
     )
 
 
