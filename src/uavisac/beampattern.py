@@ -198,11 +198,20 @@ def array_gain(
     array position.  Accepts BeamWeights or a raw complex vector (normalized
     excitations, not amplitude-scaled).
     """
+    unit = array_frame_unit(angles, direction)
+    return unit_array_gain(weights, config, unit, element_gain(unit))
+
+
+def unit_array_gain(weights, config: ArrayConfig, unit, gain: float) -> float:
+    """Linear power gain |a(unit)^H w|^2 gain toward an array-frame unit of element gain `gain`.
+
+    For callers that already hold the unit and its element gain (a
+    PointGeometry record); `array_gain` derives both from the pose.
+    """
     w = _weight_entries(weights)
     if w.shape[0] != config.num_elements:
         raise ValueError("weight length does not match the array size")
-    unit = array_frame_unit(angles, direction)
-    return float(abs(np.vdot(steering(config, unit), w)) ** 2 * element_gain(unit))
+    return float(abs(np.vdot(steering(config, unit), w)) ** 2 * gain)
 
 
 @functools.lru_cache(maxsize=16)

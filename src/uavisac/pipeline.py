@@ -37,6 +37,7 @@ from .beampattern import (
     chebyshev_taper,
     null_conflicts,
     synthesize,
+    unit_array_gain,
 )
 from .channel import EXPECTED, achievable_rate, channel_vector, sinr
 from .geometry import DirectionAngles, RotationAngles, steering
@@ -637,8 +638,9 @@ def predict_matrix(
 def _cap_beam(beam: BeamWeights, scenario: Scenario, unit: NDArray[np.float64],
               gain: float) -> BeamWeights:
     """Scale the beam down to the EIRP cap toward a PointGeometry unit of element gain `gain`."""
-    power_gain = float(abs(np.vdot(steering(scenario.array, unit), beam.entries)) ** 2 * gain)
-    achieved = to_db(beam.power_per_element_mw * power_gain)
+    achieved = to_db(
+        beam.power_per_element_mw * unit_array_gain(beam, scenario.array, unit, gain)
+    )
     if achieved <= scenario.eirp_max_dbm or math.isinf(achieved):
         return beam
     factor = from_db(scenario.eirp_max_dbm - achieved)
