@@ -203,11 +203,7 @@ def array_gain(
 
 
 def unit_array_gain(weights, config: ArrayConfig, unit, gain: float) -> float:
-    """Linear power gain |a(unit)^H w|^2 gain toward an array-frame unit of element gain `gain`.
-
-    For callers that already hold the unit and its element gain (a
-    PointGeometry record); `array_gain` derives both from the pose.
-    """
+    """Linear power gain |a(unit)^H w|^2 gain toward an array-frame unit of element gain `gain`."""
     w = _weight_entries(weights)
     if w.shape[0] != config.num_elements:
         raise ValueError("weight length does not match the array size")
@@ -657,12 +653,13 @@ class _Block:
     over both cuts, Q_n = (bx_n^T Ex*)(bz_n^T Ez*), with Ex*, Ez* the
     evaluator's fused factors, whose z factors carry sqrt(g_e).  So a
     candidate's cut power is |af|^2 for af = (vx^T Ex*)(vz^T Ez*) - c^T Q,
-    one 1-column product per axis for both cuts.  The coordinate search moves one taper at a time, so each axis
-    keeps the response to its last taper and reuses it while that taper
-    stays.  The pointing array factor is sum(tx) sum(tz) - c . (null pointing
-    responses), since the steering factors have unit modulus.  A block
-    without nulls (every sensing beam) has no SVD and no Q: its cut array
-    factor is the product of the two axis responses alone.
+    one 1-column product per axis for both cuts.  The coordinate search
+    moves one taper at a time, so each axis keeps the response to its last
+    taper and reuses it while that taper stays.  The pointing array factor is
+    sum(tx) sum(tz) - c . (null pointing responses), since the steering
+    factors have unit modulus.  A block without nulls (every sensing beam)
+    has no SVD and no Q: its cut array factor is the product of the two axis
+    responses alone.
     """
 
     def __init__(self, synth: "_Synthesizer", rows: int, cols: int):
