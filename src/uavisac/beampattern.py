@@ -75,14 +75,17 @@ from .geometry import (
     angular_separation,
     array_frame_unit,
     element_gain,
-    grid_axis_offsets,
     rotation_matrix,
     steering,
     steering_vector,
 )
 from .units import from_db, to_db
 
+# the one cut grid: every principal cut samples its parameter at this step
 GRID_STEP_DEG = 0.05
+_GRID_STEP_RAD = math.radians(GRID_STEP_DEG)
+# samples on each side of the pointing in the index window holding an arc
+_ARC_REACH = math.ceil(math.pi / 2 / _GRID_STEP_RAD) + 2
 NULL_CONFLICT_DEG = 1.0
 MIN_TAPER_SLL_DB = 5.0
 MAIN_LOBE_MIN_DEPTH_DB = 6.0
@@ -210,15 +213,16 @@ def unit_array_gain(weights, config: ArrayConfig, unit, gain: float) -> float:
     return float(abs(np.vdot(steering(config, unit), w)) ** 2 * gain)
 
 
-@functools.lru_cache(maxsize=16)
-def _cut_grid(plane: str, step_deg: float):
+@functools.lru_cache(maxsize=len(_PLANES))
+def _cut_grid(plane: str):
     """Cut parameter samples of one principal cut with their cosines and sines.
 
-    The azimuth cut sweeps phi over [-pi, pi), the elevation cut theta over
-    [0, pi].  The (angles, cos, sin) arrays are shared between calls and
-    read-only.
+    The azimuth cut sweeps phi over [-pi, pi) in 7200 samples, the last one
+    step and 4e-13 below pi, the elevation cut theta over [0, pi] in 3601,
+    both at GRID_STEP_DEG.  The (angles, cos, sin) arrays are shared between calls
+    and read-only.
     """
-    step = math.radians(step_deg)
+    step = _GRID_STEP_RAD
     if plane == "azimuth":
         angles = np.arange(-math.pi, math.pi, step)
     elif plane == "elevation":
@@ -231,12 +235,7 @@ def _cut_grid(plane: str, step_deg: float):
     return grid
 
 
-def _arc_reach(step_deg: float) -> int:
-    """Samples on each side of the pointing in the index window holding an arc."""
-    return math.ceil(math.pi / 2 / math.radians(step_deg)) + 2
-
-
-def _cut_arc(plane: str, pointing: DirectionAngles, rot, step_deg: float):
+def _cut_arc(plane: str, pointing: DirectionAngles, rot):
     """Angles and array-frame units of the cut samples belonging to the beam.
 
     Keeps samples within 90 degrees of the pointing along the cut parameter
@@ -246,15 +245,14 @@ def _cut_arc(plane: str, pointing: DirectionAngles, rot, step_deg: float):
     The kept samples form the contiguous run around the pointing sample, so
     units and both tests are computed only on an index window two samples
     wider than 90 degrees on each side, whose edge samples always fail the
-    angle test (the azimuth grid may end with a sample that duplicates -pi to
-    roundoff, which shifts a window across the seam by at most one sample).
-    `rot` is the array's rotation matrix, so row i of the units is R^T u_i.
+    angle test, also for windows that cross the azimuth seam at +-pi.  `rot`
+    is the array's rotation matrix, so row i of the units is R^T u_i.
     Returns (angles, units) with strictly increasing angles (azimuth arcs
     crossing the wrap point are unwrapped past pi).
     """
-    angles, cos, sin = _cut_grid(plane, step_deg)
+    angles, cos, sin = _cut_grid(plane)
     n = angles.size
-    reach = _arc_reach(step_deg)
+    reach = _ARC_REACH
     circular = plane == "azimuth"
     if circular:
         point_angle = math.atan2(math.sin(pointing.phi), math.cos(pointing.phi))
@@ -285,13 +283,12 @@ def _cut_arc(plane: str, pointing: DirectionAngles, rot, step_deg: float):
     side = 1.0 if units[centre, 1] >= 0.0 else -1.0
     keep = side * units[:, 1] >= -1e-12
     if circular:
-        # Round the circle consecutive samples are one step apart, except
-        # across the seam, where the gap is at most one step (next to nothing
-        # on the 0.03 and 0.09 degree grids, whose last sample duplicates -pi
-        # to roundoff).  A sample at index offset o thus lies at most |o|
-        # steps from the pointing, so offsets up to ceil(90 deg / step) - 1
-        # = reach - 3 are under 90 degrees by more than the test's roundoff
-        # and pass it.  Only the three outermost samples per side are tested.
+        # Round the circle consecutive samples are one step apart, and the
+        # two across the seam one step and 4e-13.  A sample at index offset o
+        # thus lies within |o| steps (plus 4e-13) of the pointing, so offsets
+        # up to ceil(90 deg / step) - 1 = reach - 3 are under 90 degrees by
+        # far more than the test's roundoff and pass it.  Only the three
+        # outermost samples per side are tested.
         edges = [0, 1, 2, -3, -2, -1]
         delta = window_angles[edges] - angles[point_index]
         keep[edges] &= np.abs(np.arctan2(np.sin(delta), np.cos(delta))) <= math.pi / 2 + 1e-12
@@ -314,7 +311,7 @@ def _axis_factors(config: ArrayConfig, units, z_amplitude=1.0):
     """Conjugated per-axis steering factors of array-frame units (n, 3): (side, n) each.
 
     Row r of the first is exp(-j k x_r u_x), row c of the second
-    exp(-j k z_c u_z), over the grid offsets of grid_axis_offsets: the
+    exp(-j k z_c u_z), over the grid offsets of geometry.grid_axis_offsets: the
     conjugates that the a^H w contraction takes.  Those offsets are evenly
     spaced and symmetric about the aperture centre, so one complex
     exponential per axis, the half-step phasor h = exp(-j k d u / 2), builds
@@ -366,10 +363,9 @@ class _PatternEvaluator:
         config: ArrayConfig,
         pose: Pose,
         pointing: DirectionAngles,
-        step_deg: float = GRID_STEP_DEG,
     ):
         rot = rotation_matrix(pose.angles)
-        arcs = {plane: _cut_arc(plane, pointing, rot, step_deg) for plane in _PLANES}
+        arcs = {plane: _cut_arc(plane, pointing, rot) for plane in _PLANES}
         units = np.concatenate([units for _, units in arcs.values()])
         self.ex, self.ez = _axis_factors(
             config, units, z_amplitude=np.sqrt(element_gain(units))
@@ -401,18 +397,16 @@ def pattern_cut(
     pose: Pose,
     plane: str,
     pointing: DirectionAngles,
-    step_deg: float = GRID_STEP_DEG,
 ) -> PatternCut:
     """Principal cut through the pointing direction, normalized to 0 dB peak.
 
     The azimuth cut fixes theta at the pointing value and sweeps phi; the
-    elevation cut fixes phi and sweeps theta.  Both cover up to 90 degrees on
-    each side of the beam within its own hemisphere (the mirror image through
-    the aperture plane is excluded, as a ground plane would enforce).
+    elevation cut fixes phi and sweeps theta, both on the GRID_STEP_DEG grid.
+    Both cover up to 90 degrees on each side of the beam within its own
+    hemisphere (the mirror image through the aperture plane is excluded, as a
+    ground plane would enforce).
     """
-    if step_deg > 0.1:
-        raise ValueError("cut grid step must be at most 0.1 degrees")
-    ev = _PatternEvaluator(config, pose, pointing, step_deg)
+    ev = _PatternEvaluator(config, pose, pointing)
     w = _weight_entries(weights).reshape(config.side, config.side)
     angles, gains_db = ev.cut_gains_db(plane, w)
     return PatternCut(plane=plane, angles_rad=angles, gains_db=gains_db)

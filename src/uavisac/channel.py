@@ -97,7 +97,11 @@ def pathloss(params: ChannelParams, mode: str, uav_pos, dest) -> float:
     """
     u = as_vec3(uav_pos)
     t = as_vec3(dest)
-    d = float(np.linalg.norm(u - t))
+    return _path_gain(params, mode, u, t, float(np.linalg.norm(u - t)))
+
+
+def _path_gain(params: ChannelParams, mode: str, u, t, d: float) -> float:
+    """pathloss between 3-vectors u (UAV) and t (destination) at distance d = |u - t|."""
     if d <= 0.0:
         raise GeometryError("zero distance between UAV and destination")
     lam = params.wavelength_m
@@ -126,8 +130,10 @@ def channel_vector(
 
     unit is dest's direction in the array frame, as PointGeometry holds it.
     """
-    gain = pathloss(params, mode, uav_pos, dest)
-    d = float(np.linalg.norm(as_vec3(dest) - as_vec3(uav_pos)))
+    u = as_vec3(uav_pos)
+    t = as_vec3(dest)
+    d = float(np.linalg.norm(u - t))
+    gain = _path_gain(params, mode, u, t, d)
     phase = np.exp(2j * math.pi * params.carrier_hz * d / SPEED_OF_LIGHT)
     a = steering(config, unit)
     return ChannelVector(entries=math.sqrt(gain) * phase * a, pathloss_linear=gain)

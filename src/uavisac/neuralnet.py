@@ -1,9 +1,10 @@
 """Small feedforward networks with hand-rolled backprop and ADAM.
 
-Inference and training are plain numpy.  All randomness (init, split,
-shuffling) flows from explicit seeds, so a repeated run is bit-identical.
-A network stores per-feature normalization stats and applies them inside
-forward(), so callers always pass raw features.
+Inference and training are plain numpy.  Hidden layers are ReLU and the
+output layer is linear.  All randomness (init, shuffling) flows from explicit
+seeds and the caller fixes the train/validation split, so a repeated run is
+bit-identical.  A network stores per-feature normalization stats and applies
+them inside forward(), so callers always pass raw features.
 """
 
 from __future__ import annotations
@@ -14,12 +15,15 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
+# ADAM moment decay rates and denominator guard (Kingma and Ba's defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class NetworkConfig:
     layer_sizes: tuple[int, ...]
-    hidden_activation: str = "relu"
-    output_activation: str = "linear"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -27,10 +31,6 @@ class NetworkConfig:
             raise ValueError("a network needs at least input and output layers")
         if any(s < 1 for s in self.layer_sizes):
             raise ValueError("layer sizes must be positive")
-        if self.hidden_activation not in ("relu", "tanh"):
-            raise ValueError("hidden_activation must be relu or tanh")
-        if self.output_activation != "linear":
-            raise ValueError("only a linear output layer is supported")
 
 
 @dataclass
@@ -38,9 +38,6 @@ class TrainConfig:
     epochs: int = 200
     batch_size: int = 128
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     train_fraction: float = 0.7
     seed: int = 0
 
@@ -61,7 +58,7 @@ class TrainReport:
 
 
 class Network:
-    """Affine layers with a hidden activation and linear output."""
+    """Affine layers with ReLU hidden layers and a linear output."""
 
     def __init__(self, config: NetworkConfig):
         self.config = config
@@ -89,16 +86,6 @@ class Network:
         # constant features would otherwise divide by zero
         self.norm_std = np.where(std > 1e-12, std, 1.0)
 
-    def _activate(self, z: NDArray[np.float64]) -> NDArray[np.float64]:
-        if self.config.hidden_activation == "relu":
-            return np.maximum(z, 0.0)
-        return np.tanh(z)
-
-    def _activate_grad(self, z: NDArray[np.float64]) -> NDArray[np.float64]:
-        if self.config.hidden_activation == "relu":
-            return (z > 0.0).astype(np.float64)
-        return 1.0 - np.tanh(z) ** 2
-
     def _forward_cached(self, x: NDArray[np.float64]):
         a = (x - self.norm_mean) / self.norm_std
         activations = [a]
@@ -107,15 +94,13 @@ class Network:
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             z = a @ w.T + b
             pre.append(z)
-            a = z if i == last else self._activate(z)
+            a = z if i == last else np.maximum(z, 0.0)
             activations.append(a)
         return activations, pre
 
     def to_dict(self) -> dict:
         return {
             "layer_sizes": list(self.layer_sizes),
-            "hidden_activation": self.config.hidden_activation,
-            "output_activation": self.config.output_activation,
             "seed": self.config.seed,
             "weights": [w.tolist() for w in self.weights],
             "biases": [b.tolist() for b in self.biases],
@@ -125,13 +110,7 @@ class Network:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Network":
-        config = NetworkConfig(
-            layer_sizes=tuple(data["layer_sizes"]),
-            hidden_activation=data["hidden_activation"],
-            output_activation=data["output_activation"],
-            seed=data["seed"],
-        )
-        net = cls(config)
+        net = cls(NetworkConfig(layer_sizes=tuple(data["layer_sizes"]), seed=data["seed"]))
         net.weights = [np.asarray(w, dtype=np.float64) for w in data["weights"]]
         net.biases = [np.asarray(b, dtype=np.float64) for b in data["biases"]]
         net.norm_mean = np.asarray(data["norm_mean"], dtype=np.float64)
@@ -179,7 +158,8 @@ def gradients(net: Network, inputs, targets):
         w_grads[layer] = delta.T @ activations[layer]
         b_grads[layer] = delta.sum(axis=0)
         if layer > 0:
-            delta = (delta @ net.weights[layer]) * net._activate_grad(pre[layer - 1])
+            # the ReLU passes gradient only where its input was positive
+            delta = (delta @ net.weights[layer]) * (pre[layer - 1] > 0.0)
     return w_grads, b_grads, loss
 
 
@@ -193,19 +173,19 @@ class AdamState:
         self.v_b = [np.zeros_like(b) for b in net.biases]
 
     def step(self, net: Network, w_grads, b_grads) -> None:
-        cfg = self.config
+        lr = self.config.learning_rate
         self.step_count += 1
         t = self.step_count
-        bias1 = 1.0 - cfg.beta1**t
-        bias2 = 1.0 - cfg.beta2**t
+        bias1 = 1.0 - ADAM_BETA1**t
+        bias2 = 1.0 - ADAM_BETA2**t
         for i in range(len(net.weights)):
             for params, grads, m, v in (
                 (net.weights, w_grads, self.m_w, self.v_w),
                 (net.biases, b_grads, self.m_b, self.v_b),
             ):
-                m[i] = cfg.beta1 * m[i] + (1.0 - cfg.beta1) * grads[i]
-                v[i] = cfg.beta2 * v[i] + (1.0 - cfg.beta2) * grads[i] ** 2
-                params[i] -= cfg.learning_rate * (m[i] / bias1) / (np.sqrt(v[i] / bias2) + cfg.eps)
+                m[i] = ADAM_BETA1 * m[i] + (1.0 - ADAM_BETA1) * grads[i]
+                v[i] = ADAM_BETA2 * v[i] + (1.0 - ADAM_BETA2) * grads[i] ** 2
+                params[i] -= lr * (m[i] / bias1) / (np.sqrt(v[i] / bias2) + ADAM_EPS)
 
 
 def train(
@@ -213,29 +193,21 @@ def train(
     inputs,
     targets,
     config: TrainConfig,
-    val_metric: Callable[[Network, NDArray, NDArray, NDArray], float] | None = None,
-    split: tuple[Sequence[int], Sequence[int]] | None = None,
+    split: tuple[Sequence[int], Sequence[int]],
+    val_metric: Callable[[Network, NDArray], float] | None = None,
 ) -> tuple[Network, TrainReport]:
-    """Mini-batch ADAM training with a seeded train/validation split.
+    """Mini-batch ADAM training on the (train, validation) row indices of `split`.
 
-    `split` overrides the internal split with explicit (train, validation)
-    row indices; `val_metric(net, val_x, val_y, val_idx)` is evaluated once
-    per epoch and recorded in the report.
+    Each epoch shuffles the training rows with a generator seeded by
+    `config.seed`; `val_metric(net, val_x)` is evaluated once per epoch and
+    recorded in the report.
     """
     x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     y = np.atleast_2d(np.asarray(targets, dtype=np.float64))
-    n = x.shape[0]
-    if n == 0:
+    if x.shape[0] == 0:
         raise ValueError("dataset is empty")
     rng = np.random.default_rng(config.seed)
-    if split is None:
-        perm = rng.permutation(n)
-        n_train = max(1, min(n - 1, int(round(config.train_fraction * n)))) if n > 1 else 1
-        train_idx = np.sort(perm[:n_train])
-        val_idx = np.sort(perm[n_train:])
-    else:
-        train_idx = np.asarray(split[0], dtype=np.int64)
-        val_idx = np.asarray(split[1], dtype=np.int64)
+    train_idx, val_idx = (np.asarray(rows, dtype=np.int64) for rows in split)
     x_train, y_train = x[train_idx], y[train_idx]
     x_val, y_val = x[val_idx], y[val_idx]
     net.set_normalization(x_train.mean(axis=0), x_train.std(axis=0))
@@ -256,5 +228,5 @@ def train(
         else:
             report.val_loss.append(float("nan"))
         if val_metric is not None:
-            report.val_metric.append(float(val_metric(net, x_val, y_val, val_idx)))
+            report.val_metric.append(float(val_metric(net, x_val)))
     return net, report

@@ -10,8 +10,8 @@ stages are deterministic under a fixed master seed.
 
 Every per-point stage reads its directions, array-frame units and angles,
 element gains and radar channel toward the target from one
-scenario.PointGeometry record built once per point, the only place they are
-derived.
+scenario.PointGeometry record built once per point; only the beampattern
+calls re-derive theirs (see the scenario module docstring).
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from .units import from_db, to_db
 logger = logging.getLogger(__name__)
 
 DATASET_FORMAT_VERSION = 1
-BUNDLE_FORMAT_VERSION = 1
+BUNDLE_FORMAT_VERSION = 2
 
 POLICY_ALIASES = {
     "closest": "closest",
@@ -507,10 +507,10 @@ def train_models(samples: Sequence[Sample], scenario: Scenario,
                  config: TrainConfig) -> ModelBundle:
     """Train the beamformer and association networks on one dataset.
 
-    The seeded 70/30 split is taken over trajectory points; the beamformer
-    sees two rows per point (comm then sensing) and is scored each epoch by
-    the normalized beampattern-gain mismatch at the target over the
-    validation points.
+    The seeded train_fraction split is taken over trajectory points, with at
+    least one point on each side; the beamformer sees two rows per point
+    (comm then sensing) and is scored each epoch by the normalized
+    beampattern-gain mismatch at the target over the validation points.
     """
     n = len(samples)
     if n < 10:
@@ -548,33 +548,22 @@ def train_models(samples: Sequence[Sample], scenario: Scenario,
         return np.sum(np.abs(np.matmul(w, target)[..., 0]) ** 2, axis=1)
 
     b_star = target_gains(y_rows[val_rows])
-    b_star_sq_mean = float(np.mean(b_star**2)) if b_star.size else 1.0
+    b_star_sq_mean = float(np.mean(b_star**2))
 
-    def beampattern_metric(net: Network, xv, yv, val_idx) -> float:
+    def beampattern_metric(net: Network, xv) -> float:
         errors = (b_star - target_gains(forward(net, xv))) ** 2
         return float(np.mean(errors) / max(b_star_sq_mean, 1e-300))
 
-    bf_config = NetworkConfig(layer_sizes=(7, 50, 2 * m), hidden_activation="relu",
-                              seed=config.seed)
-    beamformer = Network(bf_config)
+    beamformer = Network(NetworkConfig(layer_sizes=(7, 50, 2 * m), seed=config.seed))
     beamformer, bf_report = train(
-        beamformer,
-        x_rows,
-        y_rows,
-        config,
-        val_metric=beampattern_metric if val_points.size else None,
-        split=(train_rows, val_rows),
+        beamformer, x_rows, y_rows, config, (train_rows, val_rows), beampattern_metric
     )
 
     k = scenario.num_gbs
     denom = float(max(k - 1, 1))
     ya = np.array([[s.optimal_gbs / denom] for s in samples])
-    assoc_config = NetworkConfig(layer_sizes=(4, 64, 32, 1), hidden_activation="relu",
-                                 seed=config.seed + 1)
-    association = Network(assoc_config)
-    association, assoc_report = train(
-        association, xa, ya, config, split=(train_points, val_points)
-    )
+    association = Network(NetworkConfig(layer_sizes=(4, 64, 32, 1), seed=config.seed + 1))
+    association, assoc_report = train(association, xa, ya, config, (train_points, val_points))
 
     return ModelBundle(
         beamformer=beamformer,

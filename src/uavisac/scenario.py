@@ -7,9 +7,15 @@ fixed endpoints: every step has the full slot displacement, headings are drawn
 inside a cone toward the goal, and the final slot snaps exactly onto the end
 point, so the speed bound and endpoint constraints hold by construction.
 
-point_geometry is the only place a per-point direction, array-frame unit,
-element gain or radar channel toward the target is derived; association and
-every per-point pipeline stage read its PointGeometry record.
+point_geometry derives each point's directions, array-frame units, element
+gains and radar channel toward the target once; association and every
+per-point pipeline stage read its PointGeometry record.  Two beampattern entry
+points derive theirs again, because they take world quantities rather than a
+record and are called without one (the CLI's synthesize command, the tests,
+the benchmark): synthesize turns the request's global pointing and null
+angles into array-frame units (_frame_units), and beampattern_gain, which
+evaluate_trajectory calls once per slot, builds the target's steering vector
+from the target location (geometry.steering_vector).
 
 Max-SINR association and the optimal association label are one rule: the
 station with the smallest required EIRP, lowest index on ties (see
@@ -109,11 +115,15 @@ class Scenario:
         self.end_m = as_vec3(self.end_m)
         if self.gbs_m.shape[0] < 1 or self.gbs_m.shape[1] != 3:
             raise ValueError("gbs_m must hold at least one (x, y, z) row")
-        if self.uav_altitude_m <= float(np.max(self.gbs_m[:, 2])):
+        top = float(np.max(self.gbs_m[:, 2]))
+        if self.uav_altitude_m <= top:
             raise ValueError("UAV altitude must exceed the base-station height")
+        # a walk flies level at the start height and lands on the end point
         for name, point in (("start", self.start_m), ("end", self.end_m)):
             if not (0.0 <= point[0] <= self.area_m[0] and 0.0 <= point[1] <= self.area_m[1]):
                 raise ValueError(f"{name} point lies outside the area")
+            if point[2] <= top:
+                raise ValueError(f"{name} point must lie above every base station")
 
     @property
     def num_gbs(self) -> int:

@@ -12,6 +12,13 @@ from uavisac.neuralnet import (
 )
 
 
+def _split(n, seed):
+    """A seeded 70/30 (train, validation) split of n rows."""
+    perm = np.random.default_rng(seed).permutation(n)
+    cut = int(round(0.7 * n))
+    return np.sort(perm[:cut]), np.sort(perm[cut:])
+
+
 def test_forward_zero_parameters_gives_zero_output():
     net = Network(NetworkConfig(layer_sizes=(3, 4, 2), seed=0))
     for i in range(len(net.weights)):
@@ -101,7 +108,8 @@ def test_train_zero_learning_rate_keeps_parameters():
     y = rng.normal(size=(40, 1))
     net = Network(NetworkConfig(layer_sizes=(2, 8, 1), seed=2))
     before = [w.copy() for w in net.weights]
-    train(net, x, y, TrainConfig(epochs=5, batch_size=8, learning_rate=0.0, seed=0))
+    config = TrainConfig(epochs=5, batch_size=8, learning_rate=0.0, seed=0)
+    train(net, x, y, config, _split(40, 0))
     for b, w in zip(before, net.weights):
         assert np.array_equal(b, w)
 
@@ -111,9 +119,8 @@ def test_train_linear_regression_converges():
     x = rng.uniform(-1, 1, size=(200, 1))
     y = 3.0 * x
     net = Network(NetworkConfig(layer_sizes=(1, 1), seed=0))
-    net, report = train(
-        net, x, y, TrainConfig(epochs=200, batch_size=32, learning_rate=0.05, seed=1)
-    )
+    config = TrainConfig(epochs=200, batch_size=32, learning_rate=0.05, seed=1)
+    net, report = train(net, x, y, config, _split(200, 1))
     # recover the slope in raw units: the input is z-scored internally
     slope = net.weights[0][0, 0] / net.norm_std[0]
     intercept = net.biases[0][0] - net.weights[0][0, 0] * net.norm_mean[0] / net.norm_std[0]
@@ -129,7 +136,8 @@ def test_train_is_bitwise_deterministic():
 
     def run():
         net = Network(NetworkConfig(layer_sizes=(3, 10, 2), seed=7))
-        return train(net, x, y, TrainConfig(epochs=20, batch_size=16, learning_rate=1e-3, seed=9))
+        config = TrainConfig(epochs=20, batch_size=16, learning_rate=1e-3, seed=9)
+        return train(net, x, y, config, _split(64, 9))
 
     net1, rep1 = run()
     net2, rep2 = run()
@@ -145,16 +153,15 @@ def test_train_normalization_stats():
     y = rng.normal(size=(100, 1))
     net = Network(NetworkConfig(layer_sizes=(4, 5, 1), seed=0))
     cfg = TrainConfig(epochs=1, batch_size=32, learning_rate=0.0, seed=2)
-    net, _ = train(net, x, y, cfg)
-    perm = np.random.default_rng(cfg.seed).permutation(100)
-    train_idx = np.sort(perm[: int(round(0.7 * 100))])
+    train_idx, val_idx = _split(100, cfg.seed)
+    net, _ = train(net, x, y, cfg, (train_idx, val_idx))
     z = (x[train_idx] - net.norm_mean) / net.norm_std
     assert np.max(np.abs(z.mean(axis=0))) < 1e-10
     assert np.max(np.abs(z.std(axis=0) - 1.0)) < 1e-10
 
 
 def test_network_dict_roundtrip():
-    net = Network(NetworkConfig(layer_sizes=(4, 6, 2), hidden_activation="tanh", seed=11))
+    net = Network(NetworkConfig(layer_sizes=(4, 6, 2), seed=11))
     net.set_normalization(np.arange(4.0), np.ones(4) * 2.0)
     clone = Network.from_dict(net.to_dict())
     x = np.linspace(-1, 1, 4)
@@ -166,8 +173,7 @@ def test_smoothed_training_loss_non_increasing_on_regression():
     x = rng.uniform(-1, 1, size=(300, 2))
     y = np.column_stack([np.sin(2 * x[:, 0]), x[:, 1] ** 2])
     net = Network(NetworkConfig(layer_sizes=(2, 16, 2), seed=3))
-    net, report = train(
-        net, x, y, TrainConfig(epochs=100, batch_size=32, learning_rate=3e-3, seed=4)
-    )
+    config = TrainConfig(epochs=100, batch_size=32, learning_rate=3e-3, seed=4)
+    net, report = train(net, x, y, config, _split(300, 4))
     ma = np.convolve(report.train_loss, np.ones(10) / 10, mode="valid")
     assert np.all(np.diff(ma) <= 1e-3 * ma[0])

@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 
 from uavisac import _kernels
 from uavisac.beampattern import (
+    GRID_STEP_DEG,
     MAIN_LOBE_MIN_DEPTH_DB,
     SynthesisRequest,
     _axis_factors,
@@ -88,7 +89,7 @@ def _sll_reference(gains_db):
     return float(gains[peak] - outside.max())
 
 
-def _full_circle_grid(plane, pointing, step_deg):
+def _full_circle_grid(plane, pointing, step_deg=GRID_STEP_DEG):
     """Angle samples and global-frame unit vectors of the whole cut."""
     step = math.radians(step_deg)
     if plane == "azimuth":
@@ -145,9 +146,9 @@ def _full_circle_select(angles, units_arr, point_index, circular):
     return arc_angles, idx
 
 
-def _full_circle_arc(plane, pointing, rot, step_deg):
+def _full_circle_arc(plane, pointing, rot):
     """The arc build before windowing: every sample's units, then the arc."""
-    angles, units = _full_circle_grid(plane, pointing, step_deg)
+    angles, units = _full_circle_grid(plane, pointing)
     units_arr = units @ rot  # row i is R^T u_i
     if plane == "azimuth":
         point_angle = math.atan2(math.sin(pointing.phi), math.cos(pointing.phi))
@@ -267,7 +268,7 @@ def test_grid_axis_offsets_match_element_layout():
 @given(scene=weight_scenes(), plane=st.sampled_from(["azimuth", "elevation"]))
 def test_factored_cut_matches_dense_kernel(scene, plane):
     config, pose, pointing, w = scene
-    cut = pattern_cut(w, config, pose, plane, pointing, step_deg=0.1)
+    cut = pattern_cut(w, config, pose, plane, pointing)
     dense, ge = _dense_cut_power(w, config, pose, plane, pointing, cut.angles_rad)
     factored = 10.0 ** (cut.gains_db / 10.0) * dense.max()
     # Relative to the coherent-sum bound (sum |w_m|)^2 max g_e, the scale of
@@ -539,50 +540,42 @@ def test_cut_arc_matches_loop_reference_on_cut_grids():
             _assert_same_arc(angles, units @ rot, point_index, plane == "azimuth")
 
 
-# 0.03 and 0.09 degrees leave a last azimuth sample 4e-13 below pi, a duplicate
-# of -pi to roundoff, which shifts an arc crossing the seam by one sample
-CUT_STEPS_DEG = [0.01, 0.03, 0.05, 0.07, 0.09, 0.1]
 IDENTITY = (0.0, 0.0, 0.0)
 
 
-def _assert_arc_matches_full_circle(pose_angles, pointing, step_deg):
+def _assert_arc_matches_full_circle(pose_angles, pointing):
     rot = rotation_matrix(RotationAngles(*pose_angles))
     pointing = DirectionAngles(*pointing)
     for plane in ("azimuth", "elevation"):
-        want_angles, want_units = _full_circle_arc(plane, pointing, rot, step_deg)
-        got_angles, got_units = _cut_arc(plane, pointing, rot, step_deg)
+        want_angles, want_units = _full_circle_arc(plane, pointing, rot)
+        got_angles, got_units = _cut_arc(plane, pointing, rot)
         assert np.array_equal(got_angles, want_angles)
         assert np.array_equal(got_units, want_units)
         assert np.array_equal(element_gain(got_units), element_gain(want_units))
 
 
 @SETTINGS
-@given(
-    pose_angles=st.tuples(angle, angle, angle),
-    pointing=st.tuples(polar, angle),
-    step_deg=st.sampled_from(CUT_STEPS_DEG),
-)
-# pointings at the phi = +-pi seam, on both duplicate-sample grids
-@example(pose_angles=(0.3, -0.2, 0.1), pointing=(1.2, math.pi), step_deg=0.03)
-@example(pose_angles=(0.3, -0.2, 0.1), pointing=(1.2, -math.pi), step_deg=0.09)
-@example(pose_angles=(-2.0, 0.4, 1.1), pointing=(2.0, math.nextafter(math.pi, 0.0)), step_deg=0.03)
-@example(pose_angles=(-2.0, 0.4, 1.1), pointing=(0.7, -math.pi + 1e-4), step_deg=0.09)
-@example(pose_angles=(1.0, 1.0, 1.0), pointing=(1.0, math.pi), step_deg=0.05)
+@given(pose_angles=st.tuples(angle, angle, angle), pointing=st.tuples(polar, angle))
+# pointings at the phi = +-pi seam
+@example(pose_angles=(0.3, -0.2, 0.1), pointing=(1.2, math.pi))
+@example(pose_angles=(0.3, -0.2, 0.1), pointing=(1.2, -math.pi))
+@example(pose_angles=(-2.0, 0.4, 1.1), pointing=(2.0, math.nextafter(math.pi, 0.0)))
+@example(pose_angles=(-2.0, 0.4, 1.1), pointing=(0.7, -math.pi + 1e-4))
+@example(pose_angles=(1.0, 1.0, 1.0), pointing=(1.0, math.pi))
 # theta at the poles and on the horizon
-@example(pose_angles=(0.5, 0.5, 0.5), pointing=(0.0, 0.3), step_deg=0.05)
-@example(pose_angles=(0.5, 0.5, 0.5), pointing=(math.pi / 2, 0.3), step_deg=0.07)
-@example(pose_angles=(0.5, 0.5, 0.5), pointing=(math.pi, 0.3), step_deg=0.1)
+@example(pose_angles=(0.5, 0.5, 0.5), pointing=(0.0, 0.3))
+@example(pose_angles=(0.5, 0.5, 0.5), pointing=(math.pi / 2, 0.3))
+@example(pose_angles=(0.5, 0.5, 0.5), pointing=(math.pi, 0.3))
 # pointing samples on the aperture plane (u_y = 0 exactly at theta = 0 and pi)
-@example(pose_angles=IDENTITY, pointing=(0.0, math.pi / 2), step_deg=0.01)
-@example(pose_angles=IDENTITY, pointing=(math.pi, -math.pi / 2), step_deg=0.03)
-@example(pose_angles=IDENTITY, pointing=(math.pi / 2, 0.0), step_deg=0.09)
-@example(pose_angles=IDENTITY, pointing=(math.pi / 2, math.pi), step_deg=0.1)
-def test_cut_arc_matches_full_circle_reference(pose_angles, pointing, step_deg):
-    _assert_arc_matches_full_circle(pose_angles, pointing, step_deg)
+@example(pose_angles=IDENTITY, pointing=(0.0, math.pi / 2))
+@example(pose_angles=IDENTITY, pointing=(math.pi, -math.pi / 2))
+@example(pose_angles=IDENTITY, pointing=(math.pi / 2, 0.0))
+@example(pose_angles=IDENTITY, pointing=(math.pi / 2, math.pi))
+def test_cut_arc_matches_full_circle_reference(pose_angles, pointing):
+    _assert_arc_matches_full_circle(pose_angles, pointing)
 
 
-@pytest.mark.parametrize("step_deg", CUT_STEPS_DEG)
-def test_cut_arc_matches_full_circle_reference_at_a_single_gap(step_deg):
+def test_cut_arc_matches_full_circle_reference_at_a_single_gap():
     """The half-space test drops a single sample 20 samples from the pointing.
 
     The arc must then start just past that gap, well inside the window, and
@@ -592,7 +585,7 @@ def test_cut_arc_matches_full_circle_reference_at_a_single_gap(step_deg):
     the sample fails the half-space test by far more than its tolerance,
     while its neighbours pass.
     """
-    angles = np.arange(-math.pi, math.pi, math.radians(step_deg))
+    angles = np.arange(-math.pi, math.pi, math.radians(GRID_STEP_DEG))
     gap, point = 5, 25  # the gap sample is 20 samples from the pointing
     normal = rotation_matrix(RotationAngles(0.0, 0.4, 0.3))[:, 1]
     alpha = angles[gap] + math.pi - math.atan2(normal[1], normal[0])
@@ -600,9 +593,9 @@ def test_cut_arc_matches_full_circle_reference_at_a_single_gap(step_deg):
     theta = math.acos(-1e-9) - math.atan2(rho, normal[2])
     pose_angles = (math.remainder(alpha, 2 * math.pi), 0.4, 0.3)
     rot = rotation_matrix(RotationAngles(*pose_angles))
-    _, units = _full_circle_grid("azimuth", DirectionAngles(theta, 0.0), step_deg)
+    _, units = _full_circle_grid("azimuth", DirectionAngles(theta, 0.0))
     dropped = np.flatnonzero((units @ rot)[:, 1] < -1e-12)
     assert dropped.tolist() == [gap]
-    _assert_arc_matches_full_circle(pose_angles, (theta, angles[point]), step_deg)
-    got_angles, _ = _cut_arc("azimuth", DirectionAngles(theta, angles[point]), rot, step_deg)
+    _assert_arc_matches_full_circle(pose_angles, (theta, angles[point]))
+    got_angles, _ = _cut_arc("azimuth", DirectionAngles(theta, angles[point]), rot)
     assert got_angles[0] == angles[gap + 1]

@@ -225,7 +225,7 @@ def test_bundle_roundtrip(tmp_path, small_scenario, small_bundle):
         small_bundle, small_scenario, point
     )
     data = json.loads(path.read_text())
-    assert data["format_version"] == 1
+    assert data["format_version"] == 2
     assert "val_beampattern_error" in data["reports"]["beamformer"]
 
 
@@ -233,9 +233,9 @@ def test_bundle_load_rejects_other_format_versions(tmp_path, small_bundle):
     path = tmp_path / "bundle.json"
     small_bundle.save(path)
     data = json.loads(path.read_text())
-    data["format_version"] = 2
+    data["format_version"] = 1
     path.write_text(json.dumps(data))
-    with pytest.raises(ValueError, match="bundle format_version 2"):
+    with pytest.raises(ValueError, match="bundle format_version 1"):
         ModelBundle.load(path)
 
 

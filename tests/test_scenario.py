@@ -102,6 +102,11 @@ def test_scenario_validation():
         small_scenario(uav_altitude_m=1.0)
     with pytest.raises(ValueError):
         small_scenario(start_m=np.array([-5.0, 0.0, 100.0]))
+    # a walk flies at the start height and ends on the end point, so both
+    # must clear the 2 m stations, whatever uav_altitude_m says
+    for start_z, end_z in ((1.0, 1.0), (1.0, 100.0), (100.0, 2.0)):
+        with pytest.raises(ValueError, match="above every base station"):
+            Scenario(start_m=[0.0, 0.0, start_z], end_m=[700.0, 800.0, end_z])
 
 
 def test_trajectories_deterministic_and_constrained():
