@@ -77,7 +77,6 @@ from .geometry import (
     element_gain,
     rotation_matrix,
     steering,
-    steering_vector,
 )
 from .units import from_db, to_db
 
@@ -311,8 +310,9 @@ def _axis_factors(config: ArrayConfig, units, z_amplitude=1.0):
     """Conjugated per-axis steering factors of array-frame units (n, 3): (side, n) each.
 
     Row r of the first is exp(-j k x_r u_x), row c of the second
-    exp(-j k z_c u_z), over the grid offsets of geometry.grid_axis_offsets: the
-    conjugates that the a^H w contraction takes.  Those offsets are evenly
+    exp(-j k z_c u_z), over the row x and column z offsets of
+    geometry.centered_grid_offsets (element r * side + c sits at (x_r, 0, z_c)):
+    the conjugates that the a^H w contraction takes.  Those offsets are evenly
     spaced and symmetric about the aperture centre, so one complex
     exponential per axis, the half-step phasor h = exp(-j k d u / 2), builds
     every row: the first row at or above the centre is h for an even side and
@@ -902,15 +902,14 @@ def synthesize(request: SynthesisRequest, config: ArrayConfig, pose: Pose) -> Sy
     return _Synthesizer(request, config, pose).run()
 
 
-def beampattern_gain(
-    matrix: BeamformingMatrix, config: ArrayConfig, pose: Pose, target
-) -> float:
-    """Transmit power density radiated toward the target location.
+def beampattern_gain(matrix: BeamformingMatrix, config: ArrayConfig, unit) -> float:
+    """Transmit power density radiated toward the target's array-frame unit.
 
-    Sum of the two rank-one beam contributions |a^H w|^2 with amplitude-scaled
-    weight vectors; invariant under per-beam global phase rotation.
+    Sum of the two rank-one beam contributions |a^H w|^2, sensing then comm,
+    with amplitude-scaled weight vectors and a = steering(config, unit);
+    invariant under per-beam global phase rotation.
     """
-    a = steering_vector(config, pose.position, pose.angles, target)
+    a = steering(config, unit)
     total = 0.0
     for beam in (matrix.sensing, matrix.comm):
         total += abs(np.vdot(a, beam.vector)) ** 2

@@ -63,14 +63,6 @@ class ChannelParams:
         return SPEED_OF_LIGHT / self.carrier_hz
 
 
-@dataclass(frozen=True)
-class ChannelVector:
-    """Complex channel entries plus the linear path gain they embed."""
-
-    entries: NDArray[np.complex128]
-    pathloss_linear: float
-
-
 def nlos_probability(params: ChannelParams, uav_pos, dest) -> float:
     """NLoS occurrence probability, clamped to [0, 1].
 
@@ -125,10 +117,11 @@ def _path_gain(params: ChannelParams, mode: str, u, t, d: float) -> float:
 
 def channel_vector(
     params: ChannelParams, config: ArrayConfig, uav_pos, dest, mode: str, *, unit
-) -> ChannelVector:
-    """Channel vector sqrt(PL) exp(j 2 pi f d / c) a(unit) toward dest.
+) -> NDArray[np.complex128]:
+    """Complex channel entries sqrt(PL) exp(j 2 pi f d / c) a(unit) toward dest.
 
-    unit is dest's direction in the array frame, as PointGeometry holds it.
+    unit is dest's direction in the array frame, as PointGeometry holds it;
+    PL is pathloss(params, mode, uav_pos, dest).
     """
     u = as_vec3(uav_pos)
     t = as_vec3(dest)
@@ -136,7 +129,7 @@ def channel_vector(
     gain = _path_gain(params, mode, u, t, d)
     phase = np.exp(2j * math.pi * params.carrier_hz * d / SPEED_OF_LIGHT)
     a = steering(config, unit)
-    return ChannelVector(entries=math.sqrt(gain) * phase * a, pathloss_linear=gain)
+    return math.sqrt(gain) * phase * a
 
 
 def _as_weight_vector(w) -> NDArray[np.complex128]:
@@ -146,18 +139,19 @@ def _as_weight_vector(w) -> NDArray[np.complex128]:
     return np.asarray(w, dtype=np.complex128)
 
 
-def sinr(h_comm: ChannelVector, h_sense: ChannelVector, w_comm, w_sense, noise_mw: float) -> float:
+def sinr(h_comm, h_sense, w_comm, w_sense, noise_mw: float) -> float:
     """Linear SINR |h_c^H w_c|^2 / (noise + |h_s^H w_s|^2).
 
-    Weight arguments may be raw complex vectors or objects exposing a
-    .vector attribute (amplitude-scaled beam weights).
+    Channels are complex entry arrays as channel_vector returns them.  Weight
+    arguments may be raw complex vectors or objects exposing a .vector
+    attribute (amplitude-scaled beam weights).
     """
     wc = _as_weight_vector(w_comm)
     ws = _as_weight_vector(w_sense)
-    if wc.shape != h_comm.entries.shape or ws.shape != h_sense.entries.shape:
+    if wc.shape != np.shape(h_comm) or ws.shape != np.shape(h_sense):
         raise ValueError("weight and channel dimensions do not match")
-    signal = abs(np.vdot(h_comm.entries, wc)) ** 2
-    interference = abs(np.vdot(h_sense.entries, ws)) ** 2
+    signal = abs(np.vdot(h_comm, wc)) ** 2
+    interference = abs(np.vdot(h_sense, ws)) ** 2
     return signal / (noise_mw + interference)
 
 

@@ -16,6 +16,7 @@ from .beampattern import SynthesisRequest, export_cut_csv, pattern_cut, synthesi
 from .geometry import DirectionAngles, Pose, RotationAngles
 from .neuralnet import TrainConfig
 from .pipeline import (
+    POLICY_ALIASES,
     ModelBundle,
     eirp_stats,
     evaluate_trajectory,
@@ -31,6 +32,7 @@ from .scenario import Scenario, generate_trajectories
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    defaults = TrainConfig()
     parser = argparse.ArgumentParser(prog="uavisac")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -44,16 +46,19 @@ def _build_parser() -> argparse.ArgumentParser:
     gen_cmd = dataset_sub.add_parser("generate", help="synthesize an optimizer-labeled dataset")
     gen_cmd.add_argument("--scenario", required=True)
     gen_cmd.add_argument("--trajectories", type=int, required=True)
-    gen_cmd.add_argument("--policy", choices=["closest", "angle", "sinr", "optimal"], required=True)
+    # the dataset is labelled with the optimizer, before any network exists
+    gen_cmd.add_argument(
+        "--policy", choices=[p for p in POLICY_ALIASES if p != "nn"], required=True
+    )
     gen_cmd.add_argument("--seed", type=int, required=True)
     gen_cmd.add_argument("--out", required=True)
 
     train_cmd = sub.add_parser("train", help="train both networks on a dataset")
     train_cmd.add_argument("--data", required=True)
-    train_cmd.add_argument("--epochs", type=int, default=200)
-    train_cmd.add_argument("--batch", type=int, default=128)
-    train_cmd.add_argument("--lr", type=float, default=1e-3)
-    train_cmd.add_argument("--split", type=float, default=0.7)
+    train_cmd.add_argument("--epochs", type=int, default=defaults.epochs)
+    train_cmd.add_argument("--batch", type=int, default=defaults.batch_size)
+    train_cmd.add_argument("--lr", type=float, default=defaults.learning_rate)
+    train_cmd.add_argument("--split", type=float, default=defaults.train_fraction)
     train_cmd.add_argument("--seed", type=int, required=True)
     train_cmd.add_argument("--out", required=True)
 
@@ -82,9 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     traj_cmd = eval_sub.add_parser("trajectory", help="evaluate one seeded trajectory")
     traj_cmd.add_argument("--scenario", required=True)
     traj_cmd.add_argument("--bundle", default=None)
-    traj_cmd.add_argument(
-        "--policy", choices=["closest", "angle", "sinr", "optimal", "nn"], required=True
-    )
+    traj_cmd.add_argument("--policy", choices=list(POLICY_ALIASES), required=True)
     traj_cmd.add_argument("--source", choices=["optimizer", "nn"], required=True)
     traj_cmd.add_argument("--seed", type=int, required=True)
     traj_cmd.add_argument("--out", required=True)
@@ -149,9 +152,8 @@ def _run_train(args) -> int:
     report = bundle.beamformer_report
     with open(report_path, "w", newline="") as fh:
         fh.write("epoch,train_loss,val_loss,val_beampattern_error\n")
-        metric = report.val_metric or [float("nan")] * len(report.train_loss)
         for epoch, (tl, vl, vm) in enumerate(
-            zip(report.train_loss, report.val_loss, metric), start=1
+            zip(report.train_loss, report.val_loss, report.val_metric), start=1
         ):
             fh.write(f"{epoch},{tl!r},{vl!r},{vm!r}\n")
     print(f"wrote bundle to {args.out} and report to {report_path}")

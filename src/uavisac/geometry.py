@@ -138,18 +138,6 @@ def centered_grid_offsets(config: ArrayConfig) -> NDArray[np.float64]:
     return offsets
 
 
-def grid_axis_offsets(config: ArrayConfig) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Centroid-referenced row x coordinates and column z coordinates, (side,) each.
-
-    Element m = r * side + c sits at (x[r], 0, z[c]) in the centered grid, so
-    a weight vector reshaped to (side, side) is indexed [row, column] and the
-    steering vector toward any direction is the Kronecker product of one
-    factor per axis.  Both are read-only views of centered_grid_offsets.
-    """
-    grid = centered_grid_offsets(config).reshape(config.side, config.side, 3)
-    return grid[:, 0, 0], grid[0, :, 2]
-
-
 def direction_angles(from_pos, to_pos) -> DirectionAngles:
     """Direction angle pair from one position toward another.
 

@@ -10,8 +10,8 @@ stages are deterministic under a fixed master seed.
 
 Every per-point stage reads its directions, array-frame units and angles,
 element gains and radar channel toward the target from one
-scenario.PointGeometry record built once per point; only the beampattern
-calls re-derive theirs (see the scenario module docstring).
+scenario.PointGeometry record built once per point; only synthesize
+re-derives its units (see the scenario module docstring).
 """
 
 from __future__ import annotations
@@ -309,7 +309,7 @@ def _comm_eirp_dbm(scenario: Scenario, geo: PointGeometry, gbs_index: int,
     The comm beam gets the minimum EIRP that meets the SINR threshold at the
     serving station given the interference of the sensing beam.
     """
-    interference = float(abs(np.vdot(geo.target_channel.entries, sensing.vector)) ** 2)
+    interference = float(abs(np.vdot(geo.target_channel, sensing.vector)) ** 2)
     required = min_required_eirp_dbm(scenario, geo, gbs_index, interference)
     return interference, min(required, scenario.eirp_max_dbm)
 
@@ -332,7 +332,6 @@ def _enforce_power_budget(matrix: BeamformingMatrix, p_max_mw: float) -> Beamfor
 class PointSynthesis:
     """Both optimizer beams for one trajectory point plus bookkeeping."""
 
-    gbs_index: int
     sensing: SynthesisResult
     comm: SynthesisResult
     matrix: BeamformingMatrix
@@ -388,7 +387,6 @@ def synthesize_point(
         scenario.p_max_mw,
     )
     return PointSynthesis(
-        gbs_index=gbs_index,
         sensing=sensing_res,
         comm=comm_res,
         matrix=matrix,
@@ -647,8 +645,10 @@ def evaluate_trajectory(
 ) -> list[EvalRecord]:
     """Per-slot association, beamforming and link metrics along one trajectory.
 
-    The recorded EIRP is the minimum required by the chosen station (capped);
-    SINR, rate, and beampattern gain come from the actually emitted matrix.
+    The nn policy takes the association network's station, every other policy
+    the scenario.associate rule.  The recorded EIRP is the minimum required by
+    the chosen station (capped); SINR, rate, and beampattern gain come from
+    the actually emitted matrix.
     A bundle must have been trained for the scenario's array size and
     station count.
     """
@@ -664,13 +664,13 @@ def evaluate_trajectory(
             f"bundle trained for {bundle.num_elements} elements and {bundle.num_gbs} "
             f"stations, scenario has {scenario.num_elements} and {scenario.num_gbs}"
         )
-    predictor = None
-    if policy == POLICY_NN:
-        predictor = lambda geo: _predicted_gbs(bundle, scenario, geo)
     records = []
     for point in trajectory.points:
         geo = point_geometry(scenario, point)
-        k = associate(scenario, geo, policy, predictor)
+        if policy == POLICY_NN:
+            k = _predicted_gbs(bundle, scenario, geo)
+        else:
+            k = associate(scenario, geo, policy)
         if weight_source == OPTIMIZER_SOURCE:
             ps = synthesize_point(scenario, geo, k, lenient=True)
             matrix = ps.matrix
@@ -687,7 +687,7 @@ def evaluate_trajectory(
             h_comm, geo.target_channel, matrix.comm, matrix.sensing, scenario.channel.noise_mw
         )
         rate = achievable_rate(value, scenario.channel.bandwidth_hz)
-        bgain = beampattern_gain(matrix, scenario.array, point.pose, scenario.target_m)
+        bgain = beampattern_gain(matrix, scenario.array, geo.target_unit)
         records.append(
             EvalRecord(
                 slot=point.slot,

@@ -3,19 +3,19 @@
 A scenario bundles the static world (base stations, target, area, channel and
 array constants, power limits) and serializes to JSON with explicitly
 suffixed unit names.  Trajectories are forward-cone random walks between the
-fixed endpoints: every step has the full slot displacement, headings are drawn
-inside a cone toward the goal, and the final slot snaps exactly onto the end
-point, so the speed bound and endpoint constraints hold by construction.
+fixed endpoints, flown level at the endpoints' common height: every step has
+the full slot displacement, headings are drawn inside a cone toward the goal,
+and the final slot snaps exactly onto the end point, so the speed bound and
+endpoint constraints hold by construction.
 
 point_geometry derives each point's directions, array-frame units, element
 gains and radar channel toward the target once; association and every
-per-point pipeline stage read its PointGeometry record.  Two beampattern entry
-points derive theirs again, because they take world quantities rather than a
-record and are called without one (the CLI's synthesize command, the tests,
-the benchmark): synthesize turns the request's global pointing and null
-angles into array-frame units (_frame_units), and beampattern_gain, which
-evaluate_trajectory calls once per slot, builds the target's steering vector
-from the target location (geometry.steering_vector).
+per-point pipeline stage, evaluation's beampattern gain included, read its
+PointGeometry record.  One beampattern entry point derives its own, because
+it takes world quantities rather than a record and is called without one (the
+CLI's synthesize command, the tests, the benchmark): synthesize turns the
+request's global pointing and null angles into array-frame units
+(_frame_units).
 
 Max-SINR association and the optimal association label are one rule: the
 station with the smallest required EIRP, lowest index on ties (see
@@ -28,7 +28,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -37,7 +37,6 @@ from .channel import (
     EXPECTED,
     RADAR_LOS,
     ChannelParams,
-    ChannelVector,
     channel_vector,
     pathloss,
 )
@@ -54,7 +53,7 @@ from .geometry import (
 )
 from .units import from_db, to_db
 
-SCENARIO_FORMAT_VERSION = 1
+SCENARIO_FORMAT_VERSION = 2
 
 CONE_HALF_ANGLE_RAD = math.radians(30.0)
 TURN_LIMIT_RAD = math.radians(10.0)
@@ -83,7 +82,11 @@ class InfeasibleTrajectoryError(RuntimeError):
 
 @dataclass
 class Scenario:
-    """Static world plus simulation constants."""
+    """Static world plus simulation constants.
+
+    `array` is built from num_elements and the carrier once, at construction,
+    so an array size no panel can take fails there.
+    """
 
     area_m: tuple[float, float] = (1500.0, 1500.0)
     gbs_m: NDArray[np.float64] = field(
@@ -92,7 +95,6 @@ class Scenario:
     target_m: NDArray[np.float64] = field(default_factory=lambda: np.array([350.0, 400.0, 0.0]))
     start_m: NDArray[np.float64] = field(default_factory=lambda: np.array([0.0, 0.0, 100.0]))
     end_m: NDArray[np.float64] = field(default_factory=lambda: np.array([700.0, 800.0, 100.0]))
-    uav_altitude_m: float = 100.0
     v_max_mps: float = 10.0
     slot_s: float = 1.0
     channel: ChannelParams = field(default_factory=ChannelParams)
@@ -107,6 +109,7 @@ class Scenario:
     cost_k2: float = 1.0
     cost_threshold: float = 0.05
     counter_max: int = 200
+    array: ArrayConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.gbs_m = np.atleast_2d(np.asarray(self.gbs_m, dtype=np.float64))
@@ -116,22 +119,21 @@ class Scenario:
         if self.gbs_m.shape[0] < 1 or self.gbs_m.shape[1] != 3:
             raise ValueError("gbs_m must hold at least one (x, y, z) row")
         top = float(np.max(self.gbs_m[:, 2]))
-        if self.uav_altitude_m <= top:
-            raise ValueError("UAV altitude must exceed the base-station height")
         # a walk flies level at the start height and lands on the end point
         for name, point in (("start", self.start_m), ("end", self.end_m)):
             if not (0.0 <= point[0] <= self.area_m[0] and 0.0 <= point[1] <= self.area_m[1]):
                 raise ValueError(f"{name} point lies outside the area")
             if point[2] <= top:
                 raise ValueError(f"{name} point must lie above every base station")
+        if self.end_m[2] != self.start_m[2]:
+            raise ValueError("end point must lie at the start height: a walk flies level")
+        if np.array_equal(self.end_m, self.start_m):
+            raise ValueError("start and end points coincide: a walk needs a heading")
+        self.array = ArrayConfig(num_elements=self.num_elements, carrier_hz=self.channel.carrier_hz)
 
     @property
     def num_gbs(self) -> int:
         return int(self.gbs_m.shape[0])
-
-    @property
-    def array(self) -> ArrayConfig:
-        return ArrayConfig(num_elements=self.num_elements, carrier_hz=self.channel.carrier_hz)
 
     @property
     def gamma_sinr_linear(self) -> float:
@@ -146,7 +148,6 @@ class Scenario:
             "target_m": [float(v) for v in self.target_m],
             "start_m": [float(v) for v in self.start_m],
             "end_m": [float(v) for v in self.end_m],
-            "uav_altitude_m": float(self.uav_altitude_m),
             "v_max_mps": float(self.v_max_mps),
             "slot_s": float(self.slot_s),
             "carrier_hz": float(ch.carrier_hz),
@@ -191,7 +192,6 @@ class Scenario:
             target_m=np.asarray(data["target_m"], dtype=np.float64),
             start_m=np.asarray(data["start_m"], dtype=np.float64),
             end_m=np.asarray(data["end_m"], dtype=np.float64),
-            uav_altitude_m=data["uav_altitude_m"],
             v_max_mps=data["v_max_mps"],
             slot_s=data["slot_s"],
             channel=channel,
@@ -328,9 +328,9 @@ def _wrap_angle(angle: float) -> float:
 
 @dataclass(frozen=True)
 class PointGeometry:
-    """One trajectory point's distance, global direction, array-frame unit and
-    angles, and element gain toward the target and each station (by index),
-    plus the radar channel toward the target.
+    """One trajectory point's global direction, array-frame unit and angles,
+    and element gain toward the target and each station (by index), plus the
+    radar channel toward the target as its complex entries.
 
     Network features carry the array-frame angles: the synthesized weights
     depend on the beam direction relative to the aperture.  gbs_by_distance
@@ -338,13 +338,11 @@ class PointGeometry:
     """
 
     point: TrajectoryPoint
-    target_distance_m: float
     target_dir: DirectionAngles
     target_unit: NDArray[np.float64]
     target_frame: DirectionAngles
     target_gain: float
-    target_channel: ChannelVector
-    gbs_distance_m: NDArray[np.float64]
+    target_channel: NDArray[np.complex128]
     gbs_dir: tuple[DirectionAngles, ...]
     gbs_unit: tuple[NDArray[np.float64], ...]
     gbs_frame: tuple[DirectionAngles, ...]
@@ -367,7 +365,6 @@ def point_geometry(scenario: Scenario, point: TrajectoryPoint) -> PointGeometry:
     gbs_distance = np.linalg.norm(scenario.gbs_m - point.position, axis=1)
     return PointGeometry(
         point=point,
-        target_distance_m=float(np.linalg.norm(point.position - scenario.target_m)),
         target_dir=dirs[0],
         target_unit=units[0],
         target_frame=frames[0],
@@ -376,7 +373,6 @@ def point_geometry(scenario: Scenario, point: TrajectoryPoint) -> PointGeometry:
             scenario.channel, scenario.array, point.position, scenario.target_m, RADAR_LOS,
             unit=units[0],
         ),
-        gbs_distance_m=gbs_distance,
         gbs_dir=tuple(dirs[1:]),
         gbs_unit=tuple(units[1:]),
         gbs_frame=tuple(frames[1:]),
@@ -385,17 +381,14 @@ def point_geometry(scenario: Scenario, point: TrajectoryPoint) -> PointGeometry:
     )
 
 
-def associate(
-    scenario: Scenario,
-    geo: PointGeometry,
-    policy: str,
-    predictor: Callable[[PointGeometry], int] | None = None,
-) -> int:
-    """Pick the serving ground station for one trajectory point.
+def associate(scenario: Scenario, geo: PointGeometry, policy: str) -> int:
+    """Pick the serving ground station for one trajectory point by a fixed rule.
 
     closest: smallest 3D distance.  min_target_angle: azimuth closest to the
     target azimuth.  max_sinr and optimal: the label_optimal_association
-    station without sensing interference.  Ties go to the lowest index.
+    station without sensing interference.  Ties go to the lowest index.  The
+    nn_model policy is no rule of the geometry: evaluate_trajectory asks the
+    trained association network for its station.
 
     max_sinr is the same rule as optimal.  Probe station k with a matched
     full-aperture beam at the EIRP cap: with element gain g_k > 0 toward k it
@@ -407,10 +400,6 @@ def associate(
     matched beam reaches the cap there, while the closed form gives -inf dBm
     and picks that station.
     """
-    if policy == POLICY_NN:
-        if predictor is None:
-            raise ValueError("nn_model association needs a predictor")
-        return int(predictor(geo))
     if policy == POLICY_CLOSEST:
         return geo.gbs_by_distance[0]
     if policy == POLICY_MIN_TARGET_ANGLE:

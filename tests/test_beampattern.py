@@ -45,6 +45,11 @@ def zero_pose():
     return Pose(position=np.array([0.0, 0.0, 100.0]), angles=ZERO)
 
 
+def frame_unit(pose, target):
+    """The target's array-frame unit, as PointGeometry.target_unit holds it."""
+    return geometry.array_frame_unit(pose.angles, direction_angles(pose.position, target))
+
+
 def matched_weights(config, pointing, ppe=1.0):
     offsets = centered_grid_offsets(config)
     a = np.exp(1j * config.wavenumber * (offsets @ direction_unit(pointing)))
@@ -327,10 +332,11 @@ def test_beampattern_gain_matched_and_zero():
     sensing = matched_weights(config, pointing, ppe=1.0)
     silent = BeamWeights(entries=np.zeros(25, dtype=complex), power_per_element_mw=1e-12)
     matrix = BeamformingMatrix(sensing=sensing, comm=silent)
-    gain = beampattern_gain(matrix, config, pose, target)
+    unit = frame_unit(pose, target)
+    gain = beampattern_gain(matrix, config, unit)
     assert gain == pytest.approx(25.0**2, rel=1e-9)
     both_zero = BeamformingMatrix(sensing=silent, comm=silent)
-    assert beampattern_gain(both_zero, config, pose, target) == pytest.approx(0.0, abs=1e-12)
+    assert beampattern_gain(both_zero, config, unit) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_beampattern_gain_random_quadratic_form_oracle():
@@ -352,7 +358,8 @@ def test_beampattern_gain_random_quadratic_form_oracle():
     vk = math.sqrt(0.5) * wk
     cov = np.outer(v0, np.conjugate(v0)) + np.outer(vk, np.conjugate(vk))
     expected = float(np.real(np.conjugate(a) @ cov @ a))
-    assert beampattern_gain(matrix, config, pose, target) == pytest.approx(expected, rel=1e-10)
+    gain = beampattern_gain(matrix, config, frame_unit(pose, target))
+    assert gain == pytest.approx(expected, rel=1e-10)
 
 
 def test_beampattern_gain_phase_invariance():
@@ -370,8 +377,8 @@ def test_beampattern_gain_phase_invariance():
         sensing=BeamWeights(entries=w * np.exp(1j * 1.3), power_per_element_mw=1.0),
         comm=BeamWeights(entries=w[::-1] * np.exp(-1j * 0.4), power_per_element_mw=1.0),
     )
-    b1 = beampattern_gain(base, config, pose, target)
-    b2 = beampattern_gain(rotated, config, pose, target)
+    b1 = beampattern_gain(base, config, frame_unit(pose, target))
+    b2 = beampattern_gain(rotated, config, frame_unit(pose, target))
     assert b1 == pytest.approx(b2, rel=1e-12)
 
 

@@ -30,7 +30,6 @@ def test_scenario_init_writes_defaults(tmp_path, capsys):
     data = json.loads(out.read_text())
     assert data["area_m"] == [1500.0, 1500.0]
     assert len(data["gbs_m"]) == 5
-    assert data["uav_altitude_m"] == 100.0
     assert data["v_max_mps"] == 10.0
     assert data["slot_s"] == 1.0
     assert data["carrier_hz"] == 0.3e12
@@ -100,25 +99,46 @@ def test_missing_scenario_file_fails_cleanly(tmp_path, capsys):
 
 
 def test_unsupported_format_version_fails_cleanly(tmp_path, tiny_scenario_path, capsys):
-    data = Scenario.load(tiny_scenario_path).to_json_dict()
-    data["format_version"] = 2
-    path = tmp_path / "future.json"
-    path.write_text(json.dumps(data))
+    # 1 is the format before the flight altitude left the file, 3 a future one
+    for version in (1, 3):
+        data = Scenario.load(tiny_scenario_path).to_json_dict()
+        data["format_version"] = version
+        path = tmp_path / f"v{version}.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "d.jsonl"
+        code = main(
+            [
+                "dataset", "generate",
+                "--scenario", str(path),
+                "--trajectories", "1",
+                "--policy", "closest",
+                "--seed", "1",
+                "--out", str(out),
+            ]
+        )
+        assert code == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "ValueError"
+        assert f"format_version {version}" in payload["message"]
+        assert not out.exists()
+
+
+def test_dataset_generate_refuses_the_nn_policy(tmp_path, tiny_scenario_path, capsys):
+    # the dataset labels the networks' training data, so no network picks its stations
     out = tmp_path / "d.jsonl"
-    code = main(
-        [
-            "dataset", "generate",
-            "--scenario", str(path),
-            "--trajectories", "1",
-            "--policy", "closest",
-            "--seed", "1",
-            "--out", str(out),
-        ]
-    )
-    assert code == 1
-    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert payload["error"] == "ValueError"
-    assert "format_version 2" in payload["message"]
+    with pytest.raises(SystemExit) as exit_info:
+        main(
+            [
+                "dataset", "generate",
+                "--scenario", tiny_scenario_path,
+                "--trajectories", "1",
+                "--policy", "nn",
+                "--seed", "1",
+                "--out", str(out),
+            ]
+        )
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'nn'" in capsys.readouterr().err
     assert not out.exists()
 
 

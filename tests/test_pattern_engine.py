@@ -54,7 +54,6 @@ from uavisac.geometry import (
     centered_grid_offsets,
     direction_unit,
     element_gain,
-    grid_axis_offsets,
     rotation_matrix,
     steering,
 )
@@ -252,6 +251,16 @@ def weight_scenes(draw):
         w = dense_null_projection(w, config, pose, nulls, active)
     assume(np.max(np.abs(w)) > 1e-6)
     return config, pose, pointing, w
+
+
+def grid_axis_offsets(config):
+    """Centroid-referenced row x coordinates and column z coordinates, (side,) each.
+
+    The layout oracle of the per-axis factors: element m = r * side + c sits
+    at (x[r], 0, z[c]) in the centered grid.
+    """
+    grid = centered_grid_offsets(config).reshape(config.side, config.side, 3)
+    return grid[:, 0, 0], grid[0, :, 2]
 
 
 def test_grid_axis_offsets_match_element_layout():

@@ -9,7 +9,13 @@ import pytest
 
 from uavisac.beampattern import NullConflictError, array_gain
 from uavisac.channel import EXPECTED, RADAR_LOS, channel_vector, sinr
-from uavisac.geometry import DirectionAngles, RotationAngles, array_frame_unit, direction_angles
+from uavisac.geometry import (
+    DirectionAngles,
+    RotationAngles,
+    array_frame_unit,
+    direction_angles,
+    steering_vector,
+)
 from uavisac.neuralnet import TrainConfig
 from uavisac.pipeline import (
     EvalRecord,
@@ -353,12 +359,20 @@ def test_evaluate_trajectory_audited_slot_matches_hand_composition(small_scenari
         small_scenario.target_m, RADAR_LOS,
         unit=frame_unit(point, small_scenario.target_m),
     )
-    num = abs(np.vdot(h_comm.entries, matrix.comm.vector)) ** 2
-    den = small_scenario.channel.noise_mw + abs(np.vdot(h_sense.entries, matrix.sensing.vector)) ** 2
+    num = abs(np.vdot(h_comm, matrix.comm.vector)) ** 2
+    den = small_scenario.channel.noise_mw + abs(np.vdot(h_sense, matrix.sensing.vector)) ** 2
     assert record.sinr_db == pytest.approx(10 * math.log10(num / den), abs=1e-9)
     assert record.rate_bps == pytest.approx(
         small_scenario.channel.bandwidth_hz * math.log2(1 + num / den), rel=1e-9
     )
+    # the target steering built from world positions, sensing summed first
+    a = steering_vector(
+        small_scenario.array, point.position, point.orientation, small_scenario.target_m
+    )
+    gain = 0.0
+    for beam in (matrix.sensing, matrix.comm):
+        gain += abs(np.vdot(a, beam.vector)) ** 2
+    assert record.beampattern_gain == gain
 
 
 def test_evaluation_csv_is_pinned(tmp_path, small_scenario, small_bundle):

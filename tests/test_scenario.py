@@ -8,6 +8,7 @@ from uavisac.beampattern import BeamWeights
 from uavisac.channel import EXPECTED, RADAR_LOS, channel_vector, pathloss, sinr
 from uavisac.geometry import (
     SPEED_OF_LIGHT,
+    ConfigError,
     DirectionAngles,
     GeometryError,
     array_frame_unit,
@@ -60,7 +61,6 @@ def test_default_scenario_matches_table_values():
     scn = Scenario()
     assert scn.area_m == (1500.0, 1500.0)
     assert scn.num_gbs == 5
-    assert scn.uav_altitude_m == 100.0
     assert scn.v_max_mps == 10.0
     assert scn.slot_s == 1.0
     assert scn.channel.carrier_hz == pytest.approx(0.3e12)
@@ -87,7 +87,7 @@ def test_scenario_json_roundtrip(tmp_path):
     assert np.allclose(loaded.gbs_m, scn.gbs_m)
 
 
-@pytest.mark.parametrize("version", [0, 2, "1", None])
+@pytest.mark.parametrize("version", [0, 1, "2", None])
 def test_scenario_load_rejects_other_format_versions(version):
     data = small_scenario().to_json_dict()
     data["format_version"] = version
@@ -99,14 +99,22 @@ def test_scenario_load_rejects_other_format_versions(version):
 
 def test_scenario_validation():
     with pytest.raises(ValueError):
-        small_scenario(uav_altitude_m=1.0)
-    with pytest.raises(ValueError):
         small_scenario(start_m=np.array([-5.0, 0.0, 100.0]))
     # a walk flies at the start height and ends on the end point, so both
-    # must clear the 2 m stations, whatever uav_altitude_m says
+    # must clear the 2 m stations
     for start_z, end_z in ((1.0, 1.0), (1.0, 100.0), (100.0, 2.0)):
         with pytest.raises(ValueError, match="above every base station"):
             Scenario(start_m=[0.0, 0.0, start_z], end_m=[700.0, 800.0, end_z])
+    # and flies level, so the end point lies at the start height
+    for end_z in (109.0, 150.0):
+        with pytest.raises(ValueError, match="start height"):
+            Scenario(end_m=[700.0, 800.0, end_z])
+    # a walk needs a heading, so the endpoints differ
+    with pytest.raises(ValueError, match="coincide"):
+        Scenario(end_m=Scenario().start_m)
+    # an array no square panel can hold fails at construction, not mid-command
+    with pytest.raises(ConfigError, match="perfect square"):
+        Scenario(num_elements=50)
 
 
 def test_trajectories_deterministic_and_constrained():
@@ -127,7 +135,7 @@ def test_trajectories_deterministic_and_constrained():
         assert len(points) >= min_slots
         for a, b in zip(points, points[1:]):
             assert np.linalg.norm(b.position - a.position) <= step + 1e-9
-            assert b.position[2] == scn.uav_altitude_m
+            assert b.position[2] == scn.start_m[2]
             assert 0.0 <= b.position[0] <= scn.area_m[0]
             assert 0.0 <= b.position[1] <= scn.area_m[1]
 
@@ -166,7 +174,6 @@ def test_associate_closest_scale_invariant():
         target_m=np.array([3000.0, 3000.0, 0.0]),
         start_m=np.array([500.0, 500.0, 1000.0]),
         end_m=np.array([4500.0, 5000.0, 1000.0]),
-        uav_altitude_m=1000.0,
     )
     for x, y in ((10.0, 20.0), (300.0, 200.0), (120.0, 400.0)):
         a = associate(scn, point_geometry(scn, level_point(x, y)), POLICY_CLOSEST)
@@ -373,9 +380,7 @@ def test_point_geometry_fields_equal_the_per_call_derivations():
     for scn, point in cases:
         geo = point_geometry(scn, point)
         assert geo.point is point
-        assert geo.target_distance_m == np.linalg.norm(point.position - scn.target_m)
         distances = np.linalg.norm(scn.gbs_m - point.position, axis=1)
-        assert np.array_equal(geo.gbs_distance_m, distances)
         assert geo.gbs_by_distance == tuple(np.argsort(distances, kind="stable"))
         fields = [
             (scn.target_m, geo.target_dir, geo.target_unit, geo.target_frame, geo.target_gain)
@@ -395,10 +400,11 @@ def test_point_geometry_fields_equal_the_per_call_derivations():
         d = float(np.linalg.norm(scn.target_m - point.position))
         phase = np.exp(2j * math.pi * scn.channel.carrier_hz * d / SPEED_OF_LIGHT)
         a = steering_vector(scn.array, point.position, point.orientation, scn.target_m)
-        assert geo.target_channel.pathloss_linear == radar_gain
-        assert np.array_equal(geo.target_channel.entries, math.sqrt(radar_gain) * phase * a)
-    tie_geo = point_geometry(*cases[0])
-    assert tie_geo.gbs_distance_m[0] == tie_geo.gbs_distance_m[1]
+        assert np.array_equal(geo.target_channel, math.sqrt(radar_gain) * phase * a)
+    tie, tie_point = cases[0]
+    tie_distances = np.linalg.norm(tie.gbs_m - tie_point.position, axis=1)
+    assert tie_distances[0] == tie_distances[1]
+    tie_geo = point_geometry(tie, tie_point)
     assert tie_geo.gbs_by_distance == (0, 1)
 
 
