@@ -9,7 +9,7 @@ elevation-dependent occurrence probabilities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.typing import NDArray
@@ -49,6 +49,9 @@ class ChannelParams:
     carrier_hz: float = 0.3e12
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if self.absorption_per_m < 0.0:
             raise ValueError("absorption_per_m must be >= 0")
         if not 0.0 < self.nlos_attenuation <= 1.0:
@@ -132,26 +135,17 @@ def channel_vector(
     return math.sqrt(gain) * phase * a
 
 
-def _as_weight_vector(w) -> NDArray[np.complex128]:
-    vector = getattr(w, "vector", None)
-    if vector is not None:
-        return np.asarray(vector, dtype=np.complex128)
-    return np.asarray(w, dtype=np.complex128)
-
-
 def sinr(h_comm, h_sense, w_comm, w_sense, noise_mw: float) -> float:
     """Linear SINR |h_c^H w_c|^2 / (noise + |h_s^H w_s|^2).
 
-    Channels are complex entry arrays as channel_vector returns them.  Weight
-    arguments may be raw complex vectors or objects exposing a .vector
-    attribute (amplitude-scaled beam weights).
+    Channels are complex entry arrays as channel_vector returns them, and
+    weights are complex arrays of the same shape, amplitude-scaled as
+    BeamWeights.vector returns them.
     """
-    wc = _as_weight_vector(w_comm)
-    ws = _as_weight_vector(w_sense)
-    if wc.shape != np.shape(h_comm) or ws.shape != np.shape(h_sense):
+    if np.shape(w_comm) != np.shape(h_comm) or np.shape(w_sense) != np.shape(h_sense):
         raise ValueError("weight and channel dimensions do not match")
-    signal = abs(np.vdot(h_comm, wc)) ** 2
-    interference = abs(np.vdot(h_sense, ws)) ** 2
+    signal = abs(np.vdot(h_comm, w_comm)) ** 2
+    interference = abs(np.vdot(h_sense, w_sense)) ** 2
     return signal / (noise_mw + interference)
 
 

@@ -16,6 +16,8 @@ from .beampattern import SynthesisRequest, export_cut_csv, pattern_cut, synthesi
 from .geometry import DirectionAngles, Pose, RotationAngles
 from .neuralnet import TrainConfig
 from .pipeline import (
+    NN_SOURCE,
+    OPTIMIZER_SOURCE,
     POLICY_ALIASES,
     ModelBundle,
     eirp_stats,
@@ -45,7 +47,10 @@ def _build_parser() -> argparse.ArgumentParser:
     dataset_sub = dataset_cmd.add_subparsers(dest="dataset_command", required=True)
     gen_cmd = dataset_sub.add_parser("generate", help="synthesize an optimizer-labeled dataset")
     gen_cmd.add_argument("--scenario", required=True)
-    gen_cmd.add_argument("--trajectories", type=int, required=True)
+    gen_cmd.add_argument(
+        "--trajectories", type=int, default=None,
+        help="number of trajectories; defaults to the scenario's num_trajectories",
+    )
     # the dataset is labelled with the optimizer, before any network exists
     gen_cmd.add_argument(
         "--policy", choices=[p for p in POLICY_ALIASES if p != "nn"], required=True
@@ -88,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     traj_cmd.add_argument("--scenario", required=True)
     traj_cmd.add_argument("--bundle", default=None)
     traj_cmd.add_argument("--policy", choices=list(POLICY_ALIASES), required=True)
-    traj_cmd.add_argument("--source", choices=["optimizer", "nn"], required=True)
+    traj_cmd.add_argument("--source", choices=[OPTIMIZER_SOURCE, NN_SOURCE], required=True)
     traj_cmd.add_argument("--seed", type=int, required=True)
     traj_cmd.add_argument("--out", required=True)
     eirp_cmd = eval_sub.add_parser("eirp", help="ECDF, outage and mean rate from records")
@@ -126,7 +131,8 @@ def _run_scenario_init(args) -> int:
 
 def _run_dataset_generate(args) -> int:
     scenario = Scenario.load(args.scenario)
-    samples = generate_dataset(scenario, args.trajectories, args.policy, args.seed)
+    count = scenario.num_trajectories if args.trajectories is None else args.trajectories
+    samples = generate_dataset(scenario, count, args.policy, args.seed)
     write_dataset_jsonl(args.out, samples, scenario, args.policy, args.seed)
     print(f"wrote {len(samples)} samples to {args.out}")
     return 0
@@ -168,10 +174,6 @@ def _run_synthesize(args) -> int:
         sll_min_el_db=args.sll_el,
         eirp_target_dbm=args.eirp,
         nulls=tuple(_parse_null(n) for n in args.null),
-        k1=scenario.cost_k1,
-        k2=scenario.cost_k2,
-        threshold=scenario.cost_threshold,
-        counter_max=scenario.counter_max,
     )
     if args.eirp > scenario.eirp_max_dbm:
         raise ValueError(

@@ -9,6 +9,7 @@ them inside forward(), so callers always pass raw features.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -46,6 +47,8 @@ class TrainConfig:
             raise ValueError("epochs must be at least 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be finite and positive")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must be in (0, 1)")
 

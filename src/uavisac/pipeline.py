@@ -278,10 +278,6 @@ def _synthesis_request(scenario: Scenario, pointing: DirectionAngles, eirp_dbm: 
         sll_min_el_db=scenario.sll_min_el_db,
         eirp_target_dbm=eirp_dbm,
         nulls=tuple(nulls),
-        k1=scenario.cost_k1,
-        k2=scenario.cost_k2,
-        threshold=scenario.cost_threshold,
-        counter_max=scenario.counter_max,
     )
 
 
@@ -303,15 +299,15 @@ def sensing_eirp_target_dbm(scenario: Scenario, geo: PointGeometry) -> float:
 
 
 def _comm_eirp_dbm(scenario: Scenario, geo: PointGeometry, gbs_index: int,
-                   sensing: BeamWeights) -> tuple[float, float]:
-    """Sensing interference (mW) and the comm EIRP it calls for (dBm, capped).
+                   sensing: BeamWeights) -> float:
+    """The comm EIRP (dBm, capped) the sensing beam's interference calls for.
 
     The comm beam gets the minimum EIRP that meets the SINR threshold at the
     serving station given the interference of the sensing beam.
     """
     interference = float(abs(np.vdot(geo.target_channel, sensing.vector)) ** 2)
     required = min_required_eirp_dbm(scenario, geo, gbs_index, interference)
-    return interference, min(required, scenario.eirp_max_dbm)
+    return min(required, scenario.eirp_max_dbm)
 
 
 def _enforce_power_budget(matrix: BeamformingMatrix, p_max_mw: float) -> BeamformingMatrix:
@@ -338,7 +334,6 @@ class PointSynthesis:
     null_gbs: tuple[int, ...]
     comm_eirp_dbm: float
     sensing_eirp_dbm: float
-    interference_mw: float
 
     @property
     def converged(self) -> bool:
@@ -351,13 +346,15 @@ def synthesize_point(
     gbs_index: int,
     lenient: bool = False,
 ) -> PointSynthesis:
-    """Run the optimizer for both beams of one trajectory point.
+    """Run the optimizer for both beams of one trajectory point, one call each.
 
     The sensing beam takes half the power budget toward the target (EIRP
     capped); the communication beam gets the minimum EIRP meeting the SINR
     constraint at the serving station given the sensing interference, capped
-    at the scenario maximum.  With lenient=True a null conflicting with the
-    pointing direction is dropped instead of raised.
+    at the scenario maximum, and nulls the nearest other stations.  A null
+    conflicting with the comm pointing raises NullConflictError from the comm
+    synthesis; with lenient=True such nulls are dropped, with one WARNING,
+    before that call instead.
     """
     pose = geo.point.pose
     config = scenario.array
@@ -365,23 +362,16 @@ def synthesize_point(
     sensing_res = synthesize(
         _synthesis_request(scenario, geo.target_dir, prelim_dbm, ()), config, pose
     )
-    interference, comm_eirp = _comm_eirp_dbm(scenario, geo, gbs_index, sensing_res.weights)
+    comm_eirp = _comm_eirp_dbm(scenario, geo, gbs_index, sensing_res.weights)
     gbs_dir = geo.gbs_dir[gbs_index]
     null_gbs = nearest_other_gbs(geo, gbs_index)
+    if lenient:
+        kept = tuple(i for i in null_gbs if not null_conflicts(geo.gbs_dir[i], gbs_dir))
+        if kept != null_gbs:
+            logger.warning("dropping null conflicting with pointing at slot %d", geo.point.slot)
+            null_gbs = kept
     nulls = [geo.gbs_dir[i] for i in null_gbs]
-    try:
-        comm_res = synthesize(
-            _synthesis_request(scenario, gbs_dir, comm_eirp, nulls), config, pose
-        )
-    except NullConflictError:
-        if not lenient:
-            raise
-        null_gbs = tuple(i for i in null_gbs if not null_conflicts(geo.gbs_dir[i], gbs_dir))
-        nulls = [geo.gbs_dir[i] for i in null_gbs]
-        logger.warning("dropping null conflicting with pointing at slot %d", geo.point.slot)
-        comm_res = synthesize(
-            _synthesis_request(scenario, gbs_dir, comm_eirp, nulls), config, pose
-        )
+    comm_res = synthesize(_synthesis_request(scenario, gbs_dir, comm_eirp, nulls), config, pose)
     matrix = _enforce_power_budget(
         BeamformingMatrix(sensing=sensing_res.weights, comm=comm_res.weights),
         scenario.p_max_mw,
@@ -393,7 +383,6 @@ def synthesize_point(
         null_gbs=null_gbs,
         comm_eirp_dbm=comm_eirp,
         sensing_eirp_dbm=prelim_dbm,
-        interference_mw=interference,
     )
 
 
@@ -456,9 +445,7 @@ def generate_dataset(
                     ),
                     comm_weights=encode_complex(ps.matrix.comm.vector),
                     sensing_weights=encode_complex(ps.matrix.sensing.vector),
-                    optimal_gbs=label_optimal_association(
-                        scenario, geo, ps.interference_mw
-                    ).gbs_index,
+                    optimal_gbs=label_optimal_association(scenario, geo),
                 )
             )
     if not samples:
@@ -609,7 +596,7 @@ def predict_matrix(
     sens_feat = sensing_feature_vector(geo.target_frame, prelim_dbm)
     sensing = _beam_from_vector(decode_complex(forward(bundle.beamformer, sens_feat)))
     sensing = _cap_beam(sensing, scenario, geo.target_unit, geo.target_gain)
-    _, comm_eirp = _comm_eirp_dbm(scenario, geo, gbs_index, sensing)
+    comm_eirp = _comm_eirp_dbm(scenario, geo, gbs_index, sensing)
     null_frames = [geo.gbs_frame[i] for i in nearest_other_gbs(geo, gbs_index)]
     comm_feat = comm_feature_vector(geo.gbs_frame[gbs_index], null_frames, comm_eirp)
     comm = _beam_from_vector(decode_complex(forward(bundle.beamformer, comm_feat)))
@@ -684,7 +671,8 @@ def evaluate_trajectory(
             unit=geo.gbs_unit[k],
         )
         value = sinr(
-            h_comm, geo.target_channel, matrix.comm, matrix.sensing, scenario.channel.noise_mw
+            h_comm, geo.target_channel, matrix.comm.vector, matrix.sensing.vector,
+            scenario.channel.noise_mw,
         )
         rate = achievable_rate(value, scenario.channel.bandwidth_hz)
         bgain = beampattern_gain(matrix, scenario.array, geo.target_unit)

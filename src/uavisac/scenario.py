@@ -28,7 +28,6 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -53,7 +52,7 @@ from .geometry import (
 )
 from .units import from_db, to_db
 
-SCENARIO_FORMAT_VERSION = 2
+SCENARIO_FORMAT_VERSION = 3
 
 CONE_HALF_ANGLE_RAD = math.radians(30.0)
 TURN_LIMIT_RAD = math.radians(10.0)
@@ -84,8 +83,13 @@ class InfeasibleTrajectoryError(RuntimeError):
 class Scenario:
     """Static world plus simulation constants.
 
-    `array` is built from num_elements and the carrier once, at construction,
-    so an array size no panel can take fails there.
+    Values no run can use fail at construction, not mid-command: speed, slot
+    length, power budget and SLL minima must be finite and positive, the EIRP
+    cap, SINR threshold and station positions finite, and `array` is built
+    from num_elements and the carrier once, so an array size no panel can
+    take fails here too.  The beam search's own settings (cost weights,
+    threshold, candidate budget) are not scenario values: they live on
+    beampattern.SynthesisRequest alone.
     """
 
     area_m: tuple[float, float] = (1500.0, 1500.0)
@@ -105,14 +109,18 @@ class Scenario:
     sll_min_az_db: float = 20.0
     sll_min_el_db: float = 20.0
     num_trajectories: int = 100
-    cost_k1: float = 1.0
-    cost_k2: float = 1.0
-    cost_threshold: float = 0.05
-    counter_max: int = 200
     array: ArrayConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        for name in ("v_max_mps", "slot_s", "p_max_mw", "sll_min_az_db", "sll_min_el_db"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
+        for name in ("eirp_max_dbm", "gamma_sinr_db"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         self.gbs_m = np.atleast_2d(np.asarray(self.gbs_m, dtype=np.float64))
+        if not np.isfinite(self.gbs_m).all():
+            raise ValueError("gbs_m entries must be finite")
         self.target_m = as_vec3(self.target_m)
         self.start_m = as_vec3(self.start_m)
         self.end_m = as_vec3(self.end_m)
@@ -166,10 +174,6 @@ class Scenario:
             "sll_min_az_db": float(self.sll_min_az_db),
             "sll_min_el_db": float(self.sll_min_el_db),
             "num_trajectories": int(self.num_trajectories),
-            "cost_k1": float(self.cost_k1),
-            "cost_k2": float(self.cost_k2),
-            "cost_threshold": float(self.cost_threshold),
-            "counter_max": int(self.counter_max),
         }
 
     @classmethod
@@ -202,10 +206,6 @@ class Scenario:
             sll_min_az_db=data["sll_min_az_db"],
             sll_min_el_db=data["sll_min_el_db"],
             num_trajectories=data["num_trajectories"],
-            cost_k1=data["cost_k1"],
-            cost_k2=data["cost_k2"],
-            cost_threshold=data["cost_threshold"],
-            counter_max=data["counter_max"],
         )
 
     def save(self, path) -> None:
@@ -386,9 +386,9 @@ def associate(scenario: Scenario, geo: PointGeometry, policy: str) -> int:
 
     closest: smallest 3D distance.  min_target_angle: azimuth closest to the
     target azimuth.  max_sinr and optimal: the label_optimal_association
-    station without sensing interference.  Ties go to the lowest index.  The
-    nn_model policy is no rule of the geometry: evaluate_trajectory asks the
-    trained association network for its station.
+    station.  Ties go to the lowest index.  The nn_model policy is no rule of
+    the geometry: evaluate_trajectory asks the trained association network
+    for its station.
 
     max_sinr is the same rule as optimal.  Probe station k with a matched
     full-aperture beam at the EIRP cap: with element gain g_k > 0 toward k it
@@ -407,7 +407,7 @@ def associate(scenario: Scenario, geo: PointGeometry, policy: str) -> int:
         gaps = [abs(_wrap_angle(d.phi - phi_target)) for d in geo.gbs_dir]
         return int(np.argmin(gaps))
     if policy in (POLICY_MAX_SINR, POLICY_OPTIMAL):
-        return label_optimal_association(scenario, geo).gbs_index
+        return label_optimal_association(scenario, geo)
     raise ValueError(f"unknown association policy {policy!r}")
 
 
@@ -415,52 +415,36 @@ def min_required_eirp_dbm(
     scenario: Scenario,
     geo: PointGeometry,
     gbs_index: int,
-    interference_mw: float = 0.0,
+    interference: float = 0.0,
 ) -> float:
     """Minimum EIRP (dBm, uncapped) meeting the SINR threshold at one station.
 
     For a beam pointed at the station the pattern gain cancels between the
     radiated EIRP and the received power, leaving
-    EIRP_min = gamma * (noise + interference) * g_e / PL.
+    EIRP_min = gamma * (noise + interference) * g_e / PL, with the
+    interference in mW.
     """
     gain = pathloss(scenario.channel, EXPECTED, geo.point.position, scenario.gbs_m[gbs_index])
     required_mw = (
         scenario.gamma_sinr_linear
-        * (scenario.channel.noise_mw + interference_mw)
+        * (scenario.channel.noise_mw + interference)
         * geo.gbs_gain[gbs_index]
         / gain
     )
     return to_db(required_mw)
 
 
-class AssociationLabel(NamedTuple):
-    gbs_index: int
-    min_eirp_dbm: float
-    feasible: bool
-
-
-def label_optimal_association(
-    scenario: Scenario,
-    geo: PointGeometry,
-    interference_mw: float = 0.0,
-) -> AssociationLabel:
+def label_optimal_association(scenario: Scenario, geo: PointGeometry) -> int:
     """The station with the smallest required EIRP, lowest index on ties.
 
     Every station feasible under the EIRP cap reaches the SINR threshold
     exactly at its minimum EIRP, so feasible stations tie in rate and the
     smallest requirement wins.  An infeasible station transmits at the cap
     and its SINR falls as its requirement rises, so when no station is
-    feasible the smallest requirement is still the highest-rate station; it
-    is returned at the cap, flagged infeasible.
+    feasible the smallest requirement is still the highest-rate station.
+    Interference scales every station's requirement by the same factor, so
+    the label is computed without it; whether the station is feasible is
+    min_required_eirp_dbm at the returned index against the cap.
     """
-    required = [
-        min_required_eirp_dbm(scenario, geo, idx, interference_mw)
-        for idx in range(scenario.num_gbs)
-    ]
-    k = int(np.argmin(required))
-    feasible = required[k] <= scenario.eirp_max_dbm
-    return AssociationLabel(
-        gbs_index=k,
-        min_eirp_dbm=required[k] if feasible else scenario.eirp_max_dbm,
-        feasible=feasible,
-    )
+    required = [min_required_eirp_dbm(scenario, geo, idx) for idx in range(scenario.num_gbs)]
+    return int(np.argmin(required))

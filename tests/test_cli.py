@@ -99,8 +99,8 @@ def test_missing_scenario_file_fails_cleanly(tmp_path, capsys):
 
 
 def test_unsupported_format_version_fails_cleanly(tmp_path, tiny_scenario_path, capsys):
-    # 1 is the format before the flight altitude left the file, 3 a future one
-    for version in (1, 3):
+    # 2 is the format before the search settings left the file, 4 a future one
+    for version in (2, 4):
         data = Scenario.load(tiny_scenario_path).to_json_dict()
         data["format_version"] = version
         path = tmp_path / f"v{version}.json"
@@ -156,6 +156,39 @@ def test_train_rejects_zero_epochs(tmp_path, tiny_scenario_path, capsys):
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload == {"error": "ValueError", "message": "epochs must be at least 1"}
     assert not bundle.exists()
+
+
+@pytest.mark.parametrize("lr", ["0", "-1", "nan", "inf"])
+def test_train_rejects_unusable_learning_rates(tmp_path, tiny_scenario_path, capsys, lr):
+    data = tmp_path / "data.jsonl"
+    write_dataset_jsonl(data, [], Scenario.load(tiny_scenario_path), "closest", 1)
+    bundle = tmp_path / "bundle.json"
+    code = main(
+        [
+            "train", "--data", str(data), "--lr", lr,
+            "--seed", "1", "--out", str(bundle),
+        ]
+    )
+    assert code == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "ValueError", "message": "learning_rate must be finite and positive"
+    }
+    assert not bundle.exists()
+
+
+def test_dataset_generate_defaults_to_the_scenario_trajectory_count(tmp_path, tiny_scenario_path):
+    assert Scenario.load(tiny_scenario_path).num_trajectories == 2
+    outputs = []
+    for flags in ([], ["--trajectories", "2"]):
+        out = tmp_path / f"d{len(flags)}.jsonl"
+        assert main([
+            "dataset", "generate", "--scenario", tiny_scenario_path, *flags,
+            "--policy", "closest", "--seed", "5", "--out", str(out),
+        ]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_full_cli_flow_and_seed_determinism(tmp_path, tiny_scenario_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -102,16 +104,28 @@ def test_adam_zero_gradient_is_identity():
         assert np.array_equal(b, a)
 
 
-def test_train_zero_learning_rate_keeps_parameters():
+@pytest.mark.parametrize("lr", [0.0, -1e-3, math.nan, math.inf])
+def test_train_config_rejects_unusable_learning_rates(lr):
+    with pytest.raises(ValueError, match="learning_rate must be finite and positive"):
+        TrainConfig(learning_rate=lr)
+
+
+def test_train_parameter_updates_scale_with_the_learning_rate():
+    # nothing but the lr-scaled ADAM step moves a parameter: at a learning
+    # rate small enough that the gradients stay put, doubling it doubles
+    # every update
     rng = np.random.default_rng(0)
     x = rng.normal(size=(40, 2))
     y = rng.normal(size=(40, 1))
-    net = Network(NetworkConfig(layer_sizes=(2, 8, 1), seed=2))
-    before = [w.copy() for w in net.weights]
-    config = TrainConfig(epochs=5, batch_size=8, learning_rate=0.0, seed=0)
-    train(net, x, y, config, _split(40, 0))
-    for b, w in zip(before, net.weights):
-        assert np.array_equal(b, w)
+    before = Network(NetworkConfig(layer_sizes=(2, 8, 1), seed=2)).weights
+    updates = []
+    for lr in (1e-9, 2e-9):
+        net = Network(NetworkConfig(layer_sizes=(2, 8, 1), seed=2))
+        config = TrainConfig(epochs=5, batch_size=8, learning_rate=lr, seed=0)
+        train(net, x, y, config, _split(40, 0))
+        updates.append(np.concatenate([(w - b).ravel() for b, w in zip(before, net.weights)]))
+    assert np.max(np.abs(updates[0])) > 0.0
+    assert np.allclose(updates[1], 2.0 * updates[0], rtol=1e-5, atol=1e-20)
 
 
 def test_train_linear_regression_converges():
@@ -152,7 +166,7 @@ def test_train_normalization_stats():
     x = rng.normal(loc=3.0, scale=2.5, size=(100, 4))
     y = rng.normal(size=(100, 1))
     net = Network(NetworkConfig(layer_sizes=(4, 5, 1), seed=0))
-    cfg = TrainConfig(epochs=1, batch_size=32, learning_rate=0.0, seed=2)
+    cfg = TrainConfig(epochs=1, batch_size=32, learning_rate=1e-3, seed=2)
     train_idx, val_idx = _split(100, cfg.seed)
     net, _ = train(net, x, y, cfg, (train_idx, val_idx))
     z = (x[train_idx] - net.norm_mean) / net.norm_std

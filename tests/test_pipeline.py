@@ -177,7 +177,7 @@ def test_synthesize_point_delivers_threshold_sinr(small_scenario):
             unit=frame_unit(point, small_scenario.target_m),
         )
         value = sinr(
-            h_comm, h_sense, ps.matrix.comm, ps.matrix.sensing,
+            h_comm, h_sense, ps.matrix.comm.vector, ps.matrix.sensing.vector,
             small_scenario.channel.noise_mw,
         )
         assert 10 * math.log10(value) == pytest.approx(small_scenario.gamma_sinr_db, abs=1e-6)
