@@ -200,7 +200,7 @@ def array_gain(
     array position.  Accepts BeamWeights or a raw complex vector (normalized
     excitations, not amplitude-scaled).
     """
-    unit = array_frame_unit(angles, direction)
+    unit = array_frame_unit(rotation_matrix(angles), direction)
     return unit_array_gain(weights, config, unit, element_gain(unit))
 
 
@@ -358,13 +358,7 @@ class _PatternEvaluator:
     fused factors one axis at a time, both cuts in one product (see _Block).
     """
 
-    def __init__(
-        self,
-        config: ArrayConfig,
-        pose: Pose,
-        pointing: DirectionAngles,
-    ):
-        rot = rotation_matrix(pose.angles)
+    def __init__(self, config: ArrayConfig, rot, pointing: DirectionAngles):
         arcs = {plane: _cut_arc(plane, pointing, rot) for plane in _PLANES}
         units = np.concatenate([units for _, units in arcs.values()])
         self.ex, self.ez = _axis_factors(
@@ -406,7 +400,7 @@ def pattern_cut(
     hemisphere (the mirror image through the aperture plane is excluded, as a
     ground plane would enforce).
     """
-    ev = _PatternEvaluator(config, pose, pointing)
+    ev = _PatternEvaluator(config, rotation_matrix(pose.angles), pointing)
     w = _weight_entries(weights).reshape(config.side, config.side)
     angles, gains_db = ev.cut_gains_db(plane, w)
     return PatternCut(plane=plane, angles_rad=angles, gains_db=gains_db)
@@ -530,9 +524,9 @@ def _dolph_chebyshev(n: int, sll_db: float) -> NDArray[np.float64]:
     return w
 
 
-def _frame_units(pose: Pose, directions: Sequence[DirectionAngles]) -> NDArray[np.float64]:
-    """Array-frame units of the directions, (n, 3); (0, 3) when there are none."""
-    return np.reshape([array_frame_unit(pose.angles, d) for d in directions], (-1, 3))
+def _frame_units(rot, directions: Sequence[DirectionAngles]) -> NDArray[np.float64]:
+    """Array-frame units of the directions under rotation `rot`, (n, 3); (0, 3) for none."""
+    return np.reshape([array_frame_unit(rot, d) for d in directions], (-1, 3))
 
 
 def _project_out(
@@ -581,7 +575,7 @@ def apply_nulls(
     if not nulls:
         return weights
     check_nulls(config, nulls, pointing)
-    basis = steering(config, _frame_units(pose, nulls)).T
+    basis = steering(config, _frame_units(rotation_matrix(pose.angles), nulls)).T
     projected = _project_out(_weight_entries(weights), basis)
     scale = max(1.0, float(np.max(np.abs(projected))))
     return BeamWeights(
@@ -738,9 +732,10 @@ class _Synthesizer:
     def __init__(self, request: SynthesisRequest, config: ArrayConfig, pose: Pose):
         self.request = request
         check_nulls(config, request.nulls, request.pointing)
-        self.evaluator = _PatternEvaluator(config, pose, request.pointing)
+        rot = rotation_matrix(pose.angles)
+        self.evaluator = _PatternEvaluator(config, rot, request.pointing)
         # row 0 is the pointing, row 1 + n null n; so are the axis-factor columns
-        units = _frame_units(pose, (request.pointing, *request.nulls))
+        units = _frame_units(rot, (request.pointing, *request.nulls))
         self.point_element_gain = element_gain(units[0])
         self.axis_x, self.axis_z = np.conj(_axis_factors(config, units))
         self.eirp_target_mw = from_db(request.eirp_target_dbm)

@@ -119,20 +119,15 @@ def _path_gain(params: ChannelParams, mode: str, u, t, d: float) -> float:
 
 
 def channel_vector(
-    params: ChannelParams, config: ArrayConfig, uav_pos, dest, mode: str, *, unit
+    params: ChannelParams, config: ArrayConfig, distance_m: float, path_gain: float, *, unit
 ) -> NDArray[np.complex128]:
-    """Complex channel entries sqrt(PL) exp(j 2 pi f d / c) a(unit) toward dest.
+    """Complex channel entries sqrt(PL) exp(j 2 pi f d / c) a(unit) toward one destination.
 
-    unit is dest's direction in the array frame, as PointGeometry holds it;
-    PL is pathloss(params, mode, uav_pos, dest).
+    d, PL (pathloss in the link's mode) and the array-frame unit are the values
+    scenario.point_geometry derives once per destination and its record holds.
     """
-    u = as_vec3(uav_pos)
-    t = as_vec3(dest)
-    d = float(np.linalg.norm(u - t))
-    gain = _path_gain(params, mode, u, t, d)
-    phase = np.exp(2j * math.pi * params.carrier_hz * d / SPEED_OF_LIGHT)
-    a = steering(config, unit)
-    return math.sqrt(gain) * phase * a
+    phase = np.exp(2j * math.pi * params.carrier_hz * distance_m / SPEED_OF_LIGHT)
+    return math.sqrt(path_gain) * phase * steering(config, unit)
 
 
 def sinr(h_comm, h_sense, w_comm, w_sense, noise_mw: float) -> float:

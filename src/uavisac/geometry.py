@@ -145,16 +145,16 @@ def direction_angles(from_pos, to_pos) -> DirectionAngles:
     phi = atan2(dy, dx), which resolves the quadrant and returns 0 for the
     vertical case.
     """
-    f = as_vec3(from_pos)
-    t = as_vec3(to_pos)
-    delta = f - t
-    dist = math.sqrt(delta.dot(delta))  # np.linalg.norm's own formula
+    return offset_direction(as_vec3(from_pos) - as_vec3(to_pos))[1]
+
+
+def offset_direction(delta) -> tuple[float, DirectionAngles]:
+    """Length sqrt(delta . delta) (np.linalg.norm's formula) and direction of delta = from - to."""
+    dist = math.sqrt(delta.dot(delta))
     if dist == 0.0:
         raise GeometryError("coincident points have no direction")
     cos_theta = min(1.0, max(-1.0, delta[2] / dist))
-    theta = math.acos(cos_theta)
-    phi = math.atan2(delta[1], delta[0])
-    return DirectionAngles(theta=theta, phi=phi)
+    return dist, DirectionAngles(theta=math.acos(cos_theta), phi=math.atan2(delta[1], delta[0]))
 
 
 def direction_unit(direction: DirectionAngles) -> NDArray[np.float64]:
@@ -175,9 +175,9 @@ def angular_separation(a: DirectionAngles, b: DirectionAngles) -> float:
     return math.acos(min(1.0, max(-1.0, dot)))
 
 
-def array_frame_unit(angles: RotationAngles, direction: DirectionAngles) -> NDArray[np.float64]:
-    """Unit vector of a direction in the rotated array frame, R^T u."""
-    return rotation_matrix(angles).T @ direction_unit(direction)
+def array_frame_unit(rot, direction: DirectionAngles) -> NDArray[np.float64]:
+    """Unit vector of a direction in the array frame, R^T u; rot is the pose's rotation_matrix."""
+    return rot.T @ direction_unit(direction)
 
 
 def steering(config: ArrayConfig, unit) -> NDArray[np.complex128]:
@@ -202,4 +202,5 @@ def steering_vector(
     config: ArrayConfig, uav_pos, angles: RotationAngles, dest
 ) -> NDArray[np.complex128]:
     """Unit-modulus steering vector toward dest."""
-    return steering(config, array_frame_unit(angles, direction_angles(uav_pos, dest)))
+    rot = rotation_matrix(angles)
+    return steering(config, array_frame_unit(rot, direction_angles(uav_pos, dest)))

@@ -8,10 +8,10 @@ the association network on the optimal labels, splitting at the trajectory
 point level so each point's beam pair stays on one side of the split.  All
 stages are deterministic under a fixed master seed.
 
-Every per-point stage reads its directions, array-frame units and angles,
-element gains and radar channel toward the target from one
-scenario.PointGeometry record built once per point; only synthesize
-re-derives its units (see the scenario module docstring).
+Every per-point stage reads its geometry, station path gains and radar
+channel from one scenario.PointGeometry record built once per point; only
+synthesize re-derives its units, and training only each target direction and
+unit (see the scenario module docstring).
 """
 
 from __future__ import annotations
@@ -39,8 +39,15 @@ from .beampattern import (
     synthesize,
     unit_array_gain,
 )
-from .channel import EXPECTED, achievable_rate, channel_vector, sinr
-from .geometry import DirectionAngles, RotationAngles, steering
+from .channel import achievable_rate, channel_vector, sinr
+from .geometry import (
+    DirectionAngles,
+    RotationAngles,
+    array_frame_unit,
+    direction_angles,
+    rotation_matrix,
+    steering,
+)
 from .neuralnet import Network, NetworkConfig, TrainConfig, TrainReport, forward, train
 from .scenario import (
     POLICY_NN,
@@ -258,14 +265,14 @@ def sensing_feature_vector(target_dir: DirectionAngles, eirp_dbm: float) -> NDAr
     return out
 
 
-def association_features(scenario: Scenario, geo: PointGeometry) -> NDArray[np.float64]:
+def association_features(scenario: Scenario, position, target_dir) -> NDArray[np.float64]:
     """Normalized planar position plus target direction angles."""
     return np.array(
         [
-            geo.point.position[0] / scenario.area_m[0],
-            geo.point.position[1] / scenario.area_m[1],
-            geo.target_dir.phi / math.pi,
-            geo.target_dir.theta / math.pi,
+            position[0] / scenario.area_m[0],
+            position[1] / scenario.area_m[1],
+            target_dir.phi / math.pi,
+            target_dir.theta / math.pi,
         ]
     )
 
@@ -516,14 +523,13 @@ def train_models(samples: Sequence[Sample], scenario: Scenario,
     train_rows = np.sort(np.concatenate([2 * train_points, 2 * train_points + 1]))
     val_rows = np.sort(np.concatenate([2 * val_points, 2 * val_points + 1]))
 
-    # only the association features and the validation target units
-    # outlive each point's geometry record
+    # the target direction and unit, derived as point_geometry does, are all it reads
     xa = np.zeros((n, 4))
     target_units = np.zeros((n, 3))
     for i, sample in enumerate(samples):
-        geo = point_geometry(scenario, _sample_point(sample))
-        xa[i] = association_features(scenario, geo)
-        target_units[i] = geo.target_unit
+        target_dir = direction_angles(sample.position, scenario.target_m)
+        xa[i] = association_features(scenario, sample.position, target_dir)
+        target_units[i] = array_frame_unit(rotation_matrix(sample.orientation), target_dir)
     # conjugated target steering of the validation points, (n_val, M, 1)
     target = np.conj(steering(scenario.array, target_units[val_points]))[:, :, None]
 
@@ -563,9 +569,7 @@ def train_models(samples: Sequence[Sample], scenario: Scenario,
 
 
 def _sample_point(sample: Sample) -> TrajectoryPoint:
-    return TrajectoryPoint(
-        slot=sample.slot, position=sample.position, orientation=sample.orientation
-    )
+    return TrajectoryPoint(sample.slot, sample.position, sample.orientation)
 
 
 def predict_association(bundle: ModelBundle, scenario: Scenario,
@@ -575,7 +579,8 @@ def predict_association(bundle: ModelBundle, scenario: Scenario,
 
 
 def _predicted_gbs(bundle: ModelBundle, scenario: Scenario, geo: PointGeometry) -> int:
-    raw = float(forward(bundle.association, association_features(scenario, geo))[0])
+    features = association_features(scenario, geo.point.position, geo.target_dir)
+    raw = float(forward(bundle.association, features)[0])
     k = scenario.num_gbs
     index = int(round(raw * max(k - 1, 1)))
     return min(max(index, 0), k - 1)
@@ -666,10 +671,8 @@ def evaluate_trajectory(
             matrix, required_dbm = predict_matrix(bundle, scenario, geo, k)
         if matrices_out is not None:
             matrices_out.append(matrix)
-        h_comm = channel_vector(
-            scenario.channel, scenario.array, point.position, scenario.gbs_m[k], EXPECTED,
-            unit=geo.gbs_unit[k],
-        )
+        h_comm = channel_vector(scenario.channel, scenario.array, geo.gbs_distance_m[k],
+                                geo.gbs_path_gain[k], unit=geo.gbs_unit[k])
         value = sinr(
             h_comm, geo.target_channel, matrix.comm.vector, matrix.sensing.vector,
             scenario.channel.noise_mw,

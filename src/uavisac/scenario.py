@@ -8,14 +8,13 @@ the full slot displacement, headings are drawn inside a cone toward the goal,
 and the final slot snaps exactly onto the end point, so the speed bound and
 endpoint constraints hold by construction.
 
-point_geometry derives each point's directions, array-frame units, element
-gains and radar channel toward the target once; association and every
-per-point pipeline stage, evaluation's beampattern gain included, read its
-PointGeometry record.  One beampattern entry point derives its own, because
-it takes world quantities rather than a record and is called without one (the
-CLI's synthesize command, the tests, the benchmark): synthesize turns the
-request's global pointing and null angles into array-frame units
-(_frame_units).
+point_geometry builds a point's rotation once and derives each destination's
+distance, direction, array-frame unit, element gain and path gain once; every
+per-point stage reads its PointGeometry record.  One beampattern entry point
+derives its own, because it takes world quantities rather than a record and is
+called without one (the CLI's synthesize command, the tests, the benchmark):
+synthesize turns the request's pointing and nulls into array-frame units under
+one rotation (_frame_units).
 
 Max-SINR association and the optimal association label are one rule: the
 station with the smallest required EIRP, lowest index on ties (see
@@ -36,8 +35,8 @@ from .channel import (
     EXPECTED,
     RADAR_LOS,
     ChannelParams,
+    _path_gain,
     channel_vector,
-    pathloss,
 )
 from .geometry import (
     ArrayConfig,
@@ -47,8 +46,9 @@ from .geometry import (
     RotationAngles,
     array_frame_unit,
     as_vec3,
-    direction_angles,
     element_gain,
+    offset_direction,
+    rotation_matrix,
 )
 from .units import from_db, to_db
 
@@ -118,6 +118,10 @@ class Scenario:
         for name in ("eirp_max_dbm", "gamma_sinr_db"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        if len(self.area_m) != 2 or not all(0.0 < v < math.inf for v in self.area_m):
+            raise ValueError("area_m must hold two finite and positive values")
+        if self.num_trajectories < 1:
+            raise ValueError("num_trajectories must be at least 1")
         self.gbs_m = np.atleast_2d(np.asarray(self.gbs_m, dtype=np.float64))
         if not np.isfinite(self.gbs_m).all():
             raise ValueError("gbs_m entries must be finite")
@@ -329,8 +333,9 @@ def _wrap_angle(angle: float) -> float:
 @dataclass(frozen=True)
 class PointGeometry:
     """One trajectory point's global direction, array-frame unit and angles,
-    and element gain toward the target and each station (by index), plus the
-    radar channel toward the target as its complex entries.
+    and element gain toward the target and each station (by index), each
+    station's distance and EXPECTED path gain (read by min_required_eirp_dbm
+    and evaluation's serving channel), and the radar channel toward the target.
 
     Network features carry the array-frame angles: the synthesized weights
     depend on the beam direction relative to the aperture.  gbs_by_distance
@@ -347,37 +352,43 @@ class PointGeometry:
     gbs_unit: tuple[NDArray[np.float64], ...]
     gbs_frame: tuple[DirectionAngles, ...]
     gbs_gain: tuple[float, ...]
+    gbs_distance_m: tuple[float, ...]
+    gbs_path_gain: tuple[float, ...]
     gbs_by_distance: tuple[int, ...]
 
 
-def _frame_angles(unit) -> DirectionAngles:
-    """Direction angles of an array-frame unit vector."""
-    theta = math.acos(min(1.0, max(-1.0, unit[2])))
-    return DirectionAngles(theta=theta, phi=math.atan2(unit[1], unit[0]))
+def _toward(position, rot, dest):
+    """Distance, direction, array-frame unit and its angles, and element gain toward dest."""
+    distance, direction = offset_direction(position - dest)
+    unit = array_frame_unit(rot, direction)
+    frame = DirectionAngles(math.acos(min(1.0, max(-1.0, unit[2]))), math.atan2(unit[1], unit[0]))
+    return distance, direction, unit, frame, element_gain(unit)
 
 
 def point_geometry(scenario: Scenario, point: TrajectoryPoint) -> PointGeometry:
-    """The PointGeometry of one trajectory point, one primitive call per field."""
-    dirs = [direction_angles(point.position, dest) for dest in (scenario.target_m, *scenario.gbs_m)]
-    units = [array_frame_unit(point.orientation, d) for d in dirs]
-    frames = [_frame_angles(u) for u in units]
-    gains = [element_gain(u) for u in units]
-    gbs_distance = np.linalg.norm(scenario.gbs_m - point.position, axis=1)
+    """The PointGeometry of one trajectory point: one rotation, one pass per destination."""
+    position = as_vec3(point.position)
+    rot = rotation_matrix(point.orientation)
+    rows = [_toward(position, rot, dest) for dest in (scenario.target_m, *scenario.gbs_m)]
+    distances, dirs, units, frames, gains = zip(*rows)
+    ch, gbs_distances = scenario.channel, distances[1:]
+    radar_gain = _path_gain(ch, RADAR_LOS, position, scenario.target_m, distances[0])
     return PointGeometry(
         point=point,
         target_dir=dirs[0],
         target_unit=units[0],
         target_frame=frames[0],
         target_gain=gains[0],
-        target_channel=channel_vector(
-            scenario.channel, scenario.array, point.position, scenario.target_m, RADAR_LOS,
-            unit=units[0],
+        target_channel=channel_vector(ch, scenario.array, distances[0], radar_gain, unit=units[0]),
+        gbs_dir=dirs[1:],
+        gbs_unit=units[1:],
+        gbs_frame=frames[1:],
+        gbs_gain=gains[1:],
+        gbs_distance_m=gbs_distances,
+        gbs_path_gain=tuple(
+            _path_gain(ch, EXPECTED, position, t, d) for t, d in zip(scenario.gbs_m, gbs_distances)
         ),
-        gbs_dir=tuple(dirs[1:]),
-        gbs_unit=tuple(units[1:]),
-        gbs_frame=tuple(frames[1:]),
-        gbs_gain=tuple(gains[1:]),
-        gbs_by_distance=tuple(int(i) for i in np.argsort(gbs_distance, kind="stable")),
+        gbs_by_distance=tuple(int(i) for i in np.argsort(gbs_distances, kind="stable")),
     )
 
 
@@ -422,14 +433,13 @@ def min_required_eirp_dbm(
     For a beam pointed at the station the pattern gain cancels between the
     radiated EIRP and the received power, leaving
     EIRP_min = gamma * (noise + interference) * g_e / PL, with the
-    interference in mW.
+    interference in mW; g_e and PL are the record's gbs_gain and gbs_path_gain.
     """
-    gain = pathloss(scenario.channel, EXPECTED, geo.point.position, scenario.gbs_m[gbs_index])
     required_mw = (
         scenario.gamma_sinr_linear
         * (scenario.channel.noise_mw + interference)
         * geo.gbs_gain[gbs_index]
-        / gain
+        / geo.gbs_path_gain[gbs_index]
     )
     return to_db(required_mw)
 

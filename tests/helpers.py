@@ -61,7 +61,8 @@ def dense_null_projection(w, config, pose, nulls, active):
     out = np.array(w, dtype=np.complex128)
     if not nulls:
         return out
-    units = np.array([array_frame_unit(pose.angles, d) for d in nulls])
+    rot = rotation_matrix(pose.angles)
+    units = np.array([array_frame_unit(rot, d) for d in nulls])
     sub = steering(config, units).T[active]
     coeff = np.linalg.lstsq(sub, out[active], rcond=None)[0]
     out[active] = out[active] - sub @ coeff
@@ -82,7 +83,9 @@ def dense_candidate_weights(config, pose, request, rows, cols, s_az, s_el):
     tz = chebyshev_taper(cols, s_el) if cols > 1 else np.ones(1)
     amp = np.zeros((side, side))
     amp[:rows, :cols] = np.outer(tx, tz)
-    w = amp.ravel() * steering(config, array_frame_unit(pose.angles, request.pointing))
+    w = amp.ravel() * steering(
+        config, array_frame_unit(rotation_matrix(pose.angles), request.pointing)
+    )
     return dense_null_projection(w, config, pose, request.nulls, active.ravel())
 
 

@@ -47,7 +47,9 @@ def zero_pose():
 
 def frame_unit(pose, target):
     """The target's array-frame unit, as PointGeometry.target_unit holds it."""
-    return geometry.array_frame_unit(pose.angles, direction_angles(pose.position, target))
+    return geometry.array_frame_unit(
+        rotation_matrix(pose.angles), direction_angles(pose.position, target)
+    )
 
 
 def matched_weights(config, pointing, ppe=1.0):
@@ -720,8 +722,9 @@ def test_coincident_and_near_coincident_nulls_match_the_dense_solve(gap_rad, mat
     want /= max(1.0, np.max(np.abs(want)))
     w = result.weights.entries
     assert np.max(np.abs(w - want)) <= match * np.max(np.abs(want))
+    rot = rotation_matrix(pose.angles)
     responses = [
-        abs(np.vdot(geometry.steering(config, geometry.array_frame_unit(pose.angles, d)), w))
+        abs(np.vdot(geometry.steering(config, geometry.array_frame_unit(rot, d)), w))
         for d in (request.pointing, *request.nulls)
     ]
     assert max(responses[1:]) <= 1e-9 * responses[0]

@@ -22,6 +22,7 @@ from uavisac.geometry import (
     RotationAngles,
     array_frame_unit,
     direction_angles,
+    rotation_matrix,
 )
 
 UAV = np.array([0.0, 0.0, 100.0])
@@ -29,7 +30,15 @@ ZERO = RotationAngles(0.0, 0.0, 0.0)
 
 
 def frame_unit(uav, angles, dest):
-    return array_frame_unit(angles, direction_angles(uav, dest))
+    return array_frame_unit(rotation_matrix(angles), direction_angles(uav, dest))
+
+
+def link(p, config, mode, uav, dest, angles=ZERO):
+    """channel_vector toward dest, fed the distance, pathloss and unit of world positions."""
+    distance = float(np.linalg.norm(np.subtract(uav, dest)))
+    return channel_vector(
+        p, config, distance, pathloss(p, mode, uav, dest), unit=frame_unit(uav, angles, dest)
+    )
 
 
 def params_1mm(**kwargs):
@@ -112,7 +121,7 @@ def test_channel_vector_norm_invariant():
     rng = np.random.default_rng(4)
     for _ in range(20):
         dest = np.array([rng.uniform(50, 800), rng.uniform(-400, 400), 2.0])
-        h = channel_vector(p, config, UAV, dest, EXPECTED, unit=frame_unit(UAV, ZERO, dest))
+        h = link(p, config, EXPECTED, UAV, dest)
         norm_sq = float(np.sum(np.abs(h) ** 2))
         gain = pathloss(p, EXPECTED, UAV, dest)
         assert norm_sq == pytest.approx(config.num_elements * gain, rel=1e-12)
@@ -125,7 +134,7 @@ def test_channel_vector_single_element_zero_phase():
     d = 1000.0 * config.wavelength_m
     uav = np.array([0.0, 0.0, d])
     origin = np.zeros(3)
-    h = channel_vector(p, config, uav, origin, COMM_LOS, unit=frame_unit(uav, ZERO, origin))
+    h = link(p, config, COMM_LOS, uav, origin)
     expected_gain = pathloss(p, COMM_LOS, uav, np.zeros(3))
     assert h.shape == (1,)
     assert h[0] == pytest.approx(math.sqrt(expected_gain), rel=1e-9)
@@ -137,8 +146,8 @@ def test_channel_vector_inverse_square():
     p = params_1mm()
     config = ArrayConfig(num_elements=4, carrier_hz=p.carrier_hz)
     origin, high = [0.0, 0.0, 0.0], [0.0, 0.0, 200.0]
-    h1 = channel_vector(p, config, UAV, origin, COMM_LOS, unit=frame_unit(UAV, ZERO, origin))
-    h2 = channel_vector(p, config, high, origin, COMM_LOS, unit=frame_unit(high, ZERO, origin))
+    h1 = link(p, config, COMM_LOS, UAV, origin)
+    h2 = link(p, config, COMM_LOS, high, origin)
     ratio = np.sum(np.abs(h1) ** 2) / np.sum(np.abs(h2) ** 2)
     assert ratio == pytest.approx(4.0, rel=1e-12)
 
@@ -147,10 +156,15 @@ def test_channel_vector_rejects_an_orientation_in_place_of_the_unit():
     p = params_1mm()
     config = ArrayConfig(num_elements=4, carrier_hz=p.carrier_hz)
     dest = [100.0, 0.0, 2.0]
+    distance = float(np.linalg.norm(np.subtract(UAV, dest)))
+    gain = pathloss(p, COMM_LOS, UAV, dest)
     with pytest.raises(TypeError):
-        channel_vector(p, config, UAV, ZERO, dest, COMM_LOS)
+        channel_vector(p, config, distance, gain, ZERO)
     with pytest.raises(TypeError):
-        channel_vector(p, config, UAV, dest, COMM_LOS, frame_unit(UAV, ZERO, dest))
+        channel_vector(p, config, distance, gain, frame_unit(UAV, ZERO, dest))
+    # nor does the former world-coordinate form, positions and a mode
+    with pytest.raises(TypeError):
+        channel_vector(p, config, UAV, dest, COMM_LOS, unit=frame_unit(UAV, ZERO, dest))
 
 
 def _unit_channel(m=1):
@@ -172,10 +186,8 @@ def test_sinr_matched_weights_against_dot_product_oracle():
         dest = np.array([rng.uniform(100, 600), rng.uniform(-300, 300), 2.0])
         target = np.array([rng.uniform(100, 600), rng.uniform(-300, 300), 0.0])
         angles = RotationAngles(rng.uniform(-math.pi, math.pi), 0.0, 0.0)
-        h_c = channel_vector(p, config, UAV, dest, COMM_LOS, unit=frame_unit(UAV, angles, dest))
-        h_s = channel_vector(
-            p, config, UAV, target, RADAR_LOS, unit=frame_unit(UAV, angles, target)
-        )
+        h_c = link(p, config, COMM_LOS, UAV, dest, angles)
+        h_s = link(p, config, RADAR_LOS, UAV, target, angles)
         w_c = rng.normal(size=25) + 1j * rng.normal(size=25)
         w_s = rng.normal(size=25) + 1j * rng.normal(size=25)
         noise = 1e-11

@@ -159,7 +159,7 @@ def test_steering_rows_of_a_stack_equal_single_calls():
 def test_element_gain_of_array_frame_unit_matches_angle_form():
     rng = np.random.default_rng(9)
     for pos, angles, dest in random_poses(rng, 500):
-        unit = array_frame_unit(angles, direction_angles(pos, dest))
+        unit = array_frame_unit(rotation_matrix(angles), direction_angles(pos, dest))
         geo = point_geometry(Scenario(target_m=dest), TrajectoryPoint(0, pos, angles))
         frame = geo.target_frame
         cos_off = math.sin(frame.phi) * math.sin(frame.theta)

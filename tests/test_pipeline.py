@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 from uavisac.beampattern import NullConflictError, array_gain
-from uavisac.channel import EXPECTED, RADAR_LOS, channel_vector, sinr
+from uavisac.channel import EXPECTED, RADAR_LOS, channel_vector, pathloss, sinr
 from uavisac.geometry import (
     DirectionAngles,
     RotationAngles,
     array_frame_unit,
     direction_angles,
+    rotation_matrix,
     steering_vector,
 )
 from uavisac.neuralnet import TrainConfig
@@ -39,8 +40,15 @@ from uavisac.pipeline import (
 from uavisac.scenario import Scenario, TrajectoryPoint, generate_trajectories, point_geometry
 
 
-def frame_unit(point, dest):
-    return array_frame_unit(point.orientation, direction_angles(point.position, dest))
+def world_channel(scenario, point, dest, mode):
+    """channel_vector toward dest, its distance, path gain and unit derived from world positions."""
+    unit = array_frame_unit(
+        rotation_matrix(point.orientation), direction_angles(point.position, dest)
+    )
+    return channel_vector(
+        scenario.channel, scenario.array, float(np.linalg.norm(point.position - dest)),
+        pathloss(scenario.channel, mode, point.position, dest), unit=unit,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -166,16 +174,8 @@ def test_synthesize_point_delivers_threshold_sinr(small_scenario):
     point = trajs[0].points[len(trajs[0]) // 2]
     ps = synthesize_point(small_scenario, point_geometry(small_scenario, point), 0, lenient=True)
     if ps.comm_eirp_dbm < small_scenario.eirp_max_dbm - 1e-6:
-        h_comm = channel_vector(
-            small_scenario.channel, small_scenario.array, point.position,
-            small_scenario.gbs_m[0], EXPECTED,
-            unit=frame_unit(point, small_scenario.gbs_m[0]),
-        )
-        h_sense = channel_vector(
-            small_scenario.channel, small_scenario.array, point.position,
-            small_scenario.target_m, RADAR_LOS,
-            unit=frame_unit(point, small_scenario.target_m),
-        )
+        h_comm = world_channel(small_scenario, point, small_scenario.gbs_m[0], EXPECTED)
+        h_sense = world_channel(small_scenario, point, small_scenario.target_m, RADAR_LOS)
         value = sinr(
             h_comm, h_sense, ps.matrix.comm.vector, ps.matrix.sensing.vector,
             small_scenario.channel.noise_mw,
@@ -350,15 +350,8 @@ def test_evaluate_trajectory_audited_slot_matches_hand_composition(small_scenari
     idx = len(records) // 2
     record, matrix, point = records[idx], mats[idx], traj.points[idx]
     gbs = small_scenario.gbs_m[record.gbs_index]
-    h_comm = channel_vector(
-        small_scenario.channel, small_scenario.array, point.position, gbs, EXPECTED,
-        unit=frame_unit(point, gbs),
-    )
-    h_sense = channel_vector(
-        small_scenario.channel, small_scenario.array, point.position,
-        small_scenario.target_m, RADAR_LOS,
-        unit=frame_unit(point, small_scenario.target_m),
-    )
+    h_comm = world_channel(small_scenario, point, gbs, EXPECTED)
+    h_sense = world_channel(small_scenario, point, small_scenario.target_m, RADAR_LOS)
     num = abs(np.vdot(h_comm, matrix.comm.vector)) ** 2
     den = small_scenario.channel.noise_mw + abs(np.vdot(h_sense, matrix.sensing.vector)) ** 2
     assert record.sinr_db == pytest.approx(10 * math.log10(num / den), abs=1e-9)

@@ -22,6 +22,7 @@ from uavisac.geometry import (
     array_frame_unit,
     direction_angles,
     element_gain,
+    rotation_matrix,
     steering,
     steering_vector,
 )
@@ -137,6 +138,13 @@ def test_scenario_validation():
     for name, value in unusable.items():
         with pytest.raises(ValueError, match=name):
             Scenario(**{name: value})
+    # the area is two finite, positive sides, and a scenario flies at least
+    # one walk
+    for area in ((1500.0,), (math.inf, math.inf), (1500.0, 0.0), (math.nan, 1500.0)):
+        with pytest.raises(ValueError, match="area_m"):
+            Scenario(area_m=area)
+    with pytest.raises(ValueError, match="num_trajectories"):
+        Scenario(num_trajectories=0)
     gbs = Scenario().gbs_m.copy()
     gbs[1, 0] = math.nan
     with pytest.raises(ValueError, match="gbs_m"):
@@ -309,7 +317,8 @@ def matched_probe_station(scn, geo):
     best_idx, best_sinr = 0, -math.inf
     for idx, gbs in enumerate(scn.gbs_m):
         h_comm = channel_vector(
-            scn.channel, scn.array, geo.point.position, gbs, EXPECTED, unit=geo.gbs_unit[idx]
+            scn.channel, scn.array, float(np.linalg.norm(geo.point.position - gbs)),
+            pathloss(scn.channel, EXPECTED, geo.point.position, gbs), unit=geo.gbs_unit[idx],
         )
         w_comm = matched(geo.gbs_unit[idx], geo.gbs_gain[idx])
         value = sinr(
@@ -422,7 +431,7 @@ def test_point_geometry_fields_equal_the_per_call_derivations():
         fields += zip(scn.gbs_m, geo.gbs_dir, geo.gbs_unit, geo.gbs_frame, geo.gbs_gain)
         for dest, direction, unit, frame, gain in fields:
             old_dir = direction_angles(point.position, dest)
-            old_unit = array_frame_unit(point.orientation, old_dir)
+            old_unit = array_frame_unit(rotation_matrix(point.orientation), old_dir)
             assert direction == old_dir
             assert np.array_equal(unit, old_unit)
             assert frame == DirectionAngles(
@@ -430,11 +439,18 @@ def test_point_geometry_fields_equal_the_per_call_derivations():
                 phi=math.atan2(old_unit[1], old_unit[0]),
             )
             assert gain == element_gain(old_unit)
+        for k, gbs in enumerate(scn.gbs_m):
+            assert geo.gbs_distance_m[k] == float(np.linalg.norm(point.position - gbs))
+            assert geo.gbs_path_gain[k] == pathloss(scn.channel, EXPECTED, point.position, gbs)
         radar_gain = pathloss(scn.channel, RADAR_LOS, point.position, scn.target_m)
         d = float(np.linalg.norm(scn.target_m - point.position))
         phase = np.exp(2j * math.pi * scn.channel.carrier_hz * d / SPEED_OF_LIGHT)
         a = steering_vector(scn.array, point.position, point.orientation, scn.target_m)
         assert np.array_equal(geo.target_channel, math.sqrt(radar_gain) * phase * a)
+        assert np.array_equal(
+            geo.target_channel,
+            channel_vector(scn.channel, scn.array, d, radar_gain, unit=geo.target_unit),
+        )
     tie, tie_point = cases[0]
     tie_distances = np.linalg.norm(tie.gbs_m - tie_point.position, axis=1)
     assert tie_distances[0] == tie_distances[1]
