@@ -14,9 +14,13 @@ One stopping rule: no candidate is scored once the incumbent is feasible
 with cost under the threshold, or once counter_max distinct candidates have
 been scored.  The sweep is deterministic: five taper setpoints at the full
 aperture, then a per-plane coordinate search around the incumbent.  When
-nothing there is feasible, it walks the shrunk active blocks and refines the
-first that yields a feasible candidate; when none does, the sweep ends
-without refining and leaves the rest of the budget unused.
+nothing there is feasible and the request has no nulls, it walks the shrunk
+active blocks and refines the first that yields a feasible candidate; when
+none does, the sweep ends without refining and leaves the rest of the budget
+unused.  A null-steered request that is infeasible at the full aperture ends
+there, unconverged, with its cheapest full-aperture candidate, so its beam
+keeps every column: the shrunk blocks rescued one of about 900 such calls
+over the datasets and evaluations measured, at up to 40 candidates each.
 
 Every candidate is a tapered, phase-steered outer product vx vz^T on its
 active block, minus one outer product bx_n bz_n^T of axis factors per
@@ -154,6 +158,9 @@ class SynthesisRequest:
     counter_max: int = 200
 
     def __post_init__(self) -> None:
+        for name in ("sll_min_az_db", "sll_min_el_db", "eirp_target_dbm", "k1", "k2", "threshold"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.sll_min_az_db <= 0.0 or self.sll_min_el_db <= 0.0:
             raise ValueError("sidelobe minima must be positive dB values")
         if self.counter_max < 1:
@@ -201,15 +208,15 @@ def array_gain(
     excitations, not amplitude-scaled).
     """
     unit = array_frame_unit(rotation_matrix(angles), direction)
-    return unit_array_gain(weights, config, unit, element_gain(unit))
+    return steered_gain(weights, steering(config, unit), element_gain(unit))
 
 
-def unit_array_gain(weights, config: ArrayConfig, unit, gain: float) -> float:
-    """Linear power gain |a(unit)^H w|^2 gain toward an array-frame unit of element gain `gain`."""
+def steered_gain(weights, a: NDArray[np.complex128], gain: float) -> float:
+    """Linear power gain |a^H w|^2 gain toward steering vector a of element gain `gain`."""
     w = _weight_entries(weights)
-    if w.shape[0] != config.num_elements:
+    if w.shape != a.shape:
         raise ValueError("weight length does not match the array size")
-    return float(abs(np.vdot(steering(config, unit), w)) ** 2 * gain)
+    return float(abs(np.vdot(a, w)) ** 2 * gain)
 
 
 @functools.lru_cache(maxsize=len(_PLANES))
@@ -858,8 +865,10 @@ class _Synthesizer:
         side = self.side
         self._coarse_sweep(side, side)
         self._refine()
-        if not self._feasible():
-            # the full aperture cannot meet the minima; shrink the active block
+        if not self._feasible() and not self.request.nulls:
+            # the full aperture cannot meet the minima of a beam without
+            # nulls; shrink the active block.  A null-steered beam keeps the
+            # full aperture and returns its cheapest candidate unconverged
             for rows, cols in [
                 (g, v)
                 for g in (side, side - 1, side - 2)

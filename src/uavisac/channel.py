@@ -126,8 +126,13 @@ def channel_vector(
     d, PL (pathloss in the link's mode) and the array-frame unit are the values
     scenario.point_geometry derives once per destination and its record holds.
     """
+    return _link_phasor(params, distance_m, path_gain) * steering(config, unit)
+
+
+def _link_phasor(params: ChannelParams, distance_m: float, path_gain: float) -> complex:
+    """sqrt(PL) exp(j 2 pi f d / c), the scalar of channel_vector that scales a(unit)."""
     phase = np.exp(2j * math.pi * params.carrier_hz * distance_m / SPEED_OF_LIGHT)
-    return math.sqrt(path_gain) * phase * steering(config, unit)
+    return math.sqrt(path_gain) * phase
 
 
 def sinr(h_comm, h_sense, w_comm, w_sense, noise_mw: float) -> float:

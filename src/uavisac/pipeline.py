@@ -17,6 +17,7 @@ unit (see the scenario module docstring).
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import logging
 import math
@@ -36,8 +37,8 @@ from .beampattern import (
     beampattern_gain,
     chebyshev_taper,
     null_conflicts,
+    steered_gain,
     synthesize,
-    unit_array_gain,
 )
 from .channel import achievable_rate, channel_vector, sinr
 from .geometry import (
@@ -296,13 +297,18 @@ def sensing_eirp_target_dbm(scenario: Scenario, geo: PointGeometry) -> float:
     EIRP follows from the nominal full-aperture taper sums and the element
     gain toward the target, clamped to the scenario EIRP cap.
     """
-    side = scenario.array.side
-    tx = chebyshev_taper(side, scenario.sll_min_az_db)
-    tz = chebyshev_taper(side, scenario.sll_min_el_db)
-    sum_amp = float(tx.sum() * tz.sum())
-    sum_sq = float((tx**2).sum() * (tz**2).sum())
+    sum_amp, sum_sq = _taper_sums(scenario.array.side, scenario.sll_min_az_db,
+                                  scenario.sll_min_el_db)
     eirp_mw = 0.5 * scenario.p_max_mw * sum_amp**2 * geo.target_gain / sum_sq
     return min(scenario.eirp_max_dbm, to_db(eirp_mw))
+
+
+@functools.lru_cache(maxsize=16)
+def _taper_sums(side: int, sll_az_db: float, sll_el_db: float) -> tuple[float, float]:
+    """Amplitude and power sums sum(tx) sum(tz), sum(tx^2) sum(tz^2) of the full-aperture tapers."""
+    tx = chebyshev_taper(side, sll_az_db)
+    tz = chebyshev_taper(side, sll_el_db)
+    return float(tx.sum() * tz.sum()), float((tx**2).sum() * (tz**2).sum())
 
 
 def _comm_eirp_dbm(scenario: Scenario, geo: PointGeometry, gbs_index: int,
@@ -600,12 +606,13 @@ def predict_matrix(
     prelim_dbm = sensing_eirp_target_dbm(scenario, geo)
     sens_feat = sensing_feature_vector(geo.target_frame, prelim_dbm)
     sensing = _beam_from_vector(decode_complex(forward(bundle.beamformer, sens_feat)))
-    sensing = _cap_beam(sensing, scenario, geo.target_unit, geo.target_gain)
+    sensing = _cap_beam(sensing, scenario, geo.target_steering, geo.target_gain)
     comm_eirp = _comm_eirp_dbm(scenario, geo, gbs_index, sensing)
     null_frames = [geo.gbs_frame[i] for i in nearest_other_gbs(geo, gbs_index)]
     comm_feat = comm_feature_vector(geo.gbs_frame[gbs_index], null_frames, comm_eirp)
     comm = _beam_from_vector(decode_complex(forward(bundle.beamformer, comm_feat)))
-    comm = _cap_beam(comm, scenario, geo.gbs_unit[gbs_index], geo.gbs_gain[gbs_index])
+    comm_steering = steering(scenario.array, geo.gbs_unit[gbs_index])
+    comm = _cap_beam(comm, scenario, comm_steering, geo.gbs_gain[gbs_index])
     return (
         _enforce_power_budget(
             BeamformingMatrix(sensing=sensing, comm=comm), scenario.p_max_mw
@@ -614,12 +621,10 @@ def predict_matrix(
     )
 
 
-def _cap_beam(beam: BeamWeights, scenario: Scenario, unit: NDArray[np.float64],
+def _cap_beam(beam: BeamWeights, scenario: Scenario, a: NDArray[np.complex128],
               gain: float) -> BeamWeights:
-    """Scale the beam down to the EIRP cap toward a PointGeometry unit of element gain `gain`."""
-    achieved = to_db(
-        beam.power_per_element_mw * unit_array_gain(beam, scenario.array, unit, gain)
-    )
+    """Scale the beam down to the EIRP cap toward steering vector a of element gain `gain`."""
+    achieved = to_db(beam.power_per_element_mw * steered_gain(beam, a, gain))
     if achieved <= scenario.eirp_max_dbm or math.isinf(achieved):
         return beam
     factor = from_db(scenario.eirp_max_dbm - achieved)

@@ -35,8 +35,8 @@ from .channel import (
     EXPECTED,
     RADAR_LOS,
     ChannelParams,
+    _link_phasor,
     _path_gain,
-    channel_vector,
 )
 from .geometry import (
     ArrayConfig,
@@ -49,6 +49,7 @@ from .geometry import (
     element_gain,
     offset_direction,
     rotation_matrix,
+    steering,
 )
 from .units import from_db, to_db
 
@@ -335,7 +336,9 @@ class PointGeometry:
     """One trajectory point's global direction, array-frame unit and angles,
     and element gain toward the target and each station (by index), each
     station's distance and EXPECTED path gain (read by min_required_eirp_dbm
-    and evaluation's serving channel), and the radar channel toward the target.
+    and evaluation's serving channel), and the steering vector and radar
+    channel toward the target (the channel is channel_vector's, built on that
+    steering vector).
 
     Network features carry the array-frame angles: the synthesized weights
     depend on the beam direction relative to the aperture.  gbs_by_distance
@@ -347,6 +350,7 @@ class PointGeometry:
     target_unit: NDArray[np.float64]
     target_frame: DirectionAngles
     target_gain: float
+    target_steering: NDArray[np.complex128]
     target_channel: NDArray[np.complex128]
     gbs_dir: tuple[DirectionAngles, ...]
     gbs_unit: tuple[NDArray[np.float64], ...]
@@ -373,13 +377,15 @@ def point_geometry(scenario: Scenario, point: TrajectoryPoint) -> PointGeometry:
     distances, dirs, units, frames, gains = zip(*rows)
     ch, gbs_distances = scenario.channel, distances[1:]
     radar_gain = _path_gain(ch, RADAR_LOS, position, scenario.target_m, distances[0])
+    target_steering = steering(scenario.array, units[0])
     return PointGeometry(
         point=point,
         target_dir=dirs[0],
         target_unit=units[0],
         target_frame=frames[0],
         target_gain=gains[0],
-        target_channel=channel_vector(ch, scenario.array, distances[0], radar_gain, unit=units[0]),
+        target_steering=target_steering,
+        target_channel=_link_phasor(ch, distances[0], radar_gain) * target_steering,
         gbs_dir=dirs[1:],
         gbs_unit=units[1:],
         gbs_frame=frames[1:],

@@ -285,6 +285,16 @@ def test_check_nulls_shares_one_conflict_threshold():
         check_nulls(config, (beside,) * 16)
 
 
+@pytest.mark.parametrize(
+    "field", ["eirp_target_dbm", "sll_min_az_db", "sll_min_el_db", "threshold", "k1", "k2"]
+)
+def test_synthesis_request_rejects_non_finite_values(field):
+    request = _request_toward(BROADSIDE)
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            dataclasses.replace(request, **{field: value})
+
+
 def test_synthesize_immediate_accept_with_loose_threshold():
     config = ArrayConfig(num_elements=100, carrier_hz=3e11)
     request = SynthesisRequest(
@@ -421,7 +431,10 @@ def test_synthesize_stops_at_exactly_counter_max_candidates(counter_max):
 
 # One comm or sensing request from each search path that a one-trajectory
 # dataset (Scenario(), seed 11, closest policy) takes, with the candidate
-# count, active block and convergence its synthesis had when recorded.
+# count, active block and convergence its synthesis had when recorded.  That
+# dataset's null-free beams all converge on the full aperture, so the
+# shrunk-block entry is the sensing beam of max-SINR optimizer evaluation of
+# slot 59 of trajectory 19 of generate_trajectories(Scenario(), 20, 77).
 SEARCH_PATHS = {
     "coarse_only": (
         (1.2252648586388948, -2.435835059087975), 29.960628661711766,
@@ -439,20 +452,40 @@ SEARCH_PATHS = {
         (1.2824859638124502, -2.39328746265983), 32.216750049466526,
         ((1.3388938973597644, 0.9003762679655122), (1.450433667023007, 2.7286469880923336)),
         (457.8388052264129, 525.1688868627103), 0.9746424257674389,
-        (68, (10, 10), False),
+        (28, (10, 10), False),
     ),
     "shrunk_block": (
-        (1.2980681531659526, -2.3888985424213955), 32.14531637317406,
-        ((1.3276376037230084, 0.9041725867787941), (1.4514179929355753, 2.751779837330161)),
-        (444.2762959967062, 510.4785947447217), 0.8504795829874953,
-        (62, (10, 8), False),
+        (0.5134073523133977, 0.23280148926363983), 36.014323777066835, (),
+        (404.86305027725496, 413.00805036365415), 1.22988110164909,
+        (33, (9, 10), True),
     ),
 }
 
 
+# Two more 2-null comm requests of that dataset that nothing on the full
+# aperture makes feasible: of its sixteen, the two whose elevation cut rules
+# out the most candidates under REQUEST_VARIANTS.
+INFEASIBLE_COMM = [
+    (
+        (1.2700565788335494, 0.9246354133410785), 29.744416973845404,
+        ((1.3465275919320765, -2.3759774961127516), (1.4557581616321542, 2.8395695781279215)),
+        (390.2592201809822, 452.27822351800955), 0.9451692654634956,
+    ),
+    (
+        (1.2652761912562045, -2.4021762746016004), 31.432531619282518,
+        ((1.3491645296403745, 0.8997807222166078), (1.449679512137189, 2.704799571155535)),
+        (470.41972659447515, 540.6182223867087), 0.9746424257674389,
+    ),
+]
+
+
 def _search_path_case(path, **kwargs):
     """Request and pose of one SEARCH_PATHS entry; kwargs override the request."""
-    pointing, eirp_dbm, nulls, xy, alpha, _ = SEARCH_PATHS[path]
+    return _case(*SEARCH_PATHS[path][:-1], **kwargs)
+
+
+def _case(pointing, eirp_dbm, nulls, xy, alpha, **kwargs):
+    """Request and pose toward a recorded pointing, EIRP target, nulls and pose."""
     request = _request_toward(
         DirectionAngles(*pointing),
         tuple(DirectionAngles(*null) for null in nulls),
@@ -477,15 +510,16 @@ def test_synthesize_search_paths_are_pinned(path):
 # Per dataset seed: the (iterations, active_rows, active_cols, converged) of
 # all 220 synthesize calls of generate_dataset(Scenario(), 1, "closest", seed),
 # in call order, as (calls, candidates, converged calls, calls ending on a
-# shrunk block) and the SHA-256 of their repr.  Seed 11 was recorded before
-# the factored candidate cuts, seeds 23 and 1011 before the per-block
-# candidate scoring.  Exactly tied candidates are ordered by roundoff (the
+# shrunk block) and the SHA-256 of their repr.  All three were re-recorded
+# when the shrunk-block sweep was restricted to requests without nulls: the
+# converged calls kept their paths, and the unconverged 2-null calls now end
+# on the full aperture.  Exactly tied candidates are ordered by roundoff (the
 # incumbent moves only on a strictly lower rank), so a change in the scoring
 # arithmetic can flip a tie; such a flip must be traced and the pin re-recorded.
 DATASET_SEARCH_PATHS = {
-    11: ((220, 1802, 204, 3), "d7690ed9d136e051a8c656a9ac4d93b2ebb76ae1e04036e4df3c1531cce95712"),
-    23: ((220, 1282, 210, 4), "68bf5846daf98e0d7949b4d827bbf297f77cad002964220a94a8b9e04aea4f31"),
-    1011: ((220, 1768, 203, 3), "b3efee1abd276c7ab6ea0855675cd24539908ed1aae95eb8117bff97f8aa2fe9"),
+    11: ((220, 1162, 204, 0), "331fb1f26e7368fc8ec8f45608c89d0d2ddc6df8187509c425b1ca0726a14be8"),
+    23: ((220, 882, 210, 0), "fd1d4cd821d482a2956c08e77b86c0122c942ed5f7bad89625bb38bed6d70696"),
+    1011: ((220, 1088, 203, 0), "da15487317a80bb04cd883ec7017b04409ec0d219e2adaf74ddb457109e98fe5"),
 }
 
 
@@ -617,10 +651,10 @@ def test_synthesize_ranks_feasible_first_and_keeps_ties():
     comm, pose = _search_path_case("refined", k1=0.0, k2=0.0, threshold=1.0)
     first = synthesize(dataclasses.replace(comm, counter_max=1), config, pose)
     result = synthesize(comm, config, pose)
-    # nothing is feasible and no tie moves the incumbent: five setpoints, four
-    # refinement steps of four probes around the first candidate, then five
-    # setpoints on each of the eight shrunk blocks
-    assert (result.iterations, result.converged) == (5 + 4 * 4 + 8 * 5, False)
+    # nothing is feasible and no tie moves the incumbent: five setpoints and
+    # four refinement steps of four probes around the first candidate; the
+    # request has nulls, so no shrunk block follows
+    assert (result.iterations, result.converged) == (5 + 4 * 4, False)
     assert (result.active_rows, result.active_cols) == (10, 10)
     assert np.array_equal(result.weights.entries, first.weights.entries)
 
@@ -652,7 +686,7 @@ def test_skipping_the_azimuth_cut_keeps_every_search_path(monkeypatch):
     config = ArrayConfig(num_elements=100, carrier_hz=3e11)
     cases = [
         (dataclasses.replace(request, **variant), pose)
-        for request, pose in _rederivation_cases()
+        for request, pose in [*_rederivation_cases(), *(_case(*c) for c in INFEASIBLE_COMM)]
         for variant in REQUEST_VARIANTS
     ]
     skipped = []
@@ -668,6 +702,40 @@ def test_skipping_the_azimuth_cut_keeps_every_search_path(monkeypatch):
     for (request, pose), got in zip(cases, lazy, strict=True):
         assert got == _outcome(synthesize(request, config, pose))
     assert sum(skipped) > 100  # the skip is exercised
+
+
+def test_null_steered_requests_keep_the_full_aperture(monkeypatch):
+    """A request with nulls that is infeasible on the full aperture builds no shrunk block.
+
+    It ends after the coarse sweep and the refinement, unconverged, with budget
+    left.  A request without nulls infeasible there still walks the shrunk blocks.
+    """
+    from uavisac.beampattern import _Block, _Synthesizer
+
+    config = ArrayConfig(num_elements=100, carrier_hz=3e11)
+    blocks = []
+    build = _Block.__init__
+
+    def recording(self, synth, rows, cols):
+        blocks.append((rows, cols))
+        build(self, synth, rows, cols)
+
+    monkeypatch.setattr(_Block, "__init__", recording)
+    null_steered = [
+        _search_path_case("unconverged_with_budget_left"),
+        *(_case(*c) for c in INFEASIBLE_COMM),
+    ]
+    for request, pose in null_steered:
+        synth = _Synthesizer(request, config, pose)
+        result = synth.run()
+        assert len(request.nulls) == 2 and not synth.best.feasible
+        assert not result.converged and result.iterations < request.counter_max
+        assert (result.active_rows, result.active_cols) == (10, 10)
+    assert set(blocks) == {(10, 10)}
+    blocks.clear()
+    request, pose = _search_path_case("shrunk_block")
+    assert synthesize(request, config, pose).converged
+    assert blocks[0] == (10, 10) and (9, 10) in blocks
 
 
 def test_incumbent_moves_only_beyond_the_tie_tolerance():
