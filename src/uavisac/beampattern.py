@@ -28,37 +28,45 @@ projected null, and the null coefficients are a fixed linear map of vx vz^T
 for the whole block.  So each active block gets one scoring record, built on
 its first candidate: the factored null solve (skipped when there are no
 nulls), each null column's pointing response, and its response over both
-cuts at once.  A candidate then costs one 1-column product per axis,
+cuts at once.  Cuts are scored on real tables taken relative to the
+pointing: row r of a grid axis carries the phase q_r alpha, q_r = 2r -
+(side - 1), alpha = (k d / 2)(u_p - u), so a taper symmetric about the
+aperture centre has a real response, a cosine sum over half the rows, and a
+null's response on the full aperture is a real Dirichlet kernel per axis.
+A full-aperture candidate then costs one real (side/2)-row product per axis,
 covering both cuts, of which the coordinate search, moving one taper at a
-time, recomputes only one.  No weight vector is built while scoring: the
-incumbent keeps its null coefficients and pointing array factor, and the
-returned weights are built from them, exactly the candidate that was scored.
-Each cut's SLL is found on linear power, with one logarithm per cut.  The
-elevation cut is scored first, and the azimuth cut only when the candidate
-can still displace the incumbent.
+time, recomputes only one, and its cut power is (Rx Rz - Re(c) Q)^2 +
+(Im(c) Q)^2; shrunk blocks and odd sides take the same fold.  No weight
+vector is built while scoring: the incumbent keeps its null coefficients and
+pointing array factor, and the returned weights are built from them, exactly
+the candidate that was scored.  Each cut's SLL is found on linear power,
+with one logarithm per cut.  The elevation cut is scored first, and the
+azimuth cut only when the candidate can still displace the incumbent.
 
-`pattern_cut` contracts a whole weight matrix against the same per-axis
-steering factors.  A cut is built arc first: from cached grid trig, only a
-window around the pointing sample gets array-frame units and the arc tests,
-and each axis factor takes one complex exponential, the half-step phasor,
-which a recurrence symmetric about the aperture centre expands to every grid
-row.  The z factors carry the element amplitude sqrt(g_e), so |a^H w|^2 is
-the cut power as it stands.  Candidate scoring and `pattern_cut` share those
-factors and the main-lobe rules (see _sidelobe_peak), so the achieved values
-reported by a synthesis result re-derive from its weights to roundoff.
-Everything here is pure given its inputs; results are immutable.
+`pattern_cut` contracts a whole weight matrix against the same tables,
+expanded into full complex rows.  A cut is built arc first: from cached
+grid trig, only a window around the pointing sample gets array-frame units
+and the arc tests, and each axis table takes one cosine and one sine per
+sample, of the half-step phase alpha, which a rotation recurrence expands to
+every upper-half row; mirror rows carry -q_r.  The z tables carry the
+element amplitude sqrt(g_e), so |af|^2 is the cut power as it stands.
+Candidate scoring and `pattern_cut` share those tables and the main-lobe
+rules (see _sidelobe_peak), so the achieved values reported by a synthesis
+result re-derive from its weights to roundoff.  Everything here is pure
+given its inputs; results are immutable.
 
-Factor memory: an evaluator's two (side, n_az + n_el) factor matrices
-(about 0.8 MB each for M = 100 on the 0.05 degree grid), a block record's
-null responses and its cached axis responses are plain numpy arrays, freed
-with their owner.  The two factor matrices are one allocation.  Freeing it
-raises glibc's mmap threshold past its size and the heap trim threshold to
-twice that (mallopt(3), M_MMAP_THRESHOLD), so the next build takes memory
-the heap already holds.  Two separate factor arrays would leave a free top
-chunk over the trim threshold, and every build would fault its pages in
-afresh: 201,590 minor faults against 77 over two dataset trajectories
-(glibc 2.36, x86-64).  Calls share only read-only cached grids and tapers,
-so concurrent calls need no lock.
+Factor memory: an evaluator's tables (2 axes x cos, sin x (side + 1) // 2
+rows x n_az + n_el samples, about 0.8 MB for M = 100 on the 0.05 degree
+grid) are one allocation, which also holds the complex rows the recurrence
+builds them in (about 1.2 MB in all); a block record's null responses and
+its cached axis responses are plain numpy arrays, freed with their owner.
+Freeing that allocation raises glibc's mmap threshold past its size and the
+heap trim threshold to twice that (mallopt(3), M_MMAP_THRESHOLD), so the
+next build takes memory the heap already holds.  Separate table and scratch
+arrays would leave a free top chunk over the trim threshold, and every build
+would fault its pages in afresh: 168 against 5 minor faults per synthesis
+over a dataset trajectory (glibc 2.36, x86-64).  Calls share only read-only
+cached grids and tapers, so concurrent calls need no lock.
 """
 
 from __future__ import annotations
@@ -78,6 +86,7 @@ from .geometry import (
     Pose,
     angular_separation,
     array_frame_unit,
+    element_amplitude,
     element_gain,
     rotation_matrix,
     steering,
@@ -113,10 +122,11 @@ class BeamWeights:
     power_per_element_mw: float
 
     def __post_init__(self) -> None:
-        if self.power_per_element_mw <= 0.0:
-            raise ValueError("power_per_element_mw must be positive")
-        if np.max(np.abs(self.entries)) > 1.0 + 1e-9:
-            raise ValueError("weight amplitudes must not exceed 1")
+        # negated comparisons, so that NaN fails them
+        if not 0.0 < self.power_per_element_mw < math.inf:
+            raise ValueError("power_per_element_mw must be positive and finite")
+        if not np.max(np.abs(self.entries)) <= 1.0 + 1e-9:
+            raise ValueError("weight amplitudes must be finite and not exceed 1")
 
     @property
     def vector(self) -> NDArray[np.complex128]:
@@ -225,17 +235,22 @@ def _cut_grid(plane: str):
 
     The azimuth cut sweeps phi over [-pi, pi) in 7200 samples, the last one
     step and 4e-13 below pi, the elevation cut theta over [0, pi] in 3601,
-    both at GRID_STEP_DEG.  The (angles, cos, sin) arrays are shared between calls
+    both at GRID_STEP_DEG.  The azimuth arrays are padded with _ARC_REACH
+    samples at each end, copies of the samples round the seam, so that every
+    arc window is a plain slice: sample i of the circle sits at padded index
+    i + _ARC_REACH.  The (angles, cos, sin) arrays are shared between calls
     and read-only.
     """
     step = _GRID_STEP_RAD
     if plane == "azimuth":
         angles = np.arange(-math.pi, math.pi, step)
+        wrap = np.r_[-_ARC_REACH:0, : angles.size, :_ARC_REACH]
+        grid = tuple(a[wrap] for a in (angles, np.cos(angles), np.sin(angles)))
     elif plane == "elevation":
         angles = np.arange(0.0, math.pi + step / 2, step)
+        grid = (angles, np.cos(angles), np.sin(angles))
     else:
         raise ValueError(f"unknown cut plane {plane!r}")
-    grid = (angles, np.cos(angles), np.sin(angles))
     for a in grid:
         a.setflags(write=False)
     return grid
@@ -251,41 +266,35 @@ def _cut_arc(plane: str, pointing: DirectionAngles, rot):
     The kept samples form the contiguous run around the pointing sample, so
     units and both tests are computed only on an index window two samples
     wider than 90 degrees on each side, whose edge samples always fail the
-    angle test, also for windows that cross the azimuth seam at +-pi.  `rot`
-    is the array's rotation matrix, so row i of the units is R^T u_i.
-    Returns (angles, units) with strictly increasing angles (azimuth arcs
-    crossing the wrap point are unwrapped past pi).
+    angle test, also for windows that cross the azimuth seam at +-pi (the
+    padded azimuth grid holds them as one slice).  `rot` is the array's
+    rotation matrix, so row i of the units is R^T u_i.  Returns (angles,
+    units) with strictly increasing angles (azimuth arcs crossing the wrap
+    point are unwrapped past pi).
     """
     angles, cos, sin = _cut_grid(plane)
-    n = angles.size
     reach = _ARC_REACH
     circular = plane == "azimuth"
     if circular:
         point_angle = math.atan2(math.sin(pointing.phi), math.cos(pointing.phi))
-        point_index = int(np.argmin(np.abs(angles - point_angle)))
-        window = np.arange(point_index - reach, point_index + reach + 1) % n
-        sin_t = math.sin(pointing.theta)
-        units = np.column_stack(
-            [
-                cos[window] * sin_t,
-                sin[window] * sin_t,
-                np.full(window.size, math.cos(pointing.theta)),
-            ]
-        )
-        centre = reach
+        # the unpadded circle's index is the padded window's start
+        start = int(np.argmin(np.abs(angles[reach:-reach] - point_angle)))
+        window = slice(start, start + 2 * reach + 1)
+        point_index = start + reach
+        cos_phi, sin_phi = cos[window], sin[window]
+        cos_theta, sin_theta = math.cos(pointing.theta), math.sin(pointing.theta)
     else:
         point_index = int(np.argmin(np.abs(angles - pointing.theta)))
-        window = slice(max(0, point_index - reach), min(n, point_index + reach + 1))
-        units = np.column_stack(
-            [
-                math.cos(pointing.phi) * sin[window],
-                math.sin(pointing.phi) * sin[window],
-                cos[window],
-            ]
-        )
-        centre = point_index - window.start
+        window = slice(max(0, point_index - reach), min(angles.size, point_index + reach + 1))
+        cos_phi, sin_phi = math.cos(pointing.phi), math.sin(pointing.phi)
+        cos_theta, sin_theta = cos[window], sin[window]
     window_angles = angles[window]
+    units = np.empty((window_angles.size, 3))
+    np.multiply(cos_phi, sin_theta, out=units[:, 0])
+    np.multiply(sin_phi, sin_theta, out=units[:, 1])
+    units[:, 2] = cos_theta
     units = units @ rot
+    centre = point_index - window.start
     side = 1.0 if units[centre, 1] >= 0.0 else -1.0
     keep = side * units[:, 1] >= -1e-12
     if circular:
@@ -313,7 +322,7 @@ def _cut_arc(plane: str, pointing: DirectionAngles, rot):
     return arc_angles, units[lo:hi]
 
 
-def _axis_factors(config: ArrayConfig, units, z_amplitude=1.0):
+def _axis_factors(config: ArrayConfig, units):
     """Conjugated per-axis steering factors of array-frame units (n, 3): (side, n) each.
 
     Row r of the first is exp(-j k x_r u_x), row c of the second
@@ -325,19 +334,16 @@ def _axis_factors(config: ArrayConfig, units, z_amplitude=1.0):
     every row: the first row at or above the centre is h for an even side and
     exactly 1 for an odd one, each row further up is the one below it times
     the step phasor h^2, and each row below the centre is the exact conjugate
-    of its mirror.  `z_amplitude`, a real scale per unit, multiplies every
-    row of the second factor; it enters through the first row at or above the
-    centre, which the recurrence and the conjugate mirror carry to the rest.
-    Both factors are views of one (2, side, n) array, a single allocation
-    (see Factor memory in the module docstring).
+    of its mirror.  The synthesizer builds its pointing and null weights from
+    them.
     """
     side = config.side
     mid = side // 2
     phase = -0.5j * config.wavenumber * config.spacing_m
     out = np.empty((2, side, units.shape[0]), dtype=np.complex128)
-    for u, f, amplitude in zip((units[:, 0], units[:, 2]), out, (1.0, z_amplitude)):
+    for u, f in zip((units[:, 0], units[:, 2]), out):
         half = np.exp(phase * u)
-        f[mid] = (1.0 if side % 2 else half) * amplitude
+        f[mid] = 1.0 if side % 2 else half
         step = half * half
         for r in range(mid + 1, side):
             np.multiply(f[r - 1], step, out=f[r])
@@ -345,42 +351,142 @@ def _axis_factors(config: ArrayConfig, units, z_amplitude=1.0):
     return out
 
 
+def _axis_tables(config: ArrayConfig, point, units):
+    """Pointing-relative cosine and sine tables of both grid axes: (2, 2, half, n).
+
+    Entry [a, 0, i] is cos(q_i alpha) and [a, 1, i] sin(q_i alpha) on axis
+    a (x, then z), for the upper-half row multiples q_i = 2 (side // 2 + i) -
+    (side - 1), which are 1, 3, 5, ... on an even side and 0, 2, 4, ... on an
+    odd one, with alpha = (k d / 2)(p - u) the half-step phase of the array-
+    frame component of each unit (n, 3) relative to that of the pointing p:
+    e^(j q alpha) is row side // 2 + i of the pointing's steering factor times
+    the conjugated factor of the sample.  One np.cos and one np.sin per
+    sample give the first row (1 and 0 on an odd side) and the step rotation
+    by 2 alpha; each further row is the one before it rotated by that step.
+    The z tables carry each sample's element amplitude sqrt(g_e) = (1 +
+    u_y) / 2, which enters through the first row and the rotation carries to
+    the rest.  Both axes' tables are one allocation (see Factor memory in the
+    module docstring).
+    """
+    side = config.side
+    scale = 0.5 * config.wavenumber * config.spacing_m
+    n = units.shape[0]
+    half = side - side // 2
+    # the rotation runs on complex rows, one multiply per row, split into
+    # the two real tables once built; the rows sit in the tables' allocation
+    buf = np.empty((3, 2, half, n))
+    out, rows = buf[:2], buf[2].reshape(-1).view(np.complex128).reshape(half, n)
+    first = np.empty(n, dtype=np.complex128)
+    for table, col, amplitude in zip(out, (0, 2), (1.0, element_amplitude(units))):
+        alpha = scale * (point[col] - units[:, col])
+        np.cos(alpha, out=first.real)
+        np.sin(alpha, out=first.imag)
+        if side % 2:
+            rows[0] = amplitude
+        else:
+            np.multiply(first, amplitude, out=rows[0])
+        step = first * first
+        for r in range(1, rows.shape[0]):
+            np.multiply(rows[r - 1], step, out=rows[r])
+        table[0], table[1] = rows.real, rows.imag
+    return out
+
+
+def _fold(w: NDArray, side: int):
+    """Symmetric and antisymmetric parts of weights on rows 0..len(w)-1 of a side-row axis.
+
+    Row side // 2 + i and its mirror side - 1 - (side // 2 + i) carry the
+    multiples +q_i and -q_i of _axis_tables, so sum_r w_r e^(j q_r alpha) =
+    sym . cos + j anti . sin, with sym_i = w_up + w_mirror and anti_i = w_up
+    - w_mirror; the centre row of an odd side (q = 0) counts once.  Rows past
+    len(w) are zero.  w is (len,) or (len, k), folded along its first axis.
+    """
+    if w.shape[0] < side:
+        w = np.concatenate([w, np.zeros((side - w.shape[0],) + w.shape[1:], w.dtype)])
+    up, mirror = w[side // 2 :], w[(side - 1) // 2 :: -1]
+    sym, anti = up + mirror, up - mirror
+    if side % 2:
+        sym[0] = up[0]
+    return sym, anti
+
+
 class _PatternEvaluator:
-    """Caches conjugated per-axis steering factors for both principal cuts.
+    """Pointing-relative cosine and sine tables of both grid axes over both principal cuts.
 
     The panel is a square grid in the array's XZ plane, so the steering
     vector toward array-frame direction u is the Kronecker product
-    exp(j k u_x x) (x) exp(j k u_z z) of one factor per grid axis, and
-    a^H w = e_x^H W e_z* with W the weights reshaped to (rows, columns).
+    exp(j k u_x x) (x) exp(j k u_z z) of one factor per grid axis, and a
+    weight matrix W (rows, columns) has a^H w = e_x^H W e_z*.  Taken relative
+    to the pointing p, a row's factor is the pointing's times e^(j q alpha)
+    with alpha = (k d / 2)(p - u) and q the row's odd or even multiple, and
+    mirror rows carry -q.  A weight vector that is Hermitian about the axis
+    centre, as a symmetric taper and a pointing-relative null phasor are,
+    thus has a real response: a cosine sum over the upper-half rows, minus a
+    sine sum for a complex one (Van Trees, Optimum Array Processing, ch. 3).
     Each cut's samples come arc first: the grid trig is cached, and units
     are computed only on a window around the pointing sample (see _cut_arc).
-    Both arcs sit side by side, azimuth then elevation, in one (side, n_az +
-    n_el) factor matrix per grid axis, built with one complex exponential per
-    axis by a symmetric recurrence (see _axis_factors), instead of a dense
-    (n, side**2) steering matrix.  The z factors carry each sample's element
-    amplitude sqrt(g_e), so |e_x^H W e_z*|^2 is the cut power with no gain
-    multiply.  `cuts` holds each cut's angles and its slice of the factor
-    columns.  `cut_gains_db` contracts a whole weight matrix, as
-    `pattern_cut` needs; the synthesizer contracts its candidates against the
-    fused factors one axis at a time, both cuts in one product (see _Block).
+    Both arcs sit side by side, azimuth then elevation, in one real (2, half,
+    n_az + n_el) table per grid axis (see _axis_tables); the z tables carry
+    each sample's element amplitude sqrt(g_e), so |af|^2 is the cut power with
+    no gain multiply.  `cuts` holds each cut's angles and its slice of the
+    table columns.  `axis_response` folds one axis's weights onto its table,
+    as the synthesizer scores its candidates (see _Block); `cut_gains_db`
+    expands the tables into full complex rows and contracts a whole weight
+    matrix, as `pattern_cut` needs.
     """
 
     def __init__(self, config: ArrayConfig, rot, pointing: DirectionAngles):
         arcs = {plane: _cut_arc(plane, pointing, rot) for plane in _PLANES}
         units = np.concatenate([units for _, units in arcs.values()])
-        self.ex, self.ez = _axis_factors(
-            config, units, z_amplitude=np.sqrt(element_gain(units))
-        )
+        self.config = config
+        self.point = array_frame_unit(rot, pointing)
+        self.tables = _axis_tables(config, self.point, units)
         self.cuts: dict[str, tuple[NDArray[np.float64], slice]] = {}
         start = 0
         for plane, (angles, _) in arcs.items():
             self.cuts[plane] = (angles, slice(start, start + angles.size))
             start += angles.size
 
+    def axis_response(self, axis: int, w: NDArray) -> NDArray:
+        """sum_r w_r e^(j q_r alpha) over both cuts for pointing-relative weights on rows 0..len(w)-1.
+
+        `axis` is 0 for the grid's x rows, 1 for its z columns (whose tables
+        carry sqrt(g_e)); w is (len,) or (len, k), giving (n,) or (k, n).
+        Weights over the whole axis must be Hermitian about its centre
+        (w[side - 1 - r] = conj w[r]), and their response is real: one
+        product with the cosine table, plus one with the sine table for
+        complex weights.  Weights on a shrunk axis give a complex response.
+        """
+        cos, sin = self.tables[axis]
+        sym, anti = _fold(w, self.config.side)
+        real = sym.real.T @ cos
+        if np.iscomplexobj(w):
+            real -= anti.imag.T @ sin
+        if w.shape[0] == self.config.side:
+            return real
+        imag = anti.real.T @ sin
+        if np.iscomplexobj(w):
+            imag += sym.imag.T @ cos
+        return real + 1j * imag
+
+    def _full_rows(self, axis: int, span: slice) -> NDArray[np.complex128]:
+        """e^(j q_r alpha) of every row r of one axis over the samples in span, (side, n).
+
+        The upper-half rows come from the tables, and the rows below the
+        centre are the conjugates of their mirrors.
+        """
+        cos, sin = self.tables[axis][:, :, span]
+        up = cos + 1j * sin
+        return np.concatenate([up[::-1][: self.config.side // 2].conj(), up])
+
     def cut_gains_db(self, plane: str, weights: NDArray[np.complex128]):
         """Cut angles and gains (dB below the cut's peak) of (side, side) weights."""
         angles, span = self.cuts[plane]
-        af = (np.matmul(weights.T, self.ex[:, span]) * self.ez[:, span]).sum(axis=0)
+        # the pointing's conjugated factors turn the weights pointing-relative
+        fx, fz = _axis_factors(self.config, self.point[None])[:, :, 0]
+        w = weights * fx[:, None] * fz[None, :]
+        ex, ez = (self._full_rows(axis, span) for axis in (0, 1))
+        af = (np.matmul(w.T, ex) * ez).sum(axis=0)
         return angles, _gains_db(np.square(af.real) + np.square(af.imag))
 
 
@@ -645,23 +751,27 @@ class _Block:
     (bx_m^H bx_n)(bz_m^H bz_n) would square the condition number and merge
     the two into one null.  The SVD is fixed for the block, and so are each
     null column's pointing response a_p^H (bx_n (x) bz_n) and its response
-    over both cuts, Q_n = (bx_n^T Ex*)(bz_n^T Ez*), with Ex*, Ez* the
-    evaluator's fused factors, whose z factors carry sqrt(g_e).  So a
-    candidate's cut power is |af|^2 for af = (vx^T Ex*)(vz^T Ez*) - c^T Q,
-    one 1-column product per axis for both cuts.  The coordinate search
+    over both cuts, Q_n, the product of the two axis responses of the null's
+    phasors relative to the pointing's (see _PatternEvaluator.axis_response).
+    So a candidate's cut array factor is af = Rx Rz - c^T Q, with Rx, Rz the
+    axis responses of the two tapers, one product per axis for both cuts.  On
+    the full aperture the tapers are symmetric and the relative null phasors
+    Hermitian about the centre, so Rx, Rz and Q are real: Rx is one
+    (side/2)-row cosine sum, Q_n a product of two Dirichlet kernels, and the
+    cut power is (Rx Rz - Re(c) Q)^2 + (Im(c) Q)^2.  On a shrunk block the
+    same fold gives complex responses and |af|^2.  The coordinate search
     moves one taper at a time, so each axis keeps the response to its last
     taper and reuses it while that taper stays.  The pointing array factor is
     sum(tx) sum(tz) - c . (null pointing responses), since the steering
     factors have unit modulus.  A block without nulls (every sensing beam)
-    has no SVD and no Q: its cut array factor is the product of the two axis
-    responses alone.
+    has no SVD and no Q: its cut array factor is Rx Rz alone.
     """
 
     def __init__(self, synth: "_Synthesizer", rows: int, cols: int):
         evaluator = synth.evaluator
         self.rows, self.cols = rows, cols
         self.cuts = evaluator.cuts
-        self.ex, self.ez = evaluator.ex[:rows], evaluator.ez[:cols]
+        self.axis_response = evaluator.axis_response
         ax, az = synth.axis_x[:rows], synth.axis_z[:cols]
         self.point_x, self.point_z = ax[:, 0], az[:, 0]
         self.null_response = None
@@ -676,19 +786,17 @@ class _Block:
             keep = s > 1e-15 * s[0]
             self.solve = u[:, keep].conj().T, s[keep], vh[keep].conj().T
             self.null_point = (self.point_x.conj() @ bx) * (self.point_z.conj() @ bz)
-            # the z factors multiply in one null at a time, in place, so no
-            # second (n, width) array is held
-            self.null_response = np.matmul(bx.T, self.ex)
-            for row, z in zip(self.null_response, bz.T):
-                row *= z @ self.ez
-        self._responses: list[tuple[float, NDArray[np.complex128]] | None] = [None, None]
+            self.null_response = self.axis_response(
+                0, bx * self.point_x.conj()[:, None]
+            ) * self.axis_response(1, bz * self.point_z.conj()[:, None])
+        self._responses: list[tuple[float, NDArray] | None] = [None, None]
 
-    def _response(self, axis: int, sll_db: float, v, factors):
-        """v^T factors over both cuts, reused while the axis taper stays at sll_db."""
+    def _response(self, axis: int, sll_db: float, taper):
+        """The taper's axis response over both cuts, reused while the axis taper stays at sll_db."""
         cached = self._responses[axis]
         if cached is not None and cached[0] == sll_db:
             return cached[1]
-        response = v @ factors
+        response = self.axis_response(axis, taper)
         self._responses[axis] = (sll_db, response)
         return response
 
@@ -700,12 +808,12 @@ class _Block:
         ratios and the EIRP do not see.  The terms go to `cut_power`.
         """
         tx, tz = _taper(self.rows, s_az), _taper(self.cols, s_el)
-        vx, vz = self.point_x * tx, self.point_z * tz
-        responses = self._response(0, s_az, vx, self.ex), self._response(1, s_el, vz, self.ez)
+        responses = self._response(0, s_az, tx), self._response(1, s_el, tz)
         af_point = tx.sum() * tz.sum()
         if self.null_response is None:
             return af_point, (responses, None)
         uh, s, v = self.solve
+        vx, vz = self.point_x * tx, self.point_z * tz
         coeff = v @ ((uh @ np.outer(vx, vz).ravel()) / s)
         return af_point - coeff @ self.null_point, (responses, coeff)
 
@@ -715,8 +823,17 @@ class _Block:
         span = self.cuts[plane][1]
         af = rx[span] * rz[span]
         if coeff is not None:
-            af -= coeff @ self.null_response[:, span]
-        return np.square(af.real) + np.square(af.imag)
+            q = self.null_response[:, span]
+            if np.iscomplexobj(q):
+                af -= coeff @ q
+            else:
+                # rows Re c and Im c of the complex coefficients
+                re, im = coeff.view(np.float64).reshape(-1, 2).T @ q
+                af -= re
+                return np.square(af, out=af) + np.square(im, out=im)
+        if np.iscomplexobj(af):
+            return np.square(af.real) + np.square(af.imag)
+        return np.square(af, out=af)
 
 
 class _Synthesizer:
@@ -725,7 +842,7 @@ class _Synthesizer:
     Candidates are scored through the record of their active block (see
     _Block), built on the block's first candidate; one record is live at a
     time, since the search finishes with a block before it moves to the
-    next.  A cut's power is |af|^2, since the evaluator's z factors carry
+    next.  A cut's power is |af|^2, since the evaluator's z tables carry
     sqrt(g_e), and its SLL is found on that linear power (see
     _sll_from_power).  The elevation cut is scored first, and the azimuth
     cut only when the candidate can still displace the incumbent (see

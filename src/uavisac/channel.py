@@ -72,8 +72,11 @@ def nlos_probability(params: ChannelParams, uav_pos, dest) -> float:
     Evaluates -k1 exp(-k2 atan(dz / horizontal)) + k3 on the height gap and
     horizontal distance; the argument equals (z - z_i) / (d sin theta).
     """
-    u = as_vec3(uav_pos)
-    d = as_vec3(dest)
+    return _nlos_probability(params, as_vec3(uav_pos), as_vec3(dest))
+
+
+def _nlos_probability(params: ChannelParams, u, d) -> float:
+    """nlos_probability between finite 3-vectors u (UAV) and d (destination), unchecked."""
     dz = u[2] - d[2]
     if dz <= 0.0:
         raise GeometryError("UAV must be above the destination")
@@ -113,7 +116,7 @@ def _path_gain(params: ChannelParams, mode: str, u, t, d: float) -> float:
     if mode == COMM_NLOS:
         return gain_los * params.nlos_attenuation**2
     if mode == EXPECTED:
-        p_nlos = nlos_probability(params, u, t)
+        p_nlos = _nlos_probability(params, u, t)
         return (1.0 - p_nlos) * gain_los + p_nlos * gain_los * params.nlos_attenuation**2
     raise ValueError(f"unknown pathloss mode {mode!r}")
 

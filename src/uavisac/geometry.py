@@ -189,13 +189,18 @@ def steering(config: ArrayConfig, unit) -> NDArray[np.complex128]:
     return np.exp(1j * config.wavenumber * phases).T
 
 
-def element_gain(unit) -> NDArray[np.float64]:
-    """Cardioid element power pattern about the unrotated broadside (+y).
+def element_amplitude(unit) -> NDArray[np.float64]:
+    """Cardioid element field amplitude (1 + cos off-broadside) / 2, the root of element_gain.
 
     Takes array-frame unit vectors, (3,) or (n, 3); the cosine of the
     off-broadside angle is their y component.
     """
-    return ((1.0 + unit[..., 1]) / 2.0) ** 2
+    return (1.0 + unit[..., 1]) / 2.0
+
+
+def element_gain(unit) -> NDArray[np.float64]:
+    """Cardioid element power pattern about the unrotated broadside (+y), element_amplitude squared."""
+    return element_amplitude(unit) ** 2
 
 
 def steering_vector(

@@ -295,6 +295,21 @@ def test_synthesis_request_rejects_non_finite_values(field):
             dataclasses.replace(request, **{field: value})
 
 
+def test_beam_weights_reject_nan_entries():
+    entries = np.ones(4, dtype=complex)
+    entries[2] = math.nan
+    with pytest.raises(ValueError, match="weight amplitudes"):
+        BeamWeights(entries=entries, power_per_element_mw=1.0)
+    with pytest.raises(ValueError, match="weight amplitudes"):
+        BeamWeights(entries=np.full(4, math.nan), power_per_element_mw=1.0)
+
+
+@pytest.mark.parametrize("ppe", [math.nan, math.inf])
+def test_beam_weights_reject_non_finite_power(ppe):
+    with pytest.raises(ValueError, match="power_per_element_mw"):
+        BeamWeights(entries=np.ones(4, dtype=complex), power_per_element_mw=ppe)
+
+
 def test_synthesize_immediate_accept_with_loose_threshold():
     config = ArrayConfig(num_elements=100, carrier_hz=3e11)
     request = SynthesisRequest(

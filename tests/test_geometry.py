@@ -15,6 +15,7 @@ from uavisac.geometry import (
     centered_grid_offsets,
     direction_angles,
     direction_unit,
+    element_amplitude,
     element_gain,
     rotation_matrix,
     steering,
@@ -164,3 +165,14 @@ def test_element_gain_of_array_frame_unit_matches_angle_form():
         frame = geo.target_frame
         cos_off = math.sin(frame.phi) * math.sin(frame.theta)
         assert abs(element_gain(unit) - ((1.0 + cos_off) / 2.0) ** 2) <= 1e-15
+
+
+def test_element_amplitude_is_the_root_of_element_gain_bit_for_bit():
+    """The cut tables carry the amplitude, while link budgets take the gain."""
+    rng = np.random.default_rng(4)
+    units = rng.normal(size=(20000, 3))
+    units /= np.linalg.norm(units, axis=1, keepdims=True)
+    units = np.vstack([units, np.eye(3), -np.eye(3)])
+    amplitude = element_amplitude(units)
+    assert np.array_equal(amplitude, np.sqrt(element_gain(units)))
+    assert np.array_equal(amplitude**2, element_gain(units))

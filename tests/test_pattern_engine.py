@@ -1,23 +1,24 @@
 """Oracles for the factored cut engine and the vectorized cut helpers.
 
-Cut patterns come from per-axis steering factors, built by a phase
-recurrence, both cuts side by side: `pattern_cut` contracts a whole weight
-matrix against them, and the synthesizer scores each candidate through its
-active block's factored record (null solve, null responses, one product per
-axis for both cuts).  Here they are checked against the dense steering
-matrix of `_kernels`, against the dense least-squares null solve of
-`tests.helpers` (a candidate's weights built from full steering vectors) and
-their pointing response, and against one complex exponential per element; a
-block's cached axis responses are checked bit for bit against a fresh
-block's.  The factors are built in uninitialised memory, so the
-entry-by-entry check against direct exponentials also shows any entry read
-before it is written.  The
-loop version of `_sll_from_gains` is kept below as the reference for the
-vectorized one, and the dB path is the reference for the SLL the
-synthesizer finds on linear power.  The windowed arc build `_cut_arc` is
-checked for exact equality against the full-circle chain it replaced, kept
-here: the whole cut grid, its array-frame units, and the vectorized arc
-selection, itself checked against a loop walk.
+Cut patterns come from real per-axis tables relative to the pointing, cos
+and sin of q alpha built by a rotation recurrence, both cuts side by side:
+`pattern_cut` expands them into full complex rows and contracts a whole
+weight matrix, and the synthesizer scores each candidate through its active
+block's factored record (null solve, null responses, one product per axis
+for both cuts).  Here they are checked against the dense steering matrix of
+`_kernels` (on even and odd sides, full and shrunk blocks, with and without
+nulls), against the dense least-squares null solve of `tests.helpers` (a
+candidate's weights built from full steering vectors) and their pointing
+response, and against one direct cosine and sine per entry; a block's
+cached axis responses are checked bit for bit against a fresh block's.  The
+tables are built in uninitialised memory, so the entry-by-entry check also
+shows any entry read before it is written.  The loop version of
+`_sll_from_gains` is kept below as the reference for the vectorized one,
+and the dB path is the reference for the SLL the synthesizer finds on
+linear power.  The windowed arc build `_cut_arc` is checked for exact
+equality against the full-circle chain it replaced, kept here: the whole
+cut grid, its array-frame units, and the vectorized arc selection, itself
+checked against a loop walk.
 """
 
 import math
@@ -33,6 +34,7 @@ from uavisac.beampattern import (
     MAIN_LOBE_MIN_DEPTH_DB,
     SynthesisRequest,
     _axis_factors,
+    _axis_tables,
     _Block,
     _cut_arc,
     _gains_db,
@@ -407,24 +409,104 @@ def test_cached_axis_responses_match_a_fresh_block(scene, steps):
     units=st.lists(st.tuples(polar, angle), min_size=1, max_size=20).map(
         lambda dirs: np.array([direction_unit(DirectionAngles(*d)) for d in dirs])
     ),
+    pointing=st.tuples(polar, angle),
 )
-def test_axis_factor_recurrence_matches_direct_exponentials(m, units):
+def test_axis_factor_recurrence_matches_direct_exponentials(m, units, pointing):
+    """The real tables are cos and sin of q alpha, the axis factors exp(-j k x u).
+
+    Both are built by a rotation recurrence from one exponential per sample;
+    here every row is checked against its own direct evaluation.
+    """
     config = ArrayConfig(num_elements=m, carrier_hz=3e11)
     side = config.side
-    # the axis extremes carry the largest phases, k x_r u_x with |u_x| = 1
+    # the axis extremes carry the largest phases, with |u_x| = |u_z| = 1
     units = np.vstack([units, np.eye(3), -np.eye(3)])
+    point = direction_unit(DirectionAngles(*pointing))
+    tables = _axis_tables(config, point, units)
+    # one allocation holds both axes, as the module's Factor memory note requires
+    assert tables[0].base is tables[1].base
+    half = side - side // 2
+    q = 2 * (side // 2 + np.arange(half)) - (side - 1)
+    amplitude = np.sqrt(element_gain(units))
+    for (cos, sin), col, amp in zip(tables, (0, 2), (1.0, amplitude)):
+        alpha = 0.5 * config.wavenumber * config.spacing_m * (point[col] - units[:, col])
+        assert np.max(np.abs(cos - np.cos(np.outer(q, alpha)) * amp)) <= 1e-12
+        assert np.max(np.abs(sin - np.sin(np.outer(q, alpha)) * amp)) <= 1e-12
+        if side % 2:
+            # the centre row, q = 0, is the amplitude alone
+            assert np.all(cos[0] == amp) and np.all(sin[0] == 0.0)
+    # the synthesizer's pointing and null factors, mirror rows exact conjugates
     x_rows, z_cols = grid_axis_offsets(config)
     jk = 1j * config.wavenumber
     ex, ez = _axis_factors(config, units)
-    # one allocation holds both, as the module's Factor memory note requires
-    assert ex.base is ez.base
     assert np.max(np.abs(ex - np.exp(-jk * np.outer(x_rows, units[:, 0])))) <= 1e-12
     assert np.max(np.abs(ez - np.exp(-jk * np.outer(z_cols, units[:, 2])))) <= 1e-12
     for f in (ex, ez):
-        # offsets are symmetric about the centre: mirror rows are exact conjugates
         assert np.all(f[: side // 2] == np.conj(f[::-1][: side // 2]))
         if side % 2:
             assert np.all(f[side // 2] == 1.0)
+
+
+@st.composite
+def odd_or_shrunk_null_scenes(draw):
+    """A candidate on an odd-sided array, or on a shrunk block with nulls.
+
+    The synthesizer's own searches run on the full aperture of an even side,
+    where every axis response is real; these draws reach the other branches
+    of the fold: a centre row that counts once, and complex responses on an
+    axis cut short, with null responses that are complex too.
+    """
+    if draw(st.booleans()):
+        m = draw(st.sampled_from([9, 25, 81]))
+        side = math.isqrt(m)
+        nulls_count = draw(st.integers(0, 2))
+        rows, cols = draw(st.integers(1, side)), draw(st.integers(1, side))
+    else:
+        m = draw(st.sampled_from([4, 9, 16, 25, 64, 81, 100]))
+        side = math.isqrt(m)
+        nulls_count = draw(st.integers(1, 2))
+        rows, cols = draw(st.integers(1, side)), draw(st.integers(1, side - 1))
+        if draw(st.booleans()):
+            rows, cols = cols, rows
+    config = ArrayConfig(num_elements=m, carrier_hz=3e11)
+    pose = Pose(
+        position=np.array([0.0, 0.0, 100.0]),
+        angles=RotationAngles(draw(angle), draw(angle), draw(angle)),
+    )
+    pointing = DirectionAngles(draw(polar), draw(angle))
+    nulls = tuple(DirectionAngles(draw(polar), draw(angle)) for _ in range(nulls_count))
+    assume(not any(null_conflicts(null, pointing) for null in nulls))
+    assume(rows * cols > len(nulls))
+    request = SynthesisRequest(
+        pointing=pointing, sll_min_az_db=20.0, sll_min_el_db=20.0,
+        eirp_target_dbm=25.0, nulls=nulls,
+    )
+    tapers = (draw(st.floats(5.0, 40.0)), draw(st.floats(5.0, 40.0)))
+    return config, pose, request, (rows, cols, *tapers)
+
+
+@SETTINGS
+@given(scene=odd_or_shrunk_null_scenes())
+def test_odd_sides_and_shrunk_null_blocks_match_dense_kernel(scene):
+    """Candidate cuts, the pointing response and `pattern_cut` against the dense kernel.
+
+    All three are held to 1e-12 of the coherent-sum bound, as in the
+    factored-cut test above.
+    """
+    config, pose, request, (_, _, s_az, s_el) = scene
+    synth, block, w = _block_candidate(scene)
+    af_point, terms = block.score(s_az, s_el)
+    want = np.vdot(steering(config, _frame_units(pose, [request.pointing])[0]), w)
+    assert abs(af_point - want) <= 1e-12 * np.abs(w).sum()
+    for plane in _PLANES:
+        angles = synth.evaluator.cuts[plane][0]
+        dense, ge = _dense_cut_power(w, config, pose, plane, request.pointing, angles)
+        bound = np.abs(w).sum() ** 2 * ge.max()
+        assert np.max(np.abs(block.cut_power(terms, plane) - dense)) <= 1e-12 * bound
+        cut = pattern_cut(w, config, pose, plane, request.pointing)
+        assert np.array_equal(cut.angles_rad, angles)
+        factored = 10.0 ** (cut.gains_db / 10.0) * dense.max()
+        assert np.max(np.abs(factored - dense)) <= 1e-12 * bound
 
 
 @settings(SETTINGS, max_examples=300)
