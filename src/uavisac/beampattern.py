@@ -2,21 +2,25 @@
 
 The synthesizer builds Chebyshev-tapered, phase-steered weights for a g-by-v
 active block of the planar array, projects nulls out of the weight vector,
-solves the per-element power from the EIRP target in closed form, and scores
-each candidate by the relative sidelobe-level and EIRP mismatch.
+and scores each candidate by its sidelobe deficit, the summed relative
+shortfall of both cuts below their SLL minima (0 when feasible).  The EIRP
+target only sizes the returned weights: the per-element power meeting it is
+target / gain in closed form, so every candidate meets it and an EIRP
+mismatch term would score only roundoff.  PAPER.md's abstract does not fix
+the form of the optimizer's cost.
 
 One incumbent: feasible candidates rank first, then the cheapest, so the
-answer is the cheapest candidate meeting both sidelobe minima, else the
+answer is the first candidate meeting both sidelobe minima, else the
 cheapest of all.  A later candidate replaces it when it is feasible and the
 incumbent is not, or when it costs less by more than TIE_TOLERANCE; a tie, or
 a margin that reordered arithmetic could flip, keeps the earlier candidate.
-One stopping rule: no candidate is scored once the incumbent is feasible
-with cost under the threshold, or once counter_max distinct candidates have
-been scored.  The sweep is deterministic: five taper setpoints at the full
-aperture, then a per-plane coordinate search around the incumbent.  When
-nothing there is feasible and the request has no nulls, it walks the shrunk
-active blocks and refines the first that yields a feasible candidate; when
-none does, the sweep ends without refining and leaves the rest of the budget
+One stopping rule: no candidate is scored once the incumbent is feasible,
+which is what `converged` reports, or once COUNTER_MAX distinct candidates
+have been scored.  The sweep is deterministic: five taper setpoints at the
+full aperture, then a per-plane coordinate search around the incumbent.
+When nothing there is feasible and the request has no nulls, it walks the
+shrunk active blocks, five setpoints each, and stops at the first feasible
+candidate; when none is, the sweep ends and leaves the rest of the budget
 unused.  A null-steered request that is infeasible at the full aperture ends
 there, unconverged, with its cheapest full-aperture candidate, so its beam
 keeps every column: the shrunk blocks rescued one of about 900 such calls
@@ -101,10 +105,12 @@ _ARC_REACH = math.ceil(math.pi / 2 / _GRID_STEP_RAD) + 2
 NULL_CONFLICT_DEG = 1.0
 MIN_TAPER_SLL_DB = 5.0
 MAIN_LOBE_MIN_DEPTH_DB = 6.0
-# a candidate displaces an incumbent of its own feasibility only when it is
-# cheaper by more than this: far above the roundoff of reordered scoring
-# arithmetic (1.8e-16 seen), far below any stopping threshold
+# an infeasible candidate displaces an infeasible incumbent only when its
+# deficit is lower by more than this: far above the roundoff of reordered
+# scoring arithmetic (1.8e-16 seen), far below 2e-11 dB of a 20 dB minimum
 TIE_TOLERANCE = 1e-12
+# distinct candidates one synthesis may score
+COUNTER_MAX = 200
 _PLANES = ("azimuth", "elevation")
 _DB_FLOOR = 1e-40
 _MAIN_LOBE_RATIO = 10.0 ** (-MAIN_LOBE_MIN_DEPTH_DB / 10.0)
@@ -162,19 +168,17 @@ class SynthesisRequest:
     sll_min_el_db: float
     eirp_target_dbm: float
     nulls: tuple[DirectionAngles, ...] = ()
-    k1: float = 1.0
-    k2: float = 1.0
-    threshold: float = 0.05
-    counter_max: int = 200
 
     def __post_init__(self) -> None:
-        for name in ("sll_min_az_db", "sll_min_el_db", "eirp_target_dbm", "k1", "k2", "threshold"):
+        for name in ("sll_min_az_db", "sll_min_el_db", "eirp_target_dbm"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        for i, direction in enumerate((self.pointing, *self.nulls)):
+            if not all(map(math.isfinite, direction)):
+                name = f"nulls[{i - 1}]" if i else "pointing"
+                raise ValueError(f"{name} must be finite, got {direction!r}")
         if self.sll_min_az_db <= 0.0 or self.sll_min_el_db <= 0.0:
             raise ValueError("sidelobe minima must be positive dB values")
-        if self.counter_max < 1:
-            raise ValueError("counter_max must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -862,7 +866,6 @@ class _Synthesizer:
         units = _frame_units(rot, (request.pointing, *request.nulls))
         self.point_element_gain = element_gain(units[0])
         self.axis_x, self.axis_z = np.conj(_axis_factors(config, units))
-        self.eirp_target_mw = from_db(request.eirp_target_dbm)
         self.side = config.side
         self.best: _Candidate | None = None
         self._block: _Block | None = None
@@ -884,64 +887,51 @@ class _Synthesizer:
         scale = max(1.0, float(np.max(np.abs(w))))
         entries = w.ravel() / scale
         gain_point = float(abs(cand.af_point / scale) ** 2 * self.point_element_gain)
-        ppe = self.eirp_target_mw / gain_point
+        ppe = from_db(self.request.eirp_target_dbm) / gain_point
         return BeamWeights(entries=entries, power_per_element_mw=ppe), to_db(ppe * gain_point)
 
     def _feasible(self) -> bool:
         return self.best is not None and self.best.feasible
 
-    def _converged(self) -> bool:
-        return self._feasible() and self.best.cost < self.request.threshold
-
     def _cannot_win(self, cost_floor: float) -> bool:
         """True when an infeasible candidate costing at least cost_floor cannot win.
 
-        It cannot when the incumbent is feasible, or when cost_floor is not
-        below the incumbent's cost by more than TIE_TOLERANCE.  cost_floor is
-        k1 times one cut's deficit plus the EIRP term; the full cost adds k1
-        times the other, non-negative deficit, and float addition and scaling
-        by k1 >= 0 are monotone, so the full cost is no lower.  With k1 < 0 it
-        is no bound, and nothing is ruled out.
+        Candidates are scored only while the incumbent is infeasible, so it
+        cannot when cost_floor is not below the incumbent's cost by more than
+        TIE_TOLERANCE.  cost_floor is one cut's deficit; the full cost adds
+        the other, non-negative deficit, and float addition is monotone, so
+        the full cost is no lower.
         """
-        best = self.best
-        return (
-            best is not None
-            and self.request.k1 >= 0.0
-            and (best.feasible or cost_floor >= best.cost - TIE_TOLERANCE)
-        )
+        return self.best is not None and cost_floor >= self.best.cost - TIE_TOLERANCE
 
     def _evaluate(self, rows: int, cols: int, s_az: float, s_el: float) -> bool:
         """Score one candidate; True when it becomes the incumbent.
 
-        The only stopping rule: nothing is scored once the incumbent has
-        converged or counter_max distinct candidates have been scored.  The
+        The only stopping rule: nothing is scored once the incumbent is
+        feasible or COUNTER_MAX distinct candidates have been scored.  The
         elevation cut is scored first; when its SLL falls short and the
         candidate then cannot win, the azimuth cut is never built, and the
-        candidate still counts as scored.
+        candidate still counts as scored.  A candidate with no gain toward
+        the pointing cannot be sized to the EIRP target and counts as scored
+        without a cost.
         """
         s_az = max(MIN_TAPER_SLL_DB, s_az)
         s_el = max(MIN_TAPER_SLL_DB, s_el)
         key = (rows, cols, round(s_az, 6), round(s_el, 6))
-        if key in self._seen or self._converged() or len(self._seen) >= self.request.counter_max:
+        if key in self._seen or self._feasible() or len(self._seen) >= COUNTER_MAX:
             return False
         self._seen.add(key)
         req = self.request
         if self._block is None or (self._block.rows, self._block.cols) != (rows, cols):
             self._block = _Block(self, rows, cols)
         af_point, terms = self._block.score(s_az, s_el)
-        gain_point = float(abs(af_point) ** 2 * self.point_element_gain)
-        if gain_point <= 0.0:
+        if abs(af_point) ** 2 * self.point_element_gain <= 0.0:
             return False
-        ppe = self.eirp_target_mw / gain_point
-        eirp_dbm = to_db(ppe * gain_point)
-        denom = max(abs(req.eirp_target_dbm), 1.0)
-        z2 = req.k2 * abs(eirp_dbm - req.eirp_target_dbm) / denom
         sll_el = _sll_from_power(self._block.cut_power(terms, "elevation"))
         deficit_el = _sll_cost_term(sll_el, req.sll_min_el_db)
-        if sll_el < req.sll_min_el_db and self._cannot_win(req.k1 * deficit_el + z2):
+        if sll_el < req.sll_min_el_db and self._cannot_win(deficit_el):
             return False
         sll_az = _sll_from_power(self._block.cut_power(terms, "azimuth"))
-        z1 = req.k1 * (_sll_cost_term(sll_az, req.sll_min_az_db) + deficit_el)
         cand = _Candidate(
             sll_az_db=sll_az,
             sll_el_db=sll_el,
@@ -949,7 +939,7 @@ class _Synthesizer:
             cols=cols,
             s_az=s_az,
             s_el=s_el,
-            cost=z1 + z2,
+            cost=_sll_cost_term(sll_az, req.sll_min_az_db) + deficit_el,
             feasible=(sll_az >= req.sll_min_az_db and sll_el >= req.sll_min_el_db),
             af_point=af_point,
             coeff=terms[1],
@@ -970,7 +960,7 @@ class _Synthesizer:
             return
         for step in (2.0, 1.0, 0.5, 0.25):
             improved = True
-            while improved and not self._converged():
+            while improved and not self._feasible():
                 improved = False
                 for d_az, d_el in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
                     best = self.best
@@ -994,7 +984,6 @@ class _Synthesizer:
             ]:
                 self._coarse_sweep(rows, cols)
                 if self._feasible():
-                    self._refine()
                     break
         chosen = self.best
         if chosen is None:
@@ -1009,16 +998,17 @@ class _Synthesizer:
             active_cols=chosen.cols,
             iterations=len(self._seen),
             cost=chosen.cost,
-            converged=self._converged(),
+            converged=self._feasible(),
         )
 
 
 def synthesize(request: SynthesisRequest, config: ArrayConfig, pose: Pose) -> SynthesisResult:
     """Run the beam-pattern optimizer for one pointing request.
 
-    Returns the best candidate found; `converged` is False when the cost never
-    dropped below the threshold within the iteration budget, in which case the
-    result is best-effort.
+    Returns the first candidate meeting both sidelobe minima (converged, cost
+    0), else the smallest sidelobe deficit (`cost`) found within COUNTER_MAX
+    candidates, unconverged and best-effort.  The EIRP target only sizes the
+    per-element power, so `achieved_eirp_dbm` meets it to roundoff.
     """
     return _Synthesizer(request, config, pose).run()
 

@@ -88,9 +88,9 @@ class Scenario:
     length, power budget and SLL minima must be finite and positive, the EIRP
     cap, SINR threshold and station positions finite, and `array` is built
     from num_elements and the carrier once, so an array size no panel can
-    take fails here too.  The beam search's own settings (cost weights,
-    threshold, candidate budget) are not scenario values: they live on
-    beampattern.SynthesisRequest alone.
+    take fails here too.  The beam search has one setting of its own, its
+    candidate budget, and it is not a scenario value: it is
+    beampattern.COUNTER_MAX.
     """
 
     area_m: tuple[float, float] = (1500.0, 1500.0)

@@ -285,14 +285,28 @@ def test_check_nulls_shares_one_conflict_threshold():
         check_nulls(config, (beside,) * 16)
 
 
-@pytest.mark.parametrize(
-    "field", ["eirp_target_dbm", "sll_min_az_db", "sll_min_el_db", "threshold", "k1", "k2"]
-)
+@pytest.mark.parametrize("field", ["eirp_target_dbm", "sll_min_az_db", "sll_min_el_db"])
 def test_synthesis_request_rejects_non_finite_values(field):
     request = _request_toward(BROADSIDE)
     for value in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             dataclasses.replace(request, **{field: value})
+
+
+# a non-finite direction fails at construction, naming its field, and not
+# deep inside synthesis as an error about something else
+@pytest.mark.parametrize(
+    "pointing, nulls, field",
+    [
+        (DirectionAngles(math.nan, 0.3), (), "pointing"),
+        (DirectionAngles(theta=1.2, phi=math.inf), (), "pointing"),
+        (BROADSIDE, (DirectionAngles(0.9, 0.4), DirectionAngles(math.nan, 0.7)), r"nulls\[1\]"),
+    ],
+    ids=["nan_theta", "inf_phi", "nan_null"],
+)
+def test_synthesis_request_rejects_non_finite_directions(pointing, nulls, field):
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got DirectionAngles"):
+        _request_toward(pointing, nulls)
 
 
 def test_beam_weights_reject_nan_entries():
@@ -311,17 +325,19 @@ def test_beam_weights_reject_non_finite_power(ppe):
 
 
 def test_synthesize_immediate_accept_with_loose_threshold():
+    # meeting both minima is the only acceptance test: the first candidate,
+    # the 15 dB tapers at broadside, meets them and ends the search at once
     config = ArrayConfig(num_elements=100, carrier_hz=3e11)
     request = SynthesisRequest(
         pointing=BROADSIDE,
         sll_min_az_db=15.0,
         sll_min_el_db=15.0,
         eirp_target_dbm=20.0,
-        threshold=1000.0,
     )
     result = synthesize(request, config, zero_pose())
     assert result.iterations == 1
-    assert result.converged
+    assert result.converged and result.cost == 0.0
+    assert min(result.achieved_sll_az_db, result.achieved_sll_el_db) >= 15.0
     assert result.active_elements == 100
 
 
@@ -423,23 +439,21 @@ def test_pattern_cut_export_csv(tmp_path):
     assert float(first[0]) == pytest.approx(math.degrees(cut.angles_rad[0]))
 
 
-def _request_toward(pointing, nulls=(), eirp_target_dbm=25.0, **kwargs):
+def _request_toward(pointing, nulls=(), eirp_target_dbm=25.0):
     return SynthesisRequest(
         pointing=pointing, sll_min_az_db=20.0, sll_min_el_db=20.0,
-        eirp_target_dbm=eirp_target_dbm, nulls=nulls, **kwargs,
+        eirp_target_dbm=eirp_target_dbm, nulls=nulls,
     )
 
 
 @pytest.mark.parametrize("counter_max", [1, 3, 7])
-def test_synthesize_stops_at_exactly_counter_max_candidates(counter_max):
-    # a zero threshold cannot be met, so only the budget ends the search
-    config = ArrayConfig(num_elements=36, carrier_hz=3e11)
-    request = _request_toward(
-        DirectionAngles(theta=math.radians(70.0), phi=math.radians(60.0)),
-        threshold=0.0,
-        counter_max=counter_max,
-    )
-    result = synthesize(request, config, zero_pose())
+def test_synthesize_stops_at_exactly_counter_max_candidates(monkeypatch, counter_max):
+    # nothing this request scores is feasible (its recorded search ends
+    # unconverged after 28 candidates), so only the budget ends the search
+    monkeypatch.setattr(beampattern, "COUNTER_MAX", counter_max)
+    config = ArrayConfig(num_elements=100, carrier_hz=3e11)
+    request, pose = _search_path_case("unconverged_with_budget_left")
+    result = synthesize(request, config, pose)
     assert result.iterations == counter_max
     assert not result.converged
 
@@ -478,8 +492,8 @@ SEARCH_PATHS = {
 
 
 # Two more 2-null comm requests of that dataset that nothing on the full
-# aperture makes feasible: of its sixteen, the two whose elevation cut rules
-# out the most candidates under REQUEST_VARIANTS.
+# aperture makes feasible: two of its sixteen whose elevation cut rules out
+# many candidates.
 INFEASIBLE_COMM = [
     (
         (1.2700565788335494, 0.9246354133410785), 29.744416973845404,
@@ -494,18 +508,17 @@ INFEASIBLE_COMM = [
 ]
 
 
-def _search_path_case(path, **kwargs):
-    """Request and pose of one SEARCH_PATHS entry; kwargs override the request."""
-    return _case(*SEARCH_PATHS[path][:-1], **kwargs)
+def _search_path_case(path):
+    """Request and pose of one SEARCH_PATHS entry."""
+    return _case(*SEARCH_PATHS[path][:-1])
 
 
-def _case(pointing, eirp_dbm, nulls, xy, alpha, **kwargs):
+def _case(pointing, eirp_dbm, nulls, xy, alpha):
     """Request and pose toward a recorded pointing, EIRP target, nulls and pose."""
     request = _request_toward(
         DirectionAngles(*pointing),
         tuple(DirectionAngles(*null) for null in nulls),
         eirp_target_dbm=eirp_dbm,
-        **kwargs,
     )
     pose = Pose(position=np.array([*xy, 100.0]), angles=RotationAngles(alpha, 0.0, 0.0))
     return request, pose
@@ -516,10 +529,46 @@ def test_synthesize_search_paths_are_pinned(path):
     config = ArrayConfig(num_elements=100, carrier_hz=3e11)
     request, pose = _search_path_case(path)
     result = synthesize(request, config, pose)
-    assert result.iterations < request.counter_max
+    assert result.iterations < beampattern.COUNTER_MAX
     assert (
         result.iterations, (result.active_rows, result.active_cols), result.converged
     ) == SEARCH_PATHS[path][-1]
+
+
+def test_the_eirp_target_only_sizes_the_power():
+    """The EIRP target does not steer the search; it only sizes the per-element power.
+
+    Each SEARCH_PATHS and INFEASIBLE_COMM request, at its recorded target and
+    7.3 dB below it, takes the same search to the same weights, and the
+    per-element power follows the targets' ratio to roundoff.  On every one,
+    `converged` means both sidelobe minima are met.
+    """
+    config = ArrayConfig(num_elements=100, carrier_hz=3e11)
+    cases = [
+        *(_search_path_case(path) for path in sorted(SEARCH_PATHS)),
+        *(_case(*c) for c in INFEASIBLE_COMM),
+    ]
+    converged = set()
+    for request, pose in cases:
+        results = []
+        for shift_db in (0.0, -7.3):
+            target = request.eirp_target_dbm + shift_db
+            result = synthesize(dataclasses.replace(request, eirp_target_dbm=target), config, pose)
+            assert result.achieved_eirp_dbm == pytest.approx(target, abs=1e-9)
+            met = (result.achieved_sll_az_db >= request.sll_min_az_db
+                   and result.achieved_sll_el_db >= request.sll_min_el_db)
+            assert result.converged == met
+            results.append(result)
+        high, low = (
+            (r.iterations, r.active_rows, r.active_cols, r.converged, r.weights.entries.tobytes(),
+             r.achieved_sll_az_db, r.achieved_sll_el_db, r.cost)
+            for r in results
+        )
+        assert high == low
+        ratio = results[1].weights.power_per_element_mw / results[0].weights.power_per_element_mw
+        assert ratio == pytest.approx(10.0 ** -0.73, rel=1e-12)
+        converged.add(results[0].converged)
+    assert converged == {True, False}
 
 
 # Per dataset seed: the (iterations, active_rows, active_cols, converged) of
@@ -649,13 +698,12 @@ def test_concurrent_syntheses_match_serial_ones():
     assert got[1] == want[::-1]
 
 
-def test_synthesize_ranks_feasible_first_and_keeps_ties():
-    # with k1 = k2 = 0 every candidate costs exactly 0, so only feasibility
-    # ranks them and every other comparison is an exact tie
+def test_synthesize_ranks_feasible_first_and_keeps_ties(monkeypatch):
+    # with every SLL deficit scored as 0, every candidate costs exactly 0, so
+    # only feasibility ranks them and every other comparison is an exact tie
+    monkeypatch.setattr(beampattern, "_sll_cost_term", lambda measured, requested: 0.0)
     config = ArrayConfig(num_elements=100, carrier_hz=3e11)
-    sensing = _request_toward(
-        DirectionAngles(1.3848261534007067, -2.289626326416521), k1=0.0, k2=0.0
-    )
+    sensing = _request_toward(DirectionAngles(1.3848261534007067, -2.289626326416521))
     pose = Pose(position=np.array([0.0, 0.0, 100.0]),
                 angles=RotationAngles(1.026499252372705, 0.0, 0.0))
     # the 20 dB taper falls short, the 25 dB one is feasible and displaces it
@@ -663,9 +711,10 @@ def test_synthesize_ranks_feasible_first_and_keeps_ties():
     assert (result.iterations, result.converged) == (2, True)
     assert min(result.achieved_sll_az_db, result.achieved_sll_el_db) >= 20.0
 
-    comm, pose = _search_path_case("refined", k1=0.0, k2=0.0, threshold=1.0)
-    first = synthesize(dataclasses.replace(comm, counter_max=1), config, pose)
+    comm, pose = _search_path_case("refined")
     result = synthesize(comm, config, pose)
+    monkeypatch.setattr(beampattern, "COUNTER_MAX", 1)
+    first = synthesize(comm, config, pose)
     # nothing is feasible and no tie moves the incumbent: five setpoints and
     # four refinement steps of four probes around the first candidate; the
     # request has nulls, so no shrunk block follows
@@ -674,11 +723,17 @@ def test_synthesize_ranks_feasible_first_and_keeps_ties():
     assert np.array_equal(result.weights.entries, first.weights.entries)
 
 
-# each _rederivation_cases request as dataset labelling sets it, with a zero
-# threshold (the search goes on past a feasible incumbent), with all costs
-# tied at zero, and with a negative SLL weight, under which the elevation
-# deficit bounds nothing
-REQUEST_VARIANTS = [{}, {"threshold": 0.0}, {"k1": 0.0, "k2": 0.0}, {"k1": -1.0}]
+# each _rederivation_cases request as dataset labelling sets it, and with
+# stricter SLL minima, which leave more candidates infeasible and so more of
+# them for the elevation deficit to rule out: on both cuts, on the elevation
+# cut alone, and on the azimuth cut alone, where the elevation cut more often
+# passes and the azimuth cut has to be built
+REQUEST_VARIANTS = [
+    {},
+    {"sll_min_az_db": 25.0, "sll_min_el_db": 25.0},
+    {"sll_min_el_db": 30.0},
+    {"sll_min_az_db": 30.0},
+]
 
 
 def _outcome(result):
@@ -744,7 +799,7 @@ def test_null_steered_requests_keep_the_full_aperture(monkeypatch):
         synth = _Synthesizer(request, config, pose)
         result = synth.run()
         assert len(request.nulls) == 2 and not synth.best.feasible
-        assert not result.converged and result.iterations < request.counter_max
+        assert not result.converged and result.iterations < beampattern.COUNTER_MAX
         assert (result.active_rows, result.active_cols) == (10, 10)
     assert set(blocks) == {(10, 10)}
     blocks.clear()
@@ -757,12 +812,13 @@ def test_incumbent_moves_only_beyond_the_tie_tolerance():
     from uavisac.beampattern import TIE_TOLERANCE, _Synthesizer
 
     config = ArrayConfig(num_elements=100, carrier_hz=3e11)
-    # a zero threshold keeps a feasible incumbent from ending the search
-    request, pose = _search_path_case("refined", threshold=0.0)
+    # a feasible incumbent ends the search, so only an infeasible one can be
+    # displaced by a cheaper candidate: this search ends on one
+    request, pose = _search_path_case("unconverged_with_budget_left")
     synth = _Synthesizer(request, config, pose)
     synth.run()
     winner = synth.best
-    assert winner.feasible
+    assert not winner.feasible and winner.cost > 0.0
     probe = (winner.rows, winner.cols, winner.s_az, winner.s_el)
     for margin, moves in ((0.5, False), (2.0, True)):
         # the same candidate, scored afresh against an incumbent that costs
