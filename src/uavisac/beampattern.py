@@ -1,13 +1,14 @@
 """Array radiation patterns and the dual-beam synthesis loop.
 
-The synthesizer builds Chebyshev-tapered, phase-steered weights for a g-by-v
-active block of the planar array, projects nulls out of the weight vector,
-and scores each candidate by its sidelobe deficit, the summed relative
-shortfall of both cuts below their SLL minima (0 when feasible).  The EIRP
-target only sizes the returned weights: the per-element power meeting it is
-target / gain in closed form, so every candidate meets it and an EIRP
-mismatch term would score only roundoff.  PAPER.md's abstract does not fix
-the form of the optimizer's cost.
+The synthesizer builds Chebyshev-tapered, phase-steered weights on the full
+planar aperture, projects nulls out of the weight vector, and scores each
+candidate by its sidelobe deficit, the summed relative shortfall of both
+cuts below their SLL minima (0 when feasible).  The EIRP target only sizes
+the returned weights: the per-element power meeting it is target / gain in
+closed form, so every candidate meets it and an EIRP mismatch term would
+score only roundoff.  PAPER.md's abstract does not fix the form of the
+optimizer's cost, nor whether the optimizer may switch elements off (a
+g-by-v active block): every candidate here drives all M elements.
 
 One incumbent: feasible candidates rank first, then the cheapest, so the
 answer is the first candidate meeting both sidelobe minima, else the
@@ -16,36 +17,35 @@ incumbent is not, or when it costs less by more than TIE_TOLERANCE; a tie, or
 a margin that reordered arithmetic could flip, keeps the earlier candidate.
 One stopping rule: no candidate is scored once the incumbent is feasible,
 which is what `converged` reports, or once COUNTER_MAX distinct candidates
-have been scored.  The sweep is deterministic: five taper setpoints at the
-full aperture, then a per-plane coordinate search around the incumbent.
-When nothing there is feasible and the request has no nulls, it walks the
-shrunk active blocks, five setpoints each, and stops at the first feasible
-candidate; when none is, the sweep ends and leaves the rest of the budget
-unused.  A null-steered request that is infeasible at the full aperture ends
-there, unconverged, with its cheapest full-aperture candidate, so its beam
-keeps every column: the shrunk blocks rescued one of about 900 such calls
-over the datasets and evaluations measured, at up to 40 candidates each.
+have been scored.  The sweep is deterministic: five diagonal taper
+setpoints, both tapers at min + 0 to 20 dB, then a per-plane coordinate
+search around the incumbent.  A request without nulls that is still
+infeasible then widens both tapers, min + 25, 30, 35 and 40 dB, and the
+stopping rule ends it at the first feasible setpoint; every such beam
+measured was met at min + 25 or 30 dB.  A null-steered request that is
+infeasible after the coordinate search ends there, unconverged, with its
+cheapest candidate and the rest of the budget unused: wider tapers made
+none of the measured ones feasible.
 
-Every candidate is a tapered, phase-steered outer product vx vz^T on its
-active block, minus one outer product bx_n bz_n^T of axis factors per
-projected null, and the null coefficients are a fixed linear map of vx vz^T
-for the whole block.  So each active block gets one scoring record, built on
-its first candidate: the factored null solve (skipped when there are no
-nulls), each null column's pointing response, and its response over both
-cuts at once.  Cuts are scored on real tables taken relative to the
-pointing: row r of a grid axis carries the phase q_r alpha, q_r = 2r -
+Every candidate is a tapered, phase-steered outer product vx vz^T, minus
+one outer product bx_n bz_n^T of axis factors per projected null, and the
+null coefficients are a fixed linear map of vx vz^T.  So one synthesis has
+one scoring record, built with it: the factored null solve (skipped when
+there are no nulls), each null column's pointing response, and its response
+over both cuts at once.  Cuts are scored on real tables taken relative to
+the pointing: row r of a grid axis carries the phase q_r alpha, q_r = 2r -
 (side - 1), alpha = (k d / 2)(u_p - u), so a taper symmetric about the
 aperture centre has a real response, a cosine sum over half the rows, and a
-null's response on the full aperture is a real Dirichlet kernel per axis.
-A full-aperture candidate then costs one real (side/2)-row product per axis,
-covering both cuts, of which the coordinate search, moving one taper at a
-time, recomputes only one, and its cut power is (Rx Rz - Re(c) Q)^2 +
-(Im(c) Q)^2; shrunk blocks and odd sides take the same fold.  No weight
-vector is built while scoring: the incumbent keeps its null coefficients and
-pointing array factor, and the returned weights are built from them, exactly
-the candidate that was scored.  Each cut's SLL is found on linear power,
-with one logarithm per cut.  The elevation cut is scored first, and the
-azimuth cut only when the candidate can still displace the incumbent.
+null's response is a real Dirichlet kernel per axis.  A candidate then
+costs one real (side/2)-row product per axis, covering both cuts, of which
+the coordinate search, moving one taper at a time, recomputes only one, and
+its cut power is (Rx Rz - Re(c) Q)^2 + (Im(c) Q)^2; odd sides take the same
+fold, with a centre row that counts once.  No weight vector is built while
+scoring: the incumbent keeps its null coefficients and pointing array
+factor, and the returned weights are built from them, exactly the candidate
+that was scored.  Each cut's SLL is found on linear power, with one
+logarithm per cut.  The elevation cut is scored first, and the azimuth cut
+only when the candidate can still displace the incumbent.
 
 `pattern_cut` contracts a whole weight matrix against the same tables,
 expanded into full complex rows.  A cut is built arc first: from cached
@@ -62,7 +62,7 @@ given its inputs; results are immutable.
 Factor memory: an evaluator's tables (2 axes x cos, sin x (side + 1) // 2
 rows x n_az + n_el samples, about 0.8 MB for M = 100 on the 0.05 degree
 grid) are one allocation, which also holds the complex rows the recurrence
-builds them in (about 1.2 MB in all); a block record's null responses and
+builds them in (about 1.2 MB in all); a synthesizer's null responses and
 its cached axis responses are plain numpy arrays, freed with their owner.
 Freeing that allocation raises glibc's mmap threshold past its size and the
 heap trim threshold to twice that (mallopt(3), M_MMAP_THRESHOLD), so the
@@ -111,6 +111,9 @@ MAIN_LOBE_MIN_DEPTH_DB = 6.0
 TIE_TOLERANCE = 1e-12
 # distinct candidates one synthesis may score
 COUNTER_MAX = 200
+# diagonal taper setpoints in dB above both SLL minima (see _Synthesizer.run)
+_COARSE_OFFSETS_DB = (0.0, 5.0, 10.0, 15.0, 20.0)
+_WIDENED_OFFSETS_DB = (25.0, 30.0, 35.0, 40.0)
 _PLANES = ("azimuth", "elevation")
 _DB_FLOOR = 1e-40
 _MAIN_LOBE_RATIO = 10.0 ** (-MAIN_LOBE_MIN_DEPTH_DB / 10.0)
@@ -187,15 +190,14 @@ class SynthesisResult:
     achieved_sll_az_db: float
     achieved_sll_el_db: float
     achieved_eirp_dbm: float
-    active_rows: int
-    active_cols: int
     iterations: int
     cost: float
     converged: bool
 
     @property
     def active_elements(self) -> int:
-        return self.active_rows * self.active_cols
+        """Elements driven by the weights: synthesis always uses the full aperture."""
+        return self.weights.entries.size
 
 
 @dataclass(frozen=True)
@@ -397,16 +399,14 @@ def _axis_tables(config: ArrayConfig, point, units):
 
 
 def _fold(w: NDArray, side: int):
-    """Symmetric and antisymmetric parts of weights on rows 0..len(w)-1 of a side-row axis.
+    """Symmetric and antisymmetric parts of weights on the rows of a side-row axis.
 
     Row side // 2 + i and its mirror side - 1 - (side // 2 + i) carry the
     multiples +q_i and -q_i of _axis_tables, so sum_r w_r e^(j q_r alpha) =
     sym . cos + j anti . sin, with sym_i = w_up + w_mirror and anti_i = w_up
-    - w_mirror; the centre row of an odd side (q = 0) counts once.  Rows past
-    len(w) are zero.  w is (len,) or (len, k), folded along its first axis.
+    - w_mirror; the centre row of an odd side (q = 0) counts once.  w is
+    (side,) or (side, k), folded along its first axis.
     """
-    if w.shape[0] < side:
-        w = np.concatenate([w, np.zeros((side - w.shape[0],) + w.shape[1:], w.dtype)])
     up, mirror = w[side // 2 :], w[(side - 1) // 2 :: -1]
     sym, anti = up + mirror, up - mirror
     if side % 2:
@@ -434,7 +434,7 @@ class _PatternEvaluator:
     each sample's element amplitude sqrt(g_e), so |af|^2 is the cut power with
     no gain multiply.  `cuts` holds each cut's angles and its slice of the
     table columns.  `axis_response` folds one axis's weights onto its table,
-    as the synthesizer scores its candidates (see _Block); `cut_gains_db`
+    as the synthesizer scores its candidates (see _Synthesizer); `cut_gains_db`
     expands the tables into full complex rows and contracts a whole weight
     matrix, as `pattern_cut` needs.
     """
@@ -451,27 +451,22 @@ class _PatternEvaluator:
             self.cuts[plane] = (angles, slice(start, start + angles.size))
             start += angles.size
 
-    def axis_response(self, axis: int, w: NDArray) -> NDArray:
-        """sum_r w_r e^(j q_r alpha) over both cuts for pointing-relative weights on rows 0..len(w)-1.
+    def axis_response(self, axis: int, w: NDArray) -> NDArray[np.float64]:
+        """sum_r w_r e^(j q_r alpha) over both cuts for pointing-relative weights on every row.
 
         `axis` is 0 for the grid's x rows, 1 for its z columns (whose tables
-        carry sqrt(g_e)); w is (len,) or (len, k), giving (n,) or (k, n).
-        Weights over the whole axis must be Hermitian about its centre
-        (w[side - 1 - r] = conj w[r]), and their response is real: one
-        product with the cosine table, plus one with the sine table for
-        complex weights.  Weights on a shrunk axis give a complex response.
+        carry sqrt(g_e)); w is (side,) or (side, k), giving (n,) or (k, n).
+        The weights must be Hermitian about the axis centre (w[side - 1 - r]
+        = conj w[r]), as a symmetric taper and a pointing-relative null phasor
+        are, so their response is real: one product with the cosine table,
+        plus one with the sine table for complex weights.
         """
         cos, sin = self.tables[axis]
         sym, anti = _fold(w, self.config.side)
         real = sym.real.T @ cos
         if np.iscomplexobj(w):
             real -= anti.imag.T @ sin
-        if w.shape[0] == self.config.side:
-            return real
-        imag = anti.real.T @ sin
-        if np.iscomplexobj(w):
-            imag += sym.imag.T @ cos
-        return real + 1j * imag
+        return real
 
     def _full_rows(self, axis: int, span: slice) -> NDArray[np.complex128]:
         """e^(j q_r alpha) of every row r of one axis over the samples in span, (side, n).
@@ -653,7 +648,7 @@ def _project_out(
 
     The weights change by the least-norm perturbation that zeroes every
     column's response (Steyskal's null steering).  Only `apply_nulls` uses
-    it; the synthesizer solves its nulls in factored form (see _Block).
+    it; the synthesizer solves its nulls in factored form (see _Synthesizer).
     """
     return w - basis @ np.linalg.lstsq(basis, w, rcond=None)[0]
 
@@ -705,8 +700,6 @@ def apply_nulls(
 class _Candidate:
     sll_az_db: float
     sll_el_db: float
-    rows: int
-    cols: int
     s_az: float
     s_el: float
     cost: float
@@ -736,125 +729,48 @@ def _sll_cost_term(measured_db: float, requested_db: float) -> float:
 
 
 def _taper(n: int, sll_db: float) -> NDArray[np.float64]:
-    """Chebyshev taper of one block axis; a single element is untapered."""
+    """Chebyshev taper of one aperture axis; a single element is untapered."""
     return chebyshev_taper(n, sll_db) if n > 1 else np.ones(1)
 
 
-class _Block:
-    """Factored scoring record of one rows-by-cols active block.
-
-    A candidate on the block has the unprojected weights vx vz^T, vx and vz
-    being the pointing's axis factors times the two tapers.  Projecting the
-    nulls out subtracts sum_n c_n bx_n bz_n^T, with bx_n, bz_n the axis factors
-    of null n and c = V S^-1 U^H vec(vx vz^T) the least-squares coefficients
-    (Steyskal's minimum-norm perturbation), U S V^H being the thin SVD of the
-    block's null basis, column n vec(bx_n bz_n^T).  The factors are applied
-    one at a time: an explicit pseudo-inverse V S^-1 U^H rounds every entry
-    at the scale of 1/s_min, and left two nulls 1e-9 rad apart at 2.6e-9 of
-    the pointing response instead of 2.2e-10.  The Gram form
-    (bx_m^H bx_n)(bz_m^H bz_n) would square the condition number and merge
-    the two into one null.  The SVD is fixed for the block, and so are each
-    null column's pointing response a_p^H (bx_n (x) bz_n) and its response
-    over both cuts, Q_n, the product of the two axis responses of the null's
-    phasors relative to the pointing's (see _PatternEvaluator.axis_response).
-    So a candidate's cut array factor is af = Rx Rz - c^T Q, with Rx, Rz the
-    axis responses of the two tapers, one product per axis for both cuts.  On
-    the full aperture the tapers are symmetric and the relative null phasors
-    Hermitian about the centre, so Rx, Rz and Q are real: Rx is one
-    (side/2)-row cosine sum, Q_n a product of two Dirichlet kernels, and the
-    cut power is (Rx Rz - Re(c) Q)^2 + (Im(c) Q)^2.  On a shrunk block the
-    same fold gives complex responses and |af|^2.  The coordinate search
-    moves one taper at a time, so each axis keeps the response to its last
-    taper and reuses it while that taper stays.  The pointing array factor is
-    sum(tx) sum(tz) - c . (null pointing responses), since the steering
-    factors have unit modulus.  A block without nulls (every sensing beam)
-    has no SVD and no Q: its cut array factor is Rx Rz alone.
-    """
-
-    def __init__(self, synth: "_Synthesizer", rows: int, cols: int):
-        evaluator = synth.evaluator
-        self.rows, self.cols = rows, cols
-        self.cuts = evaluator.cuts
-        self.axis_response = evaluator.axis_response
-        ax, az = synth.axis_x[:rows], synth.axis_z[:cols]
-        self.point_x, self.point_z = ax[:, 0], az[:, 0]
-        self.null_response = None
-        n = ax.shape[1] - 1
-        if n:
-            bx, bz = ax[:, 1:], az[:, 1:]
-            # column n is vec(bx_n bz_n^T), flattened row-major as the weights are
-            basis = (bx[:, None, :] * bz[None, :, :]).reshape(rows * cols, n)
-            # singular values up to 1e-15 of the largest are dropped, as
-            # np.linalg.pinv drops them, so coincident nulls count once
-            u, s, vh = np.linalg.svd(basis, full_matrices=False)
-            keep = s > 1e-15 * s[0]
-            self.solve = u[:, keep].conj().T, s[keep], vh[keep].conj().T
-            self.null_point = (self.point_x.conj() @ bx) * (self.point_z.conj() @ bz)
-            self.null_response = self.axis_response(
-                0, bx * self.point_x.conj()[:, None]
-            ) * self.axis_response(1, bz * self.point_z.conj()[:, None])
-        self._responses: list[tuple[float, NDArray] | None] = [None, None]
-
-    def _response(self, axis: int, sll_db: float, taper):
-        """The taper's axis response over both cuts, reused while the axis taper stays at sll_db."""
-        cached = self._responses[axis]
-        if cached is not None and cached[0] == sll_db:
-            return cached[1]
-        response = self.axis_response(axis, taper)
-        self._responses[axis] = (sll_db, response)
-        return response
-
-    def score(self, s_az: float, s_el: float):
-        """Pointing array factor of one candidate, and the terms its cuts are built from.
-
-        The array factor is that of the projected weights before
-        _Synthesizer._weights normalises them, a scale that the cut power
-        ratios and the EIRP do not see.  The terms go to `cut_power`.
-        """
-        tx, tz = _taper(self.rows, s_az), _taper(self.cols, s_el)
-        responses = self._response(0, s_az, tx), self._response(1, s_el, tz)
-        af_point = tx.sum() * tz.sum()
-        if self.null_response is None:
-            return af_point, (responses, None)
-        uh, s, v = self.solve
-        vx, vz = self.point_x * tx, self.point_z * tz
-        coeff = v @ ((uh @ np.outer(vx, vz).ravel()) / s)
-        return af_point - coeff @ self.null_point, (responses, coeff)
-
-    def cut_power(self, terms, plane: str) -> NDArray[np.float64]:
-        """Linear power of one cut of the candidate that `score` returned the terms of."""
-        (rx, rz), coeff = terms
-        span = self.cuts[plane][1]
-        af = rx[span] * rz[span]
-        if coeff is not None:
-            q = self.null_response[:, span]
-            if np.iscomplexobj(q):
-                af -= coeff @ q
-            else:
-                # rows Re c and Im c of the complex coefficients
-                re, im = coeff.view(np.float64).reshape(-1, 2).T @ q
-                af -= re
-                return np.square(af, out=af) + np.square(im, out=im)
-        if np.iscomplexobj(af):
-            return np.square(af.real) + np.square(af.imag)
-        return np.square(af, out=af)
-
-
 class _Synthesizer:
-    """Search state of one synthesis run.
+    """Search state and factored scoring record of one synthesis run.
 
-    Candidates are scored through the record of their active block (see
-    _Block), built on the block's first candidate; one record is live at a
-    time, since the search finishes with a block before it moves to the
-    next.  A cut's power is |af|^2, since the evaluator's z tables carry
-    sqrt(g_e), and its SLL is found on that linear power (see
-    _sll_from_power).  The elevation cut is scored first, and the azimuth
-    cut only when the candidate can still displace the incumbent (see
-    _cannot_win); the incumbent moves as _Candidate.displaces says.  Scoring
-    builds no weight vector: the candidate keeps the null coefficients and
-    pointing array factor of its score, and `_weights` builds the returned
-    candidate's weights, their max(1, max|w|) normalisation and its
-    per-element power from them, with no second null solve.
+    A candidate has the unprojected weights vx vz^T, vx and vz being the
+    pointing's axis factors times the two tapers.  Projecting the nulls out
+    subtracts sum_n c_n bx_n bz_n^T, with bx_n, bz_n the axis factors of null
+    n and c = V S^-1 U^H vec(vx vz^T) the least-squares coefficients
+    (Steyskal's minimum-norm perturbation), U S V^H being the thin SVD of the
+    aperture's null basis, column n vec(bx_n bz_n^T).  The factors are
+    applied one at a time: an explicit pseudo-inverse V S^-1 U^H rounds every
+    entry at the scale of 1/s_min, and left two nulls 1e-9 rad apart at
+    2.6e-9 of the pointing response instead of 2.2e-10.  The Gram form
+    (bx_m^H bx_n)(bz_m^H bz_n) would square the condition number and merge the
+    two into one null.  The SVD is fixed for the run, and so are each null
+    column's pointing response a_p^H (bx_n (x) bz_n) and its response over
+    both cuts, Q_n, the product of the two axis responses of the null's
+    phasors relative to the pointing's (see _PatternEvaluator.axis_response).
+    The tapers are symmetric and the relative null phasors Hermitian about
+    the aperture centre, so the axis responses Rx, Rz of the tapers and Q are
+    real: Rx is one (side/2)-row cosine sum, Q_n a product of two Dirichlet
+    kernels, and a candidate's cut array factor is af = Rx Rz - c^T Q, whose
+    power is (Rx Rz - Re(c) Q)^2 + (Im(c) Q)^2.  The coordinate search moves
+    one taper at a time, so each axis keeps the response to its last taper
+    and reuses it while that taper stays.  Relative to the pointing, the
+    candidate is the taper t = tx (x) tz and null n the unit-modulus phasors
+    d_n = dx_n (x) dz_n, so its pointing array factor is 1^T (I - P) t with
+    P the projection onto the d_n, that is sum(tx) sum(tz) - c . (1^T d_n).
+    For a null near the pointing both terms are close to sum(tx) sum(tz),
+    so their difference carries the rounding of that scale: it is 1.1e-12
+    of itself off for a null 1.5 degrees from the pointing of a 2x2 array.
+    Since (I - P) d_k = 0, it is also -e^H (I - P) t = (e^H d_n) . c - e^H t
+    with e = d_k - 1 for the null k nearest the pointing, and e^H t and
+    e^H d_n are sums of products of e_x = dx_k - 1 and e_z = dz_k - 1,
+    formed from the half-angle sines, so nothing is rounded at the scale of
+    1 (2e-16 of that response).  A request without nulls (every sensing beam)
+    has no SVD and no Q: its cut array factor is Rx Rz alone.  The candidate
+    keeps c and its pointing array factor, from which `_weights` builds the
+    returned weights with no second null solve.
     """
 
     def __init__(self, request: SynthesisRequest, config: ArrayConfig, pose: Pose):
@@ -865,25 +781,89 @@ class _Synthesizer:
         # row 0 is the pointing, row 1 + n null n; so are the axis-factor columns
         units = _frame_units(rot, (request.pointing, *request.nulls))
         self.point_element_gain = element_gain(units[0])
-        self.axis_x, self.axis_z = np.conj(_axis_factors(config, units))
-        self.side = config.side
+        ax, az = np.conj(_axis_factors(config, units))
+        self.side = side = config.side
+        self.point_x, self.point_z = ax[:, 0], az[:, 0]
+        self.null_x, self.null_z = bx, bz = ax[:, 1:], az[:, 1:]
+        self.null_response = None
+        if request.nulls:
+            # column n is vec(bx_n bz_n^T), flattened row-major as the weights are
+            basis = (bx[:, None, :] * bz[None, :, :]).reshape(side * side, -1)
+            # singular values up to max(M, n) eps of the largest are dropped, as
+            # np.linalg.lstsq and matrix_rank drop them, so coincident nulls count once
+            u, s, vh = np.linalg.svd(basis, full_matrices=False)
+            keep = s > max(basis.shape) * np.finfo(np.float64).eps * s[0]
+            self.solve = u[:, keep].conj().T, s[keep], vh[keep].conj().T
+            # e^(j theta) - 1 per axis of every null's phasors relative to the
+            # pointing's, theta = q (k d / 2)(u_n - u_p) on row multiple q,
+            # from the half-angle sine: (side, n) for x, then z
+            q = np.arange(1 - side, side, 2) * (0.5 * config.wavenumber * config.spacing_m)
+            theta = q[:, None, None] * (units[1:, ::2] - units[0, ::2])
+            rel = -2.0 * np.sin(0.5 * theta) ** 2 + 1j * np.sin(theta)
+            ex, ez = rel[..., 0], rel[..., 1]
+            # the nearest null has the largest |1^T d_n| = |1^T dx_n| |1^T dz_n|
+            near = int(np.argmax(np.abs((side + ex.sum(axis=0)) * (side + ez.sum(axis=0)))))
+            # conj(e) as a side x side matrix, e = (1 + e_x)(1 + e_z)^T - 1 1^T
+            # expanded so that each entry is a sum of the small terms
+            cx, cz = ex[:, near].conj(), ez[:, near].conj()
+            self.near = cx[:, None] + cz + cx[:, None] * cz
+            self.near_null = np.einsum("rn,rc,cn->n", 1.0 + ex, self.near, 1.0 + ez)
+            self.null_response = self.evaluator.axis_response(
+                0, bx * self.point_x.conj()[:, None]
+            ) * self.evaluator.axis_response(1, bz * self.point_z.conj()[:, None])
+        self._responses: list[tuple[float, NDArray] | None] = [None, None]
         self.best: _Candidate | None = None
-        self._block: _Block | None = None
-        self._seen: set[tuple[int, int, float, float]] = set()
+        self._seen: set[tuple[float, float]] = set()
+
+    def _response(self, axis: int, sll_db: float, taper):
+        """The taper's axis response over both cuts, reused while the axis taper stays at sll_db."""
+        cached = self._responses[axis]
+        if cached is not None and cached[0] == sll_db:
+            return cached[1]
+        response = self.evaluator.axis_response(axis, taper)
+        self._responses[axis] = (sll_db, response)
+        return response
+
+    def score(self, s_az: float, s_el: float):
+        """Pointing array factor of one candidate, and the terms its cuts are built from.
+
+        The array factor is that of the projected weights before `_weights`
+        normalises them, a scale that the cut power ratios and the EIRP do
+        not see.  The terms go to `cut_power`.
+        """
+        tx, tz = _taper(self.side, s_az), _taper(self.side, s_el)
+        responses = self._response(0, s_az, tx), self._response(1, s_el, tz)
+        if self.null_response is None:
+            return tx.sum() * tz.sum(), (responses, None)
+        uh, s, v = self.solve
+        vx, vz = self.point_x * tx, self.point_z * tz
+        coeff = v @ ((uh @ np.outer(vx, vz).ravel()) / s)
+        # (e^H d_n) . c - e^H t
+        return coeff @ self.near_null - tx @ self.near @ tz, (responses, coeff)
+
+    def cut_power(self, terms, plane: str) -> NDArray[np.float64]:
+        """Linear power of one cut of the candidate that `score` returned the terms of."""
+        (rx, rz), coeff = terms
+        span = self.evaluator.cuts[plane][1]
+        af = rx[span] * rz[span]
+        if coeff is not None:
+            # rows Re c and Im c of the complex coefficients
+            re, im = coeff.view(np.float64).reshape(-1, 2).T @ self.null_response[:, span]
+            af -= re
+            return np.square(af, out=af) + np.square(im, out=im)
+        return np.square(af, out=af)
 
     def _weights(self, cand: _Candidate) -> tuple[BeamWeights, float]:
         """Normalised weights of the scored candidate sized to the EIRP target, and its EIRP (dBm).
 
-        vx vz^T - sum_n c_n bx_n bz_n^T on the block, zero off it, with the c
-        and the pointing array factor of the candidate's score (see _Block).
+        vx vz^T - sum_n c_n bx_n bz_n^T, with the c and the pointing array
+        factor of the candidate's score.
         """
-        rows, cols = cand.rows, cand.cols
-        ax, az = self.axis_x[:rows], self.axis_z[:cols]
-        w = np.zeros((self.side, self.side), dtype=np.complex128)
-        block = w[:rows, :cols]
-        np.outer(ax[:, 0] * _taper(rows, cand.s_az), az[:, 0] * _taper(cols, cand.s_el), out=block)
+        vx = self.point_x * _taper(self.side, cand.s_az)
+        vz = self.point_z * _taper(self.side, cand.s_el)
+        w = np.outer(vx, vz)
         if cand.coeff is not None:
-            block -= (ax[:, 1:] * cand.coeff) @ az[:, 1:].T
+            w -= (self.null_x * cand.coeff) @ self.null_z.T
         scale = max(1.0, float(np.max(np.abs(w))))
         entries = w.ravel() / scale
         gain_point = float(abs(cand.af_point / scale) ** 2 * self.point_element_gain)
@@ -904,7 +884,7 @@ class _Synthesizer:
         """
         return self.best is not None and cost_floor >= self.best.cost - TIE_TOLERANCE
 
-    def _evaluate(self, rows: int, cols: int, s_az: float, s_el: float) -> bool:
+    def _evaluate(self, s_az: float, s_el: float) -> bool:
         """Score one candidate; True when it becomes the incumbent.
 
         The only stopping rule: nothing is scored once the incumbent is
@@ -917,26 +897,22 @@ class _Synthesizer:
         """
         s_az = max(MIN_TAPER_SLL_DB, s_az)
         s_el = max(MIN_TAPER_SLL_DB, s_el)
-        key = (rows, cols, round(s_az, 6), round(s_el, 6))
+        key = (round(s_az, 6), round(s_el, 6))
         if key in self._seen or self._feasible() or len(self._seen) >= COUNTER_MAX:
             return False
         self._seen.add(key)
         req = self.request
-        if self._block is None or (self._block.rows, self._block.cols) != (rows, cols):
-            self._block = _Block(self, rows, cols)
-        af_point, terms = self._block.score(s_az, s_el)
+        af_point, terms = self.score(s_az, s_el)
         if abs(af_point) ** 2 * self.point_element_gain <= 0.0:
             return False
-        sll_el = _sll_from_power(self._block.cut_power(terms, "elevation"))
+        sll_el = _sll_from_power(self.cut_power(terms, "elevation"))
         deficit_el = _sll_cost_term(sll_el, req.sll_min_el_db)
         if sll_el < req.sll_min_el_db and self._cannot_win(deficit_el):
             return False
-        sll_az = _sll_from_power(self._block.cut_power(terms, "azimuth"))
+        sll_az = _sll_from_power(self.cut_power(terms, "azimuth"))
         cand = _Candidate(
             sll_az_db=sll_az,
             sll_el_db=sll_el,
-            rows=rows,
-            cols=cols,
             s_az=s_az,
             s_el=s_el,
             cost=_sll_cost_term(sll_az, req.sll_min_az_db) + deficit_el,
@@ -949,13 +925,14 @@ class _Synthesizer:
             return True
         return False
 
-    def _coarse_sweep(self, rows: int, cols: int) -> None:
+    def _sweep(self, offsets: Sequence[float]) -> None:
+        """Both tapers at each offset above their SLL minima, in order."""
         req = self.request
-        for offset in (0.0, 5.0, 10.0, 15.0, 20.0):
-            self._evaluate(rows, cols, req.sll_min_az_db + offset, req.sll_min_el_db + offset)
+        for offset in offsets:
+            self._evaluate(req.sll_min_az_db + offset, req.sll_min_el_db + offset)
 
     def _refine(self) -> None:
-        """Coordinate search around the incumbent's tapers on its own block."""
+        """Coordinate search around the incumbent's tapers."""
         if self.best is None:
             return
         for step in (2.0, 1.0, 0.5, 0.25):
@@ -963,28 +940,16 @@ class _Synthesizer:
             while improved and not self._feasible():
                 improved = False
                 for d_az, d_el in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
-                    best = self.best
-                    improved |= self._evaluate(
-                        best.rows, best.cols, best.s_az + d_az, best.s_el + d_el
-                    )
+                    improved |= self._evaluate(self.best.s_az + d_az, self.best.s_el + d_el)
 
     def run(self) -> SynthesisResult:
-        side = self.side
-        self._coarse_sweep(side, side)
+        self._sweep(_COARSE_OFFSETS_DB)
         self._refine()
-        if not self._feasible() and not self.request.nulls:
-            # the full aperture cannot meet the minima of a beam without
-            # nulls; shrink the active block.  A null-steered beam keeps the
-            # full aperture and returns its cheapest candidate unconverged
-            for rows, cols in [
-                (g, v)
-                for g in (side, side - 1, side - 2)
-                for v in (side, side - 1, side - 2)
-                if (g, v) != (side, side) and g >= 1 and v >= 1
-            ]:
-                self._coarse_sweep(rows, cols)
-                if self._feasible():
-                    break
+        if not self.request.nulls:
+            # a beam without nulls that is still infeasible widens both
+            # tapers; scoring stops at the first feasible setpoint, and a
+            # null-steered beam returns its cheapest candidate unconverged
+            self._sweep(_WIDENED_OFFSETS_DB)
         chosen = self.best
         if chosen is None:
             raise RuntimeError("synthesis produced no candidates")
@@ -994,8 +959,6 @@ class _Synthesizer:
             achieved_sll_az_db=chosen.sll_az_db,
             achieved_sll_el_db=chosen.sll_el_db,
             achieved_eirp_dbm=eirp_dbm,
-            active_rows=chosen.rows,
-            active_cols=chosen.cols,
             iterations=len(self._seen),
             cost=chosen.cost,
             converged=self._feasible(),

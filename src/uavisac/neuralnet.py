@@ -113,12 +113,31 @@ class Network:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Network":
+        """Rebuild a `to_dict` network; parameters that contradict its layer sizes are rejected."""
         net = cls(NetworkConfig(layer_sizes=tuple(data["layer_sizes"]), seed=data["seed"]))
-        net.weights = [np.asarray(w, dtype=np.float64) for w in data["weights"]]
-        net.biases = [np.asarray(b, dtype=np.float64) for b in data["biases"]]
-        net.norm_mean = np.asarray(data["norm_mean"], dtype=np.float64)
-        net.norm_std = np.asarray(data["norm_std"], dtype=np.float64)
+        for name in ("weights", "biases"):
+            init = getattr(net, name)
+            if len(data[name]) != len(init):
+                raise ValueError(f"{name}: {len(data[name])} arrays for {len(init)} layers")
+            setattr(net, name, [
+                _parameter(f"{name}[{i}]", value, like)
+                for i, (value, like) in enumerate(zip(data[name], init))
+            ])
+        for name in ("norm_mean", "norm_std"):
+            setattr(net, name, _parameter(name, data[name], getattr(net, name)))
+        if not np.all(net.norm_std > 0.0):
+            raise ValueError("norm_std must be positive")
         return net
+
+
+def _parameter(name: str, value, like: NDArray[np.float64]) -> NDArray[np.float64]:
+    """A loaded parameter array, checked for the shape of `like` and for finite entries."""
+    array = np.asarray(value, dtype=np.float64)
+    if array.shape != like.shape:
+        raise ValueError(f"{name} has shape {array.shape}, expected {like.shape}")
+    if not np.all(np.isfinite(array)):
+        raise ValueError(f"{name} has non-finite entries")
+    return array
 
 
 def forward(net: Network, x) -> NDArray[np.float64]:

@@ -10,6 +10,7 @@ from uavisac.geometry import (
     Pose,
     RotationAngles,
     array_frame_unit,
+    centered_grid_offsets,
     rotation_matrix,
     steering,
 )
@@ -69,24 +70,59 @@ def dense_null_projection(w, config, pose, nulls, active):
     return out
 
 
-def dense_candidate_weights(config, pose, request, rows, cols, s_az, s_el):
+def dense_candidate_weights(config, pose, request, s_az, s_el):
     """A synthesis candidate's weights before normalisation, built densely.
 
     The pointing's full steering vector times the outer product of the two
-    Chebyshev tapers on the rows-by-cols block, zero off it, with the nulls
-    projected out by dense_null_projection.
+    Chebyshev tapers, with the nulls projected out by dense_null_projection.
     """
     side = config.side
-    active = np.zeros((side, side), dtype=bool)
-    active[:rows, :cols] = True
-    tx = chebyshev_taper(rows, s_az) if rows > 1 else np.ones(1)
-    tz = chebyshev_taper(cols, s_el) if cols > 1 else np.ones(1)
-    amp = np.zeros((side, side))
-    amp[:rows, :cols] = np.outer(tx, tz)
-    w = amp.ravel() * steering(
+    tx = chebyshev_taper(side, s_az) if side > 1 else np.ones(1)
+    tz = chebyshev_taper(side, s_el) if side > 1 else np.ones(1)
+    w = np.outer(tx, tz).ravel() * steering(
         config, array_frame_unit(rotation_matrix(pose.angles), request.pointing)
     )
-    return dense_null_projection(w, config, pose, request.nulls, active.ravel())
+    active = np.ones(config.num_elements, dtype=bool)
+    return dense_null_projection(w, config, pose, request.nulls, active)
+
+
+def dense_pointing_response(config, pose, request, s_az, s_el):
+    """A synthesis candidate's pointing array factor a^H w, from a dense null solve in np.longdouble.
+
+    w are the weights of dense_candidate_weights, a times the taper t with
+    the nulls projected out, so a^H w is 1^T (t - P t), P the projection
+    onto the nulls' steering vectors taken relative to the pointing's
+    (entrywise times conj(a)).  Near a null that is a small difference of
+    terms the size of 1^T t, which a float64 solve rounds at that scale: it
+    is 1.2e-12 of itself off for a null 1.1 degrees from the pointing of a
+    2x2 array.  Here the relative phases, their phasors and the projection
+    (modified Gram-Schmidt, run twice) are in np.longdouble, 80-bit extended
+    precision on x86-64 Linux.  Nulls that the float64 least squares would
+    drop as dependent (np.linalg.matrix_rank's tolerance) are dropped first,
+    so coincident nulls count once, as they do for the synthesizer.
+    """
+    side = config.side
+    tx = chebyshev_taper(side, s_az) if side > 1 else np.ones(1)
+    tz = chebyshev_taper(side, s_el) if side > 1 else np.ones(1)
+    t = np.outer(tx, tz).ravel().astype(np.longdouble)
+    rot = rotation_matrix(pose.angles)
+    units = np.array([array_frame_unit(rot, d) for d in (request.pointing, *request.nulls)])
+    basis = steering(config, units[1:]).T
+    keep = []
+    for n in range(basis.shape[1]):
+        if np.linalg.matrix_rank(basis[:, keep + [n]]) > len(keep):
+            keep.append(n)
+    wide = units.astype(np.longdouble)
+    phases = centered_grid_offsets(config).astype(np.longdouble) @ (wide[1:][keep] - wide[0]).T
+    ortho = []
+    for col in np.exp(1j * np.longdouble(config.wavenumber) * phases).T:
+        for _ in range(2):
+            for q in ortho:
+                col = col - q * (q.conj() * col).sum()
+        ortho.append(col / np.sqrt((col.conj() * col).real.sum()))
+    for q in ortho:
+        t = t - q * (q.conj() * t).sum()
+    return complex(t.sum())
 
 
 def relative_gradient_error(net, x, y, rng, samples_per_tensor=40, step=1e-5):

@@ -460,33 +460,35 @@ def test_synthesize_stops_at_exactly_counter_max_candidates(monkeypatch, counter
 
 # One comm or sensing request from each search path that a one-trajectory
 # dataset (Scenario(), seed 11, closest policy) takes, with the candidate
-# count, active block and convergence its synthesis had when recorded.  That
-# dataset's null-free beams all converge on the full aperture, so the
-# shrunk-block entry is the sensing beam of max-SINR optimizer evaluation of
-# slot 59 of trajectory 19 of generate_trajectories(Scenario(), 20, 77).
+# count and convergence its synthesis had when recorded.  That dataset's
+# null-free beams all converge before the widened sweep, so the widened entry
+# is the sensing beam of max-SINR optimizer evaluation of slot 59 of
+# trajectory 19 of generate_trajectories(Scenario(), 20, 77): five coarse
+# setpoints and fourteen refinement probes fall short, and min + 25 dB on
+# both tapers meets both minima (SLL 44.78 and 62.24 dB).
 SEARCH_PATHS = {
     "coarse_only": (
         (1.2252648586388948, -2.435835059087975), 29.960628661711766,
         ((1.3671350830910276, 0.9058400839026928), (1.4463399023519499, -1.187731444850974)),
         (492.7904398192589, 573.4204114513934), 0.9698800270456083,
-        (4, (10, 10), True),
+        (4, True),
     ),
     "refined": (
         (1.1634010332997602, 0.8909362661001594), 25.961339211125715,
         ((1.383377891436864, -2.334068845014573), (1.4592904063800154, 2.938419516073563)),
         (342.77087725585574, 376.60265687575225), 0.9135366895876672,
-        (14, (10, 10), True),
+        (14, True),
     ),
     "unconverged_with_budget_left": (
         (1.2824859638124502, -2.39328746265983), 32.216750049466526,
         ((1.3388938973597644, 0.9003762679655122), (1.450433667023007, 2.7286469880923336)),
         (457.8388052264129, 525.1688868627103), 0.9746424257674389,
-        (28, (10, 10), False),
+        (28, False),
     ),
-    "shrunk_block": (
+    "widened": (
         (0.5134073523133977, 0.23280148926363983), 36.014323777066835, (),
         (404.86305027725496, 413.00805036365415), 1.22988110164909,
-        (33, (9, 10), True),
+        (20, True),
     ),
 }
 
@@ -530,9 +532,8 @@ def test_synthesize_search_paths_are_pinned(path):
     request, pose = _search_path_case(path)
     result = synthesize(request, config, pose)
     assert result.iterations < beampattern.COUNTER_MAX
-    assert (
-        result.iterations, (result.active_rows, result.active_cols), result.converged
-    ) == SEARCH_PATHS[path][-1]
+    assert (result.iterations, result.converged) == SEARCH_PATHS[path][-1]
+    assert result.active_elements == config.num_elements
 
 
 def test_the_eirp_target_only_sizes_the_power():
@@ -560,7 +561,7 @@ def test_the_eirp_target_only_sizes_the_power():
             assert result.converged == met
             results.append(result)
         high, low = (
-            (r.iterations, r.active_rows, r.active_cols, r.converged, r.weights.entries.tobytes(),
+            (r.iterations, r.converged, r.weights.entries.tobytes(),
              r.achieved_sll_az_db, r.achieved_sll_el_db, r.cost)
             for r in results
         )
@@ -571,19 +572,18 @@ def test_the_eirp_target_only_sizes_the_power():
     assert converged == {True, False}
 
 
-# Per dataset seed: the (iterations, active_rows, active_cols, converged) of
-# all 220 synthesize calls of generate_dataset(Scenario(), 1, "closest", seed),
-# in call order, as (calls, candidates, converged calls, calls ending on a
-# shrunk block) and the SHA-256 of their repr.  All three were re-recorded
-# when the shrunk-block sweep was restricted to requests without nulls: the
-# converged calls kept their paths, and the unconverged 2-null calls now end
-# on the full aperture.  Exactly tied candidates are ordered by roundoff (the
-# incumbent moves only on a strictly lower rank), so a change in the scoring
-# arithmetic can flip a tie; such a flip must be traced and the pin re-recorded.
+# Per dataset seed: the (iterations, converged) of all 220 synthesize calls
+# of generate_dataset(Scenario(), 1, "closest", seed), in call order, as
+# (calls, candidates, converged calls) and the SHA-256 of their repr.  They
+# were recorded before the widened sweep replaced the shrunk-block walk, and
+# hold unchanged after it.
+# Exactly tied candidates are ordered by roundoff (the incumbent moves only
+# on a strictly lower rank), so a change in the scoring arithmetic can flip
+# a tie; such a flip must be traced and the pin re-recorded.
 DATASET_SEARCH_PATHS = {
-    11: ((220, 1162, 204, 0), "331fb1f26e7368fc8ec8f45608c89d0d2ddc6df8187509c425b1ca0726a14be8"),
-    23: ((220, 882, 210, 0), "fd1d4cd821d482a2956c08e77b86c0122c942ed5f7bad89625bb38bed6d70696"),
-    1011: ((220, 1088, 203, 0), "da15487317a80bb04cd883ec7017b04409ec0d219e2adaf74ddb457109e98fe5"),
+    11: ((220, 1162, 204), "01aeefe58162026fa4ebf4ca60ab8f92ee891add5a55881cb7311444ba172392"),
+    23: ((220, 882, 210), "f81bd37196e3bcc2f906247dc4d5801c448ec2369dac03d46f7123c47b1d20bc"),
+    1011: ((220, 1088, 203), "3ce0f406450c2acce04dfc2d7d7e8ed06d0726d31079902edecf8c12847e8036"),
 }
 
 
@@ -596,19 +596,12 @@ def test_dataset_search_paths_are_pinned(monkeypatch, seed):
 
     def recording(request, config, pose):
         result = synthesize(request, config, pose)
-        paths.append(
-            (result.iterations, result.active_rows, result.active_cols, result.converged)
-        )
+        paths.append((result.iterations, result.converged))
         return result
 
     monkeypatch.setattr(pipeline, "synthesize", recording)
     pipeline.generate_dataset(Scenario(), 1, "closest", seed)
-    summary = (
-        len(paths),
-        sum(p[0] for p in paths),
-        sum(p[3] for p in paths),
-        sum((p[1], p[2]) != (10, 10) for p in paths),
-    )
+    summary = (len(paths), sum(p[0] for p in paths), sum(p[1] for p in paths))
     assert (summary, hashlib.sha256(repr(paths).encode()).hexdigest()) == (
         DATASET_SEARCH_PATHS[seed]
     )
@@ -627,12 +620,24 @@ def _rederivation_cases():
     return cases
 
 
+def _widened_setpoints(request):
+    """Scoring keys of the widened sweep's setpoints for one request."""
+    return {
+        (round(request.sll_min_az_db + offset, 6), round(request.sll_min_el_db + offset, 6))
+        for offset in beampattern._WIDENED_OFFSETS_DB
+    }
+
+
 def test_achieved_values_rederive_from_the_weights():
+    from uavisac.beampattern import _Synthesizer
+
     config = ArrayConfig(num_elements=100, carrier_hz=3e11)
-    blocks = set()
+    widened = 0
     for request, pose in _rederivation_cases():
-        result = synthesize(request, config, pose)
-        blocks.add((result.active_rows, result.active_cols))
+        synth = _Synthesizer(request, config, pose)
+        result = synth.run()
+        best = synth.best
+        widened += (round(best.s_az, 6), round(best.s_el, 6)) in _widened_setpoints(request)
         cut_az = pattern_cut(result.weights, config, pose, "azimuth", request.pointing)
         cut_el = pattern_cut(result.weights, config, pose, "elevation", request.pointing)
         assert extract_sll(cut_az) == pytest.approx(result.achieved_sll_az_db, abs=1e-9)
@@ -640,8 +645,8 @@ def test_achieved_values_rederive_from_the_weights():
         assert eirp(result.weights, config, pose, request.pointing) == pytest.approx(
             result.achieved_eirp_dbm, abs=1e-9
         )
-    # the set covers a result on a shrunk active block
-    assert blocks - {(10, 10)}
+    # the cases cover a result of the widened sweep
+    assert widened
 
 
 def _synthesis_outputs(cases):
@@ -717,9 +722,8 @@ def test_synthesize_ranks_feasible_first_and_keeps_ties(monkeypatch):
     first = synthesize(comm, config, pose)
     # nothing is feasible and no tie moves the incumbent: five setpoints and
     # four refinement steps of four probes around the first candidate; the
-    # request has nulls, so no shrunk block follows
+    # request has nulls, so no widened sweep follows
     assert (result.iterations, result.converged) == (5 + 4 * 4, False)
-    assert (result.active_rows, result.active_cols) == (10, 10)
     assert np.array_equal(result.weights.entries, first.weights.entries)
 
 
@@ -738,8 +742,7 @@ REQUEST_VARIANTS = [
 
 def _outcome(result):
     return (
-        result.iterations, result.active_rows, result.active_cols, result.converged,
-        result.weights.entries.tobytes(), result.weights.power_per_element_mw,
+        result.iterations, result.converged, result.weights.entries.tobytes(), result.weights.power_per_element_mw,
         result.achieved_sll_az_db, result.achieved_sll_el_db, result.achieved_eirp_dbm,
         result.cost,
     )
@@ -774,23 +777,16 @@ def test_skipping_the_azimuth_cut_keeps_every_search_path(monkeypatch):
     assert sum(skipped) > 100  # the skip is exercised
 
 
-def test_null_steered_requests_keep_the_full_aperture(monkeypatch):
-    """A request with nulls that is infeasible on the full aperture builds no shrunk block.
+def test_null_steered_requests_keep_the_full_aperture():
+    """A request with nulls that is infeasible after the refinement scores no widened setpoint.
 
     It ends after the coarse sweep and the refinement, unconverged, with budget
-    left.  A request without nulls infeasible there still walks the shrunk blocks.
+    left.  A request without nulls infeasible there goes on to the widened
+    sweep, which makes it feasible.
     """
-    from uavisac.beampattern import _Block, _Synthesizer
+    from uavisac.beampattern import _Synthesizer
 
     config = ArrayConfig(num_elements=100, carrier_hz=3e11)
-    blocks = []
-    build = _Block.__init__
-
-    def recording(self, synth, rows, cols):
-        blocks.append((rows, cols))
-        build(self, synth, rows, cols)
-
-    monkeypatch.setattr(_Block, "__init__", recording)
     null_steered = [
         _search_path_case("unconverged_with_budget_left"),
         *(_case(*c) for c in INFEASIBLE_COMM),
@@ -800,12 +796,11 @@ def test_null_steered_requests_keep_the_full_aperture(monkeypatch):
         result = synth.run()
         assert len(request.nulls) == 2 and not synth.best.feasible
         assert not result.converged and result.iterations < beampattern.COUNTER_MAX
-        assert (result.active_rows, result.active_cols) == (10, 10)
-    assert set(blocks) == {(10, 10)}
-    blocks.clear()
-    request, pose = _search_path_case("shrunk_block")
-    assert synthesize(request, config, pose).converged
-    assert blocks[0] == (10, 10) and (9, 10) in blocks
+        assert not synth._seen & _widened_setpoints(request)
+    request, pose = _search_path_case("widened")
+    synth = _Synthesizer(request, config, pose)
+    assert synth.run().converged
+    assert synth._seen & _widened_setpoints(request)
 
 
 def test_incumbent_moves_only_beyond_the_tie_tolerance():
@@ -819,7 +814,7 @@ def test_incumbent_moves_only_beyond_the_tie_tolerance():
     synth.run()
     winner = synth.best
     assert not winner.feasible and winner.cost > 0.0
-    probe = (winner.rows, winner.cols, winner.s_az, winner.s_el)
+    probe = (winner.s_az, winner.s_el)
     for margin, moves in ((0.5, False), (2.0, True)):
         # the same candidate, scored afresh against an incumbent that costs
         # `margin` tolerances more
@@ -857,7 +852,7 @@ def test_coincident_and_near_coincident_nulls_match_the_dense_solve(gap_rad, mat
     result = synth.run()
     assert result.converged
     best = synth.best
-    want = dense_candidate_weights(config, pose, request, best.rows, best.cols, best.s_az, best.s_el)
+    want = dense_candidate_weights(config, pose, request, best.s_az, best.s_el)
     want /= max(1.0, np.max(np.abs(want)))
     w = result.weights.entries
     assert np.max(np.abs(w - want)) <= match * np.max(np.abs(want))

@@ -182,6 +182,48 @@ def test_network_dict_roundtrip():
     assert np.allclose(forward(net, x), forward(clone, x))
 
 
+def _drop_last_layer(data):
+    data["weights"].pop()
+    data["biases"].pop()
+
+
+def _set(key, index, value):
+    def mutate(data):
+        if index is None:
+            data[key] = value
+        else:
+            data[key][index] = value
+
+    return mutate
+
+
+# each way a stored network can contradict its layer sizes, with the field the
+# rejection must name; a (4, 64, 32, 1) net like the association network
+BAD_NETWORKS = {
+    "last_layer_dropped": (_drop_last_layer, r"weights: 2 arrays for 3 layers"),
+    "bias_missing": (lambda data: data["biases"].pop(), r"biases: 2 arrays for 3 layers"),
+    "weight_transposed": (_set("weights", 0, np.zeros((4, 64)).tolist()), r"weights\[0\] has shape"),
+    "bias_too_long": (_set("biases", 1, [0.0] * 33), r"biases\[1\] has shape"),
+    "norm_mean_too_wide": (_set("norm_mean", None, [0.0] * 5), r"norm_mean has shape"),
+    "norm_std_zero": (_set("norm_std", None, [0.0] * 4), r"norm_std must be positive"),
+    "norm_std_negative": (_set("norm_std", None, [1.0, -1.0, 1.0, 1.0]), r"norm_std must be positive"),
+    "weight_nan": (lambda data: data["weights"][1][3].__setitem__(7, math.nan),
+                   r"weights\[1\] has non-finite entries"),
+    "norm_mean_inf": (_set("norm_mean", None, [0.0, math.inf, 0.0, 0.0]),
+                      r"norm_mean has non-finite entries"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_NETWORKS))
+def test_network_from_dict_rejects_parameters_contradicting_layer_sizes(case):
+    mutate, message = BAD_NETWORKS[case]
+    data = Network(NetworkConfig(layer_sizes=(4, 64, 32, 1), seed=3)).to_dict()
+    Network.from_dict(data)
+    mutate(data)
+    with pytest.raises(ValueError, match=message):
+        Network.from_dict(data)
+
+
 def test_smoothed_training_loss_non_increasing_on_regression():
     rng = np.random.default_rng(6)
     x = rng.uniform(-1, 1, size=(300, 2))

@@ -3,16 +3,17 @@
 Cut patterns come from real per-axis tables relative to the pointing, cos
 and sin of q alpha built by a rotation recurrence, both cuts side by side:
 `pattern_cut` expands them into full complex rows and contracts a whole
-weight matrix, and the synthesizer scores each candidate through its active
-block's factored record (null solve, null responses, one product per axis
-for both cuts).  Here they are checked against the dense steering matrix of
-`_kernels` (on even and odd sides, full and shrunk blocks, with and without
-nulls), against the dense least-squares null solve of `tests.helpers` (a
-candidate's weights built from full steering vectors) and their pointing
-response, and against one direct cosine and sine per entry; a block's
-cached axis responses are checked bit for bit against a fresh block's.  The
-tables are built in uninitialised memory, so the entry-by-entry check also
-shows any entry read before it is written.  The loop version of
+weight matrix, and the synthesizer scores each candidate through its
+factored record (null solve, null responses, one product per axis for both
+cuts).  Here they are checked against the dense steering matrix of
+`_kernels` (on even and odd sides, with and without nulls), against the
+dense least-squares null solve of `tests.helpers` (a candidate's weights
+built from full steering vectors) and their pointing response, which is
+also solved in extended precision to hold it relative to itself, and against
+one direct cosine and sine per entry; a synthesizer's cached axis responses
+are checked bit for bit against a fresh one's.  The tables are built in
+uninitialised memory, so the entry-by-entry check also shows any entry read
+before it is written.  The loop version of
 `_sll_from_gains` is kept below as the reference for the vectorized one,
 and the dB path is the reference for the SLL the synthesizer finds on
 linear power.  The windowed arc build `_cut_arc` is checked for exact
@@ -35,7 +36,6 @@ from uavisac.beampattern import (
     SynthesisRequest,
     _axis_factors,
     _axis_tables,
-    _Block,
     _cut_arc,
     _gains_db,
     _PLANES,
@@ -59,8 +59,13 @@ from uavisac.geometry import (
     steering,
 )
 
-# derandomized and without an example database, so every run draws the same cases
-# (hypothesis seeds a derandomized test from its own source text)
+# Derandomized and without an example database.  A derandomized test is
+# seeded from its own source text, but hypothesis also draws literals that it
+# collects from the non-test modules loaded at the time (src/uavisac/*.py,
+# and perfbench's modules once a test has imported them).  So the same test
+# source draws the same cases only with the same library source and the same
+# modules loaded: an edit to src/ alone, or running a test alone rather than
+# in the full suite, can redraw them.
 SETTINGS = settings(
     max_examples=100,
     deadline=None,
@@ -225,11 +230,11 @@ def _dense_cut_power(weights, config, pose, plane, pointing, angles):
 
 @st.composite
 def weight_scenes(draw):
-    """Array, pose, pointing and a weight vector on a (possibly shrunk) active block.
+    """Array, pose, pointing and a weight vector, zero outside a rows-by-cols corner block.
 
     Half of the draws use a phase-steered Chebyshev taper, as the synthesizer
     does; the rest use random complex weights.  Nulls are projected out inside
-    the active block.
+    the block.
     """
     m = draw(st.sampled_from([4, 16, 64, 100]))
     config = ArrayConfig(num_elements=m, carrier_hz=3e11)
@@ -301,9 +306,9 @@ def test_factored_cut_matches_dense_kernel(scene, plane):
 
 
 @st.composite
-def candidate_scenes(draw):
-    """Synthesis request, pose and one candidate's block and tapers."""
-    m = draw(st.sampled_from([4, 16, 64, 100]))
+def candidate_scenes(draw, sizes=(4, 16, 64, 100)):
+    """Synthesis request, pose and one candidate's tapers on an array of one of `sizes` elements."""
+    m = draw(st.sampled_from(sizes))
     config = ArrayConfig(num_elements=m, carrier_hz=3e11)
     pose = Pose(
         position=np.array([0.0, 0.0, 100.0]),
@@ -314,50 +319,72 @@ def candidate_scenes(draw):
         DirectionAngles(draw(polar), draw(angle)) for _ in range(draw(st.integers(0, 2)))
     )
     assume(not any(null_conflicts(null, pointing) for null in nulls))
-    rows = draw(st.integers(1, config.side))
-    cols = draw(st.integers(1, config.side))
-    assume(rows * cols > len(nulls))
     request = SynthesisRequest(
         pointing=pointing, sll_min_az_db=20.0, sll_min_el_db=20.0,
         eirp_target_dbm=25.0, nulls=nulls,
     )
     tapers = (draw(st.floats(5.0, 40.0)), draw(st.floats(5.0, 40.0)))
-    return config, pose, request, (rows, cols, *tapers)
+    return config, pose, request, tapers
 
 
-def _block_candidate(scene):
-    """Synthesizer, its fresh record of the candidate's block, and the candidate's dense weights."""
+def _candidate(scene):
+    """A fresh synthesizer of the scene's request, and the candidate's dense weights."""
     from tests.helpers import dense_candidate_weights
 
-    config, pose, request, (rows, cols, s_az, s_el) = scene
-    synth = _Synthesizer(request, config, pose)
-    w = dense_candidate_weights(config, pose, request, rows, cols, s_az, s_el)
+    config, pose, request, (s_az, s_el) = scene
+    w = dense_candidate_weights(config, pose, request, s_az, s_el)
     assume(np.max(np.abs(w)) > 1e-6)
-    return synth, _Block(synth, rows, cols), w
+    return _Synthesizer(request, config, pose), w
 
 
 @SETTINGS
 @given(scene=candidate_scenes())
 def test_factored_candidate_cut_matches_dense_kernel(scene):
-    config, pose, request, (_, _, s_az, s_el) = scene
-    synth, block, w = _block_candidate(scene)
-    _, terms = block.score(s_az, s_el)
+    config, pose, request, (s_az, s_el) = scene
+    synth, w = _candidate(scene)
+    _, terms = synth.score(s_az, s_el)
     for plane in _PLANES:
         angles = synth.evaluator.cuts[plane][0]
         dense, ge = _dense_cut_power(w, config, pose, plane, request.pointing, angles)
-        factored = block.cut_power(terms, plane)
+        factored = synth.cut_power(terms, plane)
         bound = np.abs(w).sum() ** 2 * ge.max()  # see the factored-cut test above
         assert np.max(np.abs(factored - dense)) <= 1e-12 * bound
 
 
+def _near_null_scene(phi):
+    """A 2x2 array pointed at theta = 1, phi, with one null at theta = 1, phi = 0.5."""
+    config = ArrayConfig(num_elements=4, carrier_hz=3e11)
+    pose = Pose(position=np.array([0.0, 0.0, 100.0]), angles=RotationAngles(0.0, 0.0, 0.0))
+    request = SynthesisRequest(
+        pointing=DirectionAngles(1.0, phi), sll_min_az_db=20.0, sll_min_el_db=20.0,
+        eirp_target_dbm=25.0, nulls=(DirectionAngles(1.0, 0.5),),
+    )
+    return config, pose, request, (5.0, 5.0)
+
+
 @SETTINGS
 @given(scene=candidate_scenes())
+# nulls 1.5 and 1.1 degrees off the pointing leave 4e-4 and 2e-4 of the
+# unprojected response: sum(tx) sum(tz) - c . (1^T d_n) missed the first by
+# 1.1e-12 of itself, a float64 dense solve the second by 1.2e-12
+@example(scene=_near_null_scene(0.46875))
+@example(scene=_near_null_scene(0.4765625))
 def test_factored_pointing_response_matches_projected_weights(scene):
-    config, pose, request, (_, _, s_az, s_el) = scene
-    _, block, w = _block_candidate(scene)
-    af_point, _ = block.score(s_az, s_el)
-    want = np.vdot(steering(config, _frame_units(pose, [request.pointing])[0]), w)
+    """The pointing response to 1e-12 of itself, against the dense solve in extended precision.
+
+    A null near the pointing leaves a response far below the terms it is the
+    difference of, so the float64 dense weights are held to 1e-12 of the
+    coherent-sum bound only, as in the odd-side test below.
+    """
+    from tests.helpers import dense_pointing_response
+
+    config, pose, request, (s_az, s_el) = scene
+    synth, w = _candidate(scene)
+    af_point, _ = synth.score(s_az, s_el)
+    want = dense_pointing_response(config, pose, request, s_az, s_el)
     assert abs(af_point - want) <= 1e-12 * abs(want)
+    dense = np.vdot(steering(config, _frame_units(pose, [request.pointing])[0]), w)
+    assert abs(af_point - dense) <= 1e-12 * np.abs(w).sum()
 
 
 @SETTINGS
@@ -370,9 +397,9 @@ def test_returned_weights_are_the_scored_candidate(scene):
     their EIRP toward the pointing must re-derive.  The unprojected weights
     peak at 1 (max-normalised tapers), which sets the scale of the roundoff.
     """
-    config, pose, request, (rows, cols, s_az, s_el) = scene
-    synth, _, w = _block_candidate(scene)
-    assert synth._evaluate(rows, cols, s_az, s_el)
+    config, pose, request, (s_az, s_el) = scene
+    synth, w = _candidate(scene)
+    assert synth._evaluate(s_az, s_el)
     weights, eirp_dbm = synth._weights(synth.best)
     scale = max(1.0, float(np.max(np.abs(w))))
     assert np.max(np.abs(weights.entries * scale - w)) <= 1e-12
@@ -384,23 +411,23 @@ def test_returned_weights_are_the_scored_candidate(scene):
     st.tuples(st.booleans(), st.floats(5.0, 40.0)), min_size=1, max_size=6
 ))
 def test_cached_axis_responses_match_a_fresh_block(scene, steps):
-    """A block scoring a coordinate walk matches a fresh block per candidate, bit for bit.
+    """A synthesizer scoring a coordinate walk matches a fresh one per candidate, bit for bit.
 
     Each step moves one taper, as the refinement does, so the other axis's
-    responses come from the block's cache.
+    responses come from the synthesizer's cache.
     """
-    *_, (_, _, s_az, s_el) = scene
-    synth, block, _ = _block_candidate(scene)
-    block.score(s_az, s_el)
+    config, pose, request, (s_az, s_el) = scene
+    synth, _ = _candidate(scene)
+    synth.score(s_az, s_el)
     for move_az, value in steps:
         s_az, s_el = (value, s_el) if move_az else (s_az, value)
-        af_point, terms = block.score(s_az, s_el)
-        fresh = _Block(synth, block.rows, block.cols)
+        af_point, terms = synth.score(s_az, s_el)
+        fresh = _Synthesizer(request, config, pose)
         fresh_point, fresh_terms = fresh.score(s_az, s_el)
         assert af_point == fresh_point
         for plane in _PLANES:
             want = fresh.cut_power(fresh_terms, plane)
-            assert np.array_equal(block.cut_power(terms, plane), want)
+            assert np.array_equal(synth.cut_power(terms, plane), want)
 
 
 @SETTINGS
@@ -447,62 +474,38 @@ def test_axis_factor_recurrence_matches_direct_exponentials(m, units, pointing):
             assert np.all(f[side // 2] == 1.0)
 
 
-@st.composite
-def odd_or_shrunk_null_scenes(draw):
-    """A candidate on an odd-sided array, or on a shrunk block with nulls.
-
-    The synthesizer's own searches run on the full aperture of an even side,
-    where every axis response is real; these draws reach the other branches
-    of the fold: a centre row that counts once, and complex responses on an
-    axis cut short, with null responses that are complex too.
-    """
-    if draw(st.booleans()):
-        m = draw(st.sampled_from([9, 25, 81]))
-        side = math.isqrt(m)
-        nulls_count = draw(st.integers(0, 2))
-        rows, cols = draw(st.integers(1, side)), draw(st.integers(1, side))
-    else:
-        m = draw(st.sampled_from([4, 9, 16, 25, 64, 81, 100]))
-        side = math.isqrt(m)
-        nulls_count = draw(st.integers(1, 2))
-        rows, cols = draw(st.integers(1, side)), draw(st.integers(1, side - 1))
-        if draw(st.booleans()):
-            rows, cols = cols, rows
-    config = ArrayConfig(num_elements=m, carrier_hz=3e11)
-    pose = Pose(
-        position=np.array([0.0, 0.0, 100.0]),
-        angles=RotationAngles(draw(angle), draw(angle), draw(angle)),
-    )
-    pointing = DirectionAngles(draw(polar), draw(angle))
-    nulls = tuple(DirectionAngles(draw(polar), draw(angle)) for _ in range(nulls_count))
-    assume(not any(null_conflicts(null, pointing) for null in nulls))
-    assume(rows * cols > len(nulls))
-    request = SynthesisRequest(
-        pointing=pointing, sll_min_az_db=20.0, sll_min_el_db=20.0,
-        eirp_target_dbm=25.0, nulls=nulls,
-    )
-    tapers = (draw(st.floats(5.0, 40.0)), draw(st.floats(5.0, 40.0)))
-    return config, pose, request, (rows, cols, *tapers)
-
-
 @SETTINGS
-@given(scene=odd_or_shrunk_null_scenes())
-def test_odd_sides_and_shrunk_null_blocks_match_dense_kernel(scene):
-    """Candidate cuts, the pointing response and `pattern_cut` against the dense kernel.
+@given(scene=candidate_scenes(sizes=(9, 25, 81)))
+# two nulls 1.5e-15 rad apart, one null to the dense solve: a basis kept down
+# to 1e-15 of its largest singular value solved with both and was 0.146 off
+@example(scene=(
+    ArrayConfig(num_elements=9, carrier_hz=3e11),
+    Pose(position=np.array([0.0, 0.0, 100.0]), angles=RotationAngles(0.0, 0.0, 0.0)),
+    SynthesisRequest(
+        pointing=DirectionAngles(1.0, 0.0), sll_min_az_db=20.0, sll_min_el_db=20.0,
+        eirp_target_dbm=25.0,
+        nulls=(DirectionAngles(0.0, 0.0), DirectionAngles(1.5297812113742726e-15, 0.0)),
+    ),
+    (5.0, 5.0),
+))
+def test_odd_sides_match_dense_kernel(scene):
+    """Candidate cuts, the pointing response and `pattern_cut` against the dense kernel on odd sides.
 
-    All three are held to 1e-12 of the coherent-sum bound, as in the
-    factored-cut test above.
+    The synthesizer's own searches run on an even side; an odd one reaches
+    the other branch of the fold, a centre row that counts once.  All three
+    are held to 1e-12 of the coherent-sum bound, as in the factored-cut test
+    above.
     """
-    config, pose, request, (_, _, s_az, s_el) = scene
-    synth, block, w = _block_candidate(scene)
-    af_point, terms = block.score(s_az, s_el)
+    config, pose, request, (s_az, s_el) = scene
+    synth, w = _candidate(scene)
+    af_point, terms = synth.score(s_az, s_el)
     want = np.vdot(steering(config, _frame_units(pose, [request.pointing])[0]), w)
     assert abs(af_point - want) <= 1e-12 * np.abs(w).sum()
     for plane in _PLANES:
         angles = synth.evaluator.cuts[plane][0]
         dense, ge = _dense_cut_power(w, config, pose, plane, request.pointing, angles)
         bound = np.abs(w).sum() ** 2 * ge.max()
-        assert np.max(np.abs(block.cut_power(terms, plane) - dense)) <= 1e-12 * bound
+        assert np.max(np.abs(synth.cut_power(terms, plane) - dense)) <= 1e-12 * bound
         cut = pattern_cut(w, config, pose, plane, request.pointing)
         assert np.array_equal(cut.angles_rad, angles)
         factored = 10.0 ** (cut.gains_db / 10.0) * dense.max()
@@ -586,10 +589,10 @@ def test_linear_sll_matches_db_sll_on_synthesis_cuts():
             pointing=pointing, sll_min_az_db=20.0, sll_min_el_db=20.0,
             eirp_target_dbm=25.0, nulls=nulls[: i % 3],
         )
-        block = _Block(_Synthesizer(request, config, pose), *map(int, rng.integers(8, 11, 2)))
-        _, terms = block.score(*rng.uniform(5.0, 40.0, 2))
+        synth = _Synthesizer(request, config, pose)
+        _, terms = synth.score(*rng.uniform(5.0, 40.0, 2))
         for plane in _PLANES:
-            finite += math.isfinite(_assert_linear_sll_matches_db(block.cut_power(terms, plane)))
+            finite += math.isfinite(_assert_linear_sll_matches_db(synth.cut_power(terms, plane)))
     assert finite == 200
 
 

@@ -245,6 +245,22 @@ def test_bundle_load_rejects_other_format_versions(tmp_path, small_bundle):
         ModelBundle.load(path)
 
 
+def test_bundle_load_rejects_a_network_missing_its_last_layer(tmp_path, small_bundle):
+    """A bundle whose association network lost its output layer fails to load.
+
+    Loaded, the net would return its 32 hidden values, and the first would be
+    taken as the station.
+    """
+    path = tmp_path / "bundle.json"
+    small_bundle.save(path)
+    data = json.loads(path.read_text())
+    for key in ("weights", "biases"):
+        data["association"][key].pop()
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match="weights: 2 arrays for 3 layers"):
+        ModelBundle.load(path)
+
+
 def test_predict_association_recovers_exact_index(small_scenario, small_bundle):
     # a head that outputs exactly k/(K-1) must decode to station k
     from uavisac.neuralnet import Network, NetworkConfig
@@ -382,7 +398,7 @@ def test_evaluation_csv_is_pinned(tmp_path, small_scenario, small_bundle):
     path = tmp_path / "records.csv"
     write_records_csv(path, records)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "bd3f931c2e92b850551c1be5b11251dc4c2ed70dbbef32b10dd0cc3106ab2138"
+        "978efa9982fd8d4a6ceb3d4c1cc778aafccce74fbb21e338ab90dc712112845a"
     )
 
 
