@@ -88,7 +88,6 @@ from .geometry import (
     ArrayConfig,
     DirectionAngles,
     Pose,
-    angular_separation,
     array_frame_unit,
     element_amplitude,
     element_gain,
@@ -103,6 +102,8 @@ _GRID_STEP_RAD = math.radians(GRID_STEP_DEG)
 # samples on each side of the pointing in the index window holding an arc
 _ARC_REACH = math.ceil(math.pi / 2 / _GRID_STEP_RAD) + 2
 NULL_CONFLICT_DEG = 1.0
+# the chord of NULL_CONFLICT_DEG, the radius of a conflict in (u_x, u_z)
+_NULL_CONFLICT_CHORD = 2.0 * math.sin(math.radians(NULL_CONFLICT_DEG) / 2.0)
 MIN_TAPER_SLL_DB = 5.0
 MAIN_LOBE_MIN_DEPTH_DB = 6.0
 # an infeasible candidate displaces an infeasible incumbent only when its
@@ -120,7 +121,7 @@ _MAIN_LOBE_RATIO = 10.0 ** (-MAIN_LOBE_MIN_DEPTH_DB / 10.0)
 
 
 class NullConflictError(ValueError):
-    """A requested null lies within one degree of the pointing direction."""
+    """A requested null the array cannot tell apart from the pointing (see null_conflicts)."""
 
 
 @dataclass(frozen=True)
@@ -653,20 +654,36 @@ def _project_out(
     return w - basis @ np.linalg.lstsq(basis, w, rcond=None)[0]
 
 
-def null_conflicts(null: DirectionAngles, pointing: DirectionAngles) -> bool:
-    """True when a null lies within NULL_CONFLICT_DEG of the pointing direction."""
-    return math.degrees(angular_separation(null, pointing)) < NULL_CONFLICT_DEG
+def null_conflicts(
+    null: DirectionAngles, pointing: DirectionAngles, config: ArrayConfig, rot
+) -> bool:
+    """True when a null lies too close to the pointing for the array to steer it.
+
+    Under the pose's rotation `rot`, the null's array-frame (u_x, u_z) lies
+    within the chord of NULL_CONFLICT_DEG of the pointing's, modulo the
+    grating period lambda/d on each axis.  A null within NULL_CONFLICT_DEG of
+    the pointing always does: dropping u_y and wrapping never lengthen the
+    chord.  The planar aperture sees only (u_x, u_z), and at lambda/2 spacing
+    its steering phases repeat with period 2 in each, so a null mirrored
+    through the aperture plane, or at the antipode of an endfire pointing,
+    has the pointing's own steering vector and projecting it out removes the
+    beam.
+    """
+    period = config.wavelength_m / config.spacing_m
+    ux, _, uz = array_frame_unit(rot, null) - array_frame_unit(rot, pointing)
+    return math.hypot(math.remainder(ux, period), math.remainder(uz, period)) < _NULL_CONFLICT_CHORD
 
 
 def check_nulls(
     config: ArrayConfig,
+    rot,
     nulls: Sequence[DirectionAngles],
     pointing: DirectionAngles | None = None,
 ) -> None:
-    """Reject more nulls than the array can place, or one on the pointing."""
+    """Reject more nulls than the array can place, or one conflicting with the pointing."""
     if len(nulls) >= config.num_elements:
         raise ValueError("cannot null as many directions as array elements")
-    if pointing is not None and any(null_conflicts(null, pointing) for null in nulls):
+    if pointing is not None and any(null_conflicts(n, pointing, config, rot) for n in nulls):
         raise NullConflictError("null direction conflicts with the pointing direction")
 
 
@@ -681,13 +698,14 @@ def apply_nulls(
 
     Zeroes a(null)^H w for every requested null while perturbing the input
     weights as little as possible.  When the pointing direction is supplied,
-    a null within one degree of it is rejected.
+    a null conflicting with it (null_conflicts) is rejected.
     """
     nulls = tuple(nulls)
     if not nulls:
         return weights
-    check_nulls(config, nulls, pointing)
-    basis = steering(config, _frame_units(rotation_matrix(pose.angles), nulls)).T
+    rot = rotation_matrix(pose.angles)
+    check_nulls(config, rot, nulls, pointing)
+    basis = steering(config, _frame_units(rot, nulls)).T
     projected = _project_out(_weight_entries(weights), basis)
     scale = max(1.0, float(np.max(np.abs(projected))))
     return BeamWeights(
@@ -775,8 +793,8 @@ class _Synthesizer:
 
     def __init__(self, request: SynthesisRequest, config: ArrayConfig, pose: Pose):
         self.request = request
-        check_nulls(config, request.nulls, request.pointing)
         rot = rotation_matrix(pose.angles)
+        check_nulls(config, rot, request.nulls, request.pointing)
         self.evaluator = _PatternEvaluator(config, rot, request.pointing)
         # row 0 is the pointing, row 1 + n null n; so are the axis-factor columns
         units = _frame_units(rot, (request.pointing, *request.nulls))

@@ -1,10 +1,13 @@
 """Small feedforward networks with hand-rolled backprop and ADAM.
 
 Inference and training are plain numpy.  Hidden layers are ReLU and the
-output layer is linear.  All randomness (init, shuffling) flows from explicit
-seeds and the caller fixes the train/validation split, so a repeated run is
-bit-identical.  A network stores per-feature normalization stats and applies
-them inside forward(), so callers always pass raw features.
+output layer is linear.  A network's parameters are one float64 vector,
+`params`, with per-layer `weights` and `biases` views into it; a gradient has
+the same layout, so ADAM updates every parameter in one pass.  All randomness
+(init, shuffling) flows from explicit seeds and the caller fixes the
+train/validation split, so a repeated run is bit-identical.  A network stores
+per-feature normalization stats and applies them inside forward(), so callers
+always pass raw features.
 """
 
 from __future__ import annotations
@@ -65,14 +68,14 @@ class Network:
 
     def __init__(self, config: NetworkConfig):
         self.config = config
-        rng = np.random.default_rng(config.seed)
-        self.weights: list[NDArray[np.float64]] = []
-        self.biases: list[NDArray[np.float64]] = []
         sizes = config.layer_sizes
-        for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+        self.params = np.zeros(sum((n_in + 1) * n_out for n_in, n_out in zip(sizes, sizes[1:])))
+        self.weights, self.biases = _layer_views(sizes, self.params)
+        rng = np.random.default_rng(config.seed)
+        for w in self.weights:
+            fan_out, fan_in = w.shape
             limit = np.sqrt(6.0 / (fan_in + fan_out))
-            self.weights.append(rng.uniform(-limit, limit, size=(fan_out, fan_in)))
-            self.biases.append(np.zeros(fan_out))
+            w[...] = rng.uniform(-limit, limit, size=w.shape)
         self.norm_mean = np.zeros(sizes[0])
         self.norm_std = np.ones(sizes[0])
 
@@ -89,17 +92,16 @@ class Network:
         # constant features would otherwise divide by zero
         self.norm_std = np.where(std > 1e-12, std, 1.0)
 
-    def _forward_cached(self, x: NDArray[np.float64]):
+    def _forward_cached(self, x: NDArray[np.float64]) -> list[NDArray[np.float64]]:
+        """Every layer's activations, the normalized input first and the output last."""
         a = (x - self.norm_mean) / self.norm_std
         activations = [a]
-        pre = []
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             z = a @ w.T + b
-            pre.append(z)
             a = z if i == last else np.maximum(z, 0.0)
             activations.append(a)
-        return activations, pre
+        return activations
 
     def to_dict(self) -> dict:
         return {
@@ -116,18 +118,24 @@ class Network:
         """Rebuild a `to_dict` network; parameters that contradict its layer sizes are rejected."""
         net = cls(NetworkConfig(layer_sizes=tuple(data["layer_sizes"]), seed=data["seed"]))
         for name in ("weights", "biases"):
-            init = getattr(net, name)
-            if len(data[name]) != len(init):
-                raise ValueError(f"{name}: {len(data[name])} arrays for {len(init)} layers")
-            setattr(net, name, [
-                _parameter(f"{name}[{i}]", value, like)
-                for i, (value, like) in enumerate(zip(data[name], init))
-            ])
+            views = getattr(net, name)
+            if len(data[name]) != len(views):
+                raise ValueError(f"{name}: {len(data[name])} arrays for {len(views)} layers")
+            for i, (value, view) in enumerate(zip(data[name], views)):
+                view[...] = _parameter(f"{name}[{i}]", value, view)
         for name in ("norm_mean", "norm_std"):
             setattr(net, name, _parameter(name, data[name], getattr(net, name)))
         if not np.all(net.norm_std > 0.0):
             raise ValueError("norm_std must be positive")
         return net
+
+
+def _layer_views(sizes: Sequence[int], flat: NDArray[np.float64]):
+    """Per-layer (weights, biases) views into a vector laid out layer by layer, weights first."""
+    shapes = [shape for n_in, n_out in zip(sizes, sizes[1:]) for shape in ((n_out, n_in), (n_out,))]
+    ends = np.cumsum([math.prod(shape) for shape in shapes])
+    views = [part.reshape(shape) for part, shape in zip(np.split(flat, ends[:-1]), shapes)]
+    return tuple(views[::2]), tuple(views[1::2])
 
 
 def _parameter(name: str, value, like: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -148,8 +156,7 @@ def forward(net: Network, x) -> NDArray[np.float64]:
         arr = arr[None, :]
     if arr.shape[1] != net.layer_sizes[0]:
         raise ValueError("input width does not match the network")
-    activations, _ = net._forward_cached(arr)
-    out = activations[-1]
+    out = net._forward_cached(arr)[-1]
     return out[0] if single else out
 
 
@@ -158,56 +165,47 @@ def mse_loss(pred: NDArray[np.float64], target: NDArray[np.float64]) -> float:
     return float(np.mean((pred - target) ** 2))
 
 
-def gradients(net: Network, inputs, targets):
-    """Exact gradients of the batch MSE for every weight and bias.
-
-    Returns (weight grads, bias grads, loss).
-    """
+def gradients(net: Network, inputs, targets) -> tuple[NDArray[np.float64], float]:
+    """Exact gradient of the batch MSE, laid out as `net.params`, and the loss."""
     x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     y = np.atleast_2d(np.asarray(targets, dtype=np.float64))
     if x.shape[0] != y.shape[0]:
         raise ValueError("inputs and targets disagree on the batch size")
     if y.shape[1] != net.layer_sizes[-1]:
         raise ValueError("target width does not match the network")
-    activations, pre = net._forward_cached(x)
+    activations = net._forward_cached(x)
     out = activations[-1]
     batch, width = out.shape
     loss = mse_loss(out, y)
     delta = 2.0 * (out - y) / (batch * width)
-    w_grads = [np.zeros_like(w) for w in net.weights]
-    b_grads = [np.zeros_like(b) for b in net.biases]
-    for layer in range(len(net.weights) - 1, -1, -1):
-        w_grads[layer] = delta.T @ activations[layer]
-        b_grads[layer] = delta.sum(axis=0)
+    grad = np.empty_like(net.params)
+    w_grads, b_grads = _layer_views(net.layer_sizes, grad)
+    for layer in range(len(w_grads) - 1, -1, -1):
+        np.matmul(delta.T, activations[layer], out=w_grads[layer])
+        np.sum(delta, axis=0, out=b_grads[layer])
         if layer > 0:
-            # the ReLU passes gradient only where its input was positive
-            delta = (delta @ net.weights[layer]) * (pre[layer - 1] > 0.0)
-    return w_grads, b_grads, loss
+            # the ReLU passes gradient only where its input, and so its output, was positive
+            delta = (delta @ net.weights[layer]) * (activations[layer] > 0.0)
+    return grad, loss
 
 
 class AdamState:
     def __init__(self, net: Network, config: TrainConfig):
         self.config = config
         self.step_count = 0
-        self.m_w = [np.zeros_like(w) for w in net.weights]
-        self.v_w = [np.zeros_like(w) for w in net.weights]
-        self.m_b = [np.zeros_like(b) for b in net.biases]
-        self.v_b = [np.zeros_like(b) for b in net.biases]
+        self.m = np.zeros_like(net.params)
+        self.v = np.zeros_like(net.params)
 
-    def step(self, net: Network, w_grads, b_grads) -> None:
+    def step(self, net: Network, grad: NDArray[np.float64]) -> None:
+        """One ADAM update of every parameter from a `gradients` vector."""
         lr = self.config.learning_rate
         self.step_count += 1
         t = self.step_count
         bias1 = 1.0 - ADAM_BETA1**t
         bias2 = 1.0 - ADAM_BETA2**t
-        for i in range(len(net.weights)):
-            for params, grads, m, v in (
-                (net.weights, w_grads, self.m_w, self.v_w),
-                (net.biases, b_grads, self.m_b, self.v_b),
-            ):
-                m[i] = ADAM_BETA1 * m[i] + (1.0 - ADAM_BETA1) * grads[i]
-                v[i] = ADAM_BETA2 * v[i] + (1.0 - ADAM_BETA2) * grads[i] ** 2
-                params[i] -= lr * (m[i] / bias1) / (np.sqrt(v[i] / bias2) + ADAM_EPS)
+        self.m = ADAM_BETA1 * self.m + (1.0 - ADAM_BETA1) * grad
+        self.v = ADAM_BETA2 * self.v + (1.0 - ADAM_BETA2) * grad**2
+        net.params -= lr * (self.m / bias1) / (np.sqrt(self.v / bias2) + ADAM_EPS)
 
 
 def train(
@@ -241,8 +239,8 @@ def train(
         epoch_loss = 0.0
         for start in range(0, n_train_rows, config.batch_size):
             batch = order[start : start + config.batch_size]
-            w_grads, b_grads, loss = gradients(net, x_train[batch], y_train[batch])
-            adam.step(net, w_grads, b_grads)
+            grad, loss = gradients(net, x_train[batch], y_train[batch])
+            adam.step(net, grad)
             epoch_loss += loss * batch.size
         report.train_loss.append(epoch_loss / n_train_rows)
         if x_val.shape[0] > 0:

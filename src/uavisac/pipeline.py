@@ -379,7 +379,10 @@ def synthesize_point(
     gbs_dir = geo.gbs_dir[gbs_index]
     null_gbs = nearest_other_gbs(geo, gbs_index)
     if lenient:
-        kept = tuple(i for i in null_gbs if not null_conflicts(geo.gbs_dir[i], gbs_dir))
+        rot = rotation_matrix(pose.angles)
+        kept = tuple(
+            i for i in null_gbs if not null_conflicts(geo.gbs_dir[i], gbs_dir, config, rot)
+        )
         if kept != null_gbs:
             logger.warning("dropping null conflicting with pointing at slot %d", geo.point.slot)
             null_gbs = kept

@@ -14,7 +14,7 @@ from uavisac.geometry import (
     rotation_matrix,
     steering,
 )
-from uavisac.neuralnet import forward, gradients, mse_loss
+from uavisac.neuralnet import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, forward, gradients, mse_loss
 
 
 def random_null_scene(rng, min_sep_deg=10.0):
@@ -125,24 +125,68 @@ def dense_pointing_response(config, pose, request, s_az, s_el):
     return complex(t.sum())
 
 
+def layer_split(sizes, flat):
+    """Per-layer (weights, biases) copies of a parameter-layout vector: layer by layer, weights first."""
+    weights, biases = [], []
+    start = 0
+    for n_in, n_out in zip(sizes, sizes[1:]):
+        weights.append(flat[start : start + n_out * n_in].reshape(n_out, n_in).copy())
+        start += n_out * n_in
+        biases.append(flat[start : start + n_out].copy())
+        start += n_out
+    assert start == flat.size
+    return weights, biases
+
+
+class PerLayerAdam:
+    """Reference ADAM: four per-layer lists of moments, each layer's weights and biases updated in turn."""
+
+    def __init__(self, weights, biases, learning_rate):
+        self.weights, self.biases = weights, biases
+        self.learning_rate = learning_rate
+        self.step_count = 0
+        self.m_w = [np.zeros_like(w) for w in weights]
+        self.v_w = [np.zeros_like(w) for w in weights]
+        self.m_b = [np.zeros_like(b) for b in biases]
+        self.v_b = [np.zeros_like(b) for b in biases]
+
+    def step(self, w_grads, b_grads):
+        lr = self.learning_rate
+        self.step_count += 1
+        t = self.step_count
+        bias1 = 1.0 - ADAM_BETA1**t
+        bias2 = 1.0 - ADAM_BETA2**t
+        for i in range(len(self.weights)):
+            for params, grads, m, v in (
+                (self.weights, w_grads, self.m_w, self.v_w),
+                (self.biases, b_grads, self.m_b, self.v_b),
+            ):
+                m[i] = ADAM_BETA1 * m[i] + (1.0 - ADAM_BETA1) * grads[i]
+                v[i] = ADAM_BETA2 * v[i] + (1.0 - ADAM_BETA2) * grads[i] ** 2
+                params[i] -= lr * (m[i] / bias1) / (np.sqrt(v[i] / bias2) + ADAM_EPS)
+
+
 def relative_gradient_error(net, x, y, rng, samples_per_tensor=40, step=1e-5):
     """Norm-relative gap between backprop and central finite differences.
 
-    Finite differences are evaluated on a random subset of coordinates per
-    parameter tensor; the error is aggregated per tensor as
+    Finite differences perturb entries of `net.params` on a random subset of
+    coordinates per weight or bias tensor (the layout of `layer_split`); the
+    error is aggregated per tensor as
     ||analytic - numeric|| / (||analytic|| + ||numeric||).
     """
-    w_grads, b_grads, _ = gradients(net, x, y)
+    grad, _ = gradients(net, x, y)
+    flat = net.params
 
     def loss():
         return mse_loss(forward(net, x), np.atleast_2d(y))
 
+    # each weight or bias tensor's positions in net.params
+    w_pos, b_pos = layer_split(net.layer_sizes, np.arange(flat.size))
     worst = 0.0
-    for tensor, grad in zip(net.weights + net.biases, w_grads + b_grads):
-        flat = tensor.reshape(-1)
-        gflat = grad.reshape(-1)
-        idx = rng.choice(flat.size, size=min(samples_per_tensor, flat.size), replace=False)
-        analytic = gflat[idx]
+    for pos in w_pos + b_pos:
+        pos = pos.reshape(-1)
+        idx = pos[rng.choice(pos.size, size=min(samples_per_tensor, pos.size), replace=False)]
+        analytic = grad[idx]
         numeric = np.empty_like(analytic)
         for j, i in enumerate(idx):
             keep = flat[i]

@@ -20,6 +20,7 @@ from uavisac.beampattern import (
     chebyshev_taper,
     eirp,
     extract_sll,
+    null_conflicts,
     pattern_cut,
     synthesize,
 )
@@ -34,6 +35,7 @@ from uavisac.geometry import (
     direction_unit,
     element_gain,
     rotation_matrix,
+    steering,
     steering_vector,
 )
 
@@ -270,11 +272,12 @@ def test_apply_nulls_conflict_detection():
 
 def test_check_nulls_shares_one_conflict_threshold():
     config = ArrayConfig(num_elements=16, carrier_hz=3e11)
+    rot = rotation_matrix(ZERO)
     beside = DirectionAngles(theta=BROADSIDE.theta, phi=BROADSIDE.phi + math.radians(1.01))
-    check_nulls(config, (beside,), BROADSIDE)
+    check_nulls(config, rot, (beside,), BROADSIDE)
     near = DirectionAngles(theta=BROADSIDE.theta, phi=BROADSIDE.phi + math.radians(0.99))
     with pytest.raises(NullConflictError):
-        check_nulls(config, (beside, near), BROADSIDE)
+        check_nulls(config, rot, (beside, near), BROADSIDE)
     request = SynthesisRequest(
         pointing=BROADSIDE, sll_min_az_db=15.0, sll_min_el_db=15.0,
         eirp_target_dbm=20.0, nulls=(near,),
@@ -282,7 +285,44 @@ def test_check_nulls_shares_one_conflict_threshold():
     with pytest.raises(NullConflictError):
         synthesize(request, config, zero_pose())
     with pytest.raises(ValueError):
-        check_nulls(config, (beside,) * 16)
+        check_nulls(config, rot, (beside,) * 16)
+    # the same threshold about the grating alias of an endfire pointing
+    endfire = DirectionAngles(theta=0.0, phi=0.0)
+    check_nulls(config, rot, (DirectionAngles(math.pi - math.radians(1.01), 0.0),), endfire)
+    with pytest.raises(NullConflictError):
+        check_nulls(config, rot, (DirectionAngles(math.pi - math.radians(0.99), 0.0),), endfire)
+
+
+def _assert_aliased_null_conflicts(pointing, null):
+    """A null whose steering vector is the pointing's, up to a common phase, conflicts everywhere."""
+    config = ArrayConfig(num_elements=100, carrier_hz=3e11)
+    pose = zero_pose()
+    rot = rotation_matrix(pose.angles)
+    units = np.array([geometry.array_frame_unit(rot, d) for d in (pointing, null)])
+    assert math.degrees(geometry.angular_separation(null, pointing)) > 30.0
+    a = steering(config, units)
+    assert abs(np.vdot(a[1], a[0])) == pytest.approx(config.num_elements, rel=1e-12)
+    assert null_conflicts(null, pointing, config, rot)
+    with pytest.raises(NullConflictError):
+        synthesize(_request_toward(pointing, nulls=(null,)), config, pose)
+    with pytest.raises(NullConflictError):
+        apply_nulls(matched_weights(config, pointing), config, pose, (null,), pointing)
+
+
+def test_null_at_the_antipode_of_an_endfire_pointing_conflicts():
+    # u_z = 1 and u_z = -1 are one grating period apart at lambda/2 spacing;
+    # unrejected, the null cancelled the beam and the EIRP target was met on
+    # the roundoff left: converged, at 1.55e30 mW per element
+    _assert_aliased_null_conflicts(DirectionAngles(0.0, 0.0), DirectionAngles(math.pi, 0.0))
+
+
+def test_null_mirrored_through_the_aperture_plane_conflicts():
+    # the same (u_x, u_z), on the other side of the aperture; unrejected,
+    # every candidate lost the beam and synthesis found no candidates
+    _assert_aliased_null_conflicts(
+        DirectionAngles(math.pi / 2, math.pi / 2 - 0.3),
+        DirectionAngles(math.pi / 2, -math.pi / 2 + 0.3),
+    )
 
 
 @pytest.mark.parametrize("field", ["eirp_target_dbm", "sll_min_az_db", "sll_min_el_db"])

@@ -32,8 +32,8 @@ def test_forward_zero_parameters_gives_zero_output():
 
 def test_forward_identity_single_layer():
     net = Network(NetworkConfig(layer_sizes=(3, 3), seed=0))
-    net.weights[0] = np.eye(3)
-    net.biases[0] = np.zeros(3)
+    net.weights[0][...] = np.eye(3)
+    net.biases[0][...] = 0.0
     x = np.array([0.5, -1.0, 2.0])
     # stats default to zero mean, unit std, so output equals the input
     assert np.allclose(forward(net, x), x)
@@ -63,10 +63,10 @@ def test_gradients_zero_residual():
     net = Network(NetworkConfig(layer_sizes=(2, 3, 1), seed=1))
     x = np.array([[0.3, -0.7]])
     y = forward(net, x)
-    w_grads, b_grads, loss = gradients(net, x, y)
+    grad, loss = gradients(net, x, y)
     assert loss == 0.0
-    for g in w_grads + b_grads:
-        assert np.allclose(g, 0.0)
+    assert grad.shape == net.params.shape
+    assert np.allclose(grad, 0.0)
 
 
 def test_gradients_single_linear_neuron_closed_form():
@@ -74,10 +74,10 @@ def test_gradients_single_linear_neuron_closed_form():
     net.weights[0][:] = 1.5
     net.biases[0][:] = 0.25
     x, t = 2.0, -1.0
-    w_grads, b_grads, _ = gradients(net, [[x]], [[t]])
+    (w_grad, b_grad), _ = gradients(net, [[x]], [[t]])
     y = 1.5 * x + 0.25
-    assert w_grads[0][0, 0] == pytest.approx(2.0 * (y - t) * x)
-    assert b_grads[0][0] == pytest.approx(2.0 * (y - t))
+    assert w_grad == pytest.approx(2.0 * (y - t) * x)
+    assert b_grad == pytest.approx(2.0 * (y - t))
 
 
 @pytest.mark.parametrize("layer_sizes", [(7, 50, 200), (4, 64, 32, 1)])
@@ -92,16 +92,48 @@ def test_gradients_match_finite_differences(layer_sizes):
         assert relative_gradient_error(net, x, y, rng) < 1e-4
 
 
+def test_layer_views_share_the_parameter_vector():
+    from tests.helpers import layer_split
+
+    net = Network(NetworkConfig(layer_sizes=(4, 64, 32, 1), seed=3))
+    assert net.params.shape == (4 * 64 + 64 + 64 * 32 + 32 + 32 + 1,)
+    weights, biases = layer_split(net.layer_sizes, net.params)
+    for views, copies in ((net.weights, weights), (net.biases, biases)):
+        for view, copy in zip(views, copies, strict=True):
+            assert np.shares_memory(view, net.params)
+            assert np.array_equal(view, copy)
+    net.params[:] = 0.0
+    assert np.array_equal(forward(net, np.ones(4)), [0.0])
+    # rebinding a layer fails instead of detaching it from params
+    with pytest.raises(TypeError):
+        net.weights[0] = np.zeros((64, 4))
+
+
 def test_adam_zero_gradient_is_identity():
     net = Network(NetworkConfig(layer_sizes=(2, 3, 1), seed=5))
-    before = [w.copy() for w in net.weights] + [b.copy() for b in net.biases]
+    before = net.params.copy()
     adam = AdamState(net, TrainConfig())
-    zero_w = [np.zeros_like(w) for w in net.weights]
-    zero_b = [np.zeros_like(b) for b in net.biases]
-    adam.step(net, zero_w, zero_b)
-    after = net.weights + net.biases
-    for b, a in zip(before, after):
-        assert np.array_equal(b, a)
+    adam.step(net, np.zeros_like(net.params))
+    assert np.array_equal(net.params, before)
+
+
+@pytest.mark.parametrize("layer_sizes", [(7, 50, 200), (4, 64, 32, 1)])
+def test_adam_step_matches_per_layer_reference(layer_sizes):
+    from tests.helpers import PerLayerAdam, layer_split
+
+    net = Network(NetworkConfig(layer_sizes=layer_sizes, seed=9))
+    config = TrainConfig(learning_rate=2.5e-2)
+    ref = PerLayerAdam(*layer_split(layer_sizes, net.params), config.learning_rate)
+    adam = AdamState(net, config)
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        grad = rng.normal(scale=rng.uniform(1e-3, 10.0), size=net.params.size)
+        grad[rng.random(grad.size) < 0.1] = 0.0
+        adam.step(net, grad)
+        ref.step(*layer_split(layer_sizes, grad))
+    for views, copies in ((net.weights, ref.weights), (net.biases, ref.biases)):
+        for view, copy in zip(views, copies, strict=True):
+            assert view.tobytes() == copy.tobytes()
 
 
 @pytest.mark.parametrize("lr", [0.0, -1e-3, math.nan, math.inf])

@@ -33,6 +33,7 @@ from uavisac import _kernels, beampattern
 from uavisac.beampattern import (
     GRID_STEP_DEG,
     MAIN_LOBE_MIN_DEPTH_DB,
+    NullConflictError,
     SynthesisRequest,
     _axis_factors,
     _axis_tables,
@@ -318,7 +319,8 @@ def candidate_scenes(draw, sizes=(4, 16, 64, 100)):
     nulls = tuple(
         DirectionAngles(draw(polar), draw(angle)) for _ in range(draw(st.integers(0, 2)))
     )
-    assume(not any(null_conflicts(null, pointing) for null in nulls))
+    rot = rotation_matrix(pose.angles)
+    assume(not any(null_conflicts(null, pointing, config, rot) for null in nulls))
     request = SynthesisRequest(
         pointing=pointing, sll_min_az_db=20.0, sll_min_el_db=20.0,
         eirp_target_dbm=25.0, nulls=nulls,
@@ -362,13 +364,24 @@ def _near_null_scene(phi):
     return config, pose, request, (5.0, 5.0)
 
 
+@pytest.mark.parametrize("phi", [0.46875, 0.4765625])
+def test_nulls_near_the_pointing_in_direction_cosines_conflict(phi):
+    # nulls 1.5 and 1.1 degrees off the pointing, but 0.012 and 0.009 from it
+    # in array-frame (u_x, u_z), the only part of a direction the aperture
+    # sees; they leave 4e-4 and 2e-4 of the unprojected response, which
+    # sum(tx) sum(tz) - c . (1^T d_n) missed for the first by 1.1e-12 of
+    # itself, and a float64 dense solve for the second by 1.2e-12
+    config, pose, request, _ = _near_null_scene(phi)
+    with pytest.raises(NullConflictError):
+        _Synthesizer(request, config, pose)
+
+
 @SETTINGS
 @given(scene=candidate_scenes())
-# nulls 1.5 and 1.1 degrees off the pointing leave 4e-4 and 2e-4 of the
-# unprojected response: sum(tx) sum(tz) - c . (1^T d_n) missed the first by
-# 1.1e-12 of itself, a float64 dense solve the second by 1.2e-12
-@example(scene=_near_null_scene(0.46875))
-@example(scene=_near_null_scene(0.4765625))
+# the nearest of these scenes that the conflict rule admits: a null 2.1
+# degrees off the pointing, 0.018 from it in (u_x, u_z), leaving 8e-4 of
+# the unprojected response
+@example(scene=_near_null_scene(0.453125))
 def test_factored_pointing_response_matches_projected_weights(scene):
     """The pointing response to 1e-12 of itself, against the dense solve in extended precision.
 
