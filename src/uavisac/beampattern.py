@@ -418,6 +418,8 @@ def _fold(w: NDArray, side: int):
 class _PatternEvaluator:
     """Pointing-relative cosine and sine tables of both grid axes over both principal cuts.
 
+    Takes the pose's rotation `rot`, the pointing and its array-frame unit
+    `point`, which the synthesizer derives with its nulls' (_frame_units).
     The panel is a square grid in the array's XZ plane, so the steering
     vector toward array-frame direction u is the Kronecker product
     exp(j k u_x x) (x) exp(j k u_z z) of one factor per grid axis, and a
@@ -440,11 +442,11 @@ class _PatternEvaluator:
     matrix, as `pattern_cut` needs.
     """
 
-    def __init__(self, config: ArrayConfig, rot, pointing: DirectionAngles):
+    def __init__(self, config: ArrayConfig, rot, pointing: DirectionAngles, point):
         arcs = {plane: _cut_arc(plane, pointing, rot) for plane in _PLANES}
         units = np.concatenate([units for _, units in arcs.values()])
         self.config = config
-        self.point = array_frame_unit(rot, pointing)
+        self.point = point
         self.tables = _axis_tables(config, self.point, units)
         self.cuts: dict[str, tuple[NDArray[np.float64], slice]] = {}
         start = 0
@@ -513,7 +515,8 @@ def pattern_cut(
     hemisphere (the mirror image through the aperture plane is excluded, as a
     ground plane would enforce).
     """
-    ev = _PatternEvaluator(config, rotation_matrix(pose.angles), pointing)
+    rot = rotation_matrix(pose.angles)
+    ev = _PatternEvaluator(config, rot, pointing, array_frame_unit(rot, pointing))
     w = _weight_entries(weights).reshape(config.side, config.side)
     angles, gains_db = ev.cut_gains_db(plane, w)
     return PatternCut(plane=plane, angles_rad=angles, gains_db=gains_db)
@@ -654,36 +657,34 @@ def _project_out(
     return w - basis @ np.linalg.lstsq(basis, w, rcond=None)[0]
 
 
-def null_conflicts(
-    null: DirectionAngles, pointing: DirectionAngles, config: ArrayConfig, rot
-) -> bool:
+def null_conflicts(null, point, config: ArrayConfig) -> bool:
     """True when a null lies too close to the pointing for the array to steer it.
 
-    Under the pose's rotation `rot`, the null's array-frame (u_x, u_z) lies
-    within the chord of NULL_CONFLICT_DEG of the pointing's, modulo the
-    grating period lambda/d on each axis.  A null within NULL_CONFLICT_DEG of
-    the pointing always does: dropping u_y and wrapping never lengthen the
-    chord.  The planar aperture sees only (u_x, u_z), and at lambda/2 spacing
-    its steering phases repeat with period 2 in each, so a null mirrored
-    through the aperture plane, or at the antipode of an endfire pointing,
-    has the pointing's own steering vector and projecting it out removes the
-    beam.
+    `null` and `point` are array-frame units (3,) of the null and the
+    pointing (geometry.array_frame_unit).  The null conflicts when its
+    (u_x, u_z) lies within the chord of NULL_CONFLICT_DEG of the pointing's,
+    modulo the grating period lambda/d on each axis.  A null within
+    NULL_CONFLICT_DEG of the pointing always does: dropping u_y and wrapping
+    never lengthen the chord.  The planar aperture sees only (u_x, u_z), and
+    at lambda/2 spacing its steering phases repeat with period 2 in each, so
+    a null mirrored through the aperture plane, or at the antipode of an
+    endfire pointing, has the pointing's own steering vector and projecting
+    it out removes the beam.
     """
     period = config.wavelength_m / config.spacing_m
-    ux, _, uz = array_frame_unit(rot, null) - array_frame_unit(rot, pointing)
+    ux, _, uz = null - point
     return math.hypot(math.remainder(ux, period), math.remainder(uz, period)) < _NULL_CONFLICT_CHORD
 
 
-def check_nulls(
-    config: ArrayConfig,
-    rot,
-    nulls: Sequence[DirectionAngles],
-    pointing: DirectionAngles | None = None,
-) -> None:
-    """Reject more nulls than the array can place, or one conflicting with the pointing."""
+def check_nulls(config: ArrayConfig, nulls, point=None) -> None:
+    """Reject more nulls than the array can place, or one conflicting with the pointing.
+
+    `nulls` holds the nulls' array-frame units, (n, 3), and `point`, when
+    given, the pointing's (3,); see null_conflicts.
+    """
     if len(nulls) >= config.num_elements:
         raise ValueError("cannot null as many directions as array elements")
-    if pointing is not None and any(null_conflicts(n, pointing, config, rot) for n in nulls):
+    if point is not None and any(null_conflicts(n, point, config) for n in nulls):
         raise NullConflictError("null direction conflicts with the pointing direction")
 
 
@@ -703,9 +704,11 @@ def apply_nulls(
     nulls = tuple(nulls)
     if not nulls:
         return weights
-    rot = rotation_matrix(pose.angles)
-    check_nulls(config, rot, nulls, pointing)
-    basis = steering(config, _frame_units(rot, nulls)).T
+    directions = nulls if pointing is None else (pointing, *nulls)
+    units = _frame_units(rotation_matrix(pose.angles), directions)
+    null_units = units[-len(nulls) :]
+    check_nulls(config, null_units, None if pointing is None else units[0])
+    basis = steering(config, null_units).T
     projected = _project_out(_weight_entries(weights), basis)
     scale = max(1.0, float(np.max(np.abs(projected))))
     return BeamWeights(
@@ -794,10 +797,10 @@ class _Synthesizer:
     def __init__(self, request: SynthesisRequest, config: ArrayConfig, pose: Pose):
         self.request = request
         rot = rotation_matrix(pose.angles)
-        check_nulls(config, rot, request.nulls, request.pointing)
-        self.evaluator = _PatternEvaluator(config, rot, request.pointing)
         # row 0 is the pointing, row 1 + n null n; so are the axis-factor columns
         units = _frame_units(rot, (request.pointing, *request.nulls))
+        check_nulls(config, units[1:], units[0])
+        self.evaluator = _PatternEvaluator(config, rot, request.pointing, units[0])
         self.point_element_gain = element_gain(units[0])
         ax, az = np.conj(_axis_factors(config, units))
         self.side = side = config.side

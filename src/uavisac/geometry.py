@@ -169,12 +169,6 @@ def direction_unit(direction: DirectionAngles) -> NDArray[np.float64]:
     )
 
 
-def angular_separation(a: DirectionAngles, b: DirectionAngles) -> float:
-    """Great-circle angle between two directions, radians."""
-    dot = float(np.dot(direction_unit(a), direction_unit(b)))
-    return math.acos(min(1.0, max(-1.0, dot)))
-
-
 def array_frame_unit(rot, direction: DirectionAngles) -> NDArray[np.float64]:
     """Unit vector of a direction in the array frame, R^T u; rot is the pose's rotation_matrix."""
     return rot.T @ direction_unit(direction)

@@ -379,10 +379,8 @@ def synthesize_point(
     gbs_dir = geo.gbs_dir[gbs_index]
     null_gbs = nearest_other_gbs(geo, gbs_index)
     if lenient:
-        rot = rotation_matrix(pose.angles)
-        kept = tuple(
-            i for i in null_gbs if not null_conflicts(geo.gbs_dir[i], gbs_dir, config, rot)
-        )
+        point = geo.gbs_unit[gbs_index]
+        kept = tuple(i for i in null_gbs if not null_conflicts(geo.gbs_unit[i], point, config))
         if kept != null_gbs:
             logger.warning("dropping null conflicting with pointing at slot %d", geo.point.slot)
             null_gbs = kept

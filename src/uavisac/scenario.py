@@ -10,11 +10,12 @@ endpoint constraints hold by construction.
 
 point_geometry builds a point's rotation once and derives each destination's
 distance, direction, array-frame unit, element gain and path gain once; every
-per-point stage reads its PointGeometry record.  One beampattern entry point
-derives its own, because it takes world quantities rather than a record and is
-called without one (the CLI's synthesize command, the tests, the benchmark):
-synthesize turns the request's pointing and nulls into array-frame units under
-one rotation (_frame_units).
+per-point stage reads its PointGeometry record, synthesize_point's lenient null
+drop too.  The beampattern entry points take world quantities rather than a
+record (the CLI's synthesize command, the tests and the benchmark call them
+without one), so each derives its units once, under one rotation
+(_frame_units): synthesize for its null check, cut tables and axis factors,
+apply_nulls for its null check and null basis.
 
 Max-SINR association and the optimal association label are one rule: the
 station with the smallest required EIRP, lowest index on ties (see

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from uavisac.beampattern import chebyshev_taper
+from uavisac.beampattern import NULL_CONFLICT_DEG, chebyshev_taper
 from uavisac.geometry import (
     DirectionAngles,
     Pose,
@@ -50,6 +50,20 @@ def random_null_scene(rng, min_sep_deg=10.0):
 
     pose = Pose(position=np.array([0.0, 0.0, 100.0]), angles=yaw)
     return pose, to_global(point_uw), tuple(to_global(n) for n in nulls_uw)
+
+
+def null_conflicts_from_directions(null, pointing, config, rot):
+    """The null-conflict rule on world directions under the pose's rotation `rot`.
+
+    Reference for beampattern.null_conflicts, which takes array-frame units:
+    each direction is turned into its unit here, and the null conflicts when
+    its (u_x, u_z) lies within the chord of NULL_CONFLICT_DEG of the
+    pointing's, modulo the grating period lambda/d on each axis.
+    """
+    chord = 2.0 * math.sin(math.radians(NULL_CONFLICT_DEG) / 2.0)
+    period = config.wavelength_m / config.spacing_m
+    ux, _, uz = array_frame_unit(rot, null) - array_frame_unit(rot, pointing)
+    return math.hypot(math.remainder(ux, period), math.remainder(uz, period)) < chord
 
 
 def dense_null_projection(w, config, pose, nulls, active):

@@ -270,14 +270,19 @@ def test_apply_nulls_conflict_detection():
         apply_nulls(w, config, zero_pose(), (near,), BROADSIDE)
 
 
+def _units(*directions, angles=ZERO):
+    """Array-frame units (n, 3) of the directions under a pose's rotation angles."""
+    return beampattern._frame_units(rotation_matrix(angles), directions)
+
+
 def test_check_nulls_shares_one_conflict_threshold():
     config = ArrayConfig(num_elements=16, carrier_hz=3e11)
-    rot = rotation_matrix(ZERO)
+    point = _units(BROADSIDE)[0]
     beside = DirectionAngles(theta=BROADSIDE.theta, phi=BROADSIDE.phi + math.radians(1.01))
-    check_nulls(config, rot, (beside,), BROADSIDE)
+    check_nulls(config, _units(beside), point)
     near = DirectionAngles(theta=BROADSIDE.theta, phi=BROADSIDE.phi + math.radians(0.99))
     with pytest.raises(NullConflictError):
-        check_nulls(config, rot, (beside, near), BROADSIDE)
+        check_nulls(config, _units(beside, near), point)
     request = SynthesisRequest(
         pointing=BROADSIDE, sll_min_az_db=15.0, sll_min_el_db=15.0,
         eirp_target_dbm=20.0, nulls=(near,),
@@ -285,24 +290,86 @@ def test_check_nulls_shares_one_conflict_threshold():
     with pytest.raises(NullConflictError):
         synthesize(request, config, zero_pose())
     with pytest.raises(ValueError):
-        check_nulls(config, rot, (beside,) * 16)
+        check_nulls(config, _units(*(beside,) * 16))
     # the same threshold about the grating alias of an endfire pointing
-    endfire = DirectionAngles(theta=0.0, phi=0.0)
-    check_nulls(config, rot, (DirectionAngles(math.pi - math.radians(1.01), 0.0),), endfire)
+    endfire = _units(DirectionAngles(theta=0.0, phi=0.0))[0]
+    check_nulls(config, _units(DirectionAngles(math.pi - math.radians(1.01), 0.0)), endfire)
     with pytest.raises(NullConflictError):
-        check_nulls(config, rot, (DirectionAngles(math.pi - math.radians(0.99), 0.0),), endfire)
+        check_nulls(config, _units(DirectionAngles(math.pi - math.radians(0.99), 0.0)), endfire)
+
+
+def _world_direction(angles, unit):
+    """The world direction whose array-frame unit under the rotation angles is `unit`."""
+    g = rotation_matrix(angles) @ unit
+    return DirectionAngles(math.acos(min(1.0, max(-1.0, g[2]))), math.atan2(g[1], g[0]))
+
+
+def test_null_conflicts_on_units_matches_the_direction_form():
+    from tests.helpers import null_conflicts_from_directions
+
+    rng = np.random.default_rng(30)
+    config = ArrayConfig(num_elements=100, carrier_hz=3e11)
+    endfires = np.vstack([np.eye(3)[[0, 2]], -np.eye(3)[[0, 2]]])
+    verdicts = []
+    for trial in range(400):
+        angles = RotationAngles(*rng.uniform(-math.pi, math.pi, 3))
+        if trial % 4 == 3:
+            # an endfire pointing, with its antipode among the nulls
+            point = endfires[trial // 4 % 4]
+        else:
+            point = rng.normal(size=3)
+            point /= np.linalg.norm(point)
+        # the antipode, the mirror through the aperture plane, a random
+        # direction, and directions 0.99 and 1.01 degrees off the pointing
+        mirrored = point * (1.0, -1.0, 1.0)
+        other = rng.normal(size=3)
+        tilt = np.cross(point, other)
+        tilt /= np.linalg.norm(tilt)
+        beside = [
+            math.cos(math.radians(deg)) * point + math.sin(math.radians(deg)) * tilt
+            for deg in (0.99, 1.01)
+        ]
+        pointing = _world_direction(angles, point)
+        rot = rotation_matrix(angles)
+        for null in (-point, mirrored, other / np.linalg.norm(other), *beside):
+            null_dir = _world_direction(angles, null)
+            units = _units(pointing, null_dir, angles=angles)
+            want = null_conflicts_from_directions(null_dir, pointing, config, rot)
+            assert null_conflicts(units[1], units[0], config) == want
+            verdicts.append(want)
+    # both verdicts are reached, so the comparison is no vacuous one
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_one_synthesis_derives_each_array_frame_unit_once(monkeypatch):
+    from tests.helpers import random_null_scene
+
+    calls = []
+
+    def counting(rot, direction):
+        calls.append(direction)
+        return geometry.array_frame_unit(rot, direction)
+
+    monkeypatch.setattr(beampattern, "array_frame_unit", counting)
+    config = ArrayConfig(num_elements=16, carrier_hz=3e11)
+    pose, pointing, nulls = random_null_scene(np.random.default_rng(8))
+    for n in range(len(nulls) + 1):
+        calls.clear()
+        synthesize(_request_toward(pointing, nulls=nulls[:n]), config, pose)
+        # the pointing's unit and each null's, under one rotation
+        assert len(calls) == n + 1
 
 
 def _assert_aliased_null_conflicts(pointing, null):
     """A null whose steering vector is the pointing's, up to a common phase, conflicts everywhere."""
     config = ArrayConfig(num_elements=100, carrier_hz=3e11)
     pose = zero_pose()
-    rot = rotation_matrix(pose.angles)
-    units = np.array([geometry.array_frame_unit(rot, d) for d in (pointing, null)])
-    assert math.degrees(geometry.angular_separation(null, pointing)) > 30.0
+    units = _units(pointing, null, angles=pose.angles)
+    cos_angle = float(direction_unit(null) @ direction_unit(pointing))
+    assert math.degrees(math.acos(min(1.0, max(-1.0, cos_angle)))) > 30.0
     a = steering(config, units)
     assert abs(np.vdot(a[1], a[0])) == pytest.approx(config.num_elements, rel=1e-12)
-    assert null_conflicts(null, pointing, config, rot)
+    assert null_conflicts(units[1], units[0], config)
     with pytest.raises(NullConflictError):
         synthesize(_request_toward(pointing, nulls=(null,)), config, pose)
     with pytest.raises(NullConflictError):

@@ -7,10 +7,8 @@ from uavisac.geometry import (
     SPEED_OF_LIGHT,
     ArrayConfig,
     ConfigError,
-    DirectionAngles,
     GeometryError,
     RotationAngles,
-    angular_separation,
     array_frame_unit,
     centered_grid_offsets,
     direction_angles,
@@ -124,12 +122,6 @@ def test_steering_vector_broadside_is_coherent():
     dest = np.array([0.0, -500.0, 100.0])  # unit vector from dest to array is +y
     a = steering_vector(config, pos, RotationAngles(0.0, 0.0, 0.0), dest)
     assert np.allclose(a, 1.0 + 0.0j, atol=1e-12)
-
-
-def test_angular_separation():
-    a = DirectionAngles(theta=math.pi / 2, phi=0.0)
-    b = DirectionAngles(theta=math.pi / 2, phi=math.pi / 2)
-    assert abs(angular_separation(a, b) - math.pi / 2) < 1e-12
 
 
 @pytest.mark.parametrize("num_elements", [4, 16, 100])

@@ -319,8 +319,8 @@ def candidate_scenes(draw, sizes=(4, 16, 64, 100)):
     nulls = tuple(
         DirectionAngles(draw(polar), draw(angle)) for _ in range(draw(st.integers(0, 2)))
     )
-    rot = rotation_matrix(pose.angles)
-    assume(not any(null_conflicts(null, pointing, config, rot) for null in nulls))
+    units = _frame_units(pose, (pointing, *nulls))
+    assume(not any(null_conflicts(u, units[0], config) for u in units[1:]))
     request = SynthesisRequest(
         pointing=pointing, sll_min_az_db=20.0, sll_min_el_db=20.0,
         eirp_target_dbm=25.0, nulls=nulls,

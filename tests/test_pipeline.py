@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from uavisac import pipeline
 from uavisac.beampattern import NullConflictError, array_gain
 from uavisac.channel import EXPECTED, RADAR_LOS, channel_vector, pathloss, sinr
 from uavisac.geometry import (
@@ -197,6 +198,35 @@ def test_synthesize_point_lenient_drops_only_the_conflicting_null(small_scenario
         ps = synthesize_point(scn, geo, 0, lenient=True)
     assert ps.null_gbs == (2,)
     assert "dropping null conflicting with pointing at slot 4" in caplog.text
+
+
+def test_every_failing_comm_call_nulls_near_a_pointing_alias(monkeypatch):
+    # ROADMAP item 16's census: each comm beam that fails to converge nulls a
+    # station within 0.25 of the pointing in (u_x, u_z) taken modulo the
+    # grating period, that is near the pointing's grating alias (38 calls,
+    # the largest such offset 0.159).  The bound is necessary here, not
+    # sufficient: 50 of the 290 converged comm calls have such a null too.
+    calls, synthesize = [], pipeline.synthesize
+
+    def recording(request, config, pose):
+        result = synthesize(request, config, pose)
+        calls.append((request, config, pose, result))
+        return result
+
+    monkeypatch.setattr(pipeline, "synthesize", recording)
+    generate_dataset(Scenario(), 3, "closest", 11)
+    # every comm request nulls the two nearest other stations; no sensing call fails
+    failing = [c for c in calls if not c[3].converged]
+    assert failing and all(len(request.nulls) == 2 for request, *_ in failing)
+    for request, config, pose, _ in failing:
+        rot = rotation_matrix(pose.angles)
+        point = array_frame_unit(rot, request.pointing)
+        period = config.wavelength_m / config.spacing_m
+        offsets = [
+            math.hypot(math.remainder(ux, period), math.remainder(uz, period))
+            for ux, _, uz in (array_frame_unit(rot, null) - point for null in request.nulls)
+        ]
+        assert min(offsets) < 0.25
 
 
 def test_train_models_split_and_reports(small_scenario, small_dataset, small_bundle):
