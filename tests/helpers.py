@@ -100,7 +100,7 @@ def dense_candidate_weights(config, pose, request, s_az, s_el):
     return dense_null_projection(w, config, pose, request.nulls, active)
 
 
-def dense_pointing_response(config, pose, request, s_az, s_el):
+def dense_pointing_response(config, pose, request, s_az, s_el, units=None):
     """A synthesis candidate's pointing array factor a^H w, from a dense null solve in np.longdouble.
 
     w are the weights of dense_candidate_weights, a times the taper t with
@@ -113,14 +113,17 @@ def dense_pointing_response(config, pose, request, s_az, s_el):
     (modified Gram-Schmidt, run twice) are in np.longdouble, 80-bit extended
     precision on x86-64 Linux.  Nulls that the float64 least squares would
     drop as dependent (np.linalg.matrix_rank's tolerance) are dropped first,
-    so coincident nulls count once, as they do for the synthesizer.
+    so coincident nulls count once, as they do for the synthesizer.  `units`,
+    when given, replaces the array-frame units of the pointing and the nulls
+    (pointing first) that the pose and request give.
     """
     side = config.side
     tx = chebyshev_taper(side, s_az) if side > 1 else np.ones(1)
     tz = chebyshev_taper(side, s_el) if side > 1 else np.ones(1)
     t = np.outer(tx, tz).ravel().astype(np.longdouble)
-    rot = rotation_matrix(pose.angles)
-    units = np.array([array_frame_unit(rot, d) for d in (request.pointing, *request.nulls)])
+    if units is None:
+        rot = rotation_matrix(pose.angles)
+        units = np.array([array_frame_unit(rot, d) for d in (request.pointing, *request.nulls)])
     basis = steering(config, units[1:]).T
     keep = []
     for n in range(basis.shape[1]):
