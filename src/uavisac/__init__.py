@@ -20,7 +20,7 @@ from .beampattern import (
     pattern_cut,
     synthesize,
 )
-from .channel import ChannelParams, achievable_rate, channel_vector, pathloss, sinr
+from .channel import ChannelParams, achievable_rate, channel_vector, sinr
 from .geometry import (
     ArrayConfig,
     DirectionAngles,

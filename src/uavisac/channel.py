@@ -1,9 +1,11 @@
 """Sub-THz air-to-ground propagation.
 
-Path losses are returned as linear channel power gains, so free-space
-spreading, molecular absorption and the NLoS penalty all sit in the
-denominator; the probabilistic blend weighs the LoS and NLoS gains by the
-elevation-dependent occurrence probabilities.
+_path_gain returns a link's path loss, free space or the radar range
+equation, as a linear channel power gain of the distance
+scenario.point_geometry derives, so spreading, molecular absorption and the
+NLoS penalty all sit in the denominator; the probabilistic blend weighs the
+LoS and NLoS gains by _nlos_probability's elevation-dependent occurrence
+probabilities.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from .geometry import (
     SPEED_OF_LIGHT,
     ArrayConfig,
     GeometryError,
-    as_vec3,
     steering,
 )
 
@@ -66,17 +67,8 @@ class ChannelParams:
         return SPEED_OF_LIGHT / self.carrier_hz
 
 
-def nlos_probability(params: ChannelParams, uav_pos, dest) -> float:
-    """NLoS occurrence probability, clamped to [0, 1].
-
-    Evaluates -k1 exp(-k2 atan(dz / horizontal)) + k3 on the height gap and
-    horizontal distance; the argument equals (z - z_i) / (d sin theta).
-    """
-    return _nlos_probability(params, as_vec3(uav_pos), as_vec3(dest))
-
-
 def _nlos_probability(params: ChannelParams, u, d) -> float:
-    """nlos_probability between finite 3-vectors u (UAV) and d (destination), unchecked."""
+    """NLoS probability from u (UAV) to d in [0, 1]; dz/horizontal is (z - z_i) / (d sin theta)."""
     dz = u[2] - d[2]
     if dz <= 0.0:
         raise GeometryError("UAV must be above the destination")
@@ -86,20 +78,8 @@ def _nlos_probability(params: ChannelParams, u, d) -> float:
     return min(1.0, max(0.0, raw))
 
 
-def pathloss(params: ChannelParams, mode: str, uav_pos, dest) -> float:
-    """Linear channel power gain between the UAV and a destination.
-
-    comm_los: lam^2 / ((4 pi d)^2 exp(2 K d)); radar_los uses the radar
-    range equation lam^2 rho / ((4 pi)^3 d^4 exp(4 K d)); comm_nlos applies
-    the K_N^2 penalty; expected blends the comm gains by LoS probability.
-    """
-    u = as_vec3(uav_pos)
-    t = as_vec3(dest)
-    return _path_gain(params, mode, u, t, float(np.linalg.norm(u - t)))
-
-
 def _path_gain(params: ChannelParams, mode: str, u, t, d: float) -> float:
-    """pathloss between 3-vectors u (UAV) and t (destination) at distance d = |u - t|."""
+    """Linear channel power gain in one link mode from u (UAV) to t at distance d = |u - t|."""
     if d <= 0.0:
         raise GeometryError("zero distance between UAV and destination")
     lam = params.wavelength_m
@@ -118,7 +98,7 @@ def _path_gain(params: ChannelParams, mode: str, u, t, d: float) -> float:
     if mode == EXPECTED:
         p_nlos = _nlos_probability(params, u, t)
         return (1.0 - p_nlos) * gain_los + p_nlos * gain_los * params.nlos_attenuation**2
-    raise ValueError(f"unknown pathloss mode {mode!r}")
+    raise ValueError(f"unknown path gain mode {mode!r}")
 
 
 def channel_vector(
@@ -126,7 +106,7 @@ def channel_vector(
 ) -> NDArray[np.complex128]:
     """Complex channel entries sqrt(PL) exp(j 2 pi f d / c) a(unit) toward one destination.
 
-    d, PL (pathloss in the link's mode) and the array-frame unit are the values
+    d, PL (_path_gain in the link's mode) and the array-frame unit are the values
     scenario.point_geometry derives once per destination and its record holds.
     """
     return _link_phasor(params, distance_m, path_gain) * steering(config, unit)

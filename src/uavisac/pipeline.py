@@ -228,15 +228,6 @@ def decode_complex(arr: NDArray[np.float64]) -> NDArray[np.complex128]:
     return arr[..., 0::2] + 1j * arr[..., 1::2]
 
 
-def _beam_from_vector(vec: NDArray[np.complex128]) -> BeamWeights:
-    """Split an amplitude-scaled weight vector into entries and PPE."""
-    peak = float(np.max(np.abs(vec)))
-    if peak <= 0.0:
-        return BeamWeights(entries=np.zeros_like(vec), power_per_element_mw=1e-12)
-    scale = max(1.0, peak)
-    return BeamWeights(entries=vec / scale, power_per_element_mw=scale**2)
-
-
 # The comm beam nulls this many of the nearest other stations, and its
 # feature vector has one (phi, theta) slot per null.
 NULL_STATIONS = 2
@@ -606,14 +597,13 @@ def predict_matrix(
     """
     prelim_dbm = sensing_eirp_target_dbm(scenario, geo)
     sens_feat = sensing_feature_vector(geo.target_frame, prelim_dbm)
-    sensing = _beam_from_vector(decode_complex(forward(bundle.beamformer, sens_feat)))
-    sensing = _cap_beam(sensing, scenario, geo.target_steering, geo.target_gain)
+    sensing = _nn_beam(forward(bundle.beamformer, sens_feat), scenario,
+                       geo.target_steering, geo.target_gain)
     comm_eirp = _comm_eirp_dbm(scenario, geo, gbs_index, sensing)
     null_frames = [geo.gbs_frame[i] for i in nearest_other_gbs(geo, gbs_index)]
     comm_feat = comm_feature_vector(geo.gbs_frame[gbs_index], null_frames, comm_eirp)
-    comm = _beam_from_vector(decode_complex(forward(bundle.beamformer, comm_feat)))
-    comm_steering = steering(scenario.array, geo.gbs_unit[gbs_index])
-    comm = _cap_beam(comm, scenario, comm_steering, geo.gbs_gain[gbs_index])
+    comm = _nn_beam(forward(bundle.beamformer, comm_feat), scenario,
+                    steering(scenario.array, geo.gbs_unit[gbs_index]), geo.gbs_gain[gbs_index])
     return (
         _enforce_power_budget(
             BeamformingMatrix(sensing=sensing, comm=comm), scenario.p_max_mw
@@ -622,15 +612,19 @@ def predict_matrix(
     )
 
 
-def _cap_beam(beam: BeamWeights, scenario: Scenario, a: NDArray[np.complex128],
-              gain: float) -> BeamWeights:
-    """Scale the beam down to the EIRP cap toward steering vector a of element gain `gain`."""
-    achieved = to_db(beam.power_per_element_mw * steered_gain(beam, a, gain))
-    if achieved <= scenario.eirp_max_dbm or math.isinf(achieved):
-        return beam
-    factor = from_db(scenario.eirp_max_dbm - achieved)
-    return BeamWeights(entries=beam.entries,
-                       power_per_element_mw=beam.power_per_element_mw * factor)
+def _nn_beam(output: NDArray[np.float64], scenario: Scenario, a: NDArray[np.complex128],
+             gain: float) -> BeamWeights:
+    """One network output as max-normalized BeamWeights, its EIRP toward a capped at the limit."""
+    vec = decode_complex(output)
+    peak = float(np.max(np.abs(vec)))
+    if peak <= 0.0:
+        return BeamWeights(entries=np.zeros_like(vec), power_per_element_mw=1e-12)
+    scale = max(1.0, peak)
+    entries, ppe = vec / scale, scale**2
+    achieved = to_db(ppe * steered_gain(entries, a, gain))
+    if achieved > scenario.eirp_max_dbm and not math.isinf(achieved):
+        ppe *= from_db(scenario.eirp_max_dbm - achieved)
+    return BeamWeights(entries=entries, power_per_element_mw=ppe)
 
 
 def evaluate_trajectory(

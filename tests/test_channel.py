@@ -9,10 +9,10 @@ from uavisac.channel import (
     EXPECTED,
     RADAR_LOS,
     ChannelParams,
+    _nlos_probability,
+    _path_gain,
     achievable_rate,
     channel_vector,
-    nlos_probability,
-    pathloss,
     sinr,
 )
 from uavisac.geometry import (
@@ -33,11 +33,17 @@ def frame_unit(uav, angles, dest):
     return array_frame_unit(rotation_matrix(angles), direction_angles(uav, dest))
 
 
+def path_gain(p, mode, uav, dest):
+    """_path_gain between world positions, at the distance |uav - dest| computed here."""
+    u, t = np.asarray(uav, dtype=float), np.asarray(dest, dtype=float)
+    return _path_gain(p, mode, u, t, float(np.linalg.norm(u - t)))
+
+
 def link(p, config, mode, uav, dest, angles=ZERO):
-    """channel_vector toward dest, fed the distance, pathloss and unit of world positions."""
+    """channel_vector toward dest, fed the distance, path gain and unit of world positions."""
     distance = float(np.linalg.norm(np.subtract(uav, dest)))
     return channel_vector(
-        p, config, distance, pathloss(p, mode, uav, dest), unit=frame_unit(uav, angles, dest)
+        p, config, distance, path_gain(p, mode, uav, dest), unit=frame_unit(uav, angles, dest)
     )
 
 
@@ -50,13 +56,13 @@ def params_1mm(**kwargs):
 def test_nlos_probability_constant_when_kappa1_zero():
     p = params_1mm(kappa1=0.0, kappa3=0.4)
     for dest in ([50.0, 0.0, 2.0], [500.0, 100.0, 2.0]):
-        assert nlos_probability(p, UAV, dest) == pytest.approx(0.4)
+        assert _nlos_probability(p, UAV, dest) == pytest.approx(0.4)
 
 
 def test_nlos_probability_vertical_limit():
     # straight overhead the elevation term saturates at pi/2
     p = params_1mm(kappa1=0.9, kappa2=3.5, kappa3=0.9)
-    value = nlos_probability(p, UAV, [0.0, 0.0, 2.0])
+    value = _nlos_probability(p, UAV, [0.0, 0.0, 2.0])
     assert value == pytest.approx(0.9 * (1.0 - math.exp(-3.5 * math.pi / 2)))
 
 
@@ -69,24 +75,24 @@ def test_nlos_probability_frozen_oracle_values():
         500.0: 0.4428634518199317,
     }
     for dh, value in expected.items():
-        assert nlos_probability(p, UAV, [dh, 0.0, 2.0]) == pytest.approx(value, rel=1e-12)
+        assert _nlos_probability(p, UAV, [dh, 0.0, 2.0]) == pytest.approx(value, rel=1e-12)
 
 
 def test_nlos_probability_requires_height_gap():
     with pytest.raises(GeometryError):
-        nlos_probability(params_1mm(), [0.0, 0.0, 2.0], UAV)
+        _nlos_probability(params_1mm(), [0.0, 0.0, 2.0], UAV)
 
 
 def test_pathloss_comm_los_frozen_value():
     p = params_1mm()
-    gain = pathloss(p, COMM_LOS, [0.0, 0.0, 100.0], [0.0, 0.0, 0.0])
+    gain = path_gain(p, COMM_LOS, [0.0, 0.0, 100.0], [0.0, 0.0, 0.0])
     assert gain == pytest.approx(6.33257397764611e-13, rel=1e-12)
     assert 10 * math.log10(gain) == pytest.approx(-121.98, abs=0.01)
 
 
 def test_pathloss_radar_los_frozen_value():
     p = params_1mm(radar_cross_section_m2=1.0)
-    gain = pathloss(p, RADAR_LOS, [0.0, 0.0, 100.0], [0.0, 0.0, 0.0])
+    gain = path_gain(p, RADAR_LOS, [0.0, 0.0, 100.0], [0.0, 0.0, 0.0])
     assert gain == pytest.approx(5.0393022551874206e-18, rel=1e-12)
     assert 10 * math.log10(gain) == pytest.approx(-172.98, abs=0.01)
 
@@ -94,13 +100,13 @@ def test_pathloss_radar_los_frozen_value():
 def test_pathloss_nlos_equals_los_for_unit_attenuation():
     p = params_1mm(nlos_attenuation=1.0)
     dest = [200.0, 0.0, 2.0]
-    assert pathloss(p, COMM_NLOS, UAV, dest) == pytest.approx(pathloss(p, COMM_LOS, UAV, dest))
+    assert path_gain(p, COMM_NLOS, UAV, dest) == pytest.approx(path_gain(p, COMM_LOS, UAV, dest))
 
 
 def test_pathloss_decreases_with_distance():
     p = params_1mm(absorption_per_m=0.003)
     for mode in (COMM_LOS, COMM_NLOS, RADAR_LOS, EXPECTED):
-        gains = [pathloss(p, mode, UAV, [d, 0.0, 2.0]) for d in (50, 100, 200, 400, 800)]
+        gains = [path_gain(p, mode, UAV, [d, 0.0, 2.0]) for d in (50, 100, 200, 400, 800)]
         assert all(a > b for a, b in zip(gains, gains[1:]))
 
 
@@ -109,9 +115,9 @@ def test_expected_pathloss_is_convex_combination():
     rng = np.random.default_rng(2)
     for _ in range(50):
         dest = [rng.uniform(10, 1000), rng.uniform(-500, 500), 2.0]
-        lo = pathloss(p, COMM_NLOS, UAV, dest)
-        hi = pathloss(p, COMM_LOS, UAV, dest)
-        mid = pathloss(p, EXPECTED, UAV, dest)
+        lo = path_gain(p, COMM_NLOS, UAV, dest)
+        hi = path_gain(p, COMM_LOS, UAV, dest)
+        mid = path_gain(p, EXPECTED, UAV, dest)
         assert lo <= mid <= hi
 
 
@@ -123,7 +129,7 @@ def test_channel_vector_norm_invariant():
         dest = np.array([rng.uniform(50, 800), rng.uniform(-400, 400), 2.0])
         h = link(p, config, EXPECTED, UAV, dest)
         norm_sq = float(np.sum(np.abs(h) ** 2))
-        gain = pathloss(p, EXPECTED, UAV, dest)
+        gain = path_gain(p, EXPECTED, UAV, dest)
         assert norm_sq == pytest.approx(config.num_elements * gain, rel=1e-12)
 
 
@@ -135,7 +141,7 @@ def test_channel_vector_single_element_zero_phase():
     uav = np.array([0.0, 0.0, d])
     origin = np.zeros(3)
     h = link(p, config, COMM_LOS, uav, origin)
-    expected_gain = pathloss(p, COMM_LOS, uav, np.zeros(3))
+    expected_gain = path_gain(p, COMM_LOS, uav, np.zeros(3))
     assert h.shape == (1,)
     assert h[0] == pytest.approx(math.sqrt(expected_gain), rel=1e-9)
     # phase is a whole number of turns up to float rounding of 2*pi*1000
@@ -157,7 +163,7 @@ def test_channel_vector_rejects_an_orientation_in_place_of_the_unit():
     config = ArrayConfig(num_elements=4, carrier_hz=p.carrier_hz)
     dest = [100.0, 0.0, 2.0]
     distance = float(np.linalg.norm(np.subtract(UAV, dest)))
-    gain = pathloss(p, COMM_LOS, UAV, dest)
+    gain = path_gain(p, COMM_LOS, UAV, dest)
     with pytest.raises(TypeError):
         channel_vector(p, config, distance, gain, ZERO)
     with pytest.raises(TypeError):

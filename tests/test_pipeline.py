@@ -9,13 +9,15 @@ import pytest
 
 from uavisac import pipeline
 from uavisac.beampattern import NullConflictError, array_gain
-from uavisac.channel import EXPECTED, RADAR_LOS, channel_vector, pathloss, sinr
+from uavisac.channel import EXPECTED, RADAR_LOS, _path_gain, channel_vector, sinr
 from uavisac.geometry import (
     DirectionAngles,
     RotationAngles,
     array_frame_unit,
     direction_angles,
+    element_gain,
     rotation_matrix,
+    steering,
     steering_vector,
 )
 from uavisac.neuralnet import TrainConfig
@@ -39,6 +41,7 @@ from uavisac.pipeline import (
     write_stats_csv,
 )
 from uavisac.scenario import Scenario, TrajectoryPoint, generate_trajectories, point_geometry
+from uavisac.units import to_db
 
 
 def world_channel(scenario, point, dest, mode):
@@ -46,9 +49,10 @@ def world_channel(scenario, point, dest, mode):
     unit = array_frame_unit(
         rotation_matrix(point.orientation), direction_angles(point.position, dest)
     )
+    distance = float(np.linalg.norm(point.position - dest))
     return channel_vector(
-        scenario.channel, scenario.array, float(np.linalg.norm(point.position - dest)),
-        pathloss(scenario.channel, mode, point.position, dest), unit=unit,
+        scenario.channel, scenario.array, distance,
+        _path_gain(scenario.channel, mode, point.position, dest, distance), unit=unit,
     )
 
 
@@ -343,6 +347,40 @@ def test_predict_association_clamps(small_scenario, small_bundle):
     assert predict_association(small_bundle, single, point) == 0
     k = predict_association(small_bundle, small_scenario, point)
     assert 0 <= k < small_scenario.num_gbs
+
+
+def test_nn_beam_zero_unscaled_and_capped_branches(small_scenario):
+    """The three branches of the builder that turns a weight-network output into a beam."""
+    unit = np.array([0.3, 0.8, 0.52]) / math.sqrt(0.3**2 + 0.8**2 + 0.52**2)
+    a, gain = steering(small_scenario.array, unit), element_gain(unit)
+    m, cap = small_scenario.num_elements, small_scenario.eirp_max_dbm
+
+    def eirp_dbm(beam):
+        return to_db(beam.power_per_element_mw * abs(np.vdot(a, beam.entries)) ** 2 * gain)
+
+    zero = pipeline._nn_beam(np.zeros(2 * m), small_scenario, a, gain)
+    assert np.array_equal(zero.entries, np.zeros(m, dtype=complex))
+    assert zero.power_per_element_mw == 1e-12
+
+    # matched beams under the cap are max-normalized, a peak under 1 not at all,
+    # and not scaled down; the one of peak 1.05 lands just under the cap
+    for peak, scale in ((0.5, 1.0), (1.05, 1.05)):
+        vec = 0.99 * peak * a
+        vec[0] = peak
+        under = pipeline._nn_beam(encode_complex(vec), small_scenario, a, gain)
+        assert np.array_equal(under.entries, vec / scale)
+        assert under.power_per_element_mw == scale**2
+        assert cap - 10.0 < eirp_dbm(under) < cap
+    assert eirp_dbm(under) > cap - 3.0
+
+    # a matched beam at peak 5 radiates far over the cap: only its PPE drops, onto the cap
+    vec = 5.0 * a
+    peak = float(np.max(np.abs(vec)))
+    over = pipeline._nn_beam(encode_complex(vec), small_scenario, a, gain)
+    assert np.array_equal(over.entries, vec / peak)
+    assert to_db(peak**2 * m**2 * gain) > cap + 10.0
+    assert over.power_per_element_mw < peak**2
+    assert abs(eirp_dbm(over) - cap) <= 1e-9
 
 
 def test_evaluate_trajectory_schema_and_slot_order(small_scenario, small_bundle):

@@ -10,8 +10,8 @@ from uavisac.channel import (
     EXPECTED,
     RADAR_LOS,
     ChannelParams,
+    _path_gain,
     channel_vector,
-    pathloss,
     sinr,
 )
 from uavisac.geometry import (
@@ -316,9 +316,11 @@ def matched_probe_station(scn, geo):
     w_sense = matched(geo.target_unit, geo.target_gain)
     best_idx, best_sinr = 0, -math.inf
     for idx, gbs in enumerate(scn.gbs_m):
+        distance = float(np.linalg.norm(geo.point.position - gbs))
         h_comm = channel_vector(
-            scn.channel, scn.array, float(np.linalg.norm(geo.point.position - gbs)),
-            pathloss(scn.channel, EXPECTED, geo.point.position, gbs), unit=geo.gbs_unit[idx],
+            scn.channel, scn.array, distance,
+            _path_gain(scn.channel, EXPECTED, geo.point.position, gbs, distance),
+            unit=geo.gbs_unit[idx],
         )
         w_comm = matched(geo.gbs_unit[idx], geo.gbs_gain[idx])
         value = sinr(
@@ -440,10 +442,13 @@ def test_point_geometry_fields_equal_the_per_call_derivations():
             )
             assert gain == element_gain(old_unit)
         for k, gbs in enumerate(scn.gbs_m):
-            assert geo.gbs_distance_m[k] == float(np.linalg.norm(point.position - gbs))
-            assert geo.gbs_path_gain[k] == pathloss(scn.channel, EXPECTED, point.position, gbs)
-        radar_gain = pathloss(scn.channel, RADAR_LOS, point.position, scn.target_m)
+            distance = float(np.linalg.norm(point.position - gbs))
+            assert geo.gbs_distance_m[k] == distance
+            assert geo.gbs_path_gain[k] == _path_gain(
+                scn.channel, EXPECTED, point.position, gbs, distance
+            )
         d = float(np.linalg.norm(scn.target_m - point.position))
+        radar_gain = _path_gain(scn.channel, RADAR_LOS, point.position, scn.target_m, d)
         phase = np.exp(2j * math.pi * scn.channel.carrier_hz * d / SPEED_OF_LIGHT)
         a = steering_vector(scn.array, point.position, point.orientation, scn.target_m)
         assert np.array_equal(geo.target_channel, math.sqrt(radar_gain) * phase * a)
