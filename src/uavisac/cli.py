@@ -42,6 +42,7 @@ def _build_parser() -> argparse.ArgumentParser:
     scenario_sub = scenario_cmd.add_subparsers(dest="scenario_command", required=True)
     init_cmd = scenario_sub.add_parser("init", help="write the default scenario JSON")
     init_cmd.add_argument("--out", required=True)
+    init_cmd.set_defaults(run=_run_scenario_init)
 
     dataset_cmd = sub.add_parser("dataset", help="dataset generation")
     dataset_sub = dataset_cmd.add_subparsers(dest="dataset_command", required=True)
@@ -57,6 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     gen_cmd.add_argument("--seed", type=int, required=True)
     gen_cmd.add_argument("--out", required=True)
+    gen_cmd.set_defaults(run=_run_dataset_generate)
 
     train_cmd = sub.add_parser("train", help="train both networks on a dataset")
     train_cmd.add_argument("--data", required=True)
@@ -66,6 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     train_cmd.add_argument("--split", type=float, default=defaults.train_fraction)
     train_cmd.add_argument("--seed", type=int, required=True)
     train_cmd.add_argument("--out", required=True)
+    train_cmd.set_defaults(run=_run_train)
 
     synth_cmd = sub.add_parser("synthesize", help="single-point beam synthesis")
     synth_cmd.add_argument("--scenario", required=True)
@@ -86,6 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     synth_cmd.add_argument("--out-cuts", required=True,
                            help="CSV path stem; writes <stem>_az.csv and <stem>_el.csv")
+    synth_cmd.set_defaults(run=_run_synthesize)
 
     eval_cmd = sub.add_parser("eval", help="evaluation commands")
     eval_sub = eval_cmd.add_subparsers(dest="eval_command", required=True)
@@ -96,10 +100,12 @@ def _build_parser() -> argparse.ArgumentParser:
     traj_cmd.add_argument("--source", choices=[OPTIMIZER_SOURCE, NN_SOURCE], required=True)
     traj_cmd.add_argument("--seed", type=int, required=True)
     traj_cmd.add_argument("--out", required=True)
+    traj_cmd.set_defaults(run=_run_eval_trajectory)
     eirp_cmd = eval_sub.add_parser("eirp", help="ECDF, outage and mean rate from records")
     eirp_cmd.add_argument("--records", required=True)
     eirp_cmd.add_argument("--thresholds", required=True, help="comma-separated dBm values")
     eirp_cmd.add_argument("--out", required=True)
+    eirp_cmd.set_defaults(run=_run_eval_eirp)
 
     return parser
 
@@ -123,19 +129,17 @@ def _parse_null(text: str) -> DirectionAngles:
     return _broadside_direction(az, el)
 
 
-def _run_scenario_init(args) -> int:
+def _run_scenario_init(args) -> None:
     Scenario().save(args.out)
     print(f"wrote default scenario to {args.out}")
-    return 0
 
 
-def _run_dataset_generate(args) -> int:
+def _run_dataset_generate(args) -> None:
     scenario = Scenario.load(args.scenario)
     count = scenario.num_trajectories if args.trajectories is None else args.trajectories
     samples = generate_dataset(scenario, count, args.policy, args.seed)
     write_dataset_jsonl(args.out, samples, scenario, args.policy, args.seed)
     print(f"wrote {len(samples)} samples to {args.out}")
-    return 0
 
 
 def _report_csv_path(bundle_path: str) -> str:
@@ -143,7 +147,7 @@ def _report_csv_path(bundle_path: str) -> str:
     return stem + "_report.csv"
 
 
-def _run_train(args) -> int:
+def _run_train(args) -> None:
     config = TrainConfig(
         epochs=args.epochs,
         batch_size=args.batch,
@@ -163,10 +167,9 @@ def _run_train(args) -> int:
         ):
             fh.write(f"{epoch},{tl!r},{vl!r},{vm!r}\n")
     print(f"wrote bundle to {args.out} and report to {report_path}")
-    return 0
 
 
-def _run_synthesize(args) -> int:
+def _run_synthesize(args) -> None:
     scenario = Scenario.load(args.scenario)
     request = SynthesisRequest(
         pointing=_broadside_direction(args.az, args.el),
@@ -197,10 +200,9 @@ def _run_synthesize(args) -> int:
             result.converged,
         )
     )
-    return 0
 
 
-def _run_eval_trajectory(args) -> int:
+def _run_eval_trajectory(args) -> None:
     scenario = Scenario.load(args.scenario)
     bundle = ModelBundle.load(args.bundle) if args.bundle else None
     trajectory = generate_trajectories(scenario, 1, args.seed)[0]
@@ -209,39 +211,26 @@ def _run_eval_trajectory(args) -> int:
     )
     write_records_csv(args.out, records)
     print(f"wrote {len(records)} records to {args.out}")
-    return 0
 
 
-def _run_eval_eirp(args) -> int:
+def _run_eval_eirp(args) -> None:
     records = read_records_csv(args.records)
     thresholds = [float(t) for t in args.thresholds.split(",") if t.strip()]
     stats = eirp_stats(records, thresholds)
     write_stats_csv(args.out, stats)
     outage_text = " ".join(f"outage@{t:g}dBm={v:.4f}" for t, v in stats.outage.items())
     print(f"mean_rate_bps={stats.mean_rate_bps!r} {outage_text}")
-    return 0
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "scenario":
-            return _run_scenario_init(args)
-        if args.command == "dataset":
-            return _run_dataset_generate(args)
-        if args.command == "train":
-            return _run_train(args)
-        if args.command == "synthesize":
-            return _run_synthesize(args)
-        if args.command == "eval":
-            if args.eval_command == "trajectory":
-                return _run_eval_trajectory(args)
-            return _run_eval_eirp(args)
-        raise ValueError(f"unknown command {args.command!r}")
+        args.run(args)
     except Exception as exc:  # noqa: BLE001 - single CLI error funnel
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -21,9 +21,9 @@ import functools
 import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence, get_type_hints
 
 import numpy as np
 from numpy.typing import NDArray
@@ -89,7 +89,12 @@ MIN_ELEMENT_GAIN = 0.02
 
 @dataclass(frozen=True)
 class Sample:
-    """One trajectory point: features and optimizer weight targets."""
+    """One trajectory point: features and optimizer weight targets.
+
+    Field declaration order is the key order of a dataset JSONL line: adding,
+    removing or reordering a field changes the format, so it bumps
+    DATASET_FORMAT_VERSION.
+    """
 
     trajectory_id: int
     slot: int
@@ -103,33 +108,27 @@ class Sample:
     optimal_gbs: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "trajectory_id": self.trajectory_id,
-            "slot": self.slot,
-            "position": [float(v) for v in self.position],
-            "orientation": [float(v) for v in self.orientation],
-            "gbs_index": self.gbs_index,
-            "comm_features": [float(v) for v in self.comm_features],
-            "sensing_features": [float(v) for v in self.sensing_features],
-            "comm_weights": [float(v) for v in self.comm_weights],
-            "sensing_weights": [float(v) for v in self.sensing_weights],
-            "optimal_gbs": self.optimal_gbs,
-        }
+        values = ((f.name, getattr(self, f.name)) for f in fields(self))
+        return {name: v if isinstance(v, int) else [float(x) for x in v] for name, v in values}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Sample":
-        return cls(
-            trajectory_id=data["trajectory_id"],
-            slot=data["slot"],
-            position=np.asarray(data["position"], dtype=np.float64),
-            orientation=RotationAngles(*data["orientation"]),
-            gbs_index=data["gbs_index"],
-            comm_features=np.asarray(data["comm_features"], dtype=np.float64),
-            sensing_features=np.asarray(data["sensing_features"], dtype=np.float64),
-            comm_weights=np.asarray(data["comm_weights"], dtype=np.float64),
-            sensing_weights=np.asarray(data["sensing_weights"], dtype=np.float64),
-            optimal_gbs=data["optimal_gbs"],
-        )
+        return _from_fields(cls, data)
+
+
+@functools.cache
+def _field_decoders(cls) -> tuple[tuple[str, Callable], ...]:
+    """Each field of a record dataclass in declaration order, with what turns its
+    JSON value or CSV cell back into its type hint; any other hint is a float array."""
+    decoders = {int: int, str: str, float: float, RotationAngles: RotationAngles._make}
+    as_array = functools.partial(np.asarray, dtype=np.float64)
+    hints = get_type_hints(cls)
+    return tuple((f.name, decoders.get(hints[f.name], as_array)) for f in fields(cls))
+
+
+def _from_fields(cls, data):
+    """A record dataclass from a mapping of each field name to its JSON value or CSV cell."""
+    return cls(**{name: decode(data[name]) for name, decode in _field_decoders(cls)})
 
 
 @dataclass
@@ -199,6 +198,9 @@ class ModelBundle:
 
 @dataclass(frozen=True)
 class EvalRecord:
+    """One evaluated slot.  Field declaration order is the records CSV column
+    order: adding, removing or reordering a field changes that format."""
+
     slot: int
     policy: str
     gbs_index: int
@@ -707,7 +709,7 @@ def eirp_stats(records: Sequence[EvalRecord], thresholds: Sequence[float]) -> Ei
     )
 
 
-RECORD_FIELDS = ("slot", "policy", "gbs_index", "eirp_dbm", "sinr_db", "rate_bps", "beampattern_gain")
+RECORD_FIELDS = tuple(f.name for f in fields(EvalRecord))
 
 
 def write_records_csv(path, records: Sequence[EvalRecord]) -> None:
@@ -715,36 +717,13 @@ def write_records_csv(path, records: Sequence[EvalRecord]) -> None:
         writer = csv.writer(fh)
         writer.writerow(RECORD_FIELDS)
         for r in records:
-            writer.writerow(
-                [
-                    r.slot,
-                    r.policy,
-                    r.gbs_index,
-                    repr(r.eirp_dbm),
-                    repr(r.sinr_db),
-                    repr(r.rate_bps),
-                    repr(r.beampattern_gain),
-                ]
-            )
+            values = (getattr(r, name) for name in RECORD_FIELDS)
+            writer.writerow([repr(v) if isinstance(v, float) else v for v in values])
 
 
 def read_records_csv(path) -> list[EvalRecord]:
-    records = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            records.append(
-                EvalRecord(
-                    slot=int(row["slot"]),
-                    policy=row["policy"],
-                    gbs_index=int(row["gbs_index"]),
-                    eirp_dbm=float(row["eirp_dbm"]),
-                    sinr_db=float(row["sinr_db"]),
-                    rate_bps=float(row["rate_bps"]),
-                    beampattern_gain=float(row["beampattern_gain"]),
-                )
-            )
-    return records
+        return [_from_fields(EvalRecord, row) for row in csv.DictReader(fh)]
 
 
 def write_stats_csv(path, stats: EirpStats) -> None:

@@ -366,7 +366,8 @@ def _toward(position, rot, dest):
     """Distance, direction, array-frame unit and its angles, and element gain toward dest."""
     distance, direction = offset_direction(position - dest)
     unit = array_frame_unit(rot, direction)
-    frame = DirectionAngles(math.acos(min(1.0, max(-1.0, unit[2]))), math.atan2(unit[1], unit[0]))
+    ux, uy, uz = unit.tolist()
+    frame = DirectionAngles(math.acos(min(1.0, max(-1.0, uz))), math.atan2(uy, ux))
     return distance, direction, unit, frame, element_gain(unit)
 
 
@@ -395,7 +396,7 @@ def point_geometry(scenario: Scenario, point: TrajectoryPoint) -> PointGeometry:
         gbs_path_gain=tuple(
             _path_gain(ch, EXPECTED, position, t, d) for t, d in zip(scenario.gbs_m, gbs_distances)
         ),
-        gbs_by_distance=tuple(int(i) for i in np.argsort(gbs_distances, kind="stable")),
+        gbs_by_distance=tuple(sorted(range(len(gbs_distances)), key=gbs_distances.__getitem__)),
     )
 
 

@@ -132,7 +132,15 @@ def test_dataset_jsonl_roundtrip(small_scenario, small_dataset, tmp_path):
     assert meta["seed"] == 21
     assert scenario.content_hash() == small_scenario.content_hash()
     assert len(samples) == len(small_dataset)
-    assert np.allclose(samples[0].comm_weights, small_dataset[0].comm_weights)
+    # each field comes back with its declared type and its written length
+    for loaded, written in zip(samples, small_dataset):
+        for field in dataclasses.fields(loaded):
+            value, expected = getattr(loaded, field.name), getattr(written, field.name)
+            if isinstance(expected, np.ndarray):
+                assert type(value) is np.ndarray and value.dtype == np.float64
+                assert value.shape == expected.shape and np.array_equal(value, expected)
+            else:
+                assert type(value) is type(expected) and value == expected
 
 
 def test_dataset_read_rejects_other_format_versions(small_scenario, small_dataset, tmp_path):
@@ -530,6 +538,10 @@ def test_records_csv_roundtrip_and_determinism(tmp_path, small_scenario):
     )
     loaded = read_records_csv(p1)
     assert loaded == records
+    # to_db(0) is -inf, the EIRP a record can carry; it survives the round trip
+    with_inf = records + [dataclasses.replace(records[0], eirp_dbm=to_db(0.0))]
+    write_records_csv(p2, with_inf)
+    assert read_records_csv(p2) == with_inf
 
     stats = eirp_stats(records, [10.0, 15.0])
     spath = tmp_path / "stats.csv"
