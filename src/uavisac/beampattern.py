@@ -27,9 +27,10 @@ infeasible after the coordinate search ends there, unconverged, with its
 cheapest candidate and the rest of the budget unused: wider tapers made
 none of the measured ones feasible.
 
-Every candidate is a tapered, phase-steered outer product vx vz^T, minus
-one outer product bx_n bz_n^T of axis factors per projected null, and the
-null coefficients are a fixed linear map of vx vz^T.  So one synthesis has
+Synthesis runs relative to the pointing (see _Synthesizer for why that is
+exact): a candidate is the taper outer product tx tz^T, minus one outer
+product dx_n dz_n^T of a null's relative phasors per projected null, and the
+null coefficients are a fixed linear map of tx tz^T.  So one synthesis has
 one scoring record, built with it: the factored null solve (skipped when
 there are no nulls), each null column's pointing response, and its response
 over both cuts at once.  Cuts are scored on real tables taken relative to
@@ -47,8 +48,8 @@ that was scored.  Each cut's SLL is found on linear power, with one
 logarithm per cut.  The elevation cut is scored first, and the azimuth cut
 only when the candidate can still displace the incumbent.
 
-`pattern_cut` contracts a whole weight matrix against the same tables,
-expanded into full complex rows.  A cut is built arc first: from cached
+`pattern_cut` folds a whole weight matrix, made pointing-relative, onto the
+same tables.  A cut is built arc first: from cached
 grid trig, only a window around the pointing sample gets array-frame units
 and the arc tests, and each axis table takes one cosine and one sine per
 sample, of the half-step phase alpha, which a rotation recurrence expands to
@@ -253,11 +254,9 @@ def _cut_grid(plane: str):
         angles = np.arange(-math.pi, math.pi, step)
         wrap = np.r_[-_ARC_REACH:0, : angles.size, :_ARC_REACH]
         grid = tuple(a[wrap] for a in (angles, np.cos(angles), np.sin(angles)))
-    elif plane == "elevation":
+    else:
         angles = np.arange(0.0, math.pi + step / 2, step)
         grid = (angles, np.cos(angles), np.sin(angles))
-    else:
-        raise ValueError(f"unknown cut plane {plane!r}")
     for a in grid:
         a.setflags(write=False)
     return grid
@@ -327,35 +326,6 @@ def _cut_arc(plane: str, pointing: DirectionAngles, rot):
         if wrapped.size:
             arc_angles[wrapped[0] + 1 :] += 2.0 * math.pi
     return arc_angles, units[lo:hi]
-
-
-def _axis_factors(config: ArrayConfig, units):
-    """Conjugated per-axis steering factors of array-frame units (n, 3): (side, n) each.
-
-    Row r of the first is exp(-j k x_r u_x), row c of the second
-    exp(-j k z_c u_z), over the row x and column z offsets of
-    geometry.centered_grid_offsets (element r * side + c sits at (x_r, 0, z_c)):
-    the conjugates that the a^H w contraction takes.  Those offsets are evenly
-    spaced and symmetric about the aperture centre, so one complex
-    exponential per axis, the half-step phasor h = exp(-j k d u / 2), builds
-    every row: the first row at or above the centre is h for an even side and
-    exactly 1 for an odd one, each row further up is the one below it times
-    the step phasor h^2, and each row below the centre is the exact conjugate
-    of its mirror.  The synthesizer builds its pointing and null weights from
-    them.
-    """
-    side = config.side
-    mid = side // 2
-    phase = -0.5j * config.wavenumber * config.spacing_m
-    out = np.empty((2, side, units.shape[0]), dtype=np.complex128)
-    for u, f in zip((units[:, 0], units[:, 2]), out):
-        half = np.exp(phase * u)
-        f[mid] = 1.0 if side % 2 else half
-        step = half * half
-        for r in range(mid + 1, side):
-            np.multiply(f[r - 1], step, out=f[r])
-        np.conjugate(f[: (side - 1) // 2 : -1], out=f[:mid])
-    return out
 
 
 def _axis_tables(config: ArrayConfig, point, units):
@@ -437,9 +407,11 @@ class _PatternEvaluator:
     each sample's element amplitude sqrt(g_e), so |af|^2 is the cut power with
     no gain multiply.  `cuts` holds each cut's angles and its slice of the
     table columns.  `axis_response` folds one axis's weights onto its table,
-    as the synthesizer scores its candidates (see _Synthesizer); `cut_gains_db`
-    expands the tables into full complex rows and contracts a whole weight
-    matrix, as `pattern_cut` needs.
+    as the synthesizer scores its pointing-relative candidates (see
+    _Synthesizer); `cut_gains_db` makes a whole weight matrix pointing-relative
+    with the conjugated pointing steering vector, then folds its rows onto the
+    x tables and each sample's columns onto its z tables, as `pattern_cut`
+    needs.
     """
 
     def __init__(self, config: ArrayConfig, rot, pointing: DirectionAngles, point):
@@ -471,24 +443,15 @@ class _PatternEvaluator:
             real -= anti.imag.T @ sin
         return real
 
-    def _full_rows(self, axis: int, span: slice) -> NDArray[np.complex128]:
-        """e^(j q_r alpha) of every row r of one axis over the samples in span, (side, n).
-
-        The upper-half rows come from the tables, and the rows below the
-        centre are the conjugates of their mirrors.
-        """
-        cos, sin = self.tables[axis][:, :, span]
-        up = cos + 1j * sin
-        return np.concatenate([up[::-1][: self.config.side // 2].conj(), up])
-
     def cut_gains_db(self, plane: str, weights: NDArray[np.complex128]):
         """Cut angles and gains (dB below the cut's peak) of (side, side) weights."""
         angles, span = self.cuts[plane]
-        # the pointing's conjugated factors turn the weights pointing-relative
-        fx, fz = _axis_factors(self.config, self.point[None])[:, :, 0]
-        w = weights * fx[:, None] * fz[None, :]
-        ex, ez = (self._full_rows(axis, span) for axis in (0, 1))
-        af = (np.matmul(w.T, ex) * ez).sum(axis=0)
+        side = self.config.side
+        w = weights * np.conj(steering(self.config, self.point)).reshape(side, side)
+        (cos_x, sin_x), (cos_z, sin_z) = self.tables[:, :, :, span]
+        sym, anti = _fold(w, side)
+        sym, anti = _fold(sym.T @ cos_x + 1j * (anti.T @ sin_x), side)
+        af = (sym * cos_z).sum(axis=0) + 1j * (anti * sin_z).sum(axis=0)
         return angles, _gains_db(np.square(af.real) + np.square(af.imag))
 
 
@@ -515,6 +478,8 @@ def pattern_cut(
     hemisphere (the mirror image through the aperture plane is excluded, as a
     ground plane would enforce).
     """
+    if plane not in _PLANES:
+        raise ValueError(f"unknown cut plane {plane!r}")
     rot = rotation_matrix(pose.angles)
     ev = _PatternEvaluator(config, rot, pointing, array_frame_unit(rot, pointing))
     w = _weight_entries(weights).reshape(config.side, config.side)
@@ -609,10 +574,13 @@ def chebyshev_taper(n: int, sll_db: float) -> NDArray[np.float64]:
 
     The returned array is shared between calls and read-only.
     """
+    if not float(n).is_integer():
+        raise ValueError(f"taper length must be an integer, got {n!r}")
     if n < 2:
         raise ValueError("taper needs at least two elements")
-    if sll_db <= 0.0:
-        raise ValueError("sidelobe level must be positive dB")
+    # negated, so that NaN fails it
+    if not 0.0 < sll_db < math.inf:
+        raise ValueError(f"sidelobe level must be positive finite dB, got {sll_db!r}")
     return _dolph_chebyshev(int(n), float(sll_db))
 
 
@@ -757,81 +725,81 @@ def _taper(n: int, sll_db: float) -> NDArray[np.float64]:
 class _Synthesizer:
     """Search state and factored scoring record of one synthesis run.
 
-    A candidate has the unprojected weights vx vz^T, vx and vz being the
-    pointing's axis factors times the two tapers.  Projecting the nulls out
-    subtracts sum_n c_n bx_n bz_n^T, with bx_n, bz_n the axis factors of null
-    n and c = V S^-1 U^H vec(vx vz^T) the least-squares coefficients
-    (Steyskal's minimum-norm perturbation), U S V^H being the thin SVD of the
-    aperture's null basis, column n vec(bx_n bz_n^T).  The factors are
+    The run is pointing-relative.  A candidate has the unprojected weights
+    t = tx tz^T, the outer product of its two tapers, and null n the
+    unit-modulus phasors d_n = dx_n (x) dz_n, e^(j q theta) per axis with
+    theta = (k d / 2)(u_n - u_p) on row multiple q, formed as 1 + e from the
+    half-angle sine, e = -2 sin^2(q theta / 2) + j sin(q theta).  Projecting
+    the nulls out subtracts sum_n c_n dx_n dz_n^T, with c = V S^-1 U^H vec(t)
+    the least-squares coefficients (Steyskal's minimum-norm perturbation),
+    U S V^H being the thin SVD of the null basis, column n vec(dx_n dz_n^T).
+    The absolute weights and null steering vectors are these times the
+    pointing's steering vector a_p, entry by entry: a diagonal scaling D of
+    unit modulus, which turns the SVD into (D U) S V^H and leaves S, V and c
+    as they are, so only `_weights` applies a_p, once.  The SVD factors are
     applied one at a time: an explicit pseudo-inverse V S^-1 U^H rounds every
     entry at the scale of 1/s_min, and left two nulls 1e-9 rad apart at
     2.6e-9 of the pointing response instead of 2.2e-10.  The Gram form
-    (bx_m^H bx_n)(bz_m^H bz_n) would square the condition number and merge the
-    two into one null.  The SVD is fixed for the run, and so are each null
-    column's pointing response a_p^H (bx_n (x) bz_n) and its response over
-    both cuts, Q_n, the product of the two axis responses of the null's
-    phasors relative to the pointing's (see _PatternEvaluator.axis_response).
-    The tapers are symmetric and the relative null phasors Hermitian about
-    the aperture centre, so the axis responses Rx, Rz of the tapers and Q are
-    real: Rx is one (side/2)-row cosine sum, Q_n a product of two Dirichlet
-    kernels, and a candidate's cut array factor is af = Rx Rz - c^T Q, whose
-    power is (Rx Rz - Re(c) Q)^2 + (Im(c) Q)^2.  The coordinate search moves
-    one taper at a time, so each axis keeps the response to its last taper
-    and reuses it while that taper stays.  Relative to the pointing, the
-    candidate is the taper t = tx (x) tz and null n the unit-modulus phasors
-    d_n = dx_n (x) dz_n, so its pointing array factor is 1^T (I - P) t with
-    P the projection onto the d_n, that is sum(tx) sum(tz) - c . (1^T d_n).
-    For a null near the pointing both terms are close to sum(tx) sum(tz),
-    so their difference carries the rounding of that scale: it is 1.1e-12
-    of itself off for a null 1.5 degrees from the pointing of a 2x2 array.
-    Since (I - P) d_k = 0, it is also -e^H (I - P) t = (e^H d_n) . c - e^H t
-    with e = d_k - 1 for the null k nearest the pointing, and e^H t and
-    e^H d_n are sums of products of e_x = dx_k - 1 and e_z = dz_k - 1,
-    formed from the half-angle sines, so nothing is rounded at the scale of
-    1 (2e-16 of that response).  A request without nulls (every sensing beam)
-    has no SVD and no Q: its cut array factor is Rx Rz alone.  The candidate
-    keeps c and its pointing array factor, from which `_weights` builds the
-    returned weights with no second null solve.
+    (dx_m^H dx_n)(dz_m^H dz_n) would square the condition number and merge
+    the two into one null.  The SVD is fixed for the run, and so are each
+    null column's pointing response and its response over both cuts, Q_n,
+    the product of the two axis responses of its phasors (see
+    _PatternEvaluator.axis_response).  The tapers are symmetric and the null
+    phasors Hermitian about the aperture centre, so the axis responses Rx, Rz
+    of the tapers and Q are real: Rx is one (side/2)-row cosine sum, Q_n a
+    product of two Dirichlet kernels, and a candidate's cut array factor is
+    af = Rx Rz - c^T Q, whose power is (Rx Rz - Re(c) Q)^2 + (Im(c) Q)^2.
+    The coordinate search moves one taper at a time, so each axis keeps the
+    response to its last taper and reuses it while that taper stays.  The
+    candidate's pointing array factor is 1^T (I - P) t with P the projection
+    onto the d_n, that is sum(tx) sum(tz) - c . (1^T d_n).  For a null near
+    the pointing both terms are close to sum(tx) sum(tz), so their difference
+    carries the rounding of that scale: it is 1.1e-12 of itself off for a
+    null 1.5 degrees from the pointing of a 2x2 array.  Since
+    (I - P) d_k = 0, it is also -e^H (I - P) t = (e^H d_n) . c - e^H t with
+    e = d_k - 1 for the null k nearest the pointing, and e^H t and e^H d_n
+    are sums of products of e_x = dx_k - 1 and e_z = dz_k - 1, so nothing is
+    rounded at the scale of 1 (2e-16 of that response).  A request without
+    nulls (every sensing beam) has no SVD and no Q: its cut array factor is
+    Rx Rz alone.  The candidate keeps c and its pointing array factor, from
+    which `_weights` builds the returned weights with no second null solve.
     """
 
     def __init__(self, request: SynthesisRequest, config: ArrayConfig, pose: Pose):
         self.request = request
         rot = rotation_matrix(pose.angles)
-        # row 0 is the pointing, row 1 + n null n; so are the axis-factor columns
+        # row 0 is the pointing, row 1 + n null n
         units = _frame_units(rot, (request.pointing, *request.nulls))
         check_nulls(config, units[1:], units[0])
         self.evaluator = _PatternEvaluator(config, rot, request.pointing, units[0])
         self.point_element_gain = element_gain(units[0])
-        ax, az = np.conj(_axis_factors(config, units))
         self.side = side = config.side
-        self.point_x, self.point_z = ax[:, 0], az[:, 0]
-        self.null_x, self.null_z = bx, bz = ax[:, 1:], az[:, 1:]
         self.null_response = None
         if request.nulls:
-            # column n is vec(bx_n bz_n^T), flattened row-major as the weights are
-            basis = (bx[:, None, :] * bz[None, :, :]).reshape(side * side, -1)
+            # e = d - 1 and d per axis of every null, (side, n) for x, then z;
+            # theta is odd in q, so mirror rows are exact conjugates, as
+            # axis_response's fold requires
+            q = np.arange(1 - side, side, 2) * (0.5 * config.wavenumber * config.spacing_m)
+            theta = q[:, None, None] * (units[1:, ::2] - units[0, ::2])
+            rel = -2.0 * np.sin(0.5 * theta) ** 2 + 1j * np.sin(theta)
+            ex, ez = rel[..., 0], rel[..., 1]
+            self.null_x, self.null_z = dx, dz = 1.0 + ex, 1.0 + ez
+            # column n is vec(dx_n dz_n^T), flattened row-major as the weights are
+            basis = (dx[:, None, :] * dz[None, :, :]).reshape(side * side, -1)
             # singular values up to max(M, n) eps of the largest are dropped, as
             # np.linalg.lstsq and matrix_rank drop them, so coincident nulls count once
             u, s, vh = np.linalg.svd(basis, full_matrices=False)
             keep = s > max(basis.shape) * np.finfo(np.float64).eps * s[0]
             self.solve = u[:, keep].conj().T, s[keep], vh[keep].conj().T
-            # e^(j theta) - 1 per axis of every null's phasors relative to the
-            # pointing's, theta = q (k d / 2)(u_n - u_p) on row multiple q,
-            # from the half-angle sine: (side, n) for x, then z
-            q = np.arange(1 - side, side, 2) * (0.5 * config.wavenumber * config.spacing_m)
-            theta = q[:, None, None] * (units[1:, ::2] - units[0, ::2])
-            rel = -2.0 * np.sin(0.5 * theta) ** 2 + 1j * np.sin(theta)
-            ex, ez = rel[..., 0], rel[..., 1]
             # the nearest null has the largest |1^T d_n| = |1^T dx_n| |1^T dz_n|
-            near = int(np.argmax(np.abs((side + ex.sum(axis=0)) * (side + ez.sum(axis=0)))))
+            near = int(np.argmax(np.abs(dx.sum(axis=0) * dz.sum(axis=0))))
             # conj(e) as a side x side matrix, e = (1 + e_x)(1 + e_z)^T - 1 1^T
             # expanded so that each entry is a sum of the small terms
             cx, cz = ex[:, near].conj(), ez[:, near].conj()
             self.near = cx[:, None] + cz + cx[:, None] * cz
-            self.near_null = np.einsum("rn,rc,cn->n", 1.0 + ex, self.near, 1.0 + ez)
-            self.null_response = self.evaluator.axis_response(
-                0, bx * self.point_x.conj()[:, None]
-            ) * self.evaluator.axis_response(1, bz * self.point_z.conj()[:, None])
+            self.near_null = np.einsum("rn,rc,cn->n", dx, self.near, dz)
+            ev = self.evaluator
+            self.null_response = ev.axis_response(0, dx) * ev.axis_response(1, dz)
         self._responses: list[tuple[float, NDArray] | None] = [None, None]
         self.best: _Candidate | None = None
         self._seen: set[tuple[float, float]] = set()
@@ -857,8 +825,7 @@ class _Synthesizer:
         if self.null_response is None:
             return tx.sum() * tz.sum(), (responses, None)
         uh, s, v = self.solve
-        vx, vz = self.point_x * tx, self.point_z * tz
-        coeff = v @ ((uh @ np.outer(vx, vz).ravel()) / s)
+        coeff = v @ ((uh @ np.outer(tx, tz).ravel()) / s)
         # (e^H d_n) . c - e^H t
         return coeff @ self.near_null - tx @ self.near @ tz, (responses, coeff)
 
@@ -877,14 +844,16 @@ class _Synthesizer:
     def _weights(self, cand: _Candidate) -> tuple[BeamWeights, float]:
         """Normalised weights of the scored candidate sized to the EIRP target, and its EIRP (dBm).
 
-        vx vz^T - sum_n c_n bx_n bz_n^T, with the c and the pointing array
-        factor of the candidate's score.
+        (tx tz^T - sum_n c_n dx_n dz_n^T) times the pointing's steering
+        vector, entry by entry, with the c and the pointing array factor of
+        the candidate's score: the one place the run leaves the
+        pointing-relative frame.
         """
-        vx = self.point_x * _taper(self.side, cand.s_az)
-        vz = self.point_z * _taper(self.side, cand.s_el)
-        w = np.outer(vx, vz)
+        side = self.side
+        w = np.outer(_taper(side, cand.s_az), _taper(side, cand.s_el))
         if cand.coeff is not None:
-            w -= (self.null_x * cand.coeff) @ self.null_z.T
+            w = w - (self.null_x * cand.coeff) @ self.null_z.T
+        w = w * steering(self.evaluator.config, self.evaluator.point).reshape(side, side)
         scale = max(1.0, float(np.max(np.abs(w))))
         entries = w.ravel() / scale
         gain_point = float(abs(cand.af_point / scale) ** 2 * self.point_element_gain)

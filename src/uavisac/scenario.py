@@ -14,8 +14,9 @@ per-point stage reads its PointGeometry record, synthesize_point's lenient null
 drop too.  The beampattern entry points take world quantities rather than a
 record (the CLI's synthesize command, the tests and the benchmark call them
 without one), so each derives its units once, under one rotation
-(_frame_units): synthesize for its null check, cut tables and axis factors,
-apply_nulls for its null check and null basis.
+(_frame_units): synthesize for its null check, its cut tables and its null
+phasors relative to the pointing, apply_nulls for its null check and null
+basis.
 
 Max-SINR association and the optimal association label are one rule: the
 station with the smallest required EIRP, lowest index on ties (see

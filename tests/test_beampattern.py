@@ -110,6 +110,17 @@ def test_pattern_cut_peak_at_pointing_and_zero_db():
         assert np.all(np.diff(cut.angles_rad) > 0)
 
 
+def test_pattern_cut_rejects_an_unknown_plane_before_building_arcs(monkeypatch):
+    def no_arcs(*args):
+        raise AssertionError("an arc was built")
+
+    monkeypatch.setattr(beampattern, "_cut_arc", no_arcs)
+    config = ArrayConfig(num_elements=16, carrier_hz=3e11)
+    w = matched_weights(config, BROADSIDE)
+    with pytest.raises(ValueError, match="'diagonal'"):
+        pattern_cut(w, config, zero_pose(), "diagonal", BROADSIDE)
+
+
 def test_pattern_cut_uniform_first_sidelobe():
     # 8x8 uniform array: the azimuth cut reduces to the 8-element line pattern
     config = ArrayConfig(num_elements=64, carrier_hz=3e11)
@@ -210,10 +221,12 @@ def test_chebyshev_taper_monotone_concentration():
 
 
 def test_chebyshev_taper_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        chebyshev_taper(1, 30.0)
-    with pytest.raises(ValueError):
-        chebyshev_taper(8, 0.0)
+    # a NaN or infinite level would build an all-NaN taper, which the cache
+    # would keep, and a length of 8.5 would build 8 elements
+    for n, sll_db in ((1, 30.0), (8, 0.0), (8, math.nan), (8, math.inf), (8, -math.inf),
+                      (8.5, 20.0)):
+        with pytest.raises(ValueError):
+            chebyshev_taper(n, sll_db)
 
 
 def test_apply_nulls_empty_is_identity():

@@ -2,8 +2,8 @@
 
 Cut patterns come from real per-axis tables relative to the pointing, cos
 and sin of q alpha built by a rotation recurrence, both cuts side by side:
-`pattern_cut` expands them into full complex rows and contracts a whole
-weight matrix, and the synthesizer scores each candidate through its
+`pattern_cut` folds a whole weight matrix, made pointing-relative, onto
+them, and the synthesizer scores each candidate through its
 factored record (null solve, null responses, one product per axis for both
 cuts).  Here they are checked against the dense steering matrix of
 `_kernels` (on even and odd sides, with and without nulls), against the
@@ -47,7 +47,6 @@ from uavisac.beampattern import (
     MAIN_LOBE_MIN_DEPTH_DB,
     NullConflictError,
     SynthesisRequest,
-    _axis_factors,
     _axis_tables,
     _cut_arc,
     _gains_db,
@@ -506,10 +505,12 @@ def draw_directions(rng):
 
 @over(Cases(100, draw_directions))
 def test_axis_factor_recurrence_matches_direct_exponentials(m, directions, pointing):
-    """The real tables are cos and sin of q alpha, the axis factors exp(-j k x u).
+    """The real tables are cos and sin of q alpha, the null phasors exp(j k x (u - p)).
 
-    Both are built by a rotation recurrence from one exponential per sample;
-    here every row is checked against its own direct evaluation.
+    The tables are built by a rotation recurrence from one cosine and one
+    sine per sample, the synthesizer's null phasors relative to the pointing
+    p from half-angle sines; here every row is checked against its own direct
+    evaluation.
     """
     config = ArrayConfig(num_elements=m, carrier_hz=3e11)
     side = config.side
@@ -530,13 +531,22 @@ def test_axis_factor_recurrence_matches_direct_exponentials(m, directions, point
         if side % 2:
             # the centre row, q = 0, is the amplitude alone
             assert np.all(cos[0] == amp) and np.all(sin[0] == 0.0)
-    # the synthesizer's pointing and null factors, mirror rows exact conjugates
+    # the synthesizer's null phasors relative to the pointing, mirror rows
+    # exact conjugates, as the real fold needs: the drawn directions that do
+    # not conflict with the pointing serve as nulls
+    free = [not null_conflicts(u, point, config) for u in units[: len(directions)]]
+    nulls = [d for d, keep in zip(directions, free) if keep][: m - 1]
+    if not nulls:
+        return
+    _, pose, request = scene_objects(m, IDENTITY, pointing, nulls)
+    synth = _Synthesizer(request, config, pose)
+    null_units = units[: len(directions)][free][: m - 1]
     x_rows, z_cols = grid_axis_offsets(config)
     jk = 1j * config.wavenumber
-    ex, ez = _axis_factors(config, units)
-    assert np.max(np.abs(ex - np.exp(-jk * np.outer(x_rows, units[:, 0])))) <= 1e-12
-    assert np.max(np.abs(ez - np.exp(-jk * np.outer(z_cols, units[:, 2])))) <= 1e-12
-    for f in (ex, ez):
+    dx, dz = synth.null_x, synth.null_z
+    assert np.max(np.abs(dx - np.exp(jk * np.outer(x_rows, null_units[:, 0] - point[0])))) <= 1e-12
+    assert np.max(np.abs(dz - np.exp(jk * np.outer(z_cols, null_units[:, 2] - point[2])))) <= 1e-12
+    for f in (dx, dz):
         assert np.all(f[: side // 2] == np.conj(f[::-1][: side // 2]))
         if side % 2:
             assert np.all(f[side // 2] == 1.0)

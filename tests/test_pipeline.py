@@ -474,7 +474,7 @@ def test_evaluation_csv_is_pinned(tmp_path, small_scenario, small_bundle):
     path = tmp_path / "records.csv"
     write_records_csv(path, records)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "978efa9982fd8d4a6ceb3d4c1cc778aafccce74fbb21e338ab90dc712112845a"
+        "434789bfe31c2f0b435bdca2041fcd9d22d952d83f4ead7dc5b76a03e241d4d3"
     )
 
 
