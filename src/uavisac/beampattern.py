@@ -48,17 +48,17 @@ that was scored.  Each cut's SLL is found on linear power, with one
 logarithm per cut.  The elevation cut is scored first, and the azimuth cut
 only when the candidate can still displace the incumbent.
 
-`pattern_cut` folds a whole weight matrix, made pointing-relative, onto the
-same tables.  A cut is built arc first: from cached
-grid trig, only a window around the pointing sample gets array-frame units
-and the arc tests, and each axis table takes one cosine and one sine per
-sample, of the half-step phase alpha, which a rotation recurrence expands to
-every upper-half row; mirror rows carry -q_r.  The z tables carry the
-element amplitude sqrt(g_e), so |af|^2 is the cut power as it stands.
-Candidate scoring and `pattern_cut` share those tables and the main-lobe
-rules (see _sidelobe_peak), so the achieved values reported by a synthesis
-result re-derive from its weights to roundoff.  Everything here is pure
-given its inputs; results are immutable.
+`pattern_cut` builds one plane's arc and tables the same way and folds a
+whole weight matrix, made pointing-relative, onto them.  A cut is built arc
+first: from cached grid trig, only a window around the pointing sample gets
+array-frame units and the arc tests, and each axis table takes one cosine
+and one sine per sample, of the half-step phase alpha, which a rotation
+recurrence expands to every upper-half row; mirror rows carry -q_r.  The z
+tables carry the element amplitude sqrt(g_e), so |af|^2 is the cut power as
+it stands.  Candidate scoring and `pattern_cut` share the table build and
+the main-lobe rules (see _sidelobe_peak), so the achieved values reported by
+a synthesis result re-derive from its weights to roundoff.  Everything here
+is pure given its inputs; results are immutable.
 
 Factor memory: an evaluator's tables (2 axes x cos, sin x (side + 1) // 2
 rows x n_az + n_el samples, about 0.8 MB for M = 100 on the 0.05 degree
@@ -400,18 +400,11 @@ class _PatternEvaluator:
     centre, as a symmetric taper and a pointing-relative null phasor are,
     thus has a real response: a cosine sum over the upper-half rows, minus a
     sine sum for a complex one (Van Trees, Optimum Array Processing, ch. 3).
-    Each cut's samples come arc first: the grid trig is cached, and units
-    are computed only on a window around the pointing sample (see _cut_arc).
-    Both arcs sit side by side, azimuth then elevation, in one real (2, half,
-    n_az + n_el) table per grid axis (see _axis_tables); the z tables carry
-    each sample's element amplitude sqrt(g_e), so |af|^2 is the cut power with
-    no gain multiply.  `cuts` holds each cut's angles and its slice of the
-    table columns.  `axis_response` folds one axis's weights onto its table,
-    as the synthesizer scores its pointing-relative candidates (see
-    _Synthesizer); `cut_gains_db` makes a whole weight matrix pointing-relative
-    with the conjugated pointing steering vector, then folds its rows onto the
-    x tables and each sample's columns onto its z tables, as `pattern_cut`
-    needs.
+    Both arcs (see _cut_arc) sit side by side, azimuth then elevation, in one
+    real (2, half, n_az + n_el) table per grid axis (see _axis_tables).
+    `cuts` holds each cut's angles and its slice of the table columns.
+    `axis_response` folds one axis's weights onto its table, as the
+    synthesizer scores its pointing-relative candidates (see _Synthesizer).
     """
 
     def __init__(self, config: ArrayConfig, rot, pointing: DirectionAngles, point):
@@ -443,17 +436,6 @@ class _PatternEvaluator:
             real -= anti.imag.T @ sin
         return real
 
-    def cut_gains_db(self, plane: str, weights: NDArray[np.complex128]):
-        """Cut angles and gains (dB below the cut's peak) of (side, side) weights."""
-        angles, span = self.cuts[plane]
-        side = self.config.side
-        w = weights * np.conj(steering(self.config, self.point)).reshape(side, side)
-        (cos_x, sin_x), (cos_z, sin_z) = self.tables[:, :, :, span]
-        sym, anti = _fold(w, side)
-        sym, anti = _fold(sym.T @ cos_x + 1j * (anti.T @ sin_x), side)
-        af = (sym * cos_z).sum(axis=0) + 1j * (anti * sin_z).sum(axis=0)
-        return angles, _gains_db(np.square(af.real) + np.square(af.imag))
-
 
 def _gains_db(power: NDArray[np.float64]) -> NDArray[np.float64]:
     """Cut power in dB below its peak, floored at _DB_FLOOR; -400 dB for a null cut."""
@@ -481,9 +463,15 @@ def pattern_cut(
     if plane not in _PLANES:
         raise ValueError(f"unknown cut plane {plane!r}")
     rot = rotation_matrix(pose.angles)
-    ev = _PatternEvaluator(config, rot, pointing, array_frame_unit(rot, pointing))
-    w = _weight_entries(weights).reshape(config.side, config.side)
-    angles, gains_db = ev.cut_gains_db(plane, w)
+    point = array_frame_unit(rot, pointing)
+    angles, units = _cut_arc(plane, pointing, rot)
+    (cos_x, sin_x), (cos_z, sin_z) = _axis_tables(config, point, units)
+    side = config.side
+    pointing_factor = np.conj(steering(config, point)).reshape(side, side)
+    sym, anti = _fold(_weight_entries(weights).reshape(side, side) * pointing_factor, side)
+    sym, anti = _fold(sym.T @ cos_x + 1j * (anti.T @ sin_x), side)
+    af = (sym * cos_z).sum(axis=0) + 1j * (anti * sin_z).sum(axis=0)
+    gains_db = _gains_db(np.square(af.real) + np.square(af.imag))
     return PatternCut(plane=plane, angles_rad=angles, gains_db=gains_db)
 
 

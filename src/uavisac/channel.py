@@ -22,6 +22,7 @@ from .geometry import (
     GeometryError,
     steering,
 )
+from .units import from_db
 
 COMM_LOS = "comm_los"
 RADAR_LOS = "radar_los"
@@ -31,23 +32,24 @@ EXPECTED = "expected"
 
 @dataclass
 class ChannelParams:
-    """Propagation constants.
+    """Propagation constants, declared in the order a scenario file lists them.
 
+    Noise is held in dBm, as the file writes it; noise_mw derives the mW.
     kappa1..kappa3 shape the NLoS-probability curve; absorption_per_m is the
     molecular absorption coefficient K_fc (1/m); nlos_attenuation is the
     NLoS amplitude factor K_N in (0, 1].  Defaults for kappa, K_fc and K_N
     are configurable stand-ins, not published values.
     """
 
+    carrier_hz: float = 0.3e12
+    bandwidth_hz: float = 100e6
+    noise_power_dbm: float = -110.0
     kappa1: float = 0.9
     kappa2: float = 3.5
     kappa3: float = 0.9
     absorption_per_m: float = 0.0033
     nlos_attenuation: float = 0.1
     radar_cross_section_m2: float = 1.0
-    noise_mw: float = 1e-11
-    bandwidth_hz: float = 100e6
-    carrier_hz: float = 0.3e12
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -58,9 +60,13 @@ class ChannelParams:
         if not 0.0 < self.nlos_attenuation <= 1.0:
             raise ValueError("nlos_attenuation must be in (0, 1]")
         if self.noise_mw <= 0.0:
-            raise ValueError("noise_mw must be positive")
+            raise ValueError("noise_power_dbm must give a positive noise power in mW")
         if self.radar_cross_section_m2 <= 0.0:
             raise ValueError("radar_cross_section_m2 must be positive")
+
+    @property
+    def noise_mw(self) -> float:
+        return from_db(self.noise_power_dbm)
 
     @property
     def wavelength_m(self) -> float:

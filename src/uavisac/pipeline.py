@@ -23,7 +23,7 @@ import logging
 import math
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
-from typing import Callable, NamedTuple, Sequence, get_type_hints
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -57,6 +57,7 @@ from .scenario import (
     Scenario,
     Trajectory,
     TrajectoryPoint,
+    _file_fields,
     associate,
     check_format_version,
     generate_trajectories,
@@ -122,8 +123,7 @@ def _field_decoders(cls) -> tuple[tuple[str, Callable], ...]:
     JSON value or CSV cell back into its type hint; any other hint is a float array."""
     decoders = {int: int, str: str, float: float, RotationAngles: RotationAngles._make}
     as_array = functools.partial(np.asarray, dtype=np.float64)
-    hints = get_type_hints(cls)
-    return tuple((f.name, decoders.get(hints[f.name], as_array)) for f in fields(cls))
+    return tuple((name, decoders.get(hint, as_array)) for name, hint in _file_fields(cls).items())
 
 
 def _from_fields(cls, data):

@@ -1,11 +1,13 @@
 """World construction, random trajectories, and base-station association.
 
 A scenario bundles the static world (base stations, target, area, channel and
-array constants, power limits) and serializes to JSON with explicitly
-suffixed unit names.  Trajectories are forward-cone random walks between the
-fixed endpoints, flown level at the endpoints' common height: every step has
-the full slot displacement, headings are drawn inside a cone toward the goal,
-and the final slot snaps exactly onto the end point, so the speed bound and
+array constants, power limits).  Its JSON file lists format_version, then each
+init field in declaration order, ChannelParams' in the channel's place, under
+unit-suffixed names; noise is held in dBm, as written, so a file saves back
+byte for byte.  Trajectories are forward-cone random walks between the fixed
+endpoints, flown level at the endpoints' common height: every step has the
+full slot displacement, headings are drawn inside a cone toward the goal, and
+the final slot snaps exactly onto the end point, so the speed bound and
 endpoint constraints hold by construction.
 
 point_geometry builds a point's rotation once and derives each destination's
@@ -25,10 +27,12 @@ associate).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import get_type_hints
 
 import numpy as np
 from numpy.typing import NDArray
@@ -78,6 +82,17 @@ def check_format_version(data: dict, expected: int, what: str) -> None:
         raise ValueError(f"{what} format_version {version!r} is not supported (expected {expected})")
 
 
+@functools.cache
+def _file_fields(cls) -> dict:
+    """A file's keys for dataclass cls with their type hints: its init fields in declaration
+    order, a dataclass field's own fields in its place.  Callers must not mutate the dict."""
+    hints = get_type_hints(cls)
+    spec = {}
+    for name in (f.name for f in fields(cls) if f.init):
+        spec.update(_file_fields(hints[name]) if is_dataclass(hints[name]) else {name: hints[name]})
+    return spec
+
+
 class InfeasibleTrajectoryError(RuntimeError):
     """Endpoints cannot be connected within the step budget."""
 
@@ -121,6 +136,7 @@ class Scenario:
         for name in ("eirp_max_dbm", "gamma_sinr_db"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        self.area_m = tuple(self.area_m)
         if len(self.area_m) != 2 or not all(0.0 < v < math.inf for v in self.area_m):
             raise ValueError("area_m must hold two finite and positive values")
         if self.num_trajectories < 1:
@@ -155,65 +171,25 @@ class Scenario:
         return from_db(self.gamma_sinr_db)
 
     def to_json_dict(self) -> dict:
-        ch = self.channel
-        return {
-            "format_version": SCENARIO_FORMAT_VERSION,
-            "area_m": [float(v) for v in self.area_m],
-            "gbs_m": [[float(v) for v in row] for row in self.gbs_m],
-            "target_m": [float(v) for v in self.target_m],
-            "start_m": [float(v) for v in self.start_m],
-            "end_m": [float(v) for v in self.end_m],
-            "v_max_mps": float(self.v_max_mps),
-            "slot_s": float(self.slot_s),
-            "carrier_hz": float(ch.carrier_hz),
-            "bandwidth_hz": float(ch.bandwidth_hz),
-            "noise_power_dbm": to_db(ch.noise_mw),
-            "kappa1": float(ch.kappa1),
-            "kappa2": float(ch.kappa2),
-            "kappa3": float(ch.kappa3),
-            "absorption_per_m": float(ch.absorption_per_m),
-            "nlos_attenuation": float(ch.nlos_attenuation),
-            "radar_cross_section_m2": float(ch.radar_cross_section_m2),
-            "num_elements": int(self.num_elements),
-            "p_max_mw": float(self.p_max_mw),
-            "gamma_sinr_db": float(self.gamma_sinr_db),
-            "eirp_max_dbm": float(self.eirp_max_dbm),
-            "sll_min_az_db": float(self.sll_min_az_db),
-            "sll_min_el_db": float(self.sll_min_el_db),
-            "num_trajectories": int(self.num_trajectories),
-        }
+        values = {**vars(self.channel), **vars(self)}
+        data = {"format_version": SCENARIO_FORMAT_VERSION}
+        for name, hint in _file_fields(type(self)).items():
+            value = values[name]
+            data[name] = hint(value) if hint in (int, float) else np.asarray(value, float).tolist()
+        return data
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Scenario":
         check_format_version(data, SCENARIO_FORMAT_VERSION, "scenario")
-        channel = ChannelParams(
-            kappa1=data["kappa1"],
-            kappa2=data["kappa2"],
-            kappa3=data["kappa3"],
-            absorption_per_m=data["absorption_per_m"],
-            nlos_attenuation=data["nlos_attenuation"],
-            radar_cross_section_m2=data["radar_cross_section_m2"],
-            noise_mw=from_db(data["noise_power_dbm"]),
-            bandwidth_hz=data["bandwidth_hz"],
-            carrier_hz=data["carrier_hz"],
-        )
-        return cls(
-            area_m=tuple(data["area_m"]),
-            gbs_m=np.asarray(data["gbs_m"], dtype=np.float64),
-            target_m=np.asarray(data["target_m"], dtype=np.float64),
-            start_m=np.asarray(data["start_m"], dtype=np.float64),
-            end_m=np.asarray(data["end_m"], dtype=np.float64),
-            v_max_mps=data["v_max_mps"],
-            slot_s=data["slot_s"],
-            channel=channel,
-            num_elements=data["num_elements"],
-            p_max_mw=data["p_max_mw"],
-            gamma_sinr_db=data["gamma_sinr_db"],
-            eirp_max_dbm=data["eirp_max_dbm"],
-            sll_min_az_db=data["sll_min_az_db"],
-            sll_min_el_db=data["sll_min_el_db"],
-            num_trajectories=data["num_trajectories"],
-        )
+        spec = _file_fields(cls)
+        unknown = sorted(data.keys() - {"format_version", *spec})
+        missing = [name for name in spec if name not in data]
+        if unknown or missing:
+            raise ValueError(f"scenario keys: unknown {unknown}, missing {missing}")
+        # Scenario coerces its arrays and area_m, as it does any constructor call
+        values = {name: data[name] for name in spec}
+        channel = ChannelParams(**{name: values.pop(name) for name in _file_fields(ChannelParams)})
+        return cls(channel=channel, **values)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:

@@ -1,4 +1,4 @@
-"""Decibel helpers shared across modules. Powers are kept in mW internally."""
+"""Decibel helpers shared across modules. Link arithmetic runs on powers in mW."""
 
 import math
 

@@ -121,6 +121,22 @@ def test_pattern_cut_rejects_an_unknown_plane_before_building_arcs(monkeypatch):
         pattern_cut(w, config, zero_pose(), "diagonal", BROADSIDE)
 
 
+def test_pattern_cut_builds_only_the_plane_it_returns(monkeypatch):
+    built = []
+
+    def counting_arc(plane, *args):
+        built.append(plane)
+        return cut_arc(plane, *args)
+
+    cut_arc = beampattern._cut_arc
+    monkeypatch.setattr(beampattern, "_cut_arc", counting_arc)
+    config = ArrayConfig(num_elements=16, carrier_hz=3e11)
+    w = matched_weights(config, BROADSIDE)
+    for plane in ("azimuth", "elevation"):
+        pattern_cut(w, config, zero_pose(), plane, BROADSIDE)
+    assert built == ["azimuth", "elevation"]
+
+
 def test_pattern_cut_uniform_first_sidelobe():
     # 8x8 uniform array: the azimuth cut reduces to the 8-element line pattern
     config = ArrayConfig(num_elements=64, carrier_hz=3e11)

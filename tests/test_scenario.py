@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -74,7 +75,7 @@ def test_default_scenario_matches_table_values():
     assert scn.slot_s == 1.0
     assert scn.channel.carrier_hz == pytest.approx(0.3e12)
     assert scn.channel.bandwidth_hz == pytest.approx(100e6)
-    assert scn.channel.noise_mw == pytest.approx(1e-11)
+    assert scn.channel.noise_mw == 1e-11
     assert scn.gamma_sinr_db == pytest.approx(0.3)
     assert scn.eirp_max_dbm == pytest.approx(37.0)
     assert scn.num_trajectories == 100
@@ -94,6 +95,42 @@ def test_scenario_json_roundtrip(tmp_path):
     loaded = Scenario.load(path)
     assert loaded.content_hash() == scn.content_hash()
     assert np.allclose(loaded.gbs_m, scn.gbs_m)
+
+
+@pytest.mark.parametrize("noise_dbm", [-60.1, -103.83, -106.24])
+def test_scenario_file_saves_back_byte_for_byte(tmp_path, noise_dbm):
+    # the channel holds the noise in dBm as written: no mW round trip moves it
+    data = Scenario().to_json_dict()
+    data["noise_power_dbm"] = noise_dbm
+    path, again = tmp_path / "scenario.json", tmp_path / "again.json"
+    path.write_text(json.dumps(data, indent=2) + "\n")
+    Scenario.load(path).save(again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_default_scenario_file_is_pinned():
+    # key order and values of the scenario file format (version 3)
+    text = json.dumps(Scenario().to_json_dict())
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "12d18a714ba2b4ae6f2e50a18c2ce947719c22fda52a970cb6874167f50a7fd6"
+    )
+
+
+def test_scenario_load_names_unknown_and_missing_keys():
+    data = Scenario().to_json_dict()
+    data["num_gbs"] = 3
+    data["sll_min_az"] = data.pop("sll_min_az_db")
+    del data["kappa2"]
+    with pytest.raises(ValueError) as err:
+        Scenario.from_json_dict(data)
+    message = str(err.value)
+    for key in ("num_gbs", "sll_min_az", "sll_min_az_db", "kappa2"):
+        assert repr(key) in message
+
+
+def test_noise_power_must_give_positive_mw():
+    with pytest.raises(ValueError, match="noise_power_dbm"):
+        ChannelParams(noise_power_dbm=-4000.0)
 
 
 @pytest.mark.parametrize("version", [0, 1, 2, "3", None])
