@@ -59,8 +59,8 @@ class ChannelParams:
             raise ValueError("absorption_per_m must be >= 0")
         if not 0.0 < self.nlos_attenuation <= 1.0:
             raise ValueError("nlos_attenuation must be in (0, 1]")
-        if self.noise_mw <= 0.0:
-            raise ValueError("noise_power_dbm must give a positive noise power in mW")
+        if not 0.0 < self.noise_mw < math.inf:
+            raise ValueError("noise_power_dbm must give a positive, finite noise power in mW")
         if self.radar_cross_section_m2 <= 0.0:
             raise ValueError("radar_cross_section_m2 must be positive")
 

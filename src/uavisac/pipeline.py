@@ -21,9 +21,9 @@ import functools
 import json
 import logging
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence, get_type_hints
 
 import numpy as np
 from numpy.typing import NDArray
@@ -60,6 +60,7 @@ from .scenario import (
     _file_fields,
     associate,
     check_format_version,
+    check_keys,
     generate_trajectories,
     label_optimal_association,
     min_required_eirp_dbm,
@@ -70,7 +71,7 @@ from .units import from_db, to_db
 logger = logging.getLogger(__name__)
 
 DATASET_FORMAT_VERSION = 1
-BUNDLE_FORMAT_VERSION = 2
+BUNDLE_FORMAT_VERSION = 3
 
 POLICY_ALIASES = {
     "closest": "closest",
@@ -133,7 +134,9 @@ def _from_fields(cls, data):
 
 @dataclass
 class ModelBundle:
-    """Both trained networks plus provenance metadata."""
+    """Both trained networks plus provenance metadata.  Field declaration order is
+    the bundle file's key order after format_version, so a field change bumps
+    BUNDLE_FORMAT_VERSION; see _bundle_value for how each field is read."""
 
     beamformer: Network
     association: Network
@@ -145,26 +148,14 @@ class ModelBundle:
     association_report: TrainReport
 
     def save(self, path) -> None:
-        data = {
-            "format_version": BUNDLE_FORMAT_VERSION,
-            "scenario_hash": self.scenario_hash,
-            "num_gbs": self.num_gbs,
-            "num_elements": self.num_elements,
-            "created": self.created,
-            "beamformer": self.beamformer.to_dict(),
-            "association": self.association.to_dict(),
-            "reports": {
-                "beamformer": {
-                    "train_loss": self.beamformer_report.train_loss,
-                    "val_loss": self.beamformer_report.val_loss,
-                    "val_beampattern_error": self.beamformer_report.val_metric,
-                },
-                "association": {
-                    "train_loss": self.association_report.train_loss,
-                    "val_loss": self.association_report.val_loss,
-                },
-            },
-        }
+        data = {"format_version": BUNDLE_FORMAT_VERSION}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, Network):
+                value = value.to_dict()
+            elif isinstance(value, TrainReport):
+                value = asdict(value)
+            data[f.name] = value
         with open(path, "w") as fh:
             json.dump(data, fh)
             fh.write("\n")
@@ -174,26 +165,20 @@ class ModelBundle:
         with open(path) as fh:
             data = json.load(fh)
         check_format_version(data, BUNDLE_FORMAT_VERSION, "bundle")
-        reports = data["reports"]
-        bf_report = TrainReport(
-            train_loss=reports["beamformer"]["train_loss"],
-            val_loss=reports["beamformer"]["val_loss"],
-            val_metric=reports["beamformer"]["val_beampattern_error"],
-        )
-        as_report = TrainReport(
-            train_loss=reports["association"]["train_loss"],
-            val_loss=reports["association"]["val_loss"],
-        )
-        return cls(
-            beamformer=Network.from_dict(data["beamformer"]),
-            association=Network.from_dict(data["association"]),
-            scenario_hash=data["scenario_hash"],
-            num_gbs=data["num_gbs"],
-            num_elements=data["num_elements"],
-            created=data["created"],
-            beamformer_report=bf_report,
-            association_report=as_report,
-        )
+        hints = get_type_hints(cls)
+        check_keys(data, ("format_version", *hints), "bundle")
+        return cls(**{name: _bundle_value(name, hint, data[name]) for name, hint in hints.items()})
+
+
+def _bundle_value(name: str, hint, value):
+    """One ModelBundle field from its JSON value: a network through Network.from_dict,
+    a report through its own fields, a string or an int as it is."""
+    if hint is Network:
+        return Network.from_dict(value)
+    if hint is TrainReport:
+        check_keys(value, [f.name for f in fields(TrainReport)], f"bundle {name}")
+        return TrainReport(**value)
+    return hint(value)
 
 
 @dataclass(frozen=True)
@@ -393,6 +378,26 @@ def synthesize_point(
     )
 
 
+# each reason generate_dataset skips a point for, with its WARNING line; the
+# benchmark's SkipLog matches these templates by substring
+SKIP_WARNINGS = {
+    "field of view": "trajectory %d slot %d: beam outside the serviceable field of view, skipping",
+    "null conflict": "trajectory %d slot %d: null conflict, skipping",
+    "not converged": "trajectory %d slot %d: optimizer did not converge, skipping",
+}
+
+
+def _synthesis_or_skip(scenario: Scenario, geo: PointGeometry, k: int) -> PointSynthesis | str:
+    """Both optimizer beams of a dataset point toward station k, or why it is skipped."""
+    if geo.target_gain < MIN_ELEMENT_GAIN or geo.gbs_gain[k] < MIN_ELEMENT_GAIN:
+        return "field of view"
+    try:
+        ps = synthesize_point(scenario, geo, k)
+    except NullConflictError:
+        return "null conflict"
+    return ps if ps.converged else "not converged"
+
+
 def generate_dataset(
     scenario: Scenario, num_trajectories: int, policy: str, seed: int
 ) -> list[Sample]:
@@ -406,35 +411,15 @@ def generate_dataset(
     policy = POLICY_ALIASES.get(policy, policy)
     trajectories = generate_trajectories(scenario, num_trajectories, seed)
     samples: list[Sample] = []
-    skipped = {"field of view": 0, "null conflict": 0, "not converged": 0}
+    skipped = dict.fromkeys(SKIP_WARNINGS, 0)
     for traj in trajectories:
         for point in traj.points:
             geo = point_geometry(scenario, point)
             k = associate(scenario, geo, policy)
-            if geo.target_gain < MIN_ELEMENT_GAIN or geo.gbs_gain[k] < MIN_ELEMENT_GAIN:
-                skipped["field of view"] += 1
-                logger.warning(
-                    "trajectory %d slot %d: beam outside the serviceable field of view,"
-                    " skipping",
-                    traj.id,
-                    point.slot,
-                )
-                continue
-            try:
-                ps = synthesize_point(scenario, geo, k)
-            except NullConflictError:
-                skipped["null conflict"] += 1
-                logger.warning(
-                    "trajectory %d slot %d: null conflict, skipping", traj.id, point.slot
-                )
-                continue
-            if not ps.converged:
-                skipped["not converged"] += 1
-                logger.warning(
-                    "trajectory %d slot %d: optimizer did not converge, skipping",
-                    traj.id,
-                    point.slot,
-                )
+            ps = _synthesis_or_skip(scenario, geo, k)
+            if isinstance(ps, str):
+                skipped[ps] += 1
+                logger.warning(SKIP_WARNINGS[ps], traj.id, point.slot)
                 continue
             null_frames = [geo.gbs_frame[i] for i in ps.null_gbs]
             samples.append(

@@ -82,6 +82,16 @@ def check_format_version(data: dict, expected: int, what: str) -> None:
         raise ValueError(f"{what} format_version {version!r} is not supported (expected {expected})")
 
 
+def check_keys(data: dict, names, what: str) -> None:
+    """Reject a loaded record whose keys are not exactly `names`, naming each odd key."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
+    unknown = sorted(data.keys() - set(names))
+    missing = [name for name in names if name not in data]
+    if unknown or missing:
+        raise ValueError(f"{what} keys: unknown {unknown}, missing {missing}")
+
+
 @functools.cache
 def _file_fields(cls) -> dict:
     """A file's keys for dataclass cls with their type hints: its init fields in declaration
@@ -103,7 +113,8 @@ class Scenario:
 
     Values no run can use fail at construction, not mid-command: speed, slot
     length, power budget and SLL minima must be finite and positive, the EIRP
-    cap, SINR threshold and station positions finite, and `array` is built
+    cap, SINR threshold and station positions finite, every dB setting's
+    linear value positive and finite, as the noise power's, and `array` is built
     from num_elements and the carrier once, so an array size no panel can
     take fails here too.  The beam search has one setting of its own, its
     candidate budget, and it is not a scenario value: it is
@@ -133,9 +144,10 @@ class Scenario:
         for name in ("v_max_mps", "slot_s", "p_max_mw", "sll_min_az_db", "sll_min_el_db"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive")
-        for name in ("eirp_max_dbm", "gamma_sinr_db"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        # NaN and infinite dB values fail this too
+        for name in ("eirp_max_dbm", "gamma_sinr_db", "sll_min_az_db", "sll_min_el_db"):
+            if not 0.0 < from_db(getattr(self, name)) < math.inf:
+                raise ValueError(f"{name} must have a positive, finite linear value")
         self.area_m = tuple(self.area_m)
         if len(self.area_m) != 2 or not all(0.0 < v < math.inf for v in self.area_m):
             raise ValueError("area_m must hold two finite and positive values")
@@ -182,10 +194,7 @@ class Scenario:
     def from_json_dict(cls, data: dict) -> "Scenario":
         check_format_version(data, SCENARIO_FORMAT_VERSION, "scenario")
         spec = _file_fields(cls)
-        unknown = sorted(data.keys() - {"format_version", *spec})
-        missing = [name for name in spec if name not in data]
-        if unknown or missing:
-            raise ValueError(f"scenario keys: unknown {unknown}, missing {missing}")
+        check_keys(data, ("format_version", *spec), "scenario")
         # Scenario coerces its arrays and area_m, as it does any constructor call
         values = {name: data[name] for name in spec}
         channel = ChannelParams(**{name: values.pop(name) for name in _file_fields(ChannelParams)})

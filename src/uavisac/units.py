@@ -11,5 +11,8 @@ def to_db(value: float) -> float:
 
 
 def from_db(db: float) -> float:
-    """dB (or dBm) to linear power ratio (or mW)."""
-    return 10.0 ** (db / 10.0)
+    """dB (or dBm) to linear power ratio (or mW); inf past the float range, as for db = inf."""
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        return math.inf

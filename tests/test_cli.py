@@ -123,6 +123,33 @@ def test_unsupported_format_version_fails_cleanly(tmp_path, tiny_scenario_path, 
         assert not out.exists()
 
 
+def test_scenario_db_setting_that_overflows_fails_before_any_output(
+    tmp_path, tiny_scenario_path, capsys
+):
+    data = Scenario.load(tiny_scenario_path).to_json_dict()
+    data["gamma_sinr_db"] = 4000.0
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "d.jsonl"
+    code = main(
+        [
+            "dataset", "generate",
+            "--scenario", str(path),
+            "--trajectories", "1",
+            "--policy", "closest",
+            "--seed", "1",
+            "--out", str(out),
+        ]
+    )
+    assert code == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "ValueError", "message": "gamma_sinr_db must have a positive, finite linear value"
+    }
+    assert not out.exists()
+
+
 def test_dataset_generate_refuses_the_nn_policy(tmp_path, tiny_scenario_path, capsys):
     # the dataset labels the networks' training data, so no network picks its stations
     out = tmp_path / "d.jsonl"

@@ -273,8 +273,8 @@ def test_bundle_roundtrip(tmp_path, small_scenario, small_bundle):
         small_bundle, small_scenario, point
     )
     data = json.loads(path.read_text())
-    assert data["format_version"] == 2
-    assert "val_beampattern_error" in data["reports"]["beamformer"]
+    assert data["format_version"] == 3
+    assert data["beamformer_report"]["val_metric"] == small_bundle.beamformer_report.val_metric
 
 
 def test_bundle_load_rejects_other_format_versions(tmp_path, small_bundle):
@@ -301,6 +301,77 @@ def test_bundle_load_rejects_a_network_missing_its_last_layer(tmp_path, small_bu
     path.write_text(json.dumps(data))
     with pytest.raises(ValueError, match="weights: 2 arrays for 3 layers"):
         ModelBundle.load(path)
+
+
+def test_bundle_file_states_each_field_once_and_saves_back_byte_for_byte(tmp_path, small_bundle):
+    path, again = tmp_path / "bundle.json", tmp_path / "again.json"
+    small_bundle.save(path)
+    ModelBundle.load(path).save(again)
+    assert again.read_bytes() == path.read_bytes()
+    data = json.loads(path.read_text())
+    assert list(data) == ["format_version", *(f.name for f in dataclasses.fields(ModelBundle))]
+    for name in ("beamformer_report", "association_report"):
+        assert list(data[name]) == ["train_loss", "val_loss", "val_metric"]
+    assert data["association_report"]["val_metric"] is None
+
+
+def test_loaded_bundle_predicts_the_in_memory_bytes(tmp_path, small_scenario, small_bundle):
+    path = tmp_path / "bundle.json"
+    small_bundle.save(path)
+    loaded = ModelBundle.load(path)
+    points = generate_trajectories(small_scenario, 1, seed=77)[0].points
+    for point in points[::10]:
+        k = predict_association(small_bundle, small_scenario, point)
+        assert predict_association(loaded, small_scenario, point) == k
+        geo = point_geometry(small_scenario, point)
+        expected, expected_eirp = pipeline.predict_matrix(small_bundle, small_scenario, geo, k)
+        got, eirp = pipeline.predict_matrix(loaded, small_scenario, geo, k)
+        assert eirp == expected_eirp
+        for beam in ("sensing", "comm"):
+            want, have = getattr(expected, beam), getattr(got, beam)
+            assert have.entries.tobytes() == want.entries.tobytes()
+            assert have.power_per_element_mw == want.power_per_element_mw
+
+
+def test_bundle_load_names_unknown_and_missing_keys(tmp_path, small_bundle):
+    path = tmp_path / "bundle.json"
+    small_bundle.save(path)
+    saved = json.loads(path.read_text())
+    data = dict(saved, reports={"beamformer": {}})
+    del data["created"], data["beamformer_report"]
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError) as err:
+        ModelBundle.load(path)
+    assert str(err.value) == (
+        "bundle keys: unknown ['reports'], missing ['created', 'beamformer_report']"
+    )
+    report = saved["beamformer_report"]
+    report["val_beampattern_error"] = report.pop("val_metric")
+    path.write_text(json.dumps(saved))
+    with pytest.raises(ValueError) as err:
+        ModelBundle.load(path)
+    assert str(err.value) == (
+        "bundle beamformer_report keys: unknown ['val_beampattern_error'], missing ['val_metric']"
+    )
+    saved["beamformer_report"] = None
+    path.write_text(json.dumps(saved))
+    with pytest.raises(ValueError, match="^bundle beamformer_report must be a JSON object, got"):
+        ModelBundle.load(path)
+
+
+def test_format_2_bundle_fails_on_its_version(tmp_path, small_bundle):
+    # format 2 kept both reports in one block and renamed val_metric
+    path = tmp_path / "bundle.json"
+    small_bundle.save(path)
+    data = json.loads(path.read_text())
+    beamformer, association = data.pop("beamformer_report"), data.pop("association_report")
+    beamformer["val_beampattern_error"] = beamformer.pop("val_metric")
+    del association["val_metric"]
+    data.update(format_version=2, reports={"beamformer": beamformer, "association": association})
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError) as err:
+        ModelBundle.load(path)
+    assert str(err.value) == "bundle format_version 2 is not supported (expected 3)"
 
 
 def test_predict_association_recovers_exact_index(small_scenario, small_bundle):

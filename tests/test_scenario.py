@@ -133,6 +133,20 @@ def test_noise_power_must_give_positive_mw():
         ChannelParams(noise_power_dbm=-4000.0)
 
 
+def test_noise_power_whose_mw_overflows_fails_at_construction():
+    # 4000 dBm is 1e400 mW, past the float range
+    assert from_db(4000.0) == math.inf
+    with pytest.raises(ValueError, match="^noise_power_dbm must give a positive, finite noise"):
+        ChannelParams(noise_power_dbm=4000.0)
+
+
+@pytest.mark.parametrize("name", ["sll_min_az_db", "sll_min_el_db", "eirp_max_dbm", "gamma_sinr_db"])
+def test_db_setting_whose_linear_value_overflows_fails_at_construction(name):
+    # it would otherwise raise OverflowError mid-command, at its first linear read
+    with pytest.raises(ValueError, match=f"^{name} must have a positive, finite linear value$"):
+        Scenario(**{name: 4000.0})
+
+
 @pytest.mark.parametrize("version", [0, 1, 2, "3", None])
 def test_scenario_load_rejects_other_format_versions(version):
     data = small_scenario().to_json_dict()
