@@ -182,8 +182,11 @@ class SynthesisRequest:
             if not all(map(math.isfinite, direction)):
                 name = f"nulls[{i - 1}]" if i else "pointing"
                 raise ValueError(f"{name} must be finite, got {direction!r}")
-        if self.sll_min_az_db <= 0.0 or self.sll_min_el_db <= 0.0:
-            raise ValueError("sidelobe minima must be positive dB values")
+        for name in ("sll_min_az_db", "sll_min_el_db"):
+            value = getattr(self, name)
+            if not (0.0 < value and from_db(value) < math.inf):  # Scenario's rule
+                raise ValueError(
+                    f"{name} must be positive dB with a finite linear value, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -566,9 +569,11 @@ def chebyshev_taper(n: int, sll_db: float) -> NDArray[np.float64]:
         raise ValueError(f"taper length must be an integer, got {n!r}")
     if n < 2:
         raise ValueError("taper needs at least two elements")
-    # negated, so that NaN fails it
-    if not 0.0 < sll_db < math.inf:
-        raise ValueError(f"sidelobe level must be positive finite dB, got {sll_db!r}")
+    # negated, so that NaN fails it; the DFT below sums n samples as large as
+    # the amplitude ratio 10 ** (sll_db / 20) = from_db(sll_db / 2), inf past floats
+    if not (0.0 < sll_db and n * from_db(sll_db / 2.0) < math.inf):
+        raise ValueError(f"sidelobe level must be positive dB with n times its amplitude ratio "
+                         f"finite, got {sll_db!r} for n = {n}")
     return _dolph_chebyshev(int(n), float(sll_db))
 
 

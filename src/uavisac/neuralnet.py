@@ -5,9 +5,9 @@ output layer is linear.  A network's parameters are one float64 vector,
 `params`, with per-layer `weights` and `biases` views into it; a gradient has
 the same layout, so ADAM updates every parameter in one pass.  All randomness
 (init, shuffling) flows from explicit seeds and the caller fixes the
-train/validation split, so a repeated run is bit-identical.  A network stores
-per-feature normalization stats and applies them inside forward(), so callers
-always pass raw features.
+train/validation split, so a repeated run is bit-identical.  `train` fits on
+z-scored inputs and, when it ends, folds the z-score into the first layer, so a
+network takes raw features and holds nothing but its layers.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
+
+from .scenario import check_keys
 
 # ADAM moment decay rates and denominator guard (Kingma and Ba's defaults)
 ADAM_BETA1 = 0.9
@@ -76,25 +78,13 @@ class Network:
             fan_out, fan_in = w.shape
             limit = np.sqrt(6.0 / (fan_in + fan_out))
             w[...] = rng.uniform(-limit, limit, size=w.shape)
-        self.norm_mean = np.zeros(sizes[0])
-        self.norm_std = np.ones(sizes[0])
 
     @property
     def layer_sizes(self) -> tuple[int, ...]:
         return self.config.layer_sizes
 
-    def set_normalization(self, mean, std) -> None:
-        mean = np.asarray(mean, dtype=np.float64)
-        std = np.asarray(std, dtype=np.float64)
-        if mean.shape != (self.layer_sizes[0],) or std.shape != (self.layer_sizes[0],):
-            raise ValueError("normalization stats must match the input width")
-        self.norm_mean = mean
-        # constant features would otherwise divide by zero
-        self.norm_std = np.where(std > 1e-12, std, 1.0)
-
-    def _forward_cached(self, x: NDArray[np.float64]) -> list[NDArray[np.float64]]:
-        """Every layer's activations, the normalized input first and the output last."""
-        a = (x - self.norm_mean) / self.norm_std
+    def _forward_cached(self, a: NDArray[np.float64]) -> list[NDArray[np.float64]]:
+        """Every layer's activations, the input first and the output last."""
         activations = [a]
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -109,24 +99,24 @@ class Network:
             "seed": self.config.seed,
             "weights": [w.tolist() for w in self.weights],
             "biases": [b.tolist() for b in self.biases],
-            "norm_mean": self.norm_mean.tolist(),
-            "norm_std": self.norm_std.tolist(),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "Network":
-        """Rebuild a `to_dict` network; parameters that contradict its layer sizes are rejected."""
+        """Rebuild a `to_dict` network; odd keys and parameters off its sizes are rejected."""
+        check_keys(data, ("layer_sizes", "seed", "weights", "biases"), "network")
         net = cls(NetworkConfig(layer_sizes=tuple(data["layer_sizes"]), seed=data["seed"]))
         for name in ("weights", "biases"):
             views = getattr(net, name)
             if len(data[name]) != len(views):
                 raise ValueError(f"{name}: {len(data[name])} arrays for {len(views)} layers")
             for i, (value, view) in enumerate(zip(data[name], views)):
-                view[...] = _parameter(f"{name}[{i}]", value, view)
-        for name in ("norm_mean", "norm_std"):
-            setattr(net, name, _parameter(name, data[name], getattr(net, name)))
-        if not np.all(net.norm_std > 0.0):
-            raise ValueError("norm_std must be positive")
+                array = np.asarray(value, dtype=np.float64)
+                if array.shape != view.shape:
+                    raise ValueError(f"{name}[{i}] has shape {array.shape}, expected {view.shape}")
+                if not np.all(np.isfinite(array)):
+                    raise ValueError(f"{name}[{i}] has non-finite entries")
+                view[...] = array
         return net
 
 
@@ -136,16 +126,6 @@ def _layer_views(sizes: Sequence[int], flat: NDArray[np.float64]):
     ends = np.cumsum([math.prod(shape) for shape in shapes])
     views = [part.reshape(shape) for part, shape in zip(np.split(flat, ends[:-1]), shapes)]
     return tuple(views[::2]), tuple(views[1::2])
-
-
-def _parameter(name: str, value, like: NDArray[np.float64]) -> NDArray[np.float64]:
-    """A loaded parameter array, checked for the shape of `like` and for finite entries."""
-    array = np.asarray(value, dtype=np.float64)
-    if array.shape != like.shape:
-        raise ValueError(f"{name} has shape {array.shape}, expected {like.shape}")
-    if not np.all(np.isfinite(array)):
-        raise ValueError(f"{name} has non-finite entries")
-    return array
 
 
 def forward(net: Network, x) -> NDArray[np.float64]:
@@ -218,9 +198,11 @@ def train(
 ) -> tuple[Network, TrainReport]:
     """Mini-batch ADAM training on the (train, validation) row indices of `split`.
 
-    Each epoch shuffles the training rows with a generator seeded by
-    `config.seed`; `val_metric(net, val_x)` is evaluated once per epoch and
-    recorded in the report.
+    The network is fitted on inputs z-scored by the training rows (a constant
+    feature keeps std 1): each epoch shuffles those rows with a generator
+    seeded by `config.seed` and records `val_metric(net, x_val)` on the
+    z-scored validation rows.  The z-score is then folded into the first
+    layer, so the returned network takes raw features.
     """
     x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     y = np.atleast_2d(np.asarray(targets, dtype=np.float64))
@@ -228,9 +210,11 @@ def train(
         raise ValueError("dataset is empty")
     rng = np.random.default_rng(config.seed)
     train_idx, val_idx = (np.asarray(rows, dtype=np.int64) for rows in split)
+    mean, std = x[train_idx].mean(axis=0), x[train_idx].std(axis=0)
+    std = np.where(std > 1e-12, std, 1.0)
+    x = (x - mean) / std
     x_train, y_train = x[train_idx], y[train_idx]
     x_val, y_val = x[val_idx], y[val_idx]
-    net.set_normalization(x_train.mean(axis=0), x_train.std(axis=0))
     adam = AdamState(net, config)
     report = TrainReport(val_metric=[] if val_metric is not None else None)
     n_train_rows = x_train.shape[0]
@@ -249,4 +233,7 @@ def train(
             report.val_loss.append(float("nan"))
         if val_metric is not None:
             report.val_metric.append(float(val_metric(net, x_val)))
+    # W0 (x - mean) / std + b0 = (W0 / std) x + (b0 - (W0 / std) mean)
+    net.weights[0][...] /= std
+    net.biases[0][...] -= net.weights[0] @ mean
     return net, report

@@ -71,7 +71,7 @@ from .units import from_db, to_db
 logger = logging.getLogger(__name__)
 
 DATASET_FORMAT_VERSION = 1
-BUNDLE_FORMAT_VERSION = 3
+BUNDLE_FORMAT_VERSION = 4
 
 POLICY_ALIASES = {
     "closest": "closest",
@@ -115,7 +115,7 @@ class Sample:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Sample":
-        return _from_fields(cls, data)
+        return _from_fields(cls, data, "dataset sample")
 
 
 @functools.cache
@@ -127,8 +127,9 @@ def _field_decoders(cls) -> tuple[tuple[str, Callable], ...]:
     return tuple((name, decoders.get(hint, as_array)) for name, hint in _file_fields(cls).items())
 
 
-def _from_fields(cls, data):
-    """A record dataclass from a mapping of each field name to its JSON value or CSV cell."""
+def _from_fields(cls, data, what: str):
+    """A record dataclass from a mapping of exactly its field names to JSON values or CSV cells."""
+    check_keys(data, [name for name, _ in _field_decoders(cls)], what)
     return cls(**{name: decode(data[name]) for name, decode in _field_decoders(cls)})
 
 
@@ -708,7 +709,7 @@ def write_records_csv(path, records: Sequence[EvalRecord]) -> None:
 
 def read_records_csv(path) -> list[EvalRecord]:
     with open(path, newline="") as fh:
-        return [_from_fields(EvalRecord, row) for row in csv.DictReader(fh)]
+        return [_from_fields(EvalRecord, row, "records row") for row in csv.DictReader(fh)]
 
 
 def write_stats_csv(path, stats: EirpStats) -> None:

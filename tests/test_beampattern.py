@@ -38,6 +38,7 @@ from uavisac.geometry import (
     steering,
     steering_vector,
 )
+from uavisac.scenario import Scenario
 
 ZERO = RotationAngles(0.0, 0.0, 0.0)
 BROADSIDE = DirectionAngles(theta=math.pi / 2, phi=math.pi / 2)
@@ -238,11 +239,14 @@ def test_chebyshev_taper_monotone_concentration():
 
 def test_chebyshev_taper_rejects_bad_inputs():
     # a NaN or infinite level would build an all-NaN taper, which the cache
-    # would keep, and a length of 8.5 would build 8 elements
+    # would keep, and a length of 8.5 would build 8 elements; at 8 elements
+    # the amplitude ratio of 7000 dB overflows, and the DFT of 6160 dB does
     for n, sll_db in ((1, 30.0), (8, 0.0), (8, math.nan), (8, math.inf), (8, -math.inf),
-                      (8.5, 20.0)):
+                      (8.5, 20.0), (8, 6160.0), (8, 7000.0)):
         with pytest.raises(ValueError):
             chebyshev_taper(n, sll_db)
+    with pytest.raises(ValueError, match=r"finite, got 7000\.0 for n = 8$"):
+        chebyshev_taper(8, 7000.0)
 
 
 def test_apply_nulls_empty_is_identity():
@@ -427,6 +431,22 @@ def test_synthesis_request_rejects_non_finite_values(field):
     for value in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             dataclasses.replace(request, **{field: value})
+
+
+@pytest.mark.parametrize("field", ["sll_min_az_db", "sll_min_el_db"])
+def test_synthesis_request_takes_scenario_rule_for_sll_minima(field):
+    # a positive dB value whose linear value is a float; past about 3082 dB
+    # the taper would raise OverflowError instead of naming the field
+    request = _request_toward(BROADSIDE)
+    for value in (0.0, -3.0, 3083.0, 7000.0):
+        with pytest.raises(ValueError) as err:
+            dataclasses.replace(request, **{field: value})
+        assert str(err.value) == (
+            f"{field} must be positive dB with a finite linear value, got {value!r}"
+        )
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            Scenario(**{field: value})
+    assert getattr(dataclasses.replace(request, **{field: 3082.0}), field) == 3082.0
 
 
 # a non-finite direction fails at construction, naming its field, and not

@@ -82,6 +82,29 @@ def test_synthesize_rejects_eirp_above_cap(tmp_path, tiny_scenario_path, capsys)
     assert "error" in payload
 
 
+def test_synthesize_rejects_an_sll_minimum_whose_linear_value_overflows(
+    tmp_path, tiny_scenario_path, capsys
+):
+    code = main(
+        [
+            "synthesize",
+            "--scenario", tiny_scenario_path,
+            "--az", "0", "--el", "30",
+            "--sll-az", "7000", "--sll-el", "15",
+            "--eirp", "20.0",
+            "--out-cuts", str(tmp_path / "c.csv"),
+        ]
+    )
+    assert code == 1
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "ValueError",
+        "message": "sll_min_az_db must be positive dB with a finite linear value, got 7000.0",
+    }
+    assert list(tmp_path.glob("c*.csv")) == []
+
+
 def test_missing_scenario_file_fails_cleanly(tmp_path, capsys):
     code = main(
         [

@@ -35,18 +35,16 @@ def test_forward_identity_single_layer():
     net.weights[0][...] = np.eye(3)
     net.biases[0][...] = 0.0
     x = np.array([0.5, -1.0, 2.0])
-    # stats default to zero mean, unit std, so output equals the input
+    # a network applies nothing but its layers, so the output equals the input
     assert np.allclose(forward(net, x), x)
 
 
 def test_forward_matches_triple_loop_reference():
     config = NetworkConfig(layer_sizes=(7, 50, 200), seed=4)
     net = Network(config)
-    rng = np.random.default_rng(0)
-    net.set_normalization(rng.normal(size=7), rng.uniform(0.5, 2.0, size=7))
-    x = rng.normal(size=7)
+    x = np.random.default_rng(0).normal(size=7)
 
-    a = [(x[i] - net.norm_mean[i]) / net.norm_std[i] for i in range(7)]
+    a = list(x)
     for layer in range(2):
         w, b = net.weights[layer], net.biases[layer]
         z = []
@@ -149,13 +147,18 @@ def test_train_parameter_updates_scale_with_the_learning_rate():
     rng = np.random.default_rng(0)
     x = rng.normal(size=(40, 2))
     y = rng.normal(size=(40, 1))
-    before = Network(NetworkConfig(layer_sizes=(2, 8, 1), seed=2)).weights
+    split = _split(40, 0)
+    mean, std = x[split[0]].mean(axis=0), x[split[0]].std(axis=0)
+    before = Network(NetworkConfig(layer_sizes=(2, 8, 1), seed=2)).params
     updates = []
     for lr in (1e-9, 2e-9):
         net = Network(NetworkConfig(layer_sizes=(2, 8, 1), seed=2))
         config = TrainConfig(epochs=5, batch_size=8, learning_rate=lr, seed=0)
-        train(net, x, y, config, _split(40, 0))
-        updates.append(np.concatenate([(w - b).ravel() for b, w in zip(before, net.weights)]))
+        train(net, x, y, config, split)
+        # undo the fold of the z-score into layer 0, back to the trained parameters
+        net.biases[0][...] += net.weights[0] @ mean
+        net.weights[0][...] *= std
+        updates.append(net.params - before)
     assert np.max(np.abs(updates[0])) > 0.0
     assert np.allclose(updates[1], 2.0 * updates[0], rtol=1e-5, atol=1e-20)
 
@@ -167,9 +170,8 @@ def test_train_linear_regression_converges():
     net = Network(NetworkConfig(layer_sizes=(1, 1), seed=0))
     config = TrainConfig(epochs=200, batch_size=32, learning_rate=0.05, seed=1)
     net, report = train(net, x, y, config, _split(200, 1))
-    # recover the slope in raw units: the input is z-scored internally
-    slope = net.weights[0][0, 0] / net.norm_std[0]
-    intercept = net.biases[0][0] - net.weights[0][0, 0] * net.norm_mean[0] / net.norm_std[0]
+    # the z-score is folded into the layer, so it maps raw units
+    slope, intercept = net.weights[0][0, 0], net.biases[0][0]
     assert slope == pytest.approx(3.0, abs=1e-2)
     assert abs(intercept) < 1e-2
     assert report.val_loss[-1] < report.val_loss[0]
@@ -194,24 +196,50 @@ def test_train_is_bitwise_deterministic():
 
 
 def test_train_normalization_stats():
+    # the network is fitted on z-scored inputs, which val_metric sees, and the
+    # z-score is then folded into layer 0: on raw inputs the returned network
+    # gives what the fitted one gives on z-scored inputs
     rng = np.random.default_rng(5)
     x = rng.normal(loc=3.0, scale=2.5, size=(100, 4))
+    x[:, 2] = 7.0  # a constant feature keeps std 1
     y = rng.normal(size=(100, 1))
     net = Network(NetworkConfig(layer_sizes=(4, 5, 1), seed=0))
     cfg = TrainConfig(epochs=1, batch_size=32, learning_rate=1e-3, seed=2)
     train_idx, val_idx = _split(100, cfg.seed)
-    net, _ = train(net, x, y, cfg, (train_idx, val_idx))
-    z = (x[train_idx] - net.norm_mean) / net.norm_std
-    assert np.max(np.abs(z.mean(axis=0))) < 1e-10
-    assert np.max(np.abs(z.std(axis=0) - 1.0)) < 1e-10
+    mean, std = x[train_idx].mean(axis=0), x[train_idx].std(axis=0)
+    assert std[2] == 0.0
+    std[2] = 1.0
+    z = (x - mean) / std
+    assert np.max(np.abs(z[train_idx].mean(axis=0))) < 1e-10
+    assert np.max(np.abs(z[train_idx][:, [0, 1, 3]].std(axis=0) - 1.0)) < 1e-10
+
+    fitted = Network(net.config)
+    seen = []
+
+    def metric(trained, x_val):
+        fitted.params[:] = trained.params
+        seen.append(x_val.copy())
+        return 0.0
+
+    net, _ = train(net, x, y, cfg, (train_idx, val_idx), metric)
+    assert len(seen) == 1 and np.array_equal(seen[0], z[val_idx])
+    assert np.allclose(forward(net, x), forward(fitted, z), rtol=1e-12, atol=1e-12)
+    assert not np.allclose(forward(net, z), forward(fitted, z))
+    # only layer 0 takes the fold
+    assert np.array_equal(net.weights[1], fitted.weights[1])
+    assert np.array_equal(net.biases[1], fitted.biases[1])
 
 
 def test_network_dict_roundtrip():
     net = Network(NetworkConfig(layer_sizes=(4, 6, 2), seed=11))
-    net.set_normalization(np.arange(4.0), np.ones(4) * 2.0)
-    clone = Network.from_dict(net.to_dict())
+    net.params[:] = np.random.default_rng(1).normal(size=net.params.size)
+    data = net.to_dict()
+    assert list(data) == ["layer_sizes", "seed", "weights", "biases"]
+    clone = Network.from_dict(data)
+    assert clone.config == net.config
+    assert clone.params.tobytes() == net.params.tobytes()
     x = np.linspace(-1, 1, 4)
-    assert np.allclose(forward(net, x), forward(clone, x))
+    assert np.array_equal(forward(net, x), forward(clone, x))
 
 
 def _drop_last_layer(data):
@@ -221,28 +249,25 @@ def _drop_last_layer(data):
 
 def _set(key, index, value):
     def mutate(data):
-        if index is None:
-            data[key] = value
-        else:
-            data[key][index] = value
+        data[key][index] = value
 
     return mutate
 
 
-# each way a stored network can contradict its layer sizes, with the field the
-# rejection must name; a (4, 64, 32, 1) net like the association network
+# each way a stored network can contradict its layer sizes or its four keys,
+# with what the rejection must name; a (4, 64, 32, 1) net like the association
+# network
 BAD_NETWORKS = {
     "last_layer_dropped": (_drop_last_layer, r"weights: 2 arrays for 3 layers"),
     "bias_missing": (lambda data: data["biases"].pop(), r"biases: 2 arrays for 3 layers"),
     "weight_transposed": (_set("weights", 0, np.zeros((4, 64)).tolist()), r"weights\[0\] has shape"),
     "bias_too_long": (_set("biases", 1, [0.0] * 33), r"biases\[1\] has shape"),
-    "norm_mean_too_wide": (_set("norm_mean", None, [0.0] * 5), r"norm_mean has shape"),
-    "norm_std_zero": (_set("norm_std", None, [0.0] * 4), r"norm_std must be positive"),
-    "norm_std_negative": (_set("norm_std", None, [1.0, -1.0, 1.0, 1.0]), r"norm_std must be positive"),
     "weight_nan": (lambda data: data["weights"][1][3].__setitem__(7, math.nan),
                    r"weights\[1\] has non-finite entries"),
-    "norm_mean_inf": (_set("norm_mean", None, [0.0, math.inf, 0.0, 0.0]),
-                      r"norm_mean has non-finite entries"),
+    "stray_key": (lambda data: data.__setitem__("layers", [4, 64, 32, 1]),
+                  r"^network keys: unknown \['layers'\], missing \[\]$"),
+    "seed_missing": (lambda data: data.pop("seed"),
+                     r"^network keys: unknown \[\], missing \['seed'\]$"),
 }
 
 

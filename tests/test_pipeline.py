@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import hashlib
 import json
@@ -154,6 +155,28 @@ def test_dataset_read_rejects_other_format_versions(small_scenario, small_datase
         read_dataset_jsonl(path)
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda row: row.update(extra=1),
+         r"^dataset sample keys: unknown \['extra'\], missing \[\]$"),
+        (lambda row: row.pop("slot"), r"^dataset sample keys: unknown \[\], missing \['slot'\]$"),
+    ],
+    ids=["stray_key", "slot_missing"],
+)
+def test_dataset_read_names_unknown_and_missing_sample_keys(
+    small_scenario, small_dataset, tmp_path, edit, message
+):
+    path = tmp_path / "data.jsonl"
+    write_dataset_jsonl(path, small_dataset[:1], small_scenario, "closest", 21)
+    header, row = path.read_text().splitlines()
+    sample = json.loads(row)
+    edit(sample)
+    path.write_text(f"{header}\n{json.dumps(sample)}\n")
+    with pytest.raises(ValueError, match=message):
+        read_dataset_jsonl(path)
+
+
 def test_emitted_matrices_respect_power_and_eirp_limits(small_scenario, small_dataset):
     pmax = small_scenario.p_max_mw
     for sample in small_dataset:
@@ -273,8 +296,11 @@ def test_bundle_roundtrip(tmp_path, small_scenario, small_bundle):
         small_bundle, small_scenario, point
     )
     data = json.loads(path.read_text())
-    assert data["format_version"] == 3
+    assert data["format_version"] == 4
     assert data["beamformer_report"]["val_metric"] == small_bundle.beamformer_report.val_metric
+    # a network is its layers: the z-score of its inputs is folded into the first
+    for name in ("beamformer", "association"):
+        assert list(data[name]) == ["layer_sizes", "seed", "weights", "biases"]
 
 
 def test_bundle_load_rejects_other_format_versions(tmp_path, small_bundle):
@@ -371,7 +397,21 @@ def test_format_2_bundle_fails_on_its_version(tmp_path, small_bundle):
     path.write_text(json.dumps(data))
     with pytest.raises(ValueError) as err:
         ModelBundle.load(path)
-    assert str(err.value) == "bundle format_version 2 is not supported (expected 3)"
+    assert str(err.value) == "bundle format_version 2 is not supported (expected 4)"
+
+
+def test_format_3_bundle_fails_on_its_version(tmp_path, small_bundle):
+    # format 3 networks carried the z-score stats of their inputs
+    path = tmp_path / "bundle.json"
+    small_bundle.save(path)
+    data = json.loads(path.read_text())
+    for name, width in (("beamformer", 7), ("association", 4)):
+        data[name].update(norm_mean=[0.0] * width, norm_std=[1.0] * width)
+    data["format_version"] = 3
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError) as err:
+        ModelBundle.load(path)
+    assert str(err.value) == "bundle format_version 3 is not supported (expected 4)"
 
 
 def test_predict_association_recovers_exact_index(small_scenario, small_bundle):
@@ -542,10 +582,25 @@ def test_evaluation_csv_is_pinned(tmp_path, small_scenario, small_bundle):
     records = evaluate_trajectory(small_scenario, short, "sinr", "optimizer")
     assert [r.gbs_index for r in records] == [0, 0, 2, 2]
     records += evaluate_trajectory(small_scenario, short, "nn", "nn", bundle=small_bundle)
+    # the network rows (gbs_index, eirp_dbm, sinr_db, rate_bps, beampattern_gain)
+    # as recorded when forward() still z-scored its input: folding the z-score
+    # into the first layer moves the floats by roundoff and no station
+    unfolded = [
+        (1, 32.12190095385287, -20.991348588564236, 1143713.0674311088, 4069.2411727356493),
+        (1, 31.610815409176265, -13.572593920521909, 6202209.725838097, 3641.045202354763),
+        (1, 30.716431025128095, -5.716724244741862, 34269012.31782426, 3175.755746486152),
+        (1, 29.756232905469375, -3.2076878043421213, 56343500.28898039, 2549.6159477824267),
+    ]
+    nn_rows = records[4:]
+    assert [r.gbs_index for r in nn_rows] == [row[0] for row in unfolded]
+    np.testing.assert_allclose(
+        [(r.eirp_dbm, r.sinr_db, r.rate_bps, r.beampattern_gain) for r in nn_rows],
+        [row[1:] for row in unfolded], rtol=1e-12, atol=0.0,
+    )
     path = tmp_path / "records.csv"
     write_records_csv(path, records)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "434789bfe31c2f0b435bdca2041fcd9d22d952d83f4ead7dc5b76a03e241d4d3"
+        "9b4f045d0b560dafe3923bc3d13bedea98e982057ff6d96f672014f53ba8cabb"
     )
 
 
@@ -621,3 +676,36 @@ def test_records_csv_roundtrip_and_determinism(tmp_path, small_scenario):
     assert lines[0] == "kind,key,value"
     kinds = {line.split(",")[0] for line in lines[1:]}
     assert kinds == {"ecdf", "outage", "mean_rate_bps"}
+
+
+def _add_extra_column(rows):
+    for row, cell in zip(rows, ("extra", "1")):
+        row.append(cell)
+
+
+def _drop_rate_column(rows):
+    column = rows[0].index("rate_bps")
+    for row in rows:
+        del row[column]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_add_extra_column, r"^records row keys: unknown \['extra'\], missing \[\]$"),
+        (_drop_rate_column, r"^records row keys: unknown \[\], missing \['rate_bps'\]$"),
+    ],
+    ids=["extra_column", "rate_bps_missing"],
+)
+def test_records_read_names_unknown_and_missing_columns(tmp_path, edit, message):
+    path = tmp_path / "records.csv"
+    record = EvalRecord(slot=3, policy="closest", gbs_index=1, eirp_dbm=20.0, sinr_db=1.5,
+                        rate_bps=2e6, beampattern_gain=40.0)
+    write_records_csv(path, [record])
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    edit(rows)
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    with pytest.raises(ValueError, match=message):
+        read_records_csv(path)
