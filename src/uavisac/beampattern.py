@@ -637,15 +637,15 @@ def null_conflicts(null, point, config: ArrayConfig) -> bool:
     return math.hypot(math.remainder(ux, period), math.remainder(uz, period)) < _NULL_CONFLICT_CHORD
 
 
-def check_nulls(config: ArrayConfig, nulls, point=None) -> None:
+def check_nulls(config: ArrayConfig, nulls, point) -> None:
     """Reject more nulls than the array can place, or one conflicting with the pointing.
 
-    `nulls` holds the nulls' array-frame units, (n, 3), and `point`, when
-    given, the pointing's (3,); see null_conflicts.
+    `nulls` holds the nulls' array-frame units, (n, 3), and `point` the
+    pointing's (3,); see null_conflicts.
     """
     if len(nulls) >= config.num_elements:
         raise ValueError("cannot null as many directions as array elements")
-    if point is not None and any(null_conflicts(n, point, config) for n in nulls):
+    if any(null_conflicts(n, point, config) for n in nulls):
         raise NullConflictError("null direction conflicts with the pointing direction")
 
 
@@ -654,22 +654,20 @@ def apply_nulls(
     config: ArrayConfig,
     pose: Pose,
     nulls: Sequence[DirectionAngles],
-    pointing: DirectionAngles | None = None,
+    pointing: DirectionAngles,
 ) -> BeamWeights:
     """Project the weights onto the complement of the null steering vectors.
 
     Zeroes a(null)^H w for every requested null while perturbing the input
-    weights as little as possible.  When the pointing direction is supplied,
-    a null conflicting with it (null_conflicts) is rejected.
+    weights as little as possible.  A null conflicting with the pointing
+    (null_conflicts) is rejected.
     """
     nulls = tuple(nulls)
     if not nulls:
         return weights
-    directions = nulls if pointing is None else (pointing, *nulls)
-    units = _frame_units(rotation_matrix(pose.angles), directions)
-    null_units = units[-len(nulls) :]
-    check_nulls(config, null_units, None if pointing is None else units[0])
-    basis = steering(config, null_units).T
+    units = _frame_units(rotation_matrix(pose.angles), (pointing, *nulls))
+    check_nulls(config, units[1:], units[0])
+    basis = steering(config, units[1:]).T
     projected = _project_out(_weight_entries(weights), basis)
     scale = max(1.0, float(np.max(np.abs(projected))))
     return BeamWeights(

@@ -1,11 +1,11 @@
-"""Sub-THz air-to-ground propagation.
+"""Sub-THz air-to-ground propagation over the two links the scenario models.
 
-_path_gain returns a link's path loss, free space or the radar range
-equation, as a linear channel power gain of the distance
-scenario.point_geometry derives, so spreading, molecular absorption and the
-NLoS penalty all sit in the denominator; the probabilistic blend weighs the
-LoS and NLoS gains by _nlos_probability's elevation-dependent occurrence
-probabilities.
+radar_path_gain is the target echo's two-way radar range equation and
+station_path_gain a ground station's free-space loss, blended between LoS and
+NLoS by _nlos_probability's elevation-dependent occurrence probability.  Each
+returns a linear channel power gain of the distance scenario.point_geometry
+derives, so spreading, molecular absorption and the NLoS penalty all sit in
+the denominator.
 """
 
 from __future__ import annotations
@@ -23,11 +23,6 @@ from .geometry import (
     steering,
 )
 from .units import from_db
-
-COMM_LOS = "comm_los"
-RADAR_LOS = "radar_los"
-COMM_NLOS = "comm_nlos"
-EXPECTED = "expected"
 
 
 @dataclass
@@ -84,27 +79,26 @@ def _nlos_probability(params: ChannelParams, u, d) -> float:
     return min(1.0, max(0.0, raw))
 
 
-def _path_gain(params: ChannelParams, mode: str, u, t, d: float) -> float:
-    """Linear channel power gain in one link mode from u (UAV) to t at distance d = |u - t|."""
+def radar_path_gain(params: ChannelParams, d: float) -> float:
+    """Linear power gain of the target echo: the radar range equation, the target d away."""
     if d <= 0.0:
         raise GeometryError("zero distance between UAV and destination")
-    lam = params.wavelength_m
+    return (
+        params.wavelength_m**2
+        * params.radar_cross_section_m2
+        / ((4.0 * math.pi) ** 3 * d**4 * math.exp(4.0 * params.absorption_per_m * d))
+    )
+
+
+def station_path_gain(params: ChannelParams, u, t, d: float) -> float:
+    """Expected linear power gain from u (UAV) to station t at distance d = |u - t|: the
+    free-space LoS gain and its NLoS attenuation weighed by the NLoS probability."""
+    if d <= 0.0:
+        raise GeometryError("zero distance between UAV and destination")
     k_abs = params.absorption_per_m
-    if mode == RADAR_LOS:
-        return (
-            lam**2
-            * params.radar_cross_section_m2
-            / ((4.0 * math.pi) ** 3 * d**4 * math.exp(4.0 * k_abs * d))
-        )
-    gain_los = lam**2 / ((4.0 * math.pi * d) ** 2 * math.exp(2.0 * k_abs * d))
-    if mode == COMM_LOS:
-        return gain_los
-    if mode == COMM_NLOS:
-        return gain_los * params.nlos_attenuation**2
-    if mode == EXPECTED:
-        p_nlos = _nlos_probability(params, u, t)
-        return (1.0 - p_nlos) * gain_los + p_nlos * gain_los * params.nlos_attenuation**2
-    raise ValueError(f"unknown path gain mode {mode!r}")
+    gain_los = params.wavelength_m**2 / ((4.0 * math.pi * d) ** 2 * math.exp(2.0 * k_abs * d))
+    p_nlos = _nlos_probability(params, u, t)
+    return (1.0 - p_nlos) * gain_los + p_nlos * gain_los * params.nlos_attenuation**2
 
 
 def channel_vector(
@@ -112,7 +106,7 @@ def channel_vector(
 ) -> NDArray[np.complex128]:
     """Complex channel entries sqrt(PL) exp(j 2 pi f d / c) a(unit) toward one destination.
 
-    d, PL (_path_gain in the link's mode) and the array-frame unit are the values
+    d, PL (radar_path_gain or station_path_gain) and the array-frame unit are the values
     scenario.point_geometry derives once per destination and its record holds.
     """
     return _link_phasor(params, distance_m, path_gain) * steering(config, unit)

@@ -22,7 +22,6 @@ import json
 import logging
 import math
 from dataclasses import asdict, dataclass, fields
-from datetime import datetime, timezone
 from typing import Callable, NamedTuple, Sequence, get_type_hints
 
 import numpy as np
@@ -71,7 +70,7 @@ from .units import from_db, to_db
 logger = logging.getLogger(__name__)
 
 DATASET_FORMAT_VERSION = 1
-BUNDLE_FORMAT_VERSION = 4
+BUNDLE_FORMAT_VERSION = 5
 
 POLICY_ALIASES = {
     "closest": "closest",
@@ -135,16 +134,15 @@ def _from_fields(cls, data, what: str):
 
 @dataclass
 class ModelBundle:
-    """Both trained networks plus provenance metadata.  Field declaration order is
-    the bundle file's key order after format_version, so a field change bumps
-    BUNDLE_FORMAT_VERSION; see _bundle_value for how each field is read."""
+    """Both trained networks and the scenario they fit, each value a function of the
+    training inputs.  Field declaration order is the bundle file's key order after
+    format_version, so a field change bumps BUNDLE_FORMAT_VERSION; see _bundle_value
+    for how each field is read.  The array size is the beamformer's output width / 2."""
 
     beamformer: Network
     association: Network
     scenario_hash: str
     num_gbs: int
-    num_elements: int
-    created: str
     beamformer_report: TrainReport
     association_report: TrainReport
 
@@ -175,7 +173,10 @@ def _bundle_value(name: str, hint, value):
     """One ModelBundle field from its JSON value: a network through Network.from_dict,
     a report through its own fields, a string or an int as it is."""
     if hint is Network:
-        return Network.from_dict(value)
+        try:
+            return Network.from_dict(value)
+        except ValueError as err:
+            raise ValueError(f"bundle {name}: {err}") from err
     if hint is TrainReport:
         check_keys(value, [f.name for f in fields(TrainReport)], f"bundle {name}")
         return TrainReport(**value)
@@ -547,8 +548,6 @@ def train_models(samples: Sequence[Sample], scenario: Scenario,
         association=association,
         scenario_hash=scenario.content_hash(),
         num_gbs=k,
-        num_elements=m,
-        created=datetime.now(timezone.utc).isoformat(),
         beamformer_report=bf_report,
         association_report=assoc_report,
     )
@@ -637,13 +636,13 @@ def evaluate_trajectory(
         raise ValueError(f"unknown weight source {weight_source!r}")
     if (weight_source == NN_SOURCE or policy == POLICY_NN) and bundle is None:
         raise ValueError("a trained bundle is required for NN evaluation")
-    if bundle is not None and (bundle.num_elements, bundle.num_gbs) != (
-        scenario.num_elements, scenario.num_gbs
-    ):
-        raise ValueError(
-            f"bundle trained for {bundle.num_elements} elements and {bundle.num_gbs} "
-            f"stations, scenario has {scenario.num_elements} and {scenario.num_gbs}"
-        )
+    if bundle is not None:
+        sizes = (bundle.beamformer.layer_sizes[-1] // 2, bundle.num_gbs)
+        if sizes != (scenario.num_elements, scenario.num_gbs):
+            raise ValueError(
+                f"bundle trained for {sizes[0]} elements and {sizes[1]} stations, "
+                f"scenario has {scenario.num_elements} and {scenario.num_gbs}"
+            )
     records = []
     for point in trajectory.points:
         geo = point_geometry(scenario, point)
@@ -708,8 +707,17 @@ def write_records_csv(path, records: Sequence[EvalRecord]) -> None:
 
 
 def read_records_csv(path) -> list[EvalRecord]:
+    """The records of a records CSV; a row whose cell count is not the header's fails on its line."""
+    records = []
     with open(path, newline="") as fh:
-        return [_from_fields(EvalRecord, row, "records row") for row in csv.DictReader(fh)]
+        reader = csv.DictReader(fh)
+        for row in reader:
+            # DictReader keys surplus cells under None and fills missing ones with None
+            if None in row or None in row.values():
+                more = "more" if None in row else "fewer"
+                raise ValueError(f"records line {reader.line_num}: {more} cells than the header")
+            records.append(_from_fields(EvalRecord, row, "records row"))
+    return records
 
 
 def write_stats_csv(path, stats: EirpStats) -> None:

@@ -37,13 +37,7 @@ from typing import get_type_hints
 import numpy as np
 from numpy.typing import NDArray
 
-from .channel import (
-    EXPECTED,
-    RADAR_LOS,
-    ChannelParams,
-    _link_phasor,
-    _path_gain,
-)
+from .channel import ChannelParams, _link_phasor, radar_path_gain, station_path_gain
 from .geometry import (
     ArrayConfig,
     DirectionAngles,
@@ -116,9 +110,9 @@ class Scenario:
     cap, SINR threshold and station positions finite, every dB setting's
     linear value positive and finite, as the noise power's, and `array` is built
     from num_elements and the carrier once, so an array size no panel can
-    take fails here too.  The beam search has one setting of its own, its
-    candidate budget, and it is not a scenario value: it is
-    beampattern.COUNTER_MAX.
+    take fails here too, as does a panel side under the taper's two
+    elements.  The beam search has one setting of its own, its candidate
+    budget, and it is not a scenario value: it is beampattern.COUNTER_MAX.
     """
 
     area_m: tuple[float, float] = (1500.0, 1500.0)
@@ -173,6 +167,10 @@ class Scenario:
         if np.array_equal(self.end_m, self.start_m):
             raise ValueError("start and end points coincide: a walk needs a heading")
         self.array = ArrayConfig(num_elements=self.num_elements, carrier_hz=self.channel.carrier_hz)
+        if self.array.side < 2:
+            raise ValueError(
+                f"num_elements must give a panel side of at least 2, got {self.num_elements}"
+            )
 
     @property
     def num_gbs(self) -> int:
@@ -321,11 +319,11 @@ def _wrap_angle(angle: float) -> float:
 @dataclass(frozen=True)
 class PointGeometry:
     """One trajectory point's global direction, array-frame unit and angles,
-    and element gain toward the target and each station (by index), each
-    station's distance and EXPECTED path gain (read by min_required_eirp_dbm
-    and evaluation's serving channel), and the steering vector and radar
-    channel toward the target (the channel is channel_vector's, built on that
-    steering vector).
+    and element gain toward the target and each station (by index), and the
+    two links the channel models: each station's distance and
+    station_path_gain (read by min_required_eirp_dbm and evaluation's serving
+    channel), and the target's steering vector and radar channel, the echo's
+    channel_vector under radar_path_gain.
 
     Network features carry the array-frame angles: the synthesized weights
     depend on the beam direction relative to the aperture.  gbs_by_distance
@@ -364,7 +362,7 @@ def point_geometry(scenario: Scenario, point: TrajectoryPoint) -> PointGeometry:
     rows = [_toward(position, rot, dest) for dest in (scenario.target_m, *scenario.gbs_m)]
     distances, dirs, units, frames, gains = zip(*rows)
     ch, gbs_distances = scenario.channel, distances[1:]
-    radar_gain = _path_gain(ch, RADAR_LOS, position, scenario.target_m, distances[0])
+    radar_gain = radar_path_gain(ch, distances[0])
     target_steering = steering(scenario.array, units[0])
     return PointGeometry(
         point=point,
@@ -380,7 +378,7 @@ def point_geometry(scenario: Scenario, point: TrajectoryPoint) -> PointGeometry:
         gbs_gain=gains[1:],
         gbs_distance_m=gbs_distances,
         gbs_path_gain=tuple(
-            _path_gain(ch, EXPECTED, position, t, d) for t, d in zip(scenario.gbs_m, gbs_distances)
+            station_path_gain(ch, position, t, d) for t, d in zip(scenario.gbs_m, gbs_distances)
         ),
         gbs_by_distance=tuple(sorted(range(len(gbs_distances)), key=gbs_distances.__getitem__)),
     )

@@ -252,7 +252,7 @@ def test_chebyshev_taper_rejects_bad_inputs():
 def test_apply_nulls_empty_is_identity():
     config = ArrayConfig(num_elements=16, carrier_hz=3e11)
     w = matched_weights(config, BROADSIDE)
-    assert apply_nulls(w, config, zero_pose(), ()) is w
+    assert apply_nulls(w, config, zero_pose(), (), BROADSIDE) is w
 
 
 def test_apply_nulls_zeroes_inner_products():
@@ -323,7 +323,7 @@ def test_check_nulls_shares_one_conflict_threshold():
     with pytest.raises(NullConflictError):
         synthesize(request, config, zero_pose())
     with pytest.raises(ValueError):
-        check_nulls(config, _units(*(beside,) * 16))
+        check_nulls(config, _units(*(beside,) * 16), point)
     # the same threshold about the grating alias of an endfire pointing
     endfire = _units(DirectionAngles(theta=0.0, phi=0.0))[0]
     check_nulls(config, _units(DirectionAngles(math.pi - math.radians(1.01), 0.0)), endfire)

@@ -4,16 +4,13 @@ import numpy as np
 import pytest
 
 from uavisac.channel import (
-    COMM_LOS,
-    COMM_NLOS,
-    EXPECTED,
-    RADAR_LOS,
     ChannelParams,
     _nlos_probability,
-    _path_gain,
     achievable_rate,
     channel_vector,
+    radar_path_gain,
     sinr,
+    station_path_gain,
 )
 from uavisac.geometry import (
     SPEED_OF_LIGHT,
@@ -27,23 +24,33 @@ from uavisac.geometry import (
 
 UAV = np.array([0.0, 0.0, 100.0])
 ZERO = RotationAngles(0.0, 0.0, 0.0)
+# with kappa1 = 0 the NLoS probability is kappa3 at every elevation, so these
+# make a station link exactly line-of-sight or exactly NLoS
+LOS = dict(kappa1=0.0, kappa3=0.0)
+NLOS = dict(kappa1=0.0, kappa3=1.0)
 
 
 def frame_unit(uav, angles, dest):
     return array_frame_unit(rotation_matrix(angles), direction_angles(uav, dest))
 
 
-def path_gain(p, mode, uav, dest):
-    """_path_gain between world positions, at the distance |uav - dest| computed here."""
+def station_gain(p, uav, dest):
+    """station_path_gain between world positions, at the distance |uav - dest| computed here."""
     u, t = np.asarray(uav, dtype=float), np.asarray(dest, dtype=float)
-    return _path_gain(p, mode, u, t, float(np.linalg.norm(u - t)))
+    return station_path_gain(p, u, t, float(np.linalg.norm(u - t)))
 
 
-def link(p, config, mode, uav, dest, angles=ZERO):
-    """channel_vector toward dest, fed the distance, path gain and unit of world positions."""
+def radar_gain(p, uav, dest):
+    """radar_path_gain at the distance |uav - dest| computed here."""
+    return radar_path_gain(p, float(np.linalg.norm(np.subtract(uav, dest))))
+
+
+def link(p, config, gain, uav, dest, angles=ZERO):
+    """channel_vector toward dest, fed the distance, path gain (station_gain or radar_gain)
+    and unit of world positions."""
     distance = float(np.linalg.norm(np.subtract(uav, dest)))
     return channel_vector(
-        p, config, distance, path_gain(p, mode, uav, dest), unit=frame_unit(uav, angles, dest)
+        p, config, distance, gain(p, uav, dest), unit=frame_unit(uav, angles, dest)
     )
 
 
@@ -57,6 +64,9 @@ def test_nlos_probability_constant_when_kappa1_zero():
     p = params_1mm(kappa1=0.0, kappa3=0.4)
     for dest in ([50.0, 0.0, 2.0], [500.0, 100.0, 2.0]):
         assert _nlos_probability(p, UAV, dest) == pytest.approx(0.4)
+        # exactly, at the limits the other tests use for pure LoS and NLoS
+        assert _nlos_probability(params_1mm(**LOS), UAV, dest) == 0.0
+        assert _nlos_probability(params_1mm(**NLOS), UAV, dest) == 1.0
 
 
 def test_nlos_probability_vertical_limit():
@@ -84,40 +94,50 @@ def test_nlos_probability_requires_height_gap():
 
 
 def test_pathloss_comm_los_frozen_value():
-    p = params_1mm()
-    gain = path_gain(p, COMM_LOS, [0.0, 0.0, 100.0], [0.0, 0.0, 0.0])
+    p = params_1mm(**LOS)
+    gain = station_gain(p, [0.0, 0.0, 100.0], [0.0, 0.0, 0.0])
     assert gain == pytest.approx(6.33257397764611e-13, rel=1e-12)
     assert 10 * math.log10(gain) == pytest.approx(-121.98, abs=0.01)
 
 
 def test_pathloss_radar_los_frozen_value():
     p = params_1mm(radar_cross_section_m2=1.0)
-    gain = path_gain(p, RADAR_LOS, [0.0, 0.0, 100.0], [0.0, 0.0, 0.0])
+    gain = radar_gain(p, [0.0, 0.0, 100.0], [0.0, 0.0, 0.0])
     assert gain == pytest.approx(5.0393022551874206e-18, rel=1e-12)
     assert 10 * math.log10(gain) == pytest.approx(-172.98, abs=0.01)
 
 
 def test_pathloss_nlos_equals_los_for_unit_attenuation():
-    p = params_1mm(nlos_attenuation=1.0)
     dest = [200.0, 0.0, 2.0]
-    assert path_gain(p, COMM_NLOS, UAV, dest) == pytest.approx(path_gain(p, COMM_LOS, UAV, dest))
+    nlos = station_gain(params_1mm(nlos_attenuation=1.0, **NLOS), UAV, dest)
+    assert nlos == pytest.approx(station_gain(params_1mm(**LOS), UAV, dest))
+    # at any other attenuation the NLoS limit is the LoS gain times its square
+    nlos = station_gain(params_1mm(nlos_attenuation=0.3, **NLOS), UAV, dest)
+    assert nlos == pytest.approx(0.09 * station_gain(params_1mm(**LOS), UAV, dest), rel=1e-12)
 
 
 def test_pathloss_decreases_with_distance():
-    p = params_1mm(absorption_per_m=0.003)
-    for mode in (COMM_LOS, COMM_NLOS, RADAR_LOS, EXPECTED):
-        gains = [path_gain(p, mode, UAV, [d, 0.0, 2.0]) for d in (50, 100, 200, 400, 800)]
+    links = [
+        (radar_gain, {}),
+        (station_gain, {}),
+        (station_gain, LOS),
+        (station_gain, NLOS),
+    ]
+    for gain, kappas in links:
+        p = params_1mm(absorption_per_m=0.003, **kappas)
+        gains = [gain(p, UAV, [d, 0.0, 2.0]) for d in (50, 100, 200, 400, 800)]
         assert all(a > b for a, b in zip(gains, gains[1:]))
 
 
 def test_expected_pathloss_is_convex_combination():
-    p = params_1mm(absorption_per_m=0.002, nlos_attenuation=0.2)
+    channel = dict(absorption_per_m=0.002, nlos_attenuation=0.2)
+    p = params_1mm(**channel)
     rng = np.random.default_rng(2)
     for _ in range(50):
         dest = [rng.uniform(10, 1000), rng.uniform(-500, 500), 2.0]
-        lo = path_gain(p, COMM_NLOS, UAV, dest)
-        hi = path_gain(p, COMM_LOS, UAV, dest)
-        mid = path_gain(p, EXPECTED, UAV, dest)
+        lo = station_gain(params_1mm(**channel, **NLOS), UAV, dest)
+        hi = station_gain(params_1mm(**channel, **LOS), UAV, dest)
+        mid = station_gain(p, UAV, dest)
         assert lo <= mid <= hi
 
 
@@ -127,21 +147,21 @@ def test_channel_vector_norm_invariant():
     rng = np.random.default_rng(4)
     for _ in range(20):
         dest = np.array([rng.uniform(50, 800), rng.uniform(-400, 400), 2.0])
-        h = link(p, config, EXPECTED, UAV, dest)
+        h = link(p, config, station_gain, UAV, dest)
         norm_sq = float(np.sum(np.abs(h) ** 2))
-        gain = path_gain(p, EXPECTED, UAV, dest)
+        gain = station_gain(p, UAV, dest)
         assert norm_sq == pytest.approx(config.num_elements * gain, rel=1e-12)
 
 
 def test_channel_vector_single_element_zero_phase():
     # one element, unit path gain, distance a whole number of wavelengths
-    p = params_1mm()
+    p = params_1mm(**LOS)
     config = ArrayConfig(num_elements=1, carrier_hz=p.carrier_hz)
     d = 1000.0 * config.wavelength_m
     uav = np.array([0.0, 0.0, d])
     origin = np.zeros(3)
-    h = link(p, config, COMM_LOS, uav, origin)
-    expected_gain = path_gain(p, COMM_LOS, uav, np.zeros(3))
+    h = link(p, config, station_gain, uav, origin)
+    expected_gain = station_gain(p, uav, np.zeros(3))
     assert h.shape == (1,)
     assert h[0] == pytest.approx(math.sqrt(expected_gain), rel=1e-9)
     # phase is a whole number of turns up to float rounding of 2*pi*1000
@@ -149,11 +169,11 @@ def test_channel_vector_single_element_zero_phase():
 
 
 def test_channel_vector_inverse_square():
-    p = params_1mm()
+    p = params_1mm(**LOS)
     config = ArrayConfig(num_elements=4, carrier_hz=p.carrier_hz)
     origin, high = [0.0, 0.0, 0.0], [0.0, 0.0, 200.0]
-    h1 = link(p, config, COMM_LOS, UAV, origin)
-    h2 = link(p, config, COMM_LOS, high, origin)
+    h1 = link(p, config, station_gain, UAV, origin)
+    h2 = link(p, config, station_gain, high, origin)
     ratio = np.sum(np.abs(h1) ** 2) / np.sum(np.abs(h2) ** 2)
     assert ratio == pytest.approx(4.0, rel=1e-12)
 
@@ -163,14 +183,14 @@ def test_channel_vector_rejects_an_orientation_in_place_of_the_unit():
     config = ArrayConfig(num_elements=4, carrier_hz=p.carrier_hz)
     dest = [100.0, 0.0, 2.0]
     distance = float(np.linalg.norm(np.subtract(UAV, dest)))
-    gain = path_gain(p, COMM_LOS, UAV, dest)
+    gain = station_gain(p, UAV, dest)
     with pytest.raises(TypeError):
         channel_vector(p, config, distance, gain, ZERO)
     with pytest.raises(TypeError):
         channel_vector(p, config, distance, gain, frame_unit(UAV, ZERO, dest))
     # nor does the former world-coordinate form, positions and a mode
     with pytest.raises(TypeError):
-        channel_vector(p, config, UAV, dest, COMM_LOS, unit=frame_unit(UAV, ZERO, dest))
+        channel_vector(p, config, UAV, dest, "comm_los", unit=frame_unit(UAV, ZERO, dest))
 
 
 def _unit_channel(m=1):
@@ -185,15 +205,15 @@ def test_sinr_scalar_cases():
 
 
 def test_sinr_matched_weights_against_dot_product_oracle():
-    p = params_1mm(absorption_per_m=0.0)
+    p = params_1mm(absorption_per_m=0.0, **LOS)
     config = ArrayConfig(num_elements=25, carrier_hz=p.carrier_hz)
     rng = np.random.default_rng(9)
     for _ in range(10):
         dest = np.array([rng.uniform(100, 600), rng.uniform(-300, 300), 2.0])
         target = np.array([rng.uniform(100, 600), rng.uniform(-300, 300), 0.0])
         angles = RotationAngles(rng.uniform(-math.pi, math.pi), 0.0, 0.0)
-        h_c = link(p, config, COMM_LOS, UAV, dest, angles)
-        h_s = link(p, config, RADAR_LOS, UAV, target, angles)
+        h_c = link(p, config, station_gain, UAV, dest, angles)
+        h_s = link(p, config, radar_gain, UAV, target, angles)
         w_c = rng.normal(size=25) + 1j * rng.normal(size=25)
         w_s = rng.normal(size=25) + 1j * rng.normal(size=25)
         noise = 1e-11

@@ -10,7 +10,7 @@ import pytest
 
 from uavisac import pipeline
 from uavisac.beampattern import NullConflictError, array_gain
-from uavisac.channel import EXPECTED, RADAR_LOS, _path_gain, channel_vector, sinr
+from uavisac.channel import channel_vector, radar_path_gain, sinr, station_path_gain
 from uavisac.geometry import (
     DirectionAngles,
     RotationAngles,
@@ -21,7 +21,7 @@ from uavisac.geometry import (
     steering,
     steering_vector,
 )
-from uavisac.neuralnet import TrainConfig
+from uavisac.neuralnet import Network, NetworkConfig, TrainConfig
 from uavisac.pipeline import (
     EvalRecord,
     ModelBundle,
@@ -45,15 +45,30 @@ from uavisac.scenario import Scenario, TrajectoryPoint, generate_trajectories, p
 from uavisac.units import to_db
 
 
-def world_channel(scenario, point, dest, mode):
-    """channel_vector toward dest, its distance, path gain and unit derived from world positions."""
+def world_channel(scenario, point, dest, path_gain):
+    """channel_vector toward dest, its distance and unit derived from world positions and
+    its path gain path_gain(distance)."""
     unit = array_frame_unit(
         rotation_matrix(point.orientation), direction_angles(point.position, dest)
     )
     distance = float(np.linalg.norm(point.position - dest))
     return channel_vector(
-        scenario.channel, scenario.array, distance,
-        _path_gain(scenario.channel, mode, point.position, dest, distance), unit=unit,
+        scenario.channel, scenario.array, distance, path_gain(distance), unit=unit
+    )
+
+
+def station_channel(scenario, point, gbs):
+    """world_channel toward station gbs under station_path_gain."""
+    return world_channel(
+        scenario, point, gbs,
+        lambda d: station_path_gain(scenario.channel, point.position, gbs, d),
+    )
+
+
+def echo_channel(scenario, point):
+    """world_channel toward the target under radar_path_gain."""
+    return world_channel(
+        scenario, point, scenario.target_m, lambda d: radar_path_gain(scenario.channel, d)
     )
 
 
@@ -210,8 +225,8 @@ def test_synthesize_point_delivers_threshold_sinr(small_scenario):
     point = trajs[0].points[len(trajs[0]) // 2]
     ps = synthesize_point(small_scenario, point_geometry(small_scenario, point), 0, lenient=True)
     if ps.comm_eirp_dbm < small_scenario.eirp_max_dbm - 1e-6:
-        h_comm = world_channel(small_scenario, point, small_scenario.gbs_m[0], EXPECTED)
-        h_sense = world_channel(small_scenario, point, small_scenario.target_m, RADAR_LOS)
+        h_comm = station_channel(small_scenario, point, small_scenario.gbs_m[0])
+        h_sense = echo_channel(small_scenario, point)
         value = sinr(
             h_comm, h_sense, ps.matrix.comm.vector, ps.matrix.sensing.vector,
             small_scenario.channel.noise_mw,
@@ -296,7 +311,7 @@ def test_bundle_roundtrip(tmp_path, small_scenario, small_bundle):
         small_bundle, small_scenario, point
     )
     data = json.loads(path.read_text())
-    assert data["format_version"] == 4
+    assert data["format_version"] == 5
     assert data["beamformer_report"]["val_metric"] == small_bundle.beamformer_report.val_metric
     # a network is its layers: the z-score of its inputs is folded into the first
     for name in ("beamformer", "association"):
@@ -314,19 +329,34 @@ def test_bundle_load_rejects_other_format_versions(tmp_path, small_bundle):
 
 
 def test_bundle_load_rejects_a_network_missing_its_last_layer(tmp_path, small_bundle):
-    """A bundle whose association network lost its output layer fails to load.
+    """A bundle whose network lost its output layer fails to load, naming the network.
 
-    Loaded, the net would return its 32 hidden values, and the first would be
-    taken as the station.
+    Loaded, the association net would return its 32 hidden values, and the
+    first would be taken as the station.
     """
     path = tmp_path / "bundle.json"
     small_bundle.save(path)
+    saved = json.loads(path.read_text())
+    for name, message in (("association", "weights: 2 arrays for 3 layers"),
+                          ("beamformer", "weights: 1 arrays for 2 layers")):
+        data = json.loads(json.dumps(saved))
+        for key in ("weights", "biases"):
+            data[name][key].pop()
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError) as err:
+            ModelBundle.load(path)
+        assert str(err.value) == f"bundle {name}: {message}"
+
+
+def test_bundle_load_names_the_network_with_a_stray_key(tmp_path, small_bundle):
+    path = tmp_path / "bundle.json"
+    small_bundle.save(path)
     data = json.loads(path.read_text())
-    for key in ("weights", "biases"):
-        data["association"][key].pop()
+    data["association"]["layers"] = data["association"]["layer_sizes"]
     path.write_text(json.dumps(data))
-    with pytest.raises(ValueError, match="weights: 2 arrays for 3 layers"):
+    with pytest.raises(ValueError) as err:
         ModelBundle.load(path)
+    assert str(err.value) == "bundle association: network keys: unknown ['layers'], missing []"
 
 
 def test_bundle_file_states_each_field_once_and_saves_back_byte_for_byte(tmp_path, small_bundle):
@@ -335,7 +365,10 @@ def test_bundle_file_states_each_field_once_and_saves_back_byte_for_byte(tmp_pat
     ModelBundle.load(path).save(again)
     assert again.read_bytes() == path.read_bytes()
     data = json.loads(path.read_text())
-    assert list(data) == ["format_version", *(f.name for f in dataclasses.fields(ModelBundle))]
+    assert list(data) == [
+        "format_version", "beamformer", "association", "scenario_hash", "num_gbs",
+        "beamformer_report", "association_report",
+    ]
     for name in ("beamformer_report", "association_report"):
         assert list(data[name]) == ["train_loss", "val_loss", "val_metric"]
     assert data["association_report"]["val_metric"] is None
@@ -364,12 +397,12 @@ def test_bundle_load_names_unknown_and_missing_keys(tmp_path, small_bundle):
     small_bundle.save(path)
     saved = json.loads(path.read_text())
     data = dict(saved, reports={"beamformer": {}})
-    del data["created"], data["beamformer_report"]
+    del data["num_gbs"], data["beamformer_report"]
     path.write_text(json.dumps(data))
     with pytest.raises(ValueError) as err:
         ModelBundle.load(path)
     assert str(err.value) == (
-        "bundle keys: unknown ['reports'], missing ['created', 'beamformer_report']"
+        "bundle keys: unknown ['reports'], missing ['num_gbs', 'beamformer_report']"
     )
     report = saved["beamformer_report"]
     report["val_beampattern_error"] = report.pop("val_metric")
@@ -397,7 +430,7 @@ def test_format_2_bundle_fails_on_its_version(tmp_path, small_bundle):
     path.write_text(json.dumps(data))
     with pytest.raises(ValueError) as err:
         ModelBundle.load(path)
-    assert str(err.value) == "bundle format_version 2 is not supported (expected 4)"
+    assert str(err.value) == "bundle format_version 2 is not supported (expected 5)"
 
 
 def test_format_3_bundle_fails_on_its_version(tmp_path, small_bundle):
@@ -411,13 +444,33 @@ def test_format_3_bundle_fails_on_its_version(tmp_path, small_bundle):
     path.write_text(json.dumps(data))
     with pytest.raises(ValueError) as err:
         ModelBundle.load(path)
-    assert str(err.value) == "bundle format_version 3 is not supported (expected 4)"
+    assert str(err.value) == "bundle format_version 3 is not supported (expected 5)"
+
+
+def test_format_4_bundle_fails_on_its_version(tmp_path, small_bundle):
+    # format 4 stated the array size beside the beamformer's width and stamped
+    # a creation time
+    path = tmp_path / "bundle.json"
+    small_bundle.save(path)
+    data = json.loads(path.read_text())
+    reports = {name: data.pop(name) for name in ("beamformer_report", "association_report")}
+    data.update(format_version=4, num_elements=64, created="2026-10-20T00:00:00+00:00", **reports)
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError) as err:
+        ModelBundle.load(path)
+    assert str(err.value) == "bundle format_version 4 is not supported (expected 5)"
+
+
+def test_train_models_writes_byte_identical_bundles(tmp_path, small_scenario, small_dataset):
+    config = TrainConfig(epochs=3, batch_size=64, learning_rate=5e-3, seed=2)
+    paths = [tmp_path / "first.json", tmp_path / "second.json"]
+    for path in paths:
+        train_models(small_dataset, small_scenario, config).save(path)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_predict_association_recovers_exact_index(small_scenario, small_bundle):
     # a head that outputs exactly k/(K-1) must decode to station k
-    from uavisac.neuralnet import Network, NetworkConfig
-
     k = small_scenario.num_gbs
     point = TrajectoryPoint(
         slot=0, position=np.array([200.0, 200.0, 100.0]), orientation=RotationAngles(0, 0, 0)
@@ -433,8 +486,6 @@ def test_predict_association_recovers_exact_index(small_scenario, small_bundle):
             association=constant,
             scenario_hash=small_bundle.scenario_hash,
             num_gbs=k,
-            num_elements=small_scenario.num_elements,
-            created=small_bundle.created,
             beamformer_report=small_bundle.beamformer_report,
             association_report=small_bundle.association_report,
         )
@@ -553,8 +604,8 @@ def test_evaluate_trajectory_audited_slot_matches_hand_composition(small_scenari
     idx = len(records) // 2
     record, matrix, point = records[idx], mats[idx], traj.points[idx]
     gbs = small_scenario.gbs_m[record.gbs_index]
-    h_comm = world_channel(small_scenario, point, gbs, EXPECTED)
-    h_sense = world_channel(small_scenario, point, small_scenario.target_m, RADAR_LOS)
+    h_comm = station_channel(small_scenario, point, gbs)
+    h_sense = echo_channel(small_scenario, point)
     num = abs(np.vdot(h_comm, matrix.comm.vector)) ** 2
     den = small_scenario.channel.noise_mw + abs(np.vdot(h_sense, matrix.sensing.vector)) ** 2
     assert record.sinr_db == pytest.approx(10 * math.log10(num / den), abs=1e-9)
@@ -622,6 +673,15 @@ def test_evaluate_rejects_a_bundle_trained_for_another_scenario(small_scenario, 
     for scenario, policy, source in ((single, "nn", "nn"), (larger, "closest", "optimizer")):
         with pytest.raises(ValueError, match="bundle trained for 64 elements and 3 stations"):
             evaluate_trajectory(scenario, traj, policy, source, bundle=small_bundle)
+    # the array size a bundle was trained for is its beamformer's output width / 2
+    wide = dataclasses.replace(
+        small_bundle, beamformer=Network(NetworkConfig(layer_sizes=(7, 50, 200), seed=0))
+    )
+    with pytest.raises(ValueError) as err:
+        evaluate_trajectory(small_scenario, traj, "nn", "nn", bundle=wide)
+    assert str(err.value) == (
+        "bundle trained for 100 elements and 3 stations, scenario has 64 and 3"
+    )
 
 
 def test_eirp_stats_properties():
@@ -698,6 +758,31 @@ def _drop_rate_column(rows):
     ids=["extra_column", "rate_bps_missing"],
 )
 def test_records_read_names_unknown_and_missing_columns(tmp_path, edit, message):
+    _edit_records_and_read(tmp_path, edit, message)
+
+
+def _drop_a_cell(rows):
+    rows[1].pop()
+
+
+def _add_a_cell(rows):
+    rows[1].append("9.0")
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_drop_a_cell, r"^records line 2: fewer cells than the header$"),
+        (_add_a_cell, r"^records line 2: more cells than the header$"),
+    ],
+    ids=["short_row", "long_row"],
+)
+def test_records_read_rejects_a_row_of_the_wrong_width(tmp_path, edit, message):
+    _edit_records_and_read(tmp_path, edit, message)
+
+
+def _edit_records_and_read(tmp_path, edit, message):
+    """Write one record, apply edit to its CSV rows, and expect message from the read."""
     path = tmp_path / "records.csv"
     record = EvalRecord(slot=3, policy="closest", gbs_index=1, eirp_dbm=20.0, sinr_db=1.5,
                         rate_bps=2e6, beampattern_gain=40.0)

@@ -8,12 +8,11 @@ import pytest
 
 from uavisac.beampattern import BeamWeights
 from uavisac.channel import (
-    EXPECTED,
-    RADAR_LOS,
     ChannelParams,
-    _path_gain,
     channel_vector,
+    radar_path_gain,
     sinr,
+    station_path_gain,
 )
 from uavisac.geometry import (
     SPEED_OF_LIGHT,
@@ -155,6 +154,14 @@ def test_scenario_load_rejects_other_format_versions(version):
         del data["format_version"]
     with pytest.raises(ValueError, match="scenario format_version"):
         Scenario.from_json_dict(data)
+
+
+def test_scenario_rejects_a_panel_side_under_two():
+    # a one-element panel would load, then fail mid-command on the Chebyshev
+    # taper, which needs two elements a side
+    with pytest.raises(ValueError, match="^num_elements must give a panel side of at least 2"):
+        Scenario(num_elements=1)
+    assert Scenario(num_elements=4).array.side == 2
 
 
 def test_scenario_validation():
@@ -370,7 +377,7 @@ def matched_probe_station(scn, geo):
         distance = float(np.linalg.norm(geo.point.position - gbs))
         h_comm = channel_vector(
             scn.channel, scn.array, distance,
-            _path_gain(scn.channel, EXPECTED, geo.point.position, gbs, distance),
+            station_path_gain(scn.channel, geo.point.position, gbs, distance),
             unit=geo.gbs_unit[idx],
         )
         w_comm = matched(geo.gbs_unit[idx], geo.gbs_gain[idx])
@@ -495,11 +502,11 @@ def test_point_geometry_fields_equal_the_per_call_derivations():
         for k, gbs in enumerate(scn.gbs_m):
             distance = float(np.linalg.norm(point.position - gbs))
             assert geo.gbs_distance_m[k] == distance
-            assert geo.gbs_path_gain[k] == _path_gain(
-                scn.channel, EXPECTED, point.position, gbs, distance
+            assert geo.gbs_path_gain[k] == station_path_gain(
+                scn.channel, point.position, gbs, distance
             )
         d = float(np.linalg.norm(scn.target_m - point.position))
-        radar_gain = _path_gain(scn.channel, RADAR_LOS, point.position, scn.target_m, d)
+        radar_gain = radar_path_gain(scn.channel, d)
         phase = np.exp(2j * math.pi * scn.channel.carrier_hz * d / SPEED_OF_LIGHT)
         a = steering_vector(scn.array, point.position, point.orientation, scn.target_m)
         assert np.array_equal(geo.target_channel, math.sqrt(radar_gain) * phase * a)
