@@ -50,10 +50,11 @@ only when the candidate can still displace the incumbent.
 
 `pattern_cut` builds one plane's arc and tables the same way and folds a
 whole weight matrix, made pointing-relative, onto them.  A cut is built arc
-first: from cached grid trig, only a window around the pointing sample gets
-array-frame units and the arc tests, and each axis table takes one cosine
-and one sine per sample, of the half-step phase alpha, which a rotation
-recurrence expands to every upper-half row; mirror rows carry -q_r.  The z
+first: the arc is an index window of cached grid trig, 90 degrees each side
+of the pointing sample, and only its samples get array-frame units and the
+half-space test.  Each axis table takes one cosine and one sine per sample,
+of the half-step phase alpha, which a rotation recurrence expands to every
+upper-half row; mirror rows carry -q_r.  The z
 tables carry the element amplitude sqrt(g_e), so |af|^2 is the cut power as
 it stands.  Candidate scoring and `pattern_cut` share the table build and
 the main-lobe rules (see _sidelobe_peak), so the achieved values reported by
@@ -100,8 +101,9 @@ from .units import from_db, to_db
 # the one cut grid: every principal cut samples its parameter at this step
 GRID_STEP_DEG = 0.05
 _GRID_STEP_RAD = math.radians(GRID_STEP_DEG)
-# samples on each side of the pointing in the index window holding an arc
-_ARC_REACH = math.ceil(math.pi / 2 / _GRID_STEP_RAD) + 2
+# samples in 90 degrees, an arc's reach on each side of the pointing sample;
+# the step divides 90 degrees, so no sample falls between the two rules
+_HALF_ARC = round(90.0 / GRID_STEP_DEG)
 NULL_CONFLICT_DEG = 1.0
 # the chord of NULL_CONFLICT_DEG, the radius of a conflict in (u_x, u_z)
 _NULL_CONFLICT_CHORD = 2.0 * math.sin(math.radians(NULL_CONFLICT_DEG) / 2.0)
@@ -246,16 +248,16 @@ def _cut_grid(plane: str):
 
     The azimuth cut sweeps phi over [-pi, pi) in 7200 samples, the last one
     step and 4e-13 below pi, the elevation cut theta over [0, pi] in 3601,
-    both at GRID_STEP_DEG.  The azimuth arrays are padded with _ARC_REACH
+    both at GRID_STEP_DEG.  The azimuth arrays are padded with _HALF_ARC
     samples at each end, copies of the samples round the seam, so that every
     arc window is a plain slice: sample i of the circle sits at padded index
-    i + _ARC_REACH.  The (angles, cos, sin) arrays are shared between calls
+    i + _HALF_ARC.  The (angles, cos, sin) arrays are shared between calls
     and read-only.
     """
     step = _GRID_STEP_RAD
     if plane == "azimuth":
         angles = np.arange(-math.pi, math.pi, step)
-        wrap = np.r_[-_ARC_REACH:0, : angles.size, :_ARC_REACH]
+        wrap = np.r_[-_HALF_ARC:0, : angles.size, :_HALF_ARC]
         grid = tuple(a[wrap] for a in (angles, np.cos(angles), np.sin(angles)))
     else:
         angles = np.arange(0.0, math.pi + step / 2, step)
@@ -272,29 +274,27 @@ def _cut_arc(plane: str, pointing: DirectionAngles, rot):
     and inside the beam's own half-space: a planar aperture radiates an exact
     mirror image through its own plane, which a ground plane suppresses in
     hardware, so the mirror hemisphere never enters the sidelobe accounting.
-    The kept samples form the contiguous run around the pointing sample, so
-    units and both tests are computed only on an index window two samples
-    wider than 90 degrees on each side, whose edge samples always fail the
-    angle test, also for windows that cross the azimuth seam at +-pi (the
-    padded azimuth grid holds them as one slice).  `rot` is the array's
-    rotation matrix, so row i of the units is R^T u_i.  Returns (angles,
-    units) with strictly increasing angles (azimuth arcs crossing the wrap
-    point are unwrapped past pi).
+    On the grid, 90 degrees is _HALF_ARC samples, so the arc is the index
+    window of _HALF_ARC samples on each side of the pointing sample (the
+    padded azimuth grid holds a window crossing the seam at +-pi as one
+    slice), cut short at the first sample on each side outside the
+    half-space.  `rot` is the array's rotation matrix, so row i of the units
+    is R^T u_i.  Returns (angles, units) with strictly increasing angles
+    (azimuth arcs crossing the wrap point are unwrapped past pi).
     """
     angles, cos, sin = _cut_grid(plane)
-    reach = _ARC_REACH
     circular = plane == "azimuth"
     if circular:
         point_angle = math.atan2(math.sin(pointing.phi), math.cos(pointing.phi))
         # the unpadded circle's index is the padded window's start
-        start = int(np.argmin(np.abs(angles[reach:-reach] - point_angle)))
-        window = slice(start, start + 2 * reach + 1)
-        point_index = start + reach
+        start = int(np.argmin(np.abs(angles[_HALF_ARC:-_HALF_ARC] - point_angle)))
+        window = slice(start, start + 2 * _HALF_ARC + 1)
+        point_index = start + _HALF_ARC
         cos_phi, sin_phi = cos[window], sin[window]
         cos_theta, sin_theta = math.cos(pointing.theta), math.sin(pointing.theta)
     else:
         point_index = int(np.argmin(np.abs(angles - pointing.theta)))
-        window = slice(max(0, point_index - reach), min(angles.size, point_index + reach + 1))
+        window = slice(max(0, point_index - _HALF_ARC), point_index + _HALF_ARC + 1)
         cos_phi, sin_phi = math.cos(pointing.phi), math.sin(pointing.phi)
         cos_theta, sin_theta = cos[window], sin[window]
     window_angles = angles[window]
@@ -305,24 +305,11 @@ def _cut_arc(plane: str, pointing: DirectionAngles, rot):
     units = units @ rot
     centre = point_index - window.start
     side = 1.0 if units[centre, 1] >= 0.0 else -1.0
-    keep = side * units[:, 1] >= -1e-12
-    if circular:
-        # Round the circle consecutive samples are one step apart, and the
-        # two across the seam one step and 4e-13.  A sample at index offset o
-        # thus lies within |o| steps (plus 4e-13) of the pointing, so offsets
-        # up to ceil(90 deg / step) - 1 = reach - 3 are under 90 degrees by
-        # far more than the test's roundoff and pass it.  Only the three
-        # outermost samples per side are tested.
-        edges = [0, 1, 2, -3, -2, -1]
-        delta = window_angles[edges] - angles[point_index]
-        keep[edges] &= np.abs(np.arctan2(np.sin(delta), np.cos(delta))) <= math.pi / 2 + 1e-12
-    else:
-        keep &= np.abs(window_angles - angles[point_index]) <= math.pi / 2 + 1e-12
-    dropped = np.flatnonzero(~keep)
+    dropped = np.flatnonzero(side * units[:, 1] < -1e-12)
     before = dropped[dropped < centre]
     after = dropped[dropped > centre]
     lo = int(before[-1]) + 1 if before.size else 0
-    hi = int(after[0]) if after.size else keep.size
+    hi = int(after[0]) if after.size else window_angles.size
     arc_angles = window_angles[lo:hi].copy()
     if circular:
         wrapped = np.nonzero(np.diff(arc_angles) < 0)[0]

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .scenario import check_keys
+from .scenario import check_int_fields, check_keys
 
 # ADAM moment decay rates and denominator guard (Kingma and Ba's defaults)
 ADAM_BETA1 = 0.9
@@ -103,11 +103,18 @@ class Network:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Network":
-        """Rebuild a `to_dict` network; odd keys and parameters off its sizes are rejected."""
+        """Rebuild a `to_dict` network; odd keys, values of the wrong JSON type and
+        parameters off its sizes are rejected."""
         check_keys(data, ("layer_sizes", "seed", "weights", "biases"), "network")
-        net = cls(NetworkConfig(layer_sizes=tuple(data["layer_sizes"]), seed=data["seed"]))
+        check_int_fields(data, NetworkConfig, "network")
+        sizes = data["layer_sizes"]
+        if not (isinstance(sizes, list) and all(type(n) is int for n in sizes)):
+            raise ValueError(f"network layer_sizes must be a list of JSON integers, got {sizes!r}")
+        net = cls(NetworkConfig(layer_sizes=tuple(sizes), seed=data["seed"]))
         for name in ("weights", "biases"):
             views = getattr(net, name)
+            if not isinstance(data[name], list):
+                raise ValueError(f"network {name} must be a list of arrays, got {data[name]!r}")
             if len(data[name]) != len(views):
                 raise ValueError(f"{name}: {len(data[name])} arrays for {len(views)} layers")
             for i, (value, view) in enumerate(zip(data[name], views)):

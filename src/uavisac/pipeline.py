@@ -59,6 +59,7 @@ from .scenario import (
     _file_fields,
     associate,
     check_format_version,
+    check_int_fields,
     check_keys,
     generate_trajectories,
     label_optimal_association,
@@ -126,9 +127,12 @@ def _field_decoders(cls) -> tuple[tuple[str, Callable], ...]:
     return tuple((name, decoders.get(hint, as_array)) for name, hint in _file_fields(cls).items())
 
 
-def _from_fields(cls, data, what: str):
-    """A record dataclass from a mapping of exactly its field names to JSON values or CSV cells."""
+def _from_fields(cls, data, what: str, cells: bool = False):
+    """A record dataclass from a mapping of exactly its field names to JSON values, or
+    with `cells` to CSV cells, which are text: only JSON values are checked for type."""
     check_keys(data, [name for name, _ in _field_decoders(cls)], what)
+    if not cells:
+        check_int_fields(data, cls, what)
     return cls(**{name: decode(data[name]) for name, decode in _field_decoders(cls)})
 
 
@@ -171,7 +175,8 @@ class ModelBundle:
 
 def _bundle_value(name: str, hint, value):
     """One ModelBundle field from its JSON value: a network through Network.from_dict,
-    a report through its own fields, a string or an int as it is."""
+    a report through its own fields, each a list of numbers (val_metric may be null), a
+    string or an integer as it is.  A value of another JSON type fails, naming the field."""
     if hint is Network:
         try:
             return Network.from_dict(value)
@@ -179,8 +184,16 @@ def _bundle_value(name: str, hint, value):
             raise ValueError(f"bundle {name}: {err}") from err
     if hint is TrainReport:
         check_keys(value, [f.name for f in fields(TrainReport)], f"bundle {name}")
+        for key, series in value.items():
+            # a bool is no number
+            numbers = isinstance(series, list) and all(type(v) in (int, float) for v in series)
+            if not (numbers or series is None and key == "val_metric"):
+                raise ValueError(f"bundle {name} {key} must be a list of numbers, got {series!r}")
         return TrainReport(**value)
-    return hint(value)
+    if type(value) is not hint:
+        kind = "integer" if hint is int else "string"
+        raise ValueError(f"bundle {name} must be a JSON {kind}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -408,7 +421,8 @@ def generate_dataset(
     A point is skipped, with one WARNING each, when a beam lies outside the
     serviceable field of view, a null conflicts with the comm pointing, or
     either beam synthesis fails to converge; the closing INFO line counts the
-    skips by reason.  An entirely empty dataset raises.
+    skips by reason.  An entirely empty dataset raises, after that line, with
+    the same counts.
     """
     policy = POLICY_ALIASES.get(policy, policy)
     trajectories = generate_trajectories(scenario, num_trajectories, seed)
@@ -442,14 +456,11 @@ def generate_dataset(
                     optimal_gbs=label_optimal_association(scenario, geo),
                 )
             )
-    if not samples:
-        raise RuntimeError("dataset is empty: no trajectory point converged")
+    counts = ", ".join(f"{reason}: {n}" for reason, n in skipped.items())
     if any(skipped.values()):
-        logger.info(
-            "dataset generation skipped %d points (%s)",
-            sum(skipped.values()),
-            ", ".join(f"{reason}: {n}" for reason, n in skipped.items()),
-        )
+        logger.info("dataset generation skipped %d points (%s)", sum(skipped.values()), counts)
+    if not samples:
+        raise RuntimeError(f"dataset is empty: no trajectory point converged ({counts})")
     return samples
 
 
@@ -716,7 +727,7 @@ def read_records_csv(path) -> list[EvalRecord]:
             if None in row or None in row.values():
                 more = "more" if None in row else "fewer"
                 raise ValueError(f"records line {reader.line_num}: {more} cells than the header")
-            records.append(_from_fields(EvalRecord, row, "records row"))
+            records.append(_from_fields(EvalRecord, row, "records row", cells=True))
     return records
 
 

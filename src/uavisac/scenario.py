@@ -86,6 +86,14 @@ def check_keys(data: dict, names, what: str) -> None:
         raise ValueError(f"{what} keys: unknown {unknown}, missing {missing}")
 
 
+def check_int_fields(data: dict, cls, what: str) -> None:
+    """Reject a loaded record whose int fields of dataclass cls (see _file_fields) hold
+    anything but a JSON integer: a float, a string, null or a bool would load as another value."""
+    for name, hint in _file_fields(cls).items():
+        if hint is int and type(data[name]) is not int:
+            raise ValueError(f"{what} {name} must be a JSON integer, got {data[name]!r}")
+
+
 @functools.cache
 def _file_fields(cls) -> dict:
     """A file's keys for dataclass cls with their type hints: its init fields in declaration
@@ -97,16 +105,13 @@ def _file_fields(cls) -> dict:
     return spec
 
 
-class InfeasibleTrajectoryError(RuntimeError):
-    """Endpoints cannot be connected within the step budget."""
-
-
 @dataclass
 class Scenario:
     """Static world plus simulation constants.
 
     Values no run can use fail at construction, not mid-command: speed, slot
-    length, power budget and SLL minima must be finite and positive, the EIRP
+    length, power budget and SLL minima must be finite and positive, as must
+    a walk's step, speed times slot length, which can underflow; the EIRP
     cap, SINR threshold and station positions finite, every dB setting's
     linear value positive and finite, as the noise power's, and `array` is built
     from num_elements and the carrier once, so an array size no panel can
@@ -138,6 +143,8 @@ class Scenario:
         for name in ("v_max_mps", "slot_s", "p_max_mw", "sll_min_az_db", "sll_min_el_db"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive")
+        if self.v_max_mps * self.slot_s == 0.0:
+            raise ValueError("v_max_mps * slot_s, a walk's step, underflows to zero")
         # NaN and infinite dB values fail this too
         for name in ("eirp_max_dbm", "gamma_sinr_db", "sll_min_az_db", "sll_min_el_db"):
             if not 0.0 < from_db(getattr(self, name)) < math.inf:
@@ -193,6 +200,7 @@ class Scenario:
         check_format_version(data, SCENARIO_FORMAT_VERSION, "scenario")
         spec = _file_fields(cls)
         check_keys(data, ("format_version", *spec), "scenario")
+        check_int_fields(data, cls, "scenario")
         # Scenario coerces its arrays and area_m, as it does any constructor call
         values = {name: data[name] for name in spec}
         channel = ChannelParams(**{name: values.pop(name) for name in _file_fields(ChannelParams)})
@@ -250,45 +258,35 @@ def orientation_from_motion(prev, nxt) -> RotationAngles:
 
 
 def _walk_positions(scenario: Scenario, rng: np.random.Generator) -> list[NDArray[np.float64]]:
+    # every heading lies within 30 degrees of the goal, so each step taken more than
+    # a step out closes at least 0.48 of one, and Scenario keeps the step positive
     step = scenario.v_max_mps * scenario.slot_s
-    if step <= 0.0:
-        raise InfeasibleTrajectoryError("non-positive step budget")
-    start = scenario.start_m.copy()
-    end = scenario.end_m.copy()
-    positions = [start.copy()]
-    pos = start.copy()
-    total = float(np.linalg.norm(end - start))
-    max_slots = 100 * max(1, math.ceil(total / step)) + 100
+    x, y, z = scenario.start_m.tolist()
+    end_x, end_y, _ = scenario.end_m.tolist()
     w, h = scenario.area_m
-    heading = math.atan2(end[1] - start[1], end[0] - start[0])
-    while float(np.linalg.norm(end - pos)) > step:
-        if len(positions) > max_slots:
-            raise InfeasibleTrajectoryError("endpoints too far apart for the step budget")
-        base = math.atan2(end[1] - pos[1], end[0] - pos[0])
-        nxt = None
+    positions = [scenario.start_m.copy()]
+    heading = math.atan2(end_y - y, end_x - x)
+    while math.hypot(end_x - x, end_y - y) > step:
+        base = math.atan2(end_y - y, end_x - x)
         for _ in range(20):
             # forward cone toward the goal, with a per-slot turn-rate limit
             desired = base + rng.uniform(-CONE_HALF_ANGLE_RAD, CONE_HALF_ANGLE_RAD)
             turn = _wrap_angle(desired - heading)
             cand_heading = heading + max(-TURN_LIMIT_RAD, min(TURN_LIMIT_RAD, turn))
             off_base = _wrap_angle(cand_heading - base)
-            cand_heading = base + max(
-                -CONE_HALF_ANGLE_RAD, min(CONE_HALF_ANGLE_RAD, off_base)
-            )
-            cand = pos + step * np.array(
-                [math.cos(cand_heading), math.sin(cand_heading), 0.0]
-            )
-            if 0.0 <= cand[0] <= w and 0.0 <= cand[1] <= h:
-                nxt = cand
-                heading = cand_heading
+            cand_heading = base + max(-CONE_HALF_ANGLE_RAD, min(CONE_HALF_ANGLE_RAD, off_base))
+            cand_x = x + step * math.cos(cand_heading)
+            cand_y = y + step * math.sin(cand_heading)
+            if 0.0 <= cand_x <= w and 0.0 <= cand_y <= h:
                 break
-        if nxt is None:
+        else:
             # straight step toward the goal stays inside the convex area
-            nxt = pos + step * np.array([math.cos(base), math.sin(base), 0.0])
-            heading = base
-        positions.append(nxt.copy())
-        pos = nxt
-    positions.append(end.copy())
+            cand_heading = base
+            cand_x = x + step * math.cos(base)
+            cand_y = y + step * math.sin(base)
+        heading, x, y = cand_heading, cand_x, cand_y
+        positions.append(np.array([x, y, z]))
+    positions.append(scenario.end_m.copy())
     return positions
 
 

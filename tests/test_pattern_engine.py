@@ -50,6 +50,7 @@ from uavisac.beampattern import (
     _axis_tables,
     _cut_arc,
     _gains_db,
+    _HALF_ARC,
     _PLANES,
     _sll_from_gains,
     _sll_from_power,
@@ -755,6 +756,12 @@ def draw_pose_pointing(rng):
 ]))
 def test_cut_arc_matches_full_circle_reference(pose_angles, pointing):
     _assert_arc_matches_full_circle(pose_angles, pointing)
+
+
+def test_half_arc_is_90_degrees_of_grid_steps():
+    # _cut_arc keeps the samples within _HALF_ARC indices of the pointing,
+    # which are the samples within 90 degrees only while the step divides 90
+    assert _HALF_ARC * GRID_STEP_DEG == 90
 
 
 def test_cut_arc_matches_full_circle_reference_at_a_single_gap():

@@ -192,6 +192,33 @@ def test_dataset_read_names_unknown_and_missing_sample_keys(
         read_dataset_jsonl(path)
 
 
+@pytest.mark.parametrize("key, value", [("slot", 1.9), ("gbs_index", True)], ids=["float", "bool"])
+def test_dataset_read_names_an_integer_field_of_another_type(
+    small_scenario, small_dataset, tmp_path, key, value
+):
+    # each loaded as 1
+    path = tmp_path / "data.jsonl"
+    write_dataset_jsonl(path, small_dataset[:1], small_scenario, "closest", 21)
+    header, row = path.read_text().splitlines()
+    sample = json.loads(row)
+    sample[key] = value
+    path.write_text(f"{header}\n{json.dumps(sample)}\n")
+    with pytest.raises(ValueError) as err:
+        read_dataset_jsonl(path)
+    assert str(err.value) == f"dataset sample {key} must be a JSON integer, got {value!r}"
+
+
+def test_empty_dataset_logs_then_reports_its_skip_counts(caplog):
+    # a 2x2 panel meets no 20 dB SLL minimum; the counts were lost with the raise
+    counts = "field of view: 2, null conflict: 0, not converged: 109"
+    with caplog.at_level(logging.INFO, logger="uavisac.pipeline"):
+        with pytest.raises(RuntimeError) as err:
+            generate_dataset(Scenario(num_elements=4), 1, "closest", 1)
+    assert str(err.value) == f"dataset is empty: no trajectory point converged ({counts})"
+    infos = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+    assert infos == [f"dataset generation skipped 111 points ({counts})"]
+
+
 def test_emitted_matrices_respect_power_and_eirp_limits(small_scenario, small_dataset):
     pmax = small_scenario.p_max_mw
     for sample in small_dataset:
@@ -416,6 +443,36 @@ def test_bundle_load_names_unknown_and_missing_keys(tmp_path, small_bundle):
     path.write_text(json.dumps(saved))
     with pytest.raises(ValueError, match="^bundle beamformer_report must be a JSON object, got"):
         ModelBundle.load(path)
+
+
+@pytest.mark.parametrize(
+    "network, key, value, message",
+    [
+        ("association", "layer_sizes", 3,
+         "bundle association: network layer_sizes must be a list of JSON integers, got 3"),
+        ("beamformer", "weights", None,
+         "bundle beamformer: network weights must be a list of arrays, got None"),
+        (None, "num_gbs", "x", "bundle num_gbs must be a JSON integer, got 'x'"),
+        (None, "num_gbs", 5.9, "bundle num_gbs must be a JSON integer, got 5.9"),
+        ("association", "seed", None, "bundle association: network seed must be a JSON integer, got None"),
+        ("beamformer_report", "train_loss", 3,
+         "bundle beamformer_report train_loss must be a list of numbers, got 3"),
+        (None, "scenario_hash", 7, "bundle scenario_hash must be a JSON string, got 7"),
+    ],
+    ids=["layer_sizes_int", "weights_null", "num_gbs_string", "num_gbs_float", "seed_null",
+         "train_loss_int", "scenario_hash_int"],
+)
+def test_bundle_load_names_a_value_of_the_wrong_type(tmp_path, small_bundle, network, key, value,
+                                                     message):
+    # each one failed as a bare TypeError, failed unnamed, or loaded as another value
+    path = tmp_path / "bundle.json"
+    small_bundle.save(path)
+    data = json.loads(path.read_text())
+    (data[network] if network else data)[key] = value
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError) as err:
+        ModelBundle.load(path)
+    assert str(err.value) == message
 
 
 def test_format_2_bundle_fails_on_its_version(tmp_path, small_bundle):

@@ -127,6 +127,19 @@ def test_scenario_load_names_unknown_and_missing_keys():
         assert repr(key) in message
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [("num_trajectories", 2.9), ("num_elements", "100"), ("num_elements", True)],
+    ids=["float", "string", "bool"],
+)
+def test_scenario_load_names_an_integer_field_of_another_type(name, value):
+    # 2.9 would load as 2 and save back as 2; "100" failed as a bare TypeError
+    data = Scenario().to_json_dict()
+    data[name] = value
+    with pytest.raises(ValueError, match=f"^scenario {name} must be a JSON integer, got {value!r}$"):
+        Scenario.from_json_dict(data)
+
+
 def test_noise_power_must_give_positive_mw():
     with pytest.raises(ValueError, match="noise_power_dbm"):
         ChannelParams(noise_power_dbm=-4000.0)
@@ -244,6 +257,36 @@ def test_trajectory_min_slot_count_matches_distance():
     assert math.ceil(np.linalg.norm(scn.end_m - scn.start_m) / 10.0) == 107
     traj = generate_trajectories(scn, 1, seed=0)[0]
     assert len(traj) >= 107
+
+
+# sha256 of each point's position and orientation bytes, over
+# generate_trajectories(scenario, 2, seed); "edge" walks along the area's
+# y = 0 edge, where a step outside the area falls back to the straight step
+TRAJECTORY_PINS = {
+    ("default", 11): "02b1cfb9e8a25cd53c393028e7b939a0c591ad072e3dae6fe839c1aecc444e5e",
+    ("default", 23): "b73fdca4674493667caa4abec25fa709366d5d95dc7f3542b437289abc17c1b8",
+    ("default", 1011): "173086f471576e31b8a4c3664636ec482e34a874fe3bed7f55584527781fe12a",
+    ("edge", 11): "7b1cb2a1763a9e978673b704c6ec7aed1e4037ba1632492ec4b262f25234fd1c",
+    ("edge", 23): "fa40f61f4f488b3125f76b0dd4b7a574495fd923a61680ba666c7b933f2c6868",
+    ("edge", 1011): "2dcc6d46e18cee6c183364d40002a0111d6af2ae7c9e3e698412d733eff20064",
+}
+
+
+@pytest.mark.parametrize("name, seed", list(TRAJECTORY_PINS))
+def test_trajectory_bytes_are_pinned(name, seed):
+    scn = Scenario() if name == "default" else Scenario(end_m=[1500.0, 0.0, 100.0])
+    digest = hashlib.sha256()
+    for traj in generate_trajectories(scn, 2, seed):
+        for point in traj.points:
+            digest.update(point.position.tobytes())
+            digest.update(np.array(point.orientation).tobytes())
+    assert digest.hexdigest() == TRAJECTORY_PINS[name, seed]
+
+
+def test_scenario_whose_step_underflows_fails_at_construction():
+    # each value is finite and positive, but their product, a walk's step, is 0.0
+    with pytest.raises(ValueError, match="v_max_mps \\* slot_s"):
+        Scenario(v_max_mps=1e-200, slot_s=1e-200)
 
 
 def test_orientation_from_motion():
