@@ -50,7 +50,6 @@ from .scenario import (
     associate,
     generate_trajectories,
     label_optimal_association,
-    orientation_from_motion,
     point_geometry,
 )
 

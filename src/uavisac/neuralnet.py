@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .scenario import check_int_fields, check_keys
+from .scenario import _file_fields, check_field_types, check_keys
 
 # ADAM moment decay rates and denominator guard (Kingma and Ba's defaults)
 ADAM_BETA1 = 0.9
@@ -106,11 +106,8 @@ class Network:
         """Rebuild a `to_dict` network; odd keys, values of the wrong JSON type and
         parameters off its sizes are rejected."""
         check_keys(data, ("layer_sizes", "seed", "weights", "biases"), "network")
-        check_int_fields(data, NetworkConfig, "network")
-        sizes = data["layer_sizes"]
-        if not (isinstance(sizes, list) and all(type(n) is int for n in sizes)):
-            raise ValueError(f"network layer_sizes must be a list of JSON integers, got {sizes!r}")
-        net = cls(NetworkConfig(layer_sizes=tuple(sizes), seed=data["seed"]))
+        check_field_types(data, _file_fields(NetworkConfig), "network")
+        net = cls(NetworkConfig(layer_sizes=tuple(data["layer_sizes"]), seed=data["seed"]))
         for name in ("weights", "biases"):
             views = getattr(net, name)
             if not isinstance(data[name], list):

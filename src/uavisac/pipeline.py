@@ -59,7 +59,7 @@ from .scenario import (
     _file_fields,
     associate,
     check_format_version,
-    check_int_fields,
+    check_field_types,
     check_keys,
     generate_trajectories,
     label_optimal_association,
@@ -83,6 +83,9 @@ POLICY_ALIASES = {
 
 OPTIMIZER_SOURCE = "optimizer"
 NN_SOURCE = "nn"
+
+# length of each network feature vector, comm and sensing alike
+FEATURE_SIZE = 7
 
 # beams steered behind the aperture plane (element gain under 0.02, roughly
 # 136 degrees off broadside) are unserviceable for a front-facing patch panel
@@ -114,8 +117,12 @@ class Sample:
         return {name: v if isinstance(v, int) else [float(x) for x in v] for name, v in values}
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "Sample":
-        return _from_fields(cls, data, "dataset sample")
+    def from_json_dict(cls, data: dict, num_elements: int) -> "Sample":
+        """A Sample from its JSON line, its weights of a num_elements-element array."""
+        sizes = {"position": 3, "orientation": 3, "comm_features": FEATURE_SIZE,
+                 "sensing_features": FEATURE_SIZE, "comm_weights": 2 * num_elements,
+                 "sensing_weights": 2 * num_elements}
+        return _from_fields(cls, data, "dataset sample", sizes=sizes)
 
 
 @functools.cache
@@ -127,12 +134,13 @@ def _field_decoders(cls) -> tuple[tuple[str, Callable], ...]:
     return tuple((name, decoders.get(hint, as_array)) for name, hint in _file_fields(cls).items())
 
 
-def _from_fields(cls, data, what: str, cells: bool = False):
+def _from_fields(cls, data, what: str, cells: bool = False, sizes: dict | None = None):
     """A record dataclass from a mapping of exactly its field names to JSON values, or
-    with `cells` to CSV cells, which are text: only JSON values are checked for type."""
+    with `cells` to CSV cells, which are text: only JSON values are checked for type,
+    array fields for their sizes (see check_field_types)."""
     check_keys(data, [name for name, _ in _field_decoders(cls)], what)
     if not cells:
-        check_int_fields(data, cls, what)
+        check_field_types(data, _file_fields(cls), what, sizes)
     return cls(**{name: decode(data[name]) for name, decode in _field_decoders(cls)})
 
 
@@ -243,7 +251,7 @@ def nearest_other_gbs(geo: PointGeometry, exclude: int) -> tuple[int, ...]:
 def comm_feature_vector(gbs_dir: DirectionAngles, nulls: Sequence[DirectionAngles],
                         eirp_dbm: float) -> NDArray[np.float64]:
     """(phi_gbs, theta_gbs, phi_n1, theta_n1, phi_n2, theta_n2, eirp_dbm)."""
-    out = np.zeros(7)
+    out = np.zeros(FEATURE_SIZE)
     out[0], out[1] = gbs_dir.phi, gbs_dir.theta
     for i, null in enumerate(nulls):
         out[2 + 2 * i] = null.phi
@@ -254,7 +262,7 @@ def comm_feature_vector(gbs_dir: DirectionAngles, nulls: Sequence[DirectionAngle
 
 def sensing_feature_vector(target_dir: DirectionAngles, eirp_dbm: float) -> NDArray[np.float64]:
     """(phi_target, theta_target, eirp_dbm, 0, 0, 0, 0)."""
-    out = np.zeros(7)
+    out = np.zeros(FEATURE_SIZE)
     out[0], out[1], out[2] = target_dir.phi, target_dir.theta, eirp_dbm
     return out
 
@@ -484,12 +492,17 @@ def write_dataset_jsonl(path, samples: Sequence[Sample], scenario: Scenario,
 def read_dataset_jsonl(path) -> tuple[list[Sample], Scenario, dict]:
     with open(path) as fh:
         first = json.loads(fh.readline())
-        if "meta" not in first:
-            raise ValueError("dataset file lacks the metadata header line")
+        check_keys(first, ("meta",), "dataset first line")
         meta = first["meta"]
         check_format_version(meta, DATASET_FORMAT_VERSION, "dataset")
+        check_keys(meta, ("format_version", "policy", "seed", "scenario"), "dataset header")
+        check_field_types(meta, {"policy": str, "seed": int}, "dataset header")
         scenario = Scenario.from_json_dict(meta["scenario"])
-        samples = [Sample.from_json_dict(json.loads(line)) for line in fh if line.strip()]
+        samples = [
+            Sample.from_json_dict(json.loads(line), scenario.num_elements)
+            for line in fh
+            if line.strip()
+        ]
     return samples, scenario, meta
 
 
@@ -511,7 +524,7 @@ def train_models(samples: Sequence[Sample], scenario: Scenario,
     train_points = np.sort(perm[:n_train])
     val_points = np.sort(perm[n_train:])
 
-    x_rows = np.zeros((2 * n, 7))
+    x_rows = np.zeros((2 * n, FEATURE_SIZE))
     y_rows = np.zeros((2 * n, 2 * m))
     for i, sample in enumerate(samples):
         x_rows[2 * i] = sample.comm_features
@@ -543,7 +556,7 @@ def train_models(samples: Sequence[Sample], scenario: Scenario,
         errors = (b_star - target_gains(forward(net, xv))) ** 2
         return float(np.mean(errors) / max(b_star_sq_mean, 1e-300))
 
-    beamformer = Network(NetworkConfig(layer_sizes=(7, 50, 2 * m), seed=config.seed))
+    beamformer = Network(NetworkConfig(layer_sizes=(FEATURE_SIZE, 50, 2 * m), seed=config.seed))
     beamformer, bf_report = train(
         beamformer, x_rows, y_rows, config, (train_rows, val_rows), beampattern_metric
     )

@@ -8,7 +8,8 @@ byte for byte.  Trajectories are forward-cone random walks between the fixed
 endpoints, flown level at the endpoints' common height: every step has the
 full slot displacement, headings are drawn inside a cone toward the goal, and
 the final slot snaps exactly onto the end point, so the speed bound and
-endpoint constraints hold by construction.
+endpoint constraints hold by construction.  Each point yaws along its step as
+flown, the end point along its inbound step, with no pitch or roll.
 
 point_geometry builds a point's rotation once and derives each destination's
 distance, direction, array-frame unit, element gain and path gain once; every
@@ -31,6 +32,7 @@ import functools
 import hashlib
 import json
 import math
+import reprlib
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import get_type_hints
 
@@ -41,7 +43,6 @@ from .channel import ChannelParams, _link_phasor, radar_path_gain, station_path_
 from .geometry import (
     ArrayConfig,
     DirectionAngles,
-    GeometryError,
     Pose,
     RotationAngles,
     array_frame_unit,
@@ -70,7 +71,9 @@ _DEFAULT_GBS_XY = ((200.0, 200.0), (1200.0, 200.0), (700.0, 750.0), (200.0, 1300
 
 
 def check_format_version(data: dict, expected: int, what: str) -> None:
-    """Reject a loaded record written in any format version but `expected`."""
+    """Reject a loaded record that is no JSON object or is written in any format version
+    but `expected`."""
+    _check_object(data, what)
     version = data.get("format_version")
     if version != expected:
         raise ValueError(f"{what} format_version {version!r} is not supported (expected {expected})")
@@ -78,20 +81,50 @@ def check_format_version(data: dict, expected: int, what: str) -> None:
 
 def check_keys(data: dict, names, what: str) -> None:
     """Reject a loaded record whose keys are not exactly `names`, naming each odd key."""
-    if not isinstance(data, dict):
-        raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
+    _check_object(data, what)
     unknown = sorted(data.keys() - set(names))
     missing = [name for name in names if name not in data]
     if unknown or missing:
         raise ValueError(f"{what} keys: unknown {unknown}, missing {missing}")
 
 
-def check_int_fields(data: dict, cls, what: str) -> None:
-    """Reject a loaded record whose int fields of dataclass cls (see _file_fields) hold
-    anything but a JSON integer: a float, a string, null or a bool would load as another value."""
-    for name, hint in _file_fields(cls).items():
-        if hint is int and type(data[name]) is not int:
-            raise ValueError(f"{what} {name} must be a JSON integer, got {data[name]!r}")
+def _check_object(data, what: str) -> None:
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
+
+
+def check_field_types(data: dict, hints: dict, what: str, sizes: dict | None = None) -> None:
+    """Reject a loaded record whose fields, given as {name: type hint} (see _file_fields),
+    hold a value of another JSON type, which would load as another value or fail unnamed:
+    an int field takes a JSON integer, a float field a JSON number, a str field a JSON
+    string, a tuple[int, ...] field a list of JSON integers, and any other field a list
+    of JSON numbers: exactly sizes[name] of them where given, else entries or rows of
+    entries.  A bool is no number."""
+    for name, hint in hints.items():
+        value, size = data[name], (sizes or {}).get(name)
+        if hint is int:
+            ok, kind = type(value) is int, "a JSON integer"
+        elif hint is float:
+            ok, kind = _is_number(value), "a JSON number"
+        elif hint is str:
+            ok, kind = type(value) is str, "a JSON string"
+        elif hint == tuple[int, ...]:
+            ok = isinstance(value, list) and all(type(v) is int for v in value)
+            kind = "a list of JSON integers"
+        elif size is not None:
+            ok = isinstance(value, list) and len(value) == size and all(map(_is_number, value))
+            kind = f"a list of {size} JSON numbers"
+        else:
+            ok = isinstance(value, list) and all(
+                _is_number(v) or isinstance(v, list) and all(map(_is_number, v)) for v in value
+            )
+            kind = "a list of JSON numbers"
+        if not ok:
+            raise ValueError(f"{what} {name} must be {kind}, got {reprlib.repr(value)}")
+
+
+def _is_number(value) -> bool:
+    return type(value) in (int, float)
 
 
 @functools.cache
@@ -200,7 +233,8 @@ class Scenario:
         check_format_version(data, SCENARIO_FORMAT_VERSION, "scenario")
         spec = _file_fields(cls)
         check_keys(data, ("format_version", *spec), "scenario")
-        check_int_fields(data, cls, "scenario")
+        sizes = {"area_m": 2, "target_m": 3, "start_m": 3, "end_m": 3}
+        check_field_types(data, spec, "scenario", sizes)
         # Scenario coerces its arrays and area_m, as it does any constructor call
         values = {name: data[name] for name in spec}
         channel = ChannelParams(**{name: values.pop(name) for name in _file_fields(ChannelParams)})
@@ -241,30 +275,14 @@ class Trajectory:
         return len(self.points)
 
 
-def orientation_from_motion(prev, nxt) -> RotationAngles:
-    """Heading-from-motion orientation: yaw toward the step, pitch from climb.
-
-    The third angle stays zero (no roll).  Zero displacement is degenerate;
-    the caller keeps the previous orientation in that case.
-    """
-    p = as_vec3(prev)
-    n = as_vec3(nxt)
-    delta = n - p
-    if float(np.linalg.norm(delta)) == 0.0:
-        raise GeometryError("zero displacement has no heading")
-    yaw = math.atan2(delta[1], delta[0])
-    pitch = math.atan2(delta[2], math.hypot(delta[0], delta[1]))
-    return RotationAngles(alpha=yaw, beta=pitch, gamma=0.0)
-
-
-def _walk_positions(scenario: Scenario, rng: np.random.Generator) -> list[NDArray[np.float64]]:
+def _walk(scenario: Scenario, rng: np.random.Generator) -> tuple[TrajectoryPoint, ...]:
     # every heading lies within 30 degrees of the goal, so each step taken more than
     # a step out closes at least 0.48 of one, and Scenario keeps the step positive
     step = scenario.v_max_mps * scenario.slot_s
     x, y, z = scenario.start_m.tolist()
     end_x, end_y, _ = scenario.end_m.tolist()
     w, h = scenario.area_m
-    positions = [scenario.start_m.copy()]
+    path = [(x, y)]
     heading = math.atan2(end_y - y, end_x - x)
     while math.hypot(end_x - x, end_y - y) > step:
         base = math.atan2(end_y - y, end_x - x)
@@ -285,9 +303,16 @@ def _walk_positions(scenario: Scenario, rng: np.random.Generator) -> list[NDArra
             cand_x = x + step * math.cos(base)
             cand_y = y + step * math.sin(base)
         heading, x, y = cand_heading, cand_x, cand_y
-        positions.append(np.array([x, y, z]))
-    positions.append(scenario.end_m.copy())
-    return positions
+        path.append((x, y))
+    path.append((end_x, end_y))
+    # yaw along each step as flown, not the drawn heading, which differs by roundoff;
+    # the end point keeps the inbound yaw
+    yaws = [math.atan2(y1 - y0, x1 - x0) for (x0, y0), (x1, y1) in zip(path, path[1:])]
+    yaws.append(yaws[-1])
+    return tuple(
+        TrajectoryPoint(slot, np.array([px, py, z]), RotationAngles(yaw, 0.0, 0.0))
+        for slot, ((px, py), yaw) in enumerate(zip(path, yaws))
+    )
 
 
 def generate_trajectories(scenario: Scenario, count: int, seed: int) -> list[Trajectory]:
@@ -295,19 +320,10 @@ def generate_trajectories(scenario: Scenario, count: int, seed: int) -> list[Tra
     if count < 1:
         raise ValueError("count must be at least 1")
     seeds = np.random.SeedSequence(seed).spawn(count)
-    trajectories = []
-    for idx in range(count):
-        rng = np.random.default_rng(seeds[idx])
-        positions = _walk_positions(scenario, rng)
-        points = []
-        orientation = RotationAngles(0.0, 0.0, 0.0)
-        for slot, pos in enumerate(positions):
-            if slot + 1 < len(positions):
-                orientation = orientation_from_motion(pos, positions[slot + 1])
-            # the final point keeps the inbound heading
-            points.append(TrajectoryPoint(slot=slot, position=pos, orientation=orientation))
-        trajectories.append(Trajectory(id=idx, points=tuple(points)))
-    return trajectories
+    return [
+        Trajectory(id=idx, points=_walk(scenario, np.random.default_rng(s)))
+        for idx, s in enumerate(seeds)
+    ]
 
 
 def _wrap_angle(angle: float) -> float:

@@ -208,6 +208,87 @@ def test_dataset_read_names_an_integer_field_of_another_type(
     assert str(err.value) == f"dataset sample {key} must be a JSON integer, got {value!r}"
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("position", [1.0, 2.0], "position must be a list of 3 JSON numbers, got [1.0, 2.0]"),
+        ("position", 5.0, "position must be a list of 3 JSON numbers, got 5.0"),
+        ("position", [True, 1.0, 2.0],
+         "position must be a list of 3 JSON numbers, got [True, 1.0, 2.0]"),
+        ("orientation", [0.0, 0.0], "orientation must be a list of 3 JSON numbers, got [0.0, 0.0]"),
+        ("comm_features", [0.0] * 5,
+         "comm_features must be a list of 7 JSON numbers, got [0.0, 0.0, 0.0, 0.0, 0.0]"),
+        ("sensing_weights", ["a"] * 200,
+         "sensing_weights must be a list of 128 JSON numbers, got "
+         "['a', 'a', 'a', 'a', 'a', 'a', ...]"),
+        ("comm_weights", [0.0] * 126,
+         "comm_weights must be a list of 128 JSON numbers, got "
+         "[0.0, 0.0, 0.0, 0.0, 0.0, 0.0, ...]"),
+    ],
+    ids=["short", "scalar", "bool_entry", "short_orientation", "short_features", "strings",
+         "short_weights"],
+)
+def test_dataset_read_names_an_array_field_of_the_wrong_size_or_type(
+    small_scenario, small_dataset, tmp_path, key, value, message
+):
+    # the first three and the last two loaded; the orientation failed as a bare
+    # TypeError and the strings as an unnamed ValueError.  A 64-element array
+    # has 128 weight entries
+    path = tmp_path / "data.jsonl"
+    write_dataset_jsonl(path, small_dataset[:1], small_scenario, "closest", 21)
+    header, row = path.read_text().splitlines()
+    sample = json.loads(row)
+    sample[key] = value
+    path.write_text(f"{header}\n{json.dumps(sample)}\n")
+    with pytest.raises(ValueError) as err:
+        read_dataset_jsonl(path)
+    assert str(err.value) == f"dataset sample {message}"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda first: first["meta"].pop("scenario"),
+         r"^dataset header keys: unknown \[\], missing \['scenario'\]$"),
+        (lambda first: first["meta"].update(note="x"),
+         r"^dataset header keys: unknown \['note'\], missing \[\]$"),
+        (lambda first: first["meta"].update(seed="1"),
+         r"^dataset header seed must be a JSON integer, got '1'$"),
+        (lambda first: first["meta"].update(policy=3),
+         r"^dataset header policy must be a JSON string, got 3$"),
+        (lambda first: first.update(note="x"),
+         r"^dataset first line keys: unknown \['note'\], missing \[\]$"),
+        (lambda first: first.update(meta=5), r"^dataset must be a JSON object, got int$"),
+    ],
+    ids=["scenario_missing", "stray_key", "string_seed", "number_policy", "stray_line_key",
+         "number_meta"],
+)
+def test_dataset_read_checks_the_header_like_every_record(
+    small_scenario, small_dataset, tmp_path, edit, message
+):
+    # a missing scenario raised a bare KeyError; the others loaded or failed unnamed
+    path = tmp_path / "data.jsonl"
+    write_dataset_jsonl(path, small_dataset[:1], small_scenario, "closest", 21)
+    header, row = path.read_text().splitlines()
+    first = json.loads(header)
+    edit(first)
+    path.write_text(f"{json.dumps(first)}\n{row}\n")
+    with pytest.raises(ValueError, match=message):
+        read_dataset_jsonl(path)
+
+
+def test_dataset_read_rejects_a_first_line_that_is_no_object(
+    small_scenario, small_dataset, tmp_path
+):
+    # it raised "TypeError: argument of type 'int' is not iterable"
+    path = tmp_path / "data.jsonl"
+    write_dataset_jsonl(path, small_dataset[:1], small_scenario, "closest", 21)
+    header, row = path.read_text().splitlines()
+    path.write_text(f"5\n{row}\n")
+    with pytest.raises(ValueError, match="^dataset first line must be a JSON object, got int$"):
+        read_dataset_jsonl(path)
+
+
 def test_empty_dataset_logs_then_reports_its_skip_counts(caplog):
     # a 2x2 panel meets no 20 dB SLL minimum; the counts were lost with the raise
     counts = "field of view: 2, null conflict: 0, not converged: 109"

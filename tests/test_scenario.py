@@ -18,7 +18,6 @@ from uavisac.geometry import (
     SPEED_OF_LIGHT,
     ConfigError,
     DirectionAngles,
-    GeometryError,
     array_frame_unit,
     direction_angles,
     element_gain,
@@ -37,7 +36,6 @@ from uavisac.scenario import (
     generate_trajectories,
     label_optimal_association,
     min_required_eirp_dbm,
-    orientation_from_motion,
     point_geometry,
 )
 from uavisac.geometry import RotationAngles
@@ -138,6 +136,35 @@ def test_scenario_load_names_an_integer_field_of_another_type(name, value):
     data[name] = value
     with pytest.raises(ValueError, match=f"^scenario {name} must be a JSON integer, got {value!r}$"):
         Scenario.from_json_dict(data)
+
+
+@pytest.mark.parametrize(
+    "name, value, kind",
+    [
+        ("v_max_mps", "x", "a JSON number"),
+        ("p_max_mw", None, "a JSON number"),
+        ("kappa1", "1", "a JSON number"),
+        ("v_max_mps", True, "a JSON number"),
+        ("area_m", "ab", "a list of 2 JSON numbers"),
+        ("target_m", [350.0, "400", 0.0], "a list of 3 JSON numbers"),
+        ("gbs_m", [[200.0, 200.0, False]], "a list of JSON numbers"),
+    ],
+    ids=["string", "null", "channel_string", "bool", "area_string", "array_string", "array_bool"],
+)
+def test_scenario_load_names_a_number_field_of_another_type(name, value, kind):
+    # each failed as a bare TypeError or an unnamed error, or loaded as another value
+    data = Scenario().to_json_dict()
+    data[name] = value
+    with pytest.raises(ValueError) as err:
+        Scenario.from_json_dict(data)
+    assert str(err.value) == f"scenario {name} must be {kind}, got {value!r}"
+
+
+def test_scenario_load_takes_json_integers_in_number_fields():
+    data = Scenario().to_json_dict()
+    data.update(v_max_mps=10, kappa1=1, area_m=[1500, 1500], target_m=[350, 400, 0])
+    expected = Scenario(channel=ChannelParams(kappa1=1.0))
+    assert Scenario.from_json_dict(data).content_hash() == expected.content_hash()
 
 
 def test_noise_power_must_give_positive_mw():
@@ -272,11 +299,14 @@ TRAJECTORY_PINS = {
 }
 
 
+def walk_scenario(name):
+    return Scenario() if name == "default" else Scenario(end_m=[1500.0, 0.0, 100.0])
+
+
 @pytest.mark.parametrize("name, seed", list(TRAJECTORY_PINS))
 def test_trajectory_bytes_are_pinned(name, seed):
-    scn = Scenario() if name == "default" else Scenario(end_m=[1500.0, 0.0, 100.0])
     digest = hashlib.sha256()
-    for traj in generate_trajectories(scn, 2, seed):
+    for traj in generate_trajectories(walk_scenario(name), 2, seed):
         for point in traj.points:
             digest.update(point.position.tobytes())
             digest.update(np.array(point.orientation).tobytes())
@@ -289,15 +319,29 @@ def test_scenario_whose_step_underflows_fails_at_construction():
         Scenario(v_max_mps=1e-200, slot_s=1e-200)
 
 
-def test_orientation_from_motion():
-    assert orientation_from_motion([0, 0, 0], [1, 0, 0]) == RotationAngles(0.0, 0.0, 0.0)
-    o = orientation_from_motion([0, 0, 0], [0, 1, 0])
-    assert o.alpha == pytest.approx(math.pi / 2)
-    assert o.beta == 0.0 and o.gamma == 0.0
-    level = orientation_from_motion([5, 5, 100], [8, 9, 100])
-    assert level.beta == 0.0
-    with pytest.raises(GeometryError):
-        orientation_from_motion([1, 1, 1], [1, 1, 1])
+@pytest.mark.parametrize("seed", [11, 23, 1011])
+@pytest.mark.parametrize("name", ["default", "edge"])
+def test_each_point_yaws_along_its_flown_step(name, seed):
+    # level flight: yaw from the step as flown, no pitch or roll; the end point
+    # keeps the inbound yaw
+    for traj in generate_trajectories(walk_scenario(name), 2, seed):
+        points = traj.points
+        for a, b in zip(points, points[1:]):
+            (x0, y0, _), (x1, y1, _) = a.position.tolist(), b.position.tolist()
+            assert a.orientation == RotationAngles(math.atan2(y1 - y0, x1 - x0), 0.0, 0.0)
+        assert points[-1].orientation == points[-2].orientation
+
+
+@pytest.mark.parametrize(
+    "end_xy, yaw", [((5.0, 0.0), 0.0), ((0.0, 5.0), math.pi / 2)], ids=["east", "north"]
+)
+def test_one_step_walk_yaws_toward_the_end_point(end_xy, yaw):
+    scn = Scenario(start_m=[0.0, 0.0, 100.0], end_m=[*end_xy, 100.0])
+    (traj,) = generate_trajectories(scn, 1, seed=0)
+    assert [point.position.tolist() for point in traj.points] == [
+        [0.0, 0.0, 100.0], [*end_xy, 100.0]
+    ]
+    assert [point.orientation for point in traj.points] == [RotationAngles(yaw, 0.0, 0.0)] * 2
 
 
 def test_associate_closest():
