@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .scenario import _file_fields, check_field_types, check_keys
+from .codec import INLINE, decode, encode
 
 # ADAM moment decay rates and denominator guard (Kingma and Ba's defaults)
 ADAM_BETA1 = 0.9
@@ -58,6 +58,15 @@ class TrainConfig:
             raise ValueError("train_fraction must be in (0, 1)")
 
 
+@dataclass(frozen=True)
+class _NetworkFile:
+    """A network as a bundle holds it: its config's fields, then its layers' parameters."""
+
+    config: NetworkConfig = field(metadata=INLINE)
+    weights: tuple[NDArray[np.float64], ...]
+    biases: tuple[NDArray[np.float64], ...]
+
+
 @dataclass
 class TrainReport:
     train_loss: list[float] = field(default_factory=list)
@@ -94,28 +103,18 @@ class Network:
         return activations
 
     def to_dict(self) -> dict:
-        return {
-            "layer_sizes": list(self.layer_sizes),
-            "seed": self.config.seed,
-            "weights": [w.tolist() for w in self.weights],
-            "biases": [b.tolist() for b in self.biases],
-        }
+        return encode(_NetworkFile(self.config, self.weights, self.biases))
 
     @classmethod
     def from_dict(cls, data: dict) -> "Network":
-        """Rebuild a `to_dict` network; odd keys, values of the wrong JSON type and
-        parameters off its sizes are rejected."""
-        check_keys(data, ("layer_sizes", "seed", "weights", "biases"), "network")
-        check_field_types(data, _file_fields(NetworkConfig), "network")
-        net = cls(NetworkConfig(layer_sizes=tuple(data["layer_sizes"]), seed=data["seed"]))
+        """Rebuild a `to_dict` network; parameters off its sizes or not finite are rejected."""
+        stored = decode(_NetworkFile, data, "network")
+        net = cls(stored.config)
         for name in ("weights", "biases"):
-            views = getattr(net, name)
-            if not isinstance(data[name], list):
-                raise ValueError(f"network {name} must be a list of arrays, got {data[name]!r}")
-            if len(data[name]) != len(views):
-                raise ValueError(f"{name}: {len(data[name])} arrays for {len(views)} layers")
-            for i, (value, view) in enumerate(zip(data[name], views)):
-                array = np.asarray(value, dtype=np.float64)
+            arrays, views = getattr(stored, name), getattr(net, name)
+            if len(arrays) != len(views):
+                raise ValueError(f"{name}: {len(arrays)} arrays for {len(views)} layers")
+            for i, (array, view) in enumerate(zip(arrays, views)):
                 if array.shape != view.shape:
                     raise ValueError(f"{name}[{i}] has shape {array.shape}, expected {view.shape}")
                 if not np.all(np.isfinite(array)):

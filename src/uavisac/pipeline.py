@@ -12,6 +12,9 @@ Every per-point stage reads its geometry, station path gains and radar
 channel from one scenario.PointGeometry record built once per point; only
 synthesize re-derives its units, and training only each target direction and
 unit (see the scenario module docstring).
+
+The codec module lays out its files from their dataclasses: a dataset JSONL
+(DatasetHeader, then Samples), a ModelBundle and a records CSV (EvalRecords).
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ import functools
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, fields
-from typing import Callable, NamedTuple, Sequence, get_type_hints
+from dataclasses import dataclass, fields
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -40,6 +43,7 @@ from .beampattern import (
     synthesize,
 )
 from .channel import achievable_rate, channel_vector, sinr
+from .codec import check_keys, decode, encode
 from .geometry import (
     DirectionAngles,
     RotationAngles,
@@ -56,11 +60,7 @@ from .scenario import (
     Scenario,
     Trajectory,
     TrajectoryPoint,
-    _file_fields,
     associate,
-    check_format_version,
-    check_field_types,
-    check_keys,
     generate_trajectories,
     label_optimal_association,
     min_required_eirp_dbm,
@@ -69,9 +69,6 @@ from .scenario import (
 from .units import from_db, to_db
 
 logger = logging.getLogger(__name__)
-
-DATASET_FORMAT_VERSION = 1
-BUNDLE_FORMAT_VERSION = 5
 
 POLICY_ALIASES = {
     "closest": "closest",
@@ -98,7 +95,7 @@ class Sample:
 
     Field declaration order is the key order of a dataset JSONL line: adding,
     removing or reordering a field changes the format, so it bumps
-    DATASET_FORMAT_VERSION.
+    DatasetHeader.FORMAT_VERSION.  Every array entry is finite.
     """
 
     trajectory_id: int
@@ -112,44 +109,33 @@ class Sample:
     sensing_weights: NDArray[np.float64]
     optimal_gbs: int
 
-    def to_json_dict(self) -> dict:
-        values = ((f.name, getattr(self, f.name)) for f in fields(self))
-        return {name: v if isinstance(v, int) else [float(x) for x in v] for name, v in values}
+    # the weights hold 2 entries per array element, a size read_dataset_jsonl adds
+    SHAPES = {"position": (3,), "orientation": (3,), "comm_features": (FEATURE_SIZE,),
+              "sensing_features": (FEATURE_SIZE,)}
 
-    @classmethod
-    def from_json_dict(cls, data: dict, num_elements: int) -> "Sample":
-        """A Sample from its JSON line, its weights of a num_elements-element array."""
-        sizes = {"position": 3, "orientation": 3, "comm_features": FEATURE_SIZE,
-                 "sensing_features": FEATURE_SIZE, "comm_weights": 2 * num_elements,
-                 "sensing_weights": 2 * num_elements}
-        return _from_fields(cls, data, "dataset sample", sizes=sizes)
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not isinstance(value, int) and not np.isfinite(value).all():
+                raise ValueError(f"dataset sample {name} has non-finite entries")
 
 
-@functools.cache
-def _field_decoders(cls) -> tuple[tuple[str, Callable], ...]:
-    """Each field of a record dataclass in declaration order, with what turns its
-    JSON value or CSV cell back into its type hint; any other hint is a float array."""
-    decoders = {int: int, str: str, float: float, RotationAngles: RotationAngles._make}
-    as_array = functools.partial(np.asarray, dtype=np.float64)
-    return tuple((name, decoders.get(hint, as_array)) for name, hint in _file_fields(cls).items())
+@dataclass(frozen=True)
+class DatasetHeader:
+    """A dataset JSONL's first line, under its "meta" key."""
 
+    policy: str
+    seed: int
+    scenario: Scenario
 
-def _from_fields(cls, data, what: str, cells: bool = False, sizes: dict | None = None):
-    """A record dataclass from a mapping of exactly its field names to JSON values, or
-    with `cells` to CSV cells, which are text: only JSON values are checked for type,
-    array fields for their sizes (see check_field_types)."""
-    check_keys(data, [name for name, _ in _field_decoders(cls)], what)
-    if not cells:
-        check_field_types(data, _file_fields(cls), what, sizes)
-    return cls(**{name: decode(data[name]) for name, decode in _field_decoders(cls)})
+    FORMAT_VERSION = 1
 
 
 @dataclass
 class ModelBundle:
     """Both trained networks and the scenario they fit, each value a function of the
     training inputs.  Field declaration order is the bundle file's key order after
-    format_version, so a field change bumps BUNDLE_FORMAT_VERSION; see _bundle_value
-    for how each field is read.  The array size is the beamformer's output width / 2."""
+    format_version, so a field change bumps FORMAT_VERSION.  The array size is the
+    beamformer's output width / 2."""
 
     beamformer: Network
     association: Network
@@ -158,50 +144,17 @@ class ModelBundle:
     beamformer_report: TrainReport
     association_report: TrainReport
 
+    FORMAT_VERSION = 5
+
     def save(self, path) -> None:
-        data = {"format_version": BUNDLE_FORMAT_VERSION}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, Network):
-                value = value.to_dict()
-            elif isinstance(value, TrainReport):
-                value = asdict(value)
-            data[f.name] = value
         with open(path, "w") as fh:
-            json.dump(data, fh)
+            json.dump(encode(self), fh)
             fh.write("\n")
 
     @classmethod
     def load(cls, path) -> "ModelBundle":
         with open(path) as fh:
-            data = json.load(fh)
-        check_format_version(data, BUNDLE_FORMAT_VERSION, "bundle")
-        hints = get_type_hints(cls)
-        check_keys(data, ("format_version", *hints), "bundle")
-        return cls(**{name: _bundle_value(name, hint, data[name]) for name, hint in hints.items()})
-
-
-def _bundle_value(name: str, hint, value):
-    """One ModelBundle field from its JSON value: a network through Network.from_dict,
-    a report through its own fields, each a list of numbers (val_metric may be null), a
-    string or an integer as it is.  A value of another JSON type fails, naming the field."""
-    if hint is Network:
-        try:
-            return Network.from_dict(value)
-        except ValueError as err:
-            raise ValueError(f"bundle {name}: {err}") from err
-    if hint is TrainReport:
-        check_keys(value, [f.name for f in fields(TrainReport)], f"bundle {name}")
-        for key, series in value.items():
-            # a bool is no number
-            numbers = isinstance(series, list) and all(type(v) in (int, float) for v in series)
-            if not (numbers or series is None and key == "val_metric"):
-                raise ValueError(f"bundle {name} {key} must be a list of numbers, got {series!r}")
-        return TrainReport(**value)
-    if type(value) is not hint:
-        kind = "integer" if hint is int else "string"
-        raise ValueError(f"bundle {name} must be a JSON {kind}, got {value!r}")
-    return value
+            return decode(cls, json.load(fh), "bundle")
 
 
 @dataclass(frozen=True)
@@ -474,36 +427,26 @@ def generate_dataset(
 
 def write_dataset_jsonl(path, samples: Sequence[Sample], scenario: Scenario,
                         policy: str, seed: int) -> None:
-    """First line carries metadata (scenario, policy, seed); then one Sample per line."""
+    """First line carries the DatasetHeader under "meta"; then one Sample per line."""
     with open(path, "w") as fh:
-        meta = {
-            "meta": {
-                "format_version": DATASET_FORMAT_VERSION,
-                "policy": policy,
-                "seed": seed,
-                "scenario": scenario.to_json_dict(),
-            }
-        }
-        fh.write(json.dumps(meta) + "\n")
+        fh.write(json.dumps({"meta": encode(DatasetHeader(policy, seed, scenario))}) + "\n")
         for sample in samples:
-            fh.write(json.dumps(sample.to_json_dict()) + "\n")
+            fh.write(json.dumps(encode(sample)) + "\n")
 
 
-def read_dataset_jsonl(path) -> tuple[list[Sample], Scenario, dict]:
+def read_dataset_jsonl(path) -> tuple[list[Sample], Scenario, DatasetHeader]:
     with open(path) as fh:
         first = json.loads(fh.readline())
         check_keys(first, ("meta",), "dataset first line")
-        meta = first["meta"]
-        check_format_version(meta, DATASET_FORMAT_VERSION, "dataset")
-        check_keys(meta, ("format_version", "policy", "seed", "scenario"), "dataset header")
-        check_field_types(meta, {"policy": str, "seed": int}, "dataset header")
-        scenario = Scenario.from_json_dict(meta["scenario"])
+        header = decode(DatasetHeader, first["meta"], "dataset header")
+        weights = (2 * header.scenario.num_elements,)
+        shapes = {"comm_weights": weights, "sensing_weights": weights}
         samples = [
-            Sample.from_json_dict(json.loads(line), scenario.num_elements)
+            decode(Sample, json.loads(line), "dataset sample", shapes)
             for line in fh
             if line.strip()
         ]
-    return samples, scenario, meta
+    return samples, header.scenario, header
 
 
 def train_models(samples: Sequence[Sample], scenario: Scenario,
@@ -718,16 +661,11 @@ def eirp_stats(records: Sequence[EvalRecord], thresholds: Sequence[float]) -> Ei
     )
 
 
-RECORD_FIELDS = tuple(f.name for f in fields(EvalRecord))
-
-
 def write_records_csv(path, records: Sequence[EvalRecord]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(RECORD_FIELDS)
-        for r in records:
-            values = (getattr(r, name) for name in RECORD_FIELDS)
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in values])
+        writer.writerow(f.name for f in fields(EvalRecord))
+        writer.writerows(encode(r).values() for r in records)
 
 
 def read_records_csv(path) -> list[EvalRecord]:
@@ -740,7 +678,7 @@ def read_records_csv(path) -> list[EvalRecord]:
             if None in row or None in row.values():
                 more = "more" if None in row else "fewer"
                 raise ValueError(f"records line {reader.line_num}: {more} cells than the header")
-            records.append(_from_fields(EvalRecord, row, "records row", cells=True))
+            records.append(decode(EvalRecord, row, "records row", cells=True))
     return records
 
 

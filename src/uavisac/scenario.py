@@ -1,15 +1,15 @@
 """World construction, random trajectories, and base-station association.
 
 A scenario bundles the static world (base stations, target, area, channel and
-array constants, power limits).  Its JSON file lists format_version, then each
-init field in declaration order, ChannelParams' in the channel's place, under
-unit-suffixed names; noise is held in dBm, as written, so a file saves back
-byte for byte.  Trajectories are forward-cone random walks between the fixed
-endpoints, flown level at the endpoints' common height: every step has the
-full slot displacement, headings are drawn inside a cone toward the goal, and
-the final slot snaps exactly onto the end point, so the speed bound and
-endpoint constraints hold by construction.  Each point yaws along its step as
-flown, the end point along its inbound step, with no pitch or roll.
+array constants, power limits).  Its JSON file is the Scenario dataclass laid
+out by the codec module, under unit-suffixed names; noise is held in dBm, as
+written, so a file saves back byte for byte.  Trajectories are forward-cone
+random walks between the fixed endpoints, flown level at the endpoints'
+common height: every step has the full slot displacement, headings are drawn
+inside a cone toward the goal, and the final slot snaps exactly onto the end
+point, so the speed bound and endpoint constraints hold by construction.
+Each point yaws along its step as flown, the end point along its inbound
+step, with no pitch or roll.
 
 point_geometry builds a point's rotation once and derives each destination's
 distance, direction, array-frame unit, element gain and path gain once; every
@@ -28,18 +28,16 @@ associate).
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
-import reprlib
-from dataclasses import dataclass, field, fields, is_dataclass
-from typing import get_type_hints
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .channel import ChannelParams, _link_phasor, radar_path_gain, station_path_gain
+from .codec import INLINE, decode, encode
 from .geometry import (
     ArrayConfig,
     DirectionAngles,
@@ -54,8 +52,6 @@ from .geometry import (
 )
 from .units import from_db, to_db
 
-SCENARIO_FORMAT_VERSION = 3
-
 CONE_HALF_ANGLE_RAD = math.radians(30.0)
 TURN_LIMIT_RAD = math.radians(10.0)
 
@@ -68,74 +64,6 @@ POLICY_NN = "nn_model"
 # default ground-station layout; positions are not published, so they live in
 # the scenario file to keep experiments reproducible
 _DEFAULT_GBS_XY = ((200.0, 200.0), (1200.0, 200.0), (700.0, 750.0), (200.0, 1300.0), (1200.0, 1300.0))
-
-
-def check_format_version(data: dict, expected: int, what: str) -> None:
-    """Reject a loaded record that is no JSON object or is written in any format version
-    but `expected`."""
-    _check_object(data, what)
-    version = data.get("format_version")
-    if version != expected:
-        raise ValueError(f"{what} format_version {version!r} is not supported (expected {expected})")
-
-
-def check_keys(data: dict, names, what: str) -> None:
-    """Reject a loaded record whose keys are not exactly `names`, naming each odd key."""
-    _check_object(data, what)
-    unknown = sorted(data.keys() - set(names))
-    missing = [name for name in names if name not in data]
-    if unknown or missing:
-        raise ValueError(f"{what} keys: unknown {unknown}, missing {missing}")
-
-
-def _check_object(data, what: str) -> None:
-    if not isinstance(data, dict):
-        raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
-
-
-def check_field_types(data: dict, hints: dict, what: str, sizes: dict | None = None) -> None:
-    """Reject a loaded record whose fields, given as {name: type hint} (see _file_fields),
-    hold a value of another JSON type, which would load as another value or fail unnamed:
-    an int field takes a JSON integer, a float field a JSON number, a str field a JSON
-    string, a tuple[int, ...] field a list of JSON integers, and any other field a list
-    of JSON numbers: exactly sizes[name] of them where given, else entries or rows of
-    entries.  A bool is no number."""
-    for name, hint in hints.items():
-        value, size = data[name], (sizes or {}).get(name)
-        if hint is int:
-            ok, kind = type(value) is int, "a JSON integer"
-        elif hint is float:
-            ok, kind = _is_number(value), "a JSON number"
-        elif hint is str:
-            ok, kind = type(value) is str, "a JSON string"
-        elif hint == tuple[int, ...]:
-            ok = isinstance(value, list) and all(type(v) is int for v in value)
-            kind = "a list of JSON integers"
-        elif size is not None:
-            ok = isinstance(value, list) and len(value) == size and all(map(_is_number, value))
-            kind = f"a list of {size} JSON numbers"
-        else:
-            ok = isinstance(value, list) and all(
-                _is_number(v) or isinstance(v, list) and all(map(_is_number, v)) for v in value
-            )
-            kind = "a list of JSON numbers"
-        if not ok:
-            raise ValueError(f"{what} {name} must be {kind}, got {reprlib.repr(value)}")
-
-
-def _is_number(value) -> bool:
-    return type(value) in (int, float)
-
-
-@functools.cache
-def _file_fields(cls) -> dict:
-    """A file's keys for dataclass cls with their type hints: its init fields in declaration
-    order, a dataclass field's own fields in its place.  Callers must not mutate the dict."""
-    hints = get_type_hints(cls)
-    spec = {}
-    for name in (f.name for f in fields(cls) if f.init):
-        spec.update(_file_fields(hints[name]) if is_dataclass(hints[name]) else {name: hints[name]})
-    return spec
 
 
 @dataclass
@@ -162,7 +90,7 @@ class Scenario:
     end_m: NDArray[np.float64] = field(default_factory=lambda: np.array([700.0, 800.0, 100.0]))
     v_max_mps: float = 10.0
     slot_s: float = 1.0
-    channel: ChannelParams = field(default_factory=ChannelParams)
+    channel: ChannelParams = field(default_factory=ChannelParams, metadata=INLINE)
     num_elements: int = 100
     p_max_mw: float = 1000.0
     gamma_sinr_db: float = 0.3
@@ -171,6 +99,9 @@ class Scenario:
     sll_min_el_db: float = 20.0
     num_trajectories: int = 100
     array: ArrayConfig = field(init=False, repr=False, compare=False)
+
+    FORMAT_VERSION = 3
+    SHAPES = {"area_m": (2,), "gbs_m": (None, 3), "target_m": (3,), "start_m": (3,), "end_m": (3,)}
 
     def __post_init__(self) -> None:
         for name in ("v_max_mps", "slot_s", "p_max_mw", "sll_min_az_db", "sll_min_el_db"):
@@ -220,38 +151,18 @@ class Scenario:
     def gamma_sinr_linear(self) -> float:
         return from_db(self.gamma_sinr_db)
 
-    def to_json_dict(self) -> dict:
-        values = {**vars(self.channel), **vars(self)}
-        data = {"format_version": SCENARIO_FORMAT_VERSION}
-        for name, hint in _file_fields(type(self)).items():
-            value = values[name]
-            data[name] = hint(value) if hint in (int, float) else np.asarray(value, float).tolist()
-        return data
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "Scenario":
-        check_format_version(data, SCENARIO_FORMAT_VERSION, "scenario")
-        spec = _file_fields(cls)
-        check_keys(data, ("format_version", *spec), "scenario")
-        sizes = {"area_m": 2, "target_m": 3, "start_m": 3, "end_m": 3}
-        check_field_types(data, spec, "scenario", sizes)
-        # Scenario coerces its arrays and area_m, as it does any constructor call
-        values = {name: data[name] for name in spec}
-        channel = ChannelParams(**{name: values.pop(name) for name in _file_fields(ChannelParams)})
-        return cls(channel=channel, **values)
-
     def save(self, path) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
+            json.dump(encode(self), fh, indent=2)
             fh.write("\n")
 
     @classmethod
     def load(cls, path) -> "Scenario":
         with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
+            return decode(cls, json.load(fh), "scenario")
 
     def content_hash(self) -> str:
-        canonical = json.dumps(self.to_json_dict(), sort_keys=True)
+        canonical = json.dumps(encode(self), sort_keys=True)
         return hashlib.sha256(canonical.encode()).hexdigest()
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from uavisac.cli import main
+from uavisac.codec import encode
 from uavisac.pipeline import write_dataset_jsonl
 from uavisac.scenario import Scenario
 
@@ -124,7 +125,7 @@ def test_missing_scenario_file_fails_cleanly(tmp_path, capsys):
 def test_unsupported_format_version_fails_cleanly(tmp_path, tiny_scenario_path, capsys):
     # 2 is the format before the search settings left the file, 4 a future one
     for version in (2, 4):
-        data = Scenario.load(tiny_scenario_path).to_json_dict()
+        data = encode(Scenario.load(tiny_scenario_path))
         data["format_version"] = version
         path = tmp_path / f"v{version}.json"
         path.write_text(json.dumps(data))
@@ -149,7 +150,7 @@ def test_unsupported_format_version_fails_cleanly(tmp_path, tiny_scenario_path, 
 def test_scenario_db_setting_that_overflows_fails_before_any_output(
     tmp_path, tiny_scenario_path, capsys
 ):
-    data = Scenario.load(tiny_scenario_path).to_json_dict()
+    data = encode(Scenario.load(tiny_scenario_path))
     data["gamma_sinr_db"] = 4000.0
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps(data))

@@ -264,6 +264,12 @@ BAD_NETWORKS = {
     "bias_too_long": (_set("biases", 1, [0.0] * 33), r"biases\[1\] has shape"),
     "weight_nan": (lambda data: data["weights"][1][3].__setitem__(7, math.nan),
                    r"weights\[1\] has non-finite entries"),
+    # it raised "OverflowError: int too large to convert to float"
+    "weight_past_float_range": (lambda data: data["weights"][1][3].__setitem__(7, 10**400),
+                                r"^network weights must be a list of arrays, got"),
+    # numpy's unnamed "inhomogeneous shape" ValueError
+    "weight_rows_ragged": (lambda data: data["weights"][0][1].pop(),
+                           r"^network weights must be a list of arrays, got"),
     "stray_key": (lambda data: data.__setitem__("layers", [4, 64, 32, 1]),
                   r"^network keys: unknown \['layers'\], missing \[\]$"),
     "seed_missing": (lambda data: data.pop("seed"),

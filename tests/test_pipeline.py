@@ -4,6 +4,7 @@ import hashlib
 import json
 import logging
 import math
+import reprlib
 
 import numpy as np
 import pytest
@@ -143,9 +144,9 @@ def test_dataset_jsonl_roundtrip(small_scenario, small_dataset, tmp_path):
     write_dataset_jsonl(path, small_dataset, small_scenario, "closest", 21)
     first_line = path.read_text().splitlines()[0]
     assert "meta" in json.loads(first_line)
-    samples, scenario, meta = read_dataset_jsonl(path)
-    assert meta["policy"] == "closest"
-    assert meta["seed"] == 21
+    samples, scenario, header = read_dataset_jsonl(path)
+    assert header.policy == "closest"
+    assert header.seed == 21
     assert scenario.content_hash() == small_scenario.content_hash()
     assert len(samples) == len(small_dataset)
     # each field comes back with its declared type and its written length
@@ -166,7 +167,7 @@ def test_dataset_read_rejects_other_format_versions(small_scenario, small_datase
     meta = json.loads(header)
     meta["meta"]["format_version"] = 2
     path.write_text("\n".join([json.dumps(meta), *rows]) + "\n")
-    with pytest.raises(ValueError, match="dataset format_version 2"):
+    with pytest.raises(ValueError, match="dataset header format_version 2"):
         read_dataset_jsonl(path)
 
 
@@ -224,16 +225,20 @@ def test_dataset_read_names_an_integer_field_of_another_type(
         ("comm_weights", [0.0] * 126,
          "comm_weights must be a list of 128 JSON numbers, got "
          "[0.0, 0.0, 0.0, 0.0, 0.0, 0.0, ...]"),
+        ("comm_features", [10**400] + [0.0] * 6,
+         "comm_features must be a list of 7 JSON numbers, got "
+         + reprlib.repr([10**400] + [0.0] * 6)),
     ],
     ids=["short", "scalar", "bool_entry", "short_orientation", "short_features", "strings",
-         "short_weights"],
+         "short_weights", "huge_feature"],
 )
 def test_dataset_read_names_an_array_field_of_the_wrong_size_or_type(
     small_scenario, small_dataset, tmp_path, key, value, message
 ):
-    # the first three and the last two loaded; the orientation failed as a bare
-    # TypeError and the strings as an unnamed ValueError.  A 64-element array
-    # has 128 weight entries
+    # the first three and the short features and weights loaded; the orientation
+    # failed as a bare TypeError, the strings as an unnamed ValueError and the
+    # 401-digit integer as an OverflowError.  A 64-element array has 128 weight
+    # entries
     path = tmp_path / "data.jsonl"
     write_dataset_jsonl(path, small_dataset[:1], small_scenario, "closest", 21)
     header, row = path.read_text().splitlines()
@@ -243,6 +248,18 @@ def test_dataset_read_names_an_array_field_of_the_wrong_size_or_type(
     with pytest.raises(ValueError) as err:
         read_dataset_jsonl(path)
     assert str(err.value) == f"dataset sample {message}"
+
+
+def test_dataset_read_rejects_a_non_finite_entry(small_scenario, small_dataset, tmp_path):
+    # it loaded, and `uavisac train` then wrote a bundle that failed to load
+    path = tmp_path / "data.jsonl"
+    write_dataset_jsonl(path, small_dataset[:1], small_scenario, "closest", 21)
+    header, row = path.read_text().splitlines()
+    sample = json.loads(row)
+    sample["comm_features"][0] = math.nan
+    path.write_text(f"{header}\n{json.dumps(sample)}\n")
+    with pytest.raises(ValueError, match="^dataset sample comm_features has non-finite entries$"):
+        read_dataset_jsonl(path)
 
 
 @pytest.mark.parametrize(
@@ -258,10 +275,12 @@ def test_dataset_read_names_an_array_field_of_the_wrong_size_or_type(
          r"^dataset header policy must be a JSON string, got 3$"),
         (lambda first: first.update(note="x"),
          r"^dataset first line keys: unknown \['note'\], missing \[\]$"),
-        (lambda first: first.update(meta=5), r"^dataset must be a JSON object, got int$"),
+        (lambda first: first.update(meta=5), r"^dataset header must be a JSON object, got int$"),
+        (lambda first: first["meta"]["scenario"].update(v_max_mps=10**400),
+         r"^dataset header scenario v_max_mps must be a JSON number, got 1000"),
     ],
     ids=["scenario_missing", "stray_key", "string_seed", "number_policy", "stray_line_key",
-         "number_meta"],
+         "number_meta", "huge_scenario_speed"],
 )
 def test_dataset_read_checks_the_header_like_every_record(
     small_scenario, small_dataset, tmp_path, edit, message
@@ -537,7 +556,7 @@ def test_bundle_load_names_unknown_and_missing_keys(tmp_path, small_bundle):
         (None, "num_gbs", 5.9, "bundle num_gbs must be a JSON integer, got 5.9"),
         ("association", "seed", None, "bundle association: network seed must be a JSON integer, got None"),
         ("beamformer_report", "train_loss", 3,
-         "bundle beamformer_report train_loss must be a list of numbers, got 3"),
+         "bundle beamformer_report train_loss must be a list of JSON numbers, got 3"),
         (None, "scenario_hash", 7, "bundle scenario_hash must be a JSON string, got 7"),
     ],
     ids=["layer_sizes_int", "weights_null", "num_gbs_string", "num_gbs_float", "seed_null",

@@ -14,6 +14,7 @@ from uavisac.channel import (
     sinr,
     station_path_gain,
 )
+from uavisac.codec import decode, encode
 from uavisac.geometry import (
     SPEED_OF_LIGHT,
     ConfigError,
@@ -97,7 +98,7 @@ def test_scenario_json_roundtrip(tmp_path):
 @pytest.mark.parametrize("noise_dbm", [-60.1, -103.83, -106.24])
 def test_scenario_file_saves_back_byte_for_byte(tmp_path, noise_dbm):
     # the channel holds the noise in dBm as written: no mW round trip moves it
-    data = Scenario().to_json_dict()
+    data = encode(Scenario())
     data["noise_power_dbm"] = noise_dbm
     path, again = tmp_path / "scenario.json", tmp_path / "again.json"
     path.write_text(json.dumps(data, indent=2) + "\n")
@@ -107,19 +108,19 @@ def test_scenario_file_saves_back_byte_for_byte(tmp_path, noise_dbm):
 
 def test_default_scenario_file_is_pinned():
     # key order and values of the scenario file format (version 3)
-    text = json.dumps(Scenario().to_json_dict())
+    text = json.dumps(encode(Scenario()))
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "12d18a714ba2b4ae6f2e50a18c2ce947719c22fda52a970cb6874167f50a7fd6"
     )
 
 
 def test_scenario_load_names_unknown_and_missing_keys():
-    data = Scenario().to_json_dict()
+    data = encode(Scenario())
     data["num_gbs"] = 3
     data["sll_min_az"] = data.pop("sll_min_az_db")
     del data["kappa2"]
     with pytest.raises(ValueError) as err:
-        Scenario.from_json_dict(data)
+        decode(Scenario, data, "scenario")
     message = str(err.value)
     for key in ("num_gbs", "sll_min_az", "sll_min_az_db", "kappa2"):
         assert repr(key) in message
@@ -132,10 +133,10 @@ def test_scenario_load_names_unknown_and_missing_keys():
 )
 def test_scenario_load_names_an_integer_field_of_another_type(name, value):
     # 2.9 would load as 2 and save back as 2; "100" failed as a bare TypeError
-    data = Scenario().to_json_dict()
+    data = encode(Scenario())
     data[name] = value
     with pytest.raises(ValueError, match=f"^scenario {name} must be a JSON integer, got {value!r}$"):
-        Scenario.from_json_dict(data)
+        decode(Scenario, data, "scenario")
 
 
 @pytest.mark.parametrize(
@@ -147,24 +148,43 @@ def test_scenario_load_names_an_integer_field_of_another_type(name, value):
         ("v_max_mps", True, "a JSON number"),
         ("area_m", "ab", "a list of 2 JSON numbers"),
         ("target_m", [350.0, "400", 0.0], "a list of 3 JSON numbers"),
-        ("gbs_m", [[200.0, 200.0, False]], "a list of JSON numbers"),
+        ("gbs_m", [[200.0, 200.0, False]], "a list of rows of 3 JSON numbers"),
+        ("gbs_m", [[1.0, 2.0, 3.0], [1.0, 2.0]], "a list of rows of 3 JSON numbers"),
+        ("gbs_m", [700.0, 750.0, 2.0], "a list of rows of 3 JSON numbers"),
     ],
-    ids=["string", "null", "channel_string", "bool", "area_string", "array_string", "array_bool"],
+    ids=["string", "null", "channel_string", "bool", "area_string", "array_string", "array_bool",
+         "ragged_rows", "flat_row"],
 )
 def test_scenario_load_names_a_number_field_of_another_type(name, value, kind):
-    # each failed as a bare TypeError or an unnamed error, or loaded as another value
-    data = Scenario().to_json_dict()
+    # each failed as a bare TypeError or an unnamed error, or loaded as another value: the
+    # ragged rows as numpy's "inhomogeneous shape", the flat row as one station saved back
+    # as [[700.0, 750.0, 2.0]]
+    data = encode(Scenario())
     data[name] = value
     with pytest.raises(ValueError) as err:
-        Scenario.from_json_dict(data)
+        decode(Scenario, data, "scenario")
     assert str(err.value) == f"scenario {name} must be {kind}, got {value!r}"
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [("v_max_mps", 10**400), ("noise_power_dbm", 10**400), ("gbs_m", [[10**400, 200.0, 2.0]]),
+     ("area_m", [1500.0, 10**400])],
+    ids=["speed", "noise", "station_entry", "area_entry"],
+)
+def test_scenario_load_names_an_integer_past_the_float_range(name, value):
+    # a 401-digit JSON integer raised "OverflowError: int too large to convert to float"
+    data = encode(Scenario())
+    data[name] = value
+    with pytest.raises(ValueError, match=f"^scenario {name} must be a (JSON number|list of)"):
+        decode(Scenario, data, "scenario")
+
+
 def test_scenario_load_takes_json_integers_in_number_fields():
-    data = Scenario().to_json_dict()
+    data = encode(Scenario())
     data.update(v_max_mps=10, kappa1=1, area_m=[1500, 1500], target_m=[350, 400, 0])
     expected = Scenario(channel=ChannelParams(kappa1=1.0))
-    assert Scenario.from_json_dict(data).content_hash() == expected.content_hash()
+    assert decode(Scenario, data, "scenario").content_hash() == expected.content_hash()
 
 
 def test_noise_power_must_give_positive_mw():
@@ -188,12 +208,12 @@ def test_db_setting_whose_linear_value_overflows_fails_at_construction(name):
 
 @pytest.mark.parametrize("version", [0, 1, 2, "3", None])
 def test_scenario_load_rejects_other_format_versions(version):
-    data = small_scenario().to_json_dict()
+    data = encode(small_scenario())
     data["format_version"] = version
     if version is None:
         del data["format_version"]
     with pytest.raises(ValueError, match="scenario format_version"):
-        Scenario.from_json_dict(data)
+        decode(Scenario, data, "scenario")
 
 
 def test_scenario_rejects_a_panel_side_under_two():
