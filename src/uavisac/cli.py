@@ -142,11 +142,6 @@ def _run_dataset_generate(args) -> None:
     print(f"wrote {len(samples)} samples to {args.out}")
 
 
-def _report_csv_path(bundle_path: str) -> str:
-    stem = bundle_path[:-5] if bundle_path.endswith(".json") else bundle_path
-    return stem + "_report.csv"
-
-
 def _run_train(args) -> None:
     config = TrainConfig(
         epochs=args.epochs,
@@ -155,10 +150,10 @@ def _run_train(args) -> None:
         train_fraction=args.split,
         seed=args.seed,
     )
-    samples, scenario, _ = read_dataset_jsonl(args.data)
-    bundle = train_models(samples, scenario, config)
+    samples, header = read_dataset_jsonl(args.data)
+    bundle = train_models(samples, header.scenario, config)
     bundle.save(args.out)
-    report_path = _report_csv_path(args.out)
+    report_path = args.out.removesuffix(".json") + "_report.csv"
     report = bundle.beamformer_report
     with open(report_path, "w", newline="") as fh:
         fh.write("epoch,train_loss,val_loss,val_beampattern_error\n")
@@ -184,7 +179,7 @@ def _run_synthesize(args) -> None:
         )
     pose = Pose(position=scenario.start_m, angles=RotationAngles(0.0, 0.0, 0.0))
     result = synthesize(request, scenario.array, pose)
-    stem = args.out_cuts[:-4] if args.out_cuts.endswith(".csv") else args.out_cuts
+    stem = args.out_cuts.removesuffix(".csv")
     for plane, suffix in (("azimuth", "_az.csv"), ("elevation", "_el.csv")):
         cut = pattern_cut(result.weights, scenario.array, pose, plane, request.pointing)
         export_cut_csv(cut, stem + suffix)

@@ -7,7 +7,7 @@ place (the scenario's channel, a network's config); any other dataclass, or
 class with `to_dict`/`from_dict` (a Network), nests.  Each field's type hint
 picks its JSON type check (see _value) and its decoder, and an array takes
 the shape its class's SHAPES or a caller's `shapes` give it.  A value of
-another JSON type fails naming its field.
+another JSON type, or CSV text its type cannot parse, fails naming its field.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ INLINE = {"inline": True}
 
 _ARRAYS = tuple[NDArray[np.float64], ...]
 _SCALARS = {int: "a JSON integer", float: "a JSON number", str: "a JSON string"}
+_CELLS = {int: "an integer", float: "a number"}
 _as_array = functools.partial(np.asarray, dtype=np.float64)
 _FLOAT_LIMIT = 2**1024 - 2**970  # the least integer that float() overflows on
 
@@ -57,7 +58,7 @@ def decode(cls, data, what: str, shapes: dict | None = None, cells: bool = False
     hint parses with no JSON type check."""
     version = getattr(cls, "FORMAT_VERSION", None)
     found = data.get("format_version") if isinstance(data, dict) else version
-    if version is not None and found != version:
+    if version is not None and (type(found) is not int or found != version):
         raise ValueError(f"{what} format_version {found!r} is not supported (expected {version})")
     check_keys(data, _keys(cls) if version is None else ("format_version", *_keys(cls)), what)
     return _build(cls, data, what, {**getattr(cls, "SHAPES", {}), **(shapes or {})}, cells)
@@ -107,7 +108,7 @@ def _build(cls, data: dict, what: str, shapes: dict, cells: bool):
 
 
 def _value(hint, value, shape: tuple, what: str, cells: bool):
-    """value decoded by its type hint, after the hint's JSON type check unless it is CSV text:
+    """value decoded by its type hint, after the hint's JSON type check, or CSV text it parses:
     int takes a JSON integer, float a JSON number, str a JSON string, tuple[int, ...] a list
     of JSON integers, tuple[NDArray, ...] a list of arrays, and any other hint a list of JSON
     numbers of the given shape (rows for two entries; None takes any length), and `X | None`
@@ -132,9 +133,14 @@ def _value(hint, value, shape: tuple, what: str, cells: bool):
         make = make or {np.ndarray: _as_array, tuple: tuple}.get(get_origin(hint), list)
     if type(None) in get_args(hint):
         ok, kind = ok or value is None, f"{kind} or null"
-    if not (ok or cells):
-        raise ValueError(f"{what} must be {kind}, got {reprlib.repr(value)}")
-    return None if value is None else make(value)
+    if cells:
+        try:
+            return make(value)
+        except ValueError:
+            kind = _CELLS[hint]
+    elif ok:
+        return None if value is None else make(value)
+    raise ValueError(f"{what} must be {kind}, got {reprlib.repr(value)}")
 
 
 def _shape(value) -> tuple | None:

@@ -132,19 +132,18 @@ class DatasetHeader:
 
 @dataclass
 class ModelBundle:
-    """Both trained networks and the scenario they fit, each value a function of the
-    training inputs.  Field declaration order is the bundle file's key order after
-    format_version, so a field change bumps FORMAT_VERSION.  The array size is the
-    beamformer's output width / 2."""
+    """Both trained networks, the station count they fit and their reports, each value
+    a function of the training inputs.  Field declaration order is the bundle file's
+    key order after format_version, so a field change bumps FORMAT_VERSION.  The
+    array size is the beamformer's output width / 2."""
 
     beamformer: Network
     association: Network
-    scenario_hash: str
     num_gbs: int
     beamformer_report: TrainReport
     association_report: TrainReport
 
-    FORMAT_VERSION = 5
+    FORMAT_VERSION = 6
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -434,7 +433,8 @@ def write_dataset_jsonl(path, samples: Sequence[Sample], scenario: Scenario,
             fh.write(json.dumps(encode(sample)) + "\n")
 
 
-def read_dataset_jsonl(path) -> tuple[list[Sample], Scenario, DatasetHeader]:
+def read_dataset_jsonl(path) -> tuple[list[Sample], DatasetHeader]:
+    """A dataset JSONL's samples, each station index below num_gbs, and its header."""
     with open(path) as fh:
         first = json.loads(fh.readline())
         check_keys(first, ("meta",), "dataset first line")
@@ -446,7 +446,11 @@ def read_dataset_jsonl(path) -> tuple[list[Sample], Scenario, DatasetHeader]:
             for line in fh
             if line.strip()
         ]
-    return samples, header.scenario, header
+    k = header.scenario.num_gbs
+    for name, index in ((n, getattr(s, n)) for s in samples for n in ("gbs_index", "optimal_gbs")):
+        if not 0 <= index < k:
+            raise ValueError(f"dataset sample {name} must be a station index below {k}, got {index}")
+    return samples, header
 
 
 def train_models(samples: Sequence[Sample], scenario: Scenario,
@@ -513,7 +517,6 @@ def train_models(samples: Sequence[Sample], scenario: Scenario,
     return ModelBundle(
         beamformer=beamformer,
         association=association,
-        scenario_hash=scenario.content_hash(),
         num_gbs=k,
         beamformer_report=bf_report,
         association_report=assoc_report,

@@ -28,7 +28,6 @@ associate).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -147,10 +146,6 @@ class Scenario:
     def num_gbs(self) -> int:
         return int(self.gbs_m.shape[0])
 
-    @property
-    def gamma_sinr_linear(self) -> float:
-        return from_db(self.gamma_sinr_db)
-
     def save(self, path) -> None:
         with open(path, "w") as fh:
             json.dump(encode(self), fh, indent=2)
@@ -160,10 +155,6 @@ class Scenario:
     def load(cls, path) -> "Scenario":
         with open(path) as fh:
             return decode(cls, json.load(fh), "scenario")
-
-    def content_hash(self) -> str:
-        canonical = json.dumps(encode(self), sort_keys=True)
-        return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -353,7 +344,7 @@ def min_required_eirp_dbm(
     interference in mW; g_e and PL are the record's gbs_gain and gbs_path_gain.
     """
     required_mw = (
-        scenario.gamma_sinr_linear
+        from_db(scenario.gamma_sinr_db)
         * (scenario.channel.noise_mw + interference)
         * geo.gbs_gain[gbs_index]
         / geo.gbs_path_gain[gbs_index]

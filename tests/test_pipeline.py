@@ -12,6 +12,7 @@ import pytest
 from uavisac import pipeline
 from uavisac.beampattern import NullConflictError, array_gain
 from uavisac.channel import channel_vector, radar_path_gain, sinr, station_path_gain
+from uavisac.codec import encode
 from uavisac.geometry import (
     DirectionAngles,
     RotationAngles,
@@ -144,10 +145,10 @@ def test_dataset_jsonl_roundtrip(small_scenario, small_dataset, tmp_path):
     write_dataset_jsonl(path, small_dataset, small_scenario, "closest", 21)
     first_line = path.read_text().splitlines()[0]
     assert "meta" in json.loads(first_line)
-    samples, scenario, header = read_dataset_jsonl(path)
+    samples, header = read_dataset_jsonl(path)
     assert header.policy == "closest"
     assert header.seed == 21
-    assert scenario.content_hash() == small_scenario.content_hash()
+    assert encode(header.scenario) == encode(small_scenario)
     assert len(samples) == len(small_dataset)
     # each field comes back with its declared type and its written length
     for loaded, written in zip(samples, small_dataset):
@@ -169,6 +170,41 @@ def test_dataset_read_rejects_other_format_versions(small_scenario, small_datase
     path.write_text("\n".join([json.dumps(meta), *rows]) + "\n")
     with pytest.raises(ValueError, match="dataset header format_version 2"):
         read_dataset_jsonl(path)
+
+
+def test_dataset_read_rejects_a_format_version_that_is_no_integer(
+    small_scenario, small_dataset, tmp_path
+):
+    # true loaded as version 1: the version was compared with ==
+    path = tmp_path / "data.jsonl"
+    write_dataset_jsonl(path, small_dataset[:1], small_scenario, "closest", 21)
+    header, row = path.read_text().splitlines()
+    first = json.loads(header)
+    first["meta"]["format_version"] = True
+    path.write_text(f"{json.dumps(first)}\n{row}\n")
+    with pytest.raises(ValueError) as err:
+        read_dataset_jsonl(path)
+    assert str(err.value) == "dataset header format_version True is not supported (expected 1)"
+
+
+@pytest.mark.parametrize("key, value", [("optimal_gbs", 99), ("gbs_index", -3)],
+                         ids=["label_past_the_stations", "negative_station"])
+def test_dataset_read_rejects_a_station_index_out_of_range(
+    small_scenario, small_dataset, tmp_path, key, value
+):
+    # each loaded, and `uavisac train` fitted the association net to label 99 / 4
+    path = tmp_path / "data.jsonl"
+    write_dataset_jsonl(path, small_dataset[:1], small_scenario, "closest", 21)
+    header, row = path.read_text().splitlines()
+    sample = json.loads(row)
+    sample[key] = value
+    path.write_text(f"{header}\n{json.dumps(sample)}\n")
+    with pytest.raises(ValueError) as err:
+        read_dataset_jsonl(path)
+    num_gbs = small_scenario.num_gbs
+    assert str(err.value) == (
+        f"dataset sample {key} must be a station index below {num_gbs}, got {value}"
+    )
 
 
 @pytest.mark.parametrize(
@@ -415,7 +451,6 @@ def test_train_models_split_and_reports(small_scenario, small_dataset, small_bun
     assert small_bundle.association_report.val_metric is None
     assert small_bundle.beamformer.layer_sizes == (7, 50, 2 * small_scenario.num_elements)
     assert small_bundle.association.layer_sizes == (4, 64, 32, 1)
-    assert small_bundle.scenario_hash == small_scenario.content_hash()
     expected_train = int(round(0.7 * n))
     assert abs(expected_train - 0.7 * n) <= 1
 
@@ -429,7 +464,6 @@ def test_bundle_roundtrip(tmp_path, small_scenario, small_bundle):
     path = tmp_path / "bundle.json"
     small_bundle.save(path)
     loaded = ModelBundle.load(path)
-    assert loaded.scenario_hash == small_bundle.scenario_hash
     assert loaded.num_gbs == small_bundle.num_gbs
     point = TrajectoryPoint(
         slot=0, position=np.array([100.0, 120.0, 100.0]), orientation=RotationAngles(0.2, 0, 0)
@@ -438,7 +472,7 @@ def test_bundle_roundtrip(tmp_path, small_scenario, small_bundle):
         small_bundle, small_scenario, point
     )
     data = json.loads(path.read_text())
-    assert data["format_version"] == 5
+    assert data["format_version"] == 6
     assert data["beamformer_report"]["val_metric"] == small_bundle.beamformer_report.val_metric
     # a network is its layers: the z-score of its inputs is folded into the first
     for name in ("beamformer", "association"):
@@ -493,8 +527,8 @@ def test_bundle_file_states_each_field_once_and_saves_back_byte_for_byte(tmp_pat
     assert again.read_bytes() == path.read_bytes()
     data = json.loads(path.read_text())
     assert list(data) == [
-        "format_version", "beamformer", "association", "scenario_hash", "num_gbs",
-        "beamformer_report", "association_report",
+        "format_version", "beamformer", "association", "num_gbs", "beamformer_report",
+        "association_report",
     ]
     for name in ("beamformer_report", "association_report"):
         assert list(data[name]) == ["train_loss", "val_loss", "val_metric"]
@@ -557,10 +591,9 @@ def test_bundle_load_names_unknown_and_missing_keys(tmp_path, small_bundle):
         ("association", "seed", None, "bundle association: network seed must be a JSON integer, got None"),
         ("beamformer_report", "train_loss", 3,
          "bundle beamformer_report train_loss must be a list of JSON numbers, got 3"),
-        (None, "scenario_hash", 7, "bundle scenario_hash must be a JSON string, got 7"),
     ],
     ids=["layer_sizes_int", "weights_null", "num_gbs_string", "num_gbs_float", "seed_null",
-         "train_loss_int", "scenario_hash_int"],
+         "train_loss_int"],
 )
 def test_bundle_load_names_a_value_of_the_wrong_type(tmp_path, small_bundle, network, key, value,
                                                      message):
@@ -587,7 +620,7 @@ def test_format_2_bundle_fails_on_its_version(tmp_path, small_bundle):
     path.write_text(json.dumps(data))
     with pytest.raises(ValueError) as err:
         ModelBundle.load(path)
-    assert str(err.value) == "bundle format_version 2 is not supported (expected 5)"
+    assert str(err.value) == "bundle format_version 2 is not supported (expected 6)"
 
 
 def test_format_3_bundle_fails_on_its_version(tmp_path, small_bundle):
@@ -601,7 +634,7 @@ def test_format_3_bundle_fails_on_its_version(tmp_path, small_bundle):
     path.write_text(json.dumps(data))
     with pytest.raises(ValueError) as err:
         ModelBundle.load(path)
-    assert str(err.value) == "bundle format_version 3 is not supported (expected 5)"
+    assert str(err.value) == "bundle format_version 3 is not supported (expected 6)"
 
 
 def test_format_4_bundle_fails_on_its_version(tmp_path, small_bundle):
@@ -615,7 +648,19 @@ def test_format_4_bundle_fails_on_its_version(tmp_path, small_bundle):
     path.write_text(json.dumps(data))
     with pytest.raises(ValueError) as err:
         ModelBundle.load(path)
-    assert str(err.value) == "bundle format_version 4 is not supported (expected 5)"
+    assert str(err.value) == "bundle format_version 4 is not supported (expected 6)"
+
+
+def test_format_5_bundle_fails_on_its_version(tmp_path, small_bundle):
+    # format 5 carried a hash of the training scenario that no code read
+    path = tmp_path / "bundle.json"
+    small_bundle.save(path)
+    data = json.loads(path.read_text())
+    data.update(format_version=5, scenario_hash="0" * 64)
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError) as err:
+        ModelBundle.load(path)
+    assert str(err.value) == "bundle format_version 5 is not supported (expected 6)"
 
 
 def test_train_models_writes_byte_identical_bundles(tmp_path, small_scenario, small_dataset):
@@ -641,7 +686,6 @@ def test_predict_association_recovers_exact_index(small_scenario, small_bundle):
         bundle = ModelBundle(
             beamformer=small_bundle.beamformer,
             association=constant,
-            scenario_hash=small_bundle.scenario_hash,
             num_gbs=k,
             beamformer_report=small_bundle.beamformer_report,
             association_report=small_bundle.association_report,
@@ -935,6 +979,26 @@ def _add_a_cell(rows):
     ids=["short_row", "long_row"],
 )
 def test_records_read_rejects_a_row_of_the_wrong_width(tmp_path, edit, message):
+    _edit_records_and_read(tmp_path, edit, message)
+
+
+def _set_cell(name, text):
+    def edit(rows):
+        rows[1][rows[0].index(name)] = text
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_set_cell("slot", "x"), r"^records row slot must be an integer, got 'x'$"),
+        (_set_cell("eirp_dbm", "abc"), r"^records row eirp_dbm must be a number, got 'abc'$"),
+        (_set_cell("gbs_index", "1.5"), r"^records row gbs_index must be an integer, got '1.5'$"),
+    ],
+    ids=["slot_text", "eirp_text", "gbs_index_fraction"],
+)
+def test_records_read_names_a_cell_its_type_cannot_parse(tmp_path, edit, message):
+    # each failed with int()'s or float()'s own message, which names no field
     _edit_records_and_read(tmp_path, edit, message)
 
 
