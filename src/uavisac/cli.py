@@ -121,11 +121,18 @@ def _broadside_direction(az_deg: float, el_deg: float) -> DirectionAngles:
     )
 
 
+def _number(option: str, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"{option} takes numbers, got {text!r}") from None
+
+
 def _parse_null(text: str) -> DirectionAngles:
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"null must be 'az,el' in degrees, got {text!r}")
-    az, el = (float(p) for p in parts)
+    az, el = (_number("--null", p) for p in parts)
     return _broadside_direction(az, el)
 
 
@@ -210,7 +217,7 @@ def _run_eval_trajectory(args) -> None:
 
 def _run_eval_eirp(args) -> None:
     records = read_records_csv(args.records)
-    thresholds = [float(t) for t in args.thresholds.split(",") if t.strip()]
+    thresholds = [_number("--thresholds", t) for t in args.thresholds.split(",") if t.strip()]
     stats = eirp_stats(records, thresholds)
     write_stats_csv(args.out, stats)
     outage_text = " ".join(f"outage@{t:g}dBm={v:.4f}" for t, v in stats.outage.items())

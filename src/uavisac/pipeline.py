@@ -435,15 +435,22 @@ def write_dataset_jsonl(path, samples: Sequence[Sample], scenario: Scenario,
 
 def read_dataset_jsonl(path) -> tuple[list[Sample], DatasetHeader]:
     """A dataset JSONL's samples, each station index below num_gbs, and its header."""
+    def parse(line: str, number: int):
+        try:
+            return json.loads(line)
+        except json.JSONDecodeError as exc:
+            problem = f"line {number} is not JSON: {exc.msg}" if line else "has no header line"
+            raise ValueError(f"dataset {problem}") from None
+
     with open(path) as fh:
-        first = json.loads(fh.readline())
+        first = parse(fh.readline(), 1)
         check_keys(first, ("meta",), "dataset first line")
         header = decode(DatasetHeader, first["meta"], "dataset header")
         weights = (2 * header.scenario.num_elements,)
         shapes = {"comm_weights": weights, "sensing_weights": weights}
         samples = [
-            decode(Sample, json.loads(line), "dataset sample", shapes)
-            for line in fh
+            decode(Sample, parse(line, number), "dataset sample", shapes)
+            for number, line in enumerate(fh, start=2)
             if line.strip()
         ]
     k = header.scenario.num_gbs
@@ -654,6 +661,8 @@ def eirp_stats(records: Sequence[EvalRecord], thresholds: Sequence[float]) -> Ei
     """ECDF of per-slot EIRP, outage per threshold, and the mean rate."""
     if not records:
         raise ValueError("no records to summarize")
+    if not all(map(math.isfinite, thresholds)):
+        raise ValueError(f"outage thresholds must be finite dBm values, got {list(thresholds)}")
     eirps = np.array([r.eirp_dbm for r in records], dtype=np.float64)
     order = np.sort(eirps)
     fractions = np.arange(1, eirps.size + 1) / eirps.size

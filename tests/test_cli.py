@@ -1,16 +1,27 @@
 import json
+import math
+import operator
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from uavisac.cli import main
-from uavisac.codec import encode
-from uavisac.pipeline import write_dataset_jsonl
 from uavisac.scenario import Scenario
 
+# argv of each command on the good inputs; {out} is the folder its output goes to
+GENERATE = ("dataset generate --scenario {scenario} --trajectories 1 --policy closest --seed 1"
+            " --out {out}/data.jsonl")
+TRAIN = "train --data {data} --epochs 2 --seed 1 --out {out}/bundle.json"
+EVAL = ("eval trajectory --scenario {scenario} --bundle {bundle} --policy nn --source nn --seed 2"
+        " --out {out}/records.csv")
+EIRP = "eval eirp --records {records} --thresholds 10,15 --out {out}/stats.csv"
+SYNTH = ("synthesize --scenario {scenario} --az 43.6 --el 16.2 --sll-az 15 --sll-el 15"
+         " --eirp 15.38 --out-cuts {out}/cuts.csv")
 
-@pytest.fixture()
-def tiny_scenario_path(tmp_path):
+
+@pytest.fixture(scope="module")
+def tiny_scenario_path(tmp_path_factory):
     scenario = Scenario(
         area_m=(500.0, 500.0),
         gbs_m=np.array([[120.0, 100.0, 2.0], [380.0, 150.0, 2.0], [220.0, 400.0, 2.0]]),
@@ -20,9 +31,21 @@ def tiny_scenario_path(tmp_path):
         num_elements=64,
         num_trajectories=2,
     )
-    path = tmp_path / "scenario.json"
+    path = tmp_path_factory.mktemp("good") / "scenario.json"
     scenario.save(path)
     return str(path)
+
+
+@pytest.fixture(scope="module")
+def good_inputs(tiny_scenario_path):
+    """The tiny scenario and the one-trajectory dataset, 2-epoch bundle and nn/nn records CSV
+    that the CLI makes from it, beside it."""
+    folder = Path(tiny_scenario_path).parent
+    paths = {"scenario": tiny_scenario_path, "data": f"{folder}/data.jsonl",
+             "bundle": f"{folder}/bundle.json", "records": f"{folder}/records.csv"}
+    for command in (GENERATE, TRAIN, EVAL):
+        assert main([arg.format(**paths, out=folder) for arg in command.split()]) == 0
+    return paths
 
 
 def test_scenario_init_writes_defaults(tmp_path, capsys):
@@ -66,114 +89,6 @@ def test_synthesize_command(tmp_path, tiny_scenario_path, capsys):
     assert az_csv.read_text().splitlines()[0] == "angle_deg,gain_db"
 
 
-def test_synthesize_rejects_eirp_above_cap(tmp_path, tiny_scenario_path, capsys):
-    code = main(
-        [
-            "synthesize",
-            "--scenario", tiny_scenario_path,
-            "--az", "0", "--el", "30",
-            "--sll-az", "15", "--sll-el", "15",
-            "--eirp", "50.0",
-            "--out-cuts", str(tmp_path / "c.csv"),
-        ]
-    )
-    assert code == 1
-    err = capsys.readouterr().err
-    payload = json.loads(err.strip().splitlines()[-1])
-    assert "error" in payload
-
-
-def test_synthesize_rejects_an_sll_minimum_whose_linear_value_overflows(
-    tmp_path, tiny_scenario_path, capsys
-):
-    code = main(
-        [
-            "synthesize",
-            "--scenario", tiny_scenario_path,
-            "--az", "0", "--el", "30",
-            "--sll-az", "7000", "--sll-el", "15",
-            "--eirp", "20.0",
-            "--out-cuts", str(tmp_path / "c.csv"),
-        ]
-    )
-    assert code == 1
-    lines = capsys.readouterr().err.strip().splitlines()
-    assert len(lines) == 1
-    assert json.loads(lines[0]) == {
-        "error": "ValueError",
-        "message": "sll_min_az_db must be positive dB with a finite linear value, got 7000.0",
-    }
-    assert list(tmp_path.glob("c*.csv")) == []
-
-
-def test_missing_scenario_file_fails_cleanly(tmp_path, capsys):
-    code = main(
-        [
-            "dataset", "generate",
-            "--scenario", str(tmp_path / "nope.json"),
-            "--trajectories", "1",
-            "--policy", "closest",
-            "--seed", "1",
-            "--out", str(tmp_path / "d.jsonl"),
-        ]
-    )
-    assert code == 1
-    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert payload["error"] == "FileNotFoundError"
-
-
-def test_unsupported_format_version_fails_cleanly(tmp_path, tiny_scenario_path, capsys):
-    # 2 is the format before the search settings left the file, 4 a future one
-    for version in (2, 4):
-        data = encode(Scenario.load(tiny_scenario_path))
-        data["format_version"] = version
-        path = tmp_path / f"v{version}.json"
-        path.write_text(json.dumps(data))
-        out = tmp_path / "d.jsonl"
-        code = main(
-            [
-                "dataset", "generate",
-                "--scenario", str(path),
-                "--trajectories", "1",
-                "--policy", "closest",
-                "--seed", "1",
-                "--out", str(out),
-            ]
-        )
-        assert code == 1
-        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert payload["error"] == "ValueError"
-        assert f"format_version {version}" in payload["message"]
-        assert not out.exists()
-
-
-def test_scenario_db_setting_that_overflows_fails_before_any_output(
-    tmp_path, tiny_scenario_path, capsys
-):
-    data = encode(Scenario.load(tiny_scenario_path))
-    data["gamma_sinr_db"] = 4000.0
-    path = tmp_path / "overflow.json"
-    path.write_text(json.dumps(data))
-    out = tmp_path / "d.jsonl"
-    code = main(
-        [
-            "dataset", "generate",
-            "--scenario", str(path),
-            "--trajectories", "1",
-            "--policy", "closest",
-            "--seed", "1",
-            "--out", str(out),
-        ]
-    )
-    assert code == 1
-    lines = capsys.readouterr().err.strip().splitlines()
-    assert len(lines) == 1
-    assert json.loads(lines[0]) == {
-        "error": "ValueError", "message": "gamma_sinr_db must have a positive, finite linear value"
-    }
-    assert not out.exists()
-
-
 def test_dataset_generate_refuses_the_nn_policy(tmp_path, tiny_scenario_path, capsys):
     # the dataset labels the networks' training data, so no network picks its stations
     out = tmp_path / "d.jsonl"
@@ -191,42 +106,6 @@ def test_dataset_generate_refuses_the_nn_policy(tmp_path, tiny_scenario_path, ca
     assert exit_info.value.code == 2
     assert "invalid choice: 'nn'" in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_train_rejects_zero_epochs(tmp_path, tiny_scenario_path, capsys):
-    data = tmp_path / "data.jsonl"
-    write_dataset_jsonl(data, [], Scenario.load(tiny_scenario_path), "closest", 1)
-    bundle = tmp_path / "bundle.json"
-    code = main(
-        [
-            "train", "--data", str(data), "--epochs", "0",
-            "--seed", "1", "--out", str(bundle),
-        ]
-    )
-    assert code == 1
-    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-    assert payload == {"error": "ValueError", "message": "epochs must be at least 1"}
-    assert not bundle.exists()
-
-
-@pytest.mark.parametrize("lr", ["0", "-1", "nan", "inf"])
-def test_train_rejects_unusable_learning_rates(tmp_path, tiny_scenario_path, capsys, lr):
-    data = tmp_path / "data.jsonl"
-    write_dataset_jsonl(data, [], Scenario.load(tiny_scenario_path), "closest", 1)
-    bundle = tmp_path / "bundle.json"
-    code = main(
-        [
-            "train", "--data", str(data), "--lr", lr,
-            "--seed", "1", "--out", str(bundle),
-        ]
-    )
-    assert code == 1
-    lines = capsys.readouterr().err.strip().splitlines()
-    assert len(lines) == 1
-    assert json.loads(lines[0]) == {
-        "error": "ValueError", "message": "learning_rate must be finite and positive"
-    }
-    assert not bundle.exists()
 
 
 def test_dataset_generate_defaults_to_the_scenario_trajectory_count(tmp_path, tiny_scenario_path):
@@ -273,3 +152,135 @@ def test_full_cli_flow_and_seed_determinism(tmp_path, tiny_scenario_path):
         return tuple(p.read_bytes() for p in (data, records, stats, report))
 
     assert run_all("a") == run_all("b")
+
+
+def _json(change):
+    """An edit that applies `change` to the JSON value of a file's text."""
+    def edit(text):
+        value = json.loads(text)
+        change(value)
+        return json.dumps(value)
+    return edit
+
+
+def _line(index, edit):
+    """An edit that applies `edit` to one line, counted from 0, of a file's text."""
+    def edit_line(text):
+        lines = text.splitlines()
+        lines[index] = edit(lines[index])
+        return "\n".join(lines) + "\n"
+    return edit_line
+
+
+def _sample(change):
+    """An edit that applies `change` to a dataset file's first sample."""
+    return _line(1, _json(change))
+
+
+def _association(change):
+    """An edit that applies `change` to a bundle file's association network."""
+    return _json(lambda bundle: change(bundle["association"]))
+
+
+# (input, edit of a copy of its good text or None for no file, argv, error, message): the copy
+# stands in for the input in argv, and message is formatted with the same paths. A repeated
+# option replaces the earlier one, so a row appends what it changes to a command's argv.
+BAD_INPUTS = [
+    pytest.param("scenario", None, GENERATE, "FileNotFoundError",
+                 "[Errno 2] No such file or directory: '{scenario}'", id="scenario-missing"),
+    pytest.param("scenario", _json(lambda s: s.update(p_max_mw=math.nan)), GENERATE,
+                 "ValueError", "p_max_mw must be finite and positive", id="scenario-p_max_mw-nan"),
+    pytest.param("scenario", _json(lambda s: s.update(num_trajectories=2.9)), GENERATE,
+                 "ValueError", "scenario num_trajectories must be a JSON integer, got 2.9",
+                 id="scenario-num_trajectories-float"),
+    pytest.param("scenario", _json(lambda s: s.update(v_max_mps="fast")), GENERATE,
+                 "ValueError", "scenario v_max_mps must be a JSON number, got 'fast'",
+                 id="scenario-v_max_mps-string"),
+    pytest.param("scenario", _json(lambda s: s["gbs_m"][-1].pop()), GENERATE, "ValueError",
+                 "scenario gbs_m must be a list of rows of 3 JSON numbers, got "
+                 "[[120.0, 100.0, 2.0], [380.0, 150.0, 2.0], [220.0, 400.0]]",
+                 id="scenario-gbs_m-ragged"),
+    pytest.param("scenario", _json(lambda s: s.update(v_max_mps=10**400)), GENERATE,
+                 "ValueError", "scenario v_max_mps must be a JSON number, got "
+                 "100000000000000000...0000000000000000000", id="scenario-v_max_mps-401-digits"),
+    pytest.param("scenario", _json(lambda s: s.update(gamma_sinr_db=4000.0)), GENERATE,
+                 "ValueError", "gamma_sinr_db must have a positive, finite linear value",
+                 id="scenario-gamma_sinr_db-overflows"),
+    # 2 is the format before the search settings left the file, 4 a future one
+    *(pytest.param("scenario", _json(lambda s, v=version: s.update(format_version=v)), GENERATE,
+                   "ValueError", f"scenario format_version {version} is not supported (expected 3)",
+                   id=f"scenario-format_version-{version}") for version in (2, 3.0, 4)),
+    pytest.param("data", lambda text: "", TRAIN, "ValueError", "dataset has no header line",
+                 id="dataset-empty"),
+    pytest.param("data", _line(0, _json(lambda h: h["meta"].pop("scenario"))), TRAIN,
+                 "ValueError", "dataset header keys: unknown [], missing ['scenario']",
+                 id="dataset-header-without-scenario"),
+    pytest.param("data", _sample(lambda s: operator.setitem(s["comm_features"], 0, math.nan)),
+                 TRAIN, "ValueError", "dataset sample comm_features has non-finite entries",
+                 id="dataset-comm_features-nan"),
+    pytest.param("data", _sample(lambda s: s.update(optimal_gbs=99)), TRAIN, "ValueError",
+                 "dataset sample optimal_gbs must be a station index below 3, got 99",
+                 id="dataset-optimal_gbs-99"),
+    pytest.param("data", _line(2, lambda line: "{"), TRAIN, "ValueError",
+                 "dataset line 3 is not JSON: Expecting property name enclosed in double quotes",
+                 id="dataset-line-not-json"),
+    pytest.param(None, None, TRAIN + " --epochs 0", "ValueError", "epochs must be at least 1",
+                 id="train-epochs-0"),
+    *(pytest.param(None, None, f"{TRAIN} --lr {lr}", "ValueError",
+                   "learning_rate must be finite and positive", id=f"train-lr-{lr}")
+      for lr in ("0", "-1", "nan", "inf")),
+    pytest.param("bundle", _association(lambda a: (a["weights"].pop(), a["biases"].pop())), EVAL,
+                 "ValueError", "bundle association: weights: 2 arrays for 3 layers",
+                 id="bundle-association-output-layer-lost"),
+    pytest.param("bundle", _association(lambda a: a.update(layers=a["layer_sizes"])), EVAL,
+                 "ValueError", "bundle association: network keys: unknown ['layers'], missing []",
+                 id="bundle-association-stray-key"),
+    pytest.param("records", _line(1, lambda row: "x" + row[row.index(","):]), EIRP, "ValueError",
+                 "records row slot must be an integer, got 'x'", id="records-slot-x"),
+    pytest.param(None, None, EIRP + " --thresholds nan", "ValueError",
+                 "outage thresholds must be finite dBm values, got [nan]",
+                 id="eirp-thresholds-nan"),
+    pytest.param(None, None, EIRP + " --thresholds 10,abc", "ValueError",
+                 "--thresholds takes numbers, got 'abc'", id="eirp-thresholds-abc"),
+    pytest.param(None, None, SYNTH + " --az nan", "ValueError",
+                 "pointing must be finite, got DirectionAngles(theta=1.2880529879718152, phi=nan)",
+                 id="synthesize-az-nan"),
+    pytest.param(None, None, SYNTH + " --eirp nan", "ValueError",
+                 "eirp_target_dbm must be finite, got nan", id="synthesize-eirp-nan"),
+    pytest.param(None, None, SYNTH + " --az 0 --el 30 --eirp 50.0", "ValueError",
+                 "EIRP target 50.0 dBm exceeds the scenario cap 37.0 dBm",
+                 id="synthesize-eirp-above-cap"),
+    pytest.param(None, None, SYNTH + " --sll-az 7000", "ValueError",
+                 "sll_min_az_db must be positive dB with a finite linear value, got 7000.0",
+                 id="synthesize-sll-az-overflows"),
+    pytest.param(None, None, SYNTH + " --null=nan,42.63", "ValueError",
+                 "nulls[0] must be finite, got DirectionAngles(theta=0.8267624666697139, phi=nan)",
+                 id="synthesize-null-nan"),
+    pytest.param(None, None, SYNTH + " --null=a,1", "ValueError", "--null takes numbers, got 'a'",
+                 id="synthesize-null-not-a-number"),
+    # at lambda/2 spacing the endfire pointing's grating alias has the pointing's steering vector
+    pytest.param(None, None, SYNTH + " --az 0 --el 90 --null=0,-90", "NullConflictError",
+                 "null direction conflicts with the pointing direction",
+                 id="synthesize-null-on-endfire-alias"),
+]
+
+
+@pytest.mark.parametrize("file, edit, argv, error, message", BAD_INPUTS)
+def test_bad_input_fails_before_any_output(
+    good_inputs, tmp_path, capsys, file, edit, argv, error, message
+):
+    paths = dict(good_inputs, out=tmp_path)
+    inputs = []
+    if file:
+        copy = tmp_path / Path(good_inputs[file]).name
+        paths[file] = str(copy)
+        if edit:
+            copy.write_text(edit(Path(good_inputs[file]).read_text()))
+            inputs.append(copy.name)
+    assert main([arg.format(**paths) for arg in argv.split()]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert [json.loads(line) for line in err.splitlines()] == [
+        {"error": error, "message": message.format(**paths)}
+    ]
+    assert [p.name for p in tmp_path.iterdir()] == inputs
