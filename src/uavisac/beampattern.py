@@ -50,20 +50,23 @@ only when the candidate can still displace the incumbent.
 
 `pattern_cut` builds one plane's arc and tables the same way and folds a
 whole weight matrix, made pointing-relative, onto them.  A cut is built arc
-first: the arc is an index window of cached grid trig, 90 degrees each side
-of the pointing sample, and only its samples get array-frame units and the
-half-space test.  Each axis table takes one cosine and one sine per sample,
-of the half-step phase alpha, which a rotation recurrence expands to every
-upper-half row; mirror rows carry -q_r.  The z
-tables carry the element amplitude sqrt(g_e), so |af|^2 is the cut power as
-it stands.  Candidate scoring and `pattern_cut` share the table build and
-the main-lobe rules (see _sidelobe_peak), so the achieved values reported by
-a synthesis result re-derive from its weights to roundoff.  Everything here
-is pure given its inputs; results are immutable.
+first: the arc is centred on the pointing, its samples whole GRID_STEP_DEG
+steps from it up to 90 degrees each side, so the samples turn with the beam
+and not with a fixed world grid: under a yaw alone, a design equals that of
+the same request in array-frame angles.  Each sample's unit comes from the
+pointing's cosines and sines by angle addition with one shared offset table,
+and only the arc's samples get array-frame units and the half-space test.  Each axis
+table takes one cosine and one sine per sample, of the half-step phase
+alpha, which a rotation recurrence expands to every upper-half row; mirror
+rows carry -q_r.  The z tables carry the element amplitude sqrt(g_e), so
+|af|^2 is the cut power as it stands.  Candidate scoring and `pattern_cut`
+share the table build and the main-lobe rules (see _sidelobe_peak), so the
+achieved values reported by a synthesis result re-derive from its weights to
+roundoff.  Everything here is pure given its inputs; results are immutable.
 
 Factor memory: an evaluator's tables (2 axes x cos, sin x (side + 1) // 2
-rows x n_az + n_el samples, about 0.8 MB for M = 100 on the 0.05 degree
-grid) are one allocation, which also holds the complex rows the recurrence
+rows x n_az + n_el samples, about 0.8 MB for M = 100 at the 0.05 degree
+step) are one allocation, which also holds the complex rows the recurrence
 builds them in (about 1.2 MB in all); a synthesizer's null responses and
 its cached axis responses are plain numpy arrays, freed with their owner.
 Freeing that allocation raises glibc's mmap threshold past its size and the
@@ -71,8 +74,8 @@ heap trim threshold to twice that (mallopt(3), M_MMAP_THRESHOLD), so the
 next build takes memory the heap already holds.  Separate table and scratch
 arrays would leave a free top chunk over the trim threshold, and every build
 would fault its pages in afresh: 168 against 5 minor faults per synthesis
-over a dataset trajectory (glibc 2.36, x86-64).  Calls share only read-only
-cached grids and tapers, so concurrent calls need no lock.
+over a dataset trajectory (glibc 2.36, x86-64).  Calls share only the
+read-only arc table and cached tapers, so concurrent calls need no lock.
 """
 
 from __future__ import annotations
@@ -98,12 +101,20 @@ from .geometry import (
 )
 from .units import from_db, to_db
 
-# the one cut grid: every principal cut samples its parameter at this step
+# the one cut step: every principal cut samples its parameter at this step
 GRID_STEP_DEG = 0.05
 _GRID_STEP_RAD = math.radians(GRID_STEP_DEG)
-# samples in 90 degrees, an arc's reach on each side of the pointing sample;
-# the step divides 90 degrees, so no sample falls between the two rules
+# samples in 90 degrees, an arc's reach on each side of the pointing; the
+# step divides 90 degrees, so no sample falls between the two rules
 _HALF_ARC = round(90.0 / GRID_STEP_DEG)
+# arc sample k sits k steps from the pointing, k in [-_HALF_ARC, _HALF_ARC];
+# row k of _ARC_TRIG is (cos, sin) of its offset and 1, which angle addition
+# turns into the sample's unit (see _cut_arc); shared between calls, read-only
+_ARC_OFFSETS = np.arange(-_HALF_ARC, _HALF_ARC + 1) * _GRID_STEP_RAD
+_ARC_TRIG = np.column_stack(
+    [np.cos(_ARC_OFFSETS), np.sin(_ARC_OFFSETS), np.ones(_ARC_OFFSETS.size)])
+_ARC_OFFSETS.setflags(write=False)
+_ARC_TRIG.setflags(write=False)
 NULL_CONFLICT_DEG = 1.0
 # the chord of NULL_CONFLICT_DEG, the radius of a conflict in (u_x, u_z)
 _NULL_CONFLICT_CHORD = 2.0 * math.sin(math.radians(NULL_CONFLICT_DEG) / 2.0)
@@ -242,80 +253,56 @@ def steered_gain(weights, a: NDArray[np.complex128], gain: float) -> float:
     return float(abs(np.vdot(a, w)) ** 2 * gain)
 
 
-@functools.lru_cache(maxsize=len(_PLANES))
-def _cut_grid(plane: str):
-    """Cut parameter samples of one principal cut with their cosines and sines.
-
-    The azimuth cut sweeps phi over [-pi, pi) in 7200 samples, the last one
-    step and 4e-13 below pi, the elevation cut theta over [0, pi] in 3601,
-    both at GRID_STEP_DEG.  The azimuth arrays are padded with _HALF_ARC
-    samples at each end, copies of the samples round the seam, so that every
-    arc window is a plain slice: sample i of the circle sits at padded index
-    i + _HALF_ARC.  The (angles, cos, sin) arrays are shared between calls
-    and read-only.
-    """
-    step = _GRID_STEP_RAD
-    if plane == "azimuth":
-        angles = np.arange(-math.pi, math.pi, step)
-        wrap = np.r_[-_HALF_ARC:0, : angles.size, :_HALF_ARC]
-        grid = tuple(a[wrap] for a in (angles, np.cos(angles), np.sin(angles)))
-    else:
-        angles = np.arange(0.0, math.pi + step / 2, step)
-        grid = (angles, np.cos(angles), np.sin(angles))
-    for a in grid:
-        a.setflags(write=False)
-    return grid
-
-
 def _cut_arc(plane: str, pointing: DirectionAngles, rot):
     """Angles and array-frame units of the cut samples belonging to the beam.
 
-    Keeps samples within 90 degrees of the pointing along the cut parameter
-    and inside the beam's own half-space: a planar aperture radiates an exact
-    mirror image through its own plane, which a ground plane suppresses in
-    hardware, so the mirror hemisphere never enters the sidelobe accounting.
-    On the grid, 90 degrees is _HALF_ARC samples, so the arc is the index
-    window of _HALF_ARC samples on each side of the pointing sample (the
-    padded azimuth grid holds a window crossing the seam at +-pi as one
-    slice), cut short at the first sample on each side outside the
-    half-space.  `rot` is the array's rotation matrix, so row i of the units
-    is R^T u_i.  Returns (angles, units) with strictly increasing angles
-    (azimuth arcs crossing the wrap point are unwrapped past pi).
+    Arc sample k sits k GRID_STEP_DEG from the pointing along the cut
+    parameter, k in [-_HALF_ARC, _HALF_ARC], so the arc reaches 90 degrees
+    each side and sample 0 is the pointing itself; the elevation arc also
+    stays within theta in [0, pi].  The centre is read off the pointing's unit
+    (cos phi sin theta, sin phi sin theta, cos theta), as
+    geometry.direction_unit builds it: theta = atan2(|sin theta|, cos theta),
+    phi turned by pi where sin theta < 0, and the azimuth arc centred on
+    atan2(sin phi, cos phi), so any finite angle pair gives the arc of its
+    direction.  By angle addition, a sample's unit is its _ARC_TRIG row, the
+    cos and sin of its offset and 1, times a basis of the cut made from the
+    pointing's cos and sin, so the arc takes no trig of its own.  The arc is
+    then cut short at the first sample on each side outside the beam's own
+    half-space: a planar aperture radiates an exact mirror image through its
+    own plane, which a ground plane suppresses in hardware, so the mirror
+    hemisphere never enters the sidelobe accounting.  `rot` is the array's
+    rotation matrix, so row i of the units is R^T u_i.  Returns (angles,
+    units) with strictly increasing angles.
     """
-    angles, cos, sin = _cut_grid(plane)
-    circular = plane == "azimuth"
-    if circular:
-        point_angle = math.atan2(math.sin(pointing.phi), math.cos(pointing.phi))
-        # the unpadded circle's index is the padded window's start
-        start = int(np.argmin(np.abs(angles[_HALF_ARC:-_HALF_ARC] - point_angle)))
-        window = slice(start, start + 2 * _HALF_ARC + 1)
-        point_index = start + _HALF_ARC
-        cos_phi, sin_phi = cos[window], sin[window]
-        cos_theta, sin_theta = math.cos(pointing.theta), math.sin(pointing.theta)
+    cos_theta, sin_theta = math.cos(pointing.theta), math.sin(pointing.theta)
+    cos_phi, sin_phi = math.cos(pointing.phi), math.sin(pointing.phi)
+    if sin_theta < 0.0:
+        cos_phi, sin_phi = -cos_phi, -sin_phi
+    sin_theta = abs(sin_theta)
+    lo, hi = 0, _ARC_OFFSETS.size
+    if plane == "azimuth":
+        angles = math.atan2(sin_phi, cos_phi) + _ARC_OFFSETS
+        # the offset turns the horizontal part of the unit; its z stays
+        basis = [[cos_phi * sin_theta, sin_phi * sin_theta, 0.0],
+                 [-sin_phi * sin_theta, cos_phi * sin_theta, 0.0],
+                 [0.0, 0.0, cos_theta]]
     else:
-        point_index = int(np.argmin(np.abs(angles - pointing.theta)))
-        window = slice(max(0, point_index - _HALF_ARC), point_index + _HALF_ARC + 1)
-        cos_phi, sin_phi = math.cos(pointing.phi), math.sin(pointing.phi)
-        cos_theta, sin_theta = cos[window], sin[window]
-    window_angles = angles[window]
-    units = np.empty((window_angles.size, 3))
-    np.multiply(cos_phi, sin_theta, out=units[:, 0])
-    np.multiply(sin_phi, sin_theta, out=units[:, 1])
-    units[:, 2] = cos_theta
-    units = units @ rot
-    centre = point_index - window.start
+        angles = math.atan2(sin_theta, cos_theta) + _ARC_OFFSETS
+        lo, hi = np.searchsorted(angles, 0.0), np.searchsorted(angles, math.pi, "right")
+        # the pointing's unit and its unit tangent toward increasing theta
+        basis = [[cos_phi * sin_theta, sin_phi * sin_theta, cos_theta],
+                 [cos_phi * cos_theta, sin_phi * cos_theta, -sin_theta],
+                 [0.0, 0.0, 0.0]]
+    angles = angles[lo:hi]
+    units = _ARC_TRIG[lo:hi] @ (np.array(basis) @ rot)
+    centre = _HALF_ARC - lo
     side = 1.0 if units[centre, 1] >= 0.0 else -1.0
     dropped = np.flatnonzero(side * units[:, 1] < -1e-12)
     before = dropped[dropped < centre]
     after = dropped[dropped > centre]
     lo = int(before[-1]) + 1 if before.size else 0
-    hi = int(after[0]) if after.size else window_angles.size
-    arc_angles = window_angles[lo:hi].copy()
-    if circular:
-        wrapped = np.nonzero(np.diff(arc_angles) < 0)[0]
-        if wrapped.size:
-            arc_angles[wrapped[0] + 1 :] += 2.0 * math.pi
-    return arc_angles, units[lo:hi]
+    hi = int(after[0]) if after.size else angles.size
+    return angles[lo:hi], units[lo:hi]
 
 
 def _axis_tables(config: ArrayConfig, point, units):
@@ -445,10 +432,12 @@ def pattern_cut(
     """Principal cut through the pointing direction, normalized to 0 dB peak.
 
     The azimuth cut fixes theta at the pointing value and sweeps phi; the
-    elevation cut fixes phi and sweeps theta, both on the GRID_STEP_DEG grid.
-    Both cover up to 90 degrees on each side of the beam within its own
-    hemisphere (the mirror image through the aperture plane is excluded, as a
-    ground plane would enforce).
+    elevation cut fixes phi and sweeps theta, both in GRID_STEP_DEG steps from
+    the pointing, which is a sample of each.  Both cover up to 90 degrees on
+    each side of the beam within its own hemisphere (the mirror image through
+    the aperture plane is excluded, as a ground plane would enforce).  Angles
+    outside theta in [0, pi] and phi in (-pi, pi] give the cuts of their
+    direction (see _cut_arc).
     """
     if plane not in _PLANES:
         raise ValueError(f"unknown cut plane {plane!r}")

@@ -73,11 +73,11 @@ def _build_parser() -> argparse.ArgumentParser:
     synth_cmd = sub.add_parser("synthesize", help="single-point beam synthesis")
     synth_cmd.add_argument("--scenario", required=True)
     synth_cmd.add_argument(
-        "--az", type=float, required=True,
+        "--az", required=True,
         help="pointing azimuth from the array broadside axis, degrees",
     )
     synth_cmd.add_argument(
-        "--el", type=float, required=True,
+        "--el", required=True,
         help="pointing elevation above the array plane, degrees",
     )
     synth_cmd.add_argument("--sll-az", type=float, required=True, help="minimum azimuth-cut SLL, dB")
@@ -128,11 +128,18 @@ def _number(option: str, text: str) -> float:
         raise ValueError(f"{option} takes numbers, got {text!r}") from None
 
 
+def _degrees(option: str, text: str) -> float:
+    value = _number(option, text)
+    if not math.isfinite(value):
+        raise ValueError(f"{option} must be finite, got {text!r}")
+    return value
+
+
 def _parse_null(text: str) -> DirectionAngles:
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"null must be 'az,el' in degrees, got {text!r}")
-    az, el = (_number("--null", p) for p in parts)
+    az, el = (_degrees("--null", p) for p in parts)
     return _broadside_direction(az, el)
 
 
@@ -174,7 +181,7 @@ def _run_train(args) -> None:
 def _run_synthesize(args) -> None:
     scenario = Scenario.load(args.scenario)
     request = SynthesisRequest(
-        pointing=_broadside_direction(args.az, args.el),
+        pointing=_broadside_direction(_degrees("--az", args.az), _degrees("--el", args.el)),
         sll_min_az_db=args.sll_az,
         sll_min_el_db=args.sll_el,
         eirp_target_dbm=args.eirp,

@@ -89,6 +89,17 @@ def test_synthesize_command(tmp_path, tiny_scenario_path, capsys):
     assert az_csv.read_text().splitlines()[0] == "angle_deg,gain_db"
 
 
+@pytest.mark.parametrize("flags", ["--el -95", "--az 1e15"])
+def test_synthesize_takes_pointings_outside_the_polar_ranges(tmp_path, tiny_scenario_path, flags):
+    # --el -95 puts theta at 185 degrees and --az 1e15 phi far outside (-pi, pi]:
+    # the cuts are those of the pointing's direction
+    argv = SYNTH.format(scenario=tiny_scenario_path, out=tmp_path) + " " + flags
+    assert main(argv.split()) == 0
+    for suffix in ("_az.csv", "_el.csv"):
+        angles = np.loadtxt(tmp_path / f"cuts{suffix}", delimiter=",", skiprows=1)[:, 0]
+        assert np.all(np.diff(angles) > 0.0)
+
+
 def test_dataset_generate_refuses_the_nn_policy(tmp_path, tiny_scenario_path, capsys):
     # the dataset labels the networks' training data, so no network picks its stations
     out = tmp_path / "d.jsonl"
@@ -242,9 +253,12 @@ BAD_INPUTS = [
                  id="eirp-thresholds-nan"),
     pytest.param(None, None, EIRP + " --thresholds 10,abc", "ValueError",
                  "--thresholds takes numbers, got 'abc'", id="eirp-thresholds-abc"),
-    pytest.param(None, None, SYNTH + " --az nan", "ValueError",
-                 "pointing must be finite, got DirectionAngles(theta=1.2880529879718152, phi=nan)",
+    pytest.param(None, None, SYNTH + " --az nan", "ValueError", "--az must be finite, got 'nan'",
                  id="synthesize-az-nan"),
+    pytest.param(None, None, SYNTH + " --az east", "ValueError", "--az takes numbers, got 'east'",
+                 id="synthesize-az-not-a-number"),
+    pytest.param(None, None, SYNTH + " --el inf", "ValueError", "--el must be finite, got 'inf'",
+                 id="synthesize-el-inf"),
     pytest.param(None, None, SYNTH + " --eirp nan", "ValueError",
                  "eirp_target_dbm must be finite, got nan", id="synthesize-eirp-nan"),
     pytest.param(None, None, SYNTH + " --az 0 --el 30 --eirp 50.0", "ValueError",
@@ -254,8 +268,7 @@ BAD_INPUTS = [
                  "sll_min_az_db must be positive dB with a finite linear value, got 7000.0",
                  id="synthesize-sll-az-overflows"),
     pytest.param(None, None, SYNTH + " --null=nan,42.63", "ValueError",
-                 "nulls[0] must be finite, got DirectionAngles(theta=0.8267624666697139, phi=nan)",
-                 id="synthesize-null-nan"),
+                 "--null must be finite, got 'nan'", id="synthesize-null-nan"),
     pytest.param(None, None, SYNTH + " --null=a,1", "ValueError", "--null takes numbers, got 'a'",
                  id="synthesize-null-not-a-number"),
     # at lambda/2 spacing the endfire pointing's grating alias has the pointing's steering vector

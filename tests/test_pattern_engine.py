@@ -16,10 +16,11 @@ uninitialised memory, so the entry-by-entry check also shows any entry read
 before it is written.  The loop version of
 `_sll_from_gains` is kept below as the reference for the vectorized one,
 and the dB path is the reference for the SLL the synthesizer finds on
-linear power.  The windowed arc build `_cut_arc` is checked for exact
-equality against the full-circle chain it replaced, kept here: the whole
-cut grid, its array-frame units, and the vectorized arc selection, itself
-checked against a loop walk.
+linear power.  The arc build `_cut_arc`, its trig by angle addition from
+one shared offset table, is checked against the whole cut centred on the
+pointing, built with a direct cosine and sine per sample: the same angles
+exactly, the same array-frame units to roundoff, and the same samples kept
+by the vectorized half-space selection, itself checked against a loop walk.
 
 Each property test (see `over`) loops over seeded case lists: explicit
 examples, then `count` accepted draws, draw i from `np.random.default_rng(i)`
@@ -152,89 +153,68 @@ def _cut_units(plane, pointing, angles):
     return np.column_stack([cos_p * sin_a, sin_p * sin_a, np.cos(angles)])
 
 
-def _full_circle_grid(plane, pointing, step_deg=GRID_STEP_DEG):
-    """Angle samples and global-frame unit vectors of the whole cut."""
-    step = math.radians(step_deg)
-    lo, hi = (-math.pi, math.pi) if plane == "azimuth" else (0.0, math.pi + step / 2)
-    angles = np.arange(lo, hi, step)
-    return angles, _cut_units(plane, pointing, angles)
+def _arc_centre(pointing):
+    """(theta, phi) of the pointing's direction with theta on [0, pi], _cut_arc's centre rule."""
+    sin_theta = math.sin(pointing.theta)
+    sin_phi, cos_phi = math.sin(pointing.phi), math.cos(pointing.phi)
+    if sin_theta < 0.0:
+        sin_phi, cos_phi = -sin_phi, -cos_phi
+    return DirectionAngles(math.atan2(abs(sin_theta), math.cos(pointing.theta)),
+                           math.atan2(sin_phi, cos_phi))
 
 
-def _full_circle_select(angles, units_arr, point_index, circular):
-    """Vectorized arc selection over the whole cut: (angles, row indices)."""
-    n = angles.size
+def _full_circle(plane, pointing, rot, step_deg=GRID_STEP_DEG):
+    """The whole cut centred on the pointing: angles, array-frame units, the pointing's index.
+
+    Sample k sits k steps from the pointing's own angle, for k up to 180
+    degrees each side; the elevation cut keeps theta on [0, pi].  The cut
+    never wraps, and its units take one np.cos and np.sin per sample.
+    """
+    centre = _arc_centre(pointing)
+    half_turn = round(180.0 / step_deg)
+    k = np.arange(-half_turn, half_turn + 1)
+    angles = (centre.phi if plane == "azimuth" else centre.theta) + k * math.radians(step_deg)
+    if plane == "elevation":
+        inside = (angles >= 0.0) & (angles <= math.pi)
+        k, angles = k[inside], angles[inside]
+    return angles, _cut_units(plane, centre, angles) @ rot, int(np.flatnonzero(k == 0)[0])
+
+
+def _arc_keep(angles, units_arr, point_index):
+    """Samples within 90 degrees of the pointing's and in its half-space."""
     side = 1.0 if units_arr[point_index, 1] >= 0.0 else -1.0
     keep = side * units_arr[:, 1] >= -1e-12
-    delta = angles - angles[point_index]
-    if circular:
-        delta = np.arctan2(np.sin(delta), np.cos(delta))
-    keep &= np.abs(delta) <= math.pi / 2 + 1e-12
-    if keep.all():
-        return angles, np.arange(n)
-    dropped = np.flatnonzero(~keep)
-    if not circular:
-        before = dropped[dropped < point_index]
-        after = dropped[dropped > point_index]
-        lo = int(before[-1]) + 1 if before.size else 0
-        hi = int(after[0]) - 1 if after.size else n - 1
-        idx = np.arange(lo, hi + 1)
-        return angles[idx], idx
-    # walk outwards around the circle to the first dropped sample on each side;
-    # the pointing sample is always kept, so the arc never closes on itself
-    lo = point_index - int(((point_index - dropped - 1) % n).min())
-    hi = point_index + int(((dropped - point_index - 1) % n).min())
-    idx = np.arange(lo, hi + 1) % n
-    arc_angles = angles[idx].copy()
-    wrapped = np.nonzero(np.diff(arc_angles) < 0)[0]
-    if wrapped.size:
-        arc_angles[wrapped[0] + 1 :] += 2.0 * math.pi
-    return arc_angles, idx
+    return keep & (np.abs(angles - angles[point_index]) <= math.pi / 2 + 1e-12)
+
+
+def _full_circle_select(angles, units_arr, point_index):
+    """Vectorized arc selection over the whole cut: (angles, row indices)."""
+    dropped = np.flatnonzero(~_arc_keep(angles, units_arr, point_index))
+    before = dropped[dropped < point_index]
+    after = dropped[dropped > point_index]
+    lo = int(before[-1]) + 1 if before.size else 0
+    hi = int(after[0]) if after.size else angles.size
+    idx = np.arange(lo, hi)
+    return angles[idx], idx
 
 
 def _full_circle_arc(plane, pointing, rot):
-    """The arc build before windowing: every sample's units, then the arc."""
-    angles, units = _full_circle_grid(plane, pointing)
-    units_arr = units @ rot  # row i is R^T u_i
-    if plane == "azimuth":
-        point_angle = math.atan2(math.sin(pointing.phi), math.cos(pointing.phi))
-        point_index = int(np.argmin(np.abs(angles - point_angle)))
-    else:
-        point_index = int(np.argmin(np.abs(angles - pointing.theta)))
-    arc_angles, idx = _full_circle_select(angles, units_arr, point_index, plane == "azimuth")
+    """The arc selected from the whole cut: (angles, array-frame units)."""
+    angles, units_arr, point_index = _full_circle(plane, pointing, rot)
+    arc_angles, idx = _full_circle_select(angles, units_arr, point_index)
     return arc_angles, units_arr[idx]
 
 
-def _cut_arc_reference(angles, units_arr, point_index, circular):
-    n = angles.size
-    side = 1.0 if units_arr[point_index, 1] >= 0.0 else -1.0
-    keep = side * units_arr[:, 1] >= -1e-12
-    delta = angles - angles[point_index]
-    if circular:
-        delta = np.arctan2(np.sin(delta), np.cos(delta))
-    keep &= np.abs(delta) <= math.pi / 2 + 1e-12
-    if keep.all():
-        return angles, np.arange(n)
-    if not circular:
-        lo = point_index
-        while lo > 0 and keep[lo - 1]:
-            lo -= 1
-        hi = point_index
-        while hi < n - 1 and keep[hi + 1]:
-            hi += 1
-        idx = np.arange(lo, hi + 1)
-        return angles[idx], idx
+def _cut_arc_reference(angles, units_arr, point_index):
+    keep = _arc_keep(angles, units_arr, point_index)
     lo = point_index
-    while keep[(lo - 1) % n] and (point_index - lo) < n - 1:
+    while lo > 0 and keep[lo - 1]:
         lo -= 1
     hi = point_index
-    while keep[(hi + 1) % n] and (hi - lo) < n - 1:
+    while hi < angles.size - 1 and keep[hi + 1]:
         hi += 1
-    idx = np.arange(lo, hi + 1) % n
-    arc_angles = angles[idx].copy()
-    wrapped = np.nonzero(np.diff(arc_angles) < 0)[0]
-    if wrapped.size:
-        arc_angles[wrapped[0] + 1 :] += 2.0 * math.pi
-    return arc_angles, idx
+    idx = np.arange(lo, hi + 1)
+    return angles[idx], idx
 
 
 def _dense_cut_power(weights, config, pose, plane, pointing, angles):
@@ -675,40 +655,28 @@ def test_linear_sll_matches_db_sll_on_synthesis_cuts():
 
 
 def draw_arc(rng):
-    """A grid size, circular or not, each sample's u_y among five levels, and the pointing index."""
+    """A cut size, each sample's u_y among five levels, and the pointing index."""
     n = rng.integers(2, 81)
     y = rng.choice([-1.0, -1e-13, 0.0, 0.3, 1.0], n).tolist()
-    return int(n), bool(rng.integers(2)), y, int(rng.integers(n))
+    return int(n), y, int(rng.integers(n))
 
 
-def _assert_same_arc(angles, units_arr, point_index, circular):
-    got_angles, got_idx = _full_circle_select(angles, units_arr, point_index, circular)
-    ref_angles, ref_idx = _cut_arc_reference(angles, units_arr, point_index, circular)
+def _assert_same_arc(angles, units_arr, point_index):
+    got_angles, got_idx = _full_circle_select(angles, units_arr, point_index)
+    ref_angles, ref_idx = _cut_arc_reference(angles, units_arr, point_index)
     assert np.array_equal(got_idx, ref_idx)
     assert np.array_equal(got_angles, ref_angles)
 
 
-@over(Cases(300, draw_arc))
-def test_cut_arc_matches_loop_reference(n, circular, y, point_index):
-    angles = (np.linspace(-math.pi, math.pi, n, endpoint=False) if circular
-              else np.linspace(0.0, math.pi, n))
+@over(Cases(300, draw_arc, examples=[
+    # one dropped sample: the arc stops just short of it on the pointing's side
+    *((12, [1.0] * 5 + [-1.0] + [1.0] * 6, point_index) for point_index in (0, 4, 6, 11)),
+]))
+def test_cut_arc_matches_loop_reference(n, y, point_index):
+    angles = np.linspace(0.0, math.pi, n)
     units_arr = np.zeros((n, 3))
     units_arr[:, 1] = y
-    _assert_same_arc(angles, units_arr, point_index, circular)
-
-
-def test_cut_arc_wrapping_and_single_gap_cases():
-    n = 12
-    angles = np.linspace(-math.pi, math.pi, n, endpoint=False)
-    units_arr = np.zeros((n, 3))
-    units_arr[:, 1] = 1.0
-    for point_index in (0, 1, n - 2, n - 1):  # arcs crossing the +-pi seam
-        _assert_same_arc(angles, units_arr, point_index, True)
-    # one dropped sample: the arc wraps round the rest of the circle
-    flat = np.zeros(n)
-    units_arr[5, 1] = -1.0
-    for point_index in (0, 4, 6, n - 1):
-        _assert_same_arc(flat, units_arr, point_index, True)
+    _assert_same_arc(angles, units_arr, point_index)
 
 
 def test_cut_arc_matches_loop_reference_on_cut_grids():
@@ -717,28 +685,33 @@ def test_cut_arc_matches_loop_reference_on_cut_grids():
         rot = rotation_matrix(RotationAngles(*rng.uniform(-math.pi, math.pi, 3)))
         pointing = DirectionAngles(rng.uniform(0.0, math.pi), rng.uniform(-math.pi, math.pi))
         for plane in ("azimuth", "elevation"):
-            angles, units = _full_circle_grid(plane, pointing, 0.5)
-            point_index = int(rng.integers(angles.size))
-            _assert_same_arc(angles, units @ rot, point_index, plane == "azimuth")
+            angles, units_arr, _ = _full_circle(plane, pointing, rot, 0.5)
+            _assert_same_arc(angles, units_arr, int(rng.integers(angles.size)))
 
 
 def _assert_arc_matches_full_circle(pose_angles, pointing):
+    """_cut_arc's angles equal the full circle's arc exactly, its units to 1e-15."""
     rot = rotation_matrix(RotationAngles(*pose_angles))
     pointing = DirectionAngles(*pointing)
     for plane in ("azimuth", "elevation"):
         want_angles, want_units = _full_circle_arc(plane, pointing, rot)
         got_angles, got_units = _cut_arc(plane, pointing, rot)
         assert np.array_equal(got_angles, want_angles)
-        assert np.array_equal(got_units, want_units)
-        assert np.array_equal(element_gain(got_units), element_gain(want_units))
+        assert np.max(np.abs(got_units - want_units)) <= 1e-15
 
 
 def draw_pose_pointing(rng):
     return tuple(rng.uniform(-math.pi, math.pi, 3).tolist()), _direction(rng)
 
 
+# pointings outside theta on [0, pi] and phi on (-pi, pi], which the CLI's
+# --el -95 and --az 1e15 give: the arc is that of their direction
+OUT_OF_RANGE = tuple(((0.5, -0.3, 0.2), p) for p in (
+    (-0.17, 0.4), (math.pi + 0.09, 0.4), (-1.7e13, 0.4), (1.1, 1.7e13)))
+
+
 @over(Cases(100, draw_pose_pointing, examples=[
-    # pointings at the phi = +-pi seam
+    # pointings at the phi = +-pi seam, whose arcs run on past it without wrapping
     ((0.3, -0.2, 0.1), (1.2, math.pi)),
     ((0.3, -0.2, 0.1), (1.2, -math.pi)),
     ((-2.0, 0.4, 1.1), (2.0, math.nextafter(math.pi, 0.0))),
@@ -753,13 +726,34 @@ def draw_pose_pointing(rng):
     (IDENTITY, (math.pi, -math.pi / 2)),
     (IDENTITY, (math.pi / 2, 0.0)),
     (IDENTITY, (math.pi / 2, math.pi)),
+    *OUT_OF_RANGE,
 ]))
 def test_cut_arc_matches_full_circle_reference(pose_angles, pointing):
     _assert_arc_matches_full_circle(pose_angles, pointing)
 
 
+@over(Cases(50, draw_pose_pointing, examples=OUT_OF_RANGE))
+def test_each_cut_has_a_sample_on_the_pointing(pose_angles, pointing):
+    """Both cuts of `pattern_cut` strictly increase and hold R^T u_p to 1e-15.
+
+    A sample's direction is rebuilt from its angle and the pointing's other
+    angle, both as _arc_centre reads them off the pointing's direction.
+    """
+    config = ArrayConfig(num_elements=16, carrier_hz=3e11)
+    pose = Pose(position=np.zeros(3), angles=RotationAngles(*pose_angles))
+    pointing = DirectionAngles(*pointing)
+    rot = rotation_matrix(pose.angles)
+    point = array_frame_unit(rot, pointing)
+    centre = _arc_centre(pointing)
+    for plane in _PLANES:
+        angles = pattern_cut(steering(config, point), config, pose, plane, pointing).angles_rad
+        assert np.all(np.diff(angles) > 0.0)
+        units = _cut_units(plane, centre, angles) @ rot
+        assert np.min(np.max(np.abs(units - point), axis=1)) <= 1e-15
+
+
 def test_half_arc_is_90_degrees_of_grid_steps():
-    # _cut_arc keeps the samples within _HALF_ARC indices of the pointing,
+    # _cut_arc keeps the samples within _HALF_ARC steps of the pointing,
     # which are the samples within 90 degrees only while the step divides 90
     assert _HALF_ARC * GRID_STEP_DEG == 90
 
@@ -767,27 +761,27 @@ def test_half_arc_is_90_degrees_of_grid_steps():
 def test_cut_arc_matches_full_circle_reference_at_a_single_gap():
     """The half-space test drops a single sample 20 samples from the pointing.
 
-    The arc must then start just past that gap, well inside the window, and
-    the window itself wraps round the seam.  Yaw turns the aperture normal
-    about z, so a yaw is chosen that puts the azimuth cut's lowest array-frame
-    u_y on a grid sample, and theta one that makes that lowest value -1e-9:
-    the sample fails the half-space test by far more than its tolerance,
-    while its neighbours pass.
+    The arc must then start just past that gap, well inside its 90-degree
+    reach.  Yaw turns the aperture normal about z, so a yaw is chosen that
+    puts the azimuth cut's lowest array-frame u_y on the arc's sample -20,
+    and theta one that makes that lowest value -1e-9: the sample fails the
+    half-space test by far more than its tolerance, while its neighbours
+    pass.
     """
-    angles = np.arange(-math.pi, math.pi, math.radians(GRID_STEP_DEG))
-    gap, point = 5, 25  # the gap sample is 20 samples from the pointing
+    phi = 1.0
+    gap_angle = math.atan2(math.sin(phi), math.cos(phi)) - 20 * math.radians(GRID_STEP_DEG)
     normal = rotation_matrix(RotationAngles(0.0, 0.4, 0.3))[:, 1]
-    alpha = angles[gap] + math.pi - math.atan2(normal[1], normal[0])
+    alpha = gap_angle + math.pi - math.atan2(normal[1], normal[0])
     rho = math.hypot(normal[0], normal[1])
     theta = math.acos(-1e-9) - math.atan2(rho, normal[2])
     pose_angles = (math.remainder(alpha, 2 * math.pi), 0.4, 0.3)
     rot = rotation_matrix(RotationAngles(*pose_angles))
-    _, units = _full_circle_grid("azimuth", DirectionAngles(theta, 0.0))
-    dropped = np.flatnonzero((units @ rot)[:, 1] < -1e-12)
-    assert dropped.tolist() == [gap]
-    _assert_arc_matches_full_circle(pose_angles, (theta, angles[point]))
-    got_angles, _ = _cut_arc("azimuth", DirectionAngles(theta, angles[point]), rot)
-    assert got_angles[0] == angles[gap + 1]
+    angles, units_arr, point_index = _full_circle("azimuth", DirectionAngles(theta, phi), rot)
+    dropped = np.flatnonzero(units_arr[:, 1] < -1e-12)
+    assert dropped.tolist() == [point_index - 20]
+    _assert_arc_matches_full_circle(pose_angles, (theta, phi))
+    got_angles, _ = _cut_arc("azimuth", DirectionAngles(theta, phi), rot)
+    assert got_angles[0] == angles[point_index - 19]
 
 
 def test_case_lists_are_pinned():
@@ -801,4 +795,4 @@ def test_case_lists_are_pinned():
         if hasattr(test, "case_lists"):
             drawn = [(seed, prims) for seed, prims, _ in _drawn(*test.case_lists)]
             digest.update(repr((name, drawn)).encode())
-    assert digest.hexdigest() == "aaeb760d1c47d0b3866029faf8f718a9a32f2e5d939a6e644faeaaf60806e549"
+    assert digest.hexdigest() == "197bf5a24e3d780579440a5cc7de9c1fd6eee9077cfe1a7d16cab07faa42207f"
