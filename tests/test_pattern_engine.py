@@ -679,6 +679,33 @@ def test_cut_arc_matches_loop_reference(n, y, point_index):
     _assert_same_arc(angles, units_arr, point_index)
 
 
+def test_cut_arc_wrapping_and_single_gap_cases():
+    """Arcs centred at the phi = +-pi seam run on past it; one gap ends an arc.
+
+    A yaw of pi/2 turns the aperture normal onto the -x axis, so every
+    sample of an azimuth arc centred at phi = +-pi is in the beam's half-space
+    and the whole arc, 90 degrees each side, crosses the seam in even steps.
+    """
+    rot = rotation_matrix(RotationAngles(math.pi / 2, 0.0, 0.0))
+    for phi in (math.pi, -math.pi, math.nextafter(math.pi, 0.0)):
+        angles, _ = _cut_arc("azimuth", DirectionAngles(math.pi / 2, phi), rot)
+        assert angles.size == 2 * _HALF_ARC + 1
+        assert angles[_HALF_ARC] == math.atan2(math.sin(phi), math.cos(phi))
+        assert np.allclose(np.diff(angles), math.radians(GRID_STEP_DEG), rtol=0.0, atol=1e-12)
+        assert angles.min() < -math.pi or angles.max() > math.pi
+        _assert_arc_matches_full_circle((math.pi / 2, 0.0, 0.0), (math.pi / 2, phi))
+    # one dropped sample: the arc stops just short of it on the pointing's side
+    n = 12
+    angles = np.linspace(0.0, math.pi, n)
+    units_arr = np.zeros((n, 3))
+    units_arr[:, 1] = 1.0
+    units_arr[5, 1] = -1.0
+    for point_index, want in ((0, range(5)), (4, range(5)), (6, range(6, n)), (n - 1, range(6, n))):
+        got_angles, got_idx = _full_circle_select(angles, units_arr, point_index)
+        assert got_idx.tolist() == list(want)
+        _assert_same_arc(angles, units_arr, point_index)
+
+
 def test_cut_arc_matches_loop_reference_on_cut_grids():
     rng = np.random.default_rng(11)
     for _ in range(40):
