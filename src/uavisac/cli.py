@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Subcommands: `scenario init`, `dataset generate`, `train`, `synthesize`,
-`eval trajectory`, `eval eirp`.  All randomness flows from --seed; failures
-print one machine-readable JSON error line on stderr and exit nonzero.
+`eval trajectory`, `eval eirp`.  All randomness flows from --seed; failures,
+a bad command line among them, print one machine-readable JSON error line on
+stderr and exit 1.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .neuralnet import TrainConfig
 from .pipeline import (
     NN_SOURCE,
     OPTIMIZER_SOURCE,
-    POLICY_ALIASES,
     ModelBundle,
     eirp_stats,
     evaluate_trajectory,
@@ -30,12 +30,22 @@ from .pipeline import (
     write_records_csv,
     write_stats_csv,
 )
-from .scenario import Scenario, generate_trajectories
+from .scenario import POLICIES, POLICY_NN, Scenario, generate_trajectories
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises on a bad command line, so main reports it as it reports any failure.
+
+    argparse itself would print usage and exit 2.
+    """
+
+    def error(self, message):
+        raise ValueError(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
     defaults = TrainConfig()
-    parser = argparse.ArgumentParser(prog="uavisac")
+    parser = _Parser(prog="uavisac")
     sub = parser.add_subparsers(dest="command", required=True)
 
     scenario_cmd = sub.add_parser("scenario", help="scenario file management")
@@ -53,9 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="number of trajectories; defaults to the scenario's num_trajectories",
     )
     # the dataset is labelled with the optimizer, before any network exists
-    gen_cmd.add_argument(
-        "--policy", choices=[p for p in POLICY_ALIASES if p != "nn"], required=True
-    )
+    gen_cmd.add_argument("--policy", choices=[p for p in POLICIES if p != POLICY_NN], required=True)
     gen_cmd.add_argument("--seed", type=int, required=True)
     gen_cmd.add_argument("--out", required=True)
     gen_cmd.set_defaults(run=_run_dataset_generate)
@@ -96,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
     traj_cmd = eval_sub.add_parser("trajectory", help="evaluate one seeded trajectory")
     traj_cmd.add_argument("--scenario", required=True)
     traj_cmd.add_argument("--bundle", default=None)
-    traj_cmd.add_argument("--policy", choices=list(POLICY_ALIASES), required=True)
+    traj_cmd.add_argument("--policy", choices=POLICIES, required=True)
     traj_cmd.add_argument("--source", choices=[OPTIMIZER_SOURCE, NN_SOURCE], required=True)
     traj_cmd.add_argument("--seed", type=int, required=True)
     traj_cmd.add_argument("--out", required=True)
@@ -232,9 +240,8 @@ def _run_eval_eirp(args) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         args.run(args)
     except Exception as exc:  # noqa: BLE001 - single CLI error funnel
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)

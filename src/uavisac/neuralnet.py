@@ -197,15 +197,16 @@ def train(
     targets,
     config: TrainConfig,
     split: tuple[Sequence[int], Sequence[int]],
-    val_metric: Callable[[Network, NDArray], float] | None = None,
+    val_metric: Callable[[NDArray], float] | None = None,
 ) -> tuple[Network, TrainReport]:
     """Mini-batch ADAM training on the (train, validation) row indices of `split`.
 
     The network is fitted on inputs z-scored by the training rows (a constant
     feature keeps std 1): each epoch shuffles those rows with a generator
-    seeded by `config.seed` and records `val_metric(net, x_val)` on the
-    z-scored validation rows.  The z-score is then folded into the first
-    layer, so the returned network takes raw features.
+    seeded by `config.seed` and records `val_metric(pred)` on the network's
+    outputs for the z-scored validation rows, the same forward pass as the
+    validation loss.  The z-score is then folded into the first layer, so the
+    returned network takes raw features.
     """
     x = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
     y = np.atleast_2d(np.asarray(targets, dtype=np.float64))
@@ -230,12 +231,10 @@ def train(
             adam.step(net, grad)
             epoch_loss += loss * batch.size
         report.train_loss.append(epoch_loss / n_train_rows)
-        if x_val.shape[0] > 0:
-            report.val_loss.append(mse_loss(forward(net, x_val), y_val))
-        else:
-            report.val_loss.append(float("nan"))
+        pred = forward(net, x_val)
+        report.val_loss.append(mse_loss(pred, y_val) if x_val.shape[0] > 0 else float("nan"))
         if val_metric is not None:
-            report.val_metric.append(float(val_metric(net, x_val)))
+            report.val_metric.append(float(val_metric(pred)))
     # W0 (x - mean) / std + b0 = (W0 / std) x + (b0 - (W0 / std) mean)
     net.weights[0][...] /= std
     net.biases[0][...] -= net.weights[0] @ mean

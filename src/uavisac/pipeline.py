@@ -15,6 +15,7 @@ unit (see the scenario module docstring).
 
 The codec module lays out its files from their dataclasses: a dataset JSONL
 (DatasetHeader, then Samples), a ModelBundle and a records CSV (EvalRecords).
+A policy is one of scenario.POLICIES, and a header or record holds it as given.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from .geometry import (
 from .neuralnet import Network, NetworkConfig, TrainConfig, TrainReport, forward, train
 from .scenario import (
     POLICY_NN,
-    POLICY_OPTIMAL,
     PointGeometry,
     Scenario,
     Trajectory,
@@ -69,14 +69,6 @@ from .scenario import (
 from .units import from_db, to_db
 
 logger = logging.getLogger(__name__)
-
-POLICY_ALIASES = {
-    "closest": "closest",
-    "angle": "min_target_angle",
-    "sinr": "max_sinr",
-    "optimal": POLICY_OPTIMAL,
-    "nn": POLICY_NN,
-}
 
 OPTIMIZER_SOURCE = "optimizer"
 NN_SOURCE = "nn"
@@ -384,7 +376,6 @@ def generate_dataset(
     skips by reason.  An entirely empty dataset raises, after that line, with
     the same counts.
     """
-    policy = POLICY_ALIASES.get(policy, policy)
     trajectories = generate_trajectories(scenario, num_trajectories, seed)
     samples: list[Sample] = []
     skipped = dict.fromkeys(SKIP_WARNINGS, 0)
@@ -506,8 +497,8 @@ def train_models(samples: Sequence[Sample], scenario: Scenario,
     b_star = target_gains(y_rows[val_rows])
     b_star_sq_mean = float(np.mean(b_star**2))
 
-    def beampattern_metric(net: Network, xv) -> float:
-        errors = (b_star - target_gains(forward(net, xv))) ** 2
+    def beampattern_metric(pred) -> float:
+        errors = (b_star - target_gains(pred)) ** 2
         return float(np.mean(errors) / max(b_star_sq_mean, 1e-300))
 
     beamformer = Network(NetworkConfig(layer_sizes=(FEATURE_SIZE, 50, 2 * m), seed=config.seed))
@@ -608,7 +599,6 @@ def evaluate_trajectory(
     A bundle must have been trained for the scenario's array size and
     station count.
     """
-    policy = POLICY_ALIASES.get(policy, policy)
     if weight_source not in (OPTIMIZER_SOURCE, NN_SOURCE):
         raise ValueError(f"unknown weight source {weight_source!r}")
     if (weight_source == NN_SOURCE or policy == POLICY_NN) and bundle is None:

@@ -21,9 +21,9 @@ without one), so each derives its units once, under one rotation
 phasors relative to the pointing, apply_nulls for its null check and null
 basis.
 
-Max-SINR association and the optimal association label are one rule: the
-station with the smallest required EIRP, lowest index on ties (see
-associate).
+Each association policy has one name, the one --policy takes.  Max-SINR
+association (sinr) and the optimal association label are one rule: the
+station with the smallest required EIRP, lowest index on ties (see associate).
 """
 
 from __future__ import annotations
@@ -55,10 +55,10 @@ CONE_HALF_ANGLE_RAD = math.radians(30.0)
 TURN_LIMIT_RAD = math.radians(10.0)
 
 POLICY_CLOSEST = "closest"
-POLICY_MIN_TARGET_ANGLE = "min_target_angle"
-POLICY_MAX_SINR = "max_sinr"
-POLICY_OPTIMAL = "optimal"
-POLICY_NN = "nn_model"
+POLICY_MIN_TARGET_ANGLE = "angle"
+POLICY_MAX_SINR = "sinr"
+POLICY_NN = "nn"
+POLICIES = (POLICY_CLOSEST, POLICY_MIN_TARGET_ANGLE, POLICY_MAX_SINR, POLICY_NN)
 
 # default ground-station layout; positions are not published, so they live in
 # the scenario file to keep experiments reproducible
@@ -303,13 +303,12 @@ def point_geometry(scenario: Scenario, point: TrajectoryPoint) -> PointGeometry:
 def associate(scenario: Scenario, geo: PointGeometry, policy: str) -> int:
     """Pick the serving ground station for one trajectory point by a fixed rule.
 
-    closest: smallest 3D distance.  min_target_angle: azimuth closest to the
-    target azimuth.  max_sinr and optimal: the label_optimal_association
-    station.  Ties go to the lowest index.  The nn_model policy is no rule of
-    the geometry: evaluate_trajectory asks the trained association network
-    for its station.
+    closest: smallest 3D distance.  angle: azimuth closest to the target
+    azimuth.  sinr: the label_optimal_association station.  Ties go to the
+    lowest index.  The nn policy is no rule of the geometry:
+    evaluate_trajectory asks the trained association network for its station.
 
-    max_sinr is the same rule as optimal.  Probe station k with a matched
+    sinr is the label's own rule.  Probe station k with a matched
     full-aperture beam at the EIRP cap: with element gain g_k > 0 toward k it
     delivers |h_k^H w_k|^2 = PL_k * EIRP_cap / g_k, while the matched sensing
     beam's interference |h_s^H w_s|^2 is the same for every station.  So the
@@ -325,7 +324,7 @@ def associate(scenario: Scenario, geo: PointGeometry, policy: str) -> int:
         phi_target = geo.target_dir.phi
         gaps = [abs(_wrap_angle(d.phi - phi_target)) for d in geo.gbs_dir]
         return int(np.argmin(gaps))
-    if policy in (POLICY_MAX_SINR, POLICY_OPTIMAL):
+    if policy == POLICY_MAX_SINR:
         return label_optimal_association(scenario, geo)
     raise ValueError(f"unknown association policy {policy!r}")
 

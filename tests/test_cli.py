@@ -103,20 +103,30 @@ def test_synthesize_takes_pointings_outside_the_polar_ranges(tmp_path, tiny_scen
 def test_dataset_generate_refuses_the_nn_policy(tmp_path, tiny_scenario_path, capsys):
     # the dataset labels the networks' training data, so no network picks its stations
     out = tmp_path / "d.jsonl"
-    with pytest.raises(SystemExit) as exit_info:
-        main(
-            [
-                "dataset", "generate",
-                "--scenario", tiny_scenario_path,
-                "--trajectories", "1",
-                "--policy", "nn",
-                "--seed", "1",
-                "--out", str(out),
-            ]
-        )
-    assert exit_info.value.code == 2
-    assert "invalid choice: 'nn'" in capsys.readouterr().err
+    assert main(
+        [
+            "dataset", "generate",
+            "--scenario", tiny_scenario_path,
+            "--trajectories", "1",
+            "--policy", "nn",
+            "--seed", "1",
+            "--out", str(out),
+        ]
+    ) == 1
+    assert [json.loads(line) for line in capsys.readouterr().err.splitlines()] == [
+        {"error": "ValueError", "message": "argument --policy: invalid choice: 'nn' "
+                                           "(choose from 'closest', 'angle', 'sinr')"}
+    ]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["dataset", "generate", "--help"]])
+def test_help_prints_usage_and_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: uavisac") and err == ""
 
 
 def test_dataset_generate_defaults_to_the_scenario_trajectory_count(tmp_path, tiny_scenario_path):
@@ -271,6 +281,22 @@ BAD_INPUTS = [
                  "--null must be finite, got 'nan'", id="synthesize-null-nan"),
     pytest.param(None, None, SYNTH + " --null=a,1", "ValueError", "--null takes numbers, got 'a'",
                  id="synthesize-null-not-a-number"),
+    # a command line argparse rejects fails as every other bad input does
+    pytest.param(None, None, "frobnicate", "ValueError",
+                 "argument command: invalid choice: 'frobnicate' (choose from 'scenario', "
+                 "'dataset', 'train', 'synthesize', 'eval')", id="command-unknown"),
+    pytest.param(None, None, GENERATE.split(" --out")[0], "ValueError",
+                 "the following arguments are required: --out", id="generate-out-missing"),
+    pytest.param(None, None, GENERATE + " --trajectories x", "ValueError",
+                 "argument --trajectories: invalid int value: 'x'", id="generate-trajectories-x"),
+    pytest.param(None, None, GENERATE + " --policy optimal", "ValueError",
+                 "argument --policy: invalid choice: 'optimal' (choose from 'closest', 'angle', "
+                 "'sinr')", id="generate-policy-optimal"),
+    pytest.param(None, None, EVAL + " --policy max_sinr", "ValueError",
+                 "argument --policy: invalid choice: 'max_sinr' (choose from 'closest', 'angle', "
+                 "'sinr', 'nn')", id="eval-policy-max_sinr"),
+    pytest.param(None, None, SYNTH + " --sll-az abc", "ValueError",
+                 "argument --sll-az: invalid float value: 'abc'", id="synthesize-sll-az-abc"),
     # at lambda/2 spacing the endfire pointing's grating alias has the pointing's steering vector
     pytest.param(None, None, SYNTH + " --az 0 --el 90 --null=0,-90", "NullConflictError",
                  "null direction conflicts with the pointing direction",

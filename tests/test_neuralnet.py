@@ -10,6 +10,7 @@ from uavisac.neuralnet import (
     TrainConfig,
     forward,
     gradients,
+    mse_loss,
     train,
 )
 
@@ -196,9 +197,9 @@ def test_train_is_bitwise_deterministic():
 
 
 def test_train_normalization_stats():
-    # the network is fitted on z-scored inputs, which val_metric sees, and the
-    # z-score is then folded into layer 0: on raw inputs the returned network
-    # gives what the fitted one gives on z-scored inputs
+    # the network is fitted on z-scored inputs, on which val_metric sees its
+    # outputs, and the z-score is then folded into layer 0: on raw inputs the
+    # returned network gives what the fitted one gives on z-scored inputs
     rng = np.random.default_rng(5)
     x = rng.normal(loc=3.0, scale=2.5, size=(100, 4))
     x[:, 2] = 7.0  # a constant feature keeps std 1
@@ -213,21 +214,23 @@ def test_train_normalization_stats():
     assert np.max(np.abs(z[train_idx].mean(axis=0))) < 1e-10
     assert np.max(np.abs(z[train_idx][:, [0, 1, 3]].std(axis=0) - 1.0)) < 1e-10
 
-    fitted = Network(net.config)
     seen = []
 
-    def metric(trained, x_val):
-        fitted.params[:] = trained.params
-        seen.append(x_val.copy())
+    def metric(pred):
+        seen.append(pred.copy())
         return 0.0
 
-    net, _ = train(net, x, y, cfg, (train_idx, val_idx), metric)
-    assert len(seen) == 1 and np.array_equal(seen[0], z[val_idx])
-    assert np.allclose(forward(net, x), forward(fitted, z), rtol=1e-12, atol=1e-12)
-    assert not np.allclose(forward(net, z), forward(fitted, z))
-    # only layer 0 takes the fold
-    assert np.array_equal(net.weights[1], fitted.weights[1])
-    assert np.array_equal(net.biases[1], fitted.biases[1])
+    net, report = train(net, x, y, cfg, (train_idx, val_idx), metric)
+    # the metric sees the outputs the validation loss is taken on
+    assert len(seen) == 1 and report.val_loss == [mse_loss(seen[0], y[val_idx])]
+    assert np.allclose(forward(net, x[val_idx]), seen[0], rtol=1e-12, atol=1e-12)
+    assert not np.allclose(forward(net, z[val_idx]), seen[0])
+    # unfolding layer 0, and only layer 0, gives back the fitted network
+    fitted = Network(net.config)
+    fitted.params[:] = net.params
+    fitted.biases[0][...] += net.weights[0] @ mean
+    fitted.weights[0][...] *= std
+    assert np.allclose(forward(fitted, z[val_idx]), seen[0], rtol=1e-12, atol=1e-12)
 
 
 def test_network_dict_roundtrip():

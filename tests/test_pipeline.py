@@ -786,16 +786,20 @@ def test_evaluate_trajectory_schema_and_slot_order(small_scenario, small_bundle)
             )
 
 
-def test_evaluate_trajectory_policy_aliases(small_scenario):
+def test_evaluate_trajectory_policy_aliases(small_scenario, small_bundle):
+    # each policy has one name, the one --policy takes, and its records carry
+    # that name; no other spelling is taken
     from uavisac.scenario import Trajectory
 
     full = generate_trajectories(small_scenario, 1, seed=5)[0]
     short = Trajectory(id=0, points=full.points[10:13])
-    for policy, canonical in (("angle", "min_target_angle"), ("sinr", "max_sinr"),
-                              ("optimal", "optimal")):
-        records = evaluate_trajectory(small_scenario, short, policy, "optimizer")
-        assert len(records) == 3
-        assert all(r.policy == canonical for r in records)
+    for policy in ("closest", "angle", "sinr", "nn"):
+        records = evaluate_trajectory(small_scenario, short, policy, "optimizer",
+                                      bundle=small_bundle)
+        assert [r.policy for r in records] == [policy] * 3
+    for policy in ("max_sinr", "min_target_angle", "nn_model", "optimal"):
+        with pytest.raises(ValueError, match=f"^unknown association policy '{policy}'$"):
+            evaluate_trajectory(small_scenario, short, policy, "optimizer")
 
 
 def test_evaluate_trajectory_audited_slot_matches_hand_composition(small_scenario):
@@ -852,7 +856,7 @@ def test_evaluation_csv_is_pinned(tmp_path, small_scenario, small_bundle):
     path = tmp_path / "records.csv"
     write_records_csv(path, records)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "9b4f045d0b560dafe3923bc3d13bedea98e982057ff6d96f672014f53ba8cabb"
+        "84dd4747c820649288e75c2ef2d7e7e72433d5101dfd16f79e1ddd7f9efe929d"
     )
 
 

@@ -30,7 +30,6 @@ from uavisac.scenario import (
     POLICY_CLOSEST,
     POLICY_MAX_SINR,
     POLICY_MIN_TARGET_ANGLE,
-    POLICY_OPTIMAL,
     Scenario,
     TrajectoryPoint,
     associate,
@@ -463,7 +462,7 @@ def test_associate_optimal_is_the_label_station():
         geo = point_geometry(scn, level_point(
             rng.uniform(60, 540), rng.uniform(60, 540), yaw=rng.uniform(-math.pi, math.pi)
         ))
-        k = associate(scn, geo, POLICY_OPTIMAL)
+        k = associate(scn, geo, POLICY_MAX_SINR)
         assert k == label_optimal_association(scn, geo)
         picked.add(k)
     assert len(picked) > 1
@@ -635,7 +634,6 @@ ASSOCIATION_PINS = {
     POLICY_CLOSEST: "0" * 67 + "2" * 44,
     POLICY_MIN_TARGET_ANGLE: "4" * 36 + "2" * 14 + "1" * 7 + "0" * 54,
     POLICY_MAX_SINR: "0" * 61 + "33330033333333333322222232333322233333333333333222",
-    POLICY_OPTIMAL: "0" * 61 + "33330033333333333322222232333322233333333333333222",
 }
 
 
