@@ -43,6 +43,20 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+def _int_at_least(least: int):
+    """An argparse type for integers of at least `least`: a smaller value fails naming its
+    option, and text int() rejects fails as it does under type=int."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     defaults = TrainConfig()
     parser = _Parser(prog="uavisac")
@@ -59,12 +73,12 @@ def _build_parser() -> argparse.ArgumentParser:
     gen_cmd = dataset_sub.add_parser("generate", help="synthesize an optimizer-labeled dataset")
     gen_cmd.add_argument("--scenario", required=True)
     gen_cmd.add_argument(
-        "--trajectories", type=int, default=None,
+        "--trajectories", type=_int_at_least(1), default=None,
         help="number of trajectories; defaults to the scenario's num_trajectories",
     )
     # the dataset is labelled with the optimizer, before any network exists
     gen_cmd.add_argument("--policy", choices=[p for p in POLICIES if p != POLICY_NN], required=True)
-    gen_cmd.add_argument("--seed", type=int, required=True)
+    gen_cmd.add_argument("--seed", type=_int_at_least(0), required=True)
     gen_cmd.add_argument("--out", required=True)
     gen_cmd.set_defaults(run=_run_dataset_generate)
 
@@ -74,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     train_cmd.add_argument("--batch", type=int, default=defaults.batch_size)
     train_cmd.add_argument("--lr", type=float, default=defaults.learning_rate)
     train_cmd.add_argument("--split", type=float, default=defaults.train_fraction)
-    train_cmd.add_argument("--seed", type=int, required=True)
+    train_cmd.add_argument("--seed", type=_int_at_least(0), required=True)
     train_cmd.add_argument("--out", required=True)
     train_cmd.set_defaults(run=_run_train)
 
@@ -106,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
     traj_cmd.add_argument("--bundle", default=None)
     traj_cmd.add_argument("--policy", choices=POLICIES, required=True)
     traj_cmd.add_argument("--source", choices=[OPTIMIZER_SOURCE, NN_SOURCE], required=True)
-    traj_cmd.add_argument("--seed", type=int, required=True)
+    traj_cmd.add_argument("--seed", type=_int_at_least(0), required=True)
     traj_cmd.add_argument("--out", required=True)
     traj_cmd.set_defaults(run=_run_eval_trajectory)
     eirp_cmd = eval_sub.add_parser("eirp", help="ECDF, outage and mean rate from records")

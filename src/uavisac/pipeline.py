@@ -10,8 +10,8 @@ stages are deterministic under a fixed master seed.
 
 Every per-point stage reads its geometry, station path gains and radar
 channel from one scenario.PointGeometry record built once per point; only
-synthesize re-derives its units, and training only each target direction and
-unit (see the scenario module docstring).
+synthesize re-derives its units, and training and predict_association derive
+only the target's Link (scenario.link_toward; see the scenario docstring).
 
 The codec module lays out its files from their dataclasses: a dataset JSONL
 (DatasetHeader, then Samples), a ModelBundle and a records CSV (EvalRecords).
@@ -45,17 +45,11 @@ from .beampattern import (
 )
 from .channel import achievable_rate, channel_vector, sinr
 from .codec import check_keys, decode, encode
-from .geometry import (
-    DirectionAngles,
-    RotationAngles,
-    array_frame_unit,
-    direction_angles,
-    rotation_matrix,
-    steering,
-)
+from .geometry import DirectionAngles, RotationAngles, rotation_matrix, steering
 from .neuralnet import Network, NetworkConfig, TrainConfig, TrainReport, forward, train
 from .scenario import (
     POLICY_NN,
+    Link,
     PointGeometry,
     Scenario,
     Trajectory,
@@ -63,6 +57,7 @@ from .scenario import (
     associate,
     generate_trajectories,
     label_optimal_association,
+    link_toward,
     min_required_eirp_dbm,
     point_geometry,
 )
@@ -244,7 +239,7 @@ def sensing_eirp_target_dbm(scenario: Scenario, geo: PointGeometry) -> float:
     """
     sum_amp, sum_sq = _taper_sums(scenario.array.side, scenario.sll_min_az_db,
                                   scenario.sll_min_el_db)
-    eirp_mw = 0.5 * scenario.p_max_mw * sum_amp**2 * geo.target_gain / sum_sq
+    eirp_mw = 0.5 * scenario.p_max_mw * sum_amp**2 * geo.target.gain / sum_sq
     return min(scenario.eirp_max_dbm, to_db(eirp_mw))
 
 
@@ -318,19 +313,20 @@ def synthesize_point(
     config = scenario.array
     prelim_dbm = sensing_eirp_target_dbm(scenario, geo)
     sensing_res = synthesize(
-        _synthesis_request(scenario, geo.target_dir, prelim_dbm, ()), config, pose
+        _synthesis_request(scenario, geo.target.direction, prelim_dbm, ()), config, pose
     )
     comm_eirp = _comm_eirp_dbm(scenario, geo, gbs_index, sensing_res.weights)
-    gbs_dir = geo.gbs_dir[gbs_index]
+    serving = geo.gbs[gbs_index]
     null_gbs = nearest_other_gbs(geo, gbs_index)
     if lenient:
-        point = geo.gbs_unit[gbs_index]
-        kept = tuple(i for i in null_gbs if not null_conflicts(geo.gbs_unit[i], point, config))
+        kept = tuple(i for i in null_gbs
+                     if not null_conflicts(geo.gbs[i].unit, serving.unit, config))
         if kept != null_gbs:
             logger.warning("dropping null conflicting with pointing at slot %d", geo.point.slot)
             null_gbs = kept
-    nulls = [geo.gbs_dir[i] for i in null_gbs]
-    comm_res = synthesize(_synthesis_request(scenario, gbs_dir, comm_eirp, nulls), config, pose)
+    nulls = [geo.gbs[i].direction for i in null_gbs]
+    comm_res = synthesize(_synthesis_request(scenario, serving.direction, comm_eirp, nulls),
+                          config, pose)
     matrix = _enforce_power_budget(
         BeamformingMatrix(sensing=sensing_res.weights, comm=comm_res.weights),
         scenario.p_max_mw,
@@ -356,7 +352,7 @@ SKIP_WARNINGS = {
 
 def _synthesis_or_skip(scenario: Scenario, geo: PointGeometry, k: int) -> PointSynthesis | str:
     """Both optimizer beams of a dataset point toward station k, or why it is skipped."""
-    if geo.target_gain < MIN_ELEMENT_GAIN or geo.gbs_gain[k] < MIN_ELEMENT_GAIN:
+    if geo.target.gain < MIN_ELEMENT_GAIN or geo.gbs[k].gain < MIN_ELEMENT_GAIN:
         return "field of view"
     try:
         ps = synthesize_point(scenario, geo, k)
@@ -388,7 +384,7 @@ def generate_dataset(
                 skipped[ps] += 1
                 logger.warning(SKIP_WARNINGS[ps], traj.id, point.slot)
                 continue
-            null_frames = [geo.gbs_frame[i] for i in ps.null_gbs]
+            null_frames = [geo.gbs[i].frame for i in ps.null_gbs]
             samples.append(
                 Sample(
                     trajectory_id=traj.id,
@@ -397,10 +393,10 @@ def generate_dataset(
                     orientation=point.orientation,
                     gbs_index=k,
                     comm_features=comm_feature_vector(
-                        geo.gbs_frame[k], null_frames, ps.comm_eirp_dbm
+                        geo.gbs[k].frame, null_frames, ps.comm_eirp_dbm
                     ),
                     sensing_features=sensing_feature_vector(
-                        geo.target_frame, ps.sensing_eirp_dbm
+                        geo.target.frame, ps.sensing_eirp_dbm
                     ),
                     comm_weights=encode_complex(ps.matrix.comm.vector),
                     sensing_weights=encode_complex(ps.matrix.sensing.vector),
@@ -479,13 +475,13 @@ def train_models(samples: Sequence[Sample], scenario: Scenario,
     train_rows = np.sort(np.concatenate([2 * train_points, 2 * train_points + 1]))
     val_rows = np.sort(np.concatenate([2 * val_points, 2 * val_points + 1]))
 
-    # the target direction and unit, derived as point_geometry does, are all it reads
+    # each target Link as point_geometry derives it; training reads its direction and unit
     xa = np.zeros((n, 4))
     target_units = np.zeros((n, 3))
     for i, sample in enumerate(samples):
-        target_dir = direction_angles(sample.position, scenario.target_m)
-        xa[i] = association_features(scenario, sample.position, target_dir)
-        target_units[i] = array_frame_unit(rotation_matrix(sample.orientation), target_dir)
+        target = _target_link(scenario, sample.position, sample.orientation)
+        xa[i] = association_features(scenario, sample.position, target.direction)
+        target_units[i] = target.unit
     # conjugated target steering of the validation points, (n_val, M, 1)
     target = np.conj(steering(scenario.array, target_units[val_points]))[:, :, None]
 
@@ -525,14 +521,20 @@ def _sample_point(sample: Sample) -> TrajectoryPoint:
     return TrajectoryPoint(sample.slot, sample.position, sample.orientation)
 
 
+def _target_link(scenario: Scenario, position, orientation: RotationAngles) -> Link:
+    rot = rotation_matrix(orientation)
+    return link_toward(scenario.channel, position, rot, scenario.target_m, radar=True)
+
+
 def predict_association(bundle: ModelBundle, scenario: Scenario,
                         point: TrajectoryPoint) -> int:
     """Forward pass, de-normalize and clamp to a valid station index."""
-    return _predicted_gbs(bundle, scenario, point_geometry(scenario, point))
+    target = _target_link(scenario, point.position, point.orientation)
+    return _predicted_gbs(bundle, scenario, point.position, target)
 
 
-def _predicted_gbs(bundle: ModelBundle, scenario: Scenario, geo: PointGeometry) -> int:
-    features = association_features(scenario, geo.point.position, geo.target_dir)
+def _predicted_gbs(bundle: ModelBundle, scenario: Scenario, position, target: Link) -> int:
+    features = association_features(scenario, position, target.direction)
     raw = float(forward(bundle.association, features)[0])
     k = scenario.num_gbs
     index = int(round(raw * max(k - 1, 1)))
@@ -551,14 +553,14 @@ def predict_matrix(
     rescaled if they exceed the EIRP cap or the power budget.
     """
     prelim_dbm = sensing_eirp_target_dbm(scenario, geo)
-    sens_feat = sensing_feature_vector(geo.target_frame, prelim_dbm)
+    sens_feat = sensing_feature_vector(geo.target.frame, prelim_dbm)
     sensing = _nn_beam(forward(bundle.beamformer, sens_feat), scenario,
-                       geo.target_steering, geo.target_gain)
+                       geo.target_steering, geo.target.gain)
     comm_eirp = _comm_eirp_dbm(scenario, geo, gbs_index, sensing)
-    null_frames = [geo.gbs_frame[i] for i in nearest_other_gbs(geo, gbs_index)]
-    comm_feat = comm_feature_vector(geo.gbs_frame[gbs_index], null_frames, comm_eirp)
+    null_frames = [geo.gbs[i].frame for i in nearest_other_gbs(geo, gbs_index)]
+    comm_feat = comm_feature_vector(geo.gbs[gbs_index].frame, null_frames, comm_eirp)
     comm = _nn_beam(forward(bundle.beamformer, comm_feat), scenario,
-                    steering(scenario.array, geo.gbs_unit[gbs_index]), geo.gbs_gain[gbs_index])
+                    steering(scenario.array, geo.gbs[gbs_index].unit), geo.gbs[gbs_index].gain)
     return (
         _enforce_power_budget(
             BeamformingMatrix(sensing=sensing, comm=comm), scenario.p_max_mw
@@ -614,7 +616,7 @@ def evaluate_trajectory(
     for point in trajectory.points:
         geo = point_geometry(scenario, point)
         if policy == POLICY_NN:
-            k = _predicted_gbs(bundle, scenario, geo)
+            k = _predicted_gbs(bundle, scenario, point.position, geo.target)
         else:
             k = associate(scenario, geo, policy)
         if weight_source == OPTIMIZER_SOURCE:
@@ -625,14 +627,14 @@ def evaluate_trajectory(
             matrix, required_dbm = predict_matrix(bundle, scenario, geo, k)
         if matrices_out is not None:
             matrices_out.append(matrix)
-        h_comm = channel_vector(scenario.channel, scenario.array, geo.gbs_distance_m[k],
-                                geo.gbs_path_gain[k], unit=geo.gbs_unit[k])
+        h_comm = channel_vector(scenario.channel, scenario.array, geo.gbs[k].distance_m,
+                                geo.gbs[k].path_gain, unit=geo.gbs[k].unit)
         value = sinr(
             h_comm, geo.target_channel, matrix.comm.vector, matrix.sensing.vector,
             scenario.channel.noise_mw,
         )
         rate = achievable_rate(value, scenario.channel.bandwidth_hz)
-        bgain = beampattern_gain(matrix, scenario.array, geo.target_unit)
+        bgain = beampattern_gain(matrix, scenario.array, geo.target.unit)
         records.append(
             EvalRecord(
                 slot=point.slot,

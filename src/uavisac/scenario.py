@@ -11,15 +11,16 @@ point, so the speed bound and endpoint constraints hold by construction.
 Each point yaws along its step as flown, the end point along its inbound
 step, with no pitch or roll.
 
-point_geometry builds a point's rotation once and derives each destination's
-distance, direction, array-frame unit, element gain and path gain once; every
-per-point stage reads its PointGeometry record, synthesize_point's lenient null
-drop too.  The beampattern entry points take world quantities rather than a
-record (the CLI's synthesize command, the tests and the benchmark call them
-without one), so each derives its units once, under one rotation
-(_frame_units): synthesize for its null check, its cut tables and its null
-phasors relative to the pointing, apply_nulls for its null check and null
-basis.
+link_toward derives a destination's Link (distance, direction, array-frame
+unit and angles, element gain, path gain), and point_geometry one Link per
+destination under one rotation; every per-point stage reads its PointGeometry
+record, synthesize_point's lenient null drop too, while training and
+predict_association, which read only the target, call link_toward.  The
+beampattern entry points take world quantities rather than a record (the CLI's
+synthesize command, the tests and the benchmark call them without one), so each
+derives its units once, under one rotation (_frame_units): synthesize for its
+null check, its cut tables and its null phasors relative to the pointing,
+apply_nulls for its null check and null basis.
 
 Each association policy has one name, the one --policy takes.  Max-SINR
 association (sinr) and the optimal association label are one rule: the
@@ -31,6 +32,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -232,71 +234,65 @@ def _wrap_angle(angle: float) -> float:
     return math.atan2(math.sin(angle), math.cos(angle))
 
 
-@dataclass(frozen=True)
-class PointGeometry:
-    """One trajectory point's global direction, array-frame unit and angles,
-    and element gain toward the target and each station (by index), and the
-    two links the channel models: each station's distance and
-    station_path_gain (read by min_required_eirp_dbm and evaluation's serving
-    channel), and the target's steering vector and radar channel, the echo's
-    channel_vector under radar_path_gain.
+class Link(NamedTuple):
+    """One destination as a trajectory point sees it: distance (m), world direction,
+    array-frame unit and its angles, element gain, and channel path gain
+    (radar_path_gain for the target, station_path_gain for a station)."""
 
-    Network features carry the array-frame angles: the synthesized weights
-    depend on the beam direction relative to the aperture.  gbs_by_distance
-    lists the stations nearest first, ties by lowest index.
-    """
-
-    point: TrajectoryPoint
-    target_dir: DirectionAngles
-    target_unit: NDArray[np.float64]
-    target_frame: DirectionAngles
-    target_gain: float
-    target_steering: NDArray[np.complex128]
-    target_channel: NDArray[np.complex128]
-    gbs_dir: tuple[DirectionAngles, ...]
-    gbs_unit: tuple[NDArray[np.float64], ...]
-    gbs_frame: tuple[DirectionAngles, ...]
-    gbs_gain: tuple[float, ...]
-    gbs_distance_m: tuple[float, ...]
-    gbs_path_gain: tuple[float, ...]
-    gbs_by_distance: tuple[int, ...]
+    distance_m: float
+    direction: DirectionAngles
+    unit: NDArray[np.float64]
+    frame: DirectionAngles
+    gain: float
+    path_gain: float
 
 
-def _toward(position, rot, dest):
-    """Distance, direction, array-frame unit and its angles, and element gain toward dest."""
+def link_toward(channel: ChannelParams, position, rot, dest, *, radar: bool = False) -> Link:
+    """The Link from position (a length-3 array), under the pose rotation rot, toward
+    dest: the radar target's with radar=True, else a ground station's."""
     distance, direction = offset_direction(position - dest)
     unit = array_frame_unit(rot, direction)
     ux, uy, uz = unit.tolist()
     frame = DirectionAngles(math.acos(min(1.0, max(-1.0, uz))), math.atan2(uy, ux))
-    return distance, direction, unit, frame, element_gain(unit)
+    path_gain = (radar_path_gain(channel, distance) if radar
+                 else station_path_gain(channel, position, dest, distance))
+    return Link(distance, direction, unit, frame, element_gain(unit), path_gain)
+
+
+@dataclass(frozen=True)
+class PointGeometry:
+    """One trajectory point's Link toward the target and toward each station (by
+    index), the target's steering vector and radar channel (the echo's
+    channel_vector under radar_path_gain), and the stations nearest first, ties
+    by lowest index.
+
+    Network features carry each Link's array-frame angles: the synthesized
+    weights depend on the beam direction relative to the aperture.
+    """
+
+    point: TrajectoryPoint
+    target: Link
+    gbs: tuple[Link, ...]
+    target_steering: NDArray[np.complex128]
+    target_channel: NDArray[np.complex128]
+    gbs_by_distance: tuple[int, ...]
 
 
 def point_geometry(scenario: Scenario, point: TrajectoryPoint) -> PointGeometry:
-    """The PointGeometry of one trajectory point: one rotation, one pass per destination."""
+    """The PointGeometry of one trajectory point: one rotation, one Link per destination."""
     position = as_vec3(point.position)
     rot = rotation_matrix(point.orientation)
-    rows = [_toward(position, rot, dest) for dest in (scenario.target_m, *scenario.gbs_m)]
-    distances, dirs, units, frames, gains = zip(*rows)
-    ch, gbs_distances = scenario.channel, distances[1:]
-    radar_gain = radar_path_gain(ch, distances[0])
-    target_steering = steering(scenario.array, units[0])
+    ch = scenario.channel
+    target = link_toward(ch, position, rot, scenario.target_m, radar=True)
+    gbs = tuple(link_toward(ch, position, rot, t) for t in scenario.gbs_m)
+    target_steering = steering(scenario.array, target.unit)
     return PointGeometry(
         point=point,
-        target_dir=dirs[0],
-        target_unit=units[0],
-        target_frame=frames[0],
-        target_gain=gains[0],
+        target=target,
+        gbs=gbs,
         target_steering=target_steering,
-        target_channel=_link_phasor(ch, distances[0], radar_gain) * target_steering,
-        gbs_dir=dirs[1:],
-        gbs_unit=units[1:],
-        gbs_frame=frames[1:],
-        gbs_gain=gains[1:],
-        gbs_distance_m=gbs_distances,
-        gbs_path_gain=tuple(
-            station_path_gain(ch, position, t, d) for t, d in zip(scenario.gbs_m, gbs_distances)
-        ),
-        gbs_by_distance=tuple(sorted(range(len(gbs_distances)), key=gbs_distances.__getitem__)),
+        target_channel=_link_phasor(ch, target.distance_m, target.path_gain) * target_steering,
+        gbs_by_distance=tuple(sorted(range(len(gbs)), key=lambda k: gbs[k].distance_m)),
     )
 
 
@@ -321,11 +317,14 @@ def associate(scenario: Scenario, geo: PointGeometry, policy: str) -> int:
     if policy == POLICY_CLOSEST:
         return geo.gbs_by_distance[0]
     if policy == POLICY_MIN_TARGET_ANGLE:
-        phi_target = geo.target_dir.phi
-        gaps = [abs(_wrap_angle(d.phi - phi_target)) for d in geo.gbs_dir]
+        phi_target = geo.target.direction.phi
+        gaps = [abs(_wrap_angle(g.direction.phi - phi_target)) for g in geo.gbs]
         return int(np.argmin(gaps))
     if policy == POLICY_MAX_SINR:
         return label_optimal_association(scenario, geo)
+    if policy == POLICY_NN:
+        raise ValueError("the nn policy is the association network's choice, not a rule of "
+                         "the geometry: evaluate_trajectory takes it with a trained bundle")
     raise ValueError(f"unknown association policy {policy!r}")
 
 
@@ -340,13 +339,13 @@ def min_required_eirp_dbm(
     For a beam pointed at the station the pattern gain cancels between the
     radiated EIRP and the received power, leaving
     EIRP_min = gamma * (noise + interference) * g_e / PL, with the
-    interference in mW; g_e and PL are the record's gbs_gain and gbs_path_gain.
+    interference in mW; g_e and PL are the station Link's gain and path_gain.
     """
     required_mw = (
         from_db(scenario.gamma_sinr_db)
         * (scenario.channel.noise_mw + interference)
-        * geo.gbs_gain[gbs_index]
-        / geo.gbs_path_gain[gbs_index]
+        * geo.gbs[gbs_index].gain
+        / geo.gbs[gbs_index].path_gain
     )
     return to_db(required_mw)
 

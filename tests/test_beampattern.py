@@ -49,7 +49,7 @@ def zero_pose():
 
 
 def frame_unit(pose, target):
-    """The target's array-frame unit, as PointGeometry.target_unit holds it."""
+    """The target's array-frame unit, as a PointGeometry's target Link holds it."""
     return geometry.array_frame_unit(
         rotation_matrix(pose.angles), direction_angles(pose.position, target)
     )

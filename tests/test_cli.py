@@ -289,6 +289,11 @@ BAD_INPUTS = [
                  "the following arguments are required: --out", id="generate-out-missing"),
     pytest.param(None, None, GENERATE + " --trajectories x", "ValueError",
                  "argument --trajectories: invalid int value: 'x'", id="generate-trajectories-x"),
+    pytest.param(None, None, GENERATE + " --trajectories 0", "ValueError",
+                 "argument --trajectories: must be at least 1, got 0", id="generate-trajectories-0"),
+    *(pytest.param(None, None, command + " --seed -1", "ValueError",
+                   "argument --seed: must be at least 0, got -1", id=f"{name}-seed-negative")
+      for name, command in (("generate", GENERATE), ("train", TRAIN), ("eval", EVAL))),
     pytest.param(None, None, GENERATE + " --policy optimal", "ValueError",
                  "argument --policy: invalid choice: 'optimal' (choose from 'closest', 'angle', "
                  "'sinr')", id="generate-policy-optimal"),

@@ -154,7 +154,7 @@ def test_element_gain_of_array_frame_unit_matches_angle_form():
     for pos, angles, dest in random_poses(rng, 500):
         unit = array_frame_unit(rotation_matrix(angles), direction_angles(pos, dest))
         geo = point_geometry(Scenario(target_m=dest), TrajectoryPoint(0, pos, angles))
-        frame = geo.target_frame
+        frame = geo.target.frame
         cos_off = math.sin(frame.phi) * math.sin(frame.theta)
         assert abs(element_gain(unit) - ((1.0 + cos_off) / 2.0) ** 2) <= 1e-15
 

@@ -802,6 +802,20 @@ def test_evaluate_trajectory_policy_aliases(small_scenario, small_bundle):
             evaluate_trajectory(small_scenario, short, policy, "optimizer")
 
 
+def test_the_nn_policy_is_no_rule_of_the_geometry(small_scenario):
+    # nn is one of scenario.POLICIES, but only the association network picks its station
+    from uavisac.scenario import POLICIES, associate
+
+    assert "nn" in POLICIES
+    message = ("^the nn policy is the association network's choice, not a rule of the "
+               "geometry: evaluate_trajectory takes it with a trained bundle$")
+    point = generate_trajectories(small_scenario, 1, seed=5)[0].points[0]
+    with pytest.raises(ValueError, match=message):
+        associate(small_scenario, point_geometry(small_scenario, point), "nn")
+    with pytest.raises(ValueError, match=message):
+        generate_dataset(small_scenario, 1, "nn", 5)
+
+
 def test_evaluate_trajectory_audited_slot_matches_hand_composition(small_scenario):
     traj = generate_trajectories(small_scenario, 1, seed=5)[0]
     mats = []

@@ -30,6 +30,7 @@ from uavisac.scenario import (
     POLICY_CLOSEST,
     POLICY_MAX_SINR,
     POLICY_MIN_TARGET_ANGLE,
+    Link,
     Scenario,
     TrajectoryPoint,
     associate,
@@ -478,16 +479,16 @@ def matched_probe_station(scn, geo):
         ppe = from_db(scn.eirp_max_dbm) / gain if gain > 0.0 else 1e-12
         return BeamWeights(entries=steering(scn.array, unit), power_per_element_mw=ppe)
 
-    w_sense = matched(geo.target_unit, geo.target_gain)
+    w_sense = matched(geo.target.unit, geo.target.gain)
     best_idx, best_sinr = 0, -math.inf
     for idx, gbs in enumerate(scn.gbs_m):
         distance = float(np.linalg.norm(geo.point.position - gbs))
         h_comm = channel_vector(
             scn.channel, scn.array, distance,
             station_path_gain(scn.channel, geo.point.position, gbs, distance),
-            unit=geo.gbs_unit[idx],
+            unit=geo.gbs[idx].unit,
         )
-        w_comm = matched(geo.gbs_unit[idx], geo.gbs_gain[idx])
+        w_comm = matched(geo.gbs[idx].unit, geo.gbs[idx].gain)
         value = sinr(
             h_comm, geo.target_channel, w_comm.vector, w_sense.vector, scn.channel.noise_mw
         )
@@ -571,6 +572,8 @@ def test_label_optimal_equals_the_rate_ranking():
 
 
 def test_point_geometry_fields_equal_the_per_call_derivations():
+    # the loop below checks each of these Link fields
+    assert Link._fields == ("distance_m", "direction", "unit", "frame", "gain", "path_gain")
     # the equidistant pair of test_associate_tie_break_lowest_index first
     tie = small_scenario(
         gbs_m=np.array([[200.0, 100.0, 2.0], [400.0, 100.0, 2.0]]),
@@ -592,34 +595,34 @@ def test_point_geometry_fields_equal_the_per_call_derivations():
         assert geo.point is point
         distances = np.linalg.norm(scn.gbs_m - point.position, axis=1)
         assert geo.gbs_by_distance == tuple(np.argsort(distances, kind="stable"))
-        fields = [
-            (scn.target_m, geo.target_dir, geo.target_unit, geo.target_frame, geo.target_gain)
-        ]
-        fields += zip(scn.gbs_m, geo.gbs_dir, geo.gbs_unit, geo.gbs_frame, geo.gbs_gain)
-        for dest, direction, unit, frame, gain in fields:
+        d = float(np.linalg.norm(scn.target_m - point.position))
+        radar_gain = radar_path_gain(scn.channel, d)
+        # (Link, destination, distance, path gain), the target first, then each station
+        links = [(geo.target, scn.target_m, d, radar_gain)]
+        assert len(geo.gbs) == scn.num_gbs
+        for gbs, link in zip(scn.gbs_m, geo.gbs):
+            distance = float(np.linalg.norm(point.position - gbs))
+            path_gain = station_path_gain(scn.channel, point.position, gbs, distance)
+            links.append((link, gbs, distance, path_gain))
+        for link, dest, distance, path_gain in links:
             old_dir = direction_angles(point.position, dest)
             old_unit = array_frame_unit(rotation_matrix(point.orientation), old_dir)
-            assert direction == old_dir
-            assert np.array_equal(unit, old_unit)
-            assert frame == DirectionAngles(
+            # unit is an ndarray, so == on two Links is ambiguous: field by field
+            assert link.distance_m == distance
+            assert link.direction == old_dir
+            assert np.array_equal(link.unit, old_unit)
+            assert link.frame == DirectionAngles(
                 theta=math.acos(min(1.0, max(-1.0, old_unit[2]))),
                 phi=math.atan2(old_unit[1], old_unit[0]),
             )
-            assert gain == element_gain(old_unit)
-        for k, gbs in enumerate(scn.gbs_m):
-            distance = float(np.linalg.norm(point.position - gbs))
-            assert geo.gbs_distance_m[k] == distance
-            assert geo.gbs_path_gain[k] == station_path_gain(
-                scn.channel, point.position, gbs, distance
-            )
-        d = float(np.linalg.norm(scn.target_m - point.position))
-        radar_gain = radar_path_gain(scn.channel, d)
+            assert link.gain == element_gain(old_unit)
+            assert link.path_gain == path_gain
         phase = np.exp(2j * math.pi * scn.channel.carrier_hz * d / SPEED_OF_LIGHT)
         a = steering_vector(scn.array, point.position, point.orientation, scn.target_m)
         assert np.array_equal(geo.target_channel, math.sqrt(radar_gain) * phase * a)
         assert np.array_equal(
             geo.target_channel,
-            channel_vector(scn.channel, scn.array, d, radar_gain, unit=geo.target_unit),
+            channel_vector(scn.channel, scn.array, d, radar_gain, unit=geo.target.unit),
         )
     tie, tie_point = cases[0]
     tie_distances = np.linalg.norm(tie.gbs_m - tie_point.position, axis=1)
